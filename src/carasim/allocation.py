@@ -5,7 +5,8 @@ the K arms, from the current coefficient matrix ``theta`` (K rows) and the
 incoming patient's covariate ``x``.  All built-in rules are smooth in
 ``theta``; ``jacobian`` returns the K-by-(K*d) matrix of partial derivatives
 with columns ordered row-major over (arm j, coordinate l), i.e. column
-``j*d + l`` holds d pi_k / d theta_{j,l}.
+``j*d + l`` holds d pi_k / d theta_{j,l}.  Both accept one covariate (d,)
+or a stack of covariates (N, d) and then evaluate every row at once.
 
 Built-in kinds:
 
@@ -36,6 +37,8 @@ __all__ = ["AllocationRule", "probabilities", "jacobian", "jacobian_fd"]
 
 _KINDS = ("ratio-of-g", "exponential", "odds-ratio", "two-arm-g-difference",
           "covariate-free-normal", "custom")
+_TWO_ARM_KINDS = ("odds-ratio", "two-arm-g-difference", "covariate-free-normal")
+_PHI_KINDS = ("two-arm-g-difference", "covariate-free-normal")  # pi_1 = Phi(u)
 _G_NAMES = ("exp", "one-plus-z-squared")
 # Floor applied to computed probabilities purely to avoid floating underflow;
 # never a policy-level clip.
@@ -88,113 +91,128 @@ class AllocationRule:
         return AllocationRule(kind="custom", fn=fn)
 
 
-def _check_args(theta: np.ndarray, x: np.ndarray,
-                two_arm_kind: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _check_args(rule: AllocationRule, theta: np.ndarray,
+                x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     theta = np.asarray(theta, dtype=float)
     x = np.asarray(x, dtype=float)
     if theta.ndim != 2:
         raise ValueError(f"theta must be a (K, d) matrix, got shape {theta.shape}")
-    if x.ndim != 1 or x.shape[0] != theta.shape[1]:
-        raise ValueError(f"covariate has shape {x.shape}, expected ({theta.shape[1]},)")
+    if x.ndim not in (1, 2) or x.shape[-1] != theta.shape[1]:
+        raise ValueError(f"covariate has shape {x.shape}, expected ({theta.shape[1]},) "
+                         f"or (N, {theta.shape[1]})")
     if theta.shape[0] < 2:
         raise ValueError("allocation needs at least two arms")
-    if two_arm_kind is not None and theta.shape[0] != 2:
-        raise ValueError(f"{two_arm_kind} rule is defined for exactly two arms")
+    if rule.kind in _TWO_ARM_KINDS and theta.shape[0] != 2:
+        raise ValueError(f"{rule.kind} rule is defined for exactly two arms")
     return theta, x
 
 
 def _normalise(p: np.ndarray) -> np.ndarray:
     p = np.maximum(p, _FLOOR)
-    return p / p.sum()
+    return p / p.sum(axis=-1, keepdims=True)
+
+
+def _kernel(rule: AllocationRule, theta: np.ndarray, x: np.ndarray,
+            derivative: bool):
+    """pi for a built-in rule and, with ``derivative``, (d pi / d z, u).
+
+    Every built-in Jacobian is d pi / d theta_{j,l} = (d pi / d z_j) u_l,
+    with u = x except for the covariate-free rule, whose u is the unit
+    intercept vector.  Leading axes of ``x`` are carried through.
+    """
+    if rule.kind in _PHI_KINDS:
+        if rule.kind == "covariate-free-normal":
+            t = (theta[0, 0] - theta[1, 0]) / rule.T
+            if x.ndim == 2:
+                t = np.full(x.shape[0], t)
+        else:
+            z = x @ theta.T
+            t = (z[..., 0] - z[..., 1]) / rule.T
+        p1 = ndtr(t)
+        p = _normalise(np.array([p1, 1.0 - p1]).T)
+        if not derivative:
+            return p
+        g = np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi) / rule.T
+        u = x if rule.kind != "covariate-free-normal" else np.broadcast_to(
+            np.eye(x.shape[-1])[0], x.shape)
+        return p, g[..., None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]]), u
+    z = x @ theta.T
+    if rule.kind == "ratio-of-g" and rule.g_name == "one-plus-z-squared":
+        g = 1.0 + z * z
+        p = _normalise(g)
+        if not derivative:
+            return p
+        # d pi_k / d z_j = (delta_kj G'(z_k) - pi_k G'(z_j)) / sum G
+        gp = 2.0 * z
+        s = g.sum(axis=-1, keepdims=True)
+        dpi_dz = (np.eye(theta.shape[0]) * gp[..., None, :]
+                  - p[..., :, None] * gp[..., None, :]) / s[..., None]
+        return p, dpi_dz, x
+    # exponential, odds-ratio and ratio-of-g with G = exp
+    T = rule.T if rule.kind == "exponential" else 1.0
+    zz = T * z
+    p = _normalise(np.exp(zz - zz.max(axis=-1, keepdims=True)))
+    if not derivative:
+        return p
+    # d pi_k / d z_j = T pi_k (delta_kj - pi_j)
+    dpi_dz = T * (p[..., :, None] * np.eye(theta.shape[0]) - p[..., :, None] * p[..., None, :])
+    return p, dpi_dz, x
+
+
+def _custom_probabilities(rule: AllocationRule, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    if x.ndim == 2:
+        return np.array([_custom_probabilities(rule, theta, row) for row in x]
+                        ).reshape(x.shape[0], theta.shape[0])
+    p = np.asarray(rule.fn(theta, x), dtype=float)
+    if p.shape != (theta.shape[0],):
+        raise ValueError(f"custom rule returned shape {p.shape}, expected ({theta.shape[0]},)")
+    if np.any(p <= 0.0) or abs(p.sum() - 1.0) > 1e-8:
+        raise ValueError("custom rule must return a strictly positive probability vector")
+    return _normalise(p)
 
 
 def probabilities(rule: AllocationRule, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate pi(theta, x); strictly positive, sums to 1."""
-    two_arm = rule.kind in ("odds-ratio", "two-arm-g-difference", "covariate-free-normal")
-    theta, x = _check_args(theta, x, rule.kind if two_arm else None)
+    """Evaluate pi(theta, x); strictly positive, sums to 1.
 
+    ``x`` is one covariate (d,), giving shape (K,), or a stack (N, d),
+    giving one probability row per covariate, shape (N, K).
+    """
+    theta, x = _check_args(rule, theta, x)
     if rule.kind == "custom":
-        p = np.asarray(rule.fn(theta, x), dtype=float)
-        if p.shape != (theta.shape[0],):
-            raise ValueError(f"custom rule returned shape {p.shape}, expected ({theta.shape[0]},)")
-        if np.any(p <= 0.0) or abs(p.sum() - 1.0) > 1e-8:
-            raise ValueError("custom rule must return a strictly positive probability vector")
-        return _normalise(p)
-
-    if rule.kind == "covariate-free-normal":
-        p1 = float(ndtr((theta[0, 0] - theta[1, 0]) / rule.T))
-        return _normalise(np.array([p1, 1.0 - p1]))
-
-    z = theta @ x
-    if rule.kind == "two-arm-g-difference":
-        p1 = float(ndtr((z[0] - z[1]) / rule.T))
-        return _normalise(np.array([p1, 1.0 - p1]))
-    if rule.kind in ("exponential", "odds-ratio"):
-        T = 1.0 if rule.kind == "odds-ratio" else rule.T
-        zz = T * z
-        e = np.exp(zz - zz.max())
-        return _normalise(e)
-    # ratio-of-g
-    if rule.g_name == "exp":
-        e = np.exp(z - z.max())
-        return _normalise(e)
-    g = 1.0 + z * z
-    return _normalise(g)
+        return _custom_probabilities(rule, theta, x)
+    return _kernel(rule, theta, x, derivative=False)
 
 
-def _phi(u: float) -> float:
-    return math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+def jacobian(rule: AllocationRule, theta: np.ndarray, x: np.ndarray,
+             weights: np.ndarray | None = None) -> np.ndarray:
+    """d pi / d theta as a (K, K*d) matrix; columns sum to zero.
 
-
-def jacobian(rule: AllocationRule, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """d pi / d theta as a (K, K*d) matrix; rows sum to zero columnwise."""
-    two_arm = rule.kind in ("odds-ratio", "two-arm-g-difference", "covariate-free-normal")
-    theta, x = _check_args(theta, x, rule.kind if two_arm else None)
+    ``x`` of shape (N, d) gives one matrix per row, shape (N, K, K*d).  With
+    ``weights`` (N,) the rows are contracted instead: the result is
+    sum_n weights[n] * d pi / d theta (theta, x[n]), shape (K, K*d), and the
+    per-row stack is never built.
+    """
+    theta, x = _check_args(rule, theta, x)
     K, d = theta.shape
-
+    rows = x.reshape(-1, d)
     if rule.kind == "custom":
-        return jacobian_fd(rule, theta, x)
-
-    if rule.kind == "covariate-free-normal":
-        u = (theta[0, 0] - theta[1, 0]) / rule.T
-        g = _phi(u) / rule.T
-        jac = np.zeros((2, 2 * d))
-        jac[0, 0] = g
-        jac[0, d] = -g
-        jac[1, 0] = -g
-        jac[1, d] = g
-        return jac
-
-    z = theta @ x
-    if rule.kind == "two-arm-g-difference":
-        u = (z[0] - z[1]) / rule.T
-        g = _phi(u) / rule.T
-        dpi_dz = np.array([[g, -g], [-g, g]])
-        return np.kron(dpi_dz, x)
-
-    if rule.kind in ("exponential", "odds-ratio"):
-        T = 1.0 if rule.kind == "odds-ratio" else rule.T
-        p = probabilities(rule, theta, x)
-        # d pi_k / d z_j = T pi_k (delta_kj - pi_j)
-        dpi_dz = T * (np.diag(p) - np.outer(p, p))
-        return np.kron(dpi_dz, x)
-
-    # ratio-of-g: d pi_k / d z_j = (delta_kj G'(z_k) - pi_k G'(z_j)) / sum G
-    if rule.g_name == "exp":
-        p = probabilities(rule, theta, x)
-        dpi_dz = np.diag(p) - np.outer(p, p)
-        return np.kron(dpi_dz, x)
-    g = 1.0 + z * z
-    gp = 2.0 * z
-    s = g.sum()
-    p = g / s
-    dpi_dz = (np.diag(gp) - np.outer(p, gp)) / s
-    return np.kron(dpi_dz, x)
+        if weights is None:
+            jac = np.array([jacobian_fd(rule, theta, row) for row in rows])
+            return jac.reshape(x.shape[:-1] + (K, K * d))
+        acc = np.zeros((K, K * d))
+        for wn, row in zip(weights, rows):
+            acc += wn * jacobian_fd(rule, theta, row)
+        return acc
+    _, dpi_dz, u = _kernel(rule, theta, x, derivative=True)
+    if weights is None:
+        return (dpi_dz[..., None] * u[..., None, None, :]).reshape(x.shape[:-1] + (K, K * d))
+    return np.einsum("n,nkj,nl->kjl", weights, dpi_dz.reshape(-1, K, K),
+                     u.reshape(-1, d)).reshape(K, K * d)
 
 
 def jacobian_fd(rule: AllocationRule, theta: np.ndarray, x: np.ndarray,
                 step: float = 1e-6) -> np.ndarray:
-    """Central finite-difference Jacobian, one column per coefficient."""
+    """Central finite-difference Jacobian at one covariate, one column per coefficient."""
     theta = np.asarray(theta, dtype=float)
     x = np.asarray(x, dtype=float)
     K, d = theta.shape

@@ -18,6 +18,14 @@ Notation (row-vector coefficients; K arms, covariate dimension d):
   with covariance ``diag(pi) - pi'pi + 2 P(xi = x) sum_k (d pi / d theta_k)
   V_k (d pi / d theta_k)'``.
 
+Each of these is one weighted sum over a set of covariate nodes of pi,
+d pi / d theta and the arms' GLM weights (:func:`carasim.model.glm_weights`):
+the expectation nodes for the theory, a trial's support points or observed
+rows for the plug-ins.  Every public function evaluates the batched rule
+kernel once on its whole node set and contracts the node axis; only custom
+rules and a user-supplied ``conditional_variance_fn`` are called node by
+node.
+
 Expectations over the covariate distribution are exact finite sums whenever
 the support is finite.  Otherwise uniform coordinates are integrated by
 tensor Gauss-Legendre quadrature (64 nodes per dimension, up to three
@@ -28,7 +36,7 @@ a fixed internal seed and a reported standard error is used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
@@ -42,16 +50,13 @@ from .model import (
     TrialModel,
     TwoPoint,
     Uniform,
-    conditional_fisher_info,
-    conditional_variance,
+    glm_weights,
 )
 
 __all__ = [
     "TheoryOptions",
     "ExpectationMethod",
-    "TargetAllocation",
     "InfoMatrices",
-    "AllocationCovariance",
     "ConditionalCovariance",
     "TheoryReport",
     "PluginReport",
@@ -59,10 +64,8 @@ __all__ = [
     "LseSandwich",
     "SingularInformationError",
     "ZeroMassCovariateError",
-    "target_allocation",
+    "expectation_nodes",
     "info_matrices",
-    "sigma",
-    "sigma_given_x",
     "theory_report",
     "plugin_estimates",
     "scaled_mle_covariance",
@@ -161,15 +164,8 @@ def _mc_stderr(values: np.ndarray, weights: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Theory-side reports
+# Theory result types
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TargetAllocation:
-    v: np.ndarray  # (K,)
-    dg: np.ndarray  # (K, K*d)
-    method: ExpectationMethod
 
 
 @dataclass(frozen=True)
@@ -177,13 +173,6 @@ class InfoMatrices:
     info: np.ndarray  # (K, d, d)
     V: np.ndarray  # (K, d, d)
     method: ExpectationMethod
-
-
-@dataclass(frozen=True)
-class AllocationCovariance:
-    sigma1: np.ndarray  # (K, K)
-    sigma2: np.ndarray  # (K, K)
-    sigma: np.ndarray  # (K, K)
 
 
 @dataclass(frozen=True)
@@ -207,105 +196,135 @@ class TheoryReport:
     method: ExpectationMethod
 
 
-def target_allocation(model: TrialModel, rule: AllocationRule,
-                      opts: TheoryOptions = TheoryOptions()) -> TargetAllocation:
-    """Target allocation v = E[pi(theta, xi)] and its coefficient Jacobian."""
-    pts, w, method = expectation_nodes(model.covariates, opts)
-    K, d = model.K, model.d
-    theta = model.true_theta
-    pis = np.empty((pts.shape[0], K))
-    jacs = np.empty((pts.shape[0], K, K * d))
-    for i in range(pts.shape[0]):
-        pis[i] = probabilities(rule, theta, pts[i])
-        jacs[i] = jacobian(rule, theta, pts[i])
-    v = w @ pis
-    dg = np.tensordot(w, jacs, axes=(0, 0))
-    if method.kind == "monte-carlo":
-        method = ExpectationMethod(kind=method.kind, size=method.size,
-                                   stderr=_mc_stderr(pis, w))
-    return TargetAllocation(v=v, dg=dg, method=method)
+# ---------------------------------------------------------------------------
+# Shared sums over a node set
+# ---------------------------------------------------------------------------
+
+
+def _gram(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """sum_n W[n, k] X[n]'X[n] for every column k of W, shape (K, d, d)."""
+    return np.einsum("nk,ni,nj->kij", W, X, X)
+
+
+def _fisher_gram(model: TrialModel, theta: np.ndarray, X: np.ndarray, W: np.ndarray,
+                 dispersion: np.ndarray) -> np.ndarray:
+    """sum_n W[n, k] I_k(theta_k | X[n]) with the given per-arm dispersions."""
+    return _gram(X, W * glm_weights(model.arms, theta, X) / dispersion)
+
+
+def _invert(info: np.ndarray, cond_max: float, what: str) -> np.ndarray:
+    V = np.empty_like(info)
+    for k in range(info.shape[0]):
+        if np.linalg.cond(info[k]) > cond_max:
+            raise SingularInformationError(
+                f"{what} for arm {k + 1} is singular "
+                f"(condition number exceeds {cond_max:.1e})")
+        V[k] = np.linalg.inv(info[k])
+    return V
+
+
+def _allocation_covariance(p: np.ndarray, dg: np.ndarray, V: np.ndarray,
+                           c: float = 1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(diag(p) - p'p, sum_k B_k V_k B_k', the first plus 2c times the second).
+
+    B_k is the K-by-d block of ``dg`` holding the derivatives in arm k's
+    coefficients.  With p = v, dg = E[d pi / d theta] and c = 1 this is
+    (Sigma1, Sigma2, Sigma); at one covariate value x it is Sigma|x with
+    p = pi(theta, x), dg = d pi / d theta at x and c = P(xi = x).
+    """
+    K, d = V.shape[:2]
+    B = dg.reshape(K, K, d)
+    s1 = np.diag(p) - np.outer(p, p)
+    s2 = np.einsum("akl,klm,bkm->ab", B, V, B)
+    return s1, s2, s1 + 2.0 * c * s2
+
+
+def _points(x_list, d: int) -> np.ndarray:
+    """The covariate values of ``x_list`` as a (Q, d) array."""
+    X = np.asarray(x_list, dtype=float)
+    if X.size == 0:
+        return X.reshape(0, d)
+    if X.ndim != 2 or X.shape[1] != d:
+        raise ValueError(f"x_list must hold covariate values of dimension {d}")
+    return X
+
+
+def _conditionals(rule: AllocationRule, theta: np.ndarray, X: np.ndarray,
+                  masses: list[float], V: np.ndarray) -> tuple[ConditionalCovariance, ...]:
+    pis = probabilities(rule, theta, X)
+    jacs = jacobian(rule, theta, X)
+    return tuple(
+        ConditionalCovariance(x=X[q], mass=masses[q], pi=pis[q],
+                              sigma=_allocation_covariance(pis[q], jacs[q], V, masses[q])[2])
+        for q in range(X.shape[0]))
+
+
+# ---------------------------------------------------------------------------
+# Theory-side reports
+# ---------------------------------------------------------------------------
+
+
+def _design_information(model: TrialModel, pts: np.ndarray, w: np.ndarray, pi: np.ndarray,
+                        opts: TheoryOptions) -> tuple[np.ndarray, np.ndarray]:
+    """I_k = E[pi_k I_k(theta_k | xi)] on the nodes, and V_k = I_k^{-1}."""
+    phi = np.array([a.dispersion for a in model.arms])
+    info = _fisher_gram(model, model.true_theta, pts, w[:, None] * pi, phi)
+    V = _invert(info, opts.cond_max, "design-weighted information")
+    for k in range(model.K):
+        _assert_psd(f"V_{k + 1}", V[k])
+    return info, V
 
 
 def info_matrices(model: TrialModel, rule: AllocationRule,
                   opts: TheoryOptions = TheoryOptions()) -> InfoMatrices:
     """Design-weighted Fisher information I_k and V_k = I_k^{-1} per arm."""
     pts, w, method = expectation_nodes(model.covariates, opts)
-    K, d = model.K, model.d
-    theta = model.true_theta
-    info = np.zeros((K, d, d))
-    for i in range(pts.shape[0]):
-        x = pts[i]
-        pi = probabilities(rule, theta, x)
-        for k in range(K):
-            info[k] += w[i] * pi[k] * conditional_fisher_info(model.arms[k], theta[k], x)
-    V = np.empty_like(info)
-    for k in range(K):
-        if np.linalg.cond(info[k]) > opts.cond_max:
-            raise SingularInformationError(
-                f"design-weighted information for arm {k + 1} is singular "
-                f"(condition number exceeds {opts.cond_max:.1e})")
-        V[k] = np.linalg.inv(info[k])
-        _assert_psd(f"V_{k + 1}", V[k])
+    pi = probabilities(rule, model.true_theta, pts)
+    info, V = _design_information(model, pts, w, pi, opts)
     return InfoMatrices(info=info, V=V, method=method)
-
-
-def sigma(model: TrialModel, rule: AllocationRule,
-          opts: TheoryOptions = TheoryOptions()) -> AllocationCovariance:
-    """Asymptotic covariance of sqrt(n) (N_n / n - v)."""
-    ta = target_allocation(model, rule, opts)
-    im = info_matrices(model, rule, opts)
-    K, d = model.K, model.d
-    s1 = np.diag(ta.v) - np.outer(ta.v, ta.v)
-    s2 = np.zeros((K, K))
-    for k in range(K):
-        block = ta.dg[:, k * d:(k + 1) * d]
-        s2 += block @ im.V[k] @ block.T
-    total = s1 + 2.0 * s2
-    _assert_psd("Sigma1", s1)
-    _assert_psd("Sigma2", s2)
-    _assert_psd("Sigma", total)
-    return AllocationCovariance(sigma1=s1, sigma2=s2, sigma=total)
-
-
-def sigma_given_x(model: TrialModel, rule: AllocationRule, x,
-                  opts: TheoryOptions = TheoryOptions()) -> ConditionalCovariance:
-    """Asymptotic covariance of sqrt(N_n(x)) (N_{n|x} / N_n(x) - pi(theta, x))."""
-    x = np.asarray(x, dtype=float)
-    mass = model.covariates.mass(x)
-    if mass <= 0.0:
-        raise ZeroMassCovariateError(
-            f"covariate value {x.tolist()} has zero probability mass")
-    K, d = model.K, model.d
-    theta = model.true_theta
-    im = info_matrices(model, rule, opts)
-    pi = probabilities(rule, theta, x)
-    jac = jacobian(rule, theta, x)
-    s = np.diag(pi) - np.outer(pi, pi)
-    for k in range(K):
-        block = jac[:, k * d:(k + 1) * d]
-        s = s + 2.0 * mass * (block @ im.V[k] @ block.T)
-    _assert_psd(f"Sigma|x={x.tolist()}", s)
-    return ConditionalCovariance(x=x, mass=mass, pi=pi, sigma=s)
 
 
 def theory_report(model: TrialModel, rule: AllocationRule, x_list=(),
                   opts: TheoryOptions = TheoryOptions()) -> TheoryReport:
-    """Bundle of all limit-theorem quantities for one (model, rule) pair."""
-    ta = target_allocation(model, rule, opts)
-    im = info_matrices(model, rule, opts)
-    cov = sigma(model, rule, opts)
-    conditional = tuple(sigma_given_x(model, rule, x, opts) for x in x_list)
-    return TheoryReport(v=ta.v, dg=ta.dg, info=im.info, V=im.V,
-                        sigma1=cov.sigma1, sigma2=cov.sigma2, sigma=cov.sigma,
-                        conditional=conditional, method=ta.method)
+    """All limit-theorem quantities for one (model, rule) pair.
+
+    One pass over the expectation nodes gives v = E[pi], dg = E[d pi / d
+    theta] and the design-weighted information; Sigma and every Sigma|x in
+    ``x_list`` are composed from them.  Each x must have positive mass.
+    """
+    pts, w, method = expectation_nodes(model.covariates, opts)
+    theta = model.true_theta
+    pi = probabilities(rule, theta, pts)
+    v = w @ pi
+    dg = jacobian(rule, theta, pts, weights=w)
+    info, V = _design_information(model, pts, w, pi, opts)
+    if method.kind == "monte-carlo":
+        method = replace(method, stderr=_mc_stderr(pi, w))
+    s1, s2, total = _allocation_covariance(v, dg, V)
+    _assert_psd("Sigma1", s1)
+    _assert_psd("Sigma2", s2)
+    _assert_psd("Sigma", total)
+
+    X = _points(x_list, model.d)
+    masses = [model.covariates.mass(x) for x in X]
+    for x, mass in zip(X, masses):
+        if mass <= 0.0:
+            raise ZeroMassCovariateError(
+                f"covariate value {x.tolist()} has zero probability mass")
+    conditional = _conditionals(rule, theta, X, masses, V)
+    for c in conditional:
+        _assert_psd(f"Sigma|x={c.x.tolist()}", c.sigma)
+    return TheoryReport(v=v, dg=dg, info=info, V=V, sigma1=s1, sigma2=s2, sigma=total,
+                        conditional=conditional, method=method)
 
 
 def scaled_mle_covariance(model: TrialModel, rule: AllocationRule,
                           opts: TheoryOptions = TheoryOptions()) -> np.ndarray:
     """Asymptotic covariance of sqrt(N_{n,k}) (theta_hat_k - theta_k): v_k V_k."""
-    ta = target_allocation(model, rule, opts)
-    im = info_matrices(model, rule, opts)
-    return np.array([ta.v[k] * im.V[k] for k in range(model.K)])
+    pts, w, _ = expectation_nodes(model.covariates, opts)
+    pi = probabilities(rule, model.true_theta, pts)
+    _, V = _design_information(model, pts, w, pi, opts)
+    return (w @ pi)[:, None, None] * V
 
 
 def iid_mle_covariance(model: TrialModel,
@@ -316,17 +335,9 @@ def iid_mle_covariance(model: TrialModel,
     :func:`scaled_mle_covariance`: adaptivity then costs the coefficient
     estimates nothing asymptotically."""
     pts, w, _ = expectation_nodes(model.covariates, opts)
-    K, d = model.K, model.d
-    out = np.empty((K, d, d))
-    for k in range(K):
-        acc = np.zeros((d, d))
-        for i in range(pts.shape[0]):
-            acc += w[i] * conditional_fisher_info(model.arms[k], model.true_theta[k], pts[i])
-        if np.linalg.cond(acc) > opts.cond_max:
-            raise SingularInformationError(
-                f"expected information for arm {k + 1} is singular")
-        out[k] = np.linalg.inv(acc)
-    return out
+    phi = np.array([a.dispersion for a in model.arms])
+    info = _fisher_gram(model, model.true_theta, pts, w[:, None], phi)
+    return _invert(info, opts.cond_max, "expected information")
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +366,9 @@ def plugin_estimates(history: TrialHistory, model: TrialModel, rule: AllocationR
 
     Expectations become averages over the n observed covariates, the true
     coefficients are replaced by the final estimates, and V_k inverts the
-    sample information.  With ``opts.dispersion == "estimated"`` the normal
+    sample information.  The averages run over the covariate support points,
+    weighted by their counts, when the history records them, else over the
+    observed rows.  With ``opts.dispersion == "estimated"`` the normal
     arms' error variance is replaced by the residual mean square
     (RSS_k / (N_k - d), falling back to RSS_k / N_k when N_k <= d).
     Positive semidefiniteness is only warned about here, never enforced.
@@ -391,39 +404,16 @@ def plugin_estimates(history: TrialHistory, model: TrialModel, rule: AllocationR
     elif opts.dispersion != "model":
         raise ValueError(f"unknown dispersion mode {opts.dispersion!r}")
 
-    arms_eff = tuple(
-        model.arms[k] if model.arms[k].family == "logistic" or phi[k] == model.arms[k].dispersion
-        else type(model.arms[k])(family=model.arms[k].family, dispersion=float(phi[k]))
-        for k in range(K))
-
-    # Sample information and rule Jacobian, grouped by support point when the
-    # covariate law has finite support.
-    info_hat = np.zeros((K, d, d))
-    dg_hat = np.zeros((K, K * d))
+    # One pass over the nodes: the support points when the history records
+    # them, else the observed rows, each weighted by its per-arm counts / n.
     if history.support_idx is not None:
-        support = model.covariates.enumerated()[0]
-        S = support.shape[0]
-        node_counts = np.bincount(history.support_idx[:n], minlength=S)
-        arm_node = np.zeros((K, S), dtype=int)
-        for k in range(K):
-            arm_node[k] = np.bincount(history.support_idx[:n][arms_arr == k], minlength=S)
-        for s in range(S):
-            if node_counts[s] == 0:
-                continue
-            xs = support[s]
-            dg_hat += (node_counts[s] / n) * jacobian(rule, theta, xs)
-            for k in range(K):
-                if arm_node[k, s]:
-                    info_hat[k] += (arm_node[k, s] / n) * conditional_fisher_info(
-                        arms_eff[k], theta[k], xs)
+        nodes, node_of_row = model.covariates.enumerated()[0], history.support_idx[:n]
     else:
-        for m in range(n):
-            xm = X[m]
-            dg_hat += jacobian(rule, theta, xm)
-            k = int(arms_arr[m])
-            info_hat[k] += conditional_fisher_info(arms_eff[k], theta[k], xm)
-        dg_hat /= n
-        info_hat /= n
+        nodes, node_of_row = X, np.arange(n)
+    arm_node = np.bincount(node_of_row * K + arms_arr,
+                           minlength=nodes.shape[0] * K).reshape(-1, K)
+    dg_hat = jacobian(rule, theta, nodes, weights=arm_node.sum(axis=1) / n)
+    info_hat = _fisher_gram(model, theta, nodes, arm_node / n, phi)
 
     V_hat = np.empty_like(info_hat)
     for k in range(K):
@@ -433,29 +423,15 @@ def plugin_estimates(history: TrialHistory, model: TrialModel, rule: AllocationR
             warnings.append(f"sample information for arm {k + 1} is singular; used pseudo-inverse")
             V_hat[k] = np.linalg.pinv(info_hat[k])
 
-    frac = counts / n
-    sigma1_hat = np.diag(frac) - np.outer(frac, frac)
-    sigma2_hat = np.zeros((K, K))
-    for k in range(K):
-        block = dg_hat[:, k * d:(k + 1) * d]
-        sigma2_hat += block @ V_hat[k] @ block.T
-    sigma_hat = sigma1_hat + 2.0 * sigma2_hat
+    sigma1_hat, sigma2_hat, sigma_hat = _allocation_covariance(counts / n, dg_hat, V_hat)
 
-    conditional = []
-    for x in x_list:
-        x = np.asarray(x, dtype=float)
-        mask = np.all(X == x, axis=1)
-        mass_hat = float(mask.sum()) / n
-        if mass_hat == 0.0:
+    xs = _points(x_list, d)
+    masses = [float(np.all(X == x, axis=1).sum()) / n for x in xs]
+    for x, mass in zip(xs, masses):
+        if mass == 0.0:
             raise ZeroMassCovariateError(
                 f"covariate value {x.tolist()} never occurred in the history")
-        pi_hat = probabilities(rule, theta, x)
-        jac = jacobian(rule, theta, x)
-        s = np.diag(pi_hat) - np.outer(pi_hat, pi_hat)
-        for k in range(K):
-            block = jac[:, k * d:(k + 1) * d]
-            s = s + 2.0 * mass_hat * (block @ V_hat[k] @ block.T)
-        conditional.append(ConditionalCovariance(x=x, mass=mass_hat, pi=pi_hat, sigma=s))
+    conditional = _conditionals(rule, theta, xs, masses, V_hat)
 
     for name, mat in (("Sigma1_hat", sigma1_hat), ("Sigma_hat", sigma_hat)):
         msg = _psd_warning(name, mat)
@@ -469,7 +445,7 @@ def plugin_estimates(history: TrialHistory, model: TrialModel, rule: AllocationR
     return PluginReport(theta_hat=theta, counts=counts, dispersion_hat=phi,
                         info_hat=info_hat, V_hat=V_hat, dg_hat=dg_hat,
                         sigma1_hat=sigma1_hat, sigma2_hat=sigma2_hat, sigma_hat=sigma_hat,
-                        conditional=tuple(conditional), warnings=tuple(warnings))
+                        conditional=conditional, warnings=tuple(warnings))
 
 
 # ---------------------------------------------------------------------------
@@ -571,27 +547,18 @@ def lse_sandwich(model: TrialModel, rule: AllocationRule,
     sigma_k^2 (E[pi_k xi'xi])^{-1}.
     """
     pts, w, method = expectation_nodes(model.covariates, opts)
-    K, d = model.K, model.d
     theta = model.true_theta
-    info_x = np.zeros((K, d, d))
-    info_y = np.zeros((K, d, d))
-    for i in range(pts.shape[0]):
-        x = pts[i]
-        pi = probabilities(rule, theta, x)
-        outer = np.outer(x, x)
-        for k in range(K):
-            if conditional_variance_fn is None:
-                var_y = conditional_variance(model.arms[k], theta[k], x)
-            else:
-                var_y = float(conditional_variance_fn(k, x))
-            info_x[k] += w[i] * pi[k] * outer
-            info_y[k] += w[i] * pi[k] * var_y * outer
-    V = np.empty_like(info_x)
-    for k in range(K):
-        if np.linalg.cond(info_x[k]) > opts.cond_max:
-            raise SingularInformationError(
-                f"E[pi_k xi'xi] for arm {k + 1} is singular")
-        inv = np.linalg.inv(info_x[k])
-        V[k] = inv @ info_y[k] @ inv
+    pi = probabilities(rule, theta, pts)
+    if conditional_variance_fn is None:
+        phi = np.array([a.dispersion for a in model.arms])
+        var_y = phi * glm_weights(model.arms, theta, pts)
+    else:
+        var_y = np.array([[float(conditional_variance_fn(k, x)) for k in range(model.K)]
+                          for x in pts]).reshape(pi.shape)
+    info_x = _gram(pts, w[:, None] * pi)
+    info_y = _gram(pts, w[:, None] * pi * var_y)
+    inv = _invert(info_x, opts.cond_max, "E[pi_k xi'xi]")
+    V = inv @ info_y @ inv
+    for k in range(model.K):
         _assert_psd(f"LSE V_{k + 1}", V[k])
     return LseSandwich(V=V, info_x=info_x, info_y=info_y, method=method)

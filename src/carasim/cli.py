@@ -28,8 +28,9 @@ from .harness import (
     ConfigError,
     emit_reports,
     parse_config,
-    report_json_bytes,
     run_replications,
+    summary_payload,
+    theory_payload,
     verification_json_bytes,
     verify,
     verify_config,
@@ -70,9 +71,7 @@ def _cmd_theory(args) -> int:
     cfg = _load_config(args)
     rep = theory_report(cfg.model, cfg.rule, cfg.x_list,
                         TheoryOptions(dispersion=cfg.dispersion))
-    from .harness import _theory_payload  # same serialisation as report.json
-
-    text = json.dumps(_theory_payload(rep), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(theory_payload(rep), indent=2, sort_keys=True) + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -89,12 +88,8 @@ def _cmd_replicate(args) -> int:
     if args.out is not None:
         paths = emit_reports(summary, args.out)
         print(f"wrote {paths['report']} and {paths['replicates']}")
-    _print_summary(summary_dict(summary))
+    _print_summary(summary_payload(summary))
     return 0
-
-
-def summary_dict(summary) -> dict:
-    return json.loads(report_json_bytes(summary).decode())
 
 
 def _fmt_matrix(m: dict) -> str:

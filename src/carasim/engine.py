@@ -12,7 +12,12 @@ Randomness is split into three purpose streams (covariate, assignment,
 response) derived from one root seed, so the allocation draw for patient m
 never perturbs the response stream and vice versa.  Responses are generated
 through a single uniform per patient pushed through the chosen arm's inverse
-CDF; potential responses of unchosen arms are never materialised.
+CDF (:func:`carasim.model.response_from_uniform`); potential responses of
+unchosen arms are never materialised.  The allocation rule is evaluated on
+one covariate per patient: :func:`carasim.allocation.probabilities` also
+takes stacks of covariates, but a row of a batched product is not always
+bitwise equal to the one-row product, and a history must not depend on how
+patients are grouped.
 
 Estimates are refreshed incrementally: each arm keeps sufficient statistics
 (binomial counts on the covariate support for logistic arms with finite
@@ -23,6 +28,10 @@ history; a test pins that equivalence.  Unlike the standalone fits, the
 incremental least-squares refits skip the conditioning-number guard for
 speed; exactly singular systems still fail soft (the arm keeps its previous
 estimate).
+
+:func:`step` rebuilds that state by replaying the history, forming the
+shared-slope fit's Sherman-Morrison inverse at the same refit as the
+uninterrupted run, so stepping reproduces :func:`run_trial` bit for bit.
 """
 
 from __future__ import annotations
@@ -33,7 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
-from scipy.special import ndtri
 
 from .allocation import AllocationRule, probabilities
 from .estimation import (
@@ -41,7 +49,7 @@ from .estimation import (
     FitOptions,
     fit_grouped_logistic_mle,
 )
-from .model import TrialModel, _expit
+from .model import TrialModel, response_from_uniform
 
 __all__ = [
     "TrialStreams",
@@ -176,9 +184,6 @@ class TrialHistory:
 
     # -- queries -------------------------------------------------------------
 
-    def latest_theta(self) -> np.ndarray | None:
-        return self.current_theta
-
     def counts(self) -> np.ndarray:
         """Patients per arm, N_{n,k}."""
         return np.bincount(self.arms[:self.n], minlength=self.K)
@@ -277,11 +282,12 @@ class _GroupedLogitState:
             t = self.trials[0]
             s = self.succ[0]
             if s <= 0.0:
-                raw = -math.inf
+                logit = -math.inf
             elif s >= t:
-                raw = math.inf
+                logit = math.inf
             else:
-                raw = math.log(s / (t - s)) / self.pts[0, 0]
+                logit = math.log(s / (t - s))
+            raw = logit / self.pts[0, 0]
             val = min(max(raw, lo[0]), hi[0])
             return np.array([val]), True, val != raw, False
         if self.sat_inv is not None:
@@ -355,9 +361,9 @@ class _JointLseState:
 
     After the first solvable refit the inverse of the Gram matrix is carried
     forward by rank-one (Sherman-Morrison) updates, so the per-patient refit
-    avoids a fresh linear solve.  The rebuild in ``TrialHistory.from_history``
-    replays the same update sequence, which keeps resumed trials bitwise
-    identical to uninterrupted ones.
+    avoids a fresh linear solve.  The rebuild in ``_TrialState.from_history``
+    replays the same updates and forms the inverse at the same refit, which
+    keeps resumed trials bitwise identical to uninterrupted ones.
     """
 
     __slots__ = ("K", "d", "P", "A", "b", "Ainv", "m")
@@ -382,14 +388,16 @@ class _JointLseState:
             v = self.Ainv @ eta
             self.Ainv -= np.outer(v, v / (1.0 + eta @ v))
 
+    def form_inverse(self) -> bool:
+        """Invert the Gram matrix at the first refit where it is solvable."""
+        if self.Ainv is None and self.m >= self.P and np.linalg.cond(self.A) <= 1e12:
+            self.Ainv = np.linalg.inv(self.A)
+        return self.Ainv is not None
+
     def refit(self, lo, hi, prev):
         """Returns (theta (K, d), converged, projected, failed)."""
-        if self.m < self.P:
+        if not self.form_inverse():
             return prev, False, False, True
-        if self.Ainv is None:
-            if np.linalg.cond(self.A) > 1e12:
-                return prev, False, False, True
-            self.Ainv = np.linalg.inv(self.A)
         coef = self.Ainv @ self.b
         if not np.all(np.isfinite(coef)):
             return prev, False, False, True
@@ -457,11 +465,6 @@ class _TrialState:
                 else:
                     self.states.append(_LseState(d))
 
-        # True-theta rows as contiguous arrays for the response transform.
-        self._true = [np.array(model.true_theta[k]) for k in range(K)]
-        self._families = [a.family for a in model.arms]
-        self._sigmas = [math.sqrt(a.dispersion) for a in model.arms]
-
     # -- randomness ----------------------------------------------------------
 
     def _draw_covariate(self) -> tuple[np.ndarray, int]:
@@ -472,12 +475,8 @@ class _TrialState:
         return spec.sample(self.streams.covariate), -1
 
     def _draw_response(self, k: int, x: np.ndarray) -> float:
-        u = self.streams.response.random()
-        mu = float(self._true[k] @ x)
-        if self._families[k] == "logistic":
-            return 1.0 if u < _expit(mu) else 0.0
-        u = min(max(u, 2.0 ** -55), 1.0 - 2.0 ** -53)
-        return mu + self._sigmas[k] * float(ndtri(u))
+        return response_from_uniform(self.model.arms[k], self.model.true_theta[k], x,
+                                     self.streams.response.random())
 
     # -- recording -----------------------------------------------------------
 
@@ -621,12 +620,16 @@ class _TrialState:
         state.resp[:n] = history.responses
         state.m = n
         # Rebuild sufficient statistics by sequential accumulation so the
-        # floating-point state matches an engine that ran patient by patient.
+        # floating-point state matches an engine that ran patient by patient;
+        # the joint fit's inverse is formed where that engine first refit.
+        burn = model.K * history.m0
         for m in range(n):
             k = int(history.arms[m])
             six = int(history.support_idx[m]) if history.support_idx is not None else -1
             if state.joint is not None:
                 state.joint.update(k, history.covariates[m], float(history.responses[m]))
+                if m + 1 >= burn and (m + 1 - burn) % history.refit_interval == 0:
+                    state.joint.form_inverse()
             else:
                 state.states[k].update(six, history.covariates[m], float(history.responses[m]))
         state.theta = np.array(history.current_theta)

@@ -319,7 +319,7 @@ def update_all_estimates(history: "TrialHistory", model: "TrialModel",
     estimate; arms whose fit fails (or that have no data) keep the previous
     value.  Pure: identical history in, identical estimates out."""
     K, d = model.K, model.d
-    prev = history.latest_theta()
+    prev = history.current_theta
     if prev is None:
         prev = 0.5 * (model.box_lo + model.box_hi)
     theta = np.array(prev, dtype=float)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fixtures
+from . import __version__, fixtures
 from .allocation import AllocationRule
 from .asymptotics import (
     TheoryOptions,
@@ -37,8 +37,6 @@ from .engine import EngineOptions, TrialHistory, replicate_root, run_trial
 from .estimation import ArmSample, FitOptions, fit_linear_lse, fit_logistic_mle
 from .model import ArmModel, Constant, CovariateSpec, TrialModel, TwoPoint, Uniform
 
-__version__ = "0.1.0"
-
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
@@ -49,6 +47,8 @@ __all__ = [
     "parse_config",
     "run_replications",
     "emit_reports",
+    "theory_payload",
+    "summary_payload",
     "report_json_bytes",
     "verification_json_bytes",
     "verify",
@@ -500,7 +500,7 @@ def _mat(a: np.ndarray) -> dict:
             "data": [float(v) for v in a.ravel(order="C")]}
 
 
-def _theory_payload(t: TheoryReport) -> dict:
+def theory_payload(t: TheoryReport) -> dict:
     return {
         "method": {"kind": t.method.kind, "size": int(t.method.size),
                    "stderr": None if t.method.stderr is None else float(t.method.stderr)},
@@ -526,7 +526,7 @@ def summary_payload(s: ReplicationSummary) -> dict:
         "n": int(s.n),
         "replicates": int(s.replicates),
         "failures": [int(i) for i in s.failures],
-        "theory": _theory_payload(s.theory),
+        "theory": theory_payload(s.theory),
         "empirical": {
             "alloc_dev_mean": _mat(s.alloc_dev_mean),
             "alloc_dev_cov": _mat(s.alloc_dev_cov),
@@ -572,7 +572,7 @@ def replicate_csv_lines(s: ReplicationSummary) -> list[str]:
     for i in range(s.replicates):
         if not s.ok[i]:
             continue
-        row = [str(i), str(i)]
+        row = [str(i), str(s.master_seed)]
         row += [str(int(c)) for c in s.counts[i]]
         row += [f"{v:.17g}" for v in s.theta_hat[i].ravel(order="C")]
         for q in range(nx):

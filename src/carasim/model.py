@@ -17,7 +17,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 from numpy.random import Generator
-from scipy.special import ndtri
+from scipy.special import expit, ndtri
 
 __all__ = [
     "Uniform",
@@ -26,11 +26,9 @@ __all__ = [
     "CovariateSpec",
     "ArmModel",
     "TrialModel",
-    "sample_covariate",
-    "sample_covariates",
     "mean_response",
-    "sample_response",
     "response_from_uniform",
+    "glm_weights",
     "conditional_variance",
     "conditional_fisher_info",
     "score",
@@ -318,22 +316,23 @@ def mean_response(arm: ArmModel, theta_k: np.ndarray, x: np.ndarray) -> float:
     return _expit(mu) if arm.family == "logistic" else mu
 
 
+def glm_weights(arms: Sequence[ArmModel], theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """GLM variance function V_k(x) of every arm, shape (K,) or (N, K).
+
+    ``theta`` is the (K, d) coefficient matrix and ``x`` one covariate (d,)
+    or a stack (N, d).  V_k = p(1-p) for logistic arms and 1 for
+    normal-linear arms, so that with dispersion phi_k
+    Var(Y_k | x) = phi_k V_k(x) and I_k(theta_k | x) = (V_k(x) / phi_k) x'x.
+    """
+    p = expit(x @ theta.T)
+    logistic = np.array([a.family == "logistic" for a in arms])
+    return np.where(logistic, p * (1.0 - p), 1.0)
+
+
 def conditional_variance(arm: ArmModel, theta_k: np.ndarray, x: np.ndarray) -> float:
     """Var(Y | xi = x): p(1-p) for logistic, the error variance for normal."""
-    if arm.family == "logistic":
-        p = mean_response(arm, theta_k, x)
-        return p * (1.0 - p)
-    _check_dims(theta_k, x)
-    return arm.dispersion
-
-
-def sample_response(arm: ArmModel, theta_k: np.ndarray, x: np.ndarray,
-                    rng: Generator) -> float:
     theta_k, x = _check_dims(theta_k, x)
-    mu = float(theta_k @ x)
-    if arm.family == "logistic":
-        return 1.0 if rng.random() < _expit(mu) else 0.0
-    return mu + math.sqrt(arm.dispersion) * rng.standard_normal()
+    return arm.dispersion * float(glm_weights((arm,), theta_k[None, :], x)[0])
 
 
 # Engine-side response primitive: one uniform per patient, transformed through
@@ -355,11 +354,7 @@ def conditional_fisher_info(arm: ArmModel, theta_k: np.ndarray, x: np.ndarray) -
     Identity link: p(1-p) x'x for logistic, x'x / sigma^2 for normal-linear.
     """
     theta_k, x = _check_dims(theta_k, x)
-    if arm.family == "logistic":
-        p = _expit(float(theta_k @ x))
-        w = p * (1.0 - p)
-    else:
-        w = 1.0 / arm.dispersion
+    w = float(glm_weights((arm,), theta_k[None, :], x)[0]) / arm.dispersion
     return w * np.outer(x, x)
 
 
@@ -432,12 +427,3 @@ class TrialModel:
     def d(self) -> int:
         return self.covariates.d
 
-
-def sample_covariate(spec: CovariateSpec, rng: Generator) -> np.ndarray:
-    """Draw one covariate vector."""
-    return spec.sample(rng)
-
-
-def sample_covariates(spec: CovariateSpec, rng: Generator, size: int) -> np.ndarray:
-    """Draw ``size`` i.i.d. covariate vectors as a (size, d) array."""
-    return spec.sample_batch(rng, size)

@@ -16,8 +16,6 @@ from carasim.asymptotics import (
     lse_sandwich,
     plugin_estimates,
     scaled_mle_covariance,
-    sigma_given_x,
-    target_allocation,
     theory_report,
 )
 from carasim.engine import TrialHistory, replicate_root, run_trial
@@ -81,7 +79,7 @@ def test_f1_report_reproduces_hand_values():
 def test_f1_conditional_at_the_sure_point_equals_sigma():
     # The covariate is 1 with probability one, so conditioning changes nothing.
     model, rule = _f1_pair()
-    cond = sigma_given_x(model, rule, [1.0])
+    cond, = theory_report(model, rule, x_list=[[1.0]]).conditional
     assert cond.mass == 1.0
     np.testing.assert_allclose(cond.pi, F1_EXACT["v"], atol=1e-10)
     np.testing.assert_allclose(cond.sigma, F1_EXACT["sigma"], atol=1e-10)
@@ -94,7 +92,7 @@ def test_f1_conditional_at_the_sure_point_equals_sigma():
 
 def test_covariate_free_rule_target_is_the_constant_probability():
     model, rule = _bb_pair()
-    ta = target_allocation(model, rule)
+    ta = theory_report(model, rule)
     v1 = ndtr(1.0)  # mu_1 - mu_2 = 1, T = 1
     np.testing.assert_allclose(ta.v, [v1, 1.0 - v1], atol=1e-12)
 
@@ -106,7 +104,7 @@ def test_two_point_target_matches_naive_enumeration():
             for s in range(pts.shape[0]))
     dg = sum(pr[s] * jacobian(rule, model.true_theta, pts[s])
              for s in range(pts.shape[0]))
-    ta = target_allocation(model, rule)
+    ta = theory_report(model, rule)
     np.testing.assert_allclose(ta.v, v, atol=1e-12)
     np.testing.assert_allclose(ta.dg, dg, atol=1e-12)
 
@@ -118,8 +116,8 @@ def test_product_enumeration_matches_explicit_discrete_support():
     raw["model"]["covariates"] = {"kind": "discrete", "support": pts.tolist(),
                                   "probs": pr.tolist()}
     model_disc, _ = _pair(raw)
-    ta_p = target_allocation(model_prod, rule)
-    ta_d = target_allocation(model_disc, rule)
+    ta_p = theory_report(model_prod, rule)
+    ta_d = theory_report(model_disc, rule)
     np.testing.assert_allclose(ta_p.v, ta_d.v, atol=1e-12)
     np.testing.assert_allclose(ta_p.dg, ta_d.dg, atol=1e-12)
     im_p = info_matrices(model_prod, rule)
@@ -138,7 +136,7 @@ def _uniform_model():
 def test_quadrature_matches_adaptive_integration_oracle():
     model = _uniform_model()
     rule = AllocationRule.odds_ratio()
-    ta = target_allocation(model, rule)
+    ta = theory_report(model, rule)
     assert ta.method.kind == "quadrature"
     oracle, err = quad(
         lambda u: probabilities(rule, model.true_theta, np.array([1.0, u]))[0],
@@ -152,13 +150,13 @@ def test_monte_carlo_fallback_is_deterministic_and_close():
     model = _uniform_model()
     rule = AllocationRule.odds_ratio()
     opts = TheoryOptions(max_quadrature_dims=0, mc_size=20000)
-    mc1 = target_allocation(model, rule, opts)
-    mc2 = target_allocation(model, rule, opts)
+    mc1 = theory_report(model, rule, opts=opts)
+    mc2 = theory_report(model, rule, opts=opts)
     assert mc1.method.kind == "monte-carlo"
     assert mc1.method.size == 20000
     assert mc1.method.stderr is not None and mc1.method.stderr > 0.0
     np.testing.assert_array_equal(mc1.v, mc2.v)
-    exact = target_allocation(model, rule)
+    exact = theory_report(model, rule)
     assert abs(mc1.v[0] - exact.v[0]) <= 5.0 * mc1.method.stderr
 
 
@@ -171,7 +169,7 @@ def test_covariate_free_information_factorises():
     # Under a covariate-free rule I_k = v_k E[I_k(theta_k | xi)].
     raw = coincidence_configs(0)[1]
     model, rule = _pair(raw)
-    ta = target_allocation(model, rule)
+    ta = theory_report(model, rule)
     im = info_matrices(model, rule)
     pts, pr = model.covariates.enumerated()
     for k in range(model.K):
@@ -239,7 +237,7 @@ def test_conditional_covariance_assembled_from_parts():
     for k in range(model.K):
         block = jac[:, k * d:(k + 1) * d]
         expect = expect + 2.0 * 0.5 * (block @ im.V[k] @ block.T)
-    cond = sigma_given_x(model, rule, x)
+    cond, = theory_report(model, rule, x_list=[x]).conditional
     assert cond.mass == 0.5
     np.testing.assert_allclose(cond.pi, pi, atol=1e-12)
     np.testing.assert_allclose(cond.sigma, expect, atol=1e-12)
@@ -250,10 +248,10 @@ def test_covariate_free_conditional_reduces_to_scaled_sigma():
     # so conditioning only rescales the feedback term by the point's mass.
     raw = coincidence_configs(0)[1]
     model, rule = _pair(raw)
-    rep = theory_report(model, rule)
     pts, pr = model.covariates.enumerated()
+    rep = theory_report(model, rule, x_list=pts)
     for s in range(pts.shape[0]):
-        cond = sigma_given_x(model, rule, pts[s])
+        cond = rep.conditional[s]
         np.testing.assert_allclose(cond.pi, rep.v, atol=1e-12)
         np.testing.assert_allclose(cond.sigma,
                                    rep.sigma1 + 2.0 * pr[s] * rep.sigma2,
@@ -263,7 +261,15 @@ def test_covariate_free_conditional_reduces_to_scaled_sigma():
 def test_zero_mass_covariate_value_is_rejected():
     model, rule = _two_point_pair()
     with pytest.raises(ZeroMassCovariateError):
-        sigma_given_x(model, rule, [0.0, 5.0])
+        theory_report(model, rule, x_list=[[0.0, 5.0]])
+
+
+def test_wrong_dimension_x_list_is_rejected():
+    # A flat list of 2d numbers must not be read as d-dimensional points.
+    model, rule = _two_point_pair()
+    for x_list in ([[1.0, 0.0, 1.0, 1.0]], [[1.0]]):
+        with pytest.raises(ValueError, match="dimension 2"):
+            theory_report(model, rule, x_list=x_list)
 
 
 def test_swapping_arms_permutes_the_report():
@@ -333,6 +339,23 @@ def test_plugin_structural_invariants():
                                atol=1e-12)
     for cond in rep.conditional:
         np.testing.assert_allclose(cond.sigma.sum(axis=1), 0.0, atol=1e-12)
+
+
+def test_plugin_support_points_and_observed_rows_agree():
+    # A finite-support trial is summed over its support points; the same rows
+    # without support indices are summed row by row.  Both give the same sums.
+    raw = two_point_config(n=600, replicates=1, seed=4)
+    cfg, hist = _one_trial(raw)
+    rows = TrialHistory.from_arrays(hist.covariates, hist.arms, hist.responses, K=cfg.model.K,
+                                    current_theta=hist.current_theta)
+    x_list = [[1.0, 0.0], [1.0, 1.0]]
+    by_point = plugin_estimates(hist, cfg.model, cfg.rule, x_list=x_list)
+    by_row = plugin_estimates(rows, cfg.model, cfg.rule, x_list=x_list)
+    for name in ("info_hat", "V_hat", "dg_hat", "sigma_hat"):
+        np.testing.assert_allclose(getattr(by_row, name), getattr(by_point, name),
+                                   rtol=1e-12, atol=1e-14)
+    for a, b in zip(by_row.conditional, by_point.conditional):
+        np.testing.assert_allclose(a.sigma, b.sigma, rtol=1e-12, atol=1e-14)
 
 
 def test_covariate_free_plugin_jacobian_has_zero_slope_columns():

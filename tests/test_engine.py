@@ -13,12 +13,13 @@ from carasim.engine import (
     step,
     streams_for_trial,
 )
-from carasim.estimation import FitOptions
-from carasim.fixtures import f1_config, two_point_config
+from carasim.estimation import FitOptions, update_all_estimates
+from carasim.fixtures import bb_config, f1_config, two_point_config
 from carasim.harness import parse_config
 from carasim.model import ArmModel, CovariateSpec, TrialModel
 
 OPTS = EngineOptions(fit=FitOptions(check_conditioning=False))
+ODDS_RULE = AllocationRule.odds_ratio()
 
 
 def _f1(n=100, seed=3, **kw):
@@ -115,6 +116,34 @@ def test_stepwise_execution_matches_run_trial_bitwise():
     np.testing.assert_array_equal(hist.responses, whole.responses)
     np.testing.assert_array_equal(hist.current_theta, whole.current_theta)
     np.testing.assert_array_equal(hist.record_ms, whole.record_ms)
+
+
+def test_stepwise_shared_slope_matches_run_trial_bitwise():
+    # The joint least-squares fit carries its inverse Gram matrix forward by
+    # rank-one updates; a resumed trial must form it at the same refit.
+    cfg = parse_config(bb_config(n=305, replicates=1, seed=0))
+    opts = cfg.engine_options()
+    for seed in range(6):
+        whole = run_trial(cfg.model, cfg.rule, 305, cfg.m0, replicate_root(seed, 0), opts)
+        streams = streams_for_trial(replicate_root(seed, 0))
+        hist = run_trial(cfg.model, cfg.rule, 300, cfg.m0, streams, opts)
+        while hist.n < 305:
+            hist = step(hist, cfg.model, cfg.rule, streams)
+        np.testing.assert_array_equal(hist.probs, whole.probs)
+        np.testing.assert_array_equal(hist.arms, whole.arms)
+        np.testing.assert_array_equal(hist.current_theta, whole.current_theta)
+
+
+def test_intercept_only_closed_form_respects_negative_covariate():
+    # All-equal responses push the logit to +-inf; dividing by x < 0 flips
+    # which end of the box the estimate is clamped to.
+    arm = ArmModel(family="logistic")
+    model = TrialModel(arms=(arm, arm), covariates=CovariateSpec.constant([-1.0]),
+                       true_theta=np.zeros((2, 1)), box_lo=-2.0, box_hi=2.0)
+    for seed in range(20):
+        hist = run_trial(model, ODDS_RULE, 6, 3, replicate_root(seed, 0), OPTS)
+        expected = update_all_estimates(hist, model, OPTS.fit).theta
+        np.testing.assert_allclose(hist.current_theta, expected, rtol=0, atol=1e-9)
 
 
 def test_step_requires_completed_burn_in():

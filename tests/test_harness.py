@@ -210,6 +210,8 @@ def test_report_payload_round_trips(tmp_path):
     csv = (tmp_path / "out" / "replicates.csv").read_text().splitlines()
     assert len(csv) == 4  # header + three replicates
     assert csv[0].startswith("replicate,seed,N_1,N_2,theta_1_1")
+    # Replicate i's stream is rooted at (master seed, i).
+    assert [row.split(",")[:2] for row in csv[1:]] == [["0", "8"], ["1", "8"], ["2", "8"]]
     assert (tmp_path / "out" / "patients.csv").exists()
     assert json.loads((tmp_path / "out" / "trial.json").read_text())["n"] == 60
     assert set(paths) == {"report", "replicates", "patients", "trial"}

@@ -12,9 +12,6 @@ from carasim.model import (
     conditional_variance,
     mean_response,
     response_from_uniform,
-    sample_covariate,
-    sample_covariates,
-    sample_response,
     score,
 )
 
@@ -31,13 +28,13 @@ def test_constant_spec_always_returns_point():
     spec = CovariateSpec.constant([1.0])
     rng = np.random.default_rng(0)
     for _ in range(50):
-        np.testing.assert_array_equal(sample_covariate(spec, rng), [1.0])
+        np.testing.assert_array_equal(spec.sample(rng), [1.0])
 
 
 def test_discrete_frequency_matches_probabilities():
     spec = CovariateSpec.discrete([[1.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
     rng = np.random.default_rng(20240817)
-    draws = sample_covariates(spec, rng, 100_000)
+    draws = spec.sample_batch(rng, 100_000)
     freq = np.mean(draws[:, 1] == 1.0)
     assert abs(freq - 0.5) <= 0.01
 
@@ -46,7 +43,7 @@ def test_intercept_flag_prepends_exact_one():
     spec = CovariateSpec.product([Uniform(0.0, 1.0)], intercept=True)
     assert spec.d == 2
     rng = np.random.default_rng(3)
-    draws = sample_covariates(spec, rng, 200)
+    draws = spec.sample_batch(rng, 200)
     np.testing.assert_array_equal(draws[:, 0], np.ones(200))
     assert np.all((draws[:, 1] >= 0.0) & (draws[:, 1] <= 1.0))
 
@@ -65,7 +62,7 @@ def test_product_enumeration_matches_expected_masses():
 def test_sample_batch_and_scalar_sampling_agree_in_distribution():
     spec = CovariateSpec.discrete([[0.0], [1.0], [2.0]], [0.2, 0.3, 0.5])
     rng = np.random.default_rng(11)
-    batch = sample_covariates(spec, rng, 50_000)
+    batch = spec.sample_batch(rng, 50_000)
     for value, p in [(0.0, 0.2), (1.0, 0.3), (2.0, 0.5)]:
         assert abs(np.mean(batch[:, 0] == value) - p) < 0.01
 
@@ -160,7 +157,7 @@ def test_score_has_mean_zero_at_truth():
                        (ArmModel(family="normal-linear", dispersion=2.0),
                         np.array([1.0]))]:
         x = np.array([1.0])
-        draws = np.array([score(arm, theta, x, sample_response(arm, theta, x, rng))[0]
+        draws = np.array([score(arm, theta, x, response_from_uniform(arm, theta, x, rng.random()))[0]
                           for _ in range(n)])
         info = conditional_fisher_info(arm, theta, x)[0, 0]
         assert abs(draws.mean()) <= 4.0 * np.sqrt(info / n)
@@ -175,7 +172,7 @@ def test_bernoulli_sample_mean():
     rng = np.random.default_rng(12345)
     x = np.array([1.0])
     theta = np.array([0.0])
-    draws = [sample_response(LOGISTIC, theta, x, rng) for _ in range(100_000)]
+    draws = [response_from_uniform(LOGISTIC, theta, x, rng.random()) for _ in range(100_000)]
     assert abs(np.mean(draws) - 0.5) <= 0.01
     assert set(np.unique(draws)) <= {0.0, 1.0}
 
@@ -184,7 +181,8 @@ def test_normal_sample_variance():
     rng = np.random.default_rng(777)
     x = np.array([1.0])
     theta = np.array([1.0])
-    draws = np.array([sample_response(NORMAL4, theta, x, rng) for _ in range(100_000)])
+    draws = np.array([response_from_uniform(NORMAL4, theta, x, rng.random())
+                      for _ in range(100_000)])
     assert abs(draws.var(ddof=1) - 4.0) <= 0.15
     assert abs(draws.mean() - 1.0) <= 0.03
 
