@@ -6,7 +6,9 @@ incoming patient's covariate ``x``.  All built-in rules are smooth in
 ``theta``; ``jacobian`` returns the K-by-(K*d) matrix of partial derivatives
 with columns ordered row-major over (arm j, coordinate l), i.e. column
 ``j*d + l`` holds d pi_k / d theta_{j,l}.  Both accept one covariate (d,)
-or a stack of covariates (N, d) and then evaluate every row at once.
+or a stack of covariates (N, d) and then evaluate every row at once;
+``probabilities`` also takes one coefficient matrix per row, theta of shape
+(N, K, d), which is how the engine evaluates a batch of replicates.
 
 Built-in kinds:
 
@@ -33,7 +35,8 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtr
 
-__all__ = ["AllocationRule", "probabilities", "jacobian", "jacobian_fd"]
+__all__ = ["AllocationRule", "check_rule", "probabilities", "probabilities_unchecked",
+           "jacobian", "jacobian_fd"]
 
 _KINDS = ("ratio-of-g", "exponential", "odds-ratio", "two-arm-g-difference",
           "covariate-free-normal", "custom")
@@ -91,25 +94,41 @@ class AllocationRule:
         return AllocationRule(kind="custom", fn=fn)
 
 
-def _check_args(rule: AllocationRule, theta: np.ndarray,
-                x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def check_rule(rule: AllocationRule, K: int) -> None:
+    """Check that ``rule`` is defined for K arms."""
+    if K < 2:
+        raise ValueError("allocation needs at least two arms")
+    if rule.kind in _TWO_ARM_KINDS and K != 2:
+        raise ValueError(f"{rule.kind} rule is defined for exactly two arms")
+
+
+def _check_args(rule: AllocationRule, theta: np.ndarray, x: np.ndarray,
+                per_row: bool = False) -> tuple[np.ndarray, np.ndarray]:
     theta = np.asarray(theta, dtype=float)
     x = np.asarray(x, dtype=float)
-    if theta.ndim != 2:
+    if per_row and theta.ndim == 3:
+        if x.ndim != 2 or x.shape[0] != theta.shape[0] or x.shape[1] != theta.shape[2]:
+            raise ValueError(f"covariates have shape {x.shape}, expected "
+                             f"({theta.shape[0]}, {theta.shape[2]}) for one theta per row")
+    elif theta.ndim != 2:
         raise ValueError(f"theta must be a (K, d) matrix, got shape {theta.shape}")
-    if x.ndim not in (1, 2) or x.shape[-1] != theta.shape[1]:
+    elif x.ndim not in (1, 2) or x.shape[-1] != theta.shape[1]:
         raise ValueError(f"covariate has shape {x.shape}, expected ({theta.shape[1]},) "
                          f"or (N, {theta.shape[1]})")
-    if theta.shape[0] < 2:
-        raise ValueError("allocation needs at least two arms")
-    if rule.kind in _TWO_ARM_KINDS and theta.shape[0] != 2:
-        raise ValueError(f"{rule.kind} rule is defined for exactly two arms")
+    check_rule(rule, theta.shape[-2])
     return theta, x
 
 
 def _normalise(p: np.ndarray) -> np.ndarray:
     p = np.maximum(p, _FLOOR)
-    return p / p.sum(axis=-1, keepdims=True)
+    return p / np.add.reduce(p, axis=-1, keepdims=True)
+
+
+def _predictors(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Linear predictors z = x theta' for a shared theta or one theta per row."""
+    if theta.ndim == 3:
+        return (theta @ x[:, :, None])[:, :, 0]
+    return x @ theta.T
 
 
 def _kernel(rule: AllocationRule, theta: np.ndarray, x: np.ndarray,
@@ -118,15 +137,17 @@ def _kernel(rule: AllocationRule, theta: np.ndarray, x: np.ndarray,
 
     Every built-in Jacobian is d pi / d theta_{j,l} = (d pi / d z_j) u_l,
     with u = x except for the covariate-free rule, whose u is the unit
-    intercept vector.  Leading axes of ``x`` are carried through.
+    intercept vector.  Leading axes of ``x`` are carried through; ``theta``
+    is one (K, d) matrix, or (N, K, d) with one matrix per row of ``x``
+    (probabilities only).
     """
     if rule.kind in _PHI_KINDS:
         if rule.kind == "covariate-free-normal":
-            t = (theta[0, 0] - theta[1, 0]) / rule.T
-            if x.ndim == 2:
+            t = (theta[..., 0, 0] - theta[..., 1, 0]) / rule.T
+            if x.ndim == 2 and theta.ndim == 2:
                 t = np.full(x.shape[0], t)
         else:
-            z = x @ theta.T
+            z = _predictors(theta, x)
             t = (z[..., 0] - z[..., 1]) / rule.T
         p1 = ndtr(t)
         p = _normalise(np.array([p1, 1.0 - p1]).T)
@@ -136,7 +157,7 @@ def _kernel(rule: AllocationRule, theta: np.ndarray, x: np.ndarray,
         u = x if rule.kind != "covariate-free-normal" else np.broadcast_to(
             np.eye(x.shape[-1])[0], x.shape)
         return p, g[..., None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]]), u
-    z = x @ theta.T
+    z = _predictors(theta, x)
     if rule.kind == "ratio-of-g" and rule.g_name == "one-plus-z-squared":
         g = 1.0 + z * z
         p = _normalise(g)
@@ -150,8 +171,8 @@ def _kernel(rule: AllocationRule, theta: np.ndarray, x: np.ndarray,
         return p, dpi_dz, x
     # exponential, odds-ratio and ratio-of-g with G = exp
     T = rule.T if rule.kind == "exponential" else 1.0
-    zz = T * z
-    p = _normalise(np.exp(zz - zz.max(axis=-1, keepdims=True)))
+    zz = T * z if T != 1.0 else z
+    p = _normalise(np.exp(zz - np.maximum.reduce(zz, axis=-1, keepdims=True)))
     if not derivative:
         return p
     # d pi_k / d z_j = T pi_k (delta_kj - pi_j)
@@ -161,8 +182,9 @@ def _kernel(rule: AllocationRule, theta: np.ndarray, x: np.ndarray,
 
 def _custom_probabilities(rule: AllocationRule, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     if x.ndim == 2:
-        return np.array([_custom_probabilities(rule, theta, row) for row in x]
-                        ).reshape(x.shape[0], theta.shape[0])
+        rows = theta if theta.ndim == 3 else [theta] * x.shape[0]
+        return np.array([_custom_probabilities(rule, th, row) for th, row in zip(rows, x)]
+                        ).reshape(x.shape[0], theta.shape[-2])
     p = np.asarray(rule.fn(theta, x), dtype=float)
     if p.shape != (theta.shape[0],):
         raise ValueError(f"custom rule returned shape {p.shape}, expected ({theta.shape[0]},)")
@@ -175,9 +197,18 @@ def probabilities(rule: AllocationRule, theta: np.ndarray, x: np.ndarray) -> np.
     """Evaluate pi(theta, x); strictly positive, sums to 1.
 
     ``x`` is one covariate (d,), giving shape (K,), or a stack (N, d),
-    giving one probability row per covariate, shape (N, K).
+    giving one probability row per covariate, shape (N, K).  ``theta`` is
+    one (K, d) matrix for every row, or a stack (N, K, d) with one matrix
+    per row of ``x``.
     """
-    theta, x = _check_args(rule, theta, x)
+    theta, x = _check_args(rule, theta, x, per_row=True)
+    return probabilities_unchecked(rule, theta, x)
+
+
+def probabilities_unchecked(rule: AllocationRule, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """:func:`probabilities` without its argument checks, for a caller that
+    checked the rule once with :func:`check_rule` and passes float arrays of
+    matching shapes (the engine, once per patient)."""
     if rule.kind == "custom":
         return _custom_probabilities(rule, theta, x)
     return _kernel(rule, theta, x, derivative=False)

@@ -1,4 +1,4 @@
-"""Sequential CARA trial engine.
+"""Sequential CARA trial engine, run as a lockstep batch of replicates.
 
 A trial runs in two phases.  The first ``K * m0`` patients follow restricted
 randomization: a uniformly random permutation of the multiset with ``m0``
@@ -10,46 +10,65 @@ refresh estimates on the configured cadence (every patient by default).
 
 Randomness is split into three purpose streams (covariate, assignment,
 response) derived from one root seed, so the allocation draw for patient m
-never perturbs the response stream and vice versa.  Responses are generated
-through a single uniform per patient pushed through the chosen arm's inverse
-CDF (:func:`carasim.model.response_from_uniform`); potential responses of
-unchosen arms are never materialised.  The allocation rule is evaluated on
-one covariate per patient: :func:`carasim.allocation.probabilities` also
-takes stacks of covariates, but a row of a batched product is not always
-bitwise equal to the one-row product, and a history must not depend on how
-patients are grouped.
+never perturbs the response stream and vice versa.  After the burn-in
+permutation every stream takes a fixed number of uniforms per patient (one,
+or one per non-constant covariate coordinate), so the engine draws them in
+blocks: ``gen.random(m)`` gives the same numbers as m calls of
+``gen.random()``.  A patient's response is its one response uniform pushed
+through the chosen arm's inverse CDF
+(:func:`carasim.model.responses_from_uniforms`, which transforms a block of
+uniforms for every arm at once; the engine keeps the chosen arm's), so no
+stream depends on which arm a patient gets.
 
-Estimates are refreshed incrementally: each arm keeps sufficient statistics
-(binomial counts on the covariate support for logistic arms with finite
-covariate support, normal-equation accumulators for least squares) so a refit
-costs the same at patient 100 and patient 10000.  The incremental fits agree
-with :func:`carasim.estimation.update_all_estimates` run on the stored
-history; a test pins that equivalence.  Unlike the standalone fits, the
-incremental least-squares refits skip the conditioning-number guard for
-speed; exactly singular systems still fail soft (the arm keeps its previous
-estimate).
+:func:`run_trials` advances B replicates of one design together, one patient
+at a time, as array operations over the replicates: the rule is evaluated
+with one coefficient matrix per replicate, arms are drawn from the
+cumulative probabilities, and every replicate's estimator state is updated
+in one step.  :func:`run_trial` is a batch of one.  Every operation acts on
+each replicate's own row with the same floating-point steps whatever B is,
+so replicate i of a batch is bit for bit ``run_trial`` with replicate i's
+seed.
 
-:func:`step` rebuilds that state by replaying the history, forming the
-shared-slope fit's Sherman-Morrison inverse at the same refit as the
-uninterrupted run, so stepping reproduces :func:`run_trial` bit for bit.
+Estimates are refreshed incrementally from sufficient statistics, so a refit
+costs the same at patient 100 and patient 10000:
+
+* logistic arms on a finite covariate support keep binomial counts per
+  support point; the intercept-only and the saturated model (as many support
+  points as coefficients) have closed forms, evaluated for all replicates at
+  once, and other refits run :func:`carasim.estimation.fit_grouped_logistic_mle`
+  on the counts, one replicate at a time;
+* logistic arms on a continuous support keep their rows and refit by the
+  same IRLS, one replicate at a time;
+* normal arms keep normal-equation accumulators, solved as one stack;
+* the shared-slope joint fit carries the inverse of its Gram matrix forward
+  by rank-one (Sherman-Morrison) updates once it is solvable.
+
+The incremental fits agree with :func:`carasim.estimation.update_all_estimates`
+run on the stored history.  Unlike the standalone fits, the incremental
+least-squares refits skip the conditioning-number guard; exactly singular
+systems still fail soft (the arm keeps its previous estimate).
+
+A history from :func:`run_trial` carries the engine state after its last
+patient, and :func:`step` resumes from it: one patient costs the same
+whatever the length of the history, and stepping reproduces ``run_trial``
+bit for bit.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 
-from .allocation import AllocationRule, probabilities
+from .allocation import AllocationRule, check_rule, probabilities_unchecked
 from .estimation import (
     SINGULAR_HESSIAN,
     FitOptions,
     fit_grouped_logistic_mle,
 )
-from .model import TrialModel, response_from_uniform
+from .model import TrialModel, responses_from_uniforms
 
 __all__ = [
     "TrialStreams",
@@ -59,6 +78,8 @@ __all__ = [
     "streams_for_trial",
     "replicate_root",
     "burn_in_schedule",
+    "TrialBatch",
+    "run_trials",
     "run_trial",
     "step",
 ]
@@ -132,6 +153,9 @@ class TrialHistory:
     ``record_ms[r]``; ``current_theta`` is the estimate after the last
     patient.  ``support_idx`` maps each patient to a covariate support point
     when the covariate distribution has finite support, else it is None.
+    ``engine_state`` is the estimator state after the last patient, from
+    which :func:`step` resumes; histories built by :meth:`from_arrays` have
+    none.
     """
 
     n: int
@@ -155,6 +179,7 @@ class TrialHistory:
     theta_stride: int
     seed_entropy: object = None
     seed_spawn_key: tuple = ()
+    engine_state: "_Lockstep | None" = field(default=None, repr=False, compare=False)
 
     # -- construction helpers ------------------------------------------------
 
@@ -247,169 +272,10 @@ class TrialHistory:
             f.write("\n")
 
 
-# ---------------------------------------------------------------------------
-# Incremental per-arm estimator state
-# ---------------------------------------------------------------------------
-
-
-class _GroupedLogitState:
-    """Binomial counts on the (finite) covariate support for one arm."""
-
-    __slots__ = ("pts", "trials", "succ", "scalar", "sat_inv")
-
-    def __init__(self, support: np.ndarray):
-        self.pts = support
-        self.trials = np.zeros(support.shape[0])
-        self.succ = np.zeros(support.shape[0])
-        # Intercept-only logistic regression has the closed form
-        # theta = logit(success fraction) / x, clamped to the box.
-        self.scalar = support.shape == (1, 1) and support[0, 0] != 0.0
-        # With as many support points as coefficients the model is saturated:
-        # whenever every group has both outcomes and the interpolated
-        # coefficients are interior, the MLE solves X theta = logit(s / t)
-        # exactly and the iterative fit can be skipped.
-        self.sat_inv = None
-        if not self.scalar and support.shape[0] == support.shape[1]:
-            if np.linalg.cond(support) < 1e8:
-                self.sat_inv = np.linalg.inv(support)
-
-    def update(self, six: int, x: np.ndarray, y: float) -> None:
-        self.trials[six] += 1.0
-        self.succ[six] += y
-
-    def refit(self, lo, hi, init, opts) -> tuple[np.ndarray, bool, bool, bool]:
-        if self.scalar:
-            t = self.trials[0]
-            s = self.succ[0]
-            if s <= 0.0:
-                logit = -math.inf
-            elif s >= t:
-                logit = math.inf
-            else:
-                logit = math.log(s / (t - s))
-            raw = logit / self.pts[0, 0]
-            val = min(max(raw, lo[0]), hi[0])
-            return np.array([val]), True, val != raw, False
-        if self.sat_inv is not None:
-            t, s = self.trials, self.succ
-            if np.all(s > 0.0) and np.all(s < t):
-                theta = self.sat_inv @ np.log(s / (t - s))
-                if np.all(theta >= lo) and np.all(theta <= hi):
-                    return theta, True, False, False
-        fit = fit_grouped_logistic_mle(self.pts, self.trials, self.succ,
-                                       lo, hi, init=init, opts=opts)
-        failed = fit.reason == SINGULAR_HESSIAN
-        return fit.theta_hat, fit.converged, fit.projected, failed
-
-
-class _RowLogitState:
-    """Raw per-observation rows for a logistic arm (continuous covariates)."""
-
-    __slots__ = ("X", "y", "m")
-
-    def __init__(self, d: int):
-        self.X = np.empty((64, d))
-        self.y = np.empty(64)
-        self.m = 0
-
-    def update(self, six: int, x: np.ndarray, y: float) -> None:
-        if self.m == self.X.shape[0]:
-            self.X = np.concatenate([self.X, np.empty_like(self.X)])
-            self.y = np.concatenate([self.y, np.empty_like(self.y)])
-        self.X[self.m] = x
-        self.y[self.m] = y
-        self.m += 1
-
-    def refit(self, lo, hi, init, opts):
-        fit = fit_grouped_logistic_mle(self.X[:self.m], np.ones(self.m), self.y[:self.m],
-                                       lo, hi, init=init, opts=opts)
-        failed = fit.reason == SINGULAR_HESSIAN
-        return fit.theta_hat, fit.converged, fit.projected, failed
-
-
-class _LseState:
-    """Normal-equation accumulators for one least-squares arm."""
-
-    __slots__ = ("A", "b", "m")
-
-    def __init__(self, d: int):
-        self.A = np.zeros((d, d))
-        self.b = np.zeros(d)
-        self.m = 0
-
-    def update(self, six: int, x: np.ndarray, y: float) -> None:
-        self.A += np.outer(x, x)
-        self.b += y * x
-        self.m += 1
-
-    def refit(self, lo, hi, init, opts):
-        d = self.b.shape[0]
-        if self.m < d:
-            return init, False, False, True
-        try:
-            theta = np.linalg.solve(self.A, self.b)
-        except np.linalg.LinAlgError:
-            return init, False, False, True
-        if not np.all(np.isfinite(theta)):
-            return init, False, False, True
-        clipped = np.minimum(np.maximum(theta, lo), hi)
-        return clipped, True, bool(np.any(clipped != theta)), False
-
-
-class _JointLseState:
-    """Normal-equation accumulators for the shared-slope joint fit.
-
-    After the first solvable refit the inverse of the Gram matrix is carried
-    forward by rank-one (Sherman-Morrison) updates, so the per-patient refit
-    avoids a fresh linear solve.  The rebuild in ``_TrialState.from_history``
-    replays the same updates and forms the inverse at the same refit, which
-    keeps resumed trials bitwise identical to uninterrupted ones.
-    """
-
-    __slots__ = ("K", "d", "P", "A", "b", "Ainv", "m")
-
-    def __init__(self, K: int, d: int):
-        self.K = K
-        self.d = d
-        self.P = K + d - 1
-        self.A = np.zeros((self.P, self.P))
-        self.b = np.zeros(self.P)
-        self.Ainv = None
-        self.m = 0
-
-    def update(self, arm: int, x: np.ndarray, y: float) -> None:
-        eta = np.zeros(self.P)
-        eta[arm] = 1.0
-        eta[self.K:] = x[1:]
-        self.A += np.outer(eta, eta)
-        self.b += y * eta
-        self.m += 1
-        if self.Ainv is not None:
-            v = self.Ainv @ eta
-            self.Ainv -= np.outer(v, v / (1.0 + eta @ v))
-
-    def form_inverse(self) -> bool:
-        """Invert the Gram matrix at the first refit where it is solvable."""
-        if self.Ainv is None and self.m >= self.P and np.linalg.cond(self.A) <= 1e12:
-            self.Ainv = np.linalg.inv(self.A)
-        return self.Ainv is not None
-
-    def refit(self, lo, hi, prev):
-        """Returns (theta (K, d), converged, projected, failed)."""
-        if not self.form_inverse():
-            return prev, False, False, True
-        coef = self.Ainv @ self.b
-        if not np.all(np.isfinite(coef)):
-            return prev, False, False, True
-        theta = np.empty((self.K, self.d))
-        theta[:, 0] = coef[:self.K]
-        theta[:, 1:] = coef[self.K:]
-        clipped = np.minimum(np.maximum(theta, lo), hi)
-        return clipped, True, bool(np.any(clipped != theta)), False
 
 
 # ---------------------------------------------------------------------------
-# Trial state
+# Lockstep estimator state
 # ---------------------------------------------------------------------------
 
 
@@ -420,232 +286,418 @@ def burn_in_schedule(K: int, m0: int, rng: Generator) -> np.ndarray:
     return rng.permutation(np.repeat(np.arange(K), m0))
 
 
-class _TrialState:
-    def __init__(self, model: TrialModel, rule: AllocationRule, streams: TrialStreams,
-                 m0: int, opts: EngineOptions, capacity: int):
+_GROUPED, _ROWS, _LSE = 0, 1, 2
+
+
+class _Lockstep:
+    """Estimates and sufficient statistics of B replicates of one design.
+
+    Per-arm quantities are kept per cell ``c = b * K + k`` (replicate b, arm
+    k), so that the cells one patient touches are a flat index; the joint
+    shared-slope fit is kept per replicate.  :meth:`patient` admits one
+    patient to every replicate.
+    """
+
+    _PER_CELL = ("theta", "converged", "projected", "fail", "counts",
+                 "lo", "hi", "trials", "succ", "X", "y", "gram", "moment")
+    _PER_REPLICATE = ("joint_gram", "joint_moment", "joint_inv", "formed")
+
+    def __init__(self, model: TrialModel, rule: AllocationRule, m0: int,
+                 opts: EngineOptions, B: int):
         K, d = model.K, model.d
         if m0 < d + 1:
             raise ValueError(f"m0 must be at least d + 1 = {d + 1}, got {m0}")
-        self.model = model
-        self.rule = rule
-        self.streams = streams
-        self.m0 = m0
-        self.opts = opts
-        self.K, self.d = K, d
+        check_rule(rule, K)
+        self.model, self.rule, self.opts = model, rule, opts
+        self.K = K
+        self.burn = K * m0
+        self.B = B
+        self.m = 0  # patients admitted to every replicate
+        self.steps_since_refit = 0
         enum = model.covariates.enumerated()
         self.support = enum[0] if enum is not None else None
 
-        self.cov = np.empty((capacity, d))
-        self.six = np.empty(capacity, dtype=np.int64)
-        self.arm = np.empty(capacity, dtype=np.int64)
-        self.psi = np.empty((capacity, K))
-        self.resp = np.empty(capacity)
-        self.m = 0
+        C = B * K
+        self.lo = np.tile(model.box_lo, (B, 1))
+        self.hi = np.tile(model.box_hi, (B, 1))
+        self.theta = 0.5 * (self.lo + self.hi)
+        self.converged = np.zeros(C, dtype=bool)
+        self.projected = np.zeros(C, dtype=bool)
+        self.fail = np.zeros(C, dtype=int)
+        self.fresh = []  # cells observed since the last refit, one array per patient
 
-        self.theta = 0.5 * (model.box_lo + model.box_hi)
-        self.converged = np.zeros(K, dtype=bool)
-        self.projected = np.zeros(K, dtype=bool)
-        self.fail_counts = np.zeros(K, dtype=int)
-        self.pending = np.zeros(K, dtype=bool)
-        self.steps_since_refit = 0
-        self.records: list[tuple[int, np.ndarray]] = []
-
-        if model.shared_slopes:
-            self.joint = _JointLseState(K, d)
-            self.states = None
-        else:
-            self.joint = None
-            self.states = []
-            for k in range(K):
-                if model.arms[k].family == "logistic":
-                    if self.support is not None:
-                        self.states.append(_GroupedLogitState(self.support))
-                    else:
-                        self.states.append(_RowLogitState(d))
-                else:
-                    self.states.append(_LseState(d))
-
-    # -- randomness ----------------------------------------------------------
-
-    def _draw_covariate(self) -> tuple[np.ndarray, int]:
-        spec = self.model.covariates
+        # How each arm refits: from support counts (_GROUPED), from its rows
+        # (_ROWS) or from normal equations (_LSE); shared slopes fit jointly.
+        logistic = np.array([a.family == "logistic" for a in model.arms])
+        self.joint = model.shared_slopes
+        self.arm_kind = np.where(logistic, _GROUPED if self.support is not None else _ROWS, _LSE)
+        self.kind = int(self.arm_kind[0]) if np.all(self.arm_kind == self.arm_kind[0]) else None
+        self.rowwise = bool(np.any(self.arm_kind == _ROWS))
+        self.lse = not self.joint and bool(np.any(self.arm_kind == _LSE))
         if self.support is not None:
-            i = spec.sample_index(self.streams.covariate)
-            return self.support[i], i
-        return spec.sample(self.streams.covariate), -1
+            # Patients per (cell, support point), and their successes.
+            self.trials = np.zeros((C, self.support.shape[0]))
+            self.succ = np.zeros((C, self.support.shape[0]))
+        # Patients per cell, where the support counts do not give them.
+        self.counts = (np.zeros(C, dtype=np.int64)
+                       if self.support is None or self.lse else None)
+        if self.rowwise:
+            self.X = np.empty((C, 64, d))
+            self.y = np.empty((C, 64))
+        if self.lse:
+            self.gram = np.zeros((C, d, d))
+            self.moment = np.zeros((C, d))
+        if self.joint:
+            P = K + d - 1
+            self.joint_gram = np.zeros((B, P, P))
+            self.joint_moment = np.zeros((B, P))
+            # Zero until formed, so that the rank-one updates leave it zero.
+            self.joint_inv = np.zeros((B, P, P))
+            self.formed = np.zeros(B, dtype=bool)
+            self.n_formed = 0
+            self.onehot = np.eye(K, P)  # arm indicators of the joint design row
+            # Coefficients of the joint fit that make up theta, row by row.
+            self.joint_cols = np.array([[k] + list(range(K, P)) for k in range(K)]).ravel()
 
-    def _draw_response(self, k: int, x: np.ndarray) -> float:
-        return response_from_uniform(self.model.arms[k], self.model.true_theta[k], x,
-                                     self.streams.response.random())
+        # Intercept-only logistic regression has the closed form
+        # theta = logit(success fraction) / x, clamped to the box.  With as
+        # many support points as coefficients the model is saturated:
+        # whenever every group has both outcomes and the interpolated
+        # coefficients are interior, the MLE solves X theta = logit(s / t)
+        # exactly and the iterative fit can be skipped.
+        self.scalar = (self.support is not None and self.support.shape == (1, 1)
+                       and self.support[0, 0] != 0.0)
+        self.sat_inv = None
+        if (self.support is not None and not self.scalar
+                and self.support.shape[0] == self.support.shape[1]
+                and np.linalg.cond(self.support) < 1e8):
+            self.sat_inv = np.linalg.inv(self.support)
+        self._first_cell = np.arange(B) * K
+        self._theta3 = self.theta.reshape(B, K, d)
+        self.log = None  # per-patient arrays that step() appends to, shared along a lineage
 
-    # -- recording -----------------------------------------------------------
+    def take(self, idx: list[int]) -> "_Lockstep":
+        """A copy that holds only the replicates ``idx``."""
+        K = self.K
+        cells = (np.asarray(idx)[:, None] * K + np.arange(K)).ravel()
+        new = object.__new__(_Lockstep)
+        new.__dict__ = {name: value if value is None
+                        else value[cells] if name in self._PER_CELL
+                        else value[idx] if name in self._PER_REPLICATE else value
+                        for name, value in self.__dict__.items()}
+        new.B = len(idx)
+        new._first_cell = np.arange(new.B) * K
+        new._theta3 = new.theta.reshape(new.B, K, self.model.d)
+        pending = self.pending()[cells]
+        new.fresh = [np.flatnonzero(pending)] if pending.any() else []
+        if self.joint:
+            new.n_formed = int(new.formed.sum())
+        return new
 
-    def _grow(self) -> None:
-        cap = max(16, int(self.cov.shape[0] * 1.5) + 1)
-        self.cov = np.concatenate([self.cov, np.empty((cap - self.cov.shape[0], self.d))])
-        self.six = np.concatenate([self.six, np.empty(cap - self.six.shape[0], dtype=np.int64)])
-        self.arm = np.concatenate([self.arm, np.empty(cap - self.arm.shape[0], dtype=np.int64)])
-        self.psi = np.concatenate([self.psi, np.empty((cap - self.psi.shape[0], self.K))])
-        self.resp = np.concatenate([self.resp, np.empty(cap - self.resp.shape[0])])
+    def estimates(self) -> np.ndarray:
+        """Current estimates, (B, K, d)."""
+        return self._theta3
 
-    def _record_patient(self, x, six, k, psi, y) -> None:
-        m = self.m
-        if m == self.cov.shape[0]:
-            self._grow()
-        self.cov[m] = x
-        self.six[m] = six
-        self.arm[m] = k
-        self.psi[m] = psi
-        self.resp[m] = y
-        self.m = m + 1
+    def pending(self) -> np.ndarray:
+        """Cells observed since the last refit, as a mask."""
+        mask = np.zeros(self.theta.shape[0], dtype=bool)
+        for cells in self.fresh:
+            mask[cells] = True
+        return mask
 
-    def _maybe_record_theta(self) -> None:
-        # theta_records[r] is the estimate in force after patient record_ms[r],
-        # including any refit that patient triggered.
-        if self.m % self.opts.theta_stride == 0:
-            self.records.append((self.m, self.theta.copy()))
+    def arm_counts(self) -> np.ndarray:
+        """Patients per arm, (B, K)."""
+        if self.counts is None:
+            return self.trials.sum(axis=1).astype(np.int64).reshape(self.B, self.K)
+        return self.counts.reshape(self.B, self.K).copy()
 
-    # -- estimation ----------------------------------------------------------
+    # -- one patient ---------------------------------------------------------
 
-    def _observe(self, k: int, six: int, x: np.ndarray, y: float) -> None:
-        if self.joint is not None:
-            self.joint.update(k, x, y)
+    def patient(self, x: np.ndarray, six: np.ndarray | None, u_assign: np.ndarray | None,
+                responses: np.ndarray, arm: np.ndarray | None = None):
+        """Admit one patient to every replicate; returns (arm, psi, y).
+
+        ``x`` (B, d) and ``six`` (B,) are the covariates and their support
+        indices (None off a finite support), and ``responses`` (B, K) every
+        arm's response.  During burn-in ``arm`` holds the scheduled arms and
+        psi is None; afterwards the rule at the current estimates and the
+        uniforms ``u_assign`` choose them: the arm is the first whose
+        cumulative probability exceeds u, accumulated left to right.
+        """
+        psi = None
+        if arm is None:
+            psi = probabilities_unchecked(self.rule, self.estimates(), x)
+            acc = psi[:, 0]
+            arm = (u_assign >= acc).astype(np.intp)
+            for j in range(1, self.K - 1):
+                acc = acc + psi[:, j]
+                arm += u_assign >= acc
+        cell = self._first_cell + arm
+        y = responses.reshape(-1)[cell]
+        self._observe(x, six, arm, cell, y)
+        self.m += 1
+        if self.m > self.burn:
+            self.steps_since_refit += 1
+            if self.steps_since_refit >= self.opts.refit_interval:
+                self._refit()
+        elif self.m == self.burn:
+            # Estimates are computed once at the end of burn-in, then
+            # refreshed on the refit cadence.
+            self._refit()
+        return arm, psi, y
+
+    def _observe(self, x, six, arm, cell, y) -> None:
+        if self.support is not None:
+            self.trials[cell, six] += 1.0
+            self.succ[cell, six] += y
+        if self.counts is not None:
+            at = self.counts[cell]
+            self.counts[cell] = at + 1
+        if self.rowwise:
+            if self.m >= self.X.shape[1] and at.max() == self.X.shape[1]:
+                self.X = np.concatenate([self.X, np.empty_like(self.X)], axis=1)
+                self.y = np.concatenate([self.y, np.empty_like(self.y)], axis=1)
+            self.X[cell, at] = x
+            self.y[cell, at] = y
+        if self.lse:
+            self.gram[cell] += x[:, :, None] * x[:, None, :]
+            self.moment[cell] += y[:, None] * x
+        if self.joint:
+            eta = self.onehot[arm]
+            eta[:, self.K:] = x[:, 1:]
+            self.joint_gram += eta[:, :, None] * eta[:, None, :]
+            self.joint_moment += y[:, None] * eta
+            if self.n_formed:
+                v = (self.joint_inv @ eta[:, :, None])[:, :, 0]
+                denom = 1.0 + (eta[:, None, :] @ v[:, :, None])[:, 0, 0]
+                self.joint_inv -= v[:, :, None] * (v / denom[:, None])[:, None, :]
+        self.fresh.append(cell)
+
+    # -- refits --------------------------------------------------------------
+
+    def _refit(self) -> None:
+        if self.joint:
+            self._refit_joint()
         else:
-            self.states[k].update(six, x, y)
-        self.pending[k] = True
-
-    def _refit_pending(self) -> None:
-        model = self.model
-        if self.joint is not None:
-            theta, conv, proj, failed = self.joint.refit(model.box_lo, model.box_hi, self.theta)
-            if failed:
-                self.fail_counts += 1
+            # One patient touches one cell per replicate, in ascending order.
+            cells = self.fresh[0] if len(self.fresh) == 1 else np.unique(np.concatenate(self.fresh))
+            fits = (self._fit_grouped, self._fit_rows, self._fit_lse)
+            if self.kind is not None:
+                fits[self.kind](cells)
             else:
-                self.theta = theta
-            self.converged[:] = conv
-            self.projected[:] = proj
-        else:
-            for k in np.flatnonzero(self.pending):
-                lo, hi = model.box_lo[k], model.box_hi[k]
-                init = np.minimum(np.maximum(self.theta[k], lo), hi)
-                th, conv, proj, failed = self.states[k].refit(lo, hi, init, self.opts.fit)
-                if failed:
-                    self.fail_counts[k] += 1
-                else:
-                    self.theta[k] = th
-                self.converged[k] = conv
-                self.projected[k] = proj
-        self.pending[:] = False
+                kinds = self.arm_kind[cells % self.K]
+                for kind, fit in enumerate(fits):
+                    if np.any(kinds == kind):
+                        fit(cells[kinds == kind])
+        self.fresh = []
         self.steps_since_refit = 0
 
-    # -- phases --------------------------------------------------------------
-
-    def run_burn_in(self) -> None:
-        schedule = burn_in_schedule(self.K, self.m0, self.streams.assignment)
-        uniform = np.full(self.K, 1.0 / self.K)
-        for i, k in enumerate(schedule):
-            x, six = self._draw_covariate()
-            y = self._draw_response(int(k), x)
-            self._observe(int(k), six, x, y)
-            self._record_patient(x, six, int(k), uniform, y)
-            if i < schedule.shape[0] - 1:
-                self._maybe_record_theta()
-        # Estimates are computed once at the end of burn-in, then refreshed on
-        # the refit cadence.
-        self._refit_pending()
-        self._maybe_record_theta()
-
-    def advance(self) -> None:
-        x, six = self._draw_covariate()
-        psi = probabilities(self.rule, self.theta, x)
-        u = self.streams.assignment.random()
-        acc = 0.0
-        k = self.K - 1
-        for j in range(self.K):
-            acc += psi[j]
-            if u < acc:
-                k = j
-                break
-        y = self._draw_response(k, x)
-        self._observe(k, six, x, y)
-        self.steps_since_refit += 1
-        if self.steps_since_refit >= self.opts.refit_interval:
-            self._refit_pending()
-        self._record_patient(x, six, k, psi, y)
-        self._maybe_record_theta()
-
-    # -- conversion ----------------------------------------------------------
-
-    def freeze(self) -> TrialHistory:
-        m = self.m
-        if self.records:
-            record_ms = np.array([r[0] for r in self.records], dtype=int)
-            theta_records = np.stack([r[1] for r in self.records])
+    def _store(self, cells, theta, converged, projected, failed=None) -> None:
+        """Write refits; a failed fit (failed is None when none did) keeps its estimate."""
+        if failed is None:
+            self.theta[cells] = theta
         else:
-            record_ms = np.empty(0, dtype=int)
-            theta_records = np.empty((0, self.K, self.d))
-        return TrialHistory(
-            n=m, m0=self.m0, K=self.K, d=self.d,
-            covariates=_freeze(self.cov[:m].copy()),
-            support_idx=_freeze(self.six[:m].copy()) if self.support is not None else None,
-            arms=_freeze(self.arm[:m].copy()),
-            probs=_freeze(self.psi[:m].copy()),
-            responses=_freeze(self.resp[:m].copy()),
-            theta_records=_freeze(theta_records),
-            record_ms=_freeze(record_ms),
-            current_theta=self.theta.copy(),
-            converged=self.converged.copy(),
-            projected=self.projected.copy(),
-            fit_failures=self.fail_counts.copy(),
-            pending_refit=self.pending.copy(),
-            steps_since_refit=self.steps_since_refit,
-            refit_interval=self.opts.refit_interval,
-            theta_stride=self.opts.theta_stride,
-            seed_entropy=self.streams.root.entropy,
-            seed_spawn_key=tuple(self.streams.root.spawn_key),
-        )
+            self.theta[cells[~failed]] = theta[~failed]
+            self.fail[cells[failed]] += 1
+        self.converged[cells] = converged
+        self.projected[cells] = projected
 
-    @staticmethod
-    def from_history(history: TrialHistory, model: TrialModel, rule: AllocationRule,
-                     streams: TrialStreams, opts: EngineOptions) -> "_TrialState":
-        if history.n < model.K * history.m0:
-            raise ValueError("cannot resume a history that has not completed burn-in")
-        state = _TrialState(model, rule, streams, history.m0, opts,
-                            capacity=history.n + 1)
-        n = history.n
-        state.cov[:n] = history.covariates
-        state.six[:n] = history.support_idx if history.support_idx is not None else -1
-        state.arm[:n] = history.arms
-        state.psi[:n] = history.probs
-        state.resp[:n] = history.responses
-        state.m = n
-        # Rebuild sufficient statistics by sequential accumulation so the
-        # floating-point state matches an engine that ran patient by patient;
-        # the joint fit's inverse is formed where that engine first refit.
-        burn = model.K * history.m0
-        for m in range(n):
-            k = int(history.arms[m])
-            six = int(history.support_idx[m]) if history.support_idx is not None else -1
-            if state.joint is not None:
-                state.joint.update(k, history.covariates[m], float(history.responses[m]))
-                if m + 1 >= burn and (m + 1 - burn) % history.refit_interval == 0:
-                    state.joint.form_inverse()
+    def _irls(self, cells, samples) -> None:
+        """Refit each cell in place by IRLS on its sample (points, trials,
+        successes), warm-started at its current estimate; a fit that fails
+        keeps the estimate."""
+        for c, (points, trials, successes) in zip(cells, samples):
+            lo, hi = self.lo[c], self.hi[c]
+            fit = fit_grouped_logistic_mle(points, trials, successes, lo, hi,
+                                           init=np.minimum(np.maximum(self.theta[c], lo), hi),
+                                           opts=self.opts.fit)
+            if fit.reason == SINGULAR_HESSIAN:
+                self.fail[c] += 1
             else:
-                state.states[k].update(six, history.covariates[m], float(history.responses[m]))
-        state.theta = np.array(history.current_theta)
-        state.converged = history.converged.copy()
-        state.projected = history.projected.copy()
-        state.fail_counts = history.fit_failures.copy()
-        state.pending = history.pending_refit.copy()
-        state.steps_since_refit = history.steps_since_refit
-        state.records = [(int(mm), np.array(tt))
-                         for mm, tt in zip(history.record_ms, history.theta_records)]
-        return state
+                self.theta[c] = fit.theta_hat
+            self.converged[c] = fit.converged
+            self.projected[c] = fit.projected
+
+    def _fit_grouped(self, cells) -> None:
+        t, s = self.trials[cells], self.succ[cells]
+        if self.scalar:
+            # s = 0 gives logit -inf and s = t gives +inf: clamped to the box.
+            raw = np.log(s / (t - s)) / self.support[0, 0]
+            val = np.minimum(np.maximum(raw, self.lo[cells]), self.hi[cells])
+            self._store(cells, val, True, (val != raw)[:, 0])
+            return
+        if self.sat_inv is not None:
+            # A group without both outcomes has a logit of +-inf (or NaN when
+            # empty): such cells, and those whose solution leaves the box,
+            # are fitted by IRLS.
+            logit = np.log(s / (t - s))
+            theta = (self.sat_inv @ logit[:, :, None])[:, :, 0]
+            closed = np.isfinite(logit) & (theta >= self.lo[cells]) & (theta <= self.hi[cells])
+            if not closed.all():
+                closed = closed.all(axis=1)
+                rest = np.flatnonzero(~closed)
+                self._irls(cells[rest], ((self.support, t[i], s[i]) for i in rest))
+                cells, theta = cells[closed], theta[closed]
+            self._store(cells, theta, True, False)
+            return
+        self._irls(cells, ((self.support, ti, si) for ti, si in zip(t, s)))
+
+    def _fit_rows(self, cells) -> None:
+        self._irls(cells, ((self.X[c, :m], np.ones(m), self.y[c, :m])
+                           for c, m in zip(cells, self.counts[cells])))
+
+    def _fit_lse(self, cells) -> None:
+        gram, moment = self.gram[cells], self.moment[cells]
+        try:
+            sol = np.linalg.solve(gram, moment[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:  # some system is singular: solve one by one
+            sol = np.full(moment.shape, np.nan)
+            for i in range(gram.shape[0]):
+                try:
+                    sol[i] = np.linalg.solve(gram[i], moment[i])
+                except np.linalg.LinAlgError:
+                    pass
+        clipped = np.minimum(np.maximum(sol, self.lo[cells]), self.hi[cells])
+        converged = (self.counts[cells] >= self.model.d) & np.all(np.isfinite(sol), axis=1)
+        projected = converged & np.any(clipped != sol, axis=1)
+        self._store(cells, clipped, converged, projected, None if converged.all() else ~converged)
+
+    def _refit_joint(self) -> None:
+        B, K = self.B, self.K
+        if self.m >= self.joint_gram.shape[1] and self.n_formed < B:
+            # Invert the Gram matrix at the first refit where it is solvable.
+            todo = np.flatnonzero(~self.formed)
+            idx = todo[np.linalg.cond(self.joint_gram[todo]) <= 1e12]
+            self.joint_inv[idx] = np.linalg.inv(self.joint_gram[idx])
+            self.formed[idx] = True
+            self.n_formed += idx.size
+        coef = (self.joint_inv @ self.joint_moment[:, :, None])[:, :, 0]
+        theta = coef[:, self.joint_cols]  # (B, K * d): arm k's row is (mu_k, slopes)
+        clipped = np.minimum(np.maximum(theta, self.lo.reshape(B, -1)), self.hi.reshape(B, -1))
+        projected = np.repeat(np.any(clipped != theta, axis=1), K)
+        ok = self.formed & np.isfinite(coef).all(axis=1)
+        if ok.all():
+            self.theta.reshape(B, -1)[:] = clipped
+            self.converged[:] = True
+            self.projected[:] = projected
+            return
+        self.theta.reshape(B, -1)[ok] = clipped[ok]
+        ok = np.repeat(ok, K)
+        self.converged[:] = ok
+        self.projected[:] = ok & projected
+        self.fail[~ok] += 1
 
 
 # ---------------------------------------------------------------------------
 # Public driver operations
 # ---------------------------------------------------------------------------
+
+
+# Patients whose uniforms are drawn from each stream in one call.
+_DRAW_BLOCK = 256
+
+
+@dataclass(frozen=True)
+class TrialBatch:
+    """Outcomes of trials run in lockstep by :func:`run_trials`, one row per seed."""
+
+    counts: np.ndarray  # (B, K) patients per arm
+    theta: np.ndarray  # (B, K, d) estimates after the last patient
+    support_counts: np.ndarray | None  # (B, K, S) patients per arm and support point
+    histories: tuple[TrialHistory, ...] | None
+
+
+def run_trials(model: TrialModel, rule: AllocationRule, n: int, m0: int, seeds,
+               opts: EngineOptions = EngineOptions(), histories: bool = True) -> TrialBatch:
+    """Run one trial of ``n`` patients per seed, all in lockstep.
+
+    ``seeds`` holds integers, seed sequences or ``TrialStreams``; each
+    trial is bit for bit :func:`run_trial` with its seed, whatever the other
+    seeds are.  Per-patient histories are kept only with ``histories``.
+    """
+    if n < model.K * m0:
+        raise ValueError(f"n = {n} is smaller than the burn-in size K * m0 = {model.K * m0}")
+    K, d = model.K, model.d
+    streams = [s if isinstance(s, TrialStreams) else streams_for_trial(s) for s in seeds]
+    B = len(streams)
+    state = _Lockstep(model, rule, m0, opts, B)
+    burn = state.burn
+    schedule = np.stack([burn_in_schedule(K, m0, s.assignment) for s in streams])
+    spec = model.covariates
+    q = spec.uniforms_per_draw
+    stride = opts.theta_stride
+    if histories:
+        cov = np.empty((n, B, d))
+        six_all = np.empty((n, B), dtype=np.int64)
+        arms = np.empty((n, B), dtype=np.int64)
+        probs = np.empty((n, B, K))
+        resp = np.empty((n, B))
+        records = np.empty((n // stride, B, K, d))
+        probs[:burn] = 1.0 / K
+
+    # Closed-form logits of groups without both outcomes are not finite.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, n, _DRAW_BLOCK):
+            stop = min(n, start + _DRAW_BLOCK)
+            c = stop - start
+            # Each stream's uniforms for patients start..stop-1, patient-major.
+            u = np.stack([s.covariate.random((c, q)) for s in streams], axis=1)
+            xs, sixs = spec.from_uniforms(u.reshape(c * B, q))
+            ys = responses_from_uniforms(
+                model.arms, model.true_theta, xs,
+                np.stack([s.response.random(c) for s in streams], axis=1).reshape(-1))
+            xs, ys = xs.reshape(c, B, d), ys.reshape(c, B, K)
+            if sixs is not None:
+                sixs = sixs.reshape(c, B)
+            first = max(start, burn)
+            if stop > first:
+                u_assign = np.stack([s.assignment.random(stop - first) for s in streams], axis=1)
+            for m in range(start, stop):
+                i = m - start
+                six = sixs[i] if sixs is not None else None
+                if m < burn:
+                    k, psi, y = state.patient(xs[i], six, None, ys[i], arm=schedule[:, m])
+                else:
+                    k, psi, y = state.patient(xs[i], six, u_assign[m - first], ys[i])
+                if histories:
+                    arms[m] = k
+                    resp[m] = y
+                    if psi is not None:
+                        probs[m] = psi
+                    if (m + 1) % stride == 0:
+                        records[m // stride] = state.estimates()
+            if histories:
+                cov[start:stop] = xs
+                if sixs is not None:
+                    six_all[start:stop] = sixs
+
+    theta = state.estimates()
+    flags = [a.reshape(B, K) for a in (state.converged, state.projected, state.fail, state.pending())]
+    hist = None
+    if histories:
+        record_ms = _freeze(np.arange(stride, n + 1, stride))
+        hist = tuple(
+            TrialHistory(
+                n=n, m0=m0, K=K, d=d,
+                covariates=_freeze(cov[:, i].copy()),
+                support_idx=_freeze(six_all[:, i].copy()) if state.support is not None else None,
+                arms=_freeze(arms[:, i].copy()), probs=_freeze(probs[:, i].copy()),
+                responses=_freeze(resp[:, i].copy()),
+                theta_records=_freeze(records[:, i].copy()), record_ms=record_ms,
+                current_theta=theta[i].copy(),
+                converged=flags[0][i].copy(), projected=flags[1][i].copy(),
+                fit_failures=flags[2][i].copy(), pending_refit=flags[3][i].copy(),
+                steps_since_refit=state.steps_since_refit,
+                refit_interval=opts.refit_interval, theta_stride=stride,
+                seed_entropy=streams[i].root.entropy,
+                seed_spawn_key=tuple(streams[i].root.spawn_key),
+                engine_state=state if B == 1 else state.take([i]))
+            for i in range(B))
+    return TrialBatch(
+        counts=state.arm_counts(), theta=theta.copy(),
+        support_counts=(state.trials.reshape(B, K, -1).astype(np.int64)
+                        if state.support is not None else None),
+        histories=hist)
 
 
 def run_trial(model: TrialModel, rule: AllocationRule, n: int, m0: int,
@@ -655,30 +707,103 @@ def run_trial(model: TrialModel, rule: AllocationRule, n: int, m0: int,
 
     ``seed`` may be an integer, a seed sequence, or already-built
     ``TrialStreams`` (the latter lets a caller continue consuming the same
-    streams afterwards, e.g. through :func:`step`).
+    streams afterwards, e.g. through :func:`step`: the trial takes exactly
+    the uniforms its n patients use).
     """
-    if n < model.K * m0:
-        raise ValueError(f"n = {n} is smaller than the burn-in size K * m0 = {model.K * m0}")
-    streams = seed if isinstance(seed, TrialStreams) else streams_for_trial(seed)
-    state = _TrialState(model, rule, streams, m0, opts, capacity=n)
-    state.run_burn_in()
-    while state.m < n:
-        state.advance()
-    return state.freeze()
+    return run_trials(model, rule, n, m0, [seed], opts).histories[0]
+
+
+def _with_room(a: np.ndarray, n: int) -> np.ndarray:
+    """The first n rows of ``a`` in a new array with room for n + 16 more."""
+    out = np.empty((2 * n + 16,) + a.shape[1:], dtype=a.dtype)
+    out[:n] = a[:n]
+    return out
+
+
+class _Log:
+    """Per-patient arrays and estimate records of one trial, with room to grow.
+
+    The histories that :func:`step` makes from one another share one log
+    and view its first n rows, so a step writes one row instead of copying
+    the others.  Rows are only ever written past the end of every history
+    that views the log: stepping a history that is not the longest one
+    starts a new log from a copy of its rows.
+    """
+
+    def __init__(self, history: TrialHistory):
+        self.n, self.r = history.n, history.record_ms.shape[0]
+        self.rows = {name: _with_room(getattr(history, name), self.n) for name in
+                     ("covariates", "support_idx", "arms", "probs", "responses")
+                     if getattr(history, name) is not None}
+        self.records = {name: _with_room(getattr(history, name), self.r)
+                        for name in ("theta_records", "record_ms")}
+
+    @staticmethod
+    def _push(arrays: dict, count: int, values: dict) -> None:
+        for name, value in values.items():
+            if count == arrays[name].shape[0]:
+                arrays[name] = _with_room(arrays[name], count)
+            arrays[name][count] = value
+
+    def append(self, row: dict, record: dict | None) -> dict:
+        """Append one patient's row, and an estimate record if given; returns
+        read-only views of every array up to the new ends."""
+        self._push(self.rows, self.n, row)
+        self.n += 1
+        if record is not None:
+            self._push(self.records, self.r, record)
+            self.r += 1
+        views = {name: a[:self.n] for name, a in self.rows.items()}
+        views.update((name, a[:self.r]) for name, a in self.records.items())
+        return {name: _freeze(v) for name, v in views.items()}
 
 
 def step(history: TrialHistory, model: TrialModel, rule: AllocationRule,
          streams: TrialStreams, opts: EngineOptions | None = None) -> TrialHistory:
     """Append one adaptively allocated patient to a completed-burn-in history.
 
-    With the same streams, repeatedly stepping reproduces ``run_trial``
-    patient for patient.  The history's own refit cadence is used unless
-    ``opts`` overrides it.
+    Resumes from the engine state the history carries, so one step costs
+    the same at any history length.  With the same streams, repeatedly
+    stepping reproduces ``run_trial`` patient for patient.  The history's
+    own refit cadence is used unless ``opts`` overrides it.
     """
+    if history.n < model.K * history.m0:
+        raise ValueError("cannot resume a history that has not completed burn-in")
+    if history.engine_state is None:
+        raise ValueError("the history carries no engine state to resume from; only "
+                         "histories from run_trial or step can be continued")
     if opts is None:
         opts = EngineOptions(refit_interval=history.refit_interval,
                              theta_stride=history.theta_stride,
                              fit=FitOptions(check_conditioning=False))
-    state = _TrialState.from_history(history, model, rule, streams, opts)
-    state.advance()
-    return state.freeze()
+    state = history.engine_state.take([0])
+    state.opts = opts
+    spec = model.covariates
+    if state.support is not None:
+        six = np.array([spec.sample_index(streams.covariate)])
+        x = state.support[six]
+    else:
+        six = None
+        x = spec.sample(streams.covariate)[None, :]
+    responses = responses_from_uniforms(model.arms, model.true_theta, x,
+                                        np.array([streams.response.random()]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k, psi, y = state.patient(x, six, np.array([streams.assignment.random()]), responses)
+    theta = state.estimates()[0]
+    n = history.n + 1
+    if state.log is None or state.log.n != history.n:
+        state.log = _Log(history)
+    row = {"covariates": x[0], "arms": k[0], "probs": psi[0], "responses": y[0]}
+    if six is not None:
+        row["support_idx"] = six[0]
+    arrays = state.log.append(row, {"theta_records": theta, "record_ms": n}
+                              if n % opts.theta_stride == 0 else None)
+    arrays.setdefault("support_idx", None)
+    return TrialHistory(
+        n=n, m0=history.m0, K=history.K, d=history.d, **arrays,
+        current_theta=theta.copy(), converged=state.converged.copy(),
+        projected=state.projected.copy(), fit_failures=state.fail.copy(),
+        pending_refit=state.pending(), steps_since_refit=state.steps_since_refit,
+        refit_interval=opts.refit_interval, theta_stride=opts.theta_stride,
+        seed_entropy=streams.root.entropy, seed_spawn_key=tuple(streams.root.spawn_key),
+        engine_state=state)

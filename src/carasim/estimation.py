@@ -160,20 +160,21 @@ def fit_grouped_logistic_mle(points: np.ndarray, trials: np.ndarray,
         init = np.asarray(init, dtype=float).ravel()
         if init.shape != (d,):
             raise ValueError(f"init must have shape ({d},)")
-        if np.any(init < lo) or np.any(init > hi):
+        if (init < lo).any() or (init > hi).any():
             raise ValueError("init must lie inside the box")
 
     theta = init.copy()
-    ll = _binomial_loglik(X @ theta, t, s)
+    mu = X @ theta  # linear predictor at theta, carried from step to step
+    ll = _binomial_loglik(mu, t, s)
     path = [ll] if opts.track_objective else None
     converged = False
     reason = MAX_ITERATIONS
     iterations = 0
 
     for iterations in range(1, opts.max_iter + 1):
-        p = expit(X @ theta)
+        p = expit(mu)
         grad = X.T @ (s - t * p)
-        if np.max(np.abs(grad)) <= opts.grad_tol:
+        if np.abs(grad).max() <= opts.grad_tol:
             converged, reason = True, ""
             iterations -= 1
             break
@@ -189,7 +190,7 @@ def fit_grouped_logistic_mle(points: np.ndarray, trials: np.ndarray,
             except np.linalg.LinAlgError:
                 singular = True
             else:
-                singular = not np.all(np.isfinite(delta))
+                singular = not np.isfinite(delta).all()
         if singular:
             theta_c, projected = _clamp(init, lo, hi)
             return FitResult(theta_hat=theta_c, converged=False, projected=projected,
@@ -199,14 +200,15 @@ def fit_grouped_logistic_mle(points: np.ndarray, trials: np.ndarray,
         scale = 1.0
         for _ in range(opts.max_halvings):
             cand = theta + scale * delta
-            llc = _binomial_loglik(X @ cand, t, s)
+            mu_c = X @ cand
+            llc = _binomial_loglik(mu_c, t, s)
             if llc >= ll - 1e-12:
                 break
             scale *= 0.5
         else:
-            scale, cand, llc = 0.0, theta, ll
-        step_norm = scale * np.max(np.abs(delta))
-        theta, ll = cand, llc
+            scale, cand, mu_c, llc = 0.0, theta, mu, ll
+        step_norm = scale * np.abs(delta).max()
+        theta, mu, ll = cand, mu_c, llc
         if path is not None:
             path.append(ll)
         if step_norm <= opts.step_tol:

@@ -7,8 +7,13 @@ replicated trials out over workers with per-replicate seed derivation
 the asymptotic theory, and emits deterministic reports: byte-identical for
 the same (config, master seed) at any worker count.
 
-Covariances are sample covariances (denominator R - 1) computed over the
-successfully completed replicates in replicate-index order.
+Replicates run in lockstep batches (:func:`carasim.engine.run_trials`);
+every output is independent of the batch size.  Covariances are sample
+covariances (denominator R - 1) computed over the successfully completed
+replicates in replicate-index order.  A replicate whose trial raises is
+left out of every aggregate; one whose plug-in estimates raise is left out
+of the plug-in aggregates only.  Both kinds of failure are reported, each
+as (replicate index, exception type, message).
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import numpy as np
 from . import __version__, fixtures
 from .allocation import AllocationRule
 from .asymptotics import (
+    SingularInformationError,
     TheoryOptions,
     TheoryReport,
     bb_closed_forms,
@@ -33,7 +39,7 @@ from .asymptotics import (
     scaled_mle_covariance,
     theory_report,
 )
-from .engine import EngineOptions, TrialHistory, replicate_root, run_trial
+from .engine import EngineOptions, TrialHistory, replicate_root, run_trials
 from .estimation import ArmSample, FitOptions, fit_linear_lse, fit_logistic_mle
 from .model import ArmModel, Constant, CovariateSpec, TrialModel, TwoPoint, Uniform
 
@@ -300,8 +306,9 @@ class ReplicationSummary:
     theta_hat: np.ndarray  # (R, K, d)
     cond_totals: np.ndarray  # (R, nx)
     cond_counts: np.ndarray  # (R, nx, K)
-    ok: np.ndarray  # (R,) bool
-    failures: tuple[int, ...]
+    ok: np.ndarray  # (R,) bool: the trial ran
+    failures: tuple[tuple[int, str, str], ...]  # (replicate, exception type, message) per failed trial
+    plugin_failures: tuple[tuple[int, str, str], ...]  # the same for plug-in estimates
     x_list: tuple[np.ndarray, ...]
     alloc_dev_mean: np.ndarray  # (K,)
     alloc_dev_cov: np.ndarray  # (K, K)
@@ -312,6 +319,7 @@ class ReplicationSummary:
     cond_valid: np.ndarray  # (nx,)
     var_ratio_alloc: np.ndarray  # (K,)
     var_ratio_theta: np.ndarray  # (K, d)
+    var_ratio_basis: str  # where the limit variances of the ratios come from
     plugins: PluginAggregates | None
     config: dict
 
@@ -323,6 +331,17 @@ def _sample_cov(devs: np.ndarray) -> np.ndarray:
         return np.zeros((devs.shape[1], devs.shape[1]))
     centred = devs - devs.mean(axis=0)
     return centred.T @ centred / (R - 1)
+
+
+# Replicates run in lockstep by one engine call, keeping at most about
+# _HISTORY_BYTES of per-patient histories (only plug-in estimates need them).
+# No output depends on either.
+_BATCH = 256
+_HISTORY_BYTES = 64 * 2**20
+
+
+def _failure(i: int, exc: Exception) -> tuple[int, str, str]:
+    return (i, type(exc).__name__, str(exc))
 
 
 def _replicate_block(raw: dict, indices: list[int]) -> dict:
@@ -337,34 +356,65 @@ def _replicate_block(raw: dict, indices: list[int]) -> dict:
         "cond_totals": np.zeros((B, nx), dtype=np.int64),
         "cond_counts": np.zeros((B, nx, K), dtype=np.int64),
         "ok": np.zeros(B, dtype=bool),
+        "plugin_ok": np.zeros(B, dtype=bool),
+        "failures": [],
+        "plugin_failures": [],
         "plugin_sigma": np.zeros((B, K, K)) if cfg.plugins else None,
         "plugin_sigma1": np.zeros((B, K, K)) if cfg.plugins else None,
         "plugin_V": np.zeros((B, K, d, d)) if cfg.plugins else None,
         "plugin_cond": np.zeros((B, nx, K, K)) if cfg.plugins else None,
         "plugin_warnings": 0,
     }
+    if nx:
+        support = model.covariates.enumerated()[0]
+        at_x = np.array([[np.all(p == x) for x in cfg.x_list] for p in support], dtype=np.int64)
     opts = cfg.engine_options()
     theory_opts = TheoryOptions(dispersion=cfg.dispersion)
-    for j, i in enumerate(indices):
+
+    def run(rows: list[int]):
+        seeds = [replicate_root(cfg.seed, indices[j]) for j in rows]
+        return run_trials(model, rule, cfg.n, cfg.m0, seeds, opts, histories=cfg.plugins)
+
+    size = _BATCH
+    if cfg.plugins:
+        row_bytes = 8 * (d + K + 3 + K * d)  # covariates, probabilities, arm, index, response, estimate
+        size = max(1, min(size, _HISTORY_BYTES // (row_bytes * cfg.n)))
+    for start in range(0, B, size):
+        rows = list(range(start, min(B, start + size)))
         try:
-            hist = run_trial(model, rule, cfg.n, cfg.m0, replicate_root(cfg.seed, i), opts)
-            out["counts"][j] = hist.counts()
-            out["theta"][j] = hist.current_theta
-            for q, x in enumerate(cfg.x_list):
-                total, per_arm = hist.counts_given_x(x)
-                out["cond_totals"][j, q] = total
-                out["cond_counts"][j, q] = per_arm
-            if cfg.plugins:
-                rep = plugin_estimates(hist, model, rule, cfg.x_list, theory_opts)
+            done = [(rows, run(rows))]
+        except Exception:
+            # A trial that raises stops its whole batch: run the batch's
+            # replicates one at a time, so that only the failing ones are lost.
+            done = []
+            for j in rows:
+                try:
+                    done.append(([j], run([j])))
+                except Exception as exc:
+                    out["failures"].append(_failure(indices[j], exc))
+        for js, result in done:
+            out["counts"][js] = result.counts
+            out["theta"][js] = result.theta
+            out["ok"][js] = True
+            if nx:
+                # Patients per arm at each x_list point: sum over the support
+                # points equal to it.
+                per_point = np.einsum("bks,sq->bqk", result.support_counts, at_x)
+                out["cond_counts"][js] = per_point
+                out["cond_totals"][js] = per_point.sum(axis=2)
+            for j, hist in zip(js, result.histories or ()):
+                try:
+                    rep = plugin_estimates(hist, model, rule, cfg.x_list, theory_opts)
+                except Exception as exc:
+                    out["plugin_failures"].append(_failure(indices[j], exc))
+                    continue
                 out["plugin_sigma"][j] = rep.sigma_hat
                 out["plugin_sigma1"][j] = rep.sigma1_hat
                 out["plugin_V"][j] = rep.V_hat
                 for q in range(nx):
                     out["plugin_cond"][j, q] = rep.conditional[q].sigma
                 out["plugin_warnings"] += len(rep.warnings)
-            out["ok"][j] = True
-        except Exception:
-            out["ok"][j] = False
+                out["plugin_ok"][j] = True
     return out
 
 
@@ -385,7 +435,10 @@ def run_replications(config: ExperimentConfig, workers: int | None = None) -> Re
 
     Replicate ``i`` always uses the stream rooted at ``(master seed, i)``, so
     the summary is identical for any worker count.  Per-replicate failures
-    are recorded and skipped in the aggregates; the run continues.
+    are recorded and skipped in the aggregates; the run continues.  The
+    empirical variances are scored against the theory report's Sigma and
+    V, except for shared-slope designs, whose limits the per-arm theory does
+    not give (see :func:`_variance_targets`).
     """
     if workers is None:
         workers = config.workers
@@ -400,6 +453,8 @@ def run_replications(config: ExperimentConfig, workers: int | None = None) -> Re
     cond_totals = np.zeros((R, nx), dtype=np.int64)
     cond_counts = np.zeros((R, nx, K), dtype=np.int64)
     ok = np.zeros(R, dtype=bool)
+    plugin_ok = np.zeros(R, dtype=bool)
+    failures, plugin_failures = [], []
     p_sigma = np.zeros((R, K, K)) if config.plugins else None
     p_sigma1 = np.zeros((R, K, K)) if config.plugins else None
     p_V = np.zeros((R, K, d, d)) if config.plugins else None
@@ -420,6 +475,9 @@ def run_replications(config: ExperimentConfig, workers: int | None = None) -> Re
         cond_totals[idx] = res["cond_totals"]
         cond_counts[idx] = res["cond_counts"]
         ok[idx] = res["ok"]
+        plugin_ok[idx] = res["plugin_ok"]
+        failures += res["failures"]
+        plugin_failures += res["plugin_failures"]
         if config.plugins:
             p_sigma[idx] = res["plugin_sigma"]
             p_sigma1[idx] = res["plugin_sigma1"]
@@ -427,7 +485,6 @@ def run_replications(config: ExperimentConfig, workers: int | None = None) -> Re
             p_cond[idx] = res["plugin_cond"]
             warning_count += res["plugin_warnings"]
 
-    failures = tuple(int(i) for i in np.flatnonzero(~ok))
     good = np.flatnonzero(ok)
     sqrt_n = math.sqrt(config.n)
 
@@ -454,15 +511,15 @@ def run_replications(config: ExperimentConfig, workers: int | None = None) -> Re
         cond_dev_mean[q] = dev.mean(axis=0)
         cond_dev_cov[q] = _sample_cov(dev)
 
-    sig_diag = np.diag(theory.sigma)
-    var_ratio_alloc = np.where(sig_diag > 0, np.diag(alloc_dev_cov) / np.where(sig_diag > 0, sig_diag, 1.0), np.nan)
-    v_diag = np.array([[theory.V[k, j, j] for j in range(d)] for k in range(K)])
-    emp_theta_var = np.array([[theta_dev_cov[k * d + j, k * d + j] for j in range(d)]
-                              for k in range(K)])
-    var_ratio_theta = np.where(v_diag > 0, emp_theta_var / np.where(v_diag > 0, v_diag, 1.0), np.nan)
+    alloc_var, theta_var, basis = _variance_targets(model, rule, theory)
+    var_ratio_alloc = np.where(alloc_var > 0, np.diag(alloc_dev_cov)
+                               / np.where(alloc_var > 0, alloc_var, 1.0), np.nan)
+    var_ratio_theta = np.where(theta_var > 0, np.diag(theta_dev_cov).reshape(K, d)
+                               / np.where(theta_var > 0, theta_var, 1.0), np.nan)
 
     plugins = None
     if config.plugins:
+        good = np.flatnonzero(ok & plugin_ok)
         norm_inf = lambda m: float(np.max(np.abs(m)))
         denom_sigma = norm_inf(theory.sigma)
         rel_sigma = np.array([norm_inf(p_sigma[i] - theory.sigma) / denom_sigma for i in good])
@@ -481,12 +538,39 @@ def run_replications(config: ExperimentConfig, workers: int | None = None) -> Re
     return ReplicationSummary(
         n=config.n, K=K, d=d, replicates=R, master_seed=config.seed, theory=theory,
         counts=counts, theta_hat=theta_hat, cond_totals=cond_totals,
-        cond_counts=cond_counts, ok=ok, failures=failures, x_list=config.x_list,
+        cond_counts=cond_counts, ok=ok, failures=tuple(sorted(failures)),
+        plugin_failures=tuple(sorted(plugin_failures)), x_list=config.x_list,
         alloc_dev_mean=alloc_dev_mean, alloc_dev_cov=alloc_dev_cov,
         theta_dev_mean=theta_dev_mean, theta_dev_cov=theta_dev_cov,
         cond_dev_mean=cond_dev_mean, cond_dev_cov=cond_dev_cov, cond_valid=cond_valid,
         var_ratio_alloc=var_ratio_alloc, var_ratio_theta=var_ratio_theta,
-        plugins=plugins, config=config.raw)
+        var_ratio_basis=basis, plugins=plugins, config=config.raw)
+
+
+def _variance_targets(model: TrialModel, rule: AllocationRule,
+                      theory: TheoryReport) -> tuple[np.ndarray, np.ndarray, str]:
+    """Limit variances of sqrt(n) (N_{n,k}/n - v_k), (K,), and of
+    sqrt(n) (theta_hat - theta), (K, d), with a note on where they come from.
+
+    The theory report's V_k and Sigma are those of per-arm fits.  A
+    shared-slope design fits its slopes jointly, so its targets come from
+    :func:`carasim.asymptotics.bb_closed_forms` (Var N_{n,2} = Var N_{n,1},
+    intercepts from mu_cov, every arm's slopes from beta_cov) where those
+    apply, and are NaN where they do not.
+    """
+    K, d = model.K, model.d
+    if not model.shared_slopes:
+        return (np.diag(theory.sigma), np.array([np.diag(V) for V in theory.V]),
+                "theory: Sigma and V_k of the theory report")
+    try:
+        bb = bb_closed_forms(model, rule)
+    except (ValueError, SingularInformationError) as exc:
+        return (np.full(K, np.nan), np.full((K, d), np.nan),
+                f"none: the per-arm theory does not apply to shared slopes, and the closed forms "
+                f"do not apply here ({exc})")
+    theta_var = np.column_stack([np.diag(bb.mu_cov), np.tile(np.diag(bb.beta_cov), (K, 1))])
+    return (np.full(K, bb.alloc_var), theta_var,
+            "bb-closed-forms: shared slopes, limits from bb_closed_forms")
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +602,10 @@ def theory_payload(t: TheoryReport) -> dict:
     }
 
 
+def _failure_payload(f: tuple[int, str, str]) -> dict:
+    return {"replicate": int(f[0]), "type": f[1], "message": f[2]}
+
+
 def summary_payload(s: ReplicationSummary) -> dict:
     payload = {
         "version": __version__,
@@ -525,7 +613,8 @@ def summary_payload(s: ReplicationSummary) -> dict:
         "master_seed": int(s.master_seed),
         "n": int(s.n),
         "replicates": int(s.replicates),
-        "failures": [int(i) for i in s.failures],
+        "failures": [_failure_payload(f) for f in s.failures],
+        "plugin_failures": [_failure_payload(f) for f in s.plugin_failures],
         "theory": theory_payload(s.theory),
         "empirical": {
             "alloc_dev_mean": _mat(s.alloc_dev_mean),
@@ -534,6 +623,7 @@ def summary_payload(s: ReplicationSummary) -> dict:
             "theta_dev_cov": _mat(s.theta_dev_cov),
             "var_ratio_alloc": _mat(s.var_ratio_alloc),
             "var_ratio_theta": _mat(s.var_ratio_theta),
+            "var_ratio_basis": s.var_ratio_basis,
             "conditional": [
                 {"x": _mat(s.x_list[q]), "replicates_with_mass": int(s.cond_valid[q]),
                  "dev_mean": _mat(s.cond_dev_mean[q]), "dev_cov": _mat(s.cond_dev_cov[q])}

@@ -27,7 +27,7 @@ __all__ = [
     "ArmModel",
     "TrialModel",
     "mean_response",
-    "response_from_uniform",
+    "responses_from_uniforms",
     "glm_weights",
     "conditional_variance",
     "conditional_fisher_info",
@@ -116,7 +116,6 @@ class CovariateSpec:
     # Cached enumeration for product specs with finite support; see __post_init__.
     _enum: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
     _cum: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _cum_small: tuple[float, ...] | None = field(default=None, repr=False, compare=False)
 
     # -- constructors -------------------------------------------------------
 
@@ -175,10 +174,7 @@ class CovariateSpec:
             raise ValueError(f"unknown covariate kind: {self.kind!r}")
         object.__setattr__(self, "_enum", enum)
         if enum is not None:
-            cum = np.cumsum(enum[1])
-            object.__setattr__(self, "_cum", cum)
-            if cum.shape[0] <= 32:
-                object.__setattr__(self, "_cum_small", tuple(float(c) for c in cum))
+            object.__setattr__(self, "_cum", np.cumsum(enum[1]))
 
     # -- queries ------------------------------------------------------------
 
@@ -202,44 +198,51 @@ class CovariateSpec:
 
     # -- sampling -----------------------------------------------------------
 
-    def sample_index(self, rng: Generator) -> int:
-        """Draw a support index (finite-support specs only)."""
-        u = rng.random()
-        if self._cum_small is not None:
-            for i, c in enumerate(self._cum_small):
-                if u < c:
-                    return i
-            return len(self._cum_small) - 1
-        return min(int(np.searchsorted(self._cum, u, side="right")),
-                   self._cum.shape[0] - 1)
-
-    def sample(self, rng: Generator) -> np.ndarray:
+    @property
+    def uniforms_per_draw(self) -> int:
+        """Uniforms one covariate draw consumes: one for a finite support
+        (the support index), else one per non-constant coordinate."""
         if self._enum is not None:
-            return np.array(self._enum[0][self.sample_index(rng)])
-        out = np.empty(self.d)
-        for i, c in enumerate(self.coords):
-            if isinstance(c, Constant):
-                out[i] = c.value
-            elif isinstance(c, Uniform):
-                out[i] = c.lo + (c.hi - c.lo) * rng.random()
-            else:
-                out[i] = c.a if rng.random() < c.p_a else c.b
-        return out
+            return 1
+        return sum(1 for c in self.coords if not isinstance(c, Constant))
 
-    def sample_batch(self, rng: Generator, size: int) -> np.ndarray:
+    def from_uniforms(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Covariates (N, d) and support indices (N,), or None when the support
+        is not finite, from uniforms (N, uniforms_per_draw).
+
+        A support index is the first point whose cumulative probability
+        exceeds the uniform; a coordinate is ``lo + (hi - lo) u`` (uniform) or
+        ``a`` when ``u < p_a`` else ``b`` (two-point), in coordinate order.
+        """
         if self._enum is not None:
-            idx = np.searchsorted(self._cum, rng.random(size), side="right")
+            idx = np.searchsorted(self._cum, u[:, 0], side="right")
             np.minimum(idx, self._cum.shape[0] - 1, out=idx)
-            return np.array(self._enum[0][idx])
-        out = np.empty((size, self.d))
+            return self._enum[0][idx], idx
+        out = np.empty((u.shape[0], self.d))
+        j = 0
         for i, c in enumerate(self.coords):
             if isinstance(c, Constant):
                 out[:, i] = c.value
-            elif isinstance(c, Uniform):
-                out[:, i] = c.lo + (c.hi - c.lo) * rng.random(size)
+                continue
+            if isinstance(c, Uniform):
+                out[:, i] = c.lo + (c.hi - c.lo) * u[:, j]
             else:
-                out[:, i] = np.where(rng.random(size) < c.p_a, c.a, c.b)
-        return out
+                out[:, i] = np.where(u[:, j] < c.p_a, c.a, c.b)
+            j += 1
+        return out, None
+
+    def sample_index(self, rng: Generator) -> int:
+        """Draw a support index (finite-support specs only)."""
+        return min(int(np.searchsorted(self._cum, rng.random(), side="right")),
+                   self._cum.shape[0] - 1)
+
+    def sample(self, rng: Generator) -> np.ndarray:
+        """Draw one covariate; consumes ``uniforms_per_draw`` uniforms."""
+        return self.from_uniforms(rng.random((1, self.uniforms_per_draw)))[0][0]
+
+    def sample_batch(self, rng: Generator, size: int) -> np.ndarray:
+        """Draw ``size`` covariates, taking each coordinate's uniforms in one block."""
+        return np.array(self.from_uniforms(rng.random((self.uniforms_per_draw, size)).T)[0])
 
 
 def _enumerate_product(coords: tuple[CoordinateDist, ...]) -> tuple[np.ndarray, np.ndarray] | None:
@@ -335,17 +338,30 @@ def conditional_variance(arm: ArmModel, theta_k: np.ndarray, x: np.ndarray) -> f
     return arm.dispersion * float(glm_weights((arm,), theta_k[None, :], x)[0])
 
 
-# Engine-side response primitive: one uniform per patient, transformed through
-# the chosen arm's inverse CDF.  Keeps response streams arm-agnostic so that
-# potential responses of unchosen arms are never materialised.
-def response_from_uniform(arm: ArmModel, theta_k: np.ndarray, x: np.ndarray,
-                          u: float) -> float:
-    theta_k, x = _check_dims(theta_k, x)
-    mu = float(theta_k @ x)
-    if arm.family == "logistic":
-        return 1.0 if u < _expit(mu) else 0.0
-    u = min(max(u, 2.0 ** -55), 1.0 - 2.0 ** -53)
-    return mu + math.sqrt(arm.dispersion) * float(ndtri(u))
+def responses_from_uniforms(arms: Sequence[ArmModel], theta: np.ndarray, x: np.ndarray,
+                            u: np.ndarray) -> np.ndarray:
+    """Responses (N, K) of every arm at covariates ``x`` (N, d) with
+    coefficient rows ``theta`` (K, d), from one uniform ``u`` (N,) per covariate.
+
+    This is the one response transform: patient i's uniform goes through
+    each arm's inverse CDF, so a patient consumes exactly one uniform
+    whatever arm it gets, and the engine keeps the chosen arm's column.
+    Logistic arms give 1 when u < expit(theta_k x); normal arms give
+    theta_k x + sqrt(dispersion) Phi^{-1}(u), with u clamped away from 0 and 1.
+    """
+    # One (1, d) @ (d, 1) product per arm and row: bitwise the one-row theta_k @ x.
+    mu = (theta[:, None, None, :] @ x[:, :, None])[:, :, 0, 0].T
+    logistic = np.array([a.family == "logistic" for a in arms])
+    y = np.empty_like(mu)
+    if logistic.any():
+        m = mu[:, logistic]
+        e = np.exp(-np.abs(m))
+        y[:, logistic] = u[:, None] < np.where(m >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    if not logistic.all():
+        sd = np.sqrt([a.dispersion for a in arms])[~logistic]
+        z = ndtri(np.clip(u, 2.0 ** -55, 1.0 - 2.0 ** -53))
+        y[:, ~logistic] = mu[:, ~logistic] + sd * z[:, None]
+    return y
 
 
 def conditional_fisher_info(arm: ArmModel, theta_k: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -157,6 +157,37 @@ def test_step_requires_completed_burn_in():
         step(partial, model, rule, streams)
 
 
+def test_step_resumes_only_histories_that_carry_engine_state():
+    model, rule = _f1()
+    streams = streams_for_trial(replicate_root(1, 0))
+    from carasim.engine import TrialHistory
+
+    external = TrialHistory.from_arrays(np.ones((12, 1)), np.array([0, 1] * 6), np.zeros(12),
+                                        K=2, current_theta=np.zeros((2, 1)), m0=6)
+    with pytest.raises(ValueError, match="engine state"):
+        step(external, model, rule, streams)
+
+
+def test_stepping_leaves_the_history_it_resumes_unchanged():
+    model, rule = _f1(n=40)
+    streams = streams_for_trial(replicate_root(12, 0))
+    hist = step(run_trial(model, rule, 40, 6, streams, OPTS), model, rule, streams)
+    theta, arms = hist.current_theta.copy(), hist.arms.copy()
+    # Two continuations of one history, from streams in the same state.
+    a = step(hist, model, rule, streams)
+    a_arms = a.arms.copy()
+    streams = streams_for_trial(replicate_root(12, 0))
+    run_trial(model, rule, 41, 6, streams, OPTS)
+    b = step(hist, model, rule, streams)
+    np.testing.assert_array_equal(hist.current_theta, theta)
+    np.testing.assert_array_equal(hist.arms, arms)
+    assert hist.n == 41 and a.n == b.n == 42
+    np.testing.assert_array_equal(a.arms, a_arms)
+    np.testing.assert_array_equal(a.arms, b.arms)
+    np.testing.assert_array_equal(a.probs, b.probs)
+    np.testing.assert_array_equal(a.current_theta, b.current_theta)
+
+
 def test_different_replicates_differ():
     model, rule = _f1(n=200)
     a = run_trial(model, rule, 200, 6, replicate_root(33, 0), OPTS)

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from carasim import cli
+from carasim import cli, harness
+from carasim.asymptotics import ZeroMassCovariateError, bb_closed_forms
 from carasim.engine import replicate_root, run_trial
-from carasim.fixtures import f1_config, two_point_config
+from carasim.fixtures import DEFAULT_SEED, bb_config, f1_config, two_point_config
 from carasim.harness import (
     ConfigError,
     emit_reports,
@@ -14,6 +15,7 @@ from carasim.harness import (
     replicate_csv_lines,
     report_json_bytes,
     run_replications,
+    summary_payload,
     verify,
     verify_config,
 )
@@ -225,6 +227,94 @@ def test_plugin_aggregates_are_collected():
     assert s.plugins.sigma_hat_median.shape == (2, 2)
     payload = json.loads(report_json_bytes(s).decode())
     assert payload["plugins"]["rel_dev_sigma_median"] >= 0.0
+
+
+def test_report_bytes_do_not_depend_on_batch_size_or_workers(monkeypatch):
+    raw = two_point_config(n=120, replicates=7, seed=31)
+    raw["replication"]["plugins"] = True
+    cfg = parse_config(raw)
+    s = run_replications(cfg, workers=1)
+    expected = (report_json_bytes(s), replicate_csv_lines(s))
+    for batch, workers in ((1, 1), (3, 1), (7, 1), (3, 2), (1, 8)):
+        monkeypatch.setattr(harness, "_BATCH", batch)
+        s = run_replications(cfg, workers=workers)
+        assert (report_json_bytes(s), replicate_csv_lines(s)) == expected, (batch, workers)
+
+
+def test_plugin_failure_is_reported_and_keeps_the_trial(monkeypatch):
+    raw = two_point_config(n=200, replicates=6, seed=5)
+    without = summary_payload(run_replications(parse_config(raw)))
+    raw["replication"]["plugins"] = True
+    real = harness.plugin_estimates
+
+    def failing_on_replicate_2(hist, *args, **kwargs):
+        if hist.seed_spawn_key == (2,):
+            raise ZeroMassCovariateError("covariate value [1.0, 1.0] never occurred")
+        return real(hist, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "plugin_estimates", failing_on_replicate_2)
+    s = run_replications(parse_config(raw))
+    payload = json.loads(report_json_bytes(s))
+    assert payload["failures"] == []
+    assert payload["plugin_failures"] == [{
+        "replicate": 2, "type": "ZeroMassCovariateError",
+        "message": "covariate value [1.0, 1.0] never occurred"}]
+    # The replicate still counts in every trial aggregate.
+    assert json.dumps(payload["empirical"], sort_keys=True) == \
+        json.dumps(without["empirical"], sort_keys=True)
+    assert bool(s.ok.all())
+    assert np.isfinite(s.plugins.rel_dev_sigma_median)
+
+
+def test_trial_failure_is_reported_and_other_replicates_are_kept(monkeypatch):
+    raw = f1_config(n=80, replicates=7, seed=4)
+    clean = run_replications(parse_config(raw))
+    real = harness.run_trials
+
+    def failing_on_replicate_3(model, rule, n, m0, seeds, *args, **kwargs):
+        if any(seed.spawn_key == (3,) for seed in seeds):
+            raise RuntimeError("injected")
+        return real(model, rule, n, m0, seeds, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_trials", failing_on_replicate_3)
+    s = run_replications(parse_config(raw))
+    assert s.failures == ((3, "RuntimeError", "injected"),)
+    assert json.loads(report_json_bytes(s))["failures"] == [
+        {"replicate": 3, "type": "RuntimeError", "message": "injected"}]
+    kept = [i for i in range(7) if i != 3]
+    np.testing.assert_array_equal(s.ok, [i != 3 for i in range(7)])
+    np.testing.assert_array_equal(s.counts[kept], clean.counts[kept])
+    np.testing.assert_array_equal(s.theta_hat[kept], clean.theta_hat[kept])
+    assert replicate_csv_lines(s) == [line for line in replicate_csv_lines(clean)
+                                      if not line.startswith("3,")]
+
+
+def test_shared_slope_variance_ratios_use_the_closed_forms():
+    from scipy.stats import chi2
+
+    cfg = parse_config(bb_config(n=500, replicates=200, seed=DEFAULT_SEED))
+    s = run_replications(cfg)
+    bb = bb_closed_forms(cfg.model, cfg.rule)
+    assert s.var_ratio_basis.startswith("bb-closed-forms")
+    np.testing.assert_allclose(s.var_ratio_alloc, np.diag(s.alloc_dev_cov) / bb.alloc_var,
+                               rtol=1e-14)
+    np.testing.assert_allclose(s.var_ratio_theta[:, 0], np.diag(s.theta_dev_cov)[::3]
+                               / np.diag(bb.mu_cov), rtol=1e-14)
+    # The gate's band for the allocation variance, widened by the chi-square
+    # spread of a variance estimated from R replicates.
+    R = s.replicates - len(s.failures)
+    lo = 0.85 * chi2.ppf(5e-5, R - 1) / (R - 1)
+    hi = 1.15 * chi2.ppf(1.0 - 5e-5, R - 1) / (R - 1)
+    assert lo <= s.var_ratio_alloc[0] <= hi
+
+
+def test_shared_slope_design_without_closed_forms_gets_no_variance_ratios():
+    raw = bb_config(n=60, replicates=3, seed=1)
+    raw["rule"] = {"kind": "odds-ratio"}
+    s = run_replications(parse_config(raw))
+    assert s.var_ratio_basis.startswith("none:")
+    assert np.all(np.isnan(s.var_ratio_alloc)) and np.all(np.isnan(s.var_ratio_theta))
+    assert "covariate-free normal rule" in json.loads(report_json_bytes(s))["empirical"]["var_ratio_basis"]
 
 
 # ---------------------------------------------------------------------------

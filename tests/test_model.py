@@ -11,7 +11,7 @@ from carasim.model import (
     conditional_fisher_info,
     conditional_variance,
     mean_response,
-    response_from_uniform,
+    responses_from_uniforms,
     score,
 )
 
@@ -65,6 +65,27 @@ def test_sample_batch_and_scalar_sampling_agree_in_distribution():
     batch = spec.sample_batch(rng, 50_000)
     for value, p in [(0.0, 0.2), (1.0, 0.3), (2.0, 0.5)]:
         assert abs(np.mean(batch[:, 0] == value) - p) < 0.01
+
+
+def test_sample_index_is_the_first_point_whose_cumulative_mass_exceeds_u():
+    spec = CovariateSpec.discrete([[0.0], [1.0], [2.0], [3.0]], [0.1, 0.2, 0.3, 0.4])
+    cum = np.cumsum([0.1, 0.2, 0.3, 0.4])
+    rng = np.random.default_rng(3)
+    u = np.random.default_rng(3).random(2000)
+    for ui in u:
+        expected = next((i for i, c in enumerate(cum) if ui < c), len(cum) - 1)
+        assert spec.sample_index(rng) == expected
+
+
+def test_one_draw_takes_uniforms_per_draw_uniforms():
+    spec = CovariateSpec.product([Uniform(-1.0, 1.0), Constant(2.0), TwoPoint(0.0, 1.0, 0.3)],
+                                 intercept=True)
+    assert spec.uniforms_per_draw == 2
+    rng = np.random.default_rng(9)
+    x = spec.sample(rng)
+    u = np.random.default_rng(9).random(3)
+    np.testing.assert_array_equal(x, [1.0, -1.0 + 2.0 * u[0], 2.0, 0.0 if u[1] < 0.3 else 1.0])
+    assert rng.random() == u[2]
 
 
 def test_spec_validation_errors():
@@ -157,8 +178,8 @@ def test_score_has_mean_zero_at_truth():
                        (ArmModel(family="normal-linear", dispersion=2.0),
                         np.array([1.0]))]:
         x = np.array([1.0])
-        draws = np.array([score(arm, theta, x, response_from_uniform(arm, theta, x, rng.random()))[0]
-                          for _ in range(n)])
+        ys = responses_from_uniforms((arm,), theta[None], np.tile(x, (n, 1)), rng.random(n))[:, 0]
+        draws = np.array([score(arm, theta, x, y)[0] for y in ys])
         info = conditional_fisher_info(arm, theta, x)[0, 0]
         assert abs(draws.mean()) <= 4.0 * np.sqrt(info / n)
 
@@ -172,7 +193,8 @@ def test_bernoulli_sample_mean():
     rng = np.random.default_rng(12345)
     x = np.array([1.0])
     theta = np.array([0.0])
-    draws = [response_from_uniform(LOGISTIC, theta, x, rng.random()) for _ in range(100_000)]
+    draws = responses_from_uniforms((LOGISTIC,), theta[None], np.tile(x, (100_000, 1)),
+                                    rng.random(100_000))[:, 0]
     assert abs(np.mean(draws) - 0.5) <= 0.01
     assert set(np.unique(draws)) <= {0.0, 1.0}
 
@@ -181,24 +203,25 @@ def test_normal_sample_variance():
     rng = np.random.default_rng(777)
     x = np.array([1.0])
     theta = np.array([1.0])
-    draws = np.array([response_from_uniform(NORMAL4, theta, x, rng.random())
-                      for _ in range(100_000)])
+    draws = responses_from_uniforms((NORMAL4,), theta[None], np.tile(x, (100_000, 1)),
+                                    rng.random(100_000))[:, 0]
     assert abs(draws.var(ddof=1) - 4.0) <= 0.15
     assert abs(draws.mean() - 1.0) <= 0.03
 
 
 def test_response_from_uniform_matches_inverse_cdf():
-    x = np.array([1.0])
-    theta = np.array([np.log(3.0)])
-    # Bernoulli: u below the success probability yields 1.
-    assert response_from_uniform(LOGISTIC, theta, x, 0.74) == 1.0
-    assert response_from_uniform(LOGISTIC, theta, x, 0.76) == 0.0
-    # Normal: median of the conditional law at u = 1/2.
+    x = np.array([[1.0], [1.0]])
     arm = ArmModel(family="normal-linear", dispersion=9.0)
+    y = responses_from_uniforms((LOGISTIC, arm), np.array([[np.log(3.0)], [2.0]]), x,
+                                np.array([0.74, 0.5]))
+    # Bernoulli: u below the success probability 3/4 yields 1.
+    np.testing.assert_array_equal(y[:, 0], [1.0, 1.0])
+    assert responses_from_uniforms((LOGISTIC,), np.array([[np.log(3.0)]]), x[:1],
+                                   np.array([0.76]))[0, 0] == 0.0
+    # Normal: median of the conditional law at u = 1/2.
+    np.testing.assert_allclose(y[1, 1], 2.0, atol=1e-12)
     np.testing.assert_allclose(
-        response_from_uniform(arm, np.array([2.0]), x, 0.5), 2.0, atol=1e-12)
-    np.testing.assert_allclose(
-        conditional_variance(arm, np.array([2.0]), x), 9.0)
+        conditional_variance(arm, np.array([2.0]), x[0]), 9.0)
 
 
 def test_arm_model_validation():

@@ -1,13 +1,24 @@
-"""Property tests of the batched rule kernel and the limit theory."""
+"""Property tests of the batched rule kernel, the limit theory and the lockstep engine."""
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from carasim.allocation import AllocationRule, jacobian, jacobian_fd, probabilities
 from carasim.asymptotics import theory_report
-from carasim.model import ArmModel, CovariateSpec, TrialModel
+from carasim.engine import (
+    EngineOptions,
+    replicate_root,
+    run_trial,
+    run_trials,
+    step,
+    streams_for_trial,
+)
+from carasim.estimation import FitOptions, update_all_estimates
+from carasim.fixtures import bb_config, f1_config, two_point_config
+from carasim.harness import parse_config
+from carasim.model import ArmModel, CovariateSpec, TrialModel, Uniform
 
 _TWO_ARM = ("odds-ratio", "two-arm-g-difference", "covariate-free-normal")
 
@@ -100,3 +111,101 @@ def test_theory_sigma_rows_sum_to_zero_and_V_inverts_the_information(design):
         np.testing.assert_allclose(cond.sigma.sum(axis=1), 0.0, rtol=0, atol=1e-10 * scale)
     for k in range(model.K):
         np.testing.assert_allclose(rep.V[k] @ rep.info[k], np.eye(model.d), rtol=0, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# The lockstep engine
+# ---------------------------------------------------------------------------
+
+def _lse_design():
+    """Per-arm least squares: two normal arms and a logistic one on a finite support."""
+    arms = (ArmModel("normal-linear", 1.5), ArmModel("normal-linear", 0.7), ArmModel("logistic"))
+    covariates = CovariateSpec.discrete([[1.0, 0.0], [1.0, 1.0], [1.0, -0.5]], [0.3, 0.3, 0.4])
+    theta = np.array([[0.5, -0.5], [0.0, 0.4], [0.2, 0.1]])
+    return (TrialModel(arms=arms, covariates=covariates, true_theta=theta, box_lo=-3.0, box_hi=3.0),
+            AllocationRule.exponential(1.0), 4)
+
+
+def _continuous_lse_design():
+    """Normal arms on a continuous covariate: least squares off a finite support."""
+    arm = ArmModel("normal-linear", 1.0)
+    covariates = CovariateSpec.product([Uniform(-1.0, 1.0), Uniform(0.0, 2.0)], intercept=True)
+    theta = np.array([[0.3, 0.5, -0.2], [-0.1, 0.2, 0.4]])
+    return (TrialModel(arms=(arm, arm), covariates=covariates, true_theta=theta,
+                       box_lo=-3.0, box_hi=3.0), AllocationRule.odds_ratio(), 4)
+
+
+def _from_config(raw):
+    cfg = parse_config(raw)
+    return cfg.model, cfg.rule, cfg.m0
+
+
+DESIGNS = {
+    "grouped-logit-intercept": lambda: _from_config(f1_config(n=100, replicates=1, seed=0)),
+    "grouped-logit-saturated": lambda: _from_config(two_point_config(n=100, replicates=1, seed=0)),
+    "least-squares": _lse_design,
+    "least-squares-continuous": _continuous_lse_design,
+    "shared-slope": lambda: _from_config(bb_config(n=100, replicates=1, seed=0)),
+}
+_HISTORY_FIELDS = ("covariates", "support_idx", "arms", "probs", "responses", "theta_records",
+                   "record_ms", "current_theta", "converged", "projected", "fit_failures",
+                   "pending_refit")
+
+
+def _assert_same_trial(a, b):
+    for name in _HISTORY_FIELDS:
+        x, y = getattr(a, name), getattr(b, name)
+        if x is None or y is None:
+            assert x is None and y is None, name
+        else:
+            np.testing.assert_array_equal(x, y, err_msg=name)
+    assert a.steps_since_refit == b.steps_since_refit
+
+
+@settings(max_examples=12)
+@given(st.sampled_from(sorted(DESIGNS)), st.integers(0, 2**16), st.integers(1, 7),
+       st.integers(1, 3), st.integers(1, 3), st.integers(0, 60))
+def test_replicate_of_a_lockstep_batch_is_bitwise_run_trial(name, seed, R, cut, interval, extra):
+    model, rule, m0 = DESIGNS[name]()
+    n = model.K * m0 + extra
+    opts = EngineOptions(refit_interval=interval, theta_stride=cut,
+                         fit=FitOptions(check_conditioning=False))
+    # Replicates 0..R-1 split into two batches at a random point.
+    split = seed % (R + 1)
+    batches = [list(range(split)), list(range(split, R))]
+    got = []
+    for idx in batches:
+        if idx:
+            got += run_trials(model, rule, n, m0, [replicate_root(seed, i) for i in idx], opts).histories
+    for i, hist in enumerate(got):
+        _assert_same_trial(hist, run_trial(model, rule, n, m0, replicate_root(seed, i), opts))
+
+
+@settings(max_examples=12)
+@given(st.sampled_from(sorted(DESIGNS)), st.integers(0, 2**16), st.integers(0, 120))
+def test_incremental_estimates_equal_a_batch_refit(name, seed, extra):
+    model, rule, m0 = DESIGNS[name]()
+    opts = EngineOptions(fit=FitOptions(check_conditioning=False))
+    hist = run_trial(model, rule, model.K * m0 + extra, m0, replicate_root(seed, 0), opts)
+    expected = update_all_estimates(hist, model, opts.fit).theta
+    logistic = np.array([a.family == "logistic" for a in model.arms])
+    # Closed forms and least squares agree to rounding; IRLS to its tolerance.
+    np.testing.assert_allclose(hist.current_theta[~logistic], expected[~logistic],
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(hist.current_theta[logistic], expected[logistic],
+                               rtol=0, atol=1e-6)
+
+
+@settings(max_examples=12)
+@given(st.sampled_from(sorted(DESIGNS)), st.integers(0, 2**16), st.integers(1, 8),
+       st.integers(1, 4), st.integers(0, 30))
+def test_steps_reproduce_run_trial(name, seed, k, interval, extra):
+    model, rule, m0 = DESIGNS[name]()
+    n = model.K * m0 + extra
+    opts = EngineOptions(refit_interval=interval, fit=FitOptions(check_conditioning=False))
+    whole = run_trial(model, rule, n + k, m0, replicate_root(seed, 0), opts)
+    streams = streams_for_trial(replicate_root(seed, 0))
+    hist = run_trial(model, rule, n, m0, streams, opts)
+    for _ in range(k):
+        hist = step(hist, model, rule, streams)
+    _assert_same_trial(hist, whole)
