@@ -94,13 +94,11 @@ def main(argv=None) -> int:
     ap.add_argument("--pr", type=int, required=True)
     ap.add_argument("--label", required=True, help="name of this side, e.g. parent or change")
     ap.add_argument("--src", type=Path, default=ROOT / "src")
-    ap.add_argument("--skip-gate", action="store_true", help="time the engine only")
     args = ap.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
 
-    entry = {"machine": machine(), "engine_n": ENGINE_N, "engine": engine_us_per_patient()}
-    if not args.skip_gate:
-        entry["gate_seconds"] = gate_seconds()
+    entry = {"machine": machine(), "engine_n": ENGINE_N, "engine": engine_us_per_patient(),
+             "gate_seconds": gate_seconds()}
     path = ROOT / f"BENCH_{args.pr}.json"
     doc = json.loads(path.read_text()) if path.exists() else {"pr": args.pr, "runs": {}}
     doc["runs"][args.label] = entry

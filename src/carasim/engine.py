@@ -48,16 +48,16 @@ run on the stored history.  Unlike the standalone fits, the incremental
 least-squares refits skip the conditioning-number guard; exactly singular
 systems still fail soft (the arm keeps its previous estimate).
 
-A history from :func:`run_trial` carries the engine state after its last
-patient, and :func:`step` resumes from it: one patient costs the same
-whatever the length of the history, and stepping reproduces ``run_trial``
-bit for bit.
+A history from :func:`run_trial` or :func:`run_trials` carries the engine
+state after its last patient, and :func:`step` resumes from a copy of it
+instead of replaying the history, so stepping reproduces ``run_trial`` bit
+for bit.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
@@ -80,6 +80,7 @@ __all__ = [
     "burn_in_schedule",
     "TrialBatch",
     "run_trials",
+    "bytes_per_patient",
     "run_trial",
     "step",
 ]
@@ -153,9 +154,10 @@ class TrialHistory:
     ``record_ms[r]``; ``current_theta`` is the estimate after the last
     patient.  ``support_idx`` maps each patient to a covariate support point
     when the covariate distribution has finite support, else it is None.
-    ``engine_state`` is the estimator state after the last patient, from
-    which :func:`step` resumes; histories built by :meth:`from_arrays` have
-    none.
+    ``engine_state`` is the estimator state after the last patient of the
+    batch the trial ran in, and ``engine_row`` the trial's row in it;
+    :func:`step` resumes from them.  Histories built by :meth:`from_arrays`
+    have none.
     """
 
     n: int
@@ -180,6 +182,7 @@ class TrialHistory:
     seed_entropy: object = None
     seed_spawn_key: tuple = ()
     engine_state: "_Lockstep | None" = field(default=None, repr=False, compare=False)
+    engine_row: int = field(default=0, repr=False, compare=False)
 
     # -- construction helpers ------------------------------------------------
 
@@ -331,7 +334,7 @@ class _Lockstep:
         logistic = np.array([a.family == "logistic" for a in model.arms])
         self.joint = model.shared_slopes
         self.arm_kind = np.where(logistic, _GROUPED if self.support is not None else _ROWS, _LSE)
-        self.kind = int(self.arm_kind[0]) if np.all(self.arm_kind == self.arm_kind[0]) else None
+        self.kinds = np.unique(self.arm_kind).tolist()
         self.rowwise = bool(np.any(self.arm_kind == _ROWS))
         self.lse = not self.joint and bool(np.any(self.arm_kind == _LSE))
         if self.support is not None:
@@ -374,7 +377,6 @@ class _Lockstep:
             self.sat_inv = np.linalg.inv(self.support)
         self._first_cell = np.arange(B) * K
         self._theta3 = self.theta.reshape(B, K, d)
-        self.log = None  # per-patient arrays that step() appends to, shared along a lineage
 
     def take(self, idx: list[int]) -> "_Lockstep":
         """A copy that holds only the replicates ``idx``."""
@@ -482,23 +484,16 @@ class _Lockstep:
             # One patient touches one cell per replicate, in ascending order.
             cells = self.fresh[0] if len(self.fresh) == 1 else np.unique(np.concatenate(self.fresh))
             fits = (self._fit_grouped, self._fit_rows, self._fit_lse)
-            if self.kind is not None:
-                fits[self.kind](cells)
-            else:
-                kinds = self.arm_kind[cells % self.K]
-                for kind, fit in enumerate(fits):
-                    if np.any(kinds == kind):
-                        fit(cells[kinds == kind])
+            kinds = self.arm_kind[cells % self.K]
+            for kind in self.kinds:
+                fits[kind](cells[kinds == kind])
         self.fresh = []
         self.steps_since_refit = 0
 
-    def _store(self, cells, theta, converged, projected, failed=None) -> None:
-        """Write refits; a failed fit (failed is None when none did) keeps its estimate."""
-        if failed is None:
-            self.theta[cells] = theta
-        else:
-            self.theta[cells[~failed]] = theta[~failed]
-            self.fail[cells[failed]] += 1
+    def _store(self, cells, theta, converged, projected, failed) -> None:
+        """Write refits; a failed fit keeps its estimate."""
+        self.theta[cells[~failed]] = theta[~failed]
+        self.fail[cells[failed]] += 1
         self.converged[cells] = converged
         self.projected[cells] = projected
 
@@ -524,7 +519,7 @@ class _Lockstep:
             # s = 0 gives logit -inf and s = t gives +inf: clamped to the box.
             raw = np.log(s / (t - s)) / self.support[0, 0]
             val = np.minimum(np.maximum(raw, self.lo[cells]), self.hi[cells])
-            self._store(cells, val, True, (val != raw)[:, 0])
+            self._store(cells, val, True, (val != raw)[:, 0], np.zeros(cells.size, dtype=bool))
             return
         if self.sat_inv is not None:
             # A group without both outcomes has a logit of +-inf (or NaN when
@@ -538,7 +533,7 @@ class _Lockstep:
                 rest = np.flatnonzero(~closed)
                 self._irls(cells[rest], ((self.support, t[i], s[i]) for i in rest))
                 cells, theta = cells[closed], theta[closed]
-            self._store(cells, theta, True, False)
+            self._store(cells, theta, True, False, np.zeros(cells.size, dtype=bool))
             return
         self._irls(cells, ((self.support, ti, si) for ti, si in zip(t, s)))
 
@@ -560,7 +555,7 @@ class _Lockstep:
         clipped = np.minimum(np.maximum(sol, self.lo[cells]), self.hi[cells])
         converged = (self.counts[cells] >= self.model.d) & np.all(np.isfinite(sol), axis=1)
         projected = converged & np.any(clipped != sol, axis=1)
-        self._store(cells, clipped, converged, projected, None if converged.all() else ~converged)
+        self._store(cells, clipped, converged, projected, ~converged)
 
     def _refit_joint(self) -> None:
         B, K = self.B, self.K
@@ -576,11 +571,6 @@ class _Lockstep:
         clipped = np.minimum(np.maximum(theta, self.lo.reshape(B, -1)), self.hi.reshape(B, -1))
         projected = np.repeat(np.any(clipped != theta, axis=1), K)
         ok = self.formed & np.isfinite(coef).all(axis=1)
-        if ok.all():
-            self.theta.reshape(B, -1)[:] = clipped
-            self.converged[:] = True
-            self.projected[:] = projected
-            return
         self.theta.reshape(B, -1)[ok] = clipped[ok]
         ok = np.repeat(ok, K)
         self.converged[:] = ok
@@ -691,13 +681,25 @@ def run_trials(model: TrialModel, rule: AllocationRule, n: int, m0: int, seeds,
                 refit_interval=opts.refit_interval, theta_stride=stride,
                 seed_entropy=streams[i].root.entropy,
                 seed_spawn_key=tuple(streams[i].root.spawn_key),
-                engine_state=state if B == 1 else state.take([i]))
+                engine_state=state, engine_row=i)
             for i in range(B))
     return TrialBatch(
         counts=state.arm_counts(), theta=theta.copy(),
         support_counts=(state.trials.reshape(B, K, -1).astype(np.int64)
                         if state.support is not None else None),
         histories=hist)
+
+
+def bytes_per_patient(model: TrialModel, histories: bool) -> int:
+    """Bytes per replicate and patient, at most, of what :func:`run_trials`
+    keeps that grows with n: the per-patient histories (with ``histories``)
+    and the rows that logistic arms on a continuous covariate refit from
+    (each arm's rows have room for twice its patients)."""
+    K, d = model.K, model.d
+    total = 8 * (d + K + 3 + K * d) if histories else 0  # covariates, psi, arm, index, y, estimate
+    if model.covariates.enumerated() is None and any(a.family == "logistic" for a in model.arms):
+        total += 16 * K * (d + 1)
+    return total
 
 
 def run_trial(model: TrialModel, rule: AllocationRule, n: int, m0: int,
@@ -713,71 +715,53 @@ def run_trial(model: TrialModel, rule: AllocationRule, n: int, m0: int,
     return run_trials(model, rule, n, m0, [seed], opts).histories[0]
 
 
-def _with_room(a: np.ndarray, n: int) -> np.ndarray:
-    """The first n rows of ``a`` in a new array with room for n + 16 more."""
-    out = np.empty((2 * n + 16,) + a.shape[1:], dtype=a.dtype)
-    out[:n] = a[:n]
-    return out
+def _append(a: np.ndarray, value) -> np.ndarray:
+    """A read-only copy of ``a`` with ``value`` as one more row."""
+    return _freeze(np.concatenate([a, np.asarray(value, dtype=a.dtype)[None]]))
 
 
-class _Log:
-    """Per-patient arrays and estimate records of one trial, with room to grow.
-
-    The histories that :func:`step` makes from one another share one log
-    and view its first n rows, so a step writes one row instead of copying
-    the others.  Rows are only ever written past the end of every history
-    that views the log: stepping a history that is not the longest one
-    starts a new log from a copy of its rows.
-    """
-
-    def __init__(self, history: TrialHistory):
-        self.n, self.r = history.n, history.record_ms.shape[0]
-        self.rows = {name: _with_room(getattr(history, name), self.n) for name in
-                     ("covariates", "support_idx", "arms", "probs", "responses")
-                     if getattr(history, name) is not None}
-        self.records = {name: _with_room(getattr(history, name), self.r)
-                        for name in ("theta_records", "record_ms")}
-
-    @staticmethod
-    def _push(arrays: dict, count: int, values: dict) -> None:
-        for name, value in values.items():
-            if count == arrays[name].shape[0]:
-                arrays[name] = _with_room(arrays[name], count)
-            arrays[name][count] = value
-
-    def append(self, row: dict, record: dict | None) -> dict:
-        """Append one patient's row, and an estimate record if given; returns
-        read-only views of every array up to the new ends."""
-        self._push(self.rows, self.n, row)
-        self.n += 1
-        if record is not None:
-            self._push(self.records, self.r, record)
-            self.r += 1
-        views = {name: a[:self.n] for name, a in self.rows.items()}
-        views.update((name, a[:self.r]) for name, a in self.records.items())
-        return {name: _freeze(v) for name, v in views.items()}
+def _same(a, b) -> bool:
+    """Equality of models and their parts, comparing arrays by value."""
+    if a is b:
+        return True
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    if is_dataclass(a):
+        return type(a) is type(b) and all(_same(getattr(a, f.name), getattr(b, f.name))
+                                          for f in fields(a) if f.compare)
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(_same, a, b))
+    return a == b
 
 
 def step(history: TrialHistory, model: TrialModel, rule: AllocationRule,
          streams: TrialStreams, opts: EngineOptions | None = None) -> TrialHistory:
     """Append one adaptively allocated patient to a completed-burn-in history.
 
-    Resumes from the engine state the history carries, so one step costs
-    the same at any history length.  With the same streams, repeatedly
-    stepping reproduces ``run_trial`` patient for patient.  The history's
-    own refit cadence is used unless ``opts`` overrides it.
+    Resumes from a copy of the engine state the history carries, so the
+    history is never replayed.  ``model`` must be the model the history was
+    run with (its sufficient statistics and estimates belong to it); ``rule``
+    allocates the new patient and may differ from the one used so far.  With
+    the same streams, repeatedly stepping reproduces ``run_trial`` patient
+    for patient.  The history's own refit cadence is used unless ``opts``
+    overrides it.
     """
     if history.n < model.K * history.m0:
         raise ValueError("cannot resume a history that has not completed burn-in")
     if history.engine_state is None:
         raise ValueError("the history carries no engine state to resume from; only "
                          "histories from run_trial or step can be continued")
+    if not _same(model, history.engine_state.model):
+        raise ValueError("step() needs the model the history was run with")
     if opts is None:
         opts = EngineOptions(refit_interval=history.refit_interval,
                              theta_stride=history.theta_stride,
                              fit=FitOptions(check_conditioning=False))
-    state = history.engine_state.take([0])
+    state = history.engine_state.take([history.engine_row])
     state.opts = opts
+    if rule is not state.rule:
+        check_rule(rule, model.K)
+        state.rule = rule
     spec = model.covariates
     if state.support is not None:
         six = np.array([spec.sample_index(streams.covariate)])
@@ -791,16 +775,15 @@ def step(history: TrialHistory, model: TrialModel, rule: AllocationRule,
         k, psi, y = state.patient(x, six, np.array([streams.assignment.random()]), responses)
     theta = state.estimates()[0]
     n = history.n + 1
-    if state.log is None or state.log.n != history.n:
-        state.log = _Log(history)
-    row = {"covariates": x[0], "arms": k[0], "probs": psi[0], "responses": y[0]}
-    if six is not None:
-        row["support_idx"] = six[0]
-    arrays = state.log.append(row, {"theta_records": theta, "record_ms": n}
-                              if n % opts.theta_stride == 0 else None)
-    arrays.setdefault("support_idx", None)
+    record = n % opts.theta_stride == 0
     return TrialHistory(
-        n=n, m0=history.m0, K=history.K, d=history.d, **arrays,
+        n=n, m0=history.m0, K=history.K, d=history.d,
+        covariates=_append(history.covariates, x[0]),
+        support_idx=None if six is None else _append(history.support_idx, six[0]),
+        arms=_append(history.arms, k[0]), probs=_append(history.probs, psi[0]),
+        responses=_append(history.responses, y[0]),
+        theta_records=_append(history.theta_records, theta) if record else history.theta_records,
+        record_ms=_append(history.record_ms, n) if record else history.record_ms,
         current_theta=theta.copy(), converged=state.converged.copy(),
         projected=state.projected.copy(), fit_failures=state.fail.copy(),
         pending_refit=state.pending(), steps_since_refit=state.steps_since_refit,

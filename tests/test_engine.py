@@ -188,6 +188,45 @@ def test_stepping_leaves_the_history_it_resumes_unchanged():
     np.testing.assert_array_equal(a.current_theta, b.current_theta)
 
 
+def test_step_allocates_the_new_patient_by_the_rule_it_is_given():
+    model, rule = _f1(n=40)
+    other = AllocationRule.exponential(T=3.0)
+    streams = streams_for_trial(replicate_root(5, 0))
+    hist = run_trial(model, rule, 40, 6, streams, OPTS)
+    stepped = step(hist, model, other, streams)
+    x = stepped.covariates[-1]
+    np.testing.assert_array_equal(stepped.probs[-1], probabilities(other, hist.current_theta, x))
+    assert not np.allclose(stepped.probs[-1], probabilities(rule, hist.current_theta, x))
+
+
+def test_step_needs_the_model_the_history_was_run_with():
+    model, rule = _f1(n=40)
+    streams = streams_for_trial(replicate_root(5, 0))
+    hist = run_trial(model, rule, 40, 6, streams, OPTS)
+    wider = TrialModel(arms=model.arms, covariates=model.covariates, true_theta=model.true_theta,
+                       box_lo=model.box_lo - 1.0, box_hi=model.box_hi)
+    with pytest.raises(ValueError, match="model the history was run with"):
+        step(hist, wider, rule, streams)
+    # An equal model built anew is the same model.
+    again, _ = _f1(n=40)
+    assert again is not model
+    assert step(hist, again, rule, streams).n == 41
+
+
+def test_each_history_of_a_batch_can_be_stepped():
+    from carasim.engine import run_trials
+
+    model, rule = _f1(n=30)
+    streams = [streams_for_trial(replicate_root(8, i)) for i in range(3)]
+    batch = run_trials(model, rule, 30, 6, streams, OPTS)
+    for i, (hist, s) in enumerate(zip(batch.histories, streams)):
+        stepped = step(hist, model, rule, s)
+        whole = run_trial(model, rule, 31, 6, replicate_root(8, i), OPTS)
+        np.testing.assert_array_equal(stepped.arms, whole.arms)
+        np.testing.assert_array_equal(stepped.probs, whole.probs)
+        np.testing.assert_array_equal(stepped.current_theta, whole.current_theta)
+
+
 def test_different_replicates_differ():
     model, rule = _f1(n=200)
     a = run_trial(model, rule, 200, 6, replicate_root(33, 0), OPTS)
