@@ -23,7 +23,7 @@ d pi / d theta and the arms' GLM weights (:func:`carasim.model.glm_weights`):
 the expectation nodes for the theory, a trial's support points or observed
 rows for the plug-ins.  Every public function evaluates the batched rule
 kernel once on its whole node set and contracts the node axis; only custom
-rules and a user-supplied ``conditional_variance_fn`` are called node by
+rules and a user-supplied ``response_variance_fn`` are called node by
 node.
 
 Expectations over the covariate distribution are exact finite sums whenever
@@ -44,14 +44,8 @@ from scipy.special import ndtr
 
 from .allocation import AllocationRule, jacobian, probabilities
 from .engine import TrialHistory
-from .model import (
-    Constant,
-    CovariateSpec,
-    TrialModel,
-    TwoPoint,
-    Uniform,
-    glm_weights,
-)
+from .estimation import COND_MAX
+from .model import CovariateSpec, TrialModel, Uniform, glm_weights, tensor_grid
 
 __all__ = [
     "TheoryOptions",
@@ -91,7 +85,6 @@ class TheoryOptions:
     gl_nodes: int = 64
     max_quadrature_dims: int = 3
     mc_size: int = 1_000_000
-    cond_max: float = 1e12
     dispersion: str = "model"  # plug-in dispersion: "model" | "estimated"
 
 
@@ -130,25 +123,7 @@ def expectation_nodes(spec: CovariateSpec,
         return pts, pr, ExpectationMethod(kind="exact-enumeration", size=pts.shape[0])
     n_uniform = sum(1 for c in spec.coords if isinstance(c, Uniform))
     if n_uniform <= opts.max_quadrature_dims:
-        glx, glw = np.polynomial.legendre.leggauss(opts.gl_nodes)
-        values, weights = [], []
-        for c in spec.coords:
-            if isinstance(c, Constant):
-                values.append(np.array([c.value]))
-                weights.append(np.array([1.0]))
-            elif isinstance(c, TwoPoint):
-                values.append(np.array([c.a, c.b]))
-                weights.append(np.array([c.p_a, 1.0 - c.p_a]))
-            else:
-                mid, half = 0.5 * (c.lo + c.hi), 0.5 * (c.hi - c.lo)
-                values.append(mid + half * glx)
-                weights.append(0.5 * glw)
-        grids = np.meshgrid(*values, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        wgrids = np.meshgrid(*weights, indexing="ij")
-        w = np.ones(pts.shape[0])
-        for g in wgrids:
-            w = w * g.ravel()
+        pts, w = tensor_grid(spec.coords, np.polynomial.legendre.leggauss(opts.gl_nodes))
         return pts, w, ExpectationMethod(kind="quadrature", size=pts.shape[0])
     rng = Generator(PCG64(SeedSequence(_MC_SEED)))
     pts = spec.sample_batch(rng, opts.mc_size)
@@ -212,13 +187,13 @@ def _fisher_gram(model: TrialModel, theta: np.ndarray, X: np.ndarray, W: np.ndar
     return _gram(X, W * glm_weights(model.arms, theta, X) / dispersion)
 
 
-def _invert(info: np.ndarray, cond_max: float, what: str) -> np.ndarray:
+def _invert(info: np.ndarray, what: str) -> np.ndarray:
     V = np.empty_like(info)
     for k in range(info.shape[0]):
-        if np.linalg.cond(info[k]) > cond_max:
+        if np.linalg.cond(info[k]) > COND_MAX:
             raise SingularInformationError(
                 f"{what} for arm {k + 1} is singular "
-                f"(condition number exceeds {cond_max:.1e})")
+                f"(condition number exceeds {COND_MAX:.1e})")
         V[k] = np.linalg.inv(info[k])
     return V
 
@@ -264,12 +239,12 @@ def _conditionals(rule: AllocationRule, theta: np.ndarray, X: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _design_information(model: TrialModel, pts: np.ndarray, w: np.ndarray, pi: np.ndarray,
-                        opts: TheoryOptions) -> tuple[np.ndarray, np.ndarray]:
+def _design_information(model: TrialModel, pts: np.ndarray, w: np.ndarray,
+                        pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """I_k = E[pi_k I_k(theta_k | xi)] on the nodes, and V_k = I_k^{-1}."""
     phi = np.array([a.dispersion for a in model.arms])
     info = _fisher_gram(model, model.true_theta, pts, w[:, None] * pi, phi)
-    V = _invert(info, opts.cond_max, "design-weighted information")
+    V = _invert(info, "design-weighted information")
     for k in range(model.K):
         _assert_psd(f"V_{k + 1}", V[k])
     return info, V
@@ -280,7 +255,7 @@ def info_matrices(model: TrialModel, rule: AllocationRule,
     """Design-weighted Fisher information I_k and V_k = I_k^{-1} per arm."""
     pts, w, method = expectation_nodes(model.covariates, opts)
     pi = probabilities(rule, model.true_theta, pts)
-    info, V = _design_information(model, pts, w, pi, opts)
+    info, V = _design_information(model, pts, w, pi)
     return InfoMatrices(info=info, V=V, method=method)
 
 
@@ -297,7 +272,7 @@ def theory_report(model: TrialModel, rule: AllocationRule, x_list=(),
     pi = probabilities(rule, theta, pts)
     v = w @ pi
     dg = jacobian(rule, theta, pts, weights=w)
-    info, V = _design_information(model, pts, w, pi, opts)
+    info, V = _design_information(model, pts, w, pi)
     if method.kind == "monte-carlo":
         method = replace(method, stderr=_mc_stderr(pi, w))
     s1, s2, total = _allocation_covariance(v, dg, V)
@@ -323,7 +298,7 @@ def scaled_mle_covariance(model: TrialModel, rule: AllocationRule,
     """Asymptotic covariance of sqrt(N_{n,k}) (theta_hat_k - theta_k): v_k V_k."""
     pts, w, _ = expectation_nodes(model.covariates, opts)
     pi = probabilities(rule, model.true_theta, pts)
-    _, V = _design_information(model, pts, w, pi, opts)
+    _, V = _design_information(model, pts, w, pi)
     return (w @ pi)[:, None, None] * V
 
 
@@ -337,7 +312,7 @@ def iid_mle_covariance(model: TrialModel,
     pts, w, _ = expectation_nodes(model.covariates, opts)
     phi = np.array([a.dispersion for a in model.arms])
     info = _fisher_gram(model, model.true_theta, pts, w[:, None], phi)
-    return _invert(info, opts.cond_max, "expected information")
+    return _invert(info, "expected information")
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +477,7 @@ def bb_closed_forms(model: TrialModel, rule: AllocationRule,
     J = (centred * w[:, None]).T @ centred
     dt = model.d - 1
     if dt > 0:
-        if np.linalg.cond(J) > opts.cond_max:
+        if np.linalg.cond(J) > COND_MAX:
             raise SingularInformationError("Var(xi_tilde) is singular")
         Jinv = np.linalg.inv(J)
         c = float(a @ Jinv @ a)
@@ -536,12 +511,12 @@ class LseSandwich:
 
 
 def lse_sandwich(model: TrialModel, rule: AllocationRule,
-                 conditional_variance_fn=None,
+                 response_variance_fn=None,
                  opts: TheoryOptions = TheoryOptions()) -> LseSandwich:
     """Asymptotic covariance of the per-arm least-squares working estimate.
 
     V_k = (E[pi_k xi'xi])^{-1} E[pi_k Var(Y_k | xi) xi'xi] (E[pi_k xi'xi])^{-1}.
-    ``conditional_variance_fn(k, x)`` overrides the model's response variance
+    ``response_variance_fn(k, x)`` overrides the model's response variance
     (useful for heteroscedastic what-if analyses); by default the model's own
     conditional variance is used, so for normal arms V_k reduces to
     sigma_k^2 (E[pi_k xi'xi])^{-1}.
@@ -549,15 +524,15 @@ def lse_sandwich(model: TrialModel, rule: AllocationRule,
     pts, w, method = expectation_nodes(model.covariates, opts)
     theta = model.true_theta
     pi = probabilities(rule, theta, pts)
-    if conditional_variance_fn is None:
+    if response_variance_fn is None:
         phi = np.array([a.dispersion for a in model.arms])
         var_y = phi * glm_weights(model.arms, theta, pts)
     else:
-        var_y = np.array([[float(conditional_variance_fn(k, x)) for k in range(model.K)]
+        var_y = np.array([[float(response_variance_fn(k, x)) for k in range(model.K)]
                           for x in pts]).reshape(pi.shape)
     info_x = _gram(pts, w[:, None] * pi)
     info_y = _gram(pts, w[:, None] * pi * var_y)
-    inv = _invert(info_x, opts.cond_max, "E[pi_k xi'xi]")
+    inv = _invert(info_x, "E[pi_k xi'xi]")
     V = inv @ info_y @ inv
     for k in range(model.K):
         _assert_psd(f"LSE V_{k + 1}", V[k])

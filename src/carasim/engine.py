@@ -64,6 +64,7 @@ from numpy.random import Generator, PCG64, SeedSequence
 
 from .allocation import AllocationRule, check_rule, probabilities_unchecked
 from .estimation import (
+    COND_MAX,
     SINGULAR_HESSIAN,
     FitOptions,
     fit_grouped_logistic_mle,
@@ -129,7 +130,6 @@ def streams_for_trial(seed: int | SeedSequence) -> TrialStreams:
 class EngineOptions:
     refit_interval: int = 1
     theta_stride: int = 1
-    fit: FitOptions = FitOptions(check_conditioning=False)
 
     def __post_init__(self):
         if self.refit_interval < 1:
@@ -216,12 +216,6 @@ class TrialHistory:
         """Patients per arm, N_{n,k}."""
         return np.bincount(self.arms[:self.n], minlength=self.K)
 
-    def counts_given_x(self, x) -> tuple[int, np.ndarray]:
-        """(N_n(x), per-arm counts among patients with covariate x)."""
-        x = np.asarray(x, dtype=float)
-        mask = np.all(self.covariates[:self.n] == x, axis=1)
-        return int(mask.sum()), np.bincount(self.arms[:self.n][mask], minlength=self.K)
-
     # -- serialization -------------------------------------------------------
 
     def to_patient_csv(self, path=None) -> str:
@@ -275,8 +269,6 @@ class TrialHistory:
             f.write("\n")
 
 
-
-
 # ---------------------------------------------------------------------------
 # Lockstep estimator state
 # ---------------------------------------------------------------------------
@@ -290,6 +282,9 @@ def burn_in_schedule(K: int, m0: int, rng: Generator) -> np.ndarray:
 
 
 _GROUPED, _ROWS, _LSE = 0, 1, 2
+# The IRLS refits skip the conditioning guard; exactly singular systems
+# still fail soft.
+_FIT = FitOptions(check_conditioning=False)
 
 
 class _Lockstep:
@@ -505,7 +500,7 @@ class _Lockstep:
             lo, hi = self.lo[c], self.hi[c]
             fit = fit_grouped_logistic_mle(points, trials, successes, lo, hi,
                                            init=np.minimum(np.maximum(self.theta[c], lo), hi),
-                                           opts=self.opts.fit)
+                                           opts=_FIT)
             if fit.reason == SINGULAR_HESSIAN:
                 self.fail[c] += 1
             else:
@@ -562,7 +557,7 @@ class _Lockstep:
         if self.m >= self.joint_gram.shape[1] and self.n_formed < B:
             # Invert the Gram matrix at the first refit where it is solvable.
             todo = np.flatnonzero(~self.formed)
-            idx = todo[np.linalg.cond(self.joint_gram[todo]) <= 1e12]
+            idx = todo[np.linalg.cond(self.joint_gram[todo]) <= COND_MAX]
             self.joint_inv[idx] = np.linalg.inv(self.joint_gram[idx])
             self.formed[idx] = True
             self.n_formed += idx.size
@@ -755,8 +750,7 @@ def step(history: TrialHistory, model: TrialModel, rule: AllocationRule,
         raise ValueError("step() needs the model the history was run with")
     if opts is None:
         opts = EngineOptions(refit_interval=history.refit_interval,
-                             theta_stride=history.theta_stride,
-                             fit=FitOptions(check_conditioning=False))
+                             theta_stride=history.theta_stride)
     state = history.engine_state.take([history.engine_row])
     state.opts = opts
     if rule is not state.rule:

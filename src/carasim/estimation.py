@@ -14,7 +14,7 @@ core, so they return identical estimates on equivalent data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -73,13 +73,23 @@ class ArmSample:
         return self.X.shape[0]
 
 
+# IRLS converges when the gradient's or the Newton step's largest component
+# falls to its tolerance, and gives up after _MAX_ITER iterations; a step is
+# halved at most _MAX_HALVINGS times to keep the log-likelihood from
+# decreasing.  A matrix whose condition number exceeds COND_MAX is singular.
+_GRAD_TOL = 1e-8
+_STEP_TOL = 1e-10
+_MAX_ITER = 100
+_MAX_HALVINGS = 30
+COND_MAX = 1e12
+
+
 @dataclass(frozen=True)
 class FitOptions:
-    grad_tol: float = 1e-8
-    step_tol: float = 1e-10
-    max_iter: int = 100
-    cond_max: float = 1e12
-    max_halvings: int = 30
+    """``check_conditioning``: an IRLS Hessian that is not finite or whose
+    condition number exceeds COND_MAX ends the fit as singular.
+    ``track_objective``: record the log-likelihood after every iteration."""
+
     check_conditioning: bool = True
     track_objective: bool = False
 
@@ -171,10 +181,10 @@ def fit_grouped_logistic_mle(points: np.ndarray, trials: np.ndarray,
     reason = MAX_ITERATIONS
     iterations = 0
 
-    for iterations in range(1, opts.max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         p = expit(mu)
         grad = X.T @ (s - t * p)
-        if np.abs(grad).max() <= opts.grad_tol:
+        if np.abs(grad).max() <= _GRAD_TOL:
             converged, reason = True, ""
             iterations -= 1
             break
@@ -182,7 +192,7 @@ def fit_grouped_logistic_mle(points: np.ndarray, trials: np.ndarray,
         H = (X * w[:, None]).T @ X
         singular = False
         if opts.check_conditioning and (not np.all(np.isfinite(H))
-                                        or np.linalg.cond(H) > opts.cond_max):
+                                        or np.linalg.cond(H) > COND_MAX):
             singular = True
         if not singular:
             try:
@@ -198,7 +208,7 @@ def fit_grouped_logistic_mle(points: np.ndarray, trials: np.ndarray,
                              reason=SINGULAR_HESSIAN,
                              objective_path=tuple(path) if path is not None else None)
         scale = 1.0
-        for _ in range(opts.max_halvings):
+        for _ in range(_MAX_HALVINGS):
             cand = theta + scale * delta
             mu_c = X @ cand
             llc = _binomial_loglik(mu_c, t, s)
@@ -211,7 +221,7 @@ def fit_grouped_logistic_mle(points: np.ndarray, trials: np.ndarray,
         theta, mu, ll = cand, mu_c, llc
         if path is not None:
             path.append(ll)
-        if step_norm <= opts.step_tol:
+        if step_norm <= _STEP_TOL:
             converged, reason = True, ""
             break
 
@@ -232,8 +242,7 @@ def fit_logistic_mle(sample: ArmSample, lo: np.ndarray, hi: np.ndarray,
                                     lo, hi, init=init, opts=opts)
 
 
-def fit_linear_lse(sample: ArmSample, lo: np.ndarray, hi: np.ndarray,
-                   opts: FitOptions = FitOptions()) -> FitResult:
+def fit_linear_lse(sample: ArmSample, lo: np.ndarray, hi: np.ndarray) -> FitResult:
     """Least squares by the normal equations; degenerate designs fail soft."""
     if sample.n == 0:
         raise EmptySampleError("least-squares fit requires at least one observation")
@@ -248,7 +257,7 @@ def fit_linear_lse(sample: ArmSample, lo: np.ndarray, hi: np.ndarray,
         return FitResult(theta_hat=mid, converged=False, projected=False,
                          iterations=0, objective=sse, reason=DEGENERATE_DESIGN)
 
-    if sample.n < d or np.linalg.cond(A) > opts.cond_max:
+    if sample.n < d or np.linalg.cond(A) > COND_MAX:
         return _degenerate()
     try:
         theta = np.linalg.solve(A, rhs)
@@ -261,8 +270,7 @@ def fit_linear_lse(sample: ArmSample, lo: np.ndarray, hi: np.ndarray,
 
 
 def fit_shared_slope_lse(X: np.ndarray, y: np.ndarray, arm_idx: np.ndarray, K: int,
-                         lo: np.ndarray, hi: np.ndarray,
-                         opts: FitOptions = FitOptions()) -> JointFitResult:
+                         lo: np.ndarray, hi: np.ndarray) -> JointFitResult:
     """Joint least squares: per-arm intercepts, slopes shared across arms.
 
     Rows must carry a leading constant-1 coordinate; the fitted coefficient
@@ -297,7 +305,7 @@ def fit_shared_slope_lse(X: np.ndarray, y: np.ndarray, arm_idx: np.ndarray, K: i
 
     mid = _theta_from(np.concatenate([0.5 * (lo[:, 0] + hi[:, 0]),
                                       0.5 * (lo[0, 1:] + hi[0, 1:])]))
-    if n < P or np.linalg.cond(A) > opts.cond_max:
+    if n < P or np.linalg.cond(A) > COND_MAX:
         sse = float(np.sum((y - np.sum(X * mid[arm_idx], axis=1)) ** 2))
         return JointFitResult(theta=mid, converged=False, projected=False,
                               objective=sse, reason=DEGENERATE_DESIGN)
@@ -335,7 +343,7 @@ def update_all_estimates(history: "TrialHistory", model: "TrialModel",
     if model.shared_slopes:
         if history.n == 0:
             return EstimatesUpdate(theta=theta, converged=converged, projected=projected)
-        fit = fit_shared_slope_lse(X, y, arms, K, model.box_lo, model.box_hi, opts=opts)
+        fit = fit_shared_slope_lse(X, y, arms, K, model.box_lo, model.box_hi)
         if fit.converged:
             theta = fit.theta
         converged[:] = fit.converged
@@ -352,7 +360,7 @@ def update_all_estimates(history: "TrialHistory", model: "TrialModel",
             init = np.clip(theta[k], lo, hi)
             fit = fit_logistic_mle(sample, lo, hi, init=init, opts=opts)
         else:
-            fit = fit_linear_lse(sample, lo, hi, opts=opts)
+            fit = fit_linear_lse(sample, lo, hi)
         if fit.reason in (SINGULAR_HESSIAN, DEGENERATE_DESIGN):
             continue  # keep previous estimate
         theta[k] = fit.theta_hat

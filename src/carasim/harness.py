@@ -39,8 +39,8 @@ from .asymptotics import (
     scaled_mle_covariance,
     theory_report,
 )
-from .engine import EngineOptions, TrialHistory, bytes_per_patient, replicate_root, run_trials
-from .estimation import ArmSample, FitOptions, fit_linear_lse, fit_logistic_mle
+from .engine import EngineOptions, bytes_per_patient, replicate_root, run_trials
+from .estimation import ArmSample, fit_linear_lse, fit_logistic_mle
 from .model import ArmModel, Constant, CovariateSpec, TrialModel, TwoPoint, Uniform
 
 __all__ = [
@@ -93,6 +93,12 @@ def _as_int(value, ctx: str, minimum: int | None = None) -> int:
     return value
 
 
+def _as_bool(value, ctx: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"key '{ctx}' must be true or false")
+    return value
+
+
 def _as_number(value, ctx: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"key '{ctx}' must be a number")
@@ -124,13 +130,15 @@ def _parse_covariates(doc, ctx: str) -> CovariateSpec:
         if kind == "discrete":
             return CovariateSpec.discrete(_need(doc, "support", ctx),
                                           _need(doc, "probs", ctx),
-                                          intercept=bool(doc.get("intercept", False)))
+                                          intercept=_as_bool(doc.get("intercept", False),
+                                                             f"{ctx}.intercept"))
         if kind == "continuous-product":
             coords = _need(doc, "coords", ctx)
             if not isinstance(coords, list) or not coords:
                 raise ConfigError(f"key '{ctx}.coords' must be a non-empty array")
             parsed = [_parse_coord(c, f"{ctx}.coords[{i}]") for i, c in enumerate(coords)]
-            return CovariateSpec.product(parsed, intercept=bool(doc.get("intercept", False)))
+            return CovariateSpec.product(
+                parsed, intercept=_as_bool(doc.get("intercept", False), f"{ctx}.intercept"))
         if kind == "constant":
             return CovariateSpec.constant(_need(doc, "values", ctx))
     except ConfigError:
@@ -158,11 +166,12 @@ def _parse_model(doc, ctx: str = "model") -> TrialModel:
             raise ConfigError(f"invalid arm at '{ctx}.arms[{i}]': {exc}") from exc
     covariates = _parse_covariates(_need(doc, "covariates", ctx), f"{ctx}.covariates")
     theta = np.asarray(_need(doc, "true_theta", ctx), dtype=float)
+    shared_slopes = _as_bool(doc.get("shared_slopes", False), f"{ctx}.shared_slopes")
     try:
         return TrialModel(arms=tuple(arms), covariates=covariates, true_theta=theta,
                           box_lo=np.asarray(_need(doc, "box_lo", ctx), dtype=float),
                           box_hi=np.asarray(_need(doc, "box_hi", ctx), dtype=float),
-                          shared_slopes=bool(doc.get("shared_slopes", False)))
+                          shared_slopes=shared_slopes)
     except ValueError as exc:
         raise ConfigError(f"invalid model at '{ctx}': {exc}") from exc
 
@@ -199,8 +208,7 @@ class ExperimentConfig:
 
     def engine_options(self) -> EngineOptions:
         return EngineOptions(refit_interval=self.refit_interval,
-                             theta_stride=self.theta_stride,
-                             fit=FitOptions(check_conditioning=False))
+                             theta_stride=self.theta_stride)
 
 
 def parse_config(document: dict | str | Path) -> ExperimentConfig:
@@ -243,7 +251,7 @@ def parse_config(document: dict | str | Path) -> ExperimentConfig:
     replicates = _as_int(rep.get("replicates", 1), "replication.replicates", minimum=1)
     seed = _as_int(rep.get("seed", 0), "replication.seed", minimum=0)
     workers = _as_int(rep.get("workers", 1), "replication.workers", minimum=1)
-    plugins = bool(rep.get("plugins", False))
+    plugins = _as_bool(rep.get("plugins", False), "replication.plugins")
     dispersion = rep.get("dispersion", "model")
     if dispersion not in ("model", "estimated"):
         raise ConfigError("key 'replication.dispersion' must be 'model' or 'estimated', "
@@ -354,7 +362,6 @@ def _replicate_block(raw: dict, indices: list[int]) -> dict:
     K, d, nx = model.K, model.d, len(cfg.x_list)
     B = len(indices)
     out = {
-        "indices": indices,
         "counts": np.zeros((B, K), dtype=np.int64),
         "theta": np.zeros((B, K, d)),
         "cond_totals": np.zeros((B, nx), dtype=np.int64),
@@ -452,19 +459,6 @@ def run_replications(config: ExperimentConfig, workers: int | None = None) -> Re
     theory = theory_report(model, rule, config.x_list,
                            TheoryOptions(dispersion=config.dispersion))
 
-    counts = np.zeros((R, K), dtype=np.int64)
-    theta_hat = np.zeros((R, K, d))
-    cond_totals = np.zeros((R, nx), dtype=np.int64)
-    cond_counts = np.zeros((R, nx, K), dtype=np.int64)
-    ok = np.zeros(R, dtype=bool)
-    plugin_ok = np.zeros(R, dtype=bool)
-    failures, plugin_failures = [], []
-    p_sigma = np.zeros((R, K, K)) if config.plugins else None
-    p_sigma1 = np.zeros((R, K, K)) if config.plugins else None
-    p_V = np.zeros((R, K, d, d)) if config.plugins else None
-    p_cond = np.zeros((R, nx, K, K)) if config.plugins else None
-    warning_count = 0
-
     blocks = _split_blocks(R, workers)
     if len(blocks) == 1:
         results = [_replicate_block(config.raw, blocks[0])]
@@ -472,22 +466,14 @@ def run_replications(config: ExperimentConfig, workers: int | None = None) -> Re
         with concurrent.futures.ProcessPoolExecutor(max_workers=len(blocks)) as pool:
             results = list(pool.map(_replicate_block, [config.raw] * len(blocks), blocks))
 
-    for res in results:
-        idx = np.asarray(res["indices"], dtype=int)
-        counts[idx] = res["counts"]
-        theta_hat[idx] = res["theta"]
-        cond_totals[idx] = res["cond_totals"]
-        cond_counts[idx] = res["cond_counts"]
-        ok[idx] = res["ok"]
-        plugin_ok[idx] = res["plugin_ok"]
-        failures += res["failures"]
-        plugin_failures += res["plugin_failures"]
-        if config.plugins:
-            p_sigma[idx] = res["plugin_sigma"]
-            p_sigma1[idx] = res["plugin_sigma1"]
-            p_V[idx] = res["plugin_V"]
-            p_cond[idx] = res["plugin_cond"]
-            warning_count += res["plugin_warnings"]
+    # Blocks hold consecutive replicates in order, so their records stack.
+    def stacked(key: str) -> np.ndarray:
+        return np.concatenate([res[key] for res in results])
+
+    counts, theta_hat, ok, plugin_ok = (stacked(k) for k in ("counts", "theta", "ok", "plugin_ok"))
+    cond_totals, cond_counts = stacked("cond_totals"), stacked("cond_counts")
+    failures = [f for res in results for f in res["failures"]]
+    plugin_failures = [f for res in results for f in res["plugin_failures"]]
 
     good = np.flatnonzero(ok)
     sqrt_n = math.sqrt(config.n)
@@ -524,19 +510,19 @@ def run_replications(config: ExperimentConfig, workers: int | None = None) -> Re
     plugins = None
     if config.plugins:
         good = np.flatnonzero(ok & plugin_ok)
-        norm_inf = lambda m: float(np.max(np.abs(m)))
-        denom_sigma = norm_inf(theory.sigma)
-        rel_sigma = np.array([norm_inf(p_sigma[i] - theory.sigma) / denom_sigma for i in good])
-        rel_V = np.array([[norm_inf(p_V[i, k] - theory.V[k]) / norm_inf(theory.V[k])
-                           for k in range(K)] for i in good])
+        p_sigma, p_V = stacked("plugin_sigma")[good], stacked("plugin_V")[good]
+        # Relative deviations in the max-abs norm, one per replicate (and arm).
+        rel_sigma = np.abs(p_sigma - theory.sigma).max(axis=(1, 2)) / np.abs(theory.sigma).max()
+        rel_V = np.abs(p_V - theory.V).max(axis=(2, 3)) / np.abs(theory.V).max(axis=(1, 2))
         plugins = PluginAggregates(
-            sigma_hat_median=np.median(p_sigma[good], axis=0),
-            sigma1_hat_median=np.median(p_sigma1[good], axis=0),
-            V_hat_median=np.median(p_V[good], axis=0),
-            cond_sigma_median=np.median(p_cond[good], axis=0) if nx else np.zeros((0, K, K)),
+            sigma_hat_median=np.median(p_sigma, axis=0),
+            sigma1_hat_median=np.median(stacked("plugin_sigma1")[good], axis=0),
+            V_hat_median=np.median(p_V, axis=0),
+            cond_sigma_median=(np.median(stacked("plugin_cond")[good], axis=0) if nx
+                               else np.zeros((0, K, K))),
             rel_dev_sigma_median=float(np.median(rel_sigma)) if good.size else math.nan,
             rel_dev_V_median=np.median(rel_V, axis=0) if good.size else np.full(K, math.nan),
-            warning_count=warning_count,
+            warning_count=sum(res["plugin_warnings"] for res in results),
         )
 
     return ReplicationSummary(
@@ -680,9 +666,9 @@ def replicate_csv_lines(s: ReplicationSummary) -> list[str]:
     return lines
 
 
-def emit_reports(summary: ReplicationSummary, out_dir, history: TrialHistory | None = None) -> dict:
-    """Write the JSON report and per-replicate CSV (and optionally one
-    trial's per-patient CSV) into ``out_dir``; returns the paths written."""
+def emit_reports(summary: ReplicationSummary, out_dir) -> dict:
+    """Write the JSON report and per-replicate CSV into ``out_dir``; returns
+    the paths written."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -694,13 +680,6 @@ def emit_reports(summary: ReplicationSummary, out_dir, history: TrialHistory | N
         with open(csv_path, "w", newline="\n") as f:
             f.write("\n".join(replicate_csv_lines(summary)) + "\n")
         paths["replicates"] = str(csv_path)
-        if history is not None:
-            patients = out / "patients.csv"
-            history.to_patient_csv(patients)
-            paths["patients"] = str(patients)
-            trial_summary = out / "trial.json"
-            history.to_json(trial_summary)
-            paths["trial"] = str(trial_summary)
         return paths
     except OSError as exc:
         raise OSError(f"failed writing reports under {out}: {exc}") from exc

@@ -26,12 +26,10 @@ __all__ = [
     "CovariateSpec",
     "ArmModel",
     "TrialModel",
-    "mean_response",
+    "tensor_grid",
     "responses_from_uniforms",
     "glm_weights",
-    "conditional_variance",
     "conditional_fisher_info",
-    "score",
 ]
 
 _PROB_TOL = 1e-12
@@ -169,7 +167,10 @@ class CovariateSpec:
         elif self.kind == "continuous-product":
             if self.coords is None:
                 raise ValueError("product spec requires coordinate distributions")
-            enum = _enumerate_product(self.coords)
+            enum = None
+            if (not any(isinstance(c, Uniform) for c in self.coords)
+                    and 2 ** sum(isinstance(c, TwoPoint) for c in self.coords) <= _ENUM_CAP):
+                enum = tuple(map(_as_readonly, tensor_grid(self.coords)))
         else:
             raise ValueError(f"unknown covariate kind: {self.kind!r}")
         object.__setattr__(self, "_enum", enum)
@@ -245,30 +246,32 @@ class CovariateSpec:
         return np.array(self.from_uniforms(rng.random((self.uniforms_per_draw, size)).T)[0])
 
 
-def _enumerate_product(coords: tuple[CoordinateDist, ...]) -> tuple[np.ndarray, np.ndarray] | None:
-    """Tensor-expand a product spec with no uniform coordinate."""
-    values: list[np.ndarray] = []
-    weights: list[np.ndarray] = []
-    size = 1
+def tensor_grid(coords: Sequence[CoordinateDist],
+                uniform_nodes: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor product of per-coordinate nodes: points (S, d) and weights (S,).
+
+    A constant coordinate has one node and a two-point coordinate its two
+    values; a uniform coordinate maps ``uniform_nodes`` = (nodes, weights)
+    of a rule on [-1, 1] (e.g. Gauss-Legendre) onto [lo, hi], with the
+    weights halved so that they sum to one.
+    """
+    values, weights = [], []
     for c in coords:
-        if isinstance(c, Uniform):
-            return None
         if isinstance(c, Constant):
             values.append(np.array([c.value]))
             weights.append(np.array([1.0]))
-        else:
+        elif isinstance(c, TwoPoint):
             values.append(np.array([c.a, c.b]))
             weights.append(np.array([c.p_a, 1.0 - c.p_a]))
-        size *= values[-1].size
-        if size > _ENUM_CAP:
-            return None
-    grids = np.meshgrid(*values, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    wgrids = np.meshgrid(*weights, indexing="ij")
-    pr = np.ones(size)
-    for w in wgrids:
-        pr = pr * w.ravel()
-    return _as_readonly(pts), _as_readonly(pr)
+        else:
+            mid, half = 0.5 * (c.lo + c.hi), 0.5 * (c.hi - c.lo)
+            values.append(mid + half * uniform_nodes[0])
+            weights.append(0.5 * uniform_nodes[1])
+    pts = np.stack([g.ravel() for g in np.meshgrid(*values, indexing="ij")], axis=1)
+    w = np.ones(pts.shape[0])
+    for g in np.meshgrid(*weights, indexing="ij"):
+        w = w * g.ravel()
+    return pts, w
 
 
 # ---------------------------------------------------------------------------
@@ -305,20 +308,6 @@ def _check_dims(theta_k: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     return theta_k, x
 
 
-def _expit(mu: float) -> float:
-    if mu >= 0.0:
-        return 1.0 / (1.0 + math.exp(-mu))
-    e = math.exp(mu)
-    return e / (1.0 + e)
-
-
-def mean_response(arm: ArmModel, theta_k: np.ndarray, x: np.ndarray) -> float:
-    """E[Y | xi = x] under arm ``arm`` with coefficients ``theta_k``."""
-    theta_k, x = _check_dims(theta_k, x)
-    mu = float(theta_k @ x)
-    return _expit(mu) if arm.family == "logistic" else mu
-
-
 def glm_weights(arms: Sequence[ArmModel], theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     """GLM variance function V_k(x) of every arm, shape (K,) or (N, K).
 
@@ -330,12 +319,6 @@ def glm_weights(arms: Sequence[ArmModel], theta: np.ndarray, x: np.ndarray) -> n
     p = expit(x @ theta.T)
     logistic = np.array([a.family == "logistic" for a in arms])
     return np.where(logistic, p * (1.0 - p), 1.0)
-
-
-def conditional_variance(arm: ArmModel, theta_k: np.ndarray, x: np.ndarray) -> float:
-    """Var(Y | xi = x): p(1-p) for logistic, the error variance for normal."""
-    theta_k, x = _check_dims(theta_k, x)
-    return arm.dispersion * float(glm_weights((arm,), theta_k[None, :], x)[0])
 
 
 def responses_from_uniforms(arms: Sequence[ArmModel], theta: np.ndarray, x: np.ndarray,
@@ -372,15 +355,6 @@ def conditional_fisher_info(arm: ArmModel, theta_k: np.ndarray, x: np.ndarray) -
     theta_k, x = _check_dims(theta_k, x)
     w = float(glm_weights((arm,), theta_k[None, :], x)[0]) / arm.dispersion
     return w * np.outer(x, x)
-
-
-def score(arm: ArmModel, theta_k: np.ndarray, x: np.ndarray, y: float) -> np.ndarray:
-    """Gradient of the log-density in theta_k: (y - E[Y|x]) x / dispersion."""
-    theta_k, x = _check_dims(theta_k, x)
-    mu = float(theta_k @ x)
-    if arm.family == "logistic":
-        return (y - _expit(mu)) * x
-    return ((y - mu) / arm.dispersion) * x
 
 
 # ---------------------------------------------------------------------------

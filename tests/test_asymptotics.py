@@ -518,7 +518,7 @@ def test_lse_sandwich_equal_allocation_hand_value():
 
 def test_lse_sandwich_zero_variance_override_gives_zero():
     model, rule = _bb_pair()
-    ls = lse_sandwich(model, rule, conditional_variance_fn=lambda k, x: 0.0)
+    ls = lse_sandwich(model, rule, response_variance_fn=lambda k, x: 0.0)
     np.testing.assert_array_equal(ls.V, 0.0)
 
 

@@ -18,7 +18,7 @@ from carasim.fixtures import bb_config, f1_config, two_point_config
 from carasim.harness import parse_config
 from carasim.model import ArmModel, CovariateSpec, TrialModel
 
-OPTS = EngineOptions(fit=FitOptions(check_conditioning=False))
+OPTS = EngineOptions()
 ODDS_RULE = AllocationRule.odds_ratio()
 
 
@@ -142,7 +142,7 @@ def test_intercept_only_closed_form_respects_negative_covariate():
                        true_theta=np.zeros((2, 1)), box_lo=-2.0, box_hi=2.0)
     for seed in range(20):
         hist = run_trial(model, ODDS_RULE, 6, 3, replicate_root(seed, 0), OPTS)
-        expected = update_all_estimates(hist, model, OPTS.fit).theta
+        expected = update_all_estimates(hist, model, FitOptions(check_conditioning=False)).theta
         np.testing.assert_allclose(hist.current_theta, expected, rtol=0, atol=1e-9)
 
 
@@ -281,7 +281,8 @@ def test_conditional_proportions_track_rule():
                      cfg.engine_options())
     total = 0
     for x in cfg.x_list:
-        n_x, per_arm = hist.counts_given_x(x)
+        mask = np.all(hist.covariates == x, axis=1)
+        n_x, per_arm = int(mask.sum()), np.bincount(hist.arms[mask], minlength=hist.K)
         total += n_x
         target = probabilities(cfg.rule, cfg.model.true_theta, x)[0]
         assert abs(per_arm[0] / n_x - target) <= 0.05
@@ -328,8 +329,7 @@ def test_theta_stride_thins_records():
     model, rule = _f1(n=60)
     dense = run_trial(model, rule, 60, 6, replicate_root(2, 0), OPTS)
     sparse = run_trial(model, rule, 60, 6, replicate_root(2, 0),
-                       EngineOptions(theta_stride=10,
-                                     fit=FitOptions(check_conditioning=False)))
+                       EngineOptions(theta_stride=10))
     assert sparse.record_ms.shape[0] < dense.record_ms.shape[0]
     assert np.all(sparse.record_ms % 10 == 0)
     np.testing.assert_array_equal(sparse.probs, dense.probs)

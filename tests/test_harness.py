@@ -105,6 +105,32 @@ def test_invalid_dispersion_mode_is_rejected():
         parse_config(doc)
 
 
+def _with_flag(key: str, value) -> dict:
+    if key == "plugins":
+        doc = _minimal_f1()
+        doc["replication"] = {"plugins": value}
+    elif key == "intercept":
+        doc = _minimal_f1()
+        doc["model"]["covariates"] = {"kind": "continuous-product", "intercept": value,
+                                      "coords": [{"kind": "uniform", "lo": 0.0, "hi": 1.0}]}
+        doc["model"]["true_theta"] = [[0.5, 0.0], [0.0, 0.0]]
+    else:
+        doc = bb_config(n=100, replicates=1, seed=0)
+        doc["model"][key] = value
+    return doc
+
+
+@pytest.mark.parametrize("key, path", [("plugins", "replication.plugins"),
+                                       ("intercept", "model.covariates.intercept"),
+                                       ("shared_slopes", "model.shared_slopes")])
+def test_non_boolean_flags_are_rejected(key, path):
+    assert parse_config(_with_flag(key, True)).raw == _with_flag(key, True)
+    # A string such as "false" must not be read as true, nor 1 as a flag.
+    for value in ("false", "no", 1):
+        with pytest.raises(ConfigError, match=rf"'{path}' must be true or false"):
+            parse_config(_with_flag(key, value))
+
+
 def test_config_from_file_and_bad_files(tmp_path):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(_minimal_f1()))
@@ -200,7 +226,9 @@ def test_report_payload_round_trips(tmp_path):
     s = run_replications(cfg)
     hist = run_trial(cfg.model, cfg.rule, cfg.n, cfg.m0,
                      replicate_root(cfg.seed, 0), cfg.engine_options())
-    paths = emit_reports(s, tmp_path / "out", history=hist)
+    paths = emit_reports(s, tmp_path / "out")
+    hist.to_patient_csv(tmp_path / "out" / "patients.csv")
+    hist.to_json(tmp_path / "out" / "trial.json")
     payload = json.loads((tmp_path / "out" / "report.json").read_text())
     assert payload["config"] == cfg.raw
     assert payload["replicates"] == 3
@@ -216,7 +244,7 @@ def test_report_payload_round_trips(tmp_path):
     assert [row.split(",")[:2] for row in csv[1:]] == [["0", "8"], ["1", "8"], ["2", "8"]]
     assert (tmp_path / "out" / "patients.csv").exists()
     assert json.loads((tmp_path / "out" / "trial.json").read_text())["n"] == 60
-    assert set(paths) == {"report", "replicates", "patients", "trial"}
+    assert set(paths) == {"report", "replicates"}
 
 
 def test_plugin_aggregates_are_collected():

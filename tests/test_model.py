@@ -9,10 +9,9 @@ from carasim.model import (
     TwoPoint,
     Uniform,
     conditional_fisher_info,
-    conditional_variance,
-    mean_response,
+    glm_weights,
     responses_from_uniforms,
-    score,
+    tensor_grid,
 )
 
 LOGISTIC = ArmModel(family="logistic")
@@ -57,6 +56,23 @@ def test_product_enumeration_matches_expected_masses():
     np.testing.assert_allclose(spec.mass(np.array([1.0, 0.0, -1.0])), 0.3 * 0.6)
     np.testing.assert_allclose(spec.mass(np.array([1.0, 1.0, 2.0])), 0.7 * 0.4)
     assert spec.mass(np.array([1.0, 0.5, -1.0])) == 0.0
+
+
+def test_tensor_grid_maps_uniform_nodes_and_multiplies_weights():
+    coords = (Uniform(-1.0, 3.0), TwoPoint(0.5, 1.5, p_a=0.2), Constant(3.0))
+    glx, glw = np.polynomial.legendre.leggauss(3)
+    pts, w = tensor_grid(coords, (glx, glw))
+    assert pts.shape == (6, 3)
+    # Index order "ij": the first coordinate varies slowest.
+    np.testing.assert_array_equal(pts[:, 0], np.repeat(1.0 + 2.0 * glx, 2))
+    np.testing.assert_array_equal(pts[:, 1], np.tile([0.5, 1.5], 3))
+    np.testing.assert_array_equal(pts[:, 2], 3.0)
+    np.testing.assert_allclose(w, np.outer(0.5 * glw, [0.2, 0.8]).ravel(), rtol=1e-15)
+    np.testing.assert_allclose(w @ pts, [1.0, 1.3, 3.0], rtol=1e-14)
+    # Only products without uniform coordinates, of at most 4096 points, are enumerated.
+    assert CovariateSpec.product(coords).enumerated() is None
+    assert CovariateSpec.product([TwoPoint(0.0, 1.0)] * 12).enumerated()[0].shape == (4096, 12)
+    assert CovariateSpec.product([TwoPoint(0.0, 1.0)] * 13).enumerated() is None
 
 
 def test_sample_batch_and_scalar_sampling_agree_in_distribution():
@@ -104,29 +120,15 @@ def test_spec_validation_errors():
 
 
 # ---------------------------------------------------------------------------
-# Mean responses and scores
+# Fisher information and the score
 # ---------------------------------------------------------------------------
 
 
-def test_mean_response_examples():
-    np.testing.assert_allclose(
-        mean_response(LOGISTIC, np.array([0.0]), np.array([1.0])), 0.5)
-    np.testing.assert_allclose(
-        mean_response(LOGISTIC, np.array([np.log(3.0)]), np.array([1.0])), 0.75)
-    np.testing.assert_allclose(
-        mean_response(ArmModel(family="normal-linear"), np.array([2.0, -1.0]),
-                      np.array([1.0, 3.0])), -1.0)
-
-
-def test_mean_response_monotone_in_linear_predictor():
-    etas = np.linspace(-4.0, 4.0, 33)
-    means = [mean_response(LOGISTIC, np.array([eta]), np.array([1.0])) for eta in etas]
-    assert np.all(np.diff(means) > 0.0)
-
-
-def test_mean_response_dimension_mismatch():
-    with pytest.raises(ValueError):
-        mean_response(LOGISTIC, np.array([0.0, 1.0]), np.array([1.0]))
+def _score(arm, theta_k, x, y):
+    """Gradient of the log-density in theta_k: (y - E[Y | x]) x / dispersion."""
+    mu = theta_k @ x
+    mean = 1.0 / (1.0 + np.exp(-mu)) if arm.family == "logistic" else mu
+    return (y - mean) / arm.dispersion * x
 
 
 def test_fisher_info_examples():
@@ -139,16 +141,8 @@ def test_fisher_info_examples():
     np.testing.assert_array_equal(
         conditional_fisher_info(LOGISTIC, np.array([1.0, 1.0]), np.zeros(2)),
         np.zeros((2, 2)))
-
-
-def test_score_examples():
-    x = np.array([1.0])
-    mu = mean_response(LOGISTIC, np.array([0.3]), x)
-    np.testing.assert_array_equal(score(LOGISTIC, np.array([0.3]), x, mu), [0.0])
-    np.testing.assert_allclose(score(LOGISTIC, np.array([0.0]), x, 1.0), [0.5])
-    arm = ArmModel(family="normal-linear", dispersion=2.0)
-    np.testing.assert_allclose(
-        score(arm, np.array([1.0]), np.array([2.0]), 3.0), [1.0])
+    with pytest.raises(ValueError):
+        conditional_fisher_info(LOGISTIC, np.array([0.0, 1.0]), np.array([1.0]))
 
 
 def test_fisher_info_matches_score_finite_difference():
@@ -165,8 +159,8 @@ def test_fisher_info_matches_score_finite_difference():
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
-            jac[:, j] = (score(LOGISTIC, theta + e, x, y)
-                         - score(LOGISTIC, theta - e, x, y)) / (2.0 * h)
+            jac[:, j] = (_score(LOGISTIC, theta + e, x, y)
+                         - _score(LOGISTIC, theta - e, x, y)) / (2.0 * h)
         scale = max(1.0, np.max(np.abs(info)))
         np.testing.assert_allclose(-jac, info, rtol=0, atol=1e-5 * scale)
 
@@ -179,7 +173,7 @@ def test_score_has_mean_zero_at_truth():
                         np.array([1.0]))]:
         x = np.array([1.0])
         ys = responses_from_uniforms((arm,), theta[None], np.tile(x, (n, 1)), rng.random(n))[:, 0]
-        draws = np.array([score(arm, theta, x, y)[0] for y in ys])
+        draws = np.array([_score(arm, theta, x, y)[0] for y in ys])
         info = conditional_fisher_info(arm, theta, x)[0, 0]
         assert abs(draws.mean()) <= 4.0 * np.sqrt(info / n)
 
@@ -220,8 +214,9 @@ def test_response_from_uniform_matches_inverse_cdf():
                                    np.array([0.76]))[0, 0] == 0.0
     # Normal: median of the conditional law at u = 1/2.
     np.testing.assert_allclose(y[1, 1], 2.0, atol=1e-12)
+    # Var(Y | x) = dispersion times the GLM weight, 1 for normal arms.
     np.testing.assert_allclose(
-        conditional_variance(arm, np.array([2.0]), x[0]), 9.0)
+        arm.dispersion * glm_weights((arm,), np.array([[2.0]]), x[0]), [9.0])
 
 
 def test_arm_model_validation():

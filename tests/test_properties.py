@@ -135,6 +135,16 @@ def _continuous_lse_design():
                        box_lo=-3.0, box_hi=3.0), AllocationRule.odds_ratio(), 4)
 
 
+def _continuous_logit_design():
+    """Logistic arms on a continuous covariate: IRLS on each arm's rows.  With
+    burn-in filling the first 64 rows, a favoured arm outgrows them."""
+    arm = ArmModel("logistic")
+    covariates = CovariateSpec.product([Uniform(-1.0, 1.0)], intercept=True)
+    theta = np.array([[0.8, 0.6], [-0.4, 0.3]])
+    return (TrialModel(arms=(arm, arm), covariates=covariates, true_theta=theta,
+                       box_lo=-3.0, box_hi=3.0), AllocationRule.odds_ratio(), 32)
+
+
 def _from_config(raw):
     cfg = parse_config(raw)
     return cfg.model, cfg.rule, cfg.m0
@@ -145,6 +155,7 @@ DESIGNS = {
     "grouped-logit-saturated": lambda: _from_config(two_point_config(n=100, replicates=1, seed=0)),
     "least-squares": _lse_design,
     "least-squares-continuous": _continuous_lse_design,
+    "row-logit-continuous": _continuous_logit_design,
     "shared-slope": lambda: _from_config(bb_config(n=100, replicates=1, seed=0)),
 }
 _HISTORY_FIELDS = ("covariates", "support_idx", "arms", "probs", "responses", "theta_records",
@@ -168,8 +179,7 @@ def _assert_same_trial(a, b):
 def test_replicate_of_a_lockstep_batch_is_bitwise_run_trial(name, seed, R, cut, interval, extra):
     model, rule, m0 = DESIGNS[name]()
     n = model.K * m0 + extra
-    opts = EngineOptions(refit_interval=interval, theta_stride=cut,
-                         fit=FitOptions(check_conditioning=False))
+    opts = EngineOptions(refit_interval=interval, theta_stride=cut)
     # Replicates 0..R-1 split into two batches at a random point.
     split = seed % (R + 1)
     batches = [list(range(split)), list(range(split, R))]
@@ -185,9 +195,8 @@ def test_replicate_of_a_lockstep_batch_is_bitwise_run_trial(name, seed, R, cut, 
 @given(st.sampled_from(sorted(DESIGNS)), st.integers(0, 2**16), st.integers(0, 120))
 def test_incremental_estimates_equal_a_batch_refit(name, seed, extra):
     model, rule, m0 = DESIGNS[name]()
-    opts = EngineOptions(fit=FitOptions(check_conditioning=False))
-    hist = run_trial(model, rule, model.K * m0 + extra, m0, replicate_root(seed, 0), opts)
-    expected = update_all_estimates(hist, model, opts.fit).theta
+    hist = run_trial(model, rule, model.K * m0 + extra, m0, replicate_root(seed, 0))
+    expected = update_all_estimates(hist, model, FitOptions(check_conditioning=False)).theta
     logistic = np.array([a.family == "logistic" for a in model.arms])
     # Closed forms and least squares agree to rounding; IRLS to its tolerance.
     np.testing.assert_allclose(hist.current_theta[~logistic], expected[~logistic],
@@ -198,11 +207,11 @@ def test_incremental_estimates_equal_a_batch_refit(name, seed, extra):
 
 @settings(max_examples=12)
 @given(st.sampled_from(sorted(DESIGNS)), st.integers(0, 2**16), st.integers(1, 8),
-       st.integers(1, 4), st.integers(0, 30))
-def test_steps_reproduce_run_trial(name, seed, k, interval, extra):
+       st.integers(1, 4), st.integers(1, 3), st.integers(0, 30))
+def test_steps_reproduce_run_trial(name, seed, k, interval, stride, extra):
     model, rule, m0 = DESIGNS[name]()
     n = model.K * m0 + extra
-    opts = EngineOptions(refit_interval=interval, fit=FitOptions(check_conditioning=False))
+    opts = EngineOptions(refit_interval=interval, theta_stride=stride)
     whole = run_trial(model, rule, n + k, m0, replicate_root(seed, 0), opts)
     streams = streams_for_trial(replicate_root(seed, 0))
     hist = run_trial(model, rule, n, m0, streams, opts)
