@@ -141,6 +141,11 @@ def test_fisher_info_examples():
     np.testing.assert_array_equal(
         conditional_fisher_info(LOGISTIC, np.array([1.0, 1.0]), np.zeros(2)),
         np.zeros((2, 2)))
+
+
+def test_mean_response_dimension_mismatch():
+    # The linear predictor needs theta_k and x of one length; the shape check
+    # is reached through the Fisher information, its one caller.
     with pytest.raises(ValueError):
         conditional_fisher_info(LOGISTIC, np.array([0.0, 1.0]), np.array([1.0]))
 
