@@ -2,7 +2,7 @@
 
 A rule evaluates ``pi(theta, x)``, a strictly positive probability vector over
 the K arms, from the current coefficient matrix ``theta`` (K rows) and the
-incoming patient's covariate ``x``.  All built-in rules are smooth in
+incoming patient's covariate ``x``.  Every rule is smooth in
 ``theta``; ``jacobian`` returns the K-by-(K*d) matrix of partial derivatives
 with columns ordered row-major over (arm j, coordinate l), i.e. column
 ``j*d + l`` holds d pi_k / d theta_{j,l}.  Both accept one covariate (d,)
@@ -10,7 +10,7 @@ or a stack of covariates (N, d) and then evaluate every row at once;
 ``probabilities`` also takes one coefficient matrix per row, theta of shape
 (N, K, d), which is how the engine evaluates a batch of replicates.
 
-Built-in kinds:
+Kinds:
 
 * ``ratio-of-g``      pi_k = G(z_k) / sum_j G(z_j) with z_k = theta_k @ x and
                       G one of ``exp`` or ``one-plus-z-squared``.
@@ -22,24 +22,26 @@ Built-in kinds:
                       theta_{2,1}) / T) using the leading (intercept)
                       coefficients only.
 
-User-supplied rules are wrapped with ``AllocationRule.custom``; their Jacobian
-falls back to central finite differences.
+Every kind runs through one batched kernel that gives pi and, for the
+Jacobian, d pi / d z; :func:`jacobian_fd` is a central finite-difference
+reference for it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import ndtr
 
-__all__ = ["AllocationRule", "check_rule", "probabilities", "probabilities_unchecked",
-           "jacobian", "jacobian_fd"]
+__all__ = ["AllocationRule", "KIND_PARAMS", "check_rule", "probabilities",
+           "probabilities_unchecked", "jacobian", "jacobian_fd"]
 
-_KINDS = ("ratio-of-g", "exponential", "odds-ratio", "two-arm-g-difference",
-          "covariate-free-normal", "custom")
+# The parameters each kind reads; a kind must be given these and no others.
+KIND_PARAMS = {"ratio-of-g": ("g_name",), "exponential": ("T",), "odds-ratio": (),
+               "two-arm-g-difference": ("T",), "covariate-free-normal": ("T",)}
+_KINDS = tuple(KIND_PARAMS)
 _TWO_ARM_KINDS = ("odds-ratio", "two-arm-g-difference", "covariate-free-normal")
 _PHI_KINDS = ("two-arm-g-difference", "covariate-free-normal")  # pi_1 = Phi(u)
 _G_NAMES = ("exp", "one-plus-z-squared")
@@ -53,45 +55,21 @@ class AllocationRule:
     kind: str
     T: float | None = None
     g_name: str | None = None
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown allocation kind {self.kind!r}; expected one of {_KINDS}")
-        if self.kind in ("exponential", "two-arm-g-difference", "covariate-free-normal"):
+        params = KIND_PARAMS[self.kind]
+        if "T" in params:
             if self.T is None or not (math.isfinite(self.T) and self.T > 0.0):
                 raise ValueError(f"{self.kind} rule requires a positive spread parameter T")
-        if self.kind == "ratio-of-g":
+        elif self.T is not None:
+            raise ValueError(f"{self.kind} rule does not read a spread parameter T")
+        if "g_name" in params:
             if self.g_name not in _G_NAMES:
                 raise ValueError(f"ratio-of-g requires g_name in {_G_NAMES}, got {self.g_name!r}")
-        if self.kind == "custom" and self.fn is None:
-            raise ValueError("custom rule requires a callable fn(theta, x)")
-
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def ratio_of_g(g_name: str) -> "AllocationRule":
-        return AllocationRule(kind="ratio-of-g", g_name=g_name)
-
-    @staticmethod
-    def exponential(T: float) -> "AllocationRule":
-        return AllocationRule(kind="exponential", T=T)
-
-    @staticmethod
-    def odds_ratio() -> "AllocationRule":
-        return AllocationRule(kind="odds-ratio")
-
-    @staticmethod
-    def two_arm_g_difference(T: float) -> "AllocationRule":
-        return AllocationRule(kind="two-arm-g-difference", T=T)
-
-    @staticmethod
-    def covariate_free_normal(T: float) -> "AllocationRule":
-        return AllocationRule(kind="covariate-free-normal", T=T)
-
-    @staticmethod
-    def custom(fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> "AllocationRule":
-        return AllocationRule(kind="custom", fn=fn)
+        elif self.g_name is not None:
+            raise ValueError(f"{self.kind} rule does not read g_name")
 
 
 def check_rule(rule: AllocationRule, K: int) -> None:
@@ -133,9 +111,9 @@ def _predictors(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _kernel(rule: AllocationRule, theta: np.ndarray, x: np.ndarray,
             derivative: bool):
-    """pi for a built-in rule and, with ``derivative``, (d pi / d z, u).
+    """pi for ``rule`` and, with ``derivative``, (d pi / d z, u).
 
-    Every built-in Jacobian is d pi / d theta_{j,l} = (d pi / d z_j) u_l,
+    Every rule's Jacobian is d pi / d theta_{j,l} = (d pi / d z_j) u_l,
     with u = x except for the covariate-free rule, whose u is the unit
     intercept vector.  Leading axes of ``x`` are carried through; ``theta``
     is one (K, d) matrix, or (N, K, d) with one matrix per row of ``x``
@@ -180,19 +158,6 @@ def _kernel(rule: AllocationRule, theta: np.ndarray, x: np.ndarray,
     return p, dpi_dz, x
 
 
-def _custom_probabilities(rule: AllocationRule, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    if x.ndim == 2:
-        rows = theta if theta.ndim == 3 else [theta] * x.shape[0]
-        return np.array([_custom_probabilities(rule, th, row) for th, row in zip(rows, x)]
-                        ).reshape(x.shape[0], theta.shape[-2])
-    p = np.asarray(rule.fn(theta, x), dtype=float)
-    if p.shape != (theta.shape[0],):
-        raise ValueError(f"custom rule returned shape {p.shape}, expected ({theta.shape[0]},)")
-    if np.any(p <= 0.0) or abs(p.sum() - 1.0) > 1e-8:
-        raise ValueError("custom rule must return a strictly positive probability vector")
-    return _normalise(p)
-
-
 def probabilities(rule: AllocationRule, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Evaluate pi(theta, x); strictly positive, sums to 1.
 
@@ -209,8 +174,6 @@ def probabilities_unchecked(rule: AllocationRule, theta: np.ndarray, x: np.ndarr
     """:func:`probabilities` without its argument checks, for a caller that
     checked the rule once with :func:`check_rule` and passes float arrays of
     matching shapes (the engine, once per patient)."""
-    if rule.kind == "custom":
-        return _custom_probabilities(rule, theta, x)
     return _kernel(rule, theta, x, derivative=False)
 
 
@@ -225,15 +188,6 @@ def jacobian(rule: AllocationRule, theta: np.ndarray, x: np.ndarray,
     """
     theta, x = _check_args(rule, theta, x)
     K, d = theta.shape
-    rows = x.reshape(-1, d)
-    if rule.kind == "custom":
-        if weights is None:
-            jac = np.array([jacobian_fd(rule, theta, row) for row in rows])
-            return jac.reshape(x.shape[:-1] + (K, K * d))
-        acc = np.zeros((K, K * d))
-        for wn, row in zip(weights, rows):
-            acc += wn * jacobian_fd(rule, theta, row)
-        return acc
     _, dpi_dz, u = _kernel(rule, theta, x, derivative=True)
     if weights is None:
         return (dpi_dz[..., None] * u[..., None, None, :]).reshape(x.shape[:-1] + (K, K * d))
@@ -241,8 +195,10 @@ def jacobian(rule: AllocationRule, theta: np.ndarray, x: np.ndarray,
                      u.reshape(-1, d)).reshape(K, K * d)
 
 
-def jacobian_fd(rule: AllocationRule, theta: np.ndarray, x: np.ndarray,
-                step: float = 1e-6) -> np.ndarray:
+_FD_STEP = 1e-6
+
+
+def jacobian_fd(rule: AllocationRule, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Central finite-difference Jacobian at one covariate, one column per coefficient."""
     theta = np.asarray(theta, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -252,8 +208,8 @@ def jacobian_fd(rule: AllocationRule, theta: np.ndarray, x: np.ndarray,
         for l in range(d):
             tp = theta.copy()
             tm = theta.copy()
-            tp[j, l] += step
-            tm[j, l] -= step
+            tp[j, l] += _FD_STEP
+            tm[j, l] -= _FD_STEP
             jac[:, j * d + l] = (probabilities(rule, tp, x)
-                                 - probabilities(rule, tm, x)) / (2.0 * step)
+                                 - probabilities(rule, tm, x)) / (2.0 * _FD_STEP)
     return jac

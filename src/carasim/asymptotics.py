@@ -22,15 +22,14 @@ Each of these is one weighted sum over a set of covariate nodes of pi,
 d pi / d theta and the arms' GLM weights (:func:`carasim.model.glm_weights`):
 the expectation nodes for the theory, a trial's support points or observed
 rows for the plug-ins.  Every public function evaluates the batched rule
-kernel once on its whole node set and contracts the node axis; only custom
-rules and a user-supplied ``response_variance_fn`` are called node by
-node.
+kernel once on its whole node set and contracts the node axis; no function
+loops over the nodes in Python.
 
 Expectations over the covariate distribution are exact finite sums whenever
 the support is finite.  Otherwise uniform coordinates are integrated by
-tensor Gauss-Legendre quadrature (64 nodes per dimension, up to three
-continuous dimensions); beyond that a deterministic Monte Carlo fallback with
-a fixed internal seed and a reported standard error is used.
+tensor Gauss-Legendre quadrature (64 nodes per dimension by default, up to
+three uniform coordinates); beyond that a deterministic Monte Carlo fallback
+with a fixed internal seed and a reported standard error is used.
 """
 
 from __future__ import annotations
@@ -70,6 +69,9 @@ __all__ = [
 
 _MC_SEED = 902880311  # fixed internal seed; Monte Carlo fallbacks are deterministic
 _PSD_TOL = 1e-10
+# Uniform coordinates up to which expectations use tensor quadrature; with
+# more, the node count (gl_nodes ** dims) calls for Monte Carlo.
+_QUADRATURE_DIMS = 3
 
 
 class SingularInformationError(Exception):
@@ -83,9 +85,7 @@ class ZeroMassCovariateError(Exception):
 @dataclass(frozen=True)
 class TheoryOptions:
     gl_nodes: int = 64
-    max_quadrature_dims: int = 3
     mc_size: int = 1_000_000
-    dispersion: str = "model"  # plug-in dispersion: "model" | "estimated"
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ def expectation_nodes(spec: CovariateSpec,
         pts, pr = enum
         return pts, pr, ExpectationMethod(kind="exact-enumeration", size=pts.shape[0])
     n_uniform = sum(1 for c in spec.coords if isinstance(c, Uniform))
-    if n_uniform <= opts.max_quadrature_dims:
+    if n_uniform <= _QUADRATURE_DIMS:
         pts, w = tensor_grid(spec.coords, np.polynomial.legendre.leggauss(opts.gl_nodes))
         return pts, w, ExpectationMethod(kind="quadrature", size=pts.shape[0])
     rng = Generator(PCG64(SeedSequence(_MC_SEED)))
@@ -336,14 +336,14 @@ class PluginReport:
 
 
 def plugin_estimates(history: TrialHistory, model: TrialModel, rule: AllocationRule,
-                     x_list=(), opts: TheoryOptions = TheoryOptions()) -> PluginReport:
+                     x_list=(), dispersion: str = "model") -> PluginReport:
     """Sample analogues of the theory report from one realised trial.
 
     Expectations become averages over the n observed covariates, the true
     coefficients are replaced by the final estimates, and V_k inverts the
     sample information.  The averages run over the covariate support points,
     weighted by their counts, when the history records them, else over the
-    observed rows.  With ``opts.dispersion == "estimated"`` the normal
+    observed rows.  With ``dispersion="estimated"`` the normal
     arms' error variance is replaced by the residual mean square
     (RSS_k / (N_k - d), falling back to RSS_k / N_k when N_k <= d).
     Positive semidefiniteness is only warned about here, never enforced.
@@ -361,7 +361,7 @@ def plugin_estimates(history: TrialHistory, model: TrialModel, rule: AllocationR
 
     # Dispersion per arm.
     phi = np.array([a.dispersion for a in model.arms])
-    if opts.dispersion == "estimated":
+    if dispersion == "estimated":
         for k in range(K):
             if model.arms[k].family != "normal-linear":
                 continue
@@ -376,8 +376,8 @@ def plugin_estimates(history: TrialHistory, model: TrialModel, rule: AllocationR
             if phi[k] <= 0.0:
                 warnings.append(f"arm {k + 1} residual mean square is zero; kept model dispersion")
                 phi[k] = model.arms[k].dispersion
-    elif opts.dispersion != "model":
-        raise ValueError(f"unknown dispersion mode {opts.dispersion!r}")
+    elif dispersion != "model":
+        raise ValueError(f"unknown dispersion mode {dispersion!r}")
 
     # One pass over the nodes: the support points when the history records
     # them, else the observed rows, each weighted by its per-arm counts / n.
@@ -511,25 +511,18 @@ class LseSandwich:
 
 
 def lse_sandwich(model: TrialModel, rule: AllocationRule,
-                 response_variance_fn=None,
                  opts: TheoryOptions = TheoryOptions()) -> LseSandwich:
     """Asymptotic covariance of the per-arm least-squares working estimate.
 
-    V_k = (E[pi_k xi'xi])^{-1} E[pi_k Var(Y_k | xi) xi'xi] (E[pi_k xi'xi])^{-1}.
-    ``response_variance_fn(k, x)`` overrides the model's response variance
-    (useful for heteroscedastic what-if analyses); by default the model's own
-    conditional variance is used, so for normal arms V_k reduces to
-    sigma_k^2 (E[pi_k xi'xi])^{-1}.
+    V_k = (E[pi_k xi'xi])^{-1} E[pi_k Var(Y_k | xi) xi'xi] (E[pi_k xi'xi])^{-1}
+    with the model's own response variance, so for normal arms V_k reduces
+    to sigma_k^2 (E[pi_k xi'xi])^{-1}.
     """
     pts, w, method = expectation_nodes(model.covariates, opts)
     theta = model.true_theta
     pi = probabilities(rule, theta, pts)
-    if response_variance_fn is None:
-        phi = np.array([a.dispersion for a in model.arms])
-        var_y = phi * glm_weights(model.arms, theta, pts)
-    else:
-        var_y = np.array([[float(response_variance_fn(k, x)) for k in range(model.K)]
-                          for x in pts]).reshape(pi.shape)
+    phi = np.array([a.dispersion for a in model.arms])
+    var_y = phi * glm_weights(model.arms, theta, pts)
     info_x = _gram(pts, w[:, None] * pi)
     info_y = _gram(pts, w[:, None] * pi * var_y)
     inv = _invert(info_x, "E[pi_k xi'xi]")

@@ -8,8 +8,10 @@ replicate  run Monte Carlo replications and store summary outputs
 verify     run verification criteria; exits nonzero if any check fails
 report     re-render stored replication results as text
 
-All commands read the same JSON configuration document (``--config``); the
-``--seed`` and ``--workers`` flags override the values stored in it.
+Every subcommand but ``report`` reads the same JSON configuration document
+(``--config``).  ``--seed`` (simulate, replicate, verify) and ``--workers``
+(replicate, verify) override the values stored in it; each subcommand
+accepts only the flags it reads.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import TheoryOptions, theory_report
+from .asymptotics import theory_report
 from .engine import replicate_root, run_trial
 from .harness import (
     ConfigError,
@@ -37,15 +39,15 @@ from .harness import (
 )
 
 
-def _load_config(args, need_config: bool = True):
+def _load_config(args):
     if args.config is None:
-        if need_config:
-            raise ConfigError("a configuration file is required (--config <path>)")
-        return None
+        raise ConfigError("a configuration file is required (--config <path>)")
     cfg = parse_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.workers is not None:
+    if getattr(args, "seed", None) is not None:
+        # Set in the document too: replication workers parse it again.
+        rep = dict(cfg.raw.get("replication", {}), seed=args.seed)
+        cfg = parse_config(dict(cfg.raw, replication=rep))
+    if getattr(args, "workers", None) is not None:
         cfg = replace(cfg, workers=args.workers)
     return cfg
 
@@ -69,8 +71,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_theory(args) -> int:
     cfg = _load_config(args)
-    rep = theory_report(cfg.model, cfg.rule, cfg.x_list,
-                        TheoryOptions(dispersion=cfg.dispersion))
+    rep = theory_report(cfg.model, cfg.rule, cfg.x_list)
     text = json.dumps(theory_payload(rep), indent=2, sort_keys=True) + "\n"
     if args.out is None:
         sys.stdout.write(text)
@@ -153,32 +154,36 @@ def _cmd_report(args) -> int:
     return 0
 
 
+_FLAGS = {
+    "config": dict(type=str, default=None, help="path to a JSON experiment configuration"),
+    "seed": dict(type=int, default=None, help="master seed (overrides the configuration)"),
+    "workers": dict(type=int, default=None,
+                    help="worker processes (overrides the configuration)"),
+    "criteria": dict(action="append", default=None, metavar="NAME",
+                     help="verification criterion or alias; repeatable"),
+    "out": dict(type=str, default=None, help="output directory"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="carasim",
         description="Simulate and verify covariate-adjusted response-adaptive designs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text):
+    def add(name, fn, help_text, flags):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", type=str, default=None,
-                       help="path to a JSON experiment configuration")
-        p.add_argument("--seed", type=int, default=None,
-                       help="master seed (overrides the configuration)")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker processes (overrides the configuration)")
-        p.add_argument("--out", type=str, default=None,
-                       help="output directory")
-        p.add_argument("--criteria", action="append", default=None, metavar="NAME",
-                       help="verification criterion or alias; repeatable")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
         p.set_defaults(fn=fn)
-        return p
 
-    add("simulate", _cmd_simulate, "run one adaptive trial")
-    add("theory", _cmd_theory, "print the asymptotic theory report")
-    add("replicate", _cmd_replicate, "run Monte Carlo replications")
-    add("verify", _cmd_verify, "run verification criteria")
-    add("report", _cmd_report, "re-render stored replication results")
+    add("simulate", _cmd_simulate, "run one adaptive trial", ("config", "seed", "out"))
+    add("theory", _cmd_theory, "print the asymptotic theory report", ("config", "out"))
+    add("replicate", _cmd_replicate, "run Monte Carlo replications",
+        ("config", "seed", "workers", "out"))
+    add("verify", _cmd_verify, "run verification criteria",
+        ("config", "seed", "workers", "criteria", "out"))
+    add("report", _cmd_report, "re-render stored replication results", ("out",))
     return parser
 
 

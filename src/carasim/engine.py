@@ -66,7 +66,6 @@ from .allocation import AllocationRule, check_rule, probabilities_unchecked
 from .estimation import (
     COND_MAX,
     SINGULAR_HESSIAN,
-    FitOptions,
     fit_grouped_logistic_mle,
 )
 from .model import TrialModel, responses_from_uniforms
@@ -177,8 +176,6 @@ class TrialHistory:
     fit_failures: np.ndarray
     pending_refit: np.ndarray
     steps_since_refit: int
-    refit_interval: int
-    theta_stride: int
     seed_entropy: object = None
     seed_spawn_key: tuple = ()
     engine_state: "_Lockstep | None" = field(default=None, repr=False, compare=False)
@@ -188,8 +185,7 @@ class TrialHistory:
 
     @staticmethod
     def from_arrays(covariates, arms, responses, K: int,
-                    current_theta: np.ndarray | None = None,
-                    m0: int = 0) -> "TrialHistory":
+                    current_theta: np.ndarray | None = None) -> "TrialHistory":
         """Wrap raw per-patient arrays (e.g. external data) as a history."""
         covariates = np.atleast_2d(np.asarray(covariates, dtype=float))
         arms = np.asarray(arms, dtype=int)
@@ -202,13 +198,13 @@ class TrialHistory:
         probs = np.full((n, K), 1.0 / K)
         zeros = np.zeros(K, dtype=bool)
         return TrialHistory(
-            n=n, m0=m0, K=K, d=d,
+            n=n, m0=0, K=K, d=d,
             covariates=_freeze(covariates), support_idx=None,
             arms=_freeze(arms), probs=_freeze(probs), responses=_freeze(responses),
             theta_records=_freeze(np.empty((0, K, d))), record_ms=_freeze(np.empty(0, dtype=int)),
             current_theta=current_theta, converged=zeros.copy(), projected=zeros.copy(),
             fit_failures=np.zeros(K, dtype=int), pending_refit=zeros.copy(),
-            steps_since_refit=0, refit_interval=1, theta_stride=1)
+            steps_since_refit=0)
 
     # -- queries -------------------------------------------------------------
 
@@ -282,9 +278,6 @@ def burn_in_schedule(K: int, m0: int, rng: Generator) -> np.ndarray:
 
 
 _GROUPED, _ROWS, _LSE = 0, 1, 2
-# The IRLS refits skip the conditioning guard; exactly singular systems
-# still fail soft.
-_FIT = FitOptions(check_conditioning=False)
 
 
 class _Lockstep:
@@ -494,13 +487,13 @@ class _Lockstep:
 
     def _irls(self, cells, samples) -> None:
         """Refit each cell in place by IRLS on its sample (points, trials,
-        successes), warm-started at its current estimate; a fit that fails
-        keeps the estimate."""
+        successes), warm-started at its current estimate, without the
+        conditioning guard; a fit that fails keeps the estimate."""
         for c, (points, trials, successes) in zip(cells, samples):
             lo, hi = self.lo[c], self.hi[c]
             fit = fit_grouped_logistic_mle(points, trials, successes, lo, hi,
                                            init=np.minimum(np.maximum(self.theta[c], lo), hi),
-                                           opts=_FIT)
+                                           check_conditioning=False)
             if fit.reason == SINGULAR_HESSIAN:
                 self.fail[c] += 1
             else:
@@ -673,7 +666,6 @@ def run_trials(model: TrialModel, rule: AllocationRule, n: int, m0: int, seeds,
                 converged=flags[0][i].copy(), projected=flags[1][i].copy(),
                 fit_failures=flags[2][i].copy(), pending_refit=flags[3][i].copy(),
                 steps_since_refit=state.steps_since_refit,
-                refit_interval=opts.refit_interval, theta_stride=stride,
                 seed_entropy=streams[i].root.entropy,
                 seed_spawn_key=tuple(streams[i].root.spawn_key),
                 engine_state=state, engine_row=i)
@@ -730,29 +722,24 @@ def _same(a, b) -> bool:
 
 
 def step(history: TrialHistory, model: TrialModel, rule: AllocationRule,
-         streams: TrialStreams, opts: EngineOptions | None = None) -> TrialHistory:
-    """Append one adaptively allocated patient to a completed-burn-in history.
+         streams: TrialStreams) -> TrialHistory:
+    """Append one adaptively allocated patient to a history of :func:`run_trial`
+    or :func:`step`, which has always completed burn-in.
 
     Resumes from a copy of the engine state the history carries, so the
     history is never replayed.  ``model`` must be the model the history was
     run with (its sufficient statistics and estimates belong to it); ``rule``
     allocates the new patient and may differ from the one used so far.  With
     the same streams, repeatedly stepping reproduces ``run_trial`` patient
-    for patient.  The history's own refit cadence is used unless ``opts``
-    overrides it.
+    for patient, on the refit cadence and record stride (``EngineOptions``)
+    the history was run with, which the engine state carries.
     """
-    if history.n < model.K * history.m0:
-        raise ValueError("cannot resume a history that has not completed burn-in")
     if history.engine_state is None:
         raise ValueError("the history carries no engine state to resume from; only "
                          "histories from run_trial or step can be continued")
     if not _same(model, history.engine_state.model):
         raise ValueError("step() needs the model the history was run with")
-    if opts is None:
-        opts = EngineOptions(refit_interval=history.refit_interval,
-                             theta_stride=history.theta_stride)
     state = history.engine_state.take([history.engine_row])
-    state.opts = opts
     if rule is not state.rule:
         check_rule(rule, model.K)
         state.rule = rule
@@ -769,7 +756,7 @@ def step(history: TrialHistory, model: TrialModel, rule: AllocationRule,
         k, psi, y = state.patient(x, six, np.array([streams.assignment.random()]), responses)
     theta = state.estimates()[0]
     n = history.n + 1
-    record = n % opts.theta_stride == 0
+    record = n % state.opts.theta_stride == 0
     return TrialHistory(
         n=n, m0=history.m0, K=history.K, d=history.d,
         covariates=_append(history.covariates, x[0]),
@@ -781,6 +768,5 @@ def step(history: TrialHistory, model: TrialModel, rule: AllocationRule,
         current_theta=theta.copy(), converged=state.converged.copy(),
         projected=state.projected.copy(), fit_failures=state.fail.copy(),
         pending_refit=state.pending(), steps_since_refit=state.steps_since_refit,
-        refit_interval=opts.refit_interval, theta_stride=opts.theta_stride,
         seed_entropy=streams.root.entropy, seed_spawn_key=tuple(streams.root.spawn_key),
         engine_state=state)

@@ -9,7 +9,10 @@ records whether the clamp moved the point.
 ``fit_grouped_logistic_mle`` fits from binomial sufficient statistics
 (support points, trial counts, success counts); the rowwise
 ``fit_logistic_mle`` is the unit-trial special case and both share one IRLS
-core, so they return identical estimates on equivalent data.
+core, so they return identical estimates on equivalent data.  With
+``check_conditioning=False`` (the engine's refits and
+``update_all_estimates``) IRLS skips its condition-number guard on the
+Hessian; an exactly singular system still ends the fit as singular.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "ArmSample",
-    "FitOptions",
     "FitResult",
     "JointFitResult",
     "EstimatesUpdate",
@@ -76,7 +78,9 @@ class ArmSample:
 # IRLS converges when the gradient's or the Newton step's largest component
 # falls to its tolerance, and gives up after _MAX_ITER iterations; a step is
 # halved at most _MAX_HALVINGS times to keep the log-likelihood from
-# decreasing.  A matrix whose condition number exceeds COND_MAX is singular.
+# decreasing.  A matrix whose condition number exceeds COND_MAX is singular;
+# with ``check_conditioning`` an IRLS Hessian that is not finite or that
+# exceeds it ends the fit as singular.
 _GRAD_TOL = 1e-8
 _STEP_TOL = 1e-10
 _MAX_ITER = 100
@@ -85,31 +89,14 @@ COND_MAX = 1e12
 
 
 @dataclass(frozen=True)
-class FitOptions:
-    """``check_conditioning``: an IRLS Hessian that is not finite or whose
-    condition number exceeds COND_MAX ends the fit as singular.
-    ``track_objective``: record the log-likelihood after every iteration."""
-
-    check_conditioning: bool = True
-    track_objective: bool = False
-
-
-@dataclass(frozen=True)
 class FitResult:
-    """Outcome of a single-arm fit.
-
-    ``objective`` is the log-likelihood for logistic fits and the error sum
-    of squares for least-squares fits, evaluated at the returned (clamped)
-    estimate.  ``reason`` is empty on success.
-    """
+    """Outcome of a single-arm fit; ``reason`` is empty on success."""
 
     theta_hat: np.ndarray
     converged: bool
     projected: bool
     iterations: int
-    objective: float
     reason: str = ""
-    objective_path: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -119,7 +106,6 @@ class JointFitResult:
     theta: np.ndarray  # (K, d)
     converged: bool
     projected: bool
-    objective: float
     reason: str = ""
 
 
@@ -153,7 +139,7 @@ def _binomial_loglik(mu: np.ndarray, trials: np.ndarray, successes: np.ndarray) 
 def fit_grouped_logistic_mle(points: np.ndarray, trials: np.ndarray,
                              successes: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                              init: np.ndarray | None = None,
-                             opts: FitOptions = FitOptions()) -> FitResult:
+                             check_conditioning: bool = True) -> FitResult:
     """Logistic MLE from binomial counts at distinct covariate points."""
     X = np.atleast_2d(np.asarray(points, dtype=float))
     t = np.asarray(trials, dtype=float).ravel()
@@ -176,7 +162,6 @@ def fit_grouped_logistic_mle(points: np.ndarray, trials: np.ndarray,
     theta = init.copy()
     mu = X @ theta  # linear predictor at theta, carried from step to step
     ll = _binomial_loglik(mu, t, s)
-    path = [ll] if opts.track_objective else None
     converged = False
     reason = MAX_ITERATIONS
     iterations = 0
@@ -191,8 +176,8 @@ def fit_grouped_logistic_mle(points: np.ndarray, trials: np.ndarray,
         w = t * p * (1.0 - p)
         H = (X * w[:, None]).T @ X
         singular = False
-        if opts.check_conditioning and (not np.all(np.isfinite(H))
-                                        or np.linalg.cond(H) > COND_MAX):
+        if check_conditioning and (not np.all(np.isfinite(H))
+                                   or np.linalg.cond(H) > COND_MAX):
             singular = True
         if not singular:
             try:
@@ -204,9 +189,7 @@ def fit_grouped_logistic_mle(points: np.ndarray, trials: np.ndarray,
         if singular:
             theta_c, projected = _clamp(init, lo, hi)
             return FitResult(theta_hat=theta_c, converged=False, projected=projected,
-                             iterations=iterations, objective=_binomial_loglik(X @ theta_c, t, s),
-                             reason=SINGULAR_HESSIAN,
-                             objective_path=tuple(path) if path is not None else None)
+                             iterations=iterations, reason=SINGULAR_HESSIAN)
         scale = 1.0
         for _ in range(_MAX_HALVINGS):
             cand = theta + scale * delta
@@ -219,27 +202,21 @@ def fit_grouped_logistic_mle(points: np.ndarray, trials: np.ndarray,
             scale, cand, mu_c, llc = 0.0, theta, mu, ll
         step_norm = scale * np.abs(delta).max()
         theta, mu, ll = cand, mu_c, llc
-        if path is not None:
-            path.append(ll)
         if step_norm <= _STEP_TOL:
             converged, reason = True, ""
             break
 
     theta_c, projected = _clamp(theta, lo, hi)
     return FitResult(theta_hat=theta_c, converged=converged, projected=projected,
-                     iterations=iterations,
-                     objective=_binomial_loglik(X @ theta_c, t, s), reason=reason,
-                     objective_path=tuple(path) if path is not None else None)
+                     iterations=iterations, reason=reason)
 
 
 def fit_logistic_mle(sample: ArmSample, lo: np.ndarray, hi: np.ndarray,
-                     init: np.ndarray | None = None,
-                     opts: FitOptions = FitOptions()) -> FitResult:
+                     init: np.ndarray | None = None) -> FitResult:
     """Logistic MLE on per-observation rows (binary y)."""
     if sample.n == 0:
         raise EmptySampleError("logistic fit requires at least one observation")
-    return fit_grouped_logistic_mle(sample.X, np.ones(sample.n), sample.y,
-                                    lo, hi, init=init, opts=opts)
+    return fit_grouped_logistic_mle(sample.X, np.ones(sample.n), sample.y, lo, hi, init=init)
 
 
 def fit_linear_lse(sample: ArmSample, lo: np.ndarray, hi: np.ndarray) -> FitResult:
@@ -249,24 +226,16 @@ def fit_linear_lse(sample: ArmSample, lo: np.ndarray, hi: np.ndarray) -> FitResu
     d = sample.X.shape[1]
     lo, hi = _check_box(lo, hi, d)
     A = sample.X.T @ sample.X
-    rhs = sample.X.T @ sample.y
-
-    def _degenerate() -> FitResult:
-        mid = 0.5 * (lo + hi)
-        sse = float(np.sum((sample.y - sample.X @ mid) ** 2))
-        return FitResult(theta_hat=mid, converged=False, projected=False,
-                         iterations=0, objective=sse, reason=DEGENERATE_DESIGN)
-
+    degenerate = FitResult(theta_hat=0.5 * (lo + hi), converged=False, projected=False,
+                           iterations=0, reason=DEGENERATE_DESIGN)
     if sample.n < d or np.linalg.cond(A) > COND_MAX:
-        return _degenerate()
+        return degenerate
     try:
-        theta = np.linalg.solve(A, rhs)
+        theta = np.linalg.solve(A, sample.X.T @ sample.y)
     except np.linalg.LinAlgError:
-        return _degenerate()
+        return degenerate
     theta_c, projected = _clamp(theta, lo, hi)
-    sse = float(np.sum((sample.y - sample.X @ theta_c) ** 2))
-    return FitResult(theta_hat=theta_c, converged=True, projected=projected,
-                     iterations=1, objective=sse)
+    return FitResult(theta_hat=theta_c, converged=True, projected=projected, iterations=1)
 
 
 def fit_shared_slope_lse(X: np.ndarray, y: np.ndarray, arm_idx: np.ndarray, K: int,
@@ -305,29 +274,25 @@ def fit_shared_slope_lse(X: np.ndarray, y: np.ndarray, arm_idx: np.ndarray, K: i
 
     mid = _theta_from(np.concatenate([0.5 * (lo[:, 0] + hi[:, 0]),
                                       0.5 * (lo[0, 1:] + hi[0, 1:])]))
+    degenerate = JointFitResult(theta=mid, converged=False, projected=False,
+                                reason=DEGENERATE_DESIGN)
     if n < P or np.linalg.cond(A) > COND_MAX:
-        sse = float(np.sum((y - np.sum(X * mid[arm_idx], axis=1)) ** 2))
-        return JointFitResult(theta=mid, converged=False, projected=False,
-                              objective=sse, reason=DEGENERATE_DESIGN)
+        return degenerate
     try:
         coef = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError:
-        sse = float(np.sum((y - np.sum(X * mid[arm_idx], axis=1)) ** 2))
-        return JointFitResult(theta=mid, converged=False, projected=False,
-                              objective=sse, reason=DEGENERATE_DESIGN)
+        return degenerate
     theta = _theta_from(coef)
     clipped = np.clip(theta, lo, hi)
-    projected = bool(np.any(clipped != theta))
-    sse = float(np.sum((y - np.sum(X * clipped[arm_idx], axis=1)) ** 2))
-    return JointFitResult(theta=clipped, converged=True, projected=projected,
-                          objective=sse)
+    return JointFitResult(theta=clipped, converged=True,
+                          projected=bool(np.any(clipped != theta)))
 
 
-def update_all_estimates(history: "TrialHistory", model: "TrialModel",
-                         opts: FitOptions = FitOptions()) -> EstimatesUpdate:
+def update_all_estimates(history: "TrialHistory", model: "TrialModel") -> EstimatesUpdate:
     """Refit every arm from a trial history, warm-starting at its latest
     estimate; arms whose fit fails (or that have no data) keep the previous
-    value.  Pure: identical history in, identical estimates out."""
+    value.  Logistic arms are refitted as the engine refits them, without the
+    conditioning guard.  Pure: identical history in, identical estimates out."""
     K, d = model.K, model.d
     prev = history.current_theta
     if prev is None:
@@ -358,7 +323,8 @@ def update_all_estimates(history: "TrialHistory", model: "TrialModel",
         lo, hi = model.box_lo[k], model.box_hi[k]
         if model.arms[k].family == "logistic":
             init = np.clip(theta[k], lo, hi)
-            fit = fit_logistic_mle(sample, lo, hi, init=init, opts=opts)
+            fit = fit_grouped_logistic_mle(sample.X, np.ones(sample.n), sample.y, lo, hi,
+                                           init=init, check_conditioning=False)
         else:
             fit = fit_linear_lse(sample, lo, hi)
         if fit.reason in (SINGULAR_HESSIAN, DEGENERATE_DESIGN):

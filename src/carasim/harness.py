@@ -28,10 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, fixtures
-from .allocation import AllocationRule
+from .allocation import KIND_PARAMS, AllocationRule, check_rule
 from .asymptotics import (
     SingularInformationError,
-    TheoryOptions,
     TheoryReport,
     bb_closed_forms,
     iid_mle_covariance,
@@ -85,6 +84,24 @@ def _as_mapping(value, ctx: str) -> dict:
     return value
 
 
+def _known(doc: dict, ctx: str, keys: tuple[str, ...], why: str = "") -> None:
+    """Reject any key of ``doc`` outside ``keys``."""
+    for key in doc:
+        if key not in keys:
+            where = f"{ctx}.{key}" if ctx else key
+            raise ConfigError(f"unknown key '{where}'{why}; expected only {', '.join(keys)}")
+
+
+def _kind(doc: dict, ctx: str, keys_of: dict) -> str:
+    """``doc['kind']``, one of the kinds in ``keys_of``; ``doc`` may hold
+    only ``kind`` and the keys ``keys_of[kind]``."""
+    kind = _need(doc, "kind", ctx)
+    if kind not in tuple(keys_of):
+        raise ConfigError(f"key '{ctx}.kind' must be one of {', '.join(keys_of)}; got {kind!r}")
+    _known(doc, ctx, ("kind",) + keys_of[kind], f" for kind {kind!r}")
+    return kind
+
+
 def _as_int(value, ctx: str, minimum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"key '{ctx}' must be an integer")
@@ -105,9 +122,18 @@ def _as_number(value, ctx: str) -> float:
     return float(value)
 
 
+# The keys each kind of coordinate, covariate spec and rule reads (a rule's
+# are its parameters in ``allocation.KIND_PARAMS``, with ``g_name`` keyed ``g``).
+_COORD_KEYS = {"uniform": ("lo", "hi"), "two-point": ("a", "b", "p_a"), "constant": ("value",)}
+_COVARIATE_KEYS = {"discrete": ("support", "probs", "intercept"),
+                   "continuous-product": ("coords", "intercept"), "constant": ("values",)}
+_RULE_KEYS = {kind: tuple("g" if p == "g_name" else p for p in params)
+              for kind, params in KIND_PARAMS.items()}
+
+
 def _parse_coord(doc, ctx: str):
     doc = _as_mapping(doc, ctx)
-    kind = _need(doc, "kind", ctx)
+    kind = _kind(doc, ctx, _COORD_KEYS)
     try:
         if kind == "uniform":
             return Uniform(_as_number(_need(doc, "lo", ctx), f"{ctx}.lo"),
@@ -116,16 +142,14 @@ def _parse_coord(doc, ctx: str):
             return TwoPoint(_as_number(_need(doc, "a", ctx), f"{ctx}.a"),
                             _as_number(_need(doc, "b", ctx), f"{ctx}.b"),
                             _as_number(doc.get("p_a", 0.5), f"{ctx}.p_a"))
-        if kind == "constant":
-            return Constant(_as_number(_need(doc, "value", ctx), f"{ctx}.value"))
+        return Constant(_as_number(_need(doc, "value", ctx), f"{ctx}.value"))
     except ValueError as exc:
         raise ConfigError(f"invalid coordinate at '{ctx}': {exc}") from exc
-    raise ConfigError(f"key '{ctx}.kind' must be one of uniform, two-point, constant; got {kind!r}")
 
 
 def _parse_covariates(doc, ctx: str) -> CovariateSpec:
     doc = _as_mapping(doc, ctx)
-    kind = _need(doc, "kind", ctx)
+    kind = _kind(doc, ctx, _COVARIATE_KEYS)
     try:
         if kind == "discrete":
             return CovariateSpec.discrete(_need(doc, "support", ctx),
@@ -139,24 +163,23 @@ def _parse_covariates(doc, ctx: str) -> CovariateSpec:
             parsed = [_parse_coord(c, f"{ctx}.coords[{i}]") for i, c in enumerate(coords)]
             return CovariateSpec.product(
                 parsed, intercept=_as_bool(doc.get("intercept", False), f"{ctx}.intercept"))
-        if kind == "constant":
-            return CovariateSpec.constant(_need(doc, "values", ctx))
+        return CovariateSpec.constant(_need(doc, "values", ctx))
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid covariate spec at '{ctx}': {exc}") from exc
-    raise ConfigError(
-        f"key '{ctx}.kind' must be one of discrete, continuous-product, constant; got {kind!r}")
 
 
 def _parse_model(doc, ctx: str = "model") -> TrialModel:
     doc = _as_mapping(doc, ctx)
+    _known(doc, ctx, ("arms", "covariates", "true_theta", "box_lo", "box_hi", "shared_slopes"))
     arms_doc = _need(doc, "arms", ctx)
     if not isinstance(arms_doc, list) or len(arms_doc) < 2:
         raise ConfigError(f"key '{ctx}.arms' must be an array of at least two arms")
     arms = []
     for i, a in enumerate(arms_doc):
         a = _as_mapping(a, f"{ctx}.arms[{i}]")
+        _known(a, f"{ctx}.arms[{i}]", ("family", "dispersion"))
         family = _need(a, "family", f"{ctx}.arms[{i}]")
         try:
             arms.append(ArmModel(family=family,
@@ -178,7 +201,7 @@ def _parse_model(doc, ctx: str = "model") -> TrialModel:
 
 def _parse_rule(doc, ctx: str = "rule") -> AllocationRule:
     doc = _as_mapping(doc, ctx)
-    kind = _need(doc, "kind", ctx)
+    kind = _kind(doc, ctx, _RULE_KEYS)
     T = doc.get("T")
     if T is not None:
         T = _as_number(T, f"{ctx}.T")
@@ -225,18 +248,21 @@ def parse_config(document: dict | str | Path) -> ExperimentConfig:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise ConfigError("config document must be a JSON object")
+    _known(document, "", ("model", "rule", "trial", "replication", "criteria",
+                          "tolerance_overrides"))
 
     model = _parse_model(_need(document, "model", ""))
     rule = _parse_rule(_need(document, "rule", ""))
-    if rule.kind in ("odds-ratio", "two-arm-g-difference", "covariate-free-normal") \
-            and model.K != 2:
-        raise ConfigError(f"key 'rule.kind' = {rule.kind!r} requires exactly two arms, "
-                          f"got K = {model.K}")
+    try:
+        check_rule(rule, model.K)
+    except ValueError as exc:
+        raise ConfigError(f"key 'rule.kind' = {rule.kind!r}: {exc}, got K = {model.K}") from exc
     if rule.kind == "covariate-free-normal" and not model.covariates.has_unit_first_coordinate():
         raise ConfigError("key 'rule.kind' = 'covariate-free-normal' requires a leading "
                           "constant-1 covariate coordinate (arm means as intercepts)")
 
     trial = _as_mapping(document.get("trial", {}), "trial")
+    _known(trial, "trial", ("n", "m0", "refit_interval", "theta_stride"))
     n = _as_int(_need(trial, "n", "trial"), "trial.n", minimum=1)
     m0 = _as_int(trial.get("m0", model.d + 1), "trial.m0", minimum=1)
     if m0 < model.d + 1:
@@ -248,6 +274,8 @@ def parse_config(document: dict | str | Path) -> ExperimentConfig:
     theta_stride = _as_int(trial.get("theta_stride", 1), "trial.theta_stride", minimum=1)
 
     rep = _as_mapping(document.get("replication", {}), "replication")
+    _known(rep, "replication", ("replicates", "seed", "workers", "plugins", "dispersion",
+                                "x_list"))
     replicates = _as_int(rep.get("replicates", 1), "replication.replicates", minimum=1)
     seed = _as_int(rep.get("seed", 0), "replication.seed", minimum=0)
     workers = _as_int(rep.get("workers", 1), "replication.workers", minimum=1)
@@ -274,9 +302,21 @@ def parse_config(document: dict | str | Path) -> ExperimentConfig:
     criteria = document.get("criteria", [])
     if not isinstance(criteria, list) or not all(isinstance(c, str) for c in criteria):
         raise ConfigError("key 'criteria' must be an array of criterion names")
-    overrides = document.get("tolerance_overrides", {})
-    if not isinstance(overrides, dict):
-        raise ConfigError("key 'tolerance_overrides' must be an object")
+    overrides = _as_mapping(document.get("tolerance_overrides", {}), "tolerance_overrides")
+    for cid, o in overrides.items():
+        ctx = f"tolerance_overrides.{cid}"
+        criterion, _, check = cid.partition("/")
+        if criterion not in CRITERIA or not check:
+            raise ConfigError(f"key '{ctx}' must be '<criterion>/<check>' with a known criterion")
+        _known(_as_mapping(o, ctx), ctx, ("target_scale", "band"))
+        if "target_scale" in o:
+            _as_number(o["target_scale"], f"{ctx}.target_scale")
+        if "band" in o:
+            band = o["band"]
+            if not isinstance(band, list) or len(band) != 2:
+                raise ConfigError(f"key '{ctx}.band' must be an array of two numbers")
+            for i, b in enumerate(band):
+                _as_number(b, f"{ctx}.band[{i}]")
 
     return ExperimentConfig(model=model, rule=rule, n=n, m0=m0,
                             refit_interval=refit_interval, theta_stride=theta_stride,
@@ -380,7 +420,6 @@ def _replicate_block(raw: dict, indices: list[int]) -> dict:
         support = model.covariates.enumerated()[0]
         at_x = np.array([[np.all(p == x) for x in cfg.x_list] for p in support], dtype=np.int64)
     opts = cfg.engine_options()
-    theory_opts = TheoryOptions(dispersion=cfg.dispersion)
 
     def run(rows: list[int]):
         seeds = [replicate_root(cfg.seed, indices[j]) for j in rows]
@@ -415,7 +454,7 @@ def _replicate_block(raw: dict, indices: list[int]) -> dict:
                 out["cond_totals"][js] = per_point.sum(axis=2)
             for j, hist in zip(js, result.histories or ()):
                 try:
-                    rep = plugin_estimates(hist, model, rule, cfg.x_list, theory_opts)
+                    rep = plugin_estimates(hist, model, rule, cfg.x_list, cfg.dispersion)
                 except Exception as exc:
                     out["plugin_failures"].append(_failure(indices[j], exc))
                     continue
@@ -456,8 +495,7 @@ def run_replications(config: ExperimentConfig, workers: int | None = None) -> Re
     model, rule = config.model, config.rule
     K, d, nx = model.K, model.d, len(config.x_list)
     R = config.replicates
-    theory = theory_report(model, rule, config.x_list,
-                           TheoryOptions(dispersion=config.dispersion))
+    theory = theory_report(model, rule, config.x_list)
 
     blocks = _split_blocks(R, workers)
     if len(blocks) == 1:

@@ -3,7 +3,7 @@ import pytest
 
 from carasim.allocation import AllocationRule, jacobian, jacobian_fd, probabilities
 
-ODDS = AllocationRule.odds_ratio()
+ODDS = AllocationRule(kind="odds-ratio")
 
 
 def test_odds_ratio_hand_value():
@@ -15,22 +15,22 @@ def test_odds_ratio_hand_value():
 def test_equal_linear_predictors_give_uniform_probabilities():
     x = np.array([1.0, -0.5])
     theta = np.tile([[0.3, 0.8]], (4, 1))
-    for rule in (AllocationRule.exponential(T=2.0),
-                 AllocationRule.ratio_of_g("exp"),
-                 AllocationRule.ratio_of_g("one-plus-z-squared")):
+    for rule in (AllocationRule(kind="exponential", T=2.0),
+                 AllocationRule(kind="ratio-of-g", g_name="exp"),
+                 AllocationRule(kind="ratio-of-g", g_name="one-plus-z-squared")):
         np.testing.assert_allclose(probabilities(rule, theta, x), np.full(4, 0.25),
                                    rtol=0, atol=1e-12)
 
 
 def test_two_arm_g_difference_at_equal_z():
     theta = np.array([[0.7], [0.7]])
-    rule = AllocationRule.two_arm_g_difference(T=1.5)
+    rule = AllocationRule(kind="two-arm-g-difference", T=1.5)
     np.testing.assert_allclose(probabilities(rule, theta, np.array([1.0])),
                                [0.5, 0.5], rtol=0, atol=1e-15)
 
 
 def test_covariate_free_normal_ignores_covariates():
-    rule = AllocationRule.covariate_free_normal(T=2.0)
+    rule = AllocationRule(kind="covariate-free-normal", T=2.0)
     theta = np.array([[1.0, 5.0], [0.0, -5.0]])
     p1 = probabilities(rule, theta, np.array([1.0, 0.0]))
     p2 = probabilities(rule, theta, np.array([1.0, 9.0]))
@@ -46,20 +46,20 @@ def test_ratio_of_g_matches_exponential_for_exp_g():
         theta = rng.uniform(-2, 2, size=(3, 2))
         x = rng.uniform(-1, 1, size=2)
         np.testing.assert_allclose(
-            probabilities(AllocationRule.ratio_of_g("exp"), theta, x),
-            probabilities(AllocationRule.exponential(T=1.0), theta, x),
+            probabilities(AllocationRule(kind="ratio-of-g", g_name="exp"), theta, x),
+            probabilities(AllocationRule(kind="exponential", T=1.0), theta, x),
             rtol=0, atol=1e-14)
 
 
 def test_jacobian_exponential_hand_value():
     # Two arms at equal z with x = (1): d pi_1 / d theta_1 = T pi_1 (1 - pi_1).
     theta = np.array([[0.0], [0.0]])
-    jac = jacobian(AllocationRule.exponential(T=1.0), theta, np.array([1.0]))
+    jac = jacobian(AllocationRule(kind="exponential", T=1.0), theta, np.array([1.0]))
     np.testing.assert_allclose(jac, [[0.25, -0.25], [-0.25, 0.25]], rtol=0, atol=1e-15)
 
 
 def test_covariate_free_normal_jacobian_sparsity():
-    rule = AllocationRule.covariate_free_normal(T=1.0)
+    rule = AllocationRule(kind="covariate-free-normal", T=1.0)
     theta = np.array([[0.5, 2.0, -1.0], [-0.5, 0.3, 0.7]])
     jac = jacobian(rule, theta, np.array([1.0, 0.2, -0.3]))
     d = 3
@@ -70,11 +70,11 @@ def test_covariate_free_normal_jacobian_sparsity():
 
 def _random_rules():
     return [
-        AllocationRule.exponential(T=0.7),
-        AllocationRule.odds_ratio(),
-        AllocationRule.ratio_of_g("one-plus-z-squared"),
-        AllocationRule.two_arm_g_difference(T=1.2),
-        AllocationRule.covariate_free_normal(T=1.5),
+        AllocationRule(kind="exponential", T=0.7),
+        AllocationRule(kind="odds-ratio"),
+        AllocationRule(kind="ratio-of-g", g_name="one-plus-z-squared"),
+        AllocationRule(kind="two-arm-g-difference", T=1.2),
+        AllocationRule(kind="covariate-free-normal", T=1.5),
     ]
 
 
@@ -91,23 +91,9 @@ def test_analytic_jacobian_matches_finite_differences():
                                        rtol=0, atol=1e-6)
 
 
-def test_custom_rule_uses_finite_difference_jacobian():
-    def fn(theta, x):
-        z = theta @ x
-        w = 1.0 + np.abs(z)
-        return w / w.sum()
-
-    rule = AllocationRule.custom(fn)
-    theta = np.array([[0.5, 0.1], [-0.2, 0.4], [0.0, 0.0]])
-    x = np.array([1.0, 0.5])
-    np.testing.assert_allclose(probabilities(rule, theta, x), fn(theta, x))
-    np.testing.assert_allclose(jacobian(rule, theta, x), jacobian_fd(rule, theta, x),
-                               rtol=0, atol=1e-12)
-
-
 def test_probabilities_form_strict_simplex():
     rng = np.random.default_rng(17)
-    rules = _random_rules() + [AllocationRule.exponential(T=3.0)]
+    rules = _random_rules() + [AllocationRule(kind="exponential", T=3.0)]
     for _ in range(1000):
         rule = rules[rng.integers(len(rules))]
         K = 2
@@ -132,9 +118,9 @@ def test_permutation_equivariance_of_symmetric_kinds():
     theta = rng.uniform(-1.0, 1.0, size=(3, 2))
     x = np.array([1.0, 0.4])
     perm = np.array([2, 0, 1])
-    for rule in (AllocationRule.exponential(T=1.3),
-                 AllocationRule.ratio_of_g("exp"),
-                 AllocationRule.ratio_of_g("one-plus-z-squared")):
+    for rule in (AllocationRule(kind="exponential", T=1.3),
+                 AllocationRule(kind="ratio-of-g", g_name="exp"),
+                 AllocationRule(kind="ratio-of-g", g_name="one-plus-z-squared")):
         p = probabilities(rule, theta, x)
         np.testing.assert_allclose(probabilities(rule, theta[perm], x), p[perm],
                                    rtol=0, atol=1e-14)
@@ -144,22 +130,18 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         AllocationRule(kind="urn")
     with pytest.raises(ValueError):
-        AllocationRule.exponential(T=0.0)
+        AllocationRule(kind="exponential", T=0.0)
     with pytest.raises(ValueError):
-        AllocationRule.ratio_of_g("cosine")
+        AllocationRule(kind="ratio-of-g", g_name="cosine")
+    with pytest.raises(ValueError, match="does not read"):
+        AllocationRule(kind="odds-ratio", T=2.0)
+    with pytest.raises(ValueError, match="does not read"):
+        AllocationRule(kind="exponential", T=2.0, g_name="exp")
     theta3 = np.zeros((3, 1))
     with pytest.raises(ValueError):
         probabilities(ODDS, theta3, np.array([1.0]))
     with pytest.raises(ValueError):
-        probabilities(AllocationRule.covariate_free_normal(T=1.0), theta3, np.array([1.0]))
+        probabilities(AllocationRule(kind="covariate-free-normal", T=1.0), theta3, np.array([1.0]))
     with pytest.raises(ValueError):
         probabilities(ODDS, np.zeros((2, 2)), np.array([1.0]))
 
-
-def test_custom_rule_output_validation():
-    bad_shape = AllocationRule.custom(lambda theta, x: np.ones(3))
-    with pytest.raises(ValueError):
-        probabilities(bad_shape, np.zeros((2, 1)), np.array([1.0]))
-    negative = AllocationRule.custom(lambda theta, x: np.array([1.5, -0.5]))
-    with pytest.raises(ValueError):
-        probabilities(negative, np.zeros((2, 1)), np.array([1.0]))

@@ -135,7 +135,7 @@ def _uniform_model():
 
 def test_quadrature_matches_adaptive_integration_oracle():
     model = _uniform_model()
-    rule = AllocationRule.odds_ratio()
+    rule = AllocationRule(kind="odds-ratio")
     ta = theory_report(model, rule)
     assert ta.method.kind == "quadrature"
     oracle, err = quad(
@@ -147,17 +147,27 @@ def test_quadrature_matches_adaptive_integration_oracle():
 
 
 def test_monte_carlo_fallback_is_deterministic_and_close():
-    model = _uniform_model()
-    rule = AllocationRule.odds_ratio()
-    opts = TheoryOptions(max_quadrature_dims=0, mc_size=20000)
+    # Four uniform coordinates are one more than quadrature takes.
+    arm = ArmModel(family="logistic")
+    spec = CovariateSpec.product([Uniform(0.0, 1.0)] * 4, intercept=True)
+    theta = np.array([[0.5, -1.0, 0.3, 0.2, -0.4], [-0.25, 0.75, -0.5, 0.1, 0.3]])
+    model = TrialModel(arms=(arm, arm), covariates=spec, true_theta=theta,
+                       box_lo=-4.0, box_hi=4.0)
+    rule = AllocationRule(kind="odds-ratio")
+    opts = TheoryOptions(mc_size=20000)
     mc1 = theory_report(model, rule, opts=opts)
     mc2 = theory_report(model, rule, opts=opts)
     assert mc1.method.kind == "monte-carlo"
     assert mc1.method.size == 20000
     assert mc1.method.stderr is not None and mc1.method.stderr > 0.0
     np.testing.assert_array_equal(mc1.v, mc2.v)
-    exact = theory_report(model, rule)
-    assert abs(mc1.v[0] - exact.v[0]) <= 5.0 * mc1.method.stderr
+    # v on a 10-node Gauss-Legendre tensor grid over [0, 1]^4.
+    u, wu = np.polynomial.legendre.leggauss(10)
+    grid = np.meshgrid(*[0.5 * (u + 1.0)] * 4, indexing="ij")
+    pts = np.column_stack([np.ones(10 ** 4)] + [g.ravel() for g in grid])
+    w = np.prod([g.ravel() for g in np.meshgrid(*[0.5 * wu] * 4, indexing="ij")], axis=0)
+    exact = w @ probabilities(rule, theta, pts)
+    assert abs(mc1.v[0] - exact[0]) <= 5.0 * mc1.method.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +194,7 @@ def test_equal_allocation_unit_covariate_normal_information_is_half():
     model = TrialModel(arms=(arm, arm), covariates=CovariateSpec.constant([1.0]),
                        true_theta=np.array([[0.3], [0.3]]),
                        box_lo=-3.0, box_hi=3.0)
-    im = info_matrices(model, AllocationRule.covariate_free_normal(T=1.0))
+    im = info_matrices(model, AllocationRule(kind="covariate-free-normal", T=1.0))
     np.testing.assert_allclose(im.info, np.full((2, 1, 1), 0.5), atol=1e-12)
     np.testing.assert_allclose(im.V, np.full((2, 1, 1), 2.0), atol=1e-12)
 
@@ -195,7 +205,7 @@ def test_degenerate_covariate_direction_raises_singular_information():
                        covariates=CovariateSpec.constant([1.0, 0.0]),
                        true_theta=np.zeros((2, 2)), box_lo=-4.0, box_hi=4.0)
     with pytest.raises(SingularInformationError, match="arm 1"):
-        info_matrices(model, AllocationRule.odds_ratio())
+        info_matrices(model, AllocationRule(kind="odds-ratio"))
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +381,7 @@ def test_covariate_free_plugin_jacobian_has_zero_slope_columns():
 def test_estimated_dispersion_is_the_residual_mean_square():
     raw = bb_config(n=2000, replicates=1, seed=7)
     cfg, hist = _one_trial(raw)
-    rep = plugin_estimates(hist, cfg.model, cfg.rule,
-                           opts=TheoryOptions(dispersion="estimated"))
+    rep = plugin_estimates(hist, cfg.model, cfg.rule, dispersion="estimated")
     theta = hist.current_theta
     for k in range(2):
         mask = hist.arms[:hist.n] == k
@@ -386,8 +395,7 @@ def test_unknown_dispersion_mode_is_rejected():
     raw = bb_config(n=200, replicates=1, seed=1)
     cfg, hist = _one_trial(raw)
     with pytest.raises(ValueError, match="dispersion"):
-        plugin_estimates(hist, cfg.model, cfg.rule,
-                         opts=TheoryOptions(dispersion="bootstrap"))
+        plugin_estimates(hist, cfg.model, cfg.rule, dispersion="bootstrap")
 
 
 def test_singular_sample_information_warns_and_uses_pseudo_inverse():
@@ -403,7 +411,7 @@ def test_singular_sample_information_warns_and_uses_pseudo_inverse():
                        covariates=CovariateSpec.discrete(
                            [[1.0, 0.0], [1.0, 1.0]], [0.5, 0.5]),
                        true_theta=np.zeros((2, 2)), box_lo=-4.0, box_hi=4.0)
-    rep = plugin_estimates(hist, model, AllocationRule.odds_ratio())
+    rep = plugin_estimates(hist, model, AllocationRule(kind="odds-ratio"))
     assert any("arm 2" in w for w in rep.warnings)
     assert np.all(np.isfinite(rep.V_hat))
 
@@ -474,7 +482,7 @@ def test_bb_closed_forms_reject_wrong_shapes():
     with pytest.raises(ValueError, match="shared-slope"):
         bb_closed_forms(flat, rule)
     with pytest.raises(ValueError, match="covariate-free normal"):
-        bb_closed_forms(model, AllocationRule.odds_ratio())
+        bb_closed_forms(model, AllocationRule(kind="odds-ratio"))
     raw = bb_config(n=100, replicates=1, seed=0)
     raw["model"]["arms"][1]["dispersion"] = 2.0
     mixed, _ = _pair(raw)
@@ -489,7 +497,7 @@ def test_bb_degenerate_covariate_block_is_singular():
                        true_theta=np.array([[0.5, 0.2], [-0.5, 0.2]]),
                        box_lo=-4.0, box_hi=4.0, shared_slopes=True)
     with pytest.raises(SingularInformationError):
-        bb_closed_forms(model, AllocationRule.covariate_free_normal(T=1.0))
+        bb_closed_forms(model, AllocationRule(kind="covariate-free-normal", T=1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -510,16 +518,10 @@ def test_lse_sandwich_equal_allocation_hand_value():
     model = TrialModel(arms=(arm, arm), covariates=CovariateSpec.constant([1.0]),
                        true_theta=np.array([[0.1], [0.1]]),
                        box_lo=-3.0, box_hi=3.0)
-    ls = lse_sandwich(model, AllocationRule.covariate_free_normal(T=1.0))
+    ls = lse_sandwich(model, AllocationRule(kind="covariate-free-normal", T=1.0))
     np.testing.assert_allclose(ls.info_x, np.full((2, 1, 1), 0.5), atol=1e-12)
     np.testing.assert_allclose(ls.info_y, np.full((2, 1, 1), 1.0), atol=1e-12)
     np.testing.assert_allclose(ls.V, np.full((2, 1, 1), 4.0), atol=1e-12)
-
-
-def test_lse_sandwich_zero_variance_override_gives_zero():
-    model, rule = _bb_pair()
-    ls = lse_sandwich(model, rule, response_variance_fn=lambda k, x: 0.0)
-    np.testing.assert_array_equal(ls.V, 0.0)
 
 
 def test_lse_sandwich_logistic_moments_match_enumeration():
@@ -548,4 +550,4 @@ def test_lse_sandwich_degenerate_design_is_singular():
                        covariates=CovariateSpec.constant([1.0, 0.0]),
                        true_theta=np.zeros((2, 2)), box_lo=-3.0, box_hi=3.0)
     with pytest.raises(SingularInformationError):
-        lse_sandwich(model, AllocationRule.covariate_free_normal(T=1.0))
+        lse_sandwich(model, AllocationRule(kind="covariate-free-normal", T=1.0))

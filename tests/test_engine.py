@@ -10,16 +10,17 @@ from carasim.engine import (
     child_sequence,
     replicate_root,
     run_trial,
+    run_trials,
     step,
     streams_for_trial,
 )
-from carasim.estimation import FitOptions, update_all_estimates
+from carasim.estimation import update_all_estimates
 from carasim.fixtures import bb_config, f1_config, two_point_config
 from carasim.harness import parse_config
 from carasim.model import ArmModel, CovariateSpec, TrialModel
 
 OPTS = EngineOptions()
-ODDS_RULE = AllocationRule.odds_ratio()
+ODDS_RULE = AllocationRule(kind="odds-ratio")
 
 
 def _f1(n=100, seed=3, **kw):
@@ -57,7 +58,7 @@ def test_three_arm_burn_in():
     arm = ArmModel(family="logistic")
     model = TrialModel(arms=(arm, arm, arm), covariates=CovariateSpec.constant([1.0]),
                        true_theta=np.zeros((3, 1)), box_lo=-2.0, box_hi=2.0)
-    hist = run_trial(model, AllocationRule.exponential(T=1.0), 6, 2,
+    hist = run_trial(model, AllocationRule(kind="exponential", T=1.0), 6, 2,
                      replicate_root(0, 0), OPTS)
     assert hist.n == 6
     np.testing.assert_array_equal(hist.counts(), [2, 2, 2])
@@ -142,17 +143,21 @@ def test_intercept_only_closed_form_respects_negative_covariate():
                        true_theta=np.zeros((2, 1)), box_lo=-2.0, box_hi=2.0)
     for seed in range(20):
         hist = run_trial(model, ODDS_RULE, 6, 3, replicate_root(seed, 0), OPTS)
-        expected = update_all_estimates(hist, model, FitOptions(check_conditioning=False)).theta
+        expected = update_all_estimates(hist, model).theta
         np.testing.assert_allclose(hist.current_theta, expected, rtol=0, atol=1e-9)
 
 
 def test_step_requires_completed_burn_in():
+    # step() resumes only histories of run_trial or step, and run_trial never
+    # ends inside burn-in; a short history from elsewhere is refused.
     model, rule = _f1()
     streams = streams_for_trial(replicate_root(1, 0))
     from carasim.engine import TrialHistory
 
+    with pytest.raises(ValueError, match="burn-in"):
+        run_trial(model, rule, 11, 6, streams)
     partial = TrialHistory.from_arrays(np.ones((3, 1)), np.array([0, 1, 0]),
-                                       np.zeros(3), K=2, m0=6)
+                                       np.zeros(3), K=2)
     with pytest.raises(ValueError):
         step(partial, model, rule, streams)
 
@@ -163,7 +168,7 @@ def test_step_resumes_only_histories_that_carry_engine_state():
     from carasim.engine import TrialHistory
 
     external = TrialHistory.from_arrays(np.ones((12, 1)), np.array([0, 1] * 6), np.zeros(12),
-                                        K=2, current_theta=np.zeros((2, 1)), m0=6)
+                                        K=2, current_theta=np.zeros((2, 1)))
     with pytest.raises(ValueError, match="engine state"):
         step(external, model, rule, streams)
 
@@ -190,7 +195,7 @@ def test_stepping_leaves_the_history_it_resumes_unchanged():
 
 def test_step_allocates_the_new_patient_by_the_rule_it_is_given():
     model, rule = _f1(n=40)
-    other = AllocationRule.exponential(T=3.0)
+    other = AllocationRule(kind="exponential", T=3.0)
     streams = streams_for_trial(replicate_root(5, 0))
     hist = run_trial(model, rule, 40, 6, streams, OPTS)
     stepped = step(hist, model, other, streams)
@@ -248,9 +253,9 @@ def test_child_sequence_is_stateless():
 
 def test_symmetric_two_arm_allocation_is_balanced():
     model = _symmetric_model()
-    rule = AllocationRule.odds_ratio()
-    fracs = [run_trial(model, rule, 400, 6, replicate_root(202, i), OPTS).counts()[0] / 400
-             for i in range(500)]
+    rule = AllocationRule(kind="odds-ratio")
+    seeds = [replicate_root(202, i) for i in range(500)]
+    fracs = run_trials(model, rule, 400, 6, seeds, OPTS, histories=False).counts[:, 0] / 400
     assert abs(np.mean(fracs) - 0.5) <= 0.01
 
 
@@ -258,11 +263,9 @@ def test_f1_allocation_concentrates_on_target():
     # 95% band for N_1/n from the allocation CLT: 1.96 sqrt(Sigma_11 / n).
     model, rule = _f1(n=2000)
     band = 1.96 * np.sqrt(1.8125 / 2000)
-    inside = 0
-    for i in range(200):
-        hist = run_trial(model, rule, 2000, 6, replicate_root(404, i), OPTS)
-        if abs(hist.counts()[0] / 2000 - 0.75) <= band:
-            inside += 1
+    seeds = [replicate_root(404, i) for i in range(200)]
+    counts = run_trials(model, rule, 2000, 6, seeds, OPTS, histories=False).counts
+    inside = int(np.sum(np.abs(counts[:, 0] / 2000 - 0.75) <= band))
     assert inside >= 185
 
 

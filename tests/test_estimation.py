@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from carasim.engine import TrialHistory, replicate_root, run_trial
+from carasim import estimation
+from carasim.engine import TrialHistory, replicate_root, run_trial, run_trials
 from carasim.estimation import (
     DEGENERATE_DESIGN,
     ArmSample,
     EmptySampleError,
-    FitOptions,
     fit_grouped_logistic_mle,
     fit_linear_lse,
     fit_logistic_mle,
@@ -62,14 +63,24 @@ def test_interior_mle_has_small_summed_score():
     assert np.max(np.abs(X.T @ (y - p))) <= 1e-6
 
 
-def test_loglik_nondecreasing_along_iterations():
+def test_loglik_nondecreasing_along_iterations(monkeypatch):
     rng = np.random.default_rng(7)
     X = np.column_stack([np.ones(60), rng.normal(size=60)])
     y = (rng.random(60) < 0.5).astype(float)
-    fit = fit_logistic_mle(ArmSample(X=X, y=y), *BOX2,
-                           init=np.array([3.0, -3.0]),
-                           opts=FitOptions(track_objective=True))
-    path = np.asarray(fit.objective_path)
+    # IRLS evaluates expit once per iteration, at the accepted iterate's
+    # linear predictor: record those predictors, then the final estimate's
+    # (a fit that stops on the step tolerance accepts one more iterate).
+    iterates = []
+
+    def recording_expit(mu):
+        iterates.append(np.array(mu))
+        return expit(mu)
+
+    monkeypatch.setattr(estimation, "expit", recording_expit)
+    fit = fit_logistic_mle(ArmSample(X=X, y=y), *BOX2, init=np.array([3.0, -3.0]))
+    assert not fit.projected
+    iterates.append(X @ fit.theta_hat)
+    path = np.array([y @ mu - np.logaddexp(0.0, mu).sum() for mu in iterates])
     assert path.shape[0] >= 2
     assert np.all(np.diff(path) >= -1e-12)
 
@@ -110,7 +121,8 @@ def test_lse_exact_interpolation():
     fit = fit_linear_lse(sample, *BOX2)
     assert fit.converged
     np.testing.assert_allclose(fit.theta_hat, [1.0, 1.0], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(fit.objective, 0.0, rtol=0, atol=1e-20)
+    sse = np.sum((sample.y - sample.X @ fit.theta_hat) ** 2)
+    np.testing.assert_allclose(sse, 0.0, rtol=0, atol=1e-20)
 
 
 def test_lse_matches_explicit_normal_equation_inverse():
@@ -238,10 +250,9 @@ def test_estimates_tighten_with_horizon():
     cfg_large = parse_config(f1_config(n=3000, replicates=60, seed=2024))
     errs = {}
     for cfg in (cfg_small, cfg_large):
-        devs = []
-        for i in range(cfg.replicates):
-            hist = run_trial(cfg.model, cfg.rule, cfg.n, cfg.m0,
-                             replicate_root(cfg.seed, i), cfg.engine_options())
-            devs.append(np.linalg.norm(hist.current_theta - cfg.model.true_theta))
+        seeds = [replicate_root(cfg.seed, i) for i in range(cfg.replicates)]
+        batch = run_trials(cfg.model, cfg.rule, cfg.n, cfg.m0, seeds, cfg.engine_options(),
+                           histories=False)
+        devs = [np.linalg.norm(theta - cfg.model.true_theta) for theta in batch.theta]
         errs[cfg.n] = np.median(devs)
     assert errs[3000] < errs[300]

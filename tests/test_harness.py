@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -129,6 +130,59 @@ def test_non_boolean_flags_are_rejected(key, path):
     for value in ("false", "no", 1):
         with pytest.raises(ConfigError, match=rf"'{path}' must be true or false"):
             parse_config(_with_flag(key, value))
+
+
+def _set(path: str, value):
+    """A change to a valid document: sets ``value`` at ``path`` (keys and
+    list indices separated by dots) in a copy of the bb fixture, whose
+    covariates have coordinates and whose rule reads T."""
+    def change(doc):
+        *parents, last = path.split(".")
+        for key in parents:
+            doc = doc[int(key)] if isinstance(doc, list) else doc[key]
+        doc[last] = value
+    return change
+
+
+def _override(key: str, value):
+    return _set("tolerance_overrides", {key: value})
+
+
+@pytest.mark.parametrize("change, key", [
+    (_set("modle", {}), "modle"),
+    (_set("model.shared_slope", True), "model.shared_slope"),
+    (_set("model.arms.0.disp", 1.0), "model.arms[0].disp"),
+    (_set("model.covariates.support", [[1.0]]), "model.covariates.support"),
+    (_set("model.covariates.coords.1.p_b", 0.5), "model.covariates.coords[1].p_b"),
+    (_set("rule.temperature", 1.0), "rule.temperature"),
+    (_set("trial.burn_in", 4), "trial.burn_in"),
+    (_set("replication.replicate", 500), "replication.replicate"),
+    (_set("rule", {"kind": "odds-ratio", "T": 2.0}), "rule.T"),
+    (_set("rule", {"kind": "exponential", "T": 2.0, "g": "exp"}), "rule.g"),
+    (_override("theory-exact/max-dev-v", 3), "tolerance_overrides.theory-exact/max-dev-v"),
+    (_override("theory-exact/max-dev-v", {"band": 5}),
+     "tolerance_overrides.theory-exact/max-dev-v.band"),
+    (_override("theory-exact/max-dev-v", {"band": [0.0, "1"]}),
+     "tolerance_overrides.theory-exact/max-dev-v.band[1]"),
+    (_override("theory-exact/max-dev-v", {"target_scale": "2"}),
+     "tolerance_overrides.theory-exact/max-dev-v.target_scale"),
+    (_override("theory-exact/max-dev-v", {"scale": 2.0}),
+     "tolerance_overrides.theory-exact/max-dev-v.scale"),
+    (_override("no-such-criterion/check", {"band": [0.0, 1.0]}),
+     "tolerance_overrides.no-such-criterion/check"),
+    (_override("theory-exact", {"band": [0.0, 1.0]}), "tolerance_overrides.theory-exact"),
+])
+def test_config_rejects_what_it_does_not_read(change, key):
+    doc = bb_config(n=100, replicates=1, seed=0)
+    change(doc)
+    with pytest.raises(ConfigError, match=re.escape(f"'{key}'")):
+        parse_config(doc)
+
+
+def test_config_accepts_well_formed_overrides():
+    doc = bb_config(n=100, replicates=1, seed=0)
+    doc["tolerance_overrides"] = {"theory-exact/max-dev-v": {"target_scale": 2, "band": [0, 1.5]}}
+    assert parse_config(doc).tolerance_overrides == doc["tolerance_overrides"]
 
 
 def test_config_from_file_and_bad_files(tmp_path):
@@ -414,6 +468,18 @@ def test_cli_simulate_seed_override_changes_the_trial(config_file, capsys):
     assert first != second
 
 
+def test_cli_replicate_seed_override_runs_the_trials_of_that_seed(config_file, tmp_path, capsys):
+    cli.main(["replicate", "--config", str(config_file), "--seed", "10",
+              "--out", str(tmp_path / "flag")])
+    doc = json.loads(config_file.read_text())
+    doc["replication"]["seed"] = 10
+    stored = tmp_path / "seed10.json"
+    stored.write_text(json.dumps(doc))
+    cli.main(["replicate", "--config", str(stored), "--out", str(tmp_path / "stored")])
+    for name in ("replicates.csv", "report.json"):
+        assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "stored" / name).read_bytes()
+
+
 def test_cli_theory_prints_the_report(config_file, capsys):
     assert cli.main(["theory", "--config", str(config_file)]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -457,6 +523,22 @@ def test_cli_verify_exit_code_reflects_failure(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["theory", "--seed", "5"],
+    ["theory", "--workers", "2"],
+    ["simulate", "--workers", "2"],
+    ["simulate", "--criteria", "smoke"],
+    ["replicate", "--criteria", "smoke"],
+    ["report", "--config", "exp.json"],
+    ["report", "--seed", "5"],
+])
+def test_cli_rejects_flags_a_subcommand_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_reports_config_errors_on_stderr(tmp_path, capsys):

@@ -15,7 +15,7 @@ from carasim.engine import (
     step,
     streams_for_trial,
 )
-from carasim.estimation import FitOptions, update_all_estimates
+from carasim.estimation import update_all_estimates
 from carasim.fixtures import bb_config, f1_config, two_point_config
 from carasim.harness import parse_config
 from carasim.model import ArmModel, CovariateSpec, TrialModel, Uniform
@@ -28,9 +28,9 @@ def rules(draw):
     kind = draw(st.sampled_from(("ratio-of-g", "exponential", "odds-ratio",
                                  "two-arm-g-difference", "covariate-free-normal")))
     if kind == "ratio-of-g":
-        return AllocationRule.ratio_of_g(draw(st.sampled_from(("exp", "one-plus-z-squared"))))
+        return AllocationRule(kind=kind, g_name=draw(st.sampled_from(("exp", "one-plus-z-squared"))))
     if kind == "odds-ratio":
-        return AllocationRule.odds_ratio()
+        return AllocationRule(kind=kind)
     return AllocationRule(kind=kind, T=draw(st.floats(0.5, 2.0)))
 
 
@@ -123,7 +123,7 @@ def _lse_design():
     covariates = CovariateSpec.discrete([[1.0, 0.0], [1.0, 1.0], [1.0, -0.5]], [0.3, 0.3, 0.4])
     theta = np.array([[0.5, -0.5], [0.0, 0.4], [0.2, 0.1]])
     return (TrialModel(arms=arms, covariates=covariates, true_theta=theta, box_lo=-3.0, box_hi=3.0),
-            AllocationRule.exponential(1.0), 4)
+            AllocationRule(kind="exponential", T=1.0), 4)
 
 
 def _continuous_lse_design():
@@ -132,7 +132,7 @@ def _continuous_lse_design():
     covariates = CovariateSpec.product([Uniform(-1.0, 1.0), Uniform(0.0, 2.0)], intercept=True)
     theta = np.array([[0.3, 0.5, -0.2], [-0.1, 0.2, 0.4]])
     return (TrialModel(arms=(arm, arm), covariates=covariates, true_theta=theta,
-                       box_lo=-3.0, box_hi=3.0), AllocationRule.odds_ratio(), 4)
+                       box_lo=-3.0, box_hi=3.0), AllocationRule(kind="odds-ratio"), 4)
 
 
 def _continuous_logit_design():
@@ -142,7 +142,7 @@ def _continuous_logit_design():
     covariates = CovariateSpec.product([Uniform(-1.0, 1.0)], intercept=True)
     theta = np.array([[0.8, 0.6], [-0.4, 0.3]])
     return (TrialModel(arms=(arm, arm), covariates=covariates, true_theta=theta,
-                       box_lo=-3.0, box_hi=3.0), AllocationRule.odds_ratio(), 32)
+                       box_lo=-3.0, box_hi=3.0), AllocationRule(kind="odds-ratio"), 32)
 
 
 def _from_config(raw):
@@ -196,7 +196,7 @@ def test_replicate_of_a_lockstep_batch_is_bitwise_run_trial(name, seed, R, cut, 
 def test_incremental_estimates_equal_a_batch_refit(name, seed, extra):
     model, rule, m0 = DESIGNS[name]()
     hist = run_trial(model, rule, model.K * m0 + extra, m0, replicate_root(seed, 0))
-    expected = update_all_estimates(hist, model, FitOptions(check_conditioning=False)).theta
+    expected = update_all_estimates(hist, model).theta
     logistic = np.array([a.family == "logistic" for a in model.arms])
     # Closed forms and least squares agree to rounding; IRLS to its tolerance.
     np.testing.assert_allclose(hist.current_theta[~logistic], expected[~logistic],

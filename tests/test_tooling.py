@@ -1,0 +1,55 @@
+"""The benchmark's span tracer (perfbench/spans.py) wraps carasim functions
+by name; these tests fail when a rename or deletion would break a traced
+benchmark run."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+import carasim
+import carasim.cli  # noqa: F401  (the tracer wraps cli.main)
+from carasim.estimation import fit_grouped_logistic_mle
+from carasim.fixtures import f1_config
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves_in_carasim():
+    for mod, attr, _, _ in _spans().TRACED:
+        home = importlib.import_module(f"carasim.{mod}")
+        if "." in attr:
+            cls, meth = attr.split(".")
+            assert meth in vars(getattr(home, cls)), f"{mod}.{attr}"
+        else:
+            assert callable(getattr(home, attr, None)), f"{mod}.{attr}"
+
+
+def test_irls_fits_report_their_iterations():
+    fit = fit_grouped_logistic_mle(np.ones((1, 1)), np.array([4.0]), np.array([1.0]),
+                                   np.array([-5.0]), np.array([5.0]))
+    assert isinstance(fit.iterations, int) and fit.iterations > 0
+
+
+def test_tracer_installs_and_measures_a_trial():
+    spans = _spans()
+    cfg = carasim.parse_config(f1_config(n=40, replicates=1, seed=0))
+    original = carasim.run_trial
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert carasim.run_trial is not original
+        carasim.run_trial(cfg.model, cfg.rule, cfg.n, cfg.m0, 0)
+    finally:
+        tracer.uninstall()
+    assert carasim.run_trial is original
+    metrics = tracer.layer_metrics(1)
+    assert metrics["engine.run_trial_us_per_patient"] > 0.0
