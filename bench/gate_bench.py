@@ -5,9 +5,16 @@
 
 Times criteria 2, 3, 4, 6 and 9 of the verification gate at
 ``fixtures.DEFAULT_SEED`` (one worker and a fresh cache per criterion, as
-``tests/test_acceptance.py`` runs them), and the engine's microseconds per
+``tests/test_acceptance.py`` runs them); the engine's microseconds per
 patient on the F1, two-point and bb fixtures for batches of 1, 8 and 2000
-replicates of ``ENGINE_N`` patients.  The results go into
+replicates of ``ENGINE_N`` patients, and on the benchmark's
+``continuous-logit`` design (``perfbench/workloads.py`` at
+``fixtures.DEFAULT_SEED``: three logistic arms on one uniform covariate, 400
+patients) for batches of 1, 10 and 256 (batches of at most
+``ENGINE_REPEATS`` replicates keep the best of that many runs); and the
+microseconds per call of ``estimation.fit_grouped_logistic_mle`` (a batch
+of one IRLS fit, started at the box midpoint) on ``IRLS_ROWS`` rows at
+d = 2 and d = 5, the best of ``IRLS_REPEATS`` timings.  The results go into
 ``BENCH_<pr>.json`` at the root of the repository under ``--label``; other
 labels already in the file are kept, so the two sides of a comparison are
 written by two runs of this script on the same machine.
@@ -36,8 +43,13 @@ ROOT = Path(__file__).resolve().parent.parent
 CRITERIA = {2: "allocation-clt", 3: "estimator-clt", 4: "conditional-clt",
             6: "bb-closed-forms", 9: "consistency-rate"}
 BATCHES = (1, 8, 2000)
+LOGIT_BATCHES = (1, 10, 256)
 ENGINE_N = 500
 SEQUENTIAL_CAP = 16
+ENGINE_REPEATS = 5  # batches of at most this many replicates keep the best of this many runs
+IRLS_ROWS = {2: 80, 5: 170}
+IRLS_CALLS = 200
+IRLS_REPEATS = 15
 
 
 def machine() -> dict:
@@ -67,25 +79,57 @@ def engine_us_per_patient() -> dict:
     from carasim import engine, fixtures
     from carasim.harness import parse_config
 
-    configs = {"f1": fixtures.f1_config, "two-point": fixtures.two_point_config,
-               "bb": fixtures.bb_config}
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import designs
+
+    make = {"f1": fixtures.f1_config, "two-point": fixtures.two_point_config,
+            "bb": fixtures.bb_config}
+    configs = {name: (parse_config(f(n=ENGINE_N, replicates=1, seed=fixtures.DEFAULT_SEED)),
+                      BATCHES) for name, f in make.items()}
+    configs["continuous-logit"] = (
+        parse_config(designs("continuous-logit", fixtures.DEFAULT_SEED)[0].config), LOGIT_BATCHES)
     out = {}
-    for name, make in configs.items():
-        cfg = parse_config(make(n=ENGINE_N, replicates=1, seed=fixtures.DEFAULT_SEED))
+    for name, (cfg, batches) in configs.items():
         opts = cfg.engine_options()
-        for B in BATCHES:
+        for B in batches:
             seeds = [engine.replicate_root(cfg.seed, i) for i in range(B)]
-            t0 = time.perf_counter()
-            if hasattr(engine, "run_trials"):
-                engine.run_trials(cfg.model, cfg.rule, cfg.n, cfg.m0, seeds, opts, histories=B == 1)
-                timed = B
-            else:
-                timed = min(B, SEQUENTIAL_CAP)
-                for seed in seeds[:timed]:
-                    engine.run_trial(cfg.model, cfg.rule, cfg.n, cfg.m0, seed, opts)
-            us = (time.perf_counter() - t0) / (timed * cfg.n) * 1e6
+            us = float("inf")
+            for _ in range(ENGINE_REPEATS if B <= ENGINE_REPEATS else 1):
+                t0 = time.perf_counter()
+                if hasattr(engine, "run_trials"):
+                    engine.run_trials(cfg.model, cfg.rule, cfg.n, cfg.m0, seeds, opts,
+                                      histories=B == 1)
+                    timed = B
+                else:
+                    timed = min(B, SEQUENTIAL_CAP)
+                    for seed in seeds[:timed]:
+                        engine.run_trial(cfg.model, cfg.rule, cfg.n, cfg.m0, seed, opts)
+                us = min(us, (time.perf_counter() - t0) / (timed * cfg.n) * 1e6)
             out[f"{name}/B={B}"] = {"us_per_patient": round(us, 3), "replicates_timed": timed}
             print(f"engine {name} B={B}: {us:.3f} us/patient ({timed} replicates timed)", flush=True)
+    return out
+
+
+def irls_us_per_fit() -> dict:
+    import numpy as np
+    from carasim import fixtures
+    from carasim.estimation import fit_grouped_logistic_mle
+
+    out = {}
+    for d, n in IRLS_ROWS.items():
+        rng = np.random.default_rng([fixtures.DEFAULT_SEED, d])
+        X = np.column_stack([np.ones(n), rng.uniform(-1.0, 1.0, (n, d - 1))])
+        theta = rng.uniform(-0.5, 0.5, d)
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-X @ theta))).astype(float)
+        t, lo, hi, init = np.ones(n), np.full(d, -3.0), np.full(d, 3.0), np.zeros(d)
+        best = np.inf
+        for _ in range(IRLS_REPEATS):
+            t0 = time.perf_counter()
+            for _ in range(IRLS_CALLS):
+                fit = fit_grouped_logistic_mle(X, t, y, lo, hi, init=init, check_conditioning=False)
+            best = min(best, (time.perf_counter() - t0) / IRLS_CALLS * 1e6)
+        out[f"d={d}"] = {"us_per_fit": round(best, 3), "rows": n, "iterations": fit.iterations}
+        print(f"irls d={d} n={n}: {best:.3f} us per fit ({fit.iterations} iterations)", flush=True)
     return out
 
 
@@ -97,8 +141,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
 
-    entry = {"machine": machine(), "engine_n": ENGINE_N, "engine": engine_us_per_patient(),
-             "gate_seconds": gate_seconds()}
+    entry = {"machine": machine(), "engine_n": ENGINE_N, "irls": irls_us_per_fit(),
+             "engine": engine_us_per_patient(), "gate_seconds": gate_seconds()}
     path = ROOT / f"BENCH_{args.pr}.json"
     doc = json.loads(path.read_text()) if path.exists() else {"pr": args.pr, "runs": {}}
     doc["runs"][args.label] = entry

@@ -154,11 +154,18 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 _FLAGS = {
     "config": dict(type=str, default=None, help="path to a JSON experiment configuration"),
     "seed": dict(type=int, default=None, help="master seed (overrides the configuration)"),
-    "workers": dict(type=int, default=None,
-                    help="worker processes (overrides the configuration)"),
+    "workers": dict(type=positive_int, default=None,
+                    help="worker processes, at least 1 (overrides the configuration)"),
     "criteria": dict(action="append", default=None, metavar="NAME",
                      help="verification criterion or alias; repeatable"),
     "out": dict(type=str, default=None, help="output directory"),

@@ -33,15 +33,24 @@ Estimates are refreshed incrementally from sufficient statistics, so a refit
 costs the same at patient 100 and patient 10000:
 
 * logistic arms on a finite covariate support keep binomial counts per
-  support point; the intercept-only and the saturated model (as many support
-  points as coefficients) have closed forms, evaluated for all replicates at
-  once, and other refits run :func:`carasim.estimation.fit_grouped_logistic_mle`
-  on the counts, one replicate at a time;
-* logistic arms on a continuous support keep their rows and refit by the
-  same IRLS, one replicate at a time;
+  support point.  The saturated model (as many support points as
+  coefficients; intercept-only regression is the case of one) has the closed
+  form theta = S^-1 logit(s / t), evaluated for all replicates at once, with
+  the infinite logits of groups whose responses all agree clamped to the box;
+* logistic arms on a continuous support keep their rows;
+* every other logistic refit (grouped counts off the saturated form, the
+  closed forms that come out NaN, and every rowwise refit) runs in one call
+  of the batched IRLS :func:`carasim.estimation.fit_logistic_cells` per
+  refit, which fits each (replicate, arm) cell as it would alone;
 * normal arms keep normal-equation accumulators, solved as one stack;
 * the shared-slope joint fit carries the inverse of its Gram matrix forward
   by rank-one (Sherman-Morrison) updates once it is solvable.
+
+Each (replicate, arm) cell counts its logistic refits (``REFIT_COUNTERS``):
+closed-form refits, IRLS fits and their iterations, and IRLS fits that
+stopped at the iteration limit or on a singular system.
+:attr:`TrialBatch.refit_counts` and :meth:`TrialHistory.refit_counts` give
+them; like every other output they do not depend on the batch.
 
 The incremental fits agree with :func:`carasim.estimation.update_all_estimates`
 run on the stored history.  Unlike the standalone fits, the incremental
@@ -57,17 +66,14 @@ for bit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 
 from .allocation import AllocationRule, check_rule, probabilities_unchecked
-from .estimation import (
-    COND_MAX,
-    SINGULAR_HESSIAN,
-    fit_grouped_logistic_mle,
-)
+from .estimation import COND_MAX, fit_logistic_cells, solve_stack
 from .model import TrialModel, responses_from_uniforms
 
 __all__ = [
@@ -79,6 +85,7 @@ __all__ = [
     "replicate_root",
     "burn_in_schedule",
     "TrialBatch",
+    "REFIT_COUNTERS",
     "run_trials",
     "bytes_per_patient",
     "run_trial",
@@ -212,6 +219,14 @@ class TrialHistory:
         """Patients per arm, N_{n,k}."""
         return np.bincount(self.arms[:self.n], minlength=self.K)
 
+    def refit_counts(self) -> dict[str, np.ndarray] | None:
+        """The engine's logistic refits of each arm so far, by counter
+        (``REFIT_COUNTERS``); None for a history without engine state."""
+        if self.engine_state is None:
+            return None
+        return {name: counts[self.engine_row]
+                for name, counts in self.engine_state.refit_counts().items()}
+
     # -- serialization -------------------------------------------------------
 
     def to_patient_csv(self, path=None) -> str:
@@ -279,6 +294,13 @@ def burn_in_schedule(K: int, m0: int, rng: Generator) -> np.ndarray:
 
 _GROUPED, _ROWS, _LSE = 0, 1, 2
 
+# Logistic refits of each (replicate, arm), by kind: closed-form refits, IRLS
+# fits, their Newton iterations, and IRLS fits that stopped at the iteration
+# limit or on a singular Newton system.  Each is a per-cell array of
+# ``_Lockstep`` of the same name.
+REFIT_COUNTERS = ("closed_form", "irls_fits", "irls_iterations", "irls_nonconverged",
+                  "irls_singular")
+
 
 class _Lockstep:
     """Estimates and sufficient statistics of B replicates of one design.
@@ -289,8 +311,8 @@ class _Lockstep:
     patient to every replicate.
     """
 
-    _PER_CELL = ("theta", "converged", "projected", "fail", "counts",
-                 "lo", "hi", "trials", "succ", "X", "y", "gram", "moment")
+    _PER_CELL = ("theta", "converged", "projected", "fail", "counts", "lo", "hi",
+                 "trials", "succ", "X", "y", "gram", "moment") + REFIT_COUNTERS
     _PER_REPLICATE = ("joint_gram", "joint_moment", "joint_inv", "formed")
 
     def __init__(self, model: TrialModel, rule: AllocationRule, m0: int,
@@ -315,6 +337,8 @@ class _Lockstep:
         self.converged = np.zeros(C, dtype=bool)
         self.projected = np.zeros(C, dtype=bool)
         self.fail = np.zeros(C, dtype=int)
+        (self.closed_form, self.irls_fits, self.irls_iterations, self.irls_nonconverged,
+         self.irls_singular) = np.zeros((len(REFIT_COUNTERS), C), dtype=np.int64)
         self.fresh = []  # cells observed since the last refit, one array per patient
 
         # How each arm refits: from support counts (_GROUPED), from its rows
@@ -350,17 +374,12 @@ class _Lockstep:
             # Coefficients of the joint fit that make up theta, row by row.
             self.joint_cols = np.array([[k] + list(range(K, P)) for k in range(K)]).ravel()
 
-        # Intercept-only logistic regression has the closed form
-        # theta = logit(success fraction) / x, clamped to the box.  With as
-        # many support points as coefficients the model is saturated:
-        # whenever every group has both outcomes and the interpolated
-        # coefficients are interior, the MLE solves X theta = logit(s / t)
-        # exactly and the iterative fit can be skipped.
-        self.scalar = (self.support is not None and self.support.shape == (1, 1)
-                       and self.support[0, 0] != 0.0)
+        # With as many support points as coefficients (intercept-only
+        # logistic regression is the case of one) the model is saturated: the
+        # MLE solves X theta = logit(s / t) exactly, and the iterative fit can
+        # be skipped.
         self.sat_inv = None
-        if (self.support is not None and not self.scalar
-                and self.support.shape[0] == self.support.shape[1]
+        if (self.support is not None and self.support.shape[0] == self.support.shape[1]
                 and np.linalg.cond(self.support) < 1e8):
             self.sat_inv = np.linalg.inv(self.support)
         self._first_cell = np.arange(B) * K
@@ -394,6 +413,11 @@ class _Lockstep:
         for cells in self.fresh:
             mask[cells] = True
         return mask
+
+    def refit_counts(self) -> dict[str, np.ndarray]:
+        """Logistic refits so far, by counter (``REFIT_COUNTERS``), as (B, K) arrays."""
+        return {name: getattr(self, name).reshape(self.B, self.K).copy()
+                for name in REFIT_COUNTERS}
 
     def arm_counts(self) -> np.ndarray:
         """Patients per arm, (B, K)."""
@@ -472,74 +496,85 @@ class _Lockstep:
             # One patient touches one cell per replicate, in ascending order.
             cells = self.fresh[0] if len(self.fresh) == 1 else np.unique(np.concatenate(self.fresh))
             fits = (self._fit_grouped, self._fit_rows, self._fit_lse)
-            kinds = self.arm_kind[cells % self.K]
-            for kind in self.kinds:
-                fits[kind](cells[kinds == kind])
+            if len(self.kinds) == 1:
+                fits[self.kinds[0]](cells)
+            else:
+                kinds = self.arm_kind[cells % self.K]
+                for kind in self.kinds:
+                    of_kind = cells[kinds == kind]
+                    if of_kind.size:
+                        fits[kind](of_kind)
         self.fresh = []
         self.steps_since_refit = 0
 
-    def _store(self, cells, theta, converged, projected, failed) -> None:
-        """Write refits; a failed fit keeps its estimate."""
-        self.theta[cells[~failed]] = theta[~failed]
-        self.fail[cells[failed]] += 1
+    def _store(self, cells, theta, converged, projected, failed=None) -> None:
+        """Write refits; the cells flagged in ``failed`` (default: none) keep
+        their estimates."""
         self.converged[cells] = converged
         self.projected[cells] = projected
+        if failed is not None and failed.any():
+            self.fail[cells[failed]] += 1
+            cells, theta = cells[~failed], theta[~failed]
+        self.theta[cells] = theta
 
-    def _irls(self, cells, samples) -> None:
-        """Refit each cell in place by IRLS on its sample (points, trials,
-        successes), warm-started at its current estimate, without the
-        conditioning guard; a fit that fails keeps the estimate."""
-        for c, (points, trials, successes) in zip(cells, samples):
-            lo, hi = self.lo[c], self.hi[c]
-            fit = fit_grouped_logistic_mle(points, trials, successes, lo, hi,
-                                           init=np.minimum(np.maximum(self.theta[c], lo), hi),
-                                           check_conditioning=False)
-            if fit.reason == SINGULAR_HESSIAN:
-                self.fail[c] += 1
-            else:
-                self.theta[c] = fit.theta_hat
-            self.converged[c] = fit.converged
-            self.projected[c] = fit.projected
+    def _irls(self, cells, X, trials, successes, sizes) -> None:
+        """Refit the cells in place by one batched IRLS on their rows (cell
+        i owns ``sizes[i]`` consecutive rows of X, trials and successes),
+        warm-started at their current estimates (which every fit leaves in
+        the box), without the conditioning guard; a fit that fails keeps the
+        estimate."""
+        fits = fit_logistic_cells(X, trials, successes, sizes, self.lo[cells], self.hi[cells],
+                                  self.theta[cells])
+        self._store(cells, fits.theta, fits.converged, fits.projected, fits.singular)
+        self.irls_fits[cells] += 1
+        self.irls_iterations[cells] += fits.iterations
+        if not fits.converged.all():
+            self.irls_nonconverged[cells] += ~fits.converged & ~fits.singular
+            self.irls_singular[cells] += fits.singular
 
     def _fit_grouped(self, cells) -> None:
         t, s = self.trials[cells], self.succ[cells]
-        if self.scalar:
-            # s = 0 gives logit -inf and s = t gives +inf: clamped to the box.
-            raw = np.log(s / (t - s)) / self.support[0, 0]
-            val = np.minimum(np.maximum(raw, self.lo[cells]), self.hi[cells])
-            self._store(cells, val, True, (val != raw)[:, 0], np.zeros(cells.size, dtype=bool))
+        if self.sat_inv is None:
+            self._irls_grouped(cells, t, s)
             return
-        if self.sat_inv is not None:
-            # A group without both outcomes has a logit of +-inf (or NaN when
-            # empty): such cells, and those whose solution leaves the box,
-            # are fitted by IRLS.
-            logit = np.log(s / (t - s))
-            theta = (self.sat_inv @ logit[:, :, None])[:, :, 0]
-            closed = np.isfinite(logit) & (theta >= self.lo[cells]) & (theta <= self.hi[cells])
-            if not closed.all():
-                closed = closed.all(axis=1)
-                rest = np.flatnonzero(~closed)
-                self._irls(cells[rest], ((self.support, t[i], s[i]) for i in rest))
-                cells, theta = cells[closed], theta[closed]
-            self._store(cells, theta, True, False, np.zeros(cells.size, dtype=bool))
-            return
-        self._irls(cells, ((self.support, ti, si) for ti, si in zip(t, s)))
+        # A group without both outcomes has a logit of +-inf, which the box
+        # clamps.  A zero entry of S^-1 times such a logit gives NaN in the
+        # product; those cells are summed again without the zero terms.
+        # Where a coefficient is still NaN (inf - inf, or an empty group) the
+        # closed form says nothing, and IRLS fits the cell.
+        logit = np.log(s / (t - s))
+        raw = (self.sat_inv @ logit[:, :, None])[:, :, 0]
+        if math.isnan(raw.sum()):  # some NaN, or +inf and -inf in the sum
+            nan = np.isnan(raw).any(axis=1)
+            terms = self.sat_inv * logit[nan][:, None, :]
+            raw[nan] = np.where(self.sat_inv != 0.0, terms, 0.0).sum(axis=2)
+            nan = np.isnan(raw).any(axis=1)
+            if nan.any():
+                self._irls_grouped(cells[nan], t[nan], s[nan])
+                cells, raw = cells[~nan], raw[~nan]
+        val = np.minimum(np.maximum(raw, self.lo[cells]), self.hi[cells])
+        self._store(cells, val, True, np.any(val != raw, axis=1))
+        self.closed_form[cells] += 1
+
+    def _irls_grouped(self, cells, t, s) -> None:
+        """IRLS on the cells' counts (t, s) at the support points."""
+        self._irls(cells, np.tile(self.support, (cells.size, 1)), t.ravel(), s.ravel(),
+                   np.full(cells.size, self.support.shape[0]))
 
     def _fit_rows(self, cells) -> None:
-        self._irls(cells, ((self.X[c, :m], np.ones(m), self.y[c, :m])
-                           for c, m in zip(cells, self.counts[cells])))
+        # The rows of the refit cells, cell by cell, in one gather (a slice
+        # for one cell); the slots past each cell's count are never read.
+        sizes = self.counts[cells]
+        if cells.size == 1:
+            take = cells[0], slice(sizes[0])
+        else:
+            take = np.zeros(self.y.shape, dtype=bool)
+            take[cells] = np.arange(take.shape[1]) < sizes[:, None]
+        self._irls(cells, self.X[take], None, self.y[take], sizes)
 
     def _fit_lse(self, cells) -> None:
         gram, moment = self.gram[cells], self.moment[cells]
-        try:
-            sol = np.linalg.solve(gram, moment[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:  # some system is singular: solve one by one
-            sol = np.full(moment.shape, np.nan)
-            for i in range(gram.shape[0]):
-                try:
-                    sol[i] = np.linalg.solve(gram[i], moment[i])
-                except np.linalg.LinAlgError:
-                    pass
+        sol = solve_stack(gram, moment)
         clipped = np.minimum(np.maximum(sol, self.lo[cells]), self.hi[cells])
         converged = (self.counts[cells] >= self.model.d) & np.all(np.isfinite(sol), axis=1)
         projected = converged & np.any(clipped != sol, axis=1)
@@ -583,6 +618,7 @@ class TrialBatch:
     theta: np.ndarray  # (B, K, d) estimates after the last patient
     support_counts: np.ndarray | None  # (B, K, S) patients per arm and support point
     histories: tuple[TrialHistory, ...] | None
+    refit_counts: dict[str, np.ndarray]  # (B, K) logistic refits per REFIT_COUNTERS entry
 
 
 def run_trials(model: TrialModel, rule: AllocationRule, n: int, m0: int, seeds,
@@ -674,7 +710,7 @@ def run_trials(model: TrialModel, rule: AllocationRule, n: int, m0: int, seeds,
         counts=state.arm_counts(), theta=theta.copy(),
         support_counts=(state.trials.reshape(B, K, -1).astype(np.int64)
                         if state.support is not None else None),
-        histories=hist)
+        histories=hist, refit_counts=state.refit_counts())
 
 
 def bytes_per_patient(model: TrialModel, histories: bool) -> int:

@@ -1,15 +1,22 @@
 """Per-arm maximum likelihood / least squares with box-clamped estimates.
 
-Logistic arms are fitted by iteratively reweighted least squares (Newton with
-step halving, so the log-likelihood never decreases along the iteration).
+Logistic fits run on one core, :func:`fit_logistic_cells`: Newton's method
+(IRLS) with step halving, so the log-likelihood never decreases along the
+iteration, for C independent cells at once.  Cell c owns a segment of
+consecutive rows of one (N, d) block (covariate points, trial counts and
+successes), so cells of any sizes share one array program.  Every sum over a
+cell's rows is an ``np.add.reduceat`` over its own segment and every other
+step is elementwise, so a cell's fit gives the same bits whatever cells
+share the call; each cell stops by its own tests (gradient, step, iteration
+limit, singular system) and the rows of the cells still iterating are
+gathered again.  ``fit_grouped_logistic_mle`` (binomial counts at distinct
+points) is its batch of one, and the rowwise ``fit_logistic_mle`` the
+unit-trial case of that.  The engine refits all its logistic cells of one
+patient in one call.
+
 Normal-linear arms are fitted by the normal equations.  Final estimates are
 always clamped coordinatewise into the arm's parameter box; ``projected``
-records whether the clamp moved the point.
-
-``fit_grouped_logistic_mle`` fits from binomial sufficient statistics
-(support points, trial counts, success counts); the rowwise
-``fit_logistic_mle`` is the unit-trial special case and both share one IRLS
-core, so they return identical estimates on equivalent data.  With
+records whether the clamp moved the point.  With
 ``check_conditioning=False`` (the engine's refits and
 ``update_all_estimates``) IRLS skips its condition-number guard on the
 Hessian; an exactly singular system still ends the fit as singular.
@@ -17,6 +24,7 @@ Hessian; an exactly singular system still ends the fit as singular.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -36,6 +44,8 @@ __all__ = [
     "EmptySampleError",
     "fit_logistic_mle",
     "fit_grouped_logistic_mle",
+    "fit_logistic_cells",
+    "CellFits",
     "fit_linear_lse",
     "fit_shared_slope_lse",
     "update_all_estimates",
@@ -131,16 +141,216 @@ def _clamp(theta: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarra
     return clipped, bool(np.any(clipped != theta))
 
 
-def _binomial_loglik(mu: np.ndarray, trials: np.ndarray, successes: np.ndarray) -> float:
-    # sum s*mu - t*log(1 + exp(mu)), dropping the mu-free combinatorial term
-    return float(successes @ mu - trials @ np.logaddexp(0.0, mu))
+def solve_stack(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve every system ``A[i] x = b[i]`` of a stack, (C, d, d) and (C, d).
+
+    A singular system gives a row of NaN.  ``np.linalg.solve`` fails the
+    whole stack when one system is singular; the systems are then solved one
+    by one, which gives the same bits for every regular one.
+    """
+    try:
+        if A.shape[0] == 1:
+            return np.linalg.solve(A[0], b[0])[None]
+        return np.linalg.solve(A, b[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        x = np.full(b.shape, np.nan)
+        for i in range(A.shape[0]):
+            try:
+                x[i] = np.linalg.solve(A[i], b[i])
+            except np.linalg.LinAlgError:
+                pass
+        return x
+
+
+@dataclass(frozen=True)
+class CellFits:
+    """Logistic fits of C cells by :func:`fit_logistic_cells`, one row per cell."""
+
+    theta: np.ndarray  # (C, d) estimates, clamped to each cell's box
+    converged: np.ndarray  # (C,) bool
+    projected: np.ndarray  # (C,) bool
+    iterations: np.ndarray  # (C,) int
+    singular: np.ndarray  # (C,) bool: the fit ended on a singular Newton system
+
+    def result(self, c: int) -> FitResult:
+        """Cell ``c``'s fit."""
+        converged = bool(self.converged[c])
+        reason = (SINGULAR_HESSIAN if self.singular[c]
+                  else "" if converged else MAX_ITERATIONS)
+        return FitResult(theta_hat=self.theta[c], converged=converged,
+                         projected=bool(self.projected[c]),
+                         iterations=int(self.iterations[c]), reason=reason)
+
+
+def _segments(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """First row of each cell, and each row's cell (None for a single cell)."""
+    if sizes.size == 1:
+        return np.zeros(1, dtype=np.intp), None
+    return np.cumsum(sizes) - sizes, np.repeat(np.arange(sizes.size), sizes)
+
+
+# Tests over the cells of a fit.  A single cell's entry is read directly: a
+# numpy call costs more than the fit's arithmetic on a few dozen rows.
+
+def _least(a: np.ndarray):
+    """The smallest entry, ignoring NaN (NaN only if every entry is)."""
+    return a[0] if a.size == 1 else np.fmin.reduce(a)
+
+
+def _largest(a: np.ndarray):
+    """The largest entry (NaN if any entry is)."""
+    return a[0] if a.size == 1 else a.max()
+
+
+def _every(mask: np.ndarray) -> bool:
+    return bool(mask[0] if mask.size == 1 else mask.all())
+
+
+def fit_logistic_cells(X: np.ndarray, trials: np.ndarray | None, successes: np.ndarray,
+                       sizes: np.ndarray, lo: np.ndarray, hi: np.ndarray, init: np.ndarray,
+                       check_conditioning: bool = False) -> CellFits:
+    """IRLS for C independent logistic fits at once.
+
+    Cell c owns ``sizes[c]`` consecutive rows of ``X`` (N, d), ``trials``
+    (None: one trial per row) and ``successes`` (N,), after the rows of the
+    cells before it; ``lo``, ``hi`` and ``init`` are (C, d).  Every sum over
+    a cell's rows is an ``np.add.reduceat`` over the cell's own segment of a
+    (terms, N) block and every other operation is elementwise, so each cell's
+    fit takes the same floating-point steps, and gives the same bits,
+    whatever cells share the call.  A cell leaves the iteration when it
+    converges, when its Newton system is singular or not finite, or after
+    ``_MAX_ITER`` iterations; the rows of the cells still iterating are then
+    gathered again.
+    """
+    C, d = init.shape
+    raw = np.array(init, dtype=float)  # each cell's unclamped result
+    converged, singular = np.zeros((2, C), dtype=bool)
+    iterations = np.zeros(C, dtype=int)
+
+    # The cells still iterating, with their rows and iterates.
+    live = np.arange(C)
+    sizes = np.asarray(sizes, dtype=np.intp)
+    starts, seg = _segments(sizes)
+    Xt = np.ascontiguousarray(X.T)  # (d, N)
+    XX = (Xt[:, None] * Xt[None]).reshape(d * d, -1)  # each row's x x', row-major
+    t, s = trials, successes
+    Z = np.empty((d + d * d, Xt.shape[1]))  # each row's gradient and Hessian terms
+    theta = init
+
+    def predictor(coef):
+        # Each row's x . theta of its cell, the products added coordinate by
+        # coordinate in order.  A reduction over the first axis of a
+        # (d, N > 1) block adds row after row; numpy sums a single
+        # contiguous run pairwise instead, so one row is added explicitly.
+        P = Xt * (coef.T if seg is None else coef.T[:, seg])
+        if P.shape[1] > 1:
+            return np.add.reduce(P, axis=0)
+        mu = P[0].copy()
+        for j in range(1, d):
+            mu += P[j]
+        return mu
+
+    def loglik(mu):
+        lae = np.logaddexp(0.0, mu)
+        return np.add.reduceat(s * mu - (lae if t is None else t * lae), starts)
+
+    def leave(out, count, flag, values=None):
+        """Record the cells flagged in ``out`` as finished after ``count``
+        iterations, with ``values`` as their estimates (by default their
+        initial value); returns the mask of the cells that go on, or None
+        when none does."""
+        nonlocal live, sizes, starts, seg, Xt, XX, t, s, Z, theta, mu, ll
+        last = _every(out)
+        done = live if last else live[out]
+        flag[done] = True
+        iterations[done] = count
+        if values is not None:
+            raw[done] = values if last else values[out]
+        if last:
+            return None
+        keep = ~out
+        rows = keep[seg]
+        live, sizes, theta, mu, ll = live[keep], sizes[keep], theta[keep], mu[rows], ll[keep]
+        starts, seg = _segments(sizes)
+        Xt, XX, s = Xt[:, rows], XX[:, rows], s[rows]
+        t = None if t is None else t[rows]
+        Z = np.empty((Z.shape[0], Xt.shape[1]))
+        return keep
+
+    mu = predictor(theta)
+    ll = loglik(mu)
+    for it in range(1, _MAX_ITER + 1):
+        p = expit(mu)
+        tp = p if t is None else t * p
+        np.multiply(Xt, s - tp, out=Z[:d])
+        np.multiply(XX, tp * (1.0 - p), out=Z[d:])
+        sums = np.add.reduceat(Z, starts, axis=1)  # gradient, then Hessian terms
+        gmax = np.abs(sums[:d]).max(axis=0)
+        if _least(gmax) <= _GRAD_TOL:
+            keep = leave(gmax <= _GRAD_TOL, it - 1, converged, theta)
+            if keep is None:
+                break
+            sums = sums[:, keep]
+        H = sums[d:].T.reshape(-1, d, d)
+        delta = solve_stack(H, sums[:d].T)
+        # The largest step component; not finite when the system is singular.
+        dmax = np.abs(delta).max(axis=1)
+        out = None if math.isfinite(_largest(dmax)) else ~np.isfinite(dmax)
+        if check_conditioning:
+            finite = np.isfinite(H).all(axis=(1, 2))
+            out = ~finite if out is None else out | ~finite
+            if finite.any():
+                out[finite] |= np.linalg.cond(H[finite]) > COND_MAX
+        if out is not None and out.any():
+            keep = leave(out, it, singular)
+            if keep is None:
+                break
+            delta, dmax = delta[keep], dmax[keep]
+        # Step halving: a cell whose log-likelihood would fall below its
+        # current value halves its step, at most _MAX_HALVINGS times, and
+        # otherwise stays where it is.
+        cand = theta + delta
+        mu_c = predictor(cand)
+        ll_c = loglik(mu_c)
+        floor = ll - 1e-12
+        ok = ll_c >= floor
+        if not _every(ok):
+            scale = np.ones(live.size)
+            for _ in range(1, _MAX_HALVINGS):
+                scale[~ok] *= 0.5
+                retry = theta + scale[:, None] * delta
+                mu_r = predictor(retry)
+                ll_r = loglik(mu_r)
+                redo = slice(None) if seg is None else ~ok[seg]
+                cand[~ok], ll_c[~ok], mu_c[redo] = retry[~ok], ll_r[~ok], mu_r[redo]
+                ok = ll_c >= floor
+                if _every(ok):
+                    break
+            else:
+                redo = slice(None) if seg is None else ~ok[seg]
+                scale[~ok] = 0.0
+                cand[~ok], ll_c[~ok], mu_c[redo] = theta[~ok], ll[~ok], mu[redo]
+            dmax = scale * dmax
+        theta, mu, ll = cand, mu_c, ll_c
+        if _least(dmax) <= _STEP_TOL and leave(dmax <= _STEP_TOL, it, converged,
+                                               theta) is None:
+            break
+    else:
+        iterations[live] = _MAX_ITER
+        raw[live] = theta
+
+    clipped = np.minimum(np.maximum(raw, lo), hi)
+    return CellFits(theta=clipped, converged=converged,
+                    projected=np.any(clipped != raw, axis=1),
+                    iterations=iterations, singular=singular)
 
 
 def fit_grouped_logistic_mle(points: np.ndarray, trials: np.ndarray,
                              successes: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                              init: np.ndarray | None = None,
                              check_conditioning: bool = True) -> FitResult:
-    """Logistic MLE from binomial counts at distinct covariate points."""
+    """Logistic MLE from binomial counts at distinct covariate points: the
+    batch of one of :func:`fit_logistic_cells`."""
     X = np.atleast_2d(np.asarray(points, dtype=float))
     t = np.asarray(trials, dtype=float).ravel()
     s = np.asarray(successes, dtype=float).ravel()
@@ -158,57 +368,9 @@ def fit_grouped_logistic_mle(points: np.ndarray, trials: np.ndarray,
             raise ValueError(f"init must have shape ({d},)")
         if (init < lo).any() or (init > hi).any():
             raise ValueError("init must lie inside the box")
-
-    theta = init.copy()
-    mu = X @ theta  # linear predictor at theta, carried from step to step
-    ll = _binomial_loglik(mu, t, s)
-    converged = False
-    reason = MAX_ITERATIONS
-    iterations = 0
-
-    for iterations in range(1, _MAX_ITER + 1):
-        p = expit(mu)
-        grad = X.T @ (s - t * p)
-        if np.abs(grad).max() <= _GRAD_TOL:
-            converged, reason = True, ""
-            iterations -= 1
-            break
-        w = t * p * (1.0 - p)
-        H = (X * w[:, None]).T @ X
-        singular = False
-        if check_conditioning and (not np.all(np.isfinite(H))
-                                   or np.linalg.cond(H) > COND_MAX):
-            singular = True
-        if not singular:
-            try:
-                delta = np.linalg.solve(H, grad)
-            except np.linalg.LinAlgError:
-                singular = True
-            else:
-                singular = not np.isfinite(delta).all()
-        if singular:
-            theta_c, projected = _clamp(init, lo, hi)
-            return FitResult(theta_hat=theta_c, converged=False, projected=projected,
-                             iterations=iterations, reason=SINGULAR_HESSIAN)
-        scale = 1.0
-        for _ in range(_MAX_HALVINGS):
-            cand = theta + scale * delta
-            mu_c = X @ cand
-            llc = _binomial_loglik(mu_c, t, s)
-            if llc >= ll - 1e-12:
-                break
-            scale *= 0.5
-        else:
-            scale, cand, mu_c, llc = 0.0, theta, mu, ll
-        step_norm = scale * np.abs(delta).max()
-        theta, mu, ll = cand, mu_c, llc
-        if step_norm <= _STEP_TOL:
-            converged, reason = True, ""
-            break
-
-    theta_c, projected = _clamp(theta, lo, hi)
-    return FitResult(theta_hat=theta_c, converged=converged, projected=projected,
-                     iterations=iterations, reason=reason)
+    fits = fit_logistic_cells(X, None if np.all(t == 1.0) else t, s, np.array([X.shape[0]]),
+                              lo[None], hi[None], init[None], check_conditioning=check_conditioning)
+    return fits.result(0)
 
 
 def fit_logistic_mle(sample: ArmSample, lo: np.ndarray, hi: np.ndarray,

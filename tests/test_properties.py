@@ -15,7 +15,7 @@ from carasim.engine import (
     step,
     streams_for_trial,
 )
-from carasim.estimation import update_all_estimates
+from carasim.estimation import fit_grouped_logistic_mle, fit_logistic_cells, update_all_estimates
 from carasim.fixtures import bb_config, f1_config, two_point_config
 from carasim.harness import parse_config
 from carasim.model import ArmModel, CovariateSpec, TrialModel, Uniform
@@ -114,6 +114,47 @@ def test_theory_sigma_rows_sum_to_zero_and_V_inverts_the_information(design):
 
 
 # ---------------------------------------------------------------------------
+# The batched IRLS core
+# ---------------------------------------------------------------------------
+
+@st.composite
+def logistic_cells(draw):
+    """1-8 cells of binomial counts with ragged row counts, d = 1..4."""
+    d = draw(st.integers(1, 4))
+    cells = []
+    for _ in range(draw(st.integers(1, 8))):
+        m = draw(st.integers(1, 12))
+        X = draw(arrays(np.float64, (m, d), elements=st.floats(-2.0, 2.0)))
+        t = draw(arrays(np.float64, m, elements=st.integers(1, 5).map(float)))
+        if draw(st.booleans()):
+            s = t.copy()  # every trial a success: the MLE lies at infinity
+        else:
+            s = np.floor(t * draw(arrays(np.float64, m, elements=st.floats(0.0, 1.0))))
+        init = draw(arrays(np.float64, d, elements=st.floats(-3.0, 3.0)))
+        cells.append((X, t, s, init))
+    return d, cells
+
+
+@settings(max_examples=60, deadline=None)
+@given(logistic_cells())
+def test_each_cell_of_a_batched_fit_is_bitwise_its_fit_alone(case):
+    d, cells = case
+    lo, hi = np.full(d, -3.0), np.full(d, 3.0)
+    fits = fit_logistic_cells(np.vstack([c[0] for c in cells]),
+                              np.concatenate([c[1] for c in cells]),
+                              np.concatenate([c[2] for c in cells]),
+                              np.array([c[0].shape[0] for c in cells]),
+                              np.tile(lo, (len(cells), 1)), np.tile(hi, (len(cells), 1)),
+                              np.array([c[3] for c in cells]))
+    for i, (X, t, s, init) in enumerate(cells):
+        alone = fit_grouped_logistic_mle(X, t, s, lo, hi, init=init, check_conditioning=False)
+        got = fits.result(i)
+        np.testing.assert_array_equal(got.theta_hat, alone.theta_hat)
+        assert (got.converged, got.projected, got.iterations, got.reason) == \
+            (alone.converged, alone.projected, alone.iterations, alone.reason)
+
+
+# ---------------------------------------------------------------------------
 # The lockstep engine
 # ---------------------------------------------------------------------------
 
@@ -145,6 +186,17 @@ def _continuous_logit_design():
                        box_lo=-3.0, box_hi=3.0), AllocationRule(kind="odds-ratio"), 32)
 
 
+def _continuous_logit_d1_design():
+    """Logistic arms on one covariate without an intercept: d = 1, where numpy
+    collapses array layouts and a reduction is likeliest to change its order
+    with the number of cells fitted together."""
+    arm = ArmModel("logistic")
+    covariates = CovariateSpec.product([Uniform(0.5, 2.0)], intercept=False)
+    theta = np.array([[0.7], [-0.3]])
+    return (TrialModel(arms=(arm, arm), covariates=covariates, true_theta=theta,
+                       box_lo=-3.0, box_hi=3.0), AllocationRule(kind="odds-ratio"), 8)
+
+
 def _from_config(raw):
     cfg = parse_config(raw)
     return cfg.model, cfg.rule, cfg.m0
@@ -156,6 +208,7 @@ DESIGNS = {
     "least-squares": _lse_design,
     "least-squares-continuous": _continuous_lse_design,
     "row-logit-continuous": _continuous_logit_design,
+    "row-logit-d1": _continuous_logit_d1_design,
     "shared-slope": lambda: _from_config(bb_config(n=100, replicates=1, seed=0)),
 }
 _HISTORY_FIELDS = ("covariates", "support_idx", "arms", "probs", "responses", "theta_records",
@@ -171,6 +224,10 @@ def _assert_same_trial(a, b):
         else:
             np.testing.assert_array_equal(x, y, err_msg=name)
     assert a.steps_since_refit == b.steps_since_refit
+    counts_a, counts_b = a.refit_counts(), b.refit_counts()
+    assert counts_a.keys() == counts_b.keys()
+    for name in counts_a:
+        np.testing.assert_array_equal(counts_a[name], counts_b[name], err_msg=name)
 
 
 @settings(max_examples=12)
@@ -183,12 +240,17 @@ def test_replicate_of_a_lockstep_batch_is_bitwise_run_trial(name, seed, R, cut, 
     # Replicates 0..R-1 split into two batches at a random point.
     split = seed % (R + 1)
     batches = [list(range(split)), list(range(split, R))]
-    got = []
+    got, counts = [], []
     for idx in batches:
         if idx:
-            got += run_trials(model, rule, n, m0, [replicate_root(seed, i) for i in idx], opts).histories
+            batch = run_trials(model, rule, n, m0, [replicate_root(seed, i) for i in idx], opts)
+            got += batch.histories
+            counts += [{name: c[j] for name, c in batch.refit_counts.items()} for j in range(len(idx))]
     for i, hist in enumerate(got):
-        _assert_same_trial(hist, run_trial(model, rule, n, m0, replicate_root(seed, i), opts))
+        alone = run_trial(model, rule, n, m0, replicate_root(seed, i), opts)
+        _assert_same_trial(hist, alone)
+        for name, c in alone.refit_counts().items():
+            np.testing.assert_array_equal(counts[i][name], c, err_msg=name)
 
 
 @settings(max_examples=12)

@@ -1,12 +1,14 @@
 """The benchmark's span tracer (perfbench/spans.py) wraps carasim functions
 by name; these tests fail when a rename or deletion would break a traced
-benchmark run."""
+benchmark run.  The benchmark also drives the CLI's ``--workers`` flag."""
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import carasim
 import carasim.cli  # noqa: F401  (the tracer wraps cli.main)
@@ -53,3 +55,19 @@ def test_tracer_installs_and_measures_a_trial():
     assert carasim.run_trial is original
     metrics = tracer.layer_metrics(1)
     assert metrics["engine.run_trial_us_per_patient"] > 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["replicate", "--config", "{config}", "--workers", "0"],
+    ["verify", "--config", "{config}", "--workers", "-4"],
+    ["verify", "--config", "{config}", "--criteria", "smoke", "--workers", "0"],
+    ["verify", "--criteria", "smoke", "--workers", "-4"],
+    ["verify", "--criteria", "smoke", "--workers", "two"],
+])
+def test_cli_rejects_a_worker_count_below_one(argv, tmp_path, capsys):
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps(f1_config(n=40, replicates=2, seed=0)))
+    with pytest.raises(SystemExit) as exc:
+        carasim.cli.main([a.format(config=config) for a in argv])
+    assert exc.value.code == 2
+    assert "argument --workers" in capsys.readouterr().err
