@@ -11,11 +11,17 @@ replicates of ``ENGINE_N`` patients, and on the benchmark's
 ``continuous-logit`` design (``perfbench/workloads.py`` at
 ``fixtures.DEFAULT_SEED``: three logistic arms on one uniform covariate, 400
 patients) for batches of 1, 10 and 256 (batches of at most
-``ENGINE_REPEATS`` replicates keep the best of that many runs); and the
+``ENGINE_REPEATS`` replicates are timed that many times); and the
 microseconds per call of ``estimation.fit_grouped_logistic_mle`` (a batch
 of one IRLS fit, started at the box midpoint) on ``IRLS_ROWS`` rows at
-d = 2 and d = 5, the best of ``IRLS_REPEATS`` timings.  The results go into
-``BENCH_<pr>.json`` at the root of the repository under ``--label``; other
+d = 2 and d = 5, timed ``IRLS_REPEATS`` times.  Engine and IRLS rows give
+the best timing and the median of the timings scaled to the host speed at
+which a fixed numpy kernel takes ``CALIBRATION_REF_S``; the kernel is timed
+before and after each timing.  On a shared host the CPU's speed drifts by
+tens of percent between two runs of this script, which the best timing
+does not cancel, so compare the calibrated figures of two runs.  The
+results go into ``BENCH_<pr>.json`` at the root of the repository under
+``--label``; other
 labels already in the file are kept, so the two sides of a comparison are
 written by two runs of this script on the same machine.
 
@@ -32,6 +38,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -46,10 +53,12 @@ BATCHES = (1, 8, 2000)
 LOGIT_BATCHES = (1, 10, 256)
 ENGINE_N = 500
 SEQUENTIAL_CAP = 16
-ENGINE_REPEATS = 5  # batches of at most this many replicates keep the best of this many runs
+ENGINE_REPEATS = 5  # batches of at most this many replicates are timed this many times
 IRLS_ROWS = {2: 80, 5: 170}
 IRLS_CALLS = 200
 IRLS_REPEATS = 15
+CALIBRATION_ITERS = 1500
+CALIBRATION_REF_S = 0.010
 
 
 def machine() -> dict:
@@ -93,21 +102,54 @@ def engine_us_per_patient() -> dict:
         opts = cfg.engine_options()
         for B in batches:
             seeds = [engine.replicate_root(cfg.seed, i) for i in range(B)]
-            us = float("inf")
-            for _ in range(ENGINE_REPEATS if B <= ENGINE_REPEATS else 1):
-                t0 = time.perf_counter()
-                if hasattr(engine, "run_trials"):
+            if hasattr(engine, "run_trials"):
+                timed = B
+
+                def run():
                     engine.run_trials(cfg.model, cfg.rule, cfg.n, cfg.m0, seeds, opts,
                                       histories=B == 1)
-                    timed = B
-                else:
-                    timed = min(B, SEQUENTIAL_CAP)
+            else:
+                timed = min(B, SEQUENTIAL_CAP)
+
+                def run():
                     for seed in seeds[:timed]:
                         engine.run_trial(cfg.model, cfg.rule, cfg.n, cfg.m0, seed, opts)
-                us = min(us, (time.perf_counter() - t0) / (timed * cfg.n) * 1e6)
-            out[f"{name}/B={B}"] = {"us_per_patient": round(us, 3), "replicates_timed": timed}
-            print(f"engine {name} B={B}: {us:.3f} us/patient ({timed} replicates timed)", flush=True)
+            best, calibrated = timings(run, ENGINE_REPEATS if B <= ENGINE_REPEATS else 1)
+            us = 1e6 / (timed * cfg.n)
+            out[f"{name}/B={B}"] = {"us_per_patient": round(best * us, 3),
+                                    "calibrated_us_per_patient": round(calibrated * us, 3),
+                                    "replicates_timed": timed}
+            print(f"engine {name} B={B}: {best * us:.3f} us/patient, {calibrated * us:.3f} "
+                  f"calibrated ({timed} replicates timed)", flush=True)
     return out
+
+
+def calibration_s() -> float:
+    """Seconds that a fixed numpy kernel takes at the host's current speed."""
+    import numpy as np
+
+    x = np.linspace(0.0, 1.0, 64)
+    t0 = time.perf_counter()
+    for _ in range(CALIBRATION_ITERS):
+        z = x * 1.0001
+        float(np.exp(z - z.max()).sum())
+    return time.perf_counter() - t0
+
+
+def timings(run, repeats: int) -> tuple[float, float]:
+    """The best of ``repeats`` timings of ``run()`` in seconds, and their
+    median scaled to the host speed at which the calibration kernel takes
+    ``CALIBRATION_REF_S`` (timed before and after each call)."""
+    raw, scaled = [], []
+    kernel = calibration_s()
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        run()
+        raw.append(time.perf_counter() - t0)
+        after = calibration_s()
+        scaled.append(raw[-1] * CALIBRATION_REF_S / (0.5 * (kernel + after)))
+        kernel = after
+    return min(raw), statistics.median(scaled)
 
 
 def irls_us_per_fit() -> dict:
@@ -122,14 +164,19 @@ def irls_us_per_fit() -> dict:
         theta = rng.uniform(-0.5, 0.5, d)
         y = (rng.random(n) < 1.0 / (1.0 + np.exp(-X @ theta))).astype(float)
         t, lo, hi, init = np.ones(n), np.full(d, -3.0), np.full(d, 3.0), np.zeros(d)
-        best = np.inf
-        for _ in range(IRLS_REPEATS):
-            t0 = time.perf_counter()
+
+        def run():
             for _ in range(IRLS_CALLS):
-                fit = fit_grouped_logistic_mle(X, t, y, lo, hi, init=init, check_conditioning=False)
-            best = min(best, (time.perf_counter() - t0) / IRLS_CALLS * 1e6)
-        out[f"d={d}"] = {"us_per_fit": round(best, 3), "rows": n, "iterations": fit.iterations}
-        print(f"irls d={d} n={n}: {best:.3f} us per fit ({fit.iterations} iterations)", flush=True)
+                fit_grouped_logistic_mle(X, t, y, lo, hi, init=init, check_conditioning=False)
+
+        fit = fit_grouped_logistic_mle(X, t, y, lo, hi, init=init, check_conditioning=False)
+        best, calibrated = timings(run, IRLS_REPEATS)
+        us = 1e6 / IRLS_CALLS
+        out[f"d={d}"] = {"us_per_fit": round(best * us, 3),
+                         "calibrated_us_per_fit": round(calibrated * us, 3),
+                         "rows": n, "iterations": fit.iterations}
+        print(f"irls d={d} n={n}: {best * us:.3f} us per fit, {calibrated * us:.3f} calibrated "
+              f"({fit.iterations} iterations)", flush=True)
     return out
 
 

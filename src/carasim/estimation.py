@@ -9,10 +9,11 @@ cell's rows is an ``np.add.reduceat`` over its own segment and every other
 step is elementwise, so a cell's fit gives the same bits whatever cells
 share the call; each cell stops by its own tests (gradient, step, iteration
 limit, singular system) and the rows of the cells still iterating are
-gathered again.  ``fit_grouped_logistic_mle`` (binomial counts at distinct
-points) is its batch of one, and the rowwise ``fit_logistic_mle`` the
-unit-trial case of that.  The engine refits all its logistic cells of one
-patient in one call.
+gathered again.  A batch of one calls the same arithmetic helpers but reads
+its tests off its one cell, without the live-cell masks.
+``fit_grouped_logistic_mle`` (binomial counts at distinct points) is that
+batch of one, and the rowwise ``fit_logistic_mle`` the unit-trial case of
+it.  The engine refits all its logistic cells of one patient in one call.
 
 Normal-linear arms are fitted by the normal equations.  Final estimates are
 always clamped coordinatewise into the arm's parameter box; ``projected``
@@ -182,28 +183,104 @@ class CellFits:
                          iterations=int(self.iterations[c]), reason=reason)
 
 
-def _segments(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """First row of each cell, and each row's cell (None for a single cell)."""
-    if sizes.size == 1:
-        return np.zeros(1, dtype=np.intp), None
+# The arithmetic of an IRLS step, shared by a batch of cells and a batch of
+# one.  Xt (d, N) holds the rows' covariates, XX (d * d, N) their products
+# x_i x_j in row-major order, and Z (d + d * d, N) is scratch space; a cell's
+# rows are one segment, starting at ``starts``.  Every sum over a cell's rows
+# is an ``np.add.reduceat`` over its own segment and every other operation is
+# elementwise.
+
+def _design(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Xt, XX and Z for the rows X (N, d)."""
+    Xt = np.ascontiguousarray(X.T)
+    d, N = Xt.shape
+    return Xt, (Xt[:, None] * Xt[None]).reshape(d * d, N), np.empty((d + d * d, N))
+
+
+def _segments(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First row of each cell, and each row's cell."""
     return np.cumsum(sizes) - sizes, np.repeat(np.arange(sizes.size), sizes)
 
 
-# Tests over the cells of a fit.  A single cell's entry is read directly: a
-# numpy call costs more than the fit's arithmetic on a few dozen rows.
+def _row_sums(P: np.ndarray) -> np.ndarray:
+    """Each column's sum of the (d, N) block P, added row after row."""
+    # A reduction over the first axis of a (d, N > 1) block adds row after
+    # row; numpy sums a single contiguous run pairwise instead, so a (d, 1)
+    # block is added row by row here.
+    if P.shape[1] > 1:
+        return np.add.reduce(P, axis=0)
+    total = P[0].copy()
+    for j in range(1, P.shape[0]):
+        total += P[j]
+    return total
 
-def _least(a: np.ndarray):
-    """The smallest entry, ignoring NaN (NaN only if every entry is)."""
-    return a[0] if a.size == 1 else np.fmin.reduce(a)
+
+def _loglik(mu, t, s, starts) -> np.ndarray:
+    """Each cell's log-likelihood at the linear predictors ``mu`` of its rows."""
+    lae = np.logaddexp(0.0, mu)
+    return np.add.reduceat(s * mu - (lae if t is None else t * lae), starts)
 
 
-def _largest(a: np.ndarray):
-    """The largest entry (NaN if any entry is)."""
-    return a[0] if a.size == 1 else a.max()
+def _newton_sums(Xt, XX, Z, t, s, mu, starts) -> np.ndarray:
+    """Each cell's gradient (d rows) and Hessian terms (d * d rows, row-major)."""
+    d = Xt.shape[0]
+    p = expit(mu)
+    tp = p if t is None else t * p
+    np.multiply(Xt, s - tp, out=Z[:d])
+    np.multiply(XX, tp * (1.0 - p), out=Z[d:])
+    return np.add.reduceat(Z, starts, axis=1)
 
 
-def _every(mask: np.ndarray) -> bool:
-    return bool(mask[0] if mask.size == 1 else mask.all())
+def _ill_conditioned(H: np.ndarray) -> np.ndarray:
+    """Which of the (C, d, d) matrices are not finite or exceed ``COND_MAX``."""
+    out = ~np.isfinite(H).all(axis=(1, 2))
+    if not out.all():
+        out[~out] = np.linalg.cond(H[~out]) > COND_MAX
+    return out
+
+
+_ONE_CELL = np.zeros(1, dtype=np.intp)
+
+
+def _fit_one(X, t, s, lo, hi, init, check_conditioning) -> CellFits:
+    """The batch of one of :func:`fit_logistic_cells`: the same arithmetic, with
+    each test read off the one cell instead of masks over live cells."""
+    d = init.size
+    Xt, XX, Z = _design(X)
+    theta, converged, singular = init, False, False
+    mu = _row_sums(Xt * theta[:, None])
+    ll = _loglik(mu, t, s, _ONE_CELL)[0]
+    for it in range(1, _MAX_ITER + 1):
+        sums = _newton_sums(Xt, XX, Z, t, s, mu, _ONE_CELL)[:, 0]
+        if np.abs(sums[:d]).max() <= _GRAD_TOL:
+            converged, it = True, it - 1
+            break
+        H = sums[d:].reshape(1, d, d)
+        delta = solve_stack(H, sums[None, :d])[0]
+        dmax = np.abs(delta).max()
+        if not math.isfinite(dmax) or (check_conditioning and _ill_conditioned(H)[0]):
+            singular = True
+            break
+        # Step halving, as in fit_logistic_cells (1.0 * delta is delta).
+        scale = 1.0
+        for _ in range(_MAX_HALVINGS):
+            cand = theta + scale * delta
+            mu_c = _row_sums(Xt * cand[:, None])
+            ll_c = _loglik(mu_c, t, s, _ONE_CELL)[0]
+            if ll_c >= ll - 1e-12:
+                break
+            scale *= 0.5
+        else:
+            scale, cand, mu_c, ll_c = 0.0, theta, mu, ll
+        theta, mu, ll = cand, mu_c, ll_c
+        if scale * dmax <= _STEP_TOL:
+            converged = True
+            break
+    raw = init if singular else theta
+    clipped = np.minimum(np.maximum(raw, lo), hi)
+    return CellFits(theta=clipped[None], converged=np.array([converged]),
+                    projected=np.array([(clipped != raw).any()]),
+                    iterations=np.array([it]), singular=np.array([singular]))
 
 
 def fit_logistic_cells(X: np.ndarray, trials: np.ndarray | None, successes: np.ndarray,
@@ -220,9 +297,11 @@ def fit_logistic_cells(X: np.ndarray, trials: np.ndarray | None, successes: np.n
     whatever cells share the call.  A cell leaves the iteration when it
     converges, when its Newton system is singular or not finite, or after
     ``_MAX_ITER`` iterations; the rows of the cells still iterating are then
-    gathered again.
+    gathered again.  A batch of one runs the same steps without the masks.
     """
     C, d = init.shape
+    if C == 1:
+        return _fit_one(X, trials, successes, lo[0], hi[0], init[0], check_conditioning)
     raw = np.array(init, dtype=float)  # each cell's unclamped result
     converged, singular = np.zeros((2, C), dtype=bool)
     iterations = np.zeros(C, dtype=int)
@@ -231,36 +310,17 @@ def fit_logistic_cells(X: np.ndarray, trials: np.ndarray | None, successes: np.n
     live = np.arange(C)
     sizes = np.asarray(sizes, dtype=np.intp)
     starts, seg = _segments(sizes)
-    Xt = np.ascontiguousarray(X.T)  # (d, N)
-    XX = (Xt[:, None] * Xt[None]).reshape(d * d, -1)  # each row's x x', row-major
+    Xt, XX, Z = _design(X)
     t, s = trials, successes
-    Z = np.empty((d + d * d, Xt.shape[1]))  # each row's gradient and Hessian terms
     theta = init
-
-    def predictor(coef):
-        # Each row's x . theta of its cell, the products added coordinate by
-        # coordinate in order.  A reduction over the first axis of a
-        # (d, N > 1) block adds row after row; numpy sums a single
-        # contiguous run pairwise instead, so one row is added explicitly.
-        P = Xt * (coef.T if seg is None else coef.T[:, seg])
-        if P.shape[1] > 1:
-            return np.add.reduce(P, axis=0)
-        mu = P[0].copy()
-        for j in range(1, d):
-            mu += P[j]
-        return mu
-
-    def loglik(mu):
-        lae = np.logaddexp(0.0, mu)
-        return np.add.reduceat(s * mu - (lae if t is None else t * lae), starts)
 
     def leave(out, count, flag, values=None):
         """Record the cells flagged in ``out`` as finished after ``count``
         iterations, with ``values`` as their estimates (by default their
         initial value); returns the mask of the cells that go on, or None
         when none does."""
-        nonlocal live, sizes, starts, seg, Xt, XX, t, s, Z, theta, mu, ll
-        last = _every(out)
+        nonlocal live, sizes, starts, seg, Xt, XX, Z, t, s, theta, mu, ll
+        last = out.all()
         done = live if last else live[out]
         flag[done] = True
         iterations[done] = count
@@ -277,16 +337,12 @@ def fit_logistic_cells(X: np.ndarray, trials: np.ndarray | None, successes: np.n
         Z = np.empty((Z.shape[0], Xt.shape[1]))
         return keep
 
-    mu = predictor(theta)
-    ll = loglik(mu)
+    mu = _row_sums(Xt * theta.T[:, seg])
+    ll = _loglik(mu, t, s, starts)
     for it in range(1, _MAX_ITER + 1):
-        p = expit(mu)
-        tp = p if t is None else t * p
-        np.multiply(Xt, s - tp, out=Z[:d])
-        np.multiply(XX, tp * (1.0 - p), out=Z[d:])
-        sums = np.add.reduceat(Z, starts, axis=1)  # gradient, then Hessian terms
+        sums = _newton_sums(Xt, XX, Z, t, s, mu, starts)
         gmax = np.abs(sums[:d]).max(axis=0)
-        if _least(gmax) <= _GRAD_TOL:
+        if np.fmin.reduce(gmax) <= _GRAD_TOL:
             keep = leave(gmax <= _GRAD_TOL, it - 1, converged, theta)
             if keep is None:
                 break
@@ -295,13 +351,10 @@ def fit_logistic_cells(X: np.ndarray, trials: np.ndarray | None, successes: np.n
         delta = solve_stack(H, sums[:d].T)
         # The largest step component; not finite when the system is singular.
         dmax = np.abs(delta).max(axis=1)
-        out = None if math.isfinite(_largest(dmax)) else ~np.isfinite(dmax)
+        out = ~np.isfinite(dmax)
         if check_conditioning:
-            finite = np.isfinite(H).all(axis=(1, 2))
-            out = ~finite if out is None else out | ~finite
-            if finite.any():
-                out[finite] |= np.linalg.cond(H[finite]) > COND_MAX
-        if out is not None and out.any():
+            out |= _ill_conditioned(H)
+        if out.any():
             keep = leave(out, it, singular)
             if keep is None:
                 break
@@ -310,30 +363,30 @@ def fit_logistic_cells(X: np.ndarray, trials: np.ndarray | None, successes: np.n
         # current value halves its step, at most _MAX_HALVINGS times, and
         # otherwise stays where it is.
         cand = theta + delta
-        mu_c = predictor(cand)
-        ll_c = loglik(mu_c)
+        mu_c = _row_sums(Xt * cand.T[:, seg])
+        ll_c = _loglik(mu_c, t, s, starts)
         floor = ll - 1e-12
         ok = ll_c >= floor
-        if not _every(ok):
+        if not ok.all():
             scale = np.ones(live.size)
             for _ in range(1, _MAX_HALVINGS):
                 scale[~ok] *= 0.5
                 retry = theta + scale[:, None] * delta
-                mu_r = predictor(retry)
-                ll_r = loglik(mu_r)
-                redo = slice(None) if seg is None else ~ok[seg]
+                mu_r = _row_sums(Xt * retry.T[:, seg])
+                ll_r = _loglik(mu_r, t, s, starts)
+                redo = ~ok[seg]
                 cand[~ok], ll_c[~ok], mu_c[redo] = retry[~ok], ll_r[~ok], mu_r[redo]
                 ok = ll_c >= floor
-                if _every(ok):
+                if ok.all():
                     break
             else:
-                redo = slice(None) if seg is None else ~ok[seg]
+                redo = ~ok[seg]
                 scale[~ok] = 0.0
                 cand[~ok], ll_c[~ok], mu_c[redo] = theta[~ok], ll[~ok], mu[redo]
             dmax = scale * dmax
         theta, mu, ll = cand, mu_c, ll_c
-        if _least(dmax) <= _STEP_TOL and leave(dmax <= _STEP_TOL, it, converged,
-                                               theta) is None:
+        if np.fmin.reduce(dmax) <= _STEP_TOL and leave(dmax <= _STEP_TOL, it, converged,
+                                                       theta) is None:
             break
     else:
         iterations[live] = _MAX_ITER

@@ -136,8 +136,8 @@ def logistic_cells(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(logistic_cells())
-def test_each_cell_of_a_batched_fit_is_bitwise_its_fit_alone(case):
+@given(logistic_cells(), st.booleans())
+def test_each_cell_of_a_batched_fit_is_bitwise_its_fit_alone(case, check_conditioning):
     d, cells = case
     lo, hi = np.full(d, -3.0), np.full(d, 3.0)
     fits = fit_logistic_cells(np.vstack([c[0] for c in cells]),
@@ -145,9 +145,10 @@ def test_each_cell_of_a_batched_fit_is_bitwise_its_fit_alone(case):
                               np.concatenate([c[2] for c in cells]),
                               np.array([c[0].shape[0] for c in cells]),
                               np.tile(lo, (len(cells), 1)), np.tile(hi, (len(cells), 1)),
-                              np.array([c[3] for c in cells]))
+                              np.array([c[3] for c in cells]), check_conditioning)
     for i, (X, t, s, init) in enumerate(cells):
-        alone = fit_grouped_logistic_mle(X, t, s, lo, hi, init=init, check_conditioning=False)
+        alone = fit_grouped_logistic_mle(X, t, s, lo, hi, init=init,
+                                         check_conditioning=check_conditioning)
         got = fits.result(i)
         np.testing.assert_array_equal(got.theta_hat, alone.theta_hat)
         assert (got.converged, got.projected, got.iterations, got.reason) == \
