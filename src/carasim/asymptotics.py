@@ -324,7 +324,6 @@ def iid_mle_covariance(model: TrialModel,
 class PluginReport:
     theta_hat: np.ndarray  # (K, d)
     counts: np.ndarray  # (K,)
-    dispersion_hat: np.ndarray  # (K,)
     info_hat: np.ndarray  # (K, d, d)
     V_hat: np.ndarray  # (K, d, d)
     dg_hat: np.ndarray  # (K, K*d)
@@ -336,17 +335,16 @@ class PluginReport:
 
 
 def plugin_estimates(history: TrialHistory, model: TrialModel, rule: AllocationRule,
-                     x_list=(), dispersion: str = "model") -> PluginReport:
+                     x_list=()) -> PluginReport:
     """Sample analogues of the theory report from one realised trial.
 
     Expectations become averages over the n observed covariates, the true
     coefficients are replaced by the final estimates, and V_k inverts the
     sample information.  The averages run over the covariate support points,
     weighted by their counts, when the history records them, else over the
-    observed rows.  With ``dispersion="estimated"`` the normal
-    arms' error variance is replaced by the residual mean square
-    (RSS_k / (N_k - d), falling back to RSS_k / N_k when N_k <= d).
-    Positive semidefiniteness is only warned about here, never enforced.
+    observed rows.  Every arm's dispersion is the model's, as in the theory
+    report.  Positive semidefiniteness is only warned about here, never
+    enforced.
     """
     n = history.n
     if n == 0:
@@ -355,29 +353,10 @@ def plugin_estimates(history: TrialHistory, model: TrialModel, rule: AllocationR
     theta = np.asarray(history.current_theta, dtype=float)
     arms_arr = history.arms[:n]
     X = history.covariates[:n]
-    y = history.responses[:n]
     counts = history.counts()
     warnings: list[str] = []
 
-    # Dispersion per arm.
     phi = np.array([a.dispersion for a in model.arms])
-    if dispersion == "estimated":
-        for k in range(K):
-            if model.arms[k].family != "normal-linear":
-                continue
-            mask = arms_arr == k
-            nk = int(mask.sum())
-            if nk == 0:
-                warnings.append(f"arm {k + 1} has no observations; kept model dispersion")
-                continue
-            resid = y[mask] - X[mask] @ theta[k]
-            rss = float(resid @ resid)
-            phi[k] = rss / (nk - d) if nk > d else rss / nk
-            if phi[k] <= 0.0:
-                warnings.append(f"arm {k + 1} residual mean square is zero; kept model dispersion")
-                phi[k] = model.arms[k].dispersion
-    elif dispersion != "model":
-        raise ValueError(f"unknown dispersion mode {dispersion!r}")
 
     # One pass over the nodes: the support points when the history records
     # them, else the observed rows, each weighted by its per-arm counts / n.
@@ -417,9 +396,9 @@ def plugin_estimates(history: TrialHistory, model: TrialModel, rule: AllocationR
         if msg:
             warnings.append(msg)
 
-    return PluginReport(theta_hat=theta, counts=counts, dispersion_hat=phi,
-                        info_hat=info_hat, V_hat=V_hat, dg_hat=dg_hat,
-                        sigma1_hat=sigma1_hat, sigma2_hat=sigma2_hat, sigma_hat=sigma_hat,
+    return PluginReport(theta_hat=theta, counts=counts, info_hat=info_hat, V_hat=V_hat,
+                        dg_hat=dg_hat, sigma1_hat=sigma1_hat, sigma2_hat=sigma2_hat,
+                        sigma_hat=sigma_hat,
                         conditional=conditional, warnings=tuple(warnings))
 
 

@@ -35,7 +35,6 @@ from .harness import (
     theory_payload,
     verification_json_bytes,
     verify,
-    verify_config,
 )
 
 
@@ -119,11 +118,7 @@ def _print_summary(payload: dict) -> None:
 def _cmd_verify(args) -> int:
     if args.config is not None:
         cfg = _load_config(args)
-        if args.criteria:
-            report = verify(tuple(args.criteria), seed=cfg.seed, workers=cfg.workers,
-                            overrides=cfg.tolerance_overrides)
-        else:
-            report = verify_config(cfg)
+        report = verify(tuple(args.criteria or cfg.criteria), seed=cfg.seed, workers=cfg.workers)
     else:
         criteria = tuple(args.criteria) if args.criteria else ("all",)
         report = verify(criteria, seed=args.seed,

@@ -6,7 +6,8 @@ copies of each arm, so every arm ends burn-in with exactly ``m0`` patients.
 All subsequent patients are allocated adaptively: sample the covariate, set
 ``psi = pi(theta_hat, x)`` from the allocation rule at the current estimates,
 draw the arm by inverse CDF, observe the chosen arm's response only, and
-refresh estimates on the configured cadence (every patient by default).
+refit the chosen arm's estimate.  Every arm is first estimated at the end of
+burn-in.
 
 Randomness is split into three purpose streams (covariate, assignment,
 response) derived from one root seed, so the allocation draw for patient m
@@ -134,12 +135,9 @@ def streams_for_trial(seed: int | SeedSequence) -> TrialStreams:
 
 @dataclass(frozen=True)
 class EngineOptions:
-    refit_interval: int = 1
     theta_stride: int = 1
 
     def __post_init__(self):
-        if self.refit_interval < 1:
-            raise ValueError(f"refit_interval must be >= 1, got {self.refit_interval}")
         if self.theta_stride < 1:
             raise ValueError(f"theta_stride must be >= 1, got {self.theta_stride}")
 
@@ -181,8 +179,6 @@ class TrialHistory:
     converged: np.ndarray
     projected: np.ndarray
     fit_failures: np.ndarray
-    pending_refit: np.ndarray
-    steps_since_refit: int
     seed_entropy: object = None
     seed_spawn_key: tuple = ()
     engine_state: "_Lockstep | None" = field(default=None, repr=False, compare=False)
@@ -200,8 +196,14 @@ class TrialHistory:
         n, d = covariates.shape
         if arms.shape != (n,) or responses.shape != (n,):
             raise ValueError("covariates, arms and responses must have matching lengths")
+        if n and (arms.min() < 0 or arms.max() >= K):
+            raise ValueError(f"arms must lie in 0..{K - 1} (0-based, K = {K}), "
+                             f"got values from {arms.min()} to {arms.max()}")
         if current_theta is not None:
             current_theta = np.asarray(current_theta, dtype=float)
+            if current_theta.shape != (K, d):
+                raise ValueError(f"current_theta must have shape (K, d) = ({K}, {d}), "
+                                 f"got {current_theta.shape}")
         probs = np.full((n, K), 1.0 / K)
         zeros = np.zeros(K, dtype=bool)
         return TrialHistory(
@@ -210,8 +212,7 @@ class TrialHistory:
             arms=_freeze(arms), probs=_freeze(probs), responses=_freeze(responses),
             theta_records=_freeze(np.empty((0, K, d))), record_ms=_freeze(np.empty(0, dtype=int)),
             current_theta=current_theta, converged=zeros.copy(), projected=zeros.copy(),
-            fit_failures=np.zeros(K, dtype=int), pending_refit=zeros.copy(),
-            steps_since_refit=0)
+            fit_failures=np.zeros(K, dtype=int))
 
     # -- queries -------------------------------------------------------------
 
@@ -326,7 +327,6 @@ class _Lockstep:
         self.burn = K * m0
         self.B = B
         self.m = 0  # patients admitted to every replicate
-        self.steps_since_refit = 0
         enum = model.covariates.enumerated()
         self.support = enum[0] if enum is not None else None
 
@@ -339,7 +339,6 @@ class _Lockstep:
         self.fail = np.zeros(C, dtype=int)
         (self.closed_form, self.irls_fits, self.irls_iterations, self.irls_nonconverged,
          self.irls_singular) = np.zeros((len(REFIT_COUNTERS), C), dtype=np.int64)
-        self.fresh = []  # cells observed since the last refit, one array per patient
 
         # How each arm refits: from support counts (_GROUPED), from its rows
         # (_ROWS) or from normal equations (_LSE); shared slopes fit jointly.
@@ -397,8 +396,6 @@ class _Lockstep:
         new.B = len(idx)
         new._first_cell = np.arange(new.B) * K
         new._theta3 = new.theta.reshape(new.B, K, self.model.d)
-        pending = self.pending()[cells]
-        new.fresh = [np.flatnonzero(pending)] if pending.any() else []
         if self.joint:
             new.n_formed = int(new.formed.sum())
         return new
@@ -406,13 +403,6 @@ class _Lockstep:
     def estimates(self) -> np.ndarray:
         """Current estimates, (B, K, d)."""
         return self._theta3
-
-    def pending(self) -> np.ndarray:
-        """Cells observed since the last refit, as a mask."""
-        mask = np.zeros(self.theta.shape[0], dtype=bool)
-        for cells in self.fresh:
-            mask[cells] = True
-        return mask
 
     def refit_counts(self) -> dict[str, np.ndarray]:
         """Logistic refits so far, by counter (``REFIT_COUNTERS``), as (B, K) arrays."""
@@ -451,13 +441,11 @@ class _Lockstep:
         self._observe(x, six, arm, cell, y)
         self.m += 1
         if self.m > self.burn:
-            self.steps_since_refit += 1
-            if self.steps_since_refit >= self.opts.refit_interval:
-                self._refit()
+            self._refit(cell)
         elif self.m == self.burn:
-            # Estimates are computed once at the end of burn-in, then
-            # refreshed on the refit cadence.
-            self._refit()
+            # Every arm is estimated once at the end of burn-in; afterwards
+            # each patient refits the cell it joined.
+            self._refit(np.arange(self.theta.shape[0]))
         return arm, psi, y
 
     def _observe(self, x, six, arm, cell, y) -> None:
@@ -485,16 +473,15 @@ class _Lockstep:
                 v = (self.joint_inv @ eta[:, :, None])[:, :, 0]
                 denom = 1.0 + (eta[:, None, :] @ v[:, :, None])[:, 0, 0]
                 self.joint_inv -= v[:, :, None] * (v / denom[:, None])[:, None, :]
-        self.fresh.append(cell)
 
     # -- refits --------------------------------------------------------------
 
-    def _refit(self) -> None:
+    def _refit(self, cells: np.ndarray) -> None:
+        """Refit the cells, in ascending order (the joint fit refits every
+        replicate)."""
         if self.joint:
             self._refit_joint()
         else:
-            # One patient touches one cell per replicate, in ascending order.
-            cells = self.fresh[0] if len(self.fresh) == 1 else np.unique(np.concatenate(self.fresh))
             fits = (self._fit_grouped, self._fit_rows, self._fit_lse)
             if len(self.kinds) == 1:
                 # Splitting the cells by kind costs a tenth of a patient's
@@ -506,8 +493,6 @@ class _Lockstep:
                     of_kind = cells[kinds == kind]
                     if of_kind.size:
                         fits[kind](of_kind)
-        self.fresh = []
-        self.steps_since_refit = 0
 
     def _store(self, cells, theta, converged, projected, failed=None) -> None:
         """Write refits; the cells flagged in ``failed`` (default: none) keep
@@ -688,7 +673,7 @@ def run_trials(model: TrialModel, rule: AllocationRule, n: int, m0: int, seeds,
                     six_all[start:stop] = sixs
 
     theta = state.estimates()
-    flags = [a.reshape(B, K) for a in (state.converged, state.projected, state.fail, state.pending())]
+    flags = [a.reshape(B, K) for a in (state.converged, state.projected, state.fail)]
     hist = None
     if histories:
         record_ms = _freeze(np.arange(stride, n + 1, stride))
@@ -702,8 +687,7 @@ def run_trials(model: TrialModel, rule: AllocationRule, n: int, m0: int, seeds,
                 theta_records=_freeze(records[:, i].copy()), record_ms=record_ms,
                 current_theta=theta[i].copy(),
                 converged=flags[0][i].copy(), projected=flags[1][i].copy(),
-                fit_failures=flags[2][i].copy(), pending_refit=flags[3][i].copy(),
-                steps_since_refit=state.steps_since_refit,
+                fit_failures=flags[2][i].copy(),
                 seed_entropy=streams[i].root.entropy,
                 seed_spawn_key=tuple(streams[i].root.spawn_key),
                 engine_state=state, engine_row=i)
@@ -769,8 +753,8 @@ def step(history: TrialHistory, model: TrialModel, rule: AllocationRule,
     run with (its sufficient statistics and estimates belong to it); ``rule``
     allocates the new patient and may differ from the one used so far.  With
     the same streams, repeatedly stepping reproduces ``run_trial`` patient
-    for patient, on the refit cadence and record stride (``EngineOptions``)
-    the history was run with, which the engine state carries.
+    for patient, on the record stride (``EngineOptions``) the history was run
+    with, which the engine state carries.
     """
     if history.engine_state is None:
         raise ValueError("the history carries no engine state to resume from; only "
@@ -805,6 +789,5 @@ def step(history: TrialHistory, model: TrialModel, rule: AllocationRule,
         record_ms=_append(history.record_ms, n) if record else history.record_ms,
         current_theta=theta.copy(), converged=state.converged.copy(),
         projected=state.projected.copy(), fit_failures=state.fail.copy(),
-        pending_refit=state.pending(), steps_since_refit=state.steps_since_refit,
         seed_entropy=streams.root.entropy, seed_spawn_key=tuple(streams.root.spawn_key),
         engine_state=state)

@@ -57,7 +57,6 @@ __all__ = [
     "report_json_bytes",
     "verification_json_bytes",
     "verify",
-    "verify_config",
     "CRITERIA",
     "CRITERIA_ALIASES",
 ]
@@ -217,21 +216,17 @@ class ExperimentConfig:
     rule: AllocationRule
     n: int
     m0: int
-    refit_interval: int
     theta_stride: int
     replicates: int
     seed: int
     workers: int
     x_list: tuple[np.ndarray, ...]
     plugins: bool
-    dispersion: str
     criteria: tuple[str, ...]
-    tolerance_overrides: dict
     raw: dict
 
     def engine_options(self) -> EngineOptions:
-        return EngineOptions(refit_interval=self.refit_interval,
-                             theta_stride=self.theta_stride)
+        return EngineOptions(theta_stride=self.theta_stride)
 
 
 def parse_config(document: dict | str | Path) -> ExperimentConfig:
@@ -248,8 +243,7 @@ def parse_config(document: dict | str | Path) -> ExperimentConfig:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise ConfigError("config document must be a JSON object")
-    _known(document, "", ("model", "rule", "trial", "replication", "criteria",
-                          "tolerance_overrides"))
+    _known(document, "", ("model", "rule", "trial", "replication", "criteria"))
 
     model = _parse_model(_need(document, "model", ""))
     rule = _parse_rule(_need(document, "rule", ""))
@@ -262,7 +256,7 @@ def parse_config(document: dict | str | Path) -> ExperimentConfig:
                           "constant-1 covariate coordinate (arm means as intercepts)")
 
     trial = _as_mapping(document.get("trial", {}), "trial")
-    _known(trial, "trial", ("n", "m0", "refit_interval", "theta_stride"))
+    _known(trial, "trial", ("n", "m0", "theta_stride"))
     n = _as_int(_need(trial, "n", "trial"), "trial.n", minimum=1)
     m0 = _as_int(trial.get("m0", model.d + 1), "trial.m0", minimum=1)
     if m0 < model.d + 1:
@@ -270,20 +264,14 @@ def parse_config(document: dict | str | Path) -> ExperimentConfig:
     if n < model.K * m0:
         raise ConfigError(f"key 'trial.n' = {n} is smaller than the burn-in size "
                           f"K * m0 = {model.K * m0}")
-    refit_interval = _as_int(trial.get("refit_interval", 1), "trial.refit_interval", minimum=1)
     theta_stride = _as_int(trial.get("theta_stride", 1), "trial.theta_stride", minimum=1)
 
     rep = _as_mapping(document.get("replication", {}), "replication")
-    _known(rep, "replication", ("replicates", "seed", "workers", "plugins", "dispersion",
-                                "x_list"))
+    _known(rep, "replication", ("replicates", "seed", "workers", "plugins", "x_list"))
     replicates = _as_int(rep.get("replicates", 1), "replication.replicates", minimum=1)
     seed = _as_int(rep.get("seed", 0), "replication.seed", minimum=0)
     workers = _as_int(rep.get("workers", 1), "replication.workers", minimum=1)
     plugins = _as_bool(rep.get("plugins", False), "replication.plugins")
-    dispersion = rep.get("dispersion", "model")
-    if dispersion not in ("model", "estimated"):
-        raise ConfigError("key 'replication.dispersion' must be 'model' or 'estimated', "
-                          f"got {dispersion!r}")
     x_raw = rep.get("x_list", [])
     if not isinstance(x_raw, list):
         raise ConfigError("key 'replication.x_list' must be an array of covariate points")
@@ -302,27 +290,15 @@ def parse_config(document: dict | str | Path) -> ExperimentConfig:
     criteria = document.get("criteria", [])
     if not isinstance(criteria, list) or not all(isinstance(c, str) for c in criteria):
         raise ConfigError("key 'criteria' must be an array of criterion names")
-    overrides = _as_mapping(document.get("tolerance_overrides", {}), "tolerance_overrides")
-    for cid, o in overrides.items():
-        ctx = f"tolerance_overrides.{cid}"
-        criterion, _, check = cid.partition("/")
-        if criterion not in CRITERIA or not check:
-            raise ConfigError(f"key '{ctx}' must be '<criterion>/<check>' with a known criterion")
-        _known(_as_mapping(o, ctx), ctx, ("target_scale", "band"))
-        if "target_scale" in o:
-            _as_number(o["target_scale"], f"{ctx}.target_scale")
-        if "band" in o:
-            band = o["band"]
-            if not isinstance(band, list) or len(band) != 2:
-                raise ConfigError(f"key '{ctx}.band' must be an array of two numbers")
-            for i, b in enumerate(band):
-                _as_number(b, f"{ctx}.band[{i}]")
+    for i, name in enumerate(criteria):
+        try:
+            _resolve_criteria((name,))
+        except ValueError as exc:
+            raise ConfigError(f"key 'criteria[{i}]': {exc}") from exc
 
-    return ExperimentConfig(model=model, rule=rule, n=n, m0=m0,
-                            refit_interval=refit_interval, theta_stride=theta_stride,
+    return ExperimentConfig(model=model, rule=rule, n=n, m0=m0, theta_stride=theta_stride,
                             replicates=replicates, seed=seed, workers=workers,
-                            x_list=tuple(x_list), plugins=plugins, dispersion=dispersion,
-                            criteria=tuple(criteria), tolerance_overrides=dict(overrides),
+                            x_list=tuple(x_list), plugins=plugins, criteria=tuple(criteria),
                             raw=json.loads(json.dumps(document)))
 
 
@@ -454,7 +430,7 @@ def _replicate_block(raw: dict, indices: list[int]) -> dict:
                 out["cond_totals"][js] = per_point.sum(axis=2)
             for j, hist in zip(js, result.histories or ()):
                 try:
-                    rep = plugin_estimates(hist, model, rule, cfg.x_list, cfg.dispersion)
+                    rep = plugin_estimates(hist, model, rule, cfg.x_list)
                 except Exception as exc:
                     out["plugin_failures"].append(_failure(indices[j], exc))
                     continue
@@ -488,7 +464,10 @@ def run_replications(config: ExperimentConfig, workers: int | None = None) -> Re
     are recorded and skipped in the aggregates; the run continues.  The
     empirical variances are scored against the theory report's Sigma and
     V, except for shared-slope designs, whose limits the per-arm theory does
-    not give (see :func:`_variance_targets`).
+    not give (see :func:`_variance_targets`).  Every trial refits its
+    estimates after each patient, and with ``replication.plugins`` each
+    replicate's plug-in estimates use the model's dispersions, as the
+    theory does.
     """
     if workers is None:
         workers = config.workers
@@ -766,35 +745,17 @@ def verification_json_bytes(report: VerificationReport) -> bytes:
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
 
 
-def _apply_override(ov: dict, cid: str, target: float,
-                    band: tuple[float, float], proportional: bool):
-    o = ov.get(cid, {})
-    scale = float(o.get("target_scale", 1.0))
-    target = target * scale
-    if "band" in o:
-        lo, hi = float(o["band"][0]), float(o["band"][1])
-        band = (lo * target, hi * target) if proportional else (lo, hi)
-    elif proportional:
-        band = (band[0] * scale, band[1] * scale)
-    return target, band
-
-
-def _ratio_check(ov: dict, criterion: str, check: str, observed: float, target: float,
-                 lo: float, hi: float) -> CriterionCheck:
-    cid = f"{criterion}/{check}"
-    target, band = _apply_override(ov, cid, target, (lo * target, hi * target), True)
-    return CriterionCheck(criterion=criterion, check=check, observed=float(observed),
-                          target=float(target), band=band,
-                          passed=band[0] <= observed <= band[1])
-
-
-def _abs_check(ov: dict, criterion: str, check: str, observed: float,
+def _abs_check(criterion: str, check: str, observed: float,
                lo: float, hi: float, target: float = 0.0) -> CriterionCheck:
-    cid = f"{criterion}/{check}"
-    target, band = _apply_override(ov, cid, target, (lo, hi), False)
+    """Pass when ``lo <= observed <= hi``."""
     return CriterionCheck(criterion=criterion, check=check, observed=float(observed),
-                          target=float(target), band=band,
-                          passed=band[0] <= observed <= band[1])
+                          target=float(target), band=(lo, hi), passed=lo <= observed <= hi)
+
+
+def _ratio_check(criterion: str, check: str, observed: float, target: float,
+                 lo: float, hi: float) -> CriterionCheck:
+    """Pass when ``observed`` lies in the band [lo, hi] times ``target``."""
+    return _abs_check(criterion, check, observed, lo * target, hi * target, target)
 
 
 def _cached_summary(cache: dict, key: tuple, raw: dict, workers: int) -> ReplicationSummary:
@@ -803,7 +764,7 @@ def _cached_summary(cache: dict, key: tuple, raw: dict, workers: int) -> Replica
     return cache[key]
 
 
-def _c_theory_exact(seed, cache, workers, ov):
+def _c_theory_exact(seed, cache, workers):
     cfg = parse_config(fixtures.f1_config(n=100, replicates=1, seed=seed))
     rep = theory_report(cfg.model, cfg.rule)
     exact = fixtures.F1_EXACT
@@ -811,7 +772,7 @@ def _c_theory_exact(seed, cache, workers, ov):
     for name, got in (("v", rep.v), ("info", rep.info), ("V", rep.V),
                       ("sigma1", rep.sigma1), ("sigma2", rep.sigma2), ("sigma", rep.sigma)):
         dev = float(np.max(np.abs(np.asarray(got) - exact[name])))
-        out.append(_abs_check(ov, "theory-exact", f"max-dev-{name}", dev, 0.0, 1e-10))
+        out.append(_abs_check("theory-exact", f"max-dev-{name}", dev, 0.0, 1e-10))
     return out
 
 
@@ -820,74 +781,74 @@ def _f1_clt_summary(seed, cache, workers):
     return _cached_summary(cache, ("f1-clt", seed), raw, workers)
 
 
-def _c_allocation_clt(seed, cache, workers, ov):
+def _c_allocation_clt(seed, cache, workers):
     s = _f1_clt_summary(seed, cache, workers)
     return [
-        _ratio_check(ov, "allocation-clt", "var-sqrt-n-N1", s.alloc_dev_cov[0, 0],
+        _ratio_check("allocation-clt", "var-sqrt-n-N1", s.alloc_dev_cov[0, 0],
                      s.theory.sigma[0, 0], 0.85, 1.15),
-        _abs_check(ov, "allocation-clt", "mean-sqrt-n-N1", s.alloc_dev_mean[0],
+        _abs_check("allocation-clt", "mean-sqrt-n-N1", s.alloc_dev_mean[0],
                    -0.09, 0.09),
     ]
 
 
-def _c_estimator_clt(seed, cache, workers, ov):
+def _c_estimator_clt(seed, cache, workers):
     s = _f1_clt_summary(seed, cache, workers)
     out = []
     for k in range(s.K):
-        out.append(_ratio_check(ov, "estimator-clt", f"var-sqrt-n-theta{k + 1}",
+        out.append(_ratio_check("estimator-clt", f"var-sqrt-n-theta{k + 1}",
                                 s.theta_dev_cov[k * s.d, k * s.d],
                                 s.theory.V[k, 0, 0], 0.85, 1.15))
     return out
 
 
-def _c_conditional_clt(seed, cache, workers, ov):
+def _c_conditional_clt(seed, cache, workers):
     raw = fixtures.two_point_config(n=2000, replicates=2000, seed=seed)
     s = _cached_summary(cache, ("two-point-clt", seed), raw, workers)
     out = []
     for q in range(len(s.x_list)):
-        out.append(_ratio_check(ov, "conditional-clt", f"var-arm1-x{q + 1}",
+        out.append(_ratio_check("conditional-clt", f"var-arm1-x{q + 1}",
                                 s.cond_dev_cov[q, 0, 0],
                                 s.theory.conditional[q].sigma[0, 0], 0.8, 1.2))
     return out
 
 
-def _c_plugin_consistency(seed, cache, workers, ov):
+def _c_plugin_consistency(seed, cache, workers):
     raw = fixtures.f1_config(n=5000, replicates=100, seed=seed, plugins=True)
     s = _cached_summary(cache, ("f1-plugin", seed), raw, workers)
-    out = [_abs_check(ov, "plugin-consistency", "median-rel-dev-sigma",
+    out = [_abs_check("plugin-consistency", "median-rel-dev-sigma",
                       s.plugins.rel_dev_sigma_median, 0.0, 0.10)]
     for k in range(s.K):
-        out.append(_abs_check(ov, "plugin-consistency", f"median-rel-dev-V{k + 1}",
+        out.append(_abs_check("plugin-consistency", f"median-rel-dev-V{k + 1}",
                               s.plugins.rel_dev_V_median[k], 0.0, 0.10))
     return out
 
 
-def _c_bb_closed_forms(seed, cache, workers, ov):
+def _c_bb_closed_forms(seed, cache, workers):
     raw = fixtures.bb_config(n=2000, replicates=2000, seed=seed)
     s = _cached_summary(cache, ("bb-clt", seed), raw, workers)
     cfg = parse_config(raw)
     bb = bb_closed_forms(cfg.model, cfg.rule)
     return [
-        _ratio_check(ov, "bb-closed-forms", "var-sqrt-n-N1", s.alloc_dev_cov[0, 0],
+        _ratio_check("bb-closed-forms", "var-sqrt-n-N1", s.alloc_dev_cov[0, 0],
                      bb.alloc_var, 0.85, 1.15),
-        _ratio_check(ov, "bb-closed-forms", "var-sqrt-n-mu1", s.theta_dev_cov[0, 0],
+        _ratio_check("bb-closed-forms", "var-sqrt-n-mu1", s.theta_dev_cov[0, 0],
                      bb.mu_cov[0, 0], 0.85, 1.15),
     ]
 
 
-def _c_coincidence(seed, cache, workers, ov):
+def _c_coincidence(seed, cache, workers):
     out = []
     for i, raw in enumerate(fixtures.coincidence_configs(seed)):
         cfg = parse_config(raw)
         adaptive = scaled_mle_covariance(cfg.model, cfg.rule)
         iid = iid_mle_covariance(cfg.model)
         dev = float(np.max(np.abs(adaptive - iid)))
-        out.append(_abs_check(ov, "covariate-free-coincidence", f"fixture{i + 1}",
+        out.append(_abs_check("covariate-free-coincidence", f"fixture{i + 1}",
                               dev, 0.0, 1e-10))
     return out
 
 
-def _c_mle_lse_oracle(seed, cache, workers, ov):
+def _c_mle_lse_oracle(seed, cache, workers):
     x, y = fixtures.MLE_X, fixtures.MLE_Y
     grid = np.arange(-5.0, 5.0 + 5e-5, 1e-4)
     mu = np.outer(grid, x)
@@ -906,12 +867,12 @@ def _c_mle_lse_oracle(seed, cache, workers, ov):
     lfit = fit_linear_lse(ArmSample(X=Xl, y=yl), np.array([-5.0, -5.0]), np.array([5.0, 5.0]))
     lse_dev = float(np.max(np.abs(lfit.theta_hat - theta_closed)))
     return [
-        _abs_check(ov, "mle-lse-oracle", "logistic-vs-grid", mle_dev, 0.0, 1e-3),
-        _abs_check(ov, "mle-lse-oracle", "lse-vs-closed-form", lse_dev, 0.0, 1e-10),
+        _abs_check("mle-lse-oracle", "logistic-vs-grid", mle_dev, 0.0, 1e-3),
+        _abs_check("mle-lse-oracle", "lse-vs-closed-form", lse_dev, 0.0, 1e-10),
     ]
 
 
-def _c_consistency_rate(seed, cache, workers, ov):
+def _c_consistency_rate(seed, cache, workers):
     medians = {}
     for n in (500, 2000, 10000):
         raw = fixtures.f1_config(n=n, replicates=200, seed=seed)
@@ -922,14 +883,14 @@ def _c_consistency_rate(seed, cache, workers, ov):
             axis=1)
         medians[n] = float(np.median(err))
     return [
-        _abs_check(ov, "consistency-rate", "median-err-2000-over-500",
+        _abs_check("consistency-rate", "median-err-2000-over-500",
                    medians[2000] / medians[500], 0.0, 1.0 - 1e-12, target=1.0),
-        _abs_check(ov, "consistency-rate", "median-err-10000-over-2000",
+        _abs_check("consistency-rate", "median-err-10000-over-2000",
                    medians[10000] / medians[2000], 0.0, 1.0 - 1e-12, target=1.0),
     ]
 
 
-def _c_determinism(seed, cache, workers, ov):
+def _c_determinism(seed, cache, workers):
     raw = fixtures.f1_config(n=200, replicates=32, seed=seed)
     cfg = parse_config(raw)
     b1 = report_json_bytes(run_replications(cfg, workers=1))
@@ -938,9 +899,9 @@ def _c_determinism(seed, cache, workers, ov):
     v1 = verification_json_bytes(verify(("theory-exact",), seed=seed))
     v2 = verification_json_bytes(verify(("theory-exact",), seed=seed))
     return [
-        _abs_check(ov, "determinism", "rerun-report-bytes", float(b1 != b2), 0.0, 0.0),
-        _abs_check(ov, "determinism", "workers-1-vs-8-bytes", float(b1 != b8), 0.0, 0.0),
-        _abs_check(ov, "determinism", "verify-rerun-bytes", float(v1 != v2), 0.0, 0.0),
+        _abs_check("determinism", "rerun-report-bytes", float(b1 != b2), 0.0, 0.0),
+        _abs_check("determinism", "workers-1-vs-8-bytes", float(b1 != b8), 0.0, 0.0),
+        _abs_check("determinism", "verify-rerun-bytes", float(v1 != v2), 0.0, 0.0),
     ]
 
 
@@ -981,7 +942,7 @@ def _resolve_criteria(names) -> tuple[str, ...]:
 
 
 def verify(criteria=("all",), seed: int | None = None, workers: int = 1,
-           overrides: dict | None = None, cache: dict | None = None) -> VerificationReport:
+           cache: dict | None = None) -> VerificationReport:
     """Run the named verification criteria and report per-check verdicts.
 
     ``criteria`` accepts criterion slugs or aliases ("all", "f1", "smoke").
@@ -993,18 +954,9 @@ def verify(criteria=("all",), seed: int | None = None, workers: int = 1,
         seed = fixtures.DEFAULT_SEED
     if cache is None:
         cache = {}
-    ov = overrides or {}
     checks: list[CriterionCheck] = []
     for name in names:
-        checks.extend(CRITERIA[name](seed, cache, workers, ov))
+        checks.extend(CRITERIA[name](seed, cache, workers))
     return VerificationReport(master_seed=seed, criteria=names, checks=tuple(checks),
                               passed=all(c.passed for c in checks))
 
-
-def verify_config(config: ExperimentConfig, workers: int | None = None) -> VerificationReport:
-    """Run the verification criteria named in a parsed config document."""
-    if not config.criteria:
-        raise ValueError("config names an empty criteria set: nothing to verify")
-    return verify(config.criteria, seed=config.seed,
-                  workers=config.workers if workers is None else workers,
-                  overrides=config.tolerance_overrides)

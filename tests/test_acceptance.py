@@ -27,13 +27,13 @@ Bands (fixed here and in the harness, not tunable from tests):
 import time
 
 from carasim.fixtures import DEFAULT_SEED
-from carasim.harness import CRITERIA, verify
+from carasim.harness import CRITERIA, _f1_clt_summary, _ratio_check
 
 _CACHE = {}
 
 
 def _run(name):
-    checks = CRITERIA[name](DEFAULT_SEED, _CACHE, 1, {})
+    checks = CRITERIA[name](DEFAULT_SEED, _CACHE, 1)
     for check in checks:
         print(check.line())
     failed = [check.line() for check in checks if not check.passed]
@@ -88,7 +88,10 @@ def test_criterion_10_determinism():
 def test_perturbed_covariance_target_fails():
     # Doubling the allocation-variance target must flip the verdict: the
     # gate can never pass vacuously.
-    report = verify(("allocation-clt",), seed=DEFAULT_SEED,
-                    overrides={"allocation-clt/var-sqrt-n-N1": {"target_scale": 2.0}},
-                    cache=_CACHE)
-    assert not report.passed
+    s = _f1_clt_summary(DEFAULT_SEED, _CACHE, 1)
+    observed, target = s.alloc_dev_cov[0, 0], s.theory.sigma[0, 0]
+    check = _ratio_check("allocation-clt", "var-sqrt-n-N1", observed, target, 0.85, 1.15)
+    assert check == CRITERIA["allocation-clt"](DEFAULT_SEED, _CACHE, 1)[0]
+    assert check.passed
+    doubled = _ratio_check("allocation-clt", "var-sqrt-n-N1", observed, 2.0 * target, 0.85, 1.15)
+    assert not doubled.passed

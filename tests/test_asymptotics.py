@@ -378,24 +378,15 @@ def test_covariate_free_plugin_jacobian_has_zero_slope_columns():
         np.testing.assert_array_equal(block[:, 1:], 0.0)
 
 
-def test_estimated_dispersion_is_the_residual_mean_square():
-    raw = bb_config(n=2000, replicates=1, seed=7)
+def test_normal_arm_plugin_information_divides_by_the_model_dispersion():
+    raw = bb_config(n=400, replicates=1, seed=7)
+    raw["model"]["shared_slopes"] = False
+    raw["model"]["arms"][1]["dispersion"] = 4.0
     cfg, hist = _one_trial(raw)
-    rep = plugin_estimates(hist, cfg.model, cfg.rule, dispersion="estimated")
-    theta = hist.current_theta
-    for k in range(2):
-        mask = hist.arms[:hist.n] == k
-        resid = hist.responses[:hist.n][mask] - hist.covariates[:hist.n][mask] @ theta[k]
-        expected = float(resid @ resid) / (mask.sum() - cfg.model.d)
-        np.testing.assert_allclose(rep.dispersion_hat[k], expected, rtol=1e-12)
-        assert abs(rep.dispersion_hat[k] - 1.0) < 0.25
-
-
-def test_unknown_dispersion_mode_is_rejected():
-    raw = bb_config(n=200, replicates=1, seed=1)
-    cfg, hist = _one_trial(raw)
-    with pytest.raises(ValueError, match="dispersion"):
-        plugin_estimates(hist, cfg.model, cfg.rule, dispersion="bootstrap")
+    rep = plugin_estimates(hist, cfg.model, cfg.rule)
+    for k, phi in enumerate((1.0, 4.0)):
+        X = hist.covariates[hist.arms == k]
+        np.testing.assert_allclose(rep.info_hat[k], X.T @ X / (hist.n * phi), rtol=1e-12)
 
 
 def test_singular_sample_information_warns_and_uses_pseudo_inverse():

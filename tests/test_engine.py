@@ -17,7 +17,7 @@ from carasim.engine import (
 from carasim.estimation import update_all_estimates
 from carasim.fixtures import bb_config, f1_config, two_point_config
 from carasim.harness import parse_config
-from carasim.model import ArmModel, CovariateSpec, TrialModel
+from carasim.model import ArmModel, CovariateSpec, TrialModel, Uniform
 
 OPTS = EngineOptions()
 ODDS_RULE = AllocationRule(kind="odds-ratio")
@@ -32,6 +32,14 @@ def _symmetric_model():
     arm = ArmModel(family="logistic")
     return TrialModel(arms=(arm, arm), covariates=CovariateSpec.constant([1.0]),
                       true_theta=np.zeros((2, 1)), box_lo=-2.0, box_hi=2.0)
+
+
+def _continuous_logit():
+    arm = ArmModel(family="logistic")
+    covariates = CovariateSpec.product([Uniform(-1.0, 1.0)], intercept=True)
+    return (TrialModel(arms=(arm, arm), covariates=covariates,
+                       true_theta=np.array([[0.8, 0.6], [-0.4, 0.3]]), box_lo=-3.0, box_hi=3.0),
+            ODDS_RULE)
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +179,21 @@ def test_step_resumes_only_histories_that_carry_engine_state():
                                         K=2, current_theta=np.zeros((2, 1)))
     with pytest.raises(ValueError, match="engine state"):
         step(external, model, rule, streams)
+
+
+def test_from_arrays_rejects_arms_and_estimates_that_do_not_fit_k():
+    from carasim.engine import TrialHistory
+
+    X, y = np.ones((4, 1)), np.zeros(4)
+    with pytest.raises(ValueError, match=r"arms must lie in 0\.\.1.*from 0 to 2"):
+        TrialHistory.from_arrays(X, np.array([0, 2, 1, 0]), y, K=2)
+    with pytest.raises(ValueError, match="arms must lie"):
+        TrialHistory.from_arrays(X, np.array([0, -1, 1, 0]), y, K=2)
+    with pytest.raises(ValueError, match=r"current_theta must have shape \(K, d\) = \(2, 1\)"):
+        TrialHistory.from_arrays(X, np.array([0, 1, 1, 0]), y, K=2, current_theta=np.zeros(2))
+    ok = TrialHistory.from_arrays(X, np.array([0, 1, 1, 0]), y, K=2,
+                                  current_theta=np.zeros((2, 1)))
+    np.testing.assert_array_equal(ok.counts(), [2, 2])
 
 
 def test_stepping_leaves_the_history_it_resumes_unchanged():
@@ -336,3 +359,29 @@ def test_theta_stride_thins_records():
     assert sparse.record_ms.shape[0] < dense.record_ms.shape[0]
     assert np.all(sparse.record_ms % 10 == 0)
     np.testing.assert_array_equal(sparse.probs, dense.probs)
+
+
+
+def _two_point():
+    cfg = parse_config(two_point_config(n=100, replicates=1, seed=0))
+    return cfg.model, cfg.rule
+
+
+def _logistic_refits(counts: dict) -> np.ndarray:
+    return counts["closed_form"] + counts["irls_fits"]
+
+
+@pytest.mark.parametrize("design", [_f1, _two_point, _continuous_logit],
+                         ids=["closed-form-intercept", "saturated-two-point", "irls-rows"])
+def test_every_arm_is_fit_after_burn_in_and_refit_by_each_patient_it_gets(design):
+    model, rule = design()
+    m0, n = 4, 60
+    seeds = [replicate_root(8, i) for i in range(3)]
+    batch = run_trials(model, rule, n, m0, seeds, OPTS)
+    np.testing.assert_array_equal(_logistic_refits(batch.refit_counts), 1 + batch.counts - m0)
+    # A stepped patient refits the arm it joins, and only that arm.
+    streams = streams_for_trial(seeds[0])
+    hist = run_trial(model, rule, n, m0, streams, OPTS)
+    stepped = step(hist, model, rule, streams)
+    gained = _logistic_refits(stepped.refit_counts()) - _logistic_refits(hist.refit_counts())
+    np.testing.assert_array_equal(gained, np.eye(model.K, dtype=int)[stepped.arms[-1]])

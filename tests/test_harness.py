@@ -18,7 +18,6 @@ from carasim.harness import (
     run_replications,
     summary_payload,
     verify,
-    verify_config,
 )
 
 
@@ -45,14 +44,13 @@ def test_minimal_document_fills_defaults():
     cfg = parse_config(_minimal_f1())
     assert cfg.n == 50
     assert cfg.m0 == 2  # d + 1
-    assert cfg.refit_interval == 1
     assert cfg.theta_stride == 1
     assert cfg.replicates == 1
     assert cfg.seed == 0
     assert cfg.workers == 1
     assert cfg.x_list == ()
     assert cfg.plugins is False
-    assert cfg.dispersion == "model"
+    assert cfg.criteria == ()
 
 
 def test_burn_in_larger_than_trial_names_the_key():
@@ -99,13 +97,6 @@ def test_wrong_dimension_conditional_point_is_rejected():
         parse_config(doc)
 
 
-def test_invalid_dispersion_mode_is_rejected():
-    doc = _minimal_f1()
-    doc["replication"] = {"dispersion": "robust"}
-    with pytest.raises(ConfigError, match="dispersion"):
-        parse_config(doc)
-
-
 def _with_flag(key: str, value) -> dict:
     if key == "plugins":
         doc = _minimal_f1()
@@ -144,10 +135,6 @@ def _set(path: str, value):
     return change
 
 
-def _override(key: str, value):
-    return _set("tolerance_overrides", {key: value})
-
-
 @pytest.mark.parametrize("change, key", [
     (_set("modle", {}), "modle"),
     (_set("model.shared_slope", True), "model.shared_slope"),
@@ -159,30 +146,26 @@ def _override(key: str, value):
     (_set("replication.replicate", 500), "replication.replicate"),
     (_set("rule", {"kind": "odds-ratio", "T": 2.0}), "rule.T"),
     (_set("rule", {"kind": "exponential", "T": 2.0, "g": "exp"}), "rule.g"),
-    (_override("theory-exact/max-dev-v", 3), "tolerance_overrides.theory-exact/max-dev-v"),
-    (_override("theory-exact/max-dev-v", {"band": 5}),
-     "tolerance_overrides.theory-exact/max-dev-v.band"),
-    (_override("theory-exact/max-dev-v", {"band": [0.0, "1"]}),
-     "tolerance_overrides.theory-exact/max-dev-v.band[1]"),
-    (_override("theory-exact/max-dev-v", {"target_scale": "2"}),
-     "tolerance_overrides.theory-exact/max-dev-v.target_scale"),
-    (_override("theory-exact/max-dev-v", {"scale": 2.0}),
-     "tolerance_overrides.theory-exact/max-dev-v.scale"),
-    (_override("no-such-criterion/check", {"band": [0.0, 1.0]}),
-     "tolerance_overrides.no-such-criterion/check"),
-    (_override("theory-exact", {"band": [0.0, 1.0]}), "tolerance_overrides.theory-exact"),
+    # Gate bands, the refit cadence and the plug-in dispersion are fixed.
+    (_set("tolerance_overrides", {"theory-exact/max-dev-v": {"band": [0.0, 1.0]}}),
+     "tolerance_overrides"),
+    (_set("trial.refit_interval", 1), "trial.refit_interval"),
+    (_set("replication.dispersion", "model"), "replication.dispersion"),
 ])
 def test_config_rejects_what_it_does_not_read(change, key):
     doc = bb_config(n=100, replicates=1, seed=0)
     change(doc)
-    with pytest.raises(ConfigError, match=re.escape(f"'{key}'")):
+    with pytest.raises(ConfigError, match=re.escape(f"unknown key '{key}'")):
         parse_config(doc)
 
 
-def test_config_accepts_well_formed_overrides():
-    doc = bb_config(n=100, replicates=1, seed=0)
-    doc["tolerance_overrides"] = {"theory-exact/max-dev-v": {"target_scale": 2, "band": [0, 1.5]}}
-    assert parse_config(doc).tolerance_overrides == doc["tolerance_overrides"]
+def test_config_checks_criterion_names():
+    doc = _minimal_f1()
+    doc["criteria"] = ["smoke", "theory-exact", "all"]
+    assert parse_config(doc).criteria == ("smoke", "theory-exact", "all")
+    doc["criteria"] = ["theory-exact", "nonsense"]
+    with pytest.raises(ConfigError, match=r"'criteria\[1\]': unknown criterion 'nonsense'"):
+        parse_config(doc)
 
 
 def test_config_from_file_and_bad_files(tmp_path):
@@ -413,13 +396,14 @@ def test_smoke_criteria_pass_on_the_documented_seed():
     assert line.startswith("PASS ") and "observed" in line and "band" in line
 
 
-def test_tolerance_override_can_force_a_failure():
-    ov = {"theory-exact/max-dev-sigma": {"band": [-1.0, -0.5]}}
-    report = verify(("theory-exact",), overrides=ov)
-    assert not report.passed
-    failed = [c for c in report.checks if not c.passed]
-    assert [c.check for c in failed] == ["max-dev-sigma"]
-    assert failed[0].line().startswith("FAIL ")
+def _failing_criterion(seed, cache, workers):
+    return [harness._abs_check("theory-exact", "forced", 1.0, -1.0, -0.5)]
+
+
+def test_failed_check_line_starts_with_fail():
+    check, = _failing_criterion(DEFAULT_SEED, {}, 1)
+    assert not check.passed
+    assert check.line().startswith("FAIL theory-exact/forced: observed 1")
 
 
 def test_unknown_and_empty_criteria_are_rejected():
@@ -427,17 +411,6 @@ def test_unknown_and_empty_criteria_are_rejected():
         verify(("theory-exact", "nonsense"))
     with pytest.raises(ValueError, match="empty criteria"):
         verify(())
-
-
-def test_verify_config_uses_the_documented_criteria():
-    doc = _minimal_f1()
-    doc["criteria"] = ["theory-exact"]
-    report = verify_config(parse_config(doc))
-    assert report.passed
-    assert report.criteria == ("theory-exact",)
-    doc["criteria"] = []
-    with pytest.raises(ValueError, match="empty criteria"):
-        verify_config(parse_config(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -512,17 +485,35 @@ def test_cli_verify_writes_verification_json(tmp_path, capsys):
     assert payload["criteria"] == ["theory-exact"]
 
 
-def test_cli_verify_exit_code_reflects_failure(tmp_path, capsys):
+def test_cli_verify_with_config_reads_its_criteria(tmp_path, capsys):
     doc = _minimal_f1()
-    doc["tolerance_overrides"] = {
-        "theory-exact/max-dev-sigma": {"band": [-1.0, -0.5]}}
+    doc["criteria"] = ["theory-exact"]
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(doc))
+    assert cli.main(["verify", "--config", str(path), "--out", str(tmp_path / "checks")]) == 0
+    payload = json.loads((tmp_path / "checks" / "verification.json").read_text())
+    assert payload["criteria"] == ["theory-exact"]
+    # --criteria takes precedence over the document.
+    assert cli.main(["verify", "--config", str(path), "--criteria", "mle-lse-oracle",
+                     "--out", str(tmp_path / "flag")]) == 0
+    payload = json.loads((tmp_path / "flag" / "verification.json").read_text())
+    assert payload["criteria"] == ["mle-lse-oracle"]
+    doc["criteria"] = []
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["verify", "--config", str(path)]) == 2
+    assert "empty criteria" in capsys.readouterr().err
+
+
+def test_cli_verify_exit_code_reflects_failure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(harness.CRITERIA, "theory-exact", _failing_criterion)
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(_minimal_f1()))
     code = cli.main(["verify", "--config", str(path),
                      "--criteria", "theory-exact"])
     out = capsys.readouterr().out
     assert code == 1
-    assert "FAIL" in out
+    assert "FAIL theory-exact/forced" in out
 
 
 @pytest.mark.parametrize("argv", [
@@ -553,3 +544,12 @@ def test_cli_report_requires_an_existing_report(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "cannot read stored results" in captured.err
+
+
+def test_cli_replicate_rejects_an_unknown_criterion_in_the_config(tmp_path, capsys):
+    doc = two_point_config(n=60, replicates=2, seed=9)
+    doc["criteria"] = ["nonsense"]
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["replicate", "--config", str(path)]) == 2
+    assert "'criteria[0]': unknown criterion 'nonsense'" in capsys.readouterr().err

@@ -213,8 +213,7 @@ DESIGNS = {
     "shared-slope": lambda: _from_config(bb_config(n=100, replicates=1, seed=0)),
 }
 _HISTORY_FIELDS = ("covariates", "support_idx", "arms", "probs", "responses", "theta_records",
-                   "record_ms", "current_theta", "converged", "projected", "fit_failures",
-                   "pending_refit")
+                   "record_ms", "current_theta", "converged", "projected", "fit_failures")
 
 
 def _assert_same_trial(a, b):
@@ -224,7 +223,6 @@ def _assert_same_trial(a, b):
             assert x is None and y is None, name
         else:
             np.testing.assert_array_equal(x, y, err_msg=name)
-    assert a.steps_since_refit == b.steps_since_refit
     counts_a, counts_b = a.refit_counts(), b.refit_counts()
     assert counts_a.keys() == counts_b.keys()
     for name in counts_a:
@@ -233,11 +231,11 @@ def _assert_same_trial(a, b):
 
 @settings(max_examples=12)
 @given(st.sampled_from(sorted(DESIGNS)), st.integers(0, 2**16), st.integers(1, 7),
-       st.integers(1, 3), st.integers(1, 3), st.integers(0, 60))
-def test_replicate_of_a_lockstep_batch_is_bitwise_run_trial(name, seed, R, cut, interval, extra):
+       st.integers(1, 3), st.integers(0, 60))
+def test_replicate_of_a_lockstep_batch_is_bitwise_run_trial(name, seed, R, cut, extra):
     model, rule, m0 = DESIGNS[name]()
     n = model.K * m0 + extra
-    opts = EngineOptions(refit_interval=interval, theta_stride=cut)
+    opts = EngineOptions(theta_stride=cut)
     # Replicates 0..R-1 split into two batches at a random point.
     split = seed % (R + 1)
     batches = [list(range(split)), list(range(split, R))]
@@ -270,11 +268,11 @@ def test_incremental_estimates_equal_a_batch_refit(name, seed, extra):
 
 @settings(max_examples=12)
 @given(st.sampled_from(sorted(DESIGNS)), st.integers(0, 2**16), st.integers(1, 8),
-       st.integers(1, 4), st.integers(1, 3), st.integers(0, 30))
-def test_steps_reproduce_run_trial(name, seed, k, interval, stride, extra):
+       st.integers(1, 3), st.integers(0, 30))
+def test_steps_reproduce_run_trial(name, seed, k, stride, extra):
     model, rule, m0 = DESIGNS[name]()
     n = model.K * m0 + extra
-    opts = EngineOptions(refit_interval=interval, theta_stride=stride)
+    opts = EngineOptions(theta_stride=stride)
     whole = run_trial(model, rule, n + k, m0, replicate_root(seed, 0), opts)
     streams = streams_for_trial(replicate_root(seed, 0))
     hist = run_trial(model, rule, n, m0, streams, opts)

@@ -1,10 +1,13 @@
 """The benchmark's span tracer (perfbench/spans.py) wraps carasim functions
 by name; these tests fail when a rename or deletion would break a traced
-benchmark run.  The benchmark also drives the CLI's ``--workers`` flag."""
+benchmark run.  The benchmark also drives the CLI's ``--workers`` flag,
+parses the config documents of its workloads (perfbench/workloads.py) and
+calls the engine and the plug-ins with positional arguments."""
 
 import importlib
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,18 +18,19 @@ import carasim.cli  # noqa: F401  (the tracer wraps cli.main)
 from carasim.estimation import fit_grouped_logistic_mle
 from carasim.fixtures import f1_config
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_name_resolves_in_carasim():
-    for mod, attr, _, _ in _spans().TRACED:
+    for mod, attr, _, _ in _load("spans").TRACED:
         home = importlib.import_module(f"carasim.{mod}")
         if "." in attr:
             cls, meth = attr.split(".")
@@ -42,7 +46,7 @@ def test_irls_fits_report_their_iterations():
 
 
 def test_tracer_installs_and_measures_a_trial():
-    spans = _spans()
+    spans = _load("spans")
     cfg = carasim.parse_config(f1_config(n=40, replicates=1, seed=0))
     original = carasim.run_trial
     tracer = spans.Tracer()
@@ -71,3 +75,18 @@ def test_cli_rejects_a_worker_count_below_one(argv, tmp_path, capsys):
         carasim.cli.main([a.format(config=config) for a in argv])
     assert exc.value.code == 2
     assert "argument --workers" in capsys.readouterr().err
+
+
+def test_every_workload_design_parses_and_runs_as_the_benchmark_calls_it():
+    workloads = _load("workloads")
+    for name in workloads.NAMES:
+        for design in workloads.designs(name, 7):
+            cfg = carasim.parse_config(design.config)
+            model, rule = cfg.model, cfg.rule
+            # Positional, as perfbench/run.py calls them; a short trial.
+            n = model.K * cfg.m0 + 3
+            hist = carasim.run_trial(model, rule, n, cfg.m0, carasim.replicate_root(cfg.seed, 0),
+                                     cfg.engine_options())
+            assert hist.n == n, design.name
+            rep = carasim.plugin_estimates(hist, model, rule, cfg.x_list)
+            assert rep.sigma_hat.shape == (model.K, model.K), design.name
