@@ -14,7 +14,12 @@ patients) for batches of 1, 10 and 256 (batches of at most
 ``ENGINE_REPEATS`` replicates are timed that many times); and the
 microseconds per call of ``estimation.fit_grouped_logistic_mle`` (a batch
 of one IRLS fit, started at the box midpoint) on ``IRLS_ROWS`` rows at
-d = 2 and d = 5, timed ``IRLS_REPEATS`` times.  Engine and IRLS rows give
+d = 2 and d = 5, timed ``IRLS_REPEATS`` times; the milliseconds per call of
+``asymptotics.theory_report`` and ``asymptotics.lse_sandwich`` at 64, 4,096
+and 262,144 expectation nodes (the benchmark's ``theory-continuous`` designs
+with one, two and three uniform coordinates, 64 Gauss-Legendre nodes each),
+and the peak resident set size of a fresh process that computes the
+262,144-node report.  Engine, IRLS and theory rows give
 the best timing and the median of the timings scaled to the host speed at
 which a fixed numpy kernel takes ``CALIBRATION_REF_S``; the kernel is timed
 before and after each timing.  On a shared host the CPU's speed drifts by
@@ -39,6 +44,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -57,6 +63,8 @@ ENGINE_REPEATS = 5  # batches of at most this many replicates are timed this man
 IRLS_ROWS = {2: 80, 5: 170}
 IRLS_CALLS = 200
 IRLS_REPEATS = 15
+# Nodes -> (theory-continuous design, calls per timing, timings).
+THEORY_NODES = {64: (0, 100, 15), 4096: (1, 10, 15), 262144: (2, 1, 5)}
 CALIBRATION_ITERS = 1500
 CALIBRATION_REF_S = 0.010
 
@@ -180,6 +188,65 @@ def irls_us_per_fit() -> dict:
     return out
 
 
+def _theory_design(index: int):
+    from carasim import fixtures
+    from carasim.harness import parse_config
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import designs
+
+    return parse_config(designs("theory-continuous", fixtures.DEFAULT_SEED)[index].config)
+
+
+def theory_ms_per_call() -> dict:
+    from carasim.asymptotics import expectation_nodes, lse_sandwich, theory_report
+
+    out = {}
+    for nodes, (index, calls, repeats) in THEORY_NODES.items():
+        cfg = _theory_design(index)
+        assert expectation_nodes(cfg.model.covariates)[0].shape[0] == nodes
+        for name, fn in (("theory_report", theory_report), ("lse_sandwich", lse_sandwich)):
+            def run():
+                for _ in range(calls):
+                    fn(cfg.model, cfg.rule)
+
+            run()  # warm caches
+            best, calibrated = timings(run, repeats)
+            ms = 1e3 / calls
+            out[f"{name}/nodes={nodes}"] = {"ms_per_call": round(best * ms, 4),
+                                            "calibrated_ms_per_call": round(calibrated * ms, 4)}
+            print(f"{name} {nodes} nodes: {best * ms:.4f} ms per call, {calibrated * ms:.4f} "
+                  f"calibrated", flush=True)
+    return out
+
+
+# Peak RSS is read from VmHWM (Linux), which exec resets: getrusage's
+# ru_maxrss would carry over the RSS of the process that spawned the probe.
+_RSS_PROBE = """
+import sys
+sys.path[:0] = sys.argv[1:3]
+from gate_bench import _theory_design, THEORY_NODES
+from carasim.asymptotics import theory_report
+def peak_kb():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+cfg = _theory_design(THEORY_NODES[262144][0])
+before = peak_kb()
+theory_report(cfg.model, cfg.rule)
+print(before, peak_kb())
+"""
+
+
+def theory_peak_rss(src: Path) -> dict:
+    """Peak RSS of a fresh process before and after one 262,144-node report."""
+    text = subprocess.run([sys.executable, "-c", _RSS_PROBE, str(src), str(ROOT / "bench")],
+                          check=True, capture_output=True, text=True).stdout
+    before, after = (int(v) / 1024.0 for v in text.split())
+    print(f"theory_report 262144 nodes: peak RSS {after:.1f} MB ({before:.1f} MB before the "
+          f"report)", flush=True)
+    return {"peak_rss_mb": round(after, 1), "rss_before_report_mb": round(before, 1)}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pr", type=int, required=True)
@@ -189,6 +256,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(args.src.resolve()))
 
     entry = {"machine": machine(), "engine_n": ENGINE_N, "irls": irls_us_per_fit(),
+             "theory": theory_ms_per_call(), "theory_262144_rss": theory_peak_rss(args.src.resolve()),
              "engine": engine_us_per_patient(), "gate_seconds": gate_seconds()}
     path = ROOT / f"BENCH_{args.pr}.json"
     doc = json.loads(path.read_text()) if path.exists() else {"pr": args.pr, "runs": {}}

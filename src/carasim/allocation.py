@@ -183,16 +183,17 @@ def jacobian(rule: AllocationRule, theta: np.ndarray, x: np.ndarray,
 
     ``x`` of shape (N, d) gives one matrix per row, shape (N, K, K*d).  With
     ``weights`` (N,) the rows are contracted instead: the result is
-    sum_n weights[n] * d pi / d theta (theta, x[n]), shape (K, K*d), and the
-    per-row stack is never built.
+    sum_n weights[n] * d pi / d theta (theta, x[n]), shape (K, K*d), computed
+    as one BLAS product (d pi / d z * weights)' u of the (N, K*K) derivative
+    block with the (N, d) covariates, so the per-row stack is never built.
     """
     theta, x = _check_args(rule, theta, x)
     K, d = theta.shape
     _, dpi_dz, u = _kernel(rule, theta, x, derivative=True)
     if weights is None:
         return (dpi_dz[..., None] * u[..., None, None, :]).reshape(x.shape[:-1] + (K, K * d))
-    return np.einsum("n,nkj,nl->kjl", weights, dpi_dz.reshape(-1, K, K),
-                     u.reshape(-1, d)).reshape(K, K * d)
+    return ((dpi_dz.reshape(-1, K * K) * np.asarray(weights, dtype=float)[:, None]).T
+            @ u.reshape(-1, d)).reshape(K, K * d)
 
 
 _FD_STEP = 1e-6

@@ -22,8 +22,9 @@ Each of these is one weighted sum over a set of covariate nodes of pi,
 d pi / d theta and the arms' GLM weights (:func:`carasim.model.glm_weights`):
 the expectation nodes for the theory, a trial's support points or observed
 rows for the plug-ins.  Every public function evaluates the batched rule
-kernel once on its whole node set and contracts the node axis; no function
-loops over the nodes in Python.
+kernel once on its whole node set and contracts the node axis by BLAS
+matrix products (:func:`_gram`, ``jacobian(weights=)``); no function loops
+over the nodes in Python.
 
 Expectations over the covariate distribution are exact finite sums whenever
 the support is finite.  Otherwise uniform coordinates are integrated by
@@ -34,6 +35,7 @@ with a fixed internal seed and a reported standard error is used.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -95,23 +97,36 @@ class ExpectationMethod:
     stderr: float | None = None
 
 
-def _assert_psd(name: str, mat: np.ndarray) -> None:
-    w = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-    if w.min() < -_PSD_TOL:
-        raise ValueError(f"{name} is not positive semidefinite "
-                         f"(minimum eigenvalue {w.min():.3e})")
+def _negative_eigenvalues(names, mats: np.ndarray) -> list[tuple[str, float]]:
+    """(name, minimum eigenvalue) of each matrix of the stack ``mats`` that is
+    not positive semidefinite, in stack order; one eigenvalue call for all."""
+    if not len(names):
+        return []
+    w = np.linalg.eigvalsh(0.5 * (mats + np.swapaxes(mats, -1, -2))).min(axis=-1)
+    return [(name, lo) for name, lo in zip(names, w.tolist()) if lo < -_PSD_TOL]
 
 
-def _psd_warning(name: str, mat: np.ndarray) -> str | None:
-    w = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-    if w.min() < -_PSD_TOL:
-        return f"{name} has negative eigenvalue {w.min():.3e}"
-    return None
+def _assert_psd(names, mats: np.ndarray) -> None:
+    """Raise for the first matrix of the stack that is not positive semidefinite."""
+    bad = _negative_eigenvalues(names, mats)
+    if bad:
+        name, lo = bad[0]
+        raise ValueError(f"{name} is not positive semidefinite (minimum eigenvalue {lo:.3e})")
 
 
 # ---------------------------------------------------------------------------
 # Expectation nodes
 # ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1], (nodes, weights), built
+    once per n in a process and shared read-only by every caller."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
 
 
 def expectation_nodes(spec: CovariateSpec,
@@ -123,7 +138,7 @@ def expectation_nodes(spec: CovariateSpec,
         return pts, pr, ExpectationMethod(kind="exact-enumeration", size=pts.shape[0])
     n_uniform = sum(1 for c in spec.coords if isinstance(c, Uniform))
     if n_uniform <= _QUADRATURE_DIMS:
-        pts, w = tensor_grid(spec.coords, np.polynomial.legendre.leggauss(opts.gl_nodes))
+        pts, w = tensor_grid(spec.coords, _gauss_legendre(opts.gl_nodes))
         return pts, w, ExpectationMethod(kind="quadrature", size=pts.shape[0])
     rng = Generator(PCG64(SeedSequence(_MC_SEED)))
     pts = spec.sample_batch(rng, opts.mc_size)
@@ -177,8 +192,16 @@ class TheoryReport:
 
 
 def _gram(X: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """sum_n W[n, k] X[n]'X[n] for every column k of W, shape (K, d, d)."""
-    return np.einsum("nk,ni,nj->kij", W, X, X)
+    """sum_n W[n, k] X[n]'X[n] for every column k of W, shape (K, d, d).
+
+    Each arm's sum is one BLAS product (X * W[:, k])' X over the node axis,
+    so no (K, N, d) temporary is built.
+    """
+    out = np.empty((W.shape[1], X.shape[1], X.shape[1]))
+    XT = X.T
+    for k in range(W.shape[1]):
+        np.matmul(XT * W[:, k], X, out=out[k])
+    return out
 
 
 def _fisher_gram(model: TrialModel, theta: np.ndarray, X: np.ndarray, W: np.ndarray,
@@ -188,14 +211,14 @@ def _fisher_gram(model: TrialModel, theta: np.ndarray, X: np.ndarray, W: np.ndar
 
 
 def _invert(info: np.ndarray, what: str) -> np.ndarray:
-    V = np.empty_like(info)
-    for k in range(info.shape[0]):
-        if np.linalg.cond(info[k]) > COND_MAX:
-            raise SingularInformationError(
-                f"{what} for arm {k + 1} is singular "
-                f"(condition number exceeds {COND_MAX:.1e})")
-        V[k] = np.linalg.inv(info[k])
-    return V
+    """The inverse of every arm's matrix; the first arm whose condition
+    number exceeds COND_MAX raises SingularInformationError."""
+    singular = np.flatnonzero(np.linalg.cond(info) > COND_MAX)
+    if singular.size:
+        raise SingularInformationError(
+            f"{what} for arm {singular[0] + 1} is singular "
+            f"(condition number exceeds {COND_MAX:.1e})")
+    return np.linalg.inv(info)
 
 
 def _allocation_covariance(p: np.ndarray, dg: np.ndarray, V: np.ndarray,
@@ -226,6 +249,8 @@ def _points(x_list, d: int) -> np.ndarray:
 
 def _conditionals(rule: AllocationRule, theta: np.ndarray, X: np.ndarray,
                   masses: list[float], V: np.ndarray) -> tuple[ConditionalCovariance, ...]:
+    if not X.shape[0]:
+        return ()  # the rule kernel costs as much on no rows as on a few
     pis = probabilities(rule, theta, X)
     jacs = jacobian(rule, theta, X)
     return tuple(
@@ -245,8 +270,7 @@ def _design_information(model: TrialModel, pts: np.ndarray, w: np.ndarray,
     phi = np.array([a.dispersion for a in model.arms])
     info = _fisher_gram(model, model.true_theta, pts, w[:, None] * pi, phi)
     V = _invert(info, "design-weighted information")
-    for k in range(model.K):
-        _assert_psd(f"V_{k + 1}", V[k])
+    _assert_psd([f"V_{k + 1}" for k in range(model.K)], V)
     return info, V
 
 
@@ -276,9 +300,7 @@ def theory_report(model: TrialModel, rule: AllocationRule, x_list=(),
     if method.kind == "monte-carlo":
         method = replace(method, stderr=_mc_stderr(pi, w))
     s1, s2, total = _allocation_covariance(v, dg, V)
-    _assert_psd("Sigma1", s1)
-    _assert_psd("Sigma2", s2)
-    _assert_psd("Sigma", total)
+    _assert_psd(("Sigma1", "Sigma2", "Sigma"), np.array([s1, s2, total]))
 
     X = _points(x_list, model.d)
     masses = [model.covariates.mass(x) for x in X]
@@ -287,8 +309,8 @@ def theory_report(model: TrialModel, rule: AllocationRule, x_list=(),
             raise ZeroMassCovariateError(
                 f"covariate value {x.tolist()} has zero probability mass")
     conditional = _conditionals(rule, theta, X, masses, V)
-    for c in conditional:
-        _assert_psd(f"Sigma|x={c.x.tolist()}", c.sigma)
+    _assert_psd([f"Sigma|x={c.x.tolist()}" for c in conditional],
+                np.array([c.sigma for c in conditional]))
     return TheoryReport(v=v, dg=dg, info=info, V=V, sigma1=s1, sigma2=s2, sigma=total,
                         conditional=conditional, method=method)
 
@@ -350,7 +372,16 @@ def plugin_estimates(history: TrialHistory, model: TrialModel, rule: AllocationR
     if n == 0:
         raise ValueError("plug-in estimates require a non-empty history")
     K, d = model.K, model.d
+    if (history.K, history.d) != (K, d):
+        raise ValueError(f"history has (K, d) = ({history.K}, {history.d}) but the model "
+                         f"has ({K}, {d})")
+    if history.current_theta is None:
+        raise ValueError("history.current_theta is missing; plug-in estimates need the "
+                         "final coefficient estimates")
     theta = np.asarray(history.current_theta, dtype=float)
+    if theta.shape != (K, d):
+        raise ValueError(f"history.current_theta has shape {theta.shape}, expected "
+                         f"(K, d) = ({K}, {d})")
     arms_arr = history.arms[:n]
     X = history.covariates[:n]
     counts = history.counts()
@@ -387,14 +418,10 @@ def plugin_estimates(history: TrialHistory, model: TrialModel, rule: AllocationR
                 f"covariate value {x.tolist()} never occurred in the history")
     conditional = _conditionals(rule, theta, xs, masses, V_hat)
 
-    for name, mat in (("Sigma1_hat", sigma1_hat), ("Sigma_hat", sigma_hat)):
-        msg = _psd_warning(name, mat)
-        if msg:
-            warnings.append(msg)
-    for c in conditional:
-        msg = _psd_warning(f"Sigma_hat|x={c.x.tolist()}", c.sigma)
-        if msg:
-            warnings.append(msg)
+    names = ["Sigma1_hat", "Sigma_hat"] + [f"Sigma_hat|x={c.x.tolist()}" for c in conditional]
+    mats = np.array([sigma1_hat, sigma_hat] + [c.sigma for c in conditional])
+    warnings += [f"{name} has negative eigenvalue {lo:.3e}"
+                 for name, lo in _negative_eigenvalues(names, mats)]
 
     return PluginReport(theta_hat=theta, counts=counts, info_hat=info_hat, V_hat=V_hat,
                         dg_hat=dg_hat, sigma1_hat=sigma1_hat, sigma2_hat=sigma2_hat,
@@ -506,6 +533,5 @@ def lse_sandwich(model: TrialModel, rule: AllocationRule,
     info_y = _gram(pts, w[:, None] * pi * var_y)
     inv = _invert(info_x, "E[pi_k xi'xi]")
     V = inv @ info_y @ inv
-    for k in range(model.K):
-        _assert_psd(f"LSE V_{k + 1}", V[k])
+    _assert_psd([f"LSE V_{k + 1}" for k in range(model.K)], V)
     return LseSandwich(V=V, info_x=info_x, info_y=info_y, method=method)

@@ -346,11 +346,14 @@ class _Lockstep:
         self.joint = model.shared_slopes
         self.arm_kind = np.where(logistic, _GROUPED if self.support is not None else _ROWS, _LSE)
         self.kinds = np.unique(self.arm_kind).tolist()
-        self.rowwise = bool(np.any(self.arm_kind == _ROWS))
-        self.lse = not self.joint and bool(np.any(self.arm_kind == _LSE))
+        self.grouped = _GROUPED in self.kinds
+        self.rowwise = _ROWS in self.kinds
+        self.lse = not self.joint and _LSE in self.kinds
         if self.support is not None:
-            # Patients per (cell, support point), and their successes.
+            # Patients per (cell, support point), and the successes that
+            # grouped logistic arms refit from.
             self.trials = np.zeros((C, self.support.shape[0]))
+        if self.grouped:
             self.succ = np.zeros((C, self.support.shape[0]))
         # Patients per cell, where the support counts do not give them.
         self.counts = (np.zeros(C, dtype=np.int64)
@@ -451,6 +454,7 @@ class _Lockstep:
     def _observe(self, x, six, arm, cell, y) -> None:
         if self.support is not None:
             self.trials[cell, six] += 1.0
+        if self.grouped:
             self.succ[cell, six] += y
         if self.counts is not None:
             at = self.counts[cell]
@@ -467,7 +471,10 @@ class _Lockstep:
         if self.joint:
             eta = self.onehot[arm]
             eta[:, self.K:] = x[:, 1:]
-            self.joint_gram += eta[:, :, None] * eta[:, None, :]
+            if self.n_formed < self.B:
+                # Once a replicate's inverse is formed only the inverse is
+                # read, so the Gram matrices stop when every one is.
+                self.joint_gram += eta[:, :, None] * eta[:, None, :]
             self.joint_moment += y[:, None] * eta
             if self.n_formed:
                 v = (self.joint_inv @ eta[:, :, None])[:, :, 0]
@@ -579,13 +586,12 @@ class _Lockstep:
         coef = (self.joint_inv @ self.joint_moment[:, :, None])[:, :, 0]
         theta = coef[:, self.joint_cols]  # (B, K * d): arm k's row is (mu_k, slopes)
         clipped = np.minimum(np.maximum(theta, self.lo.reshape(B, -1)), self.hi.reshape(B, -1))
-        projected = np.repeat(np.any(clipped != theta, axis=1), K)
         ok = self.formed & np.isfinite(coef).all(axis=1)
         self.theta.reshape(B, -1)[ok] = clipped[ok]
-        ok = np.repeat(ok, K)
-        self.converged[:] = ok
-        self.projected[:] = ok & projected
-        self.fail[~ok] += 1
+        # Every arm of a replicate shares its flags.
+        self.converged.reshape(B, K)[:] = ok[:, None]
+        self.projected.reshape(B, K)[:] = (ok & (clipped != theta).any(axis=1))[:, None]
+        self.fail.reshape(B, K)[~ok] += 1
 
 
 # ---------------------------------------------------------------------------

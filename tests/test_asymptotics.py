@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -414,6 +415,21 @@ def test_plugin_requires_a_non_empty_history():
     model, rule = _f1_pair()
     with pytest.raises(ValueError, match="non-empty"):
         plugin_estimates(hist, model, rule)
+
+
+def test_plugin_rejects_a_history_that_does_not_fit_the_model():
+    model, rule = _two_point_pair()
+    rows = dict(arms=np.array([0, 1, 0, 1]), responses=np.array([1.0, 0.0, 0.0, 1.0]), K=2)
+    narrow = TrialHistory.from_arrays(np.ones((4, 1)), current_theta=np.zeros((2, 1)), **rows)
+    with pytest.raises(ValueError, match=r"history has \(K, d\) = \(2, 1\) but the model has \(2, 2\)"):
+        plugin_estimates(narrow, model, rule)
+    X = np.column_stack([np.ones(4), [0.0, 1.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match=r"history\.current_theta is missing"):
+        plugin_estimates(TrialHistory.from_arrays(X, **rows), model, rule)
+    misshapen = dataclasses.replace(TrialHistory.from_arrays(X, **rows), current_theta=np.zeros(4))
+    with pytest.raises(ValueError, match=r"history\.current_theta has shape \(4,\), "
+                                         r"expected \(K, d\) = \(2, 2\)"):
+        plugin_estimates(misshapen, model, rule)
 
 
 # ---------------------------------------------------------------------------

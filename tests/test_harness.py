@@ -295,15 +295,34 @@ def test_plugin_aggregates_are_collected():
 
 
 def test_report_bytes_do_not_depend_on_batch_size_or_workers(monkeypatch):
-    raw = two_point_config(n=120, replicates=7, seed=31)
-    raw["replication"]["plugins"] = True
-    cfg = parse_config(raw)
-    s = run_replications(cfg, workers=1)
-    expected = (report_json_bytes(s), replicate_csv_lines(s))
-    for batch, workers in ((1, 1), (3, 1), (7, 1), (3, 2), (1, 8)):
-        monkeypatch.setattr(harness, "_BATCH", batch)
-        s = run_replications(cfg, workers=workers)
-        assert (report_json_bytes(s), replicate_csv_lines(s)) == expected, (batch, workers)
+    # Two-point plug-ins sum over the support points.  With a continuous
+    # covariate the logistic arms refit from their rows and the plug-ins sum
+    # over the observed rows.
+    continuous = {
+        "model": {
+            "arms": [{"family": "logistic"}] * 3,
+            "covariates": {"kind": "continuous-product", "intercept": True,
+                           "coords": [{"kind": "uniform", "lo": -1.0, "hi": 1.0}]},
+            "true_theta": [[0.4, 0.8], [0.0, -0.6], [-0.3, 0.3]],
+            "box_lo": -3.0,
+            "box_hi": 3.0,
+        },
+        "rule": {"kind": "exponential", "T": 1.0},
+        "trial": {"n": 60, "m0": 6},
+        "replication": {"replicates": 7, "seed": 17},
+    }
+    default_batch = harness._BATCH
+    for raw in (two_point_config(n=120, replicates=7, seed=31), continuous):
+        raw["replication"]["plugins"] = True
+        cfg = parse_config(raw)
+        monkeypatch.setattr(harness, "_BATCH", default_batch)
+        s = run_replications(cfg, workers=1)
+        assert s.failures == () and s.plugin_failures == ()
+        expected = (report_json_bytes(s), replicate_csv_lines(s))
+        for batch, workers in ((1, 1), (3, 1), (7, 1), (3, 2), (1, 8)):
+            monkeypatch.setattr(harness, "_BATCH", batch)
+            s = run_replications(cfg, workers=workers)
+            assert (report_json_bytes(s), replicate_csv_lines(s)) == expected, (batch, workers)
 
 
 def test_plugin_failure_is_reported_and_keeps_the_trial(monkeypatch):

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from carasim import asymptotics
 from carasim.allocation import AllocationRule, jacobian, jacobian_fd, probabilities
-from carasim.asymptotics import theory_report
+from carasim.asymptotics import TheoryOptions, expectation_nodes, lse_sandwich, theory_report
 from carasim.engine import (
     EngineOptions,
     replicate_root,
@@ -18,7 +19,7 @@ from carasim.engine import (
 from carasim.estimation import fit_grouped_logistic_mle, fit_logistic_cells, update_all_estimates
 from carasim.fixtures import bb_config, f1_config, two_point_config
 from carasim.harness import parse_config
-from carasim.model import ArmModel, CovariateSpec, TrialModel, Uniform
+from carasim.model import ArmModel, CovariateSpec, TrialModel, Uniform, glm_weights
 
 _TWO_ARM = ("odds-ratio", "two-arm-g-difference", "covariate-free-normal")
 
@@ -111,6 +112,70 @@ def test_theory_sigma_rows_sum_to_zero_and_V_inverts_the_information(design):
         np.testing.assert_allclose(cond.sigma.sum(axis=1), 0.0, rtol=0, atol=1e-10 * scale)
     for k in range(model.K):
         np.testing.assert_allclose(rep.V[k] @ rep.info[k], np.eye(model.d), rtol=0, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# Node sums: BLAS products against einsum on the same nodes
+# ---------------------------------------------------------------------------
+
+@st.composite
+def continuous_designs(draw):
+    """A K-arm model on (1, U(lo, hi)^u) with a rule and expectation options:
+    tensor quadrature for u <= 3, Monte Carlo for u = 4."""
+    rule = draw(rules())
+    K = 2 if rule.kind in _TWO_ARM else draw(st.integers(2, 4))
+    u = draw(st.integers(1, 4))
+    lo = draw(st.floats(-2.0, 1.0))
+    coords = [Uniform(lo, lo + draw(st.floats(0.5, 2.0))) for _ in range(u)]
+    theta = draw(arrays(np.float64, (K, u + 1), elements=st.floats(-1.0, 1.0)))
+    families = draw(st.lists(st.sampled_from(("logistic", "normal-linear")), min_size=K, max_size=K))
+    arms = tuple(ArmModel(family=f, dispersion=1.0 if f == "logistic" else 2.0) for f in families)
+    model = TrialModel(arms=arms, covariates=CovariateSpec.product(coords, intercept=True),
+                       true_theta=theta, box_lo=-3.0, box_hi=3.0)
+    opts = TheoryOptions(gl_nodes=draw(st.integers(2, 12)), mc_size=draw(st.integers(50, 400)))
+    return model, rule, opts
+
+
+def _assert_node_sum(got, weights, *factors):
+    """``got`` equals the einsum over n of weights[n, ...] * prod(factors) to
+    rtol 1e-12 plus 1e-14 times the einsum of the terms' magnitudes."""
+    subscripts = ["nk"] + ["ni", "nj"][:len(factors)]
+    out = "kij"[:1 + len(factors)]
+    expr = ",".join(subscripts) + "->" + out
+    ref = np.einsum(expr, weights, *factors)
+    size = np.einsum(expr, np.abs(weights), *map(np.abs, factors))
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref) + 1e-14 * size)
+
+
+@settings(max_examples=40, deadline=None)
+@given(continuous_designs())
+def test_theory_node_sums_equal_einsum(design):
+    model, rule, opts = design
+    pts, w, _ = expectation_nodes(model.covariates, opts)
+    theta = model.true_theta
+    pi = probabilities(rule, theta, pts)
+    phi = np.array([a.dispersion for a in model.arms])
+    gw = glm_weights(model.arms, theta, pts)
+    rep = theory_report(model, rule, opts=opts)
+    _assert_node_sum(rep.info, w[:, None] * pi * gw / phi, pts, pts)
+    lse = lse_sandwich(model, rule, opts)
+    _assert_node_sum(lse.info_x, w[:, None] * pi, pts, pts)
+    _assert_node_sum(lse.info_y, w[:, None] * pi * phi * gw, pts, pts)
+    K, d = theta.shape
+    per_row = jacobian(rule, theta, pts).reshape(-1, K * K * d)
+    _assert_node_sum(jacobian(rule, theta, pts, weights=w).ravel(), w[:, None] * per_row)
+
+
+@given(st.integers(1, 80))
+def test_gauss_legendre_rule_is_shared_read_only(n):
+    nodes, weights = asymptotics._gauss_legendre(n)
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    again = asymptotics._gauss_legendre(n)
+    np.testing.assert_array_equal(again[0], nodes)
+    np.testing.assert_array_equal(again[1], weights)
+    expected = np.polynomial.legendre.leggauss(n)
+    np.testing.assert_array_equal(nodes, expected[0])
+    np.testing.assert_array_equal(weights, expected[1])
 
 
 # ---------------------------------------------------------------------------
