@@ -35,11 +35,25 @@ written by two runs of this script on the same machine.
 ``run_trial`` at a time, whose cost per patient does not depend on the
 batch, so at most ``SEQUENTIAL_CAP`` replicates of a batch are timed there.
 All work is single-threaded (one BLAS thread).
+
+    python bench/gate_bench.py --pr N --label change --interleave OTHER_CHECKOUT/src
+
+times only the F1, two-point and bb engine rows, of both source trees in one
+process: the other tree's ``carasim`` package is loaded under the name
+``carasim_other`` (the package imports its own modules relatively).  Each of
+``INTERLEAVE_ROUNDS`` rounds times every row once on each side, the side
+that goes first alternating between rounds, so that both sides see the same
+host speed; a row records each side's median microseconds per patient and
+the median and quartiles of the per-round ratios (this side over the
+other).  The rows go into ``BENCH_<pr>.json`` under ``interleaved``, with
+``--label`` and ``--other-label`` naming the two sides.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
+import importlib.util
 import json
 import os
 import platform
@@ -67,6 +81,8 @@ IRLS_REPEATS = 15
 THEORY_NODES = {64: (0, 100, 15), 4096: (1, 10, 15), 262144: (2, 1, 5)}
 CALIBRATION_ITERS = 1500
 CALIBRATION_REF_S = 0.010
+INTERLEAVE_ROUNDS = 15
+INTERLEAVE_TIMING_S = 0.2  # a timing repeats a row's run for at least about this long
 
 
 def machine() -> dict:
@@ -92,20 +108,24 @@ def gate_seconds() -> dict:
     return out
 
 
-def engine_us_per_patient() -> dict:
-    from carasim import engine, fixtures
-    from carasim.harness import parse_config
-
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from workloads import designs
+def engine_rows(package: str = "carasim", logit: bool = True) -> dict:
+    """Row name -> (run, replicates timed, patients per replicate) of the
+    engine rows, on the carasim package imported as ``package``."""
+    engine = importlib.import_module(f"{package}.engine")
+    fixtures = importlib.import_module(f"{package}.fixtures")
+    parse_config = importlib.import_module(f"{package}.harness").parse_config
 
     make = {"f1": fixtures.f1_config, "two-point": fixtures.two_point_config,
             "bb": fixtures.bb_config}
     configs = {name: (parse_config(f(n=ENGINE_N, replicates=1, seed=fixtures.DEFAULT_SEED)),
                       BATCHES) for name, f in make.items()}
-    configs["continuous-logit"] = (
-        parse_config(designs("continuous-logit", fixtures.DEFAULT_SEED)[0].config), LOGIT_BATCHES)
-    out = {}
+    if logit:
+        sys.path.insert(0, str(ROOT / "perfbench"))
+        from workloads import designs
+
+        configs["continuous-logit"] = (parse_config(
+            designs("continuous-logit", fixtures.DEFAULT_SEED)[0].config), LOGIT_BATCHES)
+    rows = {}
     for name, (cfg, batches) in configs.items():
         opts = cfg.engine_options()
         for B in batches:
@@ -113,22 +133,73 @@ def engine_us_per_patient() -> dict:
             if hasattr(engine, "run_trials"):
                 timed = B
 
-                def run():
+                def run(cfg=cfg, B=B, seeds=seeds, opts=opts):
                     engine.run_trials(cfg.model, cfg.rule, cfg.n, cfg.m0, seeds, opts,
                                       histories=B == 1)
             else:
                 timed = min(B, SEQUENTIAL_CAP)
 
-                def run():
-                    for seed in seeds[:timed]:
+                def run(cfg=cfg, seeds=seeds[:timed], opts=opts):
+                    for seed in seeds:
                         engine.run_trial(cfg.model, cfg.rule, cfg.n, cfg.m0, seed, opts)
-            best, calibrated = timings(run, ENGINE_REPEATS if B <= ENGINE_REPEATS else 1)
-            us = 1e6 / (timed * cfg.n)
-            out[f"{name}/B={B}"] = {"us_per_patient": round(best * us, 3),
-                                    "calibrated_us_per_patient": round(calibrated * us, 3),
-                                    "replicates_timed": timed}
-            print(f"engine {name} B={B}: {best * us:.3f} us/patient, {calibrated * us:.3f} "
-                  f"calibrated ({timed} replicates timed)", flush=True)
+            rows[f"{name}/B={B}"] = (run, timed, cfg.n)
+    return rows
+
+
+def engine_us_per_patient() -> dict:
+    out = {}
+    for row, (run, timed, n) in engine_rows().items():
+        best, calibrated = timings(run, ENGINE_REPEATS if timed <= ENGINE_REPEATS else 1)
+        us = 1e6 / (timed * n)
+        out[row] = {"us_per_patient": round(best * us, 3),
+                    "calibrated_us_per_patient": round(calibrated * us, 3),
+                    "replicates_timed": timed}
+        print(f"engine {row}: {best * us:.3f} us/patient, {calibrated * us:.3f} "
+              f"calibrated ({timed} replicates timed)", flush=True)
+    return out
+
+
+def load_other(src: Path) -> str:
+    """Import ``src/carasim`` as the package ``carasim_other``; returns its name."""
+    name = "carasim_other"
+    spec = importlib.util.spec_from_file_location(
+        name, src / "carasim" / "__init__.py", submodule_search_locations=[str(src / "carasim")])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return name
+
+
+def interleaved_engine(other_src: Path, labels: tuple[str, str]) -> dict:
+    """The F1, two-point and bb engine rows of this tree and of ``other_src``
+    (named by ``labels``), timed in alternating order round by round."""
+    sides = (engine_rows("carasim", logit=False),
+             engine_rows(load_other(other_src), logit=False))
+    out = {}
+    for row, (run, timed, n) in sides[0].items():
+        other = sides[1][row][0]
+        t0 = time.perf_counter()
+        run()  # warm caches; also sizes the timings
+        other()
+        calls = max(1, round(2 * INTERLEAVE_TIMING_S / (time.perf_counter() - t0)))
+        seconds = ([], [])
+        for r in range(INTERLEAVE_ROUNDS):
+            for side in ((0, 1) if r % 2 == 0 else (1, 0)):
+                fn = (run, other)[side]
+                t0 = time.perf_counter()
+                for _ in range(calls):
+                    fn()
+                seconds[side].append((time.perf_counter() - t0) / calls)
+        us = 1e6 / (timed * n)
+        q1, ratio, q3 = statistics.quantiles([a / b for a, b in zip(*seconds)], n=4)
+        out[row] = {"us_per_patient": {label: round(statistics.median(s) * us, 3)
+                                       for label, s in zip(labels, seconds)},
+                    "ratio_median": round(ratio, 4), "ratio_q1": round(q1, 4),
+                    "ratio_q3": round(q3, 4), "rounds": INTERLEAVE_ROUNDS,
+                    "calls_per_timing": calls, "replicates_timed": timed}
+        print(f"engine {row}: {statistics.median(seconds[0]) * us:.3f} against "
+              f"{statistics.median(seconds[1]) * us:.3f} us/patient, ratio {ratio:.3f} "
+              f"[{q1:.3f}, {q3:.3f}]", flush=True)
     return out
 
 
@@ -252,17 +323,31 @@ def main(argv=None) -> int:
     ap.add_argument("--pr", type=int, required=True)
     ap.add_argument("--label", required=True, help="name of this side, e.g. parent or change")
     ap.add_argument("--src", type=Path, default=ROOT / "src")
+    ap.add_argument("--interleave", type=Path, default=None, metavar="OTHER_SRC",
+                    help="time only the gate engine rows, alternating with these sources")
+    ap.add_argument("--other-label", default="parent",
+                    help="name of the --interleave side (default: parent)")
     args = ap.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
 
-    entry = {"machine": machine(), "engine_n": ENGINE_N, "irls": irls_us_per_fit(),
-             "theory": theory_ms_per_call(), "theory_262144_rss": theory_peak_rss(args.src.resolve()),
-             "engine": engine_us_per_patient(), "gate_seconds": gate_seconds()}
     path = ROOT / f"BENCH_{args.pr}.json"
     doc = json.loads(path.read_text()) if path.exists() else {"pr": args.pr, "runs": {}}
-    doc["runs"][args.label] = entry
+    if args.interleave is not None:
+        entry = {"machine": machine(), "engine_n": ENGINE_N,
+                 "ratio": f"{args.label} / {args.other_label}",
+                 "engine": interleaved_engine(args.interleave.resolve(),
+                                              (args.label, args.other_label))}
+        doc["interleaved"] = entry
+        label = "interleaved"
+    else:
+        entry = {"machine": machine(), "engine_n": ENGINE_N, "irls": irls_us_per_fit(),
+                 "theory": theory_ms_per_call(),
+                 "theory_262144_rss": theory_peak_rss(args.src.resolve()),
+                 "engine": engine_us_per_patient(), "gate_seconds": gate_seconds()}
+        doc["runs"][args.label] = entry
+        label = args.label
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {path.name} [{args.label}]")
+    print(f"wrote {path.name} [{label}]")
     return 0
 
 

@@ -36,16 +36,22 @@ costs the same at patient 100 and patient 10000:
 * logistic arms on a finite covariate support keep binomial counts per
   support point.  The saturated model (as many support points as
   coefficients; intercept-only regression is the case of one) has the closed
-  form theta = S^-1 logit(s / t), evaluated for all replicates at once, with
-  the infinite logits of groups whose responses all agree clamped to the box;
+  form theta = S^-1 logit(s / t), with the infinite logits of groups whose
+  responses all agree clamped to the box.  A refit evaluates it on whole
+  arrays, for every cell of every replicate, instead of gathering the cells
+  the patient joined: a cell no patient joined gets back the bits it holds,
+  and only joined cells count a closed-form refit;
 * logistic arms on a continuous support keep their rows;
-* every other logistic refit (grouped counts off the saturated form, the
-  closed forms that come out NaN, and every rowwise refit) runs in one call
-  of the batched IRLS :func:`carasim.estimation.fit_logistic_cells` per
-  refit, which fits each (replicate, arm) cell as it would alone;
+* every other logistic refit (grouped counts off the saturated form, joined
+  cells whose closed form comes out NaN, and every rowwise refit) runs in
+  one call of the batched IRLS :func:`carasim.estimation.fit_logistic_cells`
+  per refit, which fits each (replicate, arm) cell as it would alone; a cell
+  no patient joined whose closed form is NaN keeps its estimate;
 * normal arms keep normal-equation accumulators, solved as one stack;
 * the shared-slope joint fit carries the inverse of its Gram matrix forward
-  by rank-one (Sherman-Morrison) updates once it is solvable.
+  by rank-one (Sherman-Morrison) updates once it is solvable; when every
+  replicate's is, and every solution is finite, a refit writes all the
+  estimates and flags without masks.
 
 Each (replicate, arm) cell counts its logistic refits (``REFIT_COUNTERS``):
 closed-form refits, IRLS fits and their iterations, and IRLS fits that
@@ -66,6 +72,7 @@ for bit.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -295,6 +302,13 @@ def burn_in_schedule(K: int, m0: int, rng: Generator) -> np.ndarray:
 
 _GROUPED, _ROWS, _LSE = 0, 1, 2
 
+
+def _any_rows(a: np.ndarray) -> np.ndarray:
+    """``a.any(axis=1)`` for a few columns, as an or of the columns: numpy
+    takes about 20 ns a row to reduce a short last axis."""
+    return functools.reduce(np.logical_or, a.T)
+
+
 # Logistic refits of each (replicate, arm), by kind: closed-form refits, IRLS
 # fits, their Newton iterations, and IRLS fits that stopped at the iteration
 # limit or on a singular Newton system.  Each is a per-cell array of
@@ -453,9 +467,10 @@ class _Lockstep:
 
     def _observe(self, x, six, arm, cell, y) -> None:
         if self.support is not None:
-            self.trials[cell, six] += 1.0
+            point = cell * self.trials.shape[1] + six  # flat: cheaper than [cell, six]
+            self.trials.reshape(-1)[point] += 1.0
         if self.grouped:
-            self.succ[cell, six] += y
+            self.succ.reshape(-1)[point] += y
         if self.counts is not None:
             at = self.counts[cell]
             self.counts[cell] = at + 1
@@ -469,7 +484,7 @@ class _Lockstep:
             self.gram[cell] += x[:, :, None] * x[:, None, :]
             self.moment[cell] += y[:, None] * x
         if self.joint:
-            eta = self.onehot[arm]
+            eta = self.onehot.take(arm, 0)  # cheaper than self.onehot[arm]
             eta[:, self.K:] = x[:, 1:]
             if self.n_formed < self.B:
                 # Once a replicate's inverse is formed only the inverse is
@@ -491,8 +506,8 @@ class _Lockstep:
         else:
             fits = (self._fit_grouped, self._fit_rows, self._fit_lse)
             if len(self.kinds) == 1:
-                # Splitting the cells by kind costs a tenth of a patient's
-                # time in a batch of one.
+                # Splitting the cells by kind costs about 5 us, a tenth of a
+                # two-point patient in a batch of one.
                 fits[self.kinds[0]](cells)
             else:
                 kinds = self.arm_kind[cells % self.K]
@@ -501,13 +516,13 @@ class _Lockstep:
                     if of_kind.size:
                         fits[kind](of_kind)
 
-    def _store(self, cells, theta, converged, projected, failed=None) -> None:
-        """Write refits; the cells flagged in ``failed`` (default: none) keep
-        their estimates.  (Selecting the failed cells when there are none
-        costs a tenth of a patient's time in a batch of one.)"""
+    def _store(self, cells, theta, converged, projected, failed) -> None:
+        """Write refits; the cells flagged in ``failed`` keep their estimates.
+        (Selecting the failed cells costs about 5 us even when there are none;
+        checking first costs about 1 us.)"""
         self.converged[cells] = converged
         self.projected[cells] = projected
-        if failed is not None and failed.any():
+        if failed.any():
             self.fail[cells[failed]] += 1
             cells, theta = cells[~failed], theta[~failed]
         self.theta[cells] = theta
@@ -527,33 +542,48 @@ class _Lockstep:
         self.irls_singular[cells] += fits.singular
 
     def _fit_grouped(self, cells) -> None:
-        t, s = self.trials[cells], self.succ[cells]
         if self.sat_inv is None:
-            self._irls_grouped(cells, t, s)
+            self._irls_grouped(cells)
             return
-        # A group without both outcomes has a logit of +-inf, which the box
-        # clamps.  A zero entry of S^-1 times such a logit gives NaN in the
-        # product; those cells are summed again without the zero terms.
-        # Where a coefficient is still NaN (inf - inf, or an empty group) the
-        # closed form says nothing, and IRLS fits the cell.
-        logit = np.log(s / (t - s))
+        # The closed form of every cell, on whole arrays: a cell no patient
+        # joined since its last refit gets back the bits it holds.  A group
+        # without both outcomes has a logit of +-inf, which the box clamps.  A
+        # zero entry of S^-1 times such a logit gives NaN in the product;
+        # those cells are summed again without the zero terms.
+        logit = np.log(self.succ / (self.trials - self.succ))
         raw = (self.sat_inv @ logit[:, :, None])[:, :, 0]
+        # The cells written (None: all); only grouped arms take the closed form.
+        keep = None if len(self.kinds) == 1 else np.tile(self.arm_kind == _GROUPED, self.B)
         if math.isnan(raw.sum()):  # some NaN, or +inf and -inf in the sum
-            nan = np.isnan(raw).any(axis=1)
+            nan = _any_rows(np.isnan(raw))
             terms = self.sat_inv * logit[nan][:, None, :]
             raw[nan] = np.where(self.sat_inv != 0.0, terms, 0.0).sum(axis=2)
-            nan = np.isnan(raw).any(axis=1)
+            nan = _any_rows(np.isnan(raw))
             if nan.any():
-                self._irls_grouped(cells[nan], t[nan], s[nan])
-                cells, raw = cells[~nan], raw[~nan]
-        val = np.minimum(np.maximum(raw, self.lo[cells]), self.hi[cells])
-        self._store(cells, val, True, np.any(val != raw, axis=1))
+                # Where a coefficient is still NaN (inf - inf, or an empty
+                # group) the closed form says nothing: IRLS fits the joined
+                # cells, and the others keep their estimates.
+                stale = nan[cells]
+                if stale.any():
+                    self._irls_grouped(cells[stale])
+                    cells = cells[~stale]
+                keep = ~nan if keep is None else keep & ~nan
+        val = np.minimum(np.maximum(raw, self.lo), self.hi)
+        projected = _any_rows(val != raw)
+        if keep is None:
+            self.theta[:] = val
+            self.converged[:] = True
+            self.projected[:] = projected
+        else:
+            np.copyto(self.theta, val, where=keep[:, None])
+            np.copyto(self.converged, True, where=keep)
+            np.copyto(self.projected, projected, where=keep)
         self.closed_form[cells] += 1
 
-    def _irls_grouped(self, cells, t, s) -> None:
-        """IRLS on the cells' counts (t, s) at the support points."""
-        self._irls(cells, np.tile(self.support, (cells.size, 1)), t.ravel(), s.ravel(),
-                   np.full(cells.size, self.support.shape[0]))
+    def _irls_grouped(self, cells) -> None:
+        """IRLS on the cells' counts at the support points."""
+        self._irls(cells, np.tile(self.support, (cells.size, 1)), self.trials[cells].ravel(),
+                   self.succ[cells].ravel(), np.full(cells.size, self.support.shape[0]))
 
     def _fit_rows(self, cells) -> None:
         # The rows of the refit cells, cell by cell, in one gather (a slice
@@ -584,13 +614,19 @@ class _Lockstep:
             self.formed[idx] = True
             self.n_formed += idx.size
         coef = (self.joint_inv @ self.joint_moment[:, :, None])[:, :, 0]
-        theta = coef[:, self.joint_cols]  # (B, K * d): arm k's row is (mu_k, slopes)
+        theta = coef.take(self.joint_cols, 1)  # (B, K * d): arm k's row is (mu_k, slopes)
         clipped = np.minimum(np.maximum(theta, self.lo.reshape(B, -1)), self.hi.reshape(B, -1))
+        projected = (clipped != theta).any(axis=1)
+        if self.n_formed == B and math.isfinite(coef.sum()):  # every fit stands: no masks
+            self.theta.reshape(B, -1)[:] = clipped
+            self.converged[:] = True
+            self.projected.reshape(B, K)[:] = projected[:, None]
+            return
         ok = self.formed & np.isfinite(coef).all(axis=1)
         self.theta.reshape(B, -1)[ok] = clipped[ok]
         # Every arm of a replicate shares its flags.
         self.converged.reshape(B, K)[:] = ok[:, None]
-        self.projected.reshape(B, K)[:] = (ok & (clipped != theta).any(axis=1))[:, None]
+        self.projected.reshape(B, K)[:] = (ok & projected)[:, None]
         self.fail.reshape(B, K)[~ok] += 1
 
 

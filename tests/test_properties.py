@@ -1,6 +1,7 @@
 """Property tests of the batched rule kernel, the limit theory and the lockstep engine."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -263,19 +264,54 @@ def _continuous_logit_d1_design():
                        box_lo=-3.0, box_hi=3.0), AllocationRule(kind="odds-ratio"), 8)
 
 
+def _sparse_saturated_design():
+    """Logistic arms saturated on three support points, one of probability
+    0.1: with m0 = 4 an arm's support group is often still empty after
+    burn-in, and an empty group leaves the closed form undefined."""
+    arm = ArmModel("logistic")
+    covariates = CovariateSpec.discrete([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]],
+                                        [0.6, 0.3, 0.1])
+    theta = np.array([[0.3, 0.5, -0.4], [-0.2, 0.1, 0.6]])
+    return (TrialModel(arms=(arm, arm), covariates=covariates, true_theta=theta,
+                       box_lo=-3.0, box_hi=3.0), AllocationRule(kind="odds-ratio"), 4)
+
+
+def _saturated_with_least_squares_design():
+    """Two logistic arms saturated on a two-point support beside a normal arm:
+    the closed form is written only to the grouped cells."""
+    arms = (ArmModel("normal-linear", 1.0), ArmModel("logistic"), ArmModel("logistic"))
+    covariates = CovariateSpec.discrete([[1.0, 0.0], [1.0, 1.0]], [0.7, 0.3])
+    theta = np.array([[0.5, -0.5], [1.2, 0.9], [-0.3, 1.5]])
+    return (TrialModel(arms=arms, covariates=covariates, true_theta=theta, box_lo=-3.0, box_hi=3.0),
+            AllocationRule(kind="exponential", T=1.0), 3)
+
+
 def _from_config(raw):
     cfg = parse_config(raw)
     return cfg.model, cfg.rule, cfg.m0
 
 
+def _rare_shared_slope_design():
+    """The shared-slope fixture with its second covariate coordinate at 1 with
+    probability 0.03 (0 otherwise): the joint Gram matrix stays singular until
+    that value turns up, at a different patient in each replicate."""
+    raw = bb_config(n=100, replicates=1, seed=0)
+    raw["model"]["covariates"]["coords"][2] = {"kind": "two-point", "a": 0.0, "b": 1.0,
+                                               "p_a": 0.97}
+    return _from_config(raw)
+
+
 DESIGNS = {
     "grouped-logit-intercept": lambda: _from_config(f1_config(n=100, replicates=1, seed=0)),
     "grouped-logit-saturated": lambda: _from_config(two_point_config(n=100, replicates=1, seed=0)),
+    "grouped-logit-sparse": _sparse_saturated_design,
+    "grouped-logit-with-least-squares": _saturated_with_least_squares_design,
     "least-squares": _lse_design,
     "least-squares-continuous": _continuous_lse_design,
     "row-logit-continuous": _continuous_logit_design,
     "row-logit-d1": _continuous_logit_d1_design,
     "shared-slope": lambda: _from_config(bb_config(n=100, replicates=1, seed=0)),
+    "shared-slope-rare": _rare_shared_slope_design,
 }
 _HISTORY_FIELDS = ("covariates", "support_idx", "arms", "probs", "responses", "theta_records",
                    "record_ms", "current_theta", "converged", "projected", "fit_failures")
@@ -344,3 +380,73 @@ def test_steps_reproduce_run_trial(name, seed, k, stride, extra):
     for _ in range(k):
         hist = step(hist, model, rule, streams)
     _assert_same_trial(hist, whole)
+
+
+@pytest.mark.parametrize("name", sorted(DESIGNS))
+def test_every_logistic_cell_refits_once_per_patient_after_burn_in(name):
+    """closed-form refits + IRLS fits of a logistic cell = its patients after
+    burn-in + 1 (the refit at the end of burn-in), batched and alone: a cell no
+    patient joined is not counted, even when its closed form is recomputed."""
+    model, rule, m0 = DESIGNS[name]()
+    logistic = np.array([a.family == "logistic" for a in model.arms])
+    n = model.K * m0 + 40
+    for seed in range(4):
+        seeds = [replicate_root(seed, i) for i in range(3)]
+        batch = run_trials(model, rule, n, m0, seeds)
+        for i, root in enumerate(seeds):
+            expected = np.where(logistic, batch.counts[i] - m0 + 1, 0)
+            alone = run_trial(model, rule, n, m0, root).refit_counts()
+            for counts in ({k: c[i] for k, c in batch.refit_counts.items()}, alone):
+                np.testing.assert_array_equal(counts["closed_form"] + counts["irls_fits"],
+                                              expected)
+
+
+@pytest.mark.parametrize("name", [name for name in sorted(DESIGNS)
+                                  if not DESIGNS[name]()[0].shared_slopes])
+def test_an_arm_no_patient_joined_keeps_its_estimate(name):
+    """After burn-in only the arm a patient joins is refit (the shared-slope
+    fit, left out here, refits every arm): the others keep their estimates bit
+    for bit, also where the closed form of every cell is recomputed."""
+    model, rule, m0 = DESIGNS[name]()
+    burn = model.K * m0
+    hist = run_trial(model, rule, burn + 80, m0, replicate_root(11, 0))
+    for m in range(burn, hist.n):
+        others = np.arange(model.K) != hist.arms[m]
+        np.testing.assert_array_equal(hist.theta_records[m][others],
+                                      hist.theta_records[m - 1][others])
+
+
+def test_sparse_saturated_design_falls_back_to_irls_where_a_group_is_empty():
+    """At a fixed seed the sparse design refits one arm by IRLS while its
+    other refits take the closed form, and an arm whose closed form is
+    undefined (an empty support group) keeps its estimate while the other arm
+    is refit."""
+    model, rule, m0 = DESIGNS["grouped-logit-sparse"]()
+    burn = model.K * m0
+    hist = run_trial(model, rule, burn + 80, m0, replicate_root(3, 0))
+    counts = hist.refit_counts()
+    assert counts["irls_fits"].sum() > 0 and counts["closed_form"].sum() > 0
+    assert np.isfinite(hist.theta_records).all()
+    undefined_and_idle = 0
+    for m in range(burn, hist.n):
+        for k in np.flatnonzero(np.arange(model.K) != hist.arms[m]):
+            seen = hist.support_idx[:m + 1][hist.arms[:m + 1] == k]
+            if np.bincount(seen, minlength=3).min() == 0:
+                undefined_and_idle += 1
+                np.testing.assert_array_equal(hist.theta_records[m][k],
+                                              hist.theta_records[m - 1][k])
+    assert undefined_and_idle > 0
+
+
+def test_shared_slope_batch_of_formed_and_unformed_replicates_is_each_alone():
+    """Replicates whose joint Gram matrices become solvable at different
+    patients share refits in which some are formed and some are not; each is
+    still bit for bit its trial alone, fit failures included."""
+    model, rule, m0 = DESIGNS["shared-slope-rare"]()
+    n = model.K * m0 + 60
+    seeds = [replicate_root(5, i) for i in range(8)]
+    batch = run_trials(model, rule, n, m0, seeds)
+    failures = [int(h.fit_failures[0]) for h in batch.histories]
+    assert min(failures) < max(failures)
+    for root, hist in zip(seeds, batch.histories):
+        _assert_same_trial(hist, run_trial(model, rule, n, m0, root))
