@@ -38,15 +38,17 @@ All work is single-threaded (one BLAS thread).
 
     python bench/gate_bench.py --pr N --label change --interleave OTHER_CHECKOUT/src
 
-times only the F1, two-point and bb engine rows, of both source trees in one
-process: the other tree's ``carasim`` package is loaded under the name
+times only the F1, two-point and bb engine rows and those of three variants
+of the two-point fixture (three and five logistic arms, and two logistic
+arms beside a normal arm; batches of 1, 8 and 256), of both source trees in
+one process: the other tree's ``carasim`` package is loaded under the name
 ``carasim_other`` (the package imports its own modules relatively).  Each of
 ``INTERLEAVE_ROUNDS`` rounds times every row once on each side, the side
 that goes first alternating between rounds, so that both sides see the same
 host speed; a row records each side's median microseconds per patient and
 the median and quartiles of the per-round ratios (this side over the
 other).  The rows go into ``BENCH_<pr>.json`` under ``interleaved``, with
-``--label`` and ``--other-label`` naming the two sides.
+``--label`` naming this side and ``parent`` the other.
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ CRITERIA = {2: "allocation-clt", 3: "estimator-clt", 4: "conditional-clt",
             6: "bb-closed-forms", 9: "consistency-rate"}
 BATCHES = (1, 8, 2000)
 LOGIT_BATCHES = (1, 10, 256)
+VARIANT_BATCHES = (1, 8, 256)
 ENGINE_N = 500
 SEQUENTIAL_CAP = 16
 ENGINE_REPEATS = 5  # batches of at most this many replicates are timed this many times
@@ -108,9 +111,26 @@ def gate_seconds() -> dict:
     return out
 
 
-def engine_rows(package: str = "carasim", logit: bool = True) -> dict:
+def two_point_variants(fixtures) -> dict:
+    """The two-point fixture with three and with five logistic arms, and with
+    two logistic arms beside a normal arm (exponential rule, T = 1)."""
+    logistic, normal = {"family": "logistic"}, {"family": "normal-linear", "dispersion": 1.0}
+    arms = {"three-arm": [logistic] * 3, "five-arm": [logistic] * 5,
+            "mixed": [normal, logistic, logistic]}
+    out = {}
+    for name, models in arms.items():
+        raw = fixtures.two_point_config(n=ENGINE_N, replicates=1, seed=fixtures.DEFAULT_SEED)
+        raw["model"].update(arms=models, box_lo=-3.0, box_hi=3.0, true_theta=[
+            [0.5 - 0.2 * k, -0.5 + 0.25 * k] for k in range(len(models))])
+        raw["rule"] = {"kind": "exponential", "T": 1.0}
+        out[name] = raw
+    return out
+
+
+def engine_rows(package: str = "carasim", interleaved: bool = False) -> dict:
     """Row name -> (run, replicates timed, patients per replicate) of the
-    engine rows, on the carasim package imported as ``package``."""
+    engine rows, on the carasim package imported as ``package``; the
+    interleaved rows replace ``continuous-logit`` by the two-point variants."""
     engine = importlib.import_module(f"{package}.engine")
     fixtures = importlib.import_module(f"{package}.fixtures")
     parse_config = importlib.import_module(f"{package}.harness").parse_config
@@ -119,7 +139,10 @@ def engine_rows(package: str = "carasim", logit: bool = True) -> dict:
             "bb": fixtures.bb_config}
     configs = {name: (parse_config(f(n=ENGINE_N, replicates=1, seed=fixtures.DEFAULT_SEED)),
                       BATCHES) for name, f in make.items()}
-    if logit:
+    if interleaved:
+        for name, raw in two_point_variants(fixtures).items():
+            configs[name] = (parse_config(raw), VARIANT_BATCHES)
+    else:
         sys.path.insert(0, str(ROOT / "perfbench"))
         from workloads import designs
 
@@ -170,11 +193,12 @@ def load_other(src: Path) -> str:
     return name
 
 
-def interleaved_engine(other_src: Path, labels: tuple[str, str]) -> dict:
-    """The F1, two-point and bb engine rows of this tree and of ``other_src``
-    (named by ``labels``), timed in alternating order round by round."""
-    sides = (engine_rows("carasim", logit=False),
-             engine_rows(load_other(other_src), logit=False))
+def interleaved_engine(other_src: Path, label: str) -> dict:
+    """The interleaved engine rows of this tree (named ``label``) and of
+    ``other_src`` (named ``parent``), timed in alternating order round by
+    round."""
+    sides = (engine_rows("carasim", interleaved=True),
+             engine_rows(load_other(other_src), interleaved=True))
     out = {}
     for row, (run, timed, n) in sides[0].items():
         other = sides[1][row][0]
@@ -193,7 +217,7 @@ def interleaved_engine(other_src: Path, labels: tuple[str, str]) -> dict:
         us = 1e6 / (timed * n)
         q1, ratio, q3 = statistics.quantiles([a / b for a, b in zip(*seconds)], n=4)
         out[row] = {"us_per_patient": {label: round(statistics.median(s) * us, 3)
-                                       for label, s in zip(labels, seconds)},
+                                       for name, s in zip((label, "parent"), seconds)},
                     "ratio_median": round(ratio, 4), "ratio_q1": round(q1, 4),
                     "ratio_q3": round(q3, 4), "rounds": INTERLEAVE_ROUNDS,
                     "calls_per_timing": calls, "replicates_timed": timed}
@@ -324,9 +348,7 @@ def main(argv=None) -> int:
     ap.add_argument("--label", required=True, help="name of this side, e.g. parent or change")
     ap.add_argument("--src", type=Path, default=ROOT / "src")
     ap.add_argument("--interleave", type=Path, default=None, metavar="OTHER_SRC",
-                    help="time only the gate engine rows, alternating with these sources")
-    ap.add_argument("--other-label", default="parent",
-                    help="name of the --interleave side (default: parent)")
+                    help="time only the engine rows, alternating with these sources")
     args = ap.parse_args(argv)
     sys.path.insert(0, str(args.src.resolve()))
 
@@ -334,9 +356,8 @@ def main(argv=None) -> int:
     doc = json.loads(path.read_text()) if path.exists() else {"pr": args.pr, "runs": {}}
     if args.interleave is not None:
         entry = {"machine": machine(), "engine_n": ENGINE_N,
-                 "ratio": f"{args.label} / {args.other_label}",
-                 "engine": interleaved_engine(args.interleave.resolve(),
-                                              (args.label, args.other_label))}
+                 "ratio": f"{args.label} / parent",
+                 "engine": interleaved_engine(args.interleave.resolve(), args.label)}
         doc["interleaved"] = entry
         label = "interleaved"
     else:

@@ -37,10 +37,13 @@ costs the same at patient 100 and patient 10000:
   support point.  The saturated model (as many support points as
   coefficients; intercept-only regression is the case of one) has the closed
   form theta = S^-1 logit(s / t), with the infinite logits of groups whose
-  responses all agree clamped to the box.  A refit evaluates it on whole
-  arrays, for every cell of every replicate, instead of gathering the cells
-  the patient joined: a cell no patient joined gets back the bits it holds,
-  and only joined cells count a closed-form refit;
+  responses all agree clamped to the box.  When both arms of a two-arm
+  design are such arms, a refit evaluates it on whole arrays, for every cell
+  of every replicate, instead of gathering the cells the patients joined: a
+  cell no patient joined gets back the bits it holds, and only joined cells
+  count a closed-form refit (with more arms, the K cells of each replicate
+  and the repairs of idle cells whose product is NaN cost more than the
+  gathers);
 * logistic arms on a continuous support keep their rows;
 * every other logistic refit (grouped counts off the saturated form, joined
   cells whose closed form comes out NaN, and every rowwise refit) runs in
@@ -545,15 +548,15 @@ class _Lockstep:
         if self.sat_inv is None:
             self._irls_grouped(cells)
             return
-        # The closed form of every cell, on whole arrays: a cell no patient
-        # joined since its last refit gets back the bits it holds.  A group
-        # without both outcomes has a logit of +-inf, which the box clamps.  A
-        # zero entry of S^-1 times such a logit gives NaN in the product;
-        # those cells are summed again without the zero terms.
-        logit = np.log(self.succ / (self.trials - self.succ))
+        # Every cell on whole arrays, or the joined cells (module docstring).
+        whole = len(self.kinds) == 1 and self.K == 2
+        rows = slice(None) if whole else cells
+        t, s = self.trials[rows], self.succ[rows]
+        # A group without both outcomes has a logit of +-inf, which the box
+        # clamps.  A zero entry of S^-1 times such a logit gives NaN in the
+        # product; those cells are summed again without the zero terms.
+        logit = np.log(s / (t - s))
         raw = (self.sat_inv @ logit[:, :, None])[:, :, 0]
-        # The cells written (None: all); only grouped arms take the closed form.
-        keep = None if len(self.kinds) == 1 else np.tile(self.arm_kind == _GROUPED, self.B)
         if math.isnan(raw.sum()):  # some NaN, or +inf and -inf in the sum
             nan = _any_rows(np.isnan(raw))
             terms = self.sat_inv * logit[nan][:, None, :]
@@ -563,21 +566,15 @@ class _Lockstep:
                 # Where a coefficient is still NaN (inf - inf, or an empty
                 # group) the closed form says nothing: IRLS fits the joined
                 # cells, and the others keep their estimates.
-                stale = nan[cells]
+                stale = nan[cells] if whole else nan
                 if stale.any():
                     self._irls_grouped(cells[stale])
                     cells = cells[~stale]
-                keep = ~nan if keep is None else keep & ~nan
-        val = np.minimum(np.maximum(raw, self.lo), self.hi)
-        projected = _any_rows(val != raw)
-        if keep is None:
-            self.theta[:] = val
-            self.converged[:] = True
-            self.projected[:] = projected
-        else:
-            np.copyto(self.theta, val, where=keep[:, None])
-            np.copyto(self.converged, True, where=keep)
-            np.copyto(self.projected, projected, where=keep)
+                rows, raw = np.arange(self.theta.shape[0])[rows][~nan], raw[~nan]
+        val = np.minimum(np.maximum(raw, self.lo[rows]), self.hi[rows])
+        self.theta[rows] = val
+        self.converged[rows] = True
+        self.projected[rows] = _any_rows(val != raw)
         self.closed_form[cells] += 1
 
     def _irls_grouped(self, cells) -> None:

@@ -276,6 +276,16 @@ def _sparse_saturated_design():
                        box_lo=-3.0, box_hi=3.0), AllocationRule(kind="odds-ratio"), 4)
 
 
+def _saturated_three_arm_design():
+    """Three logistic arms saturated on a two-point support: the closed form
+    is evaluated on the joined cells only."""
+    arm = ArmModel("logistic")
+    covariates = CovariateSpec.discrete([[1.0, 0.0], [1.0, 1.0]], [0.6, 0.4])
+    theta = np.array([[0.5, -0.5], [0.0, 0.4], [-0.3, 0.8]])
+    return (TrialModel(arms=(arm, arm, arm), covariates=covariates, true_theta=theta,
+                       box_lo=-3.0, box_hi=3.0), AllocationRule(kind="exponential", T=1.0), 3)
+
+
 def _saturated_with_least_squares_design():
     """Two logistic arms saturated on a two-point support beside a normal arm:
     the closed form is written only to the grouped cells."""
@@ -305,6 +315,7 @@ DESIGNS = {
     "grouped-logit-intercept": lambda: _from_config(f1_config(n=100, replicates=1, seed=0)),
     "grouped-logit-saturated": lambda: _from_config(two_point_config(n=100, replicates=1, seed=0)),
     "grouped-logit-sparse": _sparse_saturated_design,
+    "grouped-logit-three-arms": _saturated_three_arm_design,
     "grouped-logit-with-least-squares": _saturated_with_least_squares_design,
     "least-squares": _lse_design,
     "least-squares-continuous": _continuous_lse_design,
@@ -436,6 +447,33 @@ def test_sparse_saturated_design_falls_back_to_irls_where_a_group_is_empty():
                 np.testing.assert_array_equal(hist.theta_records[m][k],
                                               hist.theta_records[m - 1][k])
     assert undefined_and_idle > 0
+
+
+@pytest.mark.parametrize("name", ["grouped-logit-saturated", "grouped-logit-three-arms"])
+def test_a_saturated_refit_takes_irls_only_where_the_closed_form_is_undefined(name):
+    """On the support (1, 0), (1, 1) the closed form is (l0, l1 - l0) with
+    l = logit(s / t) per group: undefined where a group is empty or both
+    logits are the same infinity, and taken at every other refit, infinite
+    logits included.  Two arms evaluate every cell, three gather the joined
+    ones."""
+    model, rule, m0 = DESIGNS[name]()
+    K, burn = model.K, model.K * m0
+    batch = run_trials(model, rule, burn + 60, m0, [replicate_root(3, i) for i in range(4)])
+    closed_with_infinite_logit = 0
+    for hist, irls_fits in zip(batch.histories, batch.refit_counts["irls_fits"]):
+        t, s, expected = np.zeros((K, 2)), np.zeros((K, 2)), np.zeros(K, dtype=int)
+        for m, (k, group) in enumerate(zip(hist.arms, hist.support_idx), start=1):
+            t[k, group] += 1
+            s[k, group] += hist.responses[m - 1]
+            for cell in range(K) if m == burn else [k] if m > burn else []:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    logit = np.log(s[cell] / (t[cell] - s[cell]))
+                undefined = (t[cell] == 0).any() or (np.isinf(logit).all()
+                                                     and logit[0] == logit[1])
+                expected[cell] += undefined
+                closed_with_infinite_logit += np.isinf(logit).any() and not undefined
+        np.testing.assert_array_equal(irls_fits, expected)
+    assert closed_with_infinite_logit > 0
 
 
 def test_shared_slope_batch_of_formed_and_unformed_replicates_is_each_alone():
