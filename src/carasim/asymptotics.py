@@ -7,16 +7,19 @@ Notation (row-vector coefficients; K arms, covariate dimension d):
   ``j*d + l`` differentiates in theta_{j,l}.
 * ``I_k = E[pi_k(theta, xi) I_k(theta_k | xi)]`` is the design-weighted
   Fisher information of arm k and ``V_k = I_k^{-1}`` the asymptotic
-  covariance of sqrt(n) (theta_hat_k - theta_k) for the maximum-likelihood
-  fit.
+  covariance of sqrt(n) (theta_hat_k - theta_k) when arm k is fitted alone.
+* ``C`` is the asymptotic covariance of sqrt(n) (theta_hat - theta), in the
+  column order of ``dg``: the inverse of the joint information, which adds
+  every I_k at its arm's parameter columns (``TrialModel.param_cols``).
+  Arms fitted one by one give C = blockdiag(V_k); shared slopes couple them.
 * sqrt(n) (N_n / n - v) is asymptotically normal with covariance
   ``Sigma = Sigma1 + 2 Sigma2`` where ``Sigma1 = diag(v) - v'v`` and
-  ``Sigma2 = sum_k (dg_k) V_k (dg_k)'`` with ``dg_k`` the K-by-d block of
-  ``dg`` for arm k's coefficients.
+  ``Sigma2 = dg C dg'``: the allocation CLT needs only the covariance of the
+  whole theta_hat, however the arms share parameters.
 * Conditionally on covariate value x with positive mass,
   sqrt(N_n(x)) (N_{n|x} / N_n(x) - pi(theta, x)) is asymptotically normal
-  with covariance ``diag(pi) - pi'pi + 2 P(xi = x) sum_k (d pi / d theta_k)
-  V_k (d pi / d theta_k)'``.
+  with covariance ``diag(pi) - pi'pi + 2 P(xi = x) (d pi / d theta) C
+  (d pi / d theta)'``.
 
 Each of these is one weighted sum over a set of covariate nodes of pi,
 d pi / d theta and the arms' GLM weights (:func:`carasim.model.glm_weights`):
@@ -177,8 +180,9 @@ class ConditionalCovariance:
 class TheoryReport:
     v: np.ndarray
     dg: np.ndarray
-    info: np.ndarray
-    V: np.ndarray
+    info: np.ndarray  # (K, d, d)
+    V: np.ndarray  # (K, d, d)
+    theta_cov: np.ndarray  # (K*d, K*d): C
     sigma1: np.ndarray
     sigma2: np.ndarray
     sigma: np.ndarray
@@ -221,19 +225,28 @@ def _invert(info: np.ndarray, what: str) -> np.ndarray:
     return np.linalg.inv(info)
 
 
-def _allocation_covariance(p: np.ndarray, dg: np.ndarray, V: np.ndarray,
-                           c: float = 1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(diag(p) - p'p, sum_k B_k V_k B_k', the first plus 2c times the second).
+def _theta_covariance(model: TrialModel, info: np.ndarray, inverse=np.linalg.inv) -> np.ndarray:
+    """C, (K*d, K*d): each I_k (K, d, d) is added into the joint information at
+    arm k's parameter columns, which is positive definite whenever every I_k
+    is; its inverse is read back at every coefficient's column."""
+    cols = model.param_cols
+    P = int(cols.max()) + 1
+    joint = np.zeros((P, P))
+    np.add.at(joint, (cols[:, :, None], cols[:, None, :]), info)
+    flat = cols.ravel()
+    return inverse(joint).take(flat, 0).take(flat, 1)  # cheaper than np.ix_ indexing
 
-    B_k is the K-by-d block of ``dg`` holding the derivatives in arm k's
-    coefficients.  With p = v, dg = E[d pi / d theta] and c = 1 this is
-    (Sigma1, Sigma2, Sigma); at one covariate value x it is Sigma|x with
-    p = pi(theta, x), dg = d pi / d theta at x and c = P(xi = x).
+
+def _allocation_covariance(p: np.ndarray, dg: np.ndarray, C: np.ndarray,
+                           c: float = 1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(diag(p) - p'p, dg C dg', the first plus 2c times the second).
+
+    With p = v, dg = E[d pi / d theta] and c = 1 this is (Sigma1, Sigma2,
+    Sigma); at one covariate value x it is Sigma|x with p = pi(theta, x),
+    dg = d pi / d theta at x and c = P(xi = x).
     """
-    K, d = V.shape[:2]
-    B = dg.reshape(K, K, d)
     s1 = np.diag(p) - np.outer(p, p)
-    s2 = np.einsum("akl,klm,bkm->ab", B, V, B)
+    s2 = dg @ C @ dg.T
     return s1, s2, s1 + 2.0 * c * s2
 
 
@@ -248,14 +261,14 @@ def _points(x_list, d: int) -> np.ndarray:
 
 
 def _conditionals(rule: AllocationRule, theta: np.ndarray, X: np.ndarray,
-                  masses: list[float], V: np.ndarray) -> tuple[ConditionalCovariance, ...]:
+                  masses: list[float], C: np.ndarray) -> tuple[ConditionalCovariance, ...]:
     if not X.shape[0]:
         return ()  # the rule kernel costs as much on no rows as on a few
     pis = probabilities(rule, theta, X)
     jacs = jacobian(rule, theta, X)
     return tuple(
         ConditionalCovariance(x=X[q], mass=masses[q], pi=pis[q],
-                              sigma=_allocation_covariance(pis[q], jacs[q], V, masses[q])[2])
+                              sigma=_allocation_covariance(pis[q], jacs[q], C, masses[q])[2])
         for q in range(X.shape[0]))
 
 
@@ -288,8 +301,9 @@ def theory_report(model: TrialModel, rule: AllocationRule, x_list=(),
     """All limit-theorem quantities for one (model, rule) pair.
 
     One pass over the expectation nodes gives v = E[pi], dg = E[d pi / d
-    theta] and the design-weighted information; Sigma and every Sigma|x in
-    ``x_list`` are composed from them.  Each x must have positive mass.
+    theta] and the design-weighted information, from which V_k and C
+    follow; Sigma and every Sigma|x in ``x_list`` are composed from them.
+    Each x must have positive mass.
     """
     pts, w, method = expectation_nodes(model.covariates, opts)
     theta = model.true_theta
@@ -297,9 +311,10 @@ def theory_report(model: TrialModel, rule: AllocationRule, x_list=(),
     v = w @ pi
     dg = jacobian(rule, theta, pts, weights=w)
     info, V = _design_information(model, pts, w, pi)
+    C = _theta_covariance(model, info)
     if method.kind == "monte-carlo":
         method = replace(method, stderr=_mc_stderr(pi, w))
-    s1, s2, total = _allocation_covariance(v, dg, V)
+    s1, s2, total = _allocation_covariance(v, dg, C)
     _assert_psd(("Sigma1", "Sigma2", "Sigma"), np.array([s1, s2, total]))
 
     X = _points(x_list, model.d)
@@ -308,10 +323,10 @@ def theory_report(model: TrialModel, rule: AllocationRule, x_list=(),
         if mass <= 0.0:
             raise ZeroMassCovariateError(
                 f"covariate value {x.tolist()} has zero probability mass")
-    conditional = _conditionals(rule, theta, X, masses, V)
+    conditional = _conditionals(rule, theta, X, masses, C)
     _assert_psd([f"Sigma|x={c.x.tolist()}" for c in conditional],
                 np.array([c.sigma for c in conditional]))
-    return TheoryReport(v=v, dg=dg, info=info, V=V, sigma1=s1, sigma2=s2, sigma=total,
+    return TheoryReport(v=v, dg=dg, info=info, V=V, theta_cov=C, sigma1=s1, sigma2=s2, sigma=total,
                         conditional=conditional, method=method)
 
 
@@ -348,6 +363,7 @@ class PluginReport:
     counts: np.ndarray  # (K,)
     info_hat: np.ndarray  # (K, d, d)
     V_hat: np.ndarray  # (K, d, d)
+    theta_cov_hat: np.ndarray  # (K*d, K*d)
     dg_hat: np.ndarray  # (K, K*d)
     sigma1_hat: np.ndarray
     sigma2_hat: np.ndarray
@@ -361,9 +377,9 @@ def plugin_estimates(history: TrialHistory, model: TrialModel, rule: AllocationR
     """Sample analogues of the theory report from one realised trial.
 
     Expectations become averages over the n observed covariates, the true
-    coefficients are replaced by the final estimates, and V_k inverts the
-    sample information.  The averages run over the covariate support points,
-    weighted by their counts, when the history records them, else over the
+    coefficients are replaced by the final estimates, and V_k and C invert
+    the sample information (pseudo-inverses, with a warning naming each
+    singular arm, when any arm's is singular).  The averages run over the covariate support points, weighted by their counts, when the history records them, else over the
     observed rows.  Every arm's dispersion is the model's, as in the theory
     report.  Positive semidefiniteness is only warned about here, never
     enforced.
@@ -400,15 +416,17 @@ def plugin_estimates(history: TrialHistory, model: TrialModel, rule: AllocationR
     dg_hat = jacobian(rule, theta, nodes, weights=arm_node.sum(axis=1) / n)
     info_hat = _fisher_gram(model, theta, nodes, arm_node / n, phi)
 
-    V_hat = np.empty_like(info_hat)
-    for k in range(K):
-        try:
-            V_hat[k] = np.linalg.inv(info_hat[k])
-        except np.linalg.LinAlgError:
-            warnings.append(f"sample information for arm {k + 1} is singular; used pseudo-inverse")
-            V_hat[k] = np.linalg.pinv(info_hat[k])
+    inverse = np.linalg.inv
+    try:
+        V_hat = inverse(info_hat)
+    except np.linalg.LinAlgError:
+        inverse = np.linalg.pinv
+        V_hat = inverse(info_hat)
+        warnings += [f"sample information for arm {k + 1} is singular; used pseudo-inverse"
+                     for k in np.flatnonzero(np.linalg.matrix_rank(info_hat) < d)]
+    C_hat = _theta_covariance(model, info_hat, inverse)
 
-    sigma1_hat, sigma2_hat, sigma_hat = _allocation_covariance(counts / n, dg_hat, V_hat)
+    sigma1_hat, sigma2_hat, sigma_hat = _allocation_covariance(counts / n, dg_hat, C_hat)
 
     xs = _points(x_list, d)
     masses = [float(np.all(X == x, axis=1).sum()) / n for x in xs]
@@ -416,7 +434,7 @@ def plugin_estimates(history: TrialHistory, model: TrialModel, rule: AllocationR
         if mass == 0.0:
             raise ZeroMassCovariateError(
                 f"covariate value {x.tolist()} never occurred in the history")
-    conditional = _conditionals(rule, theta, xs, masses, V_hat)
+    conditional = _conditionals(rule, theta, xs, masses, C_hat)
 
     names = ["Sigma1_hat", "Sigma_hat"] + [f"Sigma_hat|x={c.x.tolist()}" for c in conditional]
     mats = np.array([sigma1_hat, sigma_hat] + [c.sigma for c in conditional])
@@ -424,8 +442,8 @@ def plugin_estimates(history: TrialHistory, model: TrialModel, rule: AllocationR
                  for name, lo in _negative_eigenvalues(names, mats)]
 
     return PluginReport(theta_hat=theta, counts=counts, info_hat=info_hat, V_hat=V_hat,
-                        dg_hat=dg_hat, sigma1_hat=sigma1_hat, sigma2_hat=sigma2_hat,
-                        sigma_hat=sigma_hat,
+                        theta_cov_hat=C_hat, dg_hat=dg_hat, sigma1_hat=sigma1_hat,
+                        sigma2_hat=sigma2_hat, sigma_hat=sigma_hat,
                         conditional=conditional, warnings=tuple(warnings))
 
 

@@ -104,7 +104,7 @@ def _print_summary(payload: dict) -> None:
     print(f"target allocation v: {_fmt_matrix(theory['v'])}")
     print(f"allocation deviation mean: {_fmt_matrix(emp['alloc_dev_mean'])}")
     print(f"allocation variance / Sigma diagonal: {_fmt_matrix(emp['var_ratio_alloc'])}")
-    print(f"estimator variance / V diagonal:\n{_fmt_matrix(emp['var_ratio_theta'])}")
+    print(f"estimator variance / theta_hat covariance diagonal:\n{_fmt_matrix(emp['var_ratio_theta'])}")
     for cond in emp["conditional"]:
         x = _fmt_matrix(cond["x"])
         print(f"conditional at x = {x}: mass in {cond['replicates_with_mass']} replicates, "

@@ -30,8 +30,10 @@ each replicate's own row with the same floating-point steps whatever B is,
 so replicate i of a batch is bit for bit ``run_trial`` with replicate i's
 seed.
 
-Estimates are refreshed incrementally from sufficient statistics, so a refit
-costs the same at patient 100 and patient 10000:
+Grouped, least-squares and joint refits run on sufficient statistics, so they
+cost the same at patient 100 and patient 10000.  A rowwise logistic arm (no
+finite covariate support) has none: each refit runs IRLS over all of the
+arm's rows, so its cost grows with the arm and a trial's with n squared:
 
 * logistic arms on a finite covariate support keep binomial counts per
   support point.  The saturated model (as many support points as
@@ -382,7 +384,9 @@ class _Lockstep:
             self.gram = np.zeros((C, d, d))
             self.moment = np.zeros((C, d))
         if self.joint:
-            P = K + d - 1
+            # Coefficients of the joint fit that make up theta, row by row.
+            self.joint_cols = model.param_cols.ravel()
+            P = int(self.joint_cols.max()) + 1
             self.joint_gram = np.zeros((B, P, P))
             self.joint_moment = np.zeros((B, P))
             # Zero until formed, so that the rank-one updates leave it zero.
@@ -390,8 +394,6 @@ class _Lockstep:
             self.formed = np.zeros(B, dtype=bool)
             self.n_formed = 0
             self.onehot = np.eye(K, P)  # arm indicators of the joint design row
-            # Coefficients of the joint fit that make up theta, row by row.
-            self.joint_cols = np.array([[k] + list(range(K, P)) for k in range(K)]).ravel()
 
         # With as many support points as coefficients (intercept-only
         # logistic regression is the case of one) the model is saturated: the

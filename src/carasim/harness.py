@@ -30,7 +30,6 @@ import numpy as np
 from . import __version__, fixtures
 from .allocation import KIND_PARAMS, AllocationRule, check_rule
 from .asymptotics import (
-    SingularInformationError,
     TheoryReport,
     bb_closed_forms,
     iid_mle_covariance,
@@ -343,7 +342,6 @@ class ReplicationSummary:
     cond_valid: np.ndarray  # (nx,)
     var_ratio_alloc: np.ndarray  # (K,)
     var_ratio_theta: np.ndarray  # (K, d)
-    var_ratio_basis: str  # where the limit variances of the ratios come from
     plugins: PluginAggregates | None
     config: dict
 
@@ -462,9 +460,8 @@ def run_replications(config: ExperimentConfig, workers: int | None = None) -> Re
     Replicate ``i`` always uses the stream rooted at ``(master seed, i)``, so
     the summary is identical for any worker count.  Per-replicate failures
     are recorded and skipped in the aggregates; the run continues.  The
-    empirical variances are scored against the theory report's Sigma and
-    V, except for shared-slope designs, whose limits the per-arm theory does
-    not give (see :func:`_variance_targets`).  Every trial refits its
+    empirical variances are scored against the diagonals of the theory
+    report's Sigma and theta_cov.  Every trial refits its
     estimates after each patient, and with ``replication.plugins`` each
     replicate's plug-in estimates use the model's dispersions, as the
     theory does.
@@ -518,11 +515,8 @@ def run_replications(config: ExperimentConfig, workers: int | None = None) -> Re
         cond_dev_mean[q] = dev.mean(axis=0)
         cond_dev_cov[q] = _sample_cov(dev)
 
-    alloc_var, theta_var, basis = _variance_targets(model, rule, theory)
-    var_ratio_alloc = np.where(alloc_var > 0, np.diag(alloc_dev_cov)
-                               / np.where(alloc_var > 0, alloc_var, 1.0), np.nan)
-    var_ratio_theta = np.where(theta_var > 0, np.diag(theta_dev_cov).reshape(K, d)
-                               / np.where(theta_var > 0, theta_var, 1.0), np.nan)
+    var_ratio_alloc = np.diag(alloc_dev_cov) / np.diag(theory.sigma)
+    var_ratio_theta = (np.diag(theta_dev_cov) / np.diag(theory.theta_cov)).reshape(K, d)
 
     plugins = None
     if config.plugins:
@@ -551,33 +545,7 @@ def run_replications(config: ExperimentConfig, workers: int | None = None) -> Re
         theta_dev_mean=theta_dev_mean, theta_dev_cov=theta_dev_cov,
         cond_dev_mean=cond_dev_mean, cond_dev_cov=cond_dev_cov, cond_valid=cond_valid,
         var_ratio_alloc=var_ratio_alloc, var_ratio_theta=var_ratio_theta,
-        var_ratio_basis=basis, plugins=plugins, config=config.raw)
-
-
-def _variance_targets(model: TrialModel, rule: AllocationRule,
-                      theory: TheoryReport) -> tuple[np.ndarray, np.ndarray, str]:
-    """Limit variances of sqrt(n) (N_{n,k}/n - v_k), (K,), and of
-    sqrt(n) (theta_hat - theta), (K, d), with a note on where they come from.
-
-    The theory report's V_k and Sigma are those of per-arm fits.  A
-    shared-slope design fits its slopes jointly, so its targets come from
-    :func:`carasim.asymptotics.bb_closed_forms` (Var N_{n,2} = Var N_{n,1},
-    intercepts from mu_cov, every arm's slopes from beta_cov) where those
-    apply, and are NaN where they do not.
-    """
-    K, d = model.K, model.d
-    if not model.shared_slopes:
-        return (np.diag(theory.sigma), np.array([np.diag(V) for V in theory.V]),
-                "theory: Sigma and V_k of the theory report")
-    try:
-        bb = bb_closed_forms(model, rule)
-    except (ValueError, SingularInformationError) as exc:
-        return (np.full(K, np.nan), np.full((K, d), np.nan),
-                f"none: the per-arm theory does not apply to shared slopes, and the closed forms "
-                f"do not apply here ({exc})")
-    theta_var = np.column_stack([np.diag(bb.mu_cov), np.tile(np.diag(bb.beta_cov), (K, 1))])
-    return (np.full(K, bb.alloc_var), theta_var,
-            "bb-closed-forms: shared slopes, limits from bb_closed_forms")
+        plugins=plugins, config=config.raw)
 
 
 # ---------------------------------------------------------------------------
@@ -599,6 +567,7 @@ def theory_payload(t: TheoryReport) -> dict:
         "dg": _mat(t.dg),
         "info": _mat(t.info),
         "V": _mat(t.V),
+        "theta_cov": _mat(t.theta_cov),
         "sigma1": _mat(t.sigma1),
         "sigma2": _mat(t.sigma2),
         "sigma": _mat(t.sigma),
@@ -630,7 +599,6 @@ def summary_payload(s: ReplicationSummary) -> dict:
             "theta_dev_cov": _mat(s.theta_dev_cov),
             "var_ratio_alloc": _mat(s.var_ratio_alloc),
             "var_ratio_theta": _mat(s.var_ratio_theta),
-            "var_ratio_basis": s.var_ratio_basis,
             "conditional": [
                 {"x": _mat(s.x_list[q]), "replicates_with_mass": int(s.cond_valid[q]),
                  "dev_mean": _mat(s.cond_dev_mean[q]), "dev_cov": _mat(s.cond_dev_cov[q])}

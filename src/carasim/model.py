@@ -417,3 +417,14 @@ class TrialModel:
     def d(self) -> int:
         return self.covariates.d
 
+    @property
+    def param_cols(self) -> np.ndarray:
+        """Column of each coefficient theta_{k,l} in the fitted parameter
+        vector, a (K, d) integer array: ``arange(K * d).reshape(K, d)`` when
+        arms are fitted one by one; with shared slopes, arm k's intercept is
+        parameter k and every arm's slope l is parameter K + l - 1."""
+        K, d = self.K, self.d
+        if self.shared_slopes:
+            return np.column_stack([np.arange(K), np.tile(np.arange(K, K + d - 1), (K, 1))])
+        return np.arange(K * d).reshape(K, d)
+

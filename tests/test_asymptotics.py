@@ -12,6 +12,7 @@ from carasim.asymptotics import (
     TheoryOptions,
     ZeroMassCovariateError,
     bb_closed_forms,
+    expectation_nodes,
     iid_mle_covariance,
     info_matrices,
     lse_sandwich,
@@ -405,7 +406,7 @@ def test_singular_sample_information_warns_and_uses_pseudo_inverse():
                        true_theta=np.zeros((2, 2)), box_lo=-4.0, box_hi=4.0)
     rep = plugin_estimates(hist, model, AllocationRule(kind="odds-ratio"))
     assert any("arm 2" in w for w in rep.warnings)
-    assert np.all(np.isfinite(rep.V_hat))
+    assert np.all(np.isfinite(rep.V_hat)) and np.all(np.isfinite(rep.theta_cov_hat))
 
 
 def test_plugin_requires_a_non_empty_history():
@@ -430,6 +431,79 @@ def test_plugin_rejects_a_history_that_does_not_fit_the_model():
     with pytest.raises(ValueError, match=r"history\.current_theta has shape \(4,\), "
                                          r"expected \(K, d\) = \(2, 2\)"):
         plugin_estimates(misshapen, model, rule)
+
+
+# ---------------------------------------------------------------------------
+# Shared slopes: the covariance of the whole theta_hat from the joint design
+# ---------------------------------------------------------------------------
+
+
+def _shared_slope_model(K, coords, mu, slopes, sigma2=1.5):
+    arm = ArmModel(family="normal-linear", dispersion=sigma2)
+    theta = np.column_stack([mu, np.tile(slopes, (K, 1))])
+    return TrialModel(arms=(arm,) * K, covariates=CovariateSpec.product(coords, intercept=True),
+                      true_theta=theta, box_lo=-5.0, box_hi=5.0, shared_slopes=True)
+
+
+def _joint_covariance(model, X, pi, w):
+    """sigma^2 (sum_n w_n sum_k pi_k eta_k eta_k')^{-1}, read at each theta_{k,l}.
+
+    eta_k(x) is arm k's row of the joint design: the indicator of arm k's
+    intercept, then the non-intercept coordinates of x in the slope columns."""
+    K, d = model.K, model.d
+    eta = np.zeros((X.shape[0], K, K + d - 1))
+    eta[:, np.arange(K), np.arange(K)] = 1.0
+    eta[:, :, K:] = X[:, None, 1:]
+    M = np.einsum("n,nk,nkp,nkq->pq", w, pi, eta, eta)
+    cols = [k if l == 0 else K + l - 1 for k in range(K) for l in range(d)]
+    return model.arms[0].dispersion * np.linalg.inv(M)[np.ix_(cols, cols)]
+
+
+def _assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("K, coords, rule, x_list", [
+    (3, [TwoPoint(0.0, 1.0, 0.4), TwoPoint(-1.0, 2.0, 0.7)],
+     AllocationRule(kind="exponential", T=1.3), [[1.0, 1.0, -1.0]]),
+    (2, [Uniform(0.0, 2.0), TwoPoint(-1.0, 1.0, 0.3)],
+     AllocationRule(kind="covariate-free-normal", T=0.6), []),
+])
+def test_shared_slope_theory_inverts_the_joint_design_information(K, coords, rule, x_list):
+    model = _shared_slope_model(K, coords, mu=np.linspace(0.4, -0.3, K), slopes=[0.8, -0.5])
+    rep = theory_report(model, rule, x_list=x_list)
+    pts, w, _ = expectation_nodes(model.covariates)
+    theta = model.true_theta
+    C = _joint_covariance(model, pts, probabilities(rule, theta, pts), w)
+    _assert_close(rep.theta_cov, C)
+    dg = jacobian(rule, theta, pts, weights=w)
+    _assert_close(rep.sigma2, dg @ C @ dg.T)
+    for cond in rep.conditional:
+        jac = jacobian(rule, theta, cond.x)
+        pi = probabilities(rule, theta, cond.x)
+        _assert_close(cond.sigma, np.diag(pi) - np.outer(pi, pi) + 2.0 * cond.mass * jac @ C @ jac.T)
+    # The per-arm blocks keep their meaning.
+    for k in range(K):
+        np.testing.assert_allclose(rep.V[k] @ rep.info[k], np.eye(model.d), atol=1e-12)
+
+
+def test_shared_slope_plugins_invert_the_sample_joint_information():
+    model = _shared_slope_model(3, [TwoPoint(0.0, 1.0, 0.4), Uniform(-1.0, 2.0)],
+                                mu=[0.4, 0.0, -0.3], slopes=[0.8, -0.5])
+    rule = AllocationRule(kind="exponential", T=1.3)
+    rng = np.random.default_rng(3)
+    n = 300
+    X = model.covariates.sample_batch(rng, n)
+    arms = rng.integers(0, 3, n)
+    y = np.sum(X * model.true_theta[arms], axis=1) + rng.normal(0.0, 1.2, n)
+    theta_hat = model.true_theta + np.column_stack([rng.normal(0.0, 0.1, 3), np.zeros((3, 2))])
+    hist = TrialHistory.from_arrays(X, arms, y, K=3, current_theta=theta_hat)
+    rep = plugin_estimates(hist, model, rule)
+    C = _joint_covariance(model, X, np.eye(3)[arms], np.full(n, 1.0 / n))
+    _assert_close(rep.theta_cov_hat, C)
+    dg = jacobian(rule, theta_hat, X, weights=np.full(n, 1.0 / n))
+    _assert_close(rep.sigma2_hat, dg @ C @ dg.T)
+    assert rep.warnings == ()
 
 
 # ---------------------------------------------------------------------------

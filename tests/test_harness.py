@@ -379,7 +379,6 @@ def test_shared_slope_variance_ratios_use_the_closed_forms():
     cfg = parse_config(bb_config(n=500, replicates=200, seed=DEFAULT_SEED))
     s = run_replications(cfg)
     bb = bb_closed_forms(cfg.model, cfg.rule)
-    assert s.var_ratio_basis.startswith("bb-closed-forms")
     np.testing.assert_allclose(s.var_ratio_alloc, np.diag(s.alloc_dev_cov) / bb.alloc_var,
                                rtol=1e-14)
     np.testing.assert_allclose(s.var_ratio_theta[:, 0], np.diag(s.theta_dev_cov)[::3]
@@ -392,13 +391,19 @@ def test_shared_slope_variance_ratios_use_the_closed_forms():
     assert lo <= s.var_ratio_alloc[0] <= hi
 
 
-def test_shared_slope_design_without_closed_forms_gets_no_variance_ratios():
+def test_shared_slope_design_without_closed_forms_gets_variance_ratios_from_the_theory():
+    # The closed forms do not cover the odds-ratio rule; the ratios divide by
+    # the theory report's Sigma and theta_cov all the same.
     raw = bb_config(n=60, replicates=3, seed=1)
     raw["rule"] = {"kind": "odds-ratio"}
     s = run_replications(parse_config(raw))
-    assert s.var_ratio_basis.startswith("none:")
-    assert np.all(np.isnan(s.var_ratio_alloc)) and np.all(np.isnan(s.var_ratio_theta))
-    assert "covariate-free normal rule" in json.loads(report_json_bytes(s))["empirical"]["var_ratio_basis"]
+    assert np.all(np.isfinite(s.var_ratio_alloc)) and np.all(np.isfinite(s.var_ratio_theta))
+    np.testing.assert_array_equal(s.var_ratio_alloc, np.diag(s.alloc_dev_cov) / np.diag(s.theory.sigma))
+    np.testing.assert_array_equal(s.var_ratio_theta.ravel(),
+                                  np.diag(s.theta_dev_cov) / np.diag(s.theory.theta_cov))
+    empirical = json.loads(report_json_bytes(s))["empirical"]
+    assert "var_ratio_basis" not in empirical
+    assert empirical["var_ratio_theta"]["data"] == s.var_ratio_theta.ravel().tolist()
 
 
 # ---------------------------------------------------------------------------

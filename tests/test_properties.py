@@ -20,7 +20,7 @@ from carasim.engine import (
 from carasim.estimation import fit_grouped_logistic_mle, fit_logistic_cells, update_all_estimates
 from carasim.fixtures import bb_config, f1_config, two_point_config
 from carasim.harness import parse_config
-from carasim.model import ArmModel, CovariateSpec, TrialModel, Uniform, glm_weights
+from carasim.model import ArmModel, CovariateSpec, TrialModel, TwoPoint, Uniform, glm_weights
 
 _TWO_ARM = ("odds-ratio", "two-arm-g-difference", "covariate-free-normal")
 
@@ -113,6 +113,41 @@ def test_theory_sigma_rows_sum_to_zero_and_V_inverts_the_information(design):
         np.testing.assert_allclose(cond.sigma.sum(axis=1), 0.0, rtol=0, atol=1e-10 * scale)
     for k in range(model.K):
         np.testing.assert_allclose(rep.V[k] @ rep.info[k], np.eye(model.d), rtol=0, atol=1e-8)
+
+
+@st.composite
+def bb_designs(draw):
+    """Two normal arms with a common error variance and shared slopes on
+    (1, 1-3 two-point coordinates), under the covariate-free normal rule.
+    The coordinates' ranges keep cond(I_k) below about 1e3, so that both the
+    general theory and the closed forms carry rounding errors far below the
+    1e-12 they are compared at (about 3e-14 at worst over 3000 draws)."""
+    u = draw(st.integers(1, 3))
+    coords = []
+    for _ in range(u):
+        a = draw(st.floats(-1.0, 1.0))
+        coords.append(TwoPoint(a, a + draw(st.floats(0.5, 2.0)), draw(st.floats(0.2, 0.8))))
+    slopes = draw(arrays(np.float64, u, elements=st.floats(-2.0, 2.0)))
+    mu2, delta = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.5, 1.5))
+    sigma2 = draw(st.floats(0.25, 4.0))
+    arm = ArmModel(family="normal-linear", dispersion=sigma2)
+    model = TrialModel(arms=(arm, arm), covariates=CovariateSpec.product(coords, intercept=True),
+                       true_theta=np.array([[mu2 + delta, *slopes], [mu2, *slopes]]),
+                       box_lo=-5.0, box_hi=5.0, shared_slopes=True)
+    return model, AllocationRule(kind="covariate-free-normal", T=draw(st.floats(0.5, 2.0)))
+
+
+@given(bb_designs())
+def test_shared_slope_theory_equals_the_closed_forms(design):
+    model, rule = design
+    rep = theory_report(model, rule)
+    bb = asymptotics.bb_closed_forms(model, rule)
+    np.testing.assert_allclose(rep.sigma[0, 0], bb.alloc_var, rtol=1e-12, atol=0)
+    d = model.d
+    cov = np.diag(rep.theta_cov).reshape(2, d)
+    np.testing.assert_allclose(cov[:, 0], np.diag(bb.mu_cov), rtol=1e-12, atol=0)
+    for k in range(2):
+        np.testing.assert_allclose(cov[k, 1:], np.diag(bb.beta_cov), rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------

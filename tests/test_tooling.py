@@ -90,3 +90,18 @@ def test_every_workload_design_parses_and_runs_as_the_benchmark_calls_it():
             assert hist.n == n, design.name
             rep = carasim.plugin_estimates(hist, model, rule, cfg.x_list)
             assert rep.sigma_hat.shape == (model.K, model.K), design.name
+
+
+@pytest.mark.parametrize("workload", ["replicate-gate", "continuous-logit"])
+def test_theory_reports_pass_the_benchmark_theory_check(workload):
+    # The benchmark checks V_k I_k = I and Sigma against its own reference on
+    # every design, shared slopes included; a failure there marks a run's
+    # outputs incorrect.
+    checks, workloads = _load("checks"), _load("workloads")
+    for design in workloads.designs(workload, 7):
+        cfg = carasim.parse_config(design.config)
+        opts = carasim.TheoryOptions(**(design.theory_opts or {}))
+        rep = carasim.theory_report(cfg.model, cfg.rule, cfg.x_list, opts)
+        pts, w, _ = carasim.asymptotics.expectation_nodes(cfg.model.covariates, opts)
+        assert checks.check_theory(checks.theory_from_report(rep), cfg.model, cfg.rule, pts, w,
+                                   cfg.x_list, design.name) == [], design.name
