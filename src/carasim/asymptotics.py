@@ -208,10 +208,10 @@ def _gram(X: np.ndarray, W: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fisher_gram(model: TrialModel, theta: np.ndarray, X: np.ndarray, W: np.ndarray,
-                 dispersion: np.ndarray) -> np.ndarray:
-    """sum_n W[n, k] I_k(theta_k | X[n]) with the given per-arm dispersions."""
-    return _gram(X, W * glm_weights(model.arms, theta, X) / dispersion)
+def _fisher_gram(model: TrialModel, theta: np.ndarray, X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """sum_n W[n, k] I_k(theta_k | X[n]), every arm at the model's dispersion."""
+    phi = np.array([a.dispersion for a in model.arms])
+    return _gram(X, W * glm_weights(model.arms, theta, X) / phi)
 
 
 def _invert(info: np.ndarray, what: str) -> np.ndarray:
@@ -230,8 +230,7 @@ def _theta_covariance(model: TrialModel, info: np.ndarray, inverse=np.linalg.inv
     arm k's parameter columns, which is positive definite whenever every I_k
     is; its inverse is read back at every coefficient's column."""
     cols = model.param_cols
-    P = int(cols.max()) + 1
-    joint = np.zeros((P, P))
+    joint = np.zeros((model.n_params, model.n_params))
     np.add.at(joint, (cols[:, :, None], cols[:, None, :]), info)
     flat = cols.ravel()
     return inverse(joint).take(flat, 0).take(flat, 1)  # cheaper than np.ix_ indexing
@@ -280,8 +279,7 @@ def _conditionals(rule: AllocationRule, theta: np.ndarray, X: np.ndarray,
 def _design_information(model: TrialModel, pts: np.ndarray, w: np.ndarray,
                         pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """I_k = E[pi_k I_k(theta_k | xi)] on the nodes, and V_k = I_k^{-1}."""
-    phi = np.array([a.dispersion for a in model.arms])
-    info = _fisher_gram(model, model.true_theta, pts, w[:, None] * pi, phi)
+    info = _fisher_gram(model, model.true_theta, pts, w[:, None] * pi)
     V = _invert(info, "design-weighted information")
     _assert_psd([f"V_{k + 1}" for k in range(model.K)], V)
     return info, V
@@ -347,8 +345,7 @@ def iid_mle_covariance(model: TrialModel,
     :func:`scaled_mle_covariance`: adaptivity then costs the coefficient
     estimates nothing asymptotically."""
     pts, w, _ = expectation_nodes(model.covariates, opts)
-    phi = np.array([a.dispersion for a in model.arms])
-    info = _fisher_gram(model, model.true_theta, pts, w[:, None], phi)
+    info = _fisher_gram(model, model.true_theta, pts, w[:, None])
     return _invert(info, "expected information")
 
 
@@ -379,10 +376,11 @@ def plugin_estimates(history: TrialHistory, model: TrialModel, rule: AllocationR
     Expectations become averages over the n observed covariates, the true
     coefficients are replaced by the final estimates, and V_k and C invert
     the sample information (pseudo-inverses, with a warning naming each
-    singular arm, when any arm's is singular).  The averages run over the covariate support points, weighted by their counts, when the history records them, else over the
-    observed rows.  Every arm's dispersion is the model's, as in the theory
-    report.  Positive semidefiniteness is only warned about here, never
-    enforced.
+    singular arm, when any arm's is singular).  The averages run over the
+    covariate support points, weighted by their counts, when the history
+    records them, else over the observed rows.  Every arm's dispersion is the
+    model's, as in the theory report.  Positive semidefiniteness is only
+    warned about here, never enforced.
     """
     n = history.n
     if n == 0:
@@ -403,8 +401,6 @@ def plugin_estimates(history: TrialHistory, model: TrialModel, rule: AllocationR
     counts = history.counts()
     warnings: list[str] = []
 
-    phi = np.array([a.dispersion for a in model.arms])
-
     # One pass over the nodes: the support points when the history records
     # them, else the observed rows, each weighted by its per-arm counts / n.
     if history.support_idx is not None:
@@ -414,7 +410,7 @@ def plugin_estimates(history: TrialHistory, model: TrialModel, rule: AllocationR
     arm_node = np.bincount(node_of_row * K + arms_arr,
                            minlength=nodes.shape[0] * K).reshape(-1, K)
     dg_hat = jacobian(rule, theta, nodes, weights=arm_node.sum(axis=1) / n)
-    info_hat = _fisher_gram(model, theta, nodes, arm_node / n, phi)
+    info_hat = _fisher_gram(model, theta, nodes, arm_node / n)
 
     inverse = np.linalg.inv
     try:

@@ -386,7 +386,7 @@ class _Lockstep:
         if self.joint:
             # Coefficients of the joint fit that make up theta, row by row.
             self.joint_cols = model.param_cols.ravel()
-            P = int(self.joint_cols.max()) + 1
+            P = model.n_params
             self.joint_gram = np.zeros((B, P, P))
             self.joint_moment = np.zeros((B, P))
             # Zero until formed, so that the rank-one updates leave it zero.

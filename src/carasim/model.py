@@ -399,8 +399,8 @@ class TrialModel:
         if not (np.all(lo < theta) and np.all(theta < hi)):
             raise ValueError("true_theta must lie strictly inside the parameter box")
         if self.shared_slopes:
-            if any(a.family != "normal-linear" for a in self.arms):
-                raise ValueError("shared_slopes requires all arms normal-linear")
+            if any(a.family != "normal-linear" or a != self.arms[0] for a in self.arms):
+                raise ValueError("shared_slopes requires normal-linear arms of a common dispersion")
             if not self.covariates.has_unit_first_coordinate():
                 raise ValueError("shared_slopes requires a leading constant-1 covariate")
             if d >= 2 and not np.allclose(theta[:, 1:], theta[0, 1:]):
@@ -428,3 +428,6 @@ class TrialModel:
             return np.column_stack([np.arange(K), np.tile(np.arange(K, K + d - 1), (K, 1))])
         return np.arange(K * d).reshape(K, d)
 
+    @property
+    def n_params(self) -> int:  # length of the fitted vector that param_cols indexes
+        return self.K + self.d - 1 if self.shared_slopes else self.K * self.d

@@ -564,11 +564,11 @@ def test_bb_closed_forms_reject_wrong_shapes():
         bb_closed_forms(flat, rule)
     with pytest.raises(ValueError, match="covariate-free normal"):
         bb_closed_forms(model, AllocationRule(kind="odds-ratio"))
-    raw = bb_config(n=100, replicates=1, seed=0)
-    raw["model"]["arms"][1]["dispersion"] = 2.0
-    mixed, _ = _pair(raw)
-    with pytest.raises(ValueError, match="common error variance"):
-        bb_closed_forms(mixed, rule)
+    # Unequal error variances never reach the closed forms: the model
+    # refuses them, since its joint fit and C both assume one variance.
+    with pytest.raises(ValueError, match="common dispersion"):
+        dataclasses.replace(model, arms=(model.arms[0], ArmModel(family="normal-linear",
+                                                                  dispersion=2.0)))
 
 
 def test_bb_degenerate_covariate_block_is_singular():

@@ -83,6 +83,13 @@ def test_two_arm_rule_requires_two_arms():
         parse_config(doc)
 
 
+def test_shared_slopes_with_unequal_dispersions_is_rejected():
+    doc = bb_config(n=100, replicates=1, seed=0)
+    doc["model"]["arms"][1]["dispersion"] = 2.0
+    with pytest.raises(ConfigError, match="shared_slopes requires .* common dispersion"):
+        parse_config(doc)
+
+
 def test_off_support_conditional_point_is_rejected():
     doc = two_point_config(n=60, replicates=2, seed=0)
     doc["replication"]["x_list"] = [[1.0, 0.5]]
