@@ -38,15 +38,17 @@ All work is single-threaded (one BLAS thread).
 
     python bench/gate_bench.py --pr N --label change --interleave OTHER_CHECKOUT/src
 
-times only the F1, two-point and bb engine rows and those of three variants
+times only the F1, two-point and bb engine rows, those of three variants
 of the two-point fixture (three and five logistic arms, and two logistic
-arms beside a normal arm; batches of 1, 8 and 256), of both source trees in
+arms beside a normal arm; batches of 1, 8 and 256), and ``step()`` rows
+(``STEP_CALLS`` chained calls that continue a two-point or bb trial of
+each of ``STEP_N`` patients, timed per call), of both source trees in
 one process: the other tree's ``carasim`` package is loaded under the name
 ``carasim_other`` (the package imports its own modules relatively).  Each of
 ``INTERLEAVE_ROUNDS`` rounds times every row once on each side, the side
 that goes first alternating between rounds, so that both sides see the same
-host speed; a row records each side's median microseconds per patient and
-the median and quartiles of the per-round ratios (this side over the
+host speed; a row records each side's median microseconds per patient (a
+step row: per call, which admits one patient) and the median and quartiles of the per-round ratios (this side over the
 other).  The rows go into ``BENCH_<pr>.json`` under ``interleaved``, with
 ``--label`` naming this side and ``parent`` the other.
 """
@@ -84,6 +86,8 @@ IRLS_REPEATS = 15
 THEORY_NODES = {64: (0, 100, 15), 4096: (1, 10, 15), 262144: (2, 1, 5)}
 CALIBRATION_ITERS = 1500
 CALIBRATION_REF_S = 0.010
+STEP_N = (500, 2000)
+STEP_CALLS = 20  # chained step() calls per run of a step row
 INTERLEAVE_ROUNDS = 15
 INTERLEAVE_TIMING_S = 0.2  # a timing repeats a row's run for at least about this long
 
@@ -130,7 +134,8 @@ def two_point_variants(fixtures) -> dict:
 def engine_rows(package: str = "carasim", interleaved: bool = False) -> dict:
     """Row name -> (run, replicates timed, patients per replicate) of the
     engine rows, on the carasim package imported as ``package``; the
-    interleaved rows replace ``continuous-logit`` by the two-point variants."""
+    interleaved rows replace ``continuous-logit`` by the two-point variants
+    and the step rows."""
     engine = importlib.import_module(f"{package}.engine")
     fixtures = importlib.import_module(f"{package}.fixtures")
     parse_config = importlib.import_module(f"{package}.harness").parse_config
@@ -166,7 +171,26 @@ def engine_rows(package: str = "carasim", interleaved: bool = False) -> dict:
                     for seed in seeds:
                         engine.run_trial(cfg.model, cfg.rule, cfg.n, cfg.m0, seed, opts)
             rows[f"{name}/B={B}"] = (run, timed, cfg.n)
+    if interleaved:
+        for name in ("two-point", "bb"):
+            for n in STEP_N:
+                cfg = parse_config(make[name](n=n, replicates=1, seed=fixtures.DEFAULT_SEED))
+                rows[f"{name}/step n={n}"] = (stepper(engine, cfg), 1, STEP_CALLS)
     return rows
+
+
+def stepper(engine, cfg):
+    """A run of ``STEP_CALLS`` chained ``step()`` calls that continue one
+    trial of ``cfg.n`` patients, run once here."""
+    streams = engine.streams_for_trial(engine.replicate_root(cfg.seed, 0))
+    start = engine.run_trial(cfg.model, cfg.rule, cfg.n, cfg.m0, streams, cfg.engine_options())
+
+    def run():
+        hist = start
+        for _ in range(STEP_CALLS):
+            hist = engine.step(hist, cfg.model, cfg.rule, streams)
+
+    return run
 
 
 def engine_us_per_patient() -> dict:
@@ -216,7 +240,7 @@ def interleaved_engine(other_src: Path, label: str) -> dict:
                 seconds[side].append((time.perf_counter() - t0) / calls)
         us = 1e6 / (timed * n)
         q1, ratio, q3 = statistics.quantiles([a / b for a, b in zip(*seconds)], n=4)
-        out[row] = {"us_per_patient": {label: round(statistics.median(s) * us, 3)
+        out[row] = {"us_per_patient": {name: round(statistics.median(s) * us, 3)
                                        for name, s in zip((label, "parent"), seconds)},
                     "ratio_median": round(ratio, 4), "ratio_q1": round(q1, 4),
                     "ratio_q3": round(q3, 4), "rounds": INTERLEAVE_ROUNDS,

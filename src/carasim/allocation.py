@@ -97,9 +97,18 @@ def _check_args(rule: AllocationRule, theta: np.ndarray, x: np.ndarray,
     return theta, x
 
 
+def _over_arms(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(a, axis=-1, keepdims=True)``.  Over two arms it is one
+    op on the two columns, bit for bit the same: numpy reduces a short last
+    axis row by row, which costs about 20 ns a row."""
+    if a.shape[-1] == 2:
+        return ufunc(a[..., :1], a[..., 1:])
+    return ufunc.reduce(a, axis=-1, keepdims=True)
+
+
 def _normalise(p: np.ndarray) -> np.ndarray:
     p = np.maximum(p, _FLOOR)
-    return p / np.add.reduce(p, axis=-1, keepdims=True)
+    return p / _over_arms(np.add, p)
 
 
 def _predictors(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -150,7 +159,7 @@ def _kernel(rule: AllocationRule, theta: np.ndarray, x: np.ndarray,
     # exponential, odds-ratio and ratio-of-g with G = exp
     T = rule.T if rule.kind == "exponential" else 1.0
     zz = T * z if T != 1.0 else z
-    p = _normalise(np.exp(zz - np.maximum.reduce(zz, axis=-1, keepdims=True)))
+    p = _normalise(np.exp(zz - _over_arms(np.maximum, zz)))
     if not derivative:
         return p
     # d pi_k / d z_j = T pi_k (delta_kj - pi_j)

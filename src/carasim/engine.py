@@ -56,13 +56,23 @@ arm's rows, so its cost grows with the arm and a trial's with n squared:
 * the shared-slope joint fit carries the inverse of its Gram matrix forward
   by rank-one (Sherman-Morrison) updates once it is solvable; when every
   replicate's is, and every solution is finite, a refit writes all the
-  estimates and flags without masks.
+  estimates without masks.
 
 Each (replicate, arm) cell counts its logistic refits (``REFIT_COUNTERS``):
 closed-form refits, IRLS fits and their iterations, and IRLS fits that
 stopped at the iteration limit or on a singular system.
 :attr:`TrialBatch.refit_counts` and :meth:`TrialHistory.refit_counts` give
 them; like every other output they do not depend on the batch.
+
+A patient step keeps only the estimates and the sufficient statistics that
+refits read.  What is only reported is derived when it is read: the
+``converged`` and ``projected`` flags of a refit that writes every cell (the
+whole-array closed form, the unmasked joint fit) from its unclipped
+estimates; the closed-form refits of a grouped cell as its refits (one at
+the end of burn-in and one per later patient) less its IRLS fits; and the
+support counts of designs without grouped logistic arms, whose refits do
+not read them, from the support points of up to a draw block of patients,
+added at once.
 
 The incremental fits agree with :func:`carasim.estimation.update_all_estimates`
 run on the stored history.  Unlike the standalone fits, the incremental
@@ -316,10 +326,12 @@ def _any_rows(a: np.ndarray) -> np.ndarray:
 
 # Logistic refits of each (replicate, arm), by kind: closed-form refits, IRLS
 # fits, their Newton iterations, and IRLS fits that stopped at the iteration
-# limit or on a singular Newton system.  Each is a per-cell array of
-# ``_Lockstep`` of the same name.
+# limit or on a singular Newton system.  The IRLS counters are per-cell arrays
+# of ``_Lockstep`` of the same name; the closed-form refits are the rest of a
+# grouped cell's refits (:meth:`_Lockstep.refit_counts`).
 REFIT_COUNTERS = ("closed_form", "irls_fits", "irls_iterations", "irls_nonconverged",
                   "irls_singular")
+_IRLS_COUNTERS = REFIT_COUNTERS[1:]
 
 
 class _Lockstep:
@@ -328,11 +340,12 @@ class _Lockstep:
     Per-arm quantities are kept per cell ``c = b * K + k`` (replicate b, arm
     k), so that the cells one patient touches are a flat index; the joint
     shared-slope fit is kept per replicate.  :meth:`patient` admits one
-    patient to every replicate.
+    patient to every replicate; what it only reports is derived when read
+    (module docstring).
     """
 
-    _PER_CELL = ("theta", "converged", "projected", "fail", "counts", "lo", "hi",
-                 "trials", "succ", "X", "y", "gram", "moment") + REFIT_COUNTERS
+    _PER_CELL = ("theta", "_converged", "_projected", "_raw", "fail", "counts", "lo", "hi",
+                 "trials", "succ", "X", "y", "gram", "moment") + _IRLS_COUNTERS
     _PER_REPLICATE = ("joint_gram", "joint_moment", "joint_inv", "formed")
 
     def __init__(self, model: TrialModel, rule: AllocationRule, m0: int,
@@ -342,7 +355,7 @@ class _Lockstep:
             raise ValueError(f"m0 must be at least d + 1 = {d + 1}, got {m0}")
         check_rule(rule, K)
         self.model, self.rule, self.opts = model, rule, opts
-        self.K = K
+        self.K, self.m0 = K, m0
         self.burn = K * m0
         self.B = B
         self.m = 0  # patients admitted to every replicate
@@ -353,11 +366,12 @@ class _Lockstep:
         self.lo = np.tile(model.box_lo, (B, 1))
         self.hi = np.tile(model.box_hi, (B, 1))
         self.theta = 0.5 * (self.lo + self.hi)
-        self.converged = np.zeros(C, dtype=bool)
-        self.projected = np.zeros(C, dtype=bool)
+        self._converged = np.zeros(C, dtype=bool)
+        self._projected = np.zeros(C, dtype=bool)
+        self._raw = None  # the unclipped estimates of a refit whose flags are not yet written
         self.fail = np.zeros(C, dtype=int)
-        (self.closed_form, self.irls_fits, self.irls_iterations, self.irls_nonconverged,
-         self.irls_singular) = np.zeros((len(REFIT_COUNTERS), C), dtype=np.int64)
+        (self.irls_fits, self.irls_iterations, self.irls_nonconverged,
+         self.irls_singular) = np.zeros((len(_IRLS_COUNTERS), C), dtype=np.int64)
 
         # How each arm refits: from support counts (_GROUPED), from its rows
         # (_ROWS) or from normal equations (_LSE); shared slopes fit jointly.
@@ -368,12 +382,20 @@ class _Lockstep:
         self.grouped = _GROUPED in self.kinds
         self.rowwise = _ROWS in self.kinds
         self.lse = not self.joint and _LSE in self.kinds
+        # Two grouped arms refit in closed form on whole arrays (_fit_grouped).
+        self.whole = self.kinds == [_GROUPED] and K == 2
         if self.support is not None:
             # Patients per (cell, support point), and the successes that
-            # grouped logistic arms refit from.
+            # grouped logistic arms refit from.  Without such arms no refit
+            # reads the counts, so patients' support points are added a
+            # block at a time (_fold).
             self.trials = np.zeros((C, self.support.shape[0]))
+            self._points = []
         if self.grouped:
             self.succ = np.zeros((C, self.support.shape[0]))
+            # Beside other kinds of arm, only the grouped arms' responses are
+            # successes (None: every arm is grouped).
+            self._succ_arms = None if self.kinds == [_GROUPED] else self.arm_kind == _GROUPED
         # Patients per cell, where the support counts do not give them.
         self.counts = (np.zeros(C, dtype=np.int64)
                        if self.support is None or self.lse else None)
@@ -409,15 +431,25 @@ class _Lockstep:
     def take(self, idx: list[int]) -> "_Lockstep":
         """A copy that holds only the replicates ``idx``."""
         K = self.K
-        cells = (np.asarray(idx)[:, None] * K + np.arange(K)).ravel()
+        if self.support is not None:
+            self._fold()
         new = object.__new__(_Lockstep)
-        new.__dict__ = {name: value if value is None
-                        else value[cells] if name in self._PER_CELL
-                        else value[idx] if name in self._PER_REPLICATE else value
-                        for name, value in self.__dict__.items()}
+        new.__dict__ = state = dict(self.__dict__)
+        # Of one replicate (idx = [0]), copying every array costs less than
+        # indexing it.
+        one = self.B == 1
+        cells = None if one else (np.asarray(idx)[:, None] * K + np.arange(K)).ravel()
+        for names, rows in ((self._PER_CELL, cells), (self._PER_REPLICATE, idx)):
+            for name in names:
+                value = state.get(name)
+                if value is not None:
+                    state[name] = value.copy() if one else value[rows]
         new.B = len(idx)
-        new._first_cell = np.arange(new.B) * K
+        if not one:
+            new._first_cell = np.arange(new.B) * K
         new._theta3 = new.theta.reshape(new.B, K, self.model.d)
+        if self.support is not None:
+            new._points = []
         if self.joint:
             new.n_formed = int(new.formed.sum())
         return new
@@ -426,15 +458,58 @@ class _Lockstep:
         """Current estimates, (B, K, d)."""
         return self._theta3
 
+    def _settle(self) -> None:
+        """Write the flags that the last whole-array refit left to be derived:
+        it converged everywhere, and a cell (a replicate, in the joint fit)
+        is projected where the box moved its unclipped estimates ``_raw``."""
+        if self._raw is not None:
+            off = self.theta != self._raw
+            self._raw = None
+            self._converged[:] = True
+            if self.joint:
+                per_replicate = _any_rows(off.reshape(self.B, -1))
+                self._projected.reshape(self.B, self.K)[:] = per_replicate[:, None]
+            else:
+                self._projected[:] = _any_rows(off)
+
+    @property
+    def converged(self) -> np.ndarray:
+        """Per cell: whether its last refit converged."""
+        self._settle()
+        return self._converged
+
+    @property
+    def projected(self) -> np.ndarray:
+        """Per cell: whether its last refit was clipped to the box."""
+        self._settle()
+        return self._projected
+
+    def _fold(self) -> None:
+        """Add the support points that wait in ``_points`` to the support counts."""
+        if self._points:
+            self.trials += np.bincount(np.concatenate(self._points),
+                                       minlength=self.trials.size).reshape(self.trials.shape)
+            self._points = []
+
+    def support_counts(self) -> np.ndarray:
+        """Patients per arm and support point, (B, K, S)."""
+        self._fold()
+        return self.trials.reshape(self.B, self.K, -1).astype(np.int64)
+
     def refit_counts(self) -> dict[str, np.ndarray]:
-        """Logistic refits so far, by counter (``REFIT_COUNTERS``), as (B, K) arrays."""
-        return {name: getattr(self, name).reshape(self.B, self.K).copy()
-                for name in REFIT_COUNTERS}
+        """Logistic refits so far, by counter (``REFIT_COUNTERS``), as (B, K)
+        arrays.  A grouped cell refits once at the end of burn-in and once
+        per patient after it, by IRLS or else in closed form."""
+        counts = {name: getattr(self, name).reshape(self.B, self.K).copy()
+                  for name in _IRLS_COUNTERS}
+        grouped = (self.arm_kind == _GROUPED) & (not self.joint)
+        closed_form = np.where(grouped, self.arm_counts() - self.m0 + 1 - counts["irls_fits"], 0)
+        return {"closed_form": closed_form, **counts}
 
     def arm_counts(self) -> np.ndarray:
         """Patients per arm, (B, K)."""
         if self.counts is None:
-            return self.trials.sum(axis=1).astype(np.int64).reshape(self.B, self.K)
+            return self.support_counts().sum(axis=2)
         return self.counts.reshape(self.B, self.K).copy()
 
     # -- one patient ---------------------------------------------------------
@@ -473,9 +548,14 @@ class _Lockstep:
     def _observe(self, x, six, arm, cell, y) -> None:
         if self.support is not None:
             point = cell * self.trials.shape[1] + six  # flat: cheaper than [cell, six]
-            self.trials.reshape(-1)[point] += 1.0
-        if self.grouped:
-            self.succ.reshape(-1)[point] += y
+            if self.grouped:
+                np.add.at(self.trials.reshape(-1), point, 1.0)
+                succ = y if self._succ_arms is None else np.where(self._succ_arms[arm], y, 0.0)
+                np.add.at(self.succ.reshape(-1), point, succ)
+            else:
+                self._points.append(point)
+                if len(self._points) == _DRAW_BLOCK:
+                    self._fold()
         if self.counts is not None:
             at = self.counts[cell]
             self.counts[cell] = at + 1
@@ -551,7 +631,7 @@ class _Lockstep:
             self._irls_grouped(cells)
             return
         # Every cell on whole arrays, or the joined cells (module docstring).
-        whole = len(self.kinds) == 1 and self.K == 2
+        whole = self.whole
         rows = slice(None) if whole else cells
         t, s = self.trials[rows], self.succ[rows]
         # A group without both outcomes has a logit of +-inf, which the box
@@ -559,7 +639,12 @@ class _Lockstep:
         # product; those cells are summed again without the zero terms.
         logit = np.log(s / (t - s))
         raw = (self.sat_inv @ logit[:, :, None])[:, :, 0]
-        if math.isnan(raw.sum()):  # some NaN, or +inf and -inf in the sum
+        if not math.isnan(np.add.reduce(raw, None)):  # no NaN, nor +inf and -inf in the sum
+            if whole:  # every cell is refit: its flags are derived when read
+                np.minimum(np.maximum(raw, self.lo), self.hi, out=self.theta)
+                self._raw = raw
+                return
+        else:
             nan = _any_rows(np.isnan(raw))
             terms = self.sat_inv * logit[nan][:, None, :]
             raw[nan] = np.where(self.sat_inv != 0.0, terms, 0.0).sum(axis=2)
@@ -574,10 +659,9 @@ class _Lockstep:
                     cells = cells[~stale]
                 rows, raw = np.arange(self.theta.shape[0])[rows][~nan], raw[~nan]
         val = np.minimum(np.maximum(raw, self.lo[rows]), self.hi[rows])
-        self.theta[rows] = val
         self.converged[rows] = True
         self.projected[rows] = _any_rows(val != raw)
-        self.closed_form[cells] += 1
+        self.theta[rows] = val
 
     def _irls_grouped(self, cells) -> None:
         """IRLS on the cells' counts at the support points."""
@@ -614,18 +698,18 @@ class _Lockstep:
             self.n_formed += idx.size
         coef = (self.joint_inv @ self.joint_moment[:, :, None])[:, :, 0]
         theta = coef.take(self.joint_cols, 1)  # (B, K * d): arm k's row is (mu_k, slopes)
-        clipped = np.minimum(np.maximum(theta, self.lo.reshape(B, -1)), self.hi.reshape(B, -1))
-        projected = (clipped != theta).any(axis=1)
-        if self.n_formed == B and math.isfinite(coef.sum()):  # every fit stands: no masks
-            self.theta.reshape(B, -1)[:] = clipped
-            self.converged[:] = True
-            self.projected.reshape(B, K)[:] = projected[:, None]
+        lo, hi = self.lo.reshape(B, -1), self.hi.reshape(B, -1)
+        if self.n_formed == B and math.isfinite(np.add.reduce(coef, None)):
+            # Every fit stands: no masks, and the flags are derived when read.
+            np.minimum(np.maximum(theta, lo), hi, out=self.theta.reshape(B, -1))
+            self._raw = theta.reshape(self.theta.shape)
             return
+        clipped = np.minimum(np.maximum(theta, lo), hi)
         ok = self.formed & np.isfinite(coef).all(axis=1)
-        self.theta.reshape(B, -1)[ok] = clipped[ok]
         # Every arm of a replicate shares its flags.
         self.converged.reshape(B, K)[:] = ok[:, None]
-        self.projected.reshape(B, K)[:] = (ok & projected)[:, None]
+        self.projected.reshape(B, K)[:] = (ok & (clipped != theta).any(axis=1))[:, None]
+        self.theta.reshape(B, -1)[ok] = clipped[ok]
         self.fail.reshape(B, K)[~ok] += 1
 
 
@@ -735,8 +819,7 @@ def run_trials(model: TrialModel, rule: AllocationRule, n: int, m0: int, seeds,
             for i in range(B))
     return TrialBatch(
         counts=state.arm_counts(), theta=theta.copy(),
-        support_counts=(state.trials.reshape(B, K, -1).astype(np.int64)
-                        if state.support is not None else None),
+        support_counts=state.support_counts() if state.support is not None else None,
         histories=hist, refit_counts=state.refit_counts())
 
 

@@ -34,6 +34,18 @@ def _symmetric_model():
                       true_theta=np.zeros((2, 1)), box_lo=-2.0, box_hi=2.0)
 
 
+def _two_point():
+    cfg = parse_config(two_point_config(n=100, replicates=1, seed=0))
+    return cfg.model, cfg.rule
+
+
+def _bb(box: float = 5.0):
+    raw = bb_config(n=100, replicates=1, seed=0)
+    raw["model"].update(box_lo=-box, box_hi=box)
+    cfg = parse_config(raw)
+    return cfg.model, cfg.rule
+
+
 def _continuous_logit():
     arm = ArmModel(family="logistic")
     covariates = CovariateSpec.product([Uniform(-1.0, 1.0)], intercept=True)
@@ -196,24 +208,49 @@ def test_from_arrays_rejects_arms_and_estimates_that_do_not_fit_k():
     np.testing.assert_array_equal(ok.counts(), [2, 2])
 
 
-def test_stepping_leaves_the_history_it_resumes_unchanged():
-    model, rule = _f1(n=40)
+_HISTORY_FIELDS = ("covariates", "support_idx", "arms", "probs", "responses", "theta_records",
+                   "record_ms", "current_theta", "converged", "projected", "fit_failures")
+
+
+def _snapshot(hist) -> dict:
+    """Copies of a history's fields, its refit counts and its engine state's
+    support counts."""
+    out = {name: None if getattr(hist, name) is None else getattr(hist, name).copy()
+           for name in _HISTORY_FIELDS}
+    out.update(hist.refit_counts())
+    out["support_counts"] = hist.engine_state.support_counts()[hist.engine_row]
+    return out
+
+
+def _assert_same_snapshot(a: dict, b: dict):
+    assert a.keys() == b.keys()
+    for name in a:
+        if a[name] is None or b[name] is None:
+            assert a[name] is None and b[name] is None, name
+        else:
+            np.testing.assert_array_equal(a[name], b[name], err_msg=name)
+
+
+@pytest.mark.parametrize("design", [_f1, _two_point, _bb], ids=["f1", "two-point", "bb"])
+def test_stepping_leaves_the_history_it_resumes_unchanged(design):
+    model, rule = design()
     streams = streams_for_trial(replicate_root(12, 0))
     hist = step(run_trial(model, rule, 40, 6, streams, OPTS), model, rule, streams)
-    theta, arms = hist.current_theta.copy(), hist.arms.copy()
-    # Two continuations of one history, from streams in the same state.
-    a = step(hist, model, rule, streams)
-    a_arms = a.arms.copy()
-    streams = streams_for_trial(replicate_root(12, 0))
-    run_trial(model, rule, 41, 6, streams, OPTS)
-    b = step(hist, model, rule, streams)
-    np.testing.assert_array_equal(hist.current_theta, theta)
-    np.testing.assert_array_equal(hist.arms, arms)
-    assert hist.n == 41 and a.n == b.n == 42
-    np.testing.assert_array_equal(a.arms, a_arms)
-    np.testing.assert_array_equal(a.arms, b.arms)
-    np.testing.assert_array_equal(a.probs, b.probs)
-    np.testing.assert_array_equal(a.current_theta, b.current_theta)
+    before = _snapshot(hist)
+    # Two continuations of one history, from streams in the same state, each
+    # stepped twice.
+    children = []
+    for _ in range(2):
+        streams = streams_for_trial(replicate_root(12, 0))
+        run_trial(model, rule, 41, 6, streams, OPTS)
+        child = step(hist, model, rule, streams)
+        children.append((child, _snapshot(child), _snapshot(step(child, model, rule, streams))))
+    _assert_same_snapshot(_snapshot(hist), before)
+    assert hist.n == 41 and children[0][0].n == children[1][0].n == 42
+    for i in range(1, 3):
+        _assert_same_snapshot(children[0][i], children[1][i])
+    # A child is unchanged by its own continuation.
+    _assert_same_snapshot(_snapshot(children[0][0]), children[0][1])
 
 
 def test_step_allocates_the_new_patient_by_the_rule_it_is_given():
@@ -362,9 +399,6 @@ def test_theta_stride_thins_records():
 
 
 
-def _two_point():
-    cfg = parse_config(two_point_config(n=100, replicates=1, seed=0))
-    return cfg.model, cfg.rule
 
 
 def _logistic_refits(counts: dict) -> np.ndarray:
@@ -385,3 +419,84 @@ def test_every_arm_is_fit_after_burn_in_and_refit_by_each_patient_it_gets(design
     stepped = step(hist, model, rule, streams)
     gained = _logistic_refits(stepped.refit_counts()) - _logistic_refits(hist.refit_counts())
     np.testing.assert_array_equal(gained, np.eye(model.K, dtype=int)[stepped.arms[-1]])
+
+
+def _closed_form_flags(hist, model):
+    """converged and projected of each arm's closed-form fit on the history's
+    support counts: theta = S^-1 logit(s / t), where a zero entry of S^-1
+    leaves out its term, clipped to the box.  The closed form must be
+    defined (no IRLS fallback)."""
+    K, support = model.K, model.covariates.enumerated()[0]
+    t, s = np.zeros((K, support.shape[0])), np.zeros((K, support.shape[0]))
+    np.add.at(t, (hist.arms, hist.support_idx), 1.0)
+    np.add.at(s, (hist.arms, hist.support_idx), hist.responses)
+    sat_inv = np.linalg.inv(support)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logit = np.log(s / (t - s))
+        raw = np.where(sat_inv != 0.0, sat_inv * logit[:, None, :], 0.0).sum(axis=2)
+    assert not np.isnan(raw).any()
+    return np.ones(K, dtype=bool), ((raw < model.box_lo) | (raw > model.box_hi)).any(axis=1)
+
+
+def _joint_fit_flags(hist, model):
+    """converged and projected of the shared-slope least-squares fit on the
+    whole history: a replicate's arms share the projected flag."""
+    K = model.K
+    design = np.column_stack([np.eye(K)[hist.arms], hist.covariates[:, 1:]])
+    coef = np.linalg.solve(design.T @ design, design.T @ hist.responses)
+    theta = coef[model.param_cols]
+    return (np.ones(K, dtype=bool),
+            np.full(K, ((theta < model.box_lo) | (theta > model.box_hi)).any()))
+
+
+@pytest.mark.parametrize("design, m0, oracle", [
+    (_f1, 6, _closed_form_flags),
+    (_two_point, 8, _closed_form_flags),
+    # A box that cuts the true slope 1.0 close: some fits are projected.
+    (lambda: _bb(box=1.05), 4, _joint_fit_flags),
+], ids=["f1", "two-point", "bb"])
+def test_flags_are_those_of_the_fit_on_the_final_statistics(design, m0, oracle):
+    """Each history's converged and projected flags, after run_trials and
+    after each of three steps, are those of a fit computed here from the
+    history alone."""
+    model, rule = design()
+    n = model.K * m0 + 4
+    seen = set()
+    for B in (1, 5):
+        streams = [streams_for_trial(replicate_root(4, i)) for i in range(B)]
+        for hist, s in zip(run_trials(model, rule, n, m0, streams, OPTS).histories, streams):
+            for _ in range(4):
+                converged, projected = oracle(hist, model)
+                np.testing.assert_array_equal(hist.converged, converged)
+                np.testing.assert_array_equal(hist.projected, projected)
+                seen.update(projected.tolist())
+                hist = step(hist, model, rule, s)
+    assert seen == {False, True}
+
+
+@pytest.mark.parametrize("design", [_two_point, _bb], ids=["two-point", "bb"])
+@pytest.mark.parametrize("n", [255, 256, 513])
+def test_support_counts_are_the_patients_per_arm_and_support_point(design, n):
+    """TrialBatch's support and arm counts, and those of a stepped history's
+    engine state, are the bincounts of each history's (arm, support point),
+    also where n is not a multiple of the engine's draw block."""
+    model, rule = design()
+    K, S = model.K, model.covariates.enumerated()[0].shape[0]
+
+    def expected(hist):
+        return np.bincount(hist.arms * S + hist.support_idx, minlength=K * S).reshape(K, S)
+
+    streams = [streams_for_trial(replicate_root(6, i)) for i in range(3)]
+    batch = run_trials(model, rule, n, 8, streams, OPTS)
+    for i, (hist, s) in enumerate(zip(batch.histories, streams)):
+        np.testing.assert_array_equal(batch.support_counts[i], expected(hist))
+        np.testing.assert_array_equal(batch.counts[i], np.bincount(hist.arms, minlength=K))
+        stepped = [hist]
+        for _ in range(3):
+            stepped.append(step(stepped[-1], model, rule, s))
+        # Read after the whole chain, the last first: every step resumed
+        # a state whose last patient's support point was still to be added.
+        for hist in reversed(stepped[1:]):
+            state = hist.engine_state
+            np.testing.assert_array_equal(state.support_counts()[0], expected(hist))
+            np.testing.assert_array_equal(state.arm_counts()[0], hist.counts())

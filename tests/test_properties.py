@@ -447,6 +447,19 @@ def test_every_logistic_cell_refits_once_per_patient_after_burn_in(name):
                                               expected)
 
 
+def test_only_grouped_logistic_cells_count_successes():
+    """Beside a normal arm, the grouped logistic arms' cells hold at most
+    their patients' successes, and the normal arm's cells none."""
+    model, rule, m0 = DESIGNS["grouped-logit-with-least-squares"]()
+    normal = np.array([a.family != "logistic" for a in model.arms])
+    batch = run_trials(model, rule, model.K * m0 + 60, m0, [replicate_root(2, i) for i in range(4)])
+    state = batch.histories[0].engine_state
+    succ = state.succ.reshape(4, model.K, -1)
+    assert np.all((0.0 <= succ) & (succ <= state.trials.reshape(succ.shape)))
+    assert np.all(succ[:, normal] == 0.0)
+    assert np.all(succ[:, ~normal].sum(axis=2) > 0.0)
+
+
 @pytest.mark.parametrize("name", [name for name in sorted(DESIGNS)
                                   if not DESIGNS[name]()[0].shared_slopes])
 def test_an_arm_no_patient_joined_keeps_its_estimate(name):
