@@ -42,15 +42,21 @@ times only the F1, two-point and bb engine rows, those of three variants
 of the two-point fixture (three and five logistic arms, and two logistic
 arms beside a normal arm; batches of 1, 8 and 256), and ``step()`` rows
 (``STEP_CALLS`` chained calls that continue a two-point or bb trial of
-each of ``STEP_N`` patients, timed per call), of both source trees in
-one process: the other tree's ``carasim`` package is loaded under the name
-``carasim_other`` (the package imports its own modules relatively).  Each of
-``INTERLEAVE_ROUNDS`` rounds times every row once on each side, the side
-that goes first alternating between rounds, so that both sides see the same
-host speed; a row records each side's median microseconds per patient (a
-step row: per call, which admits one patient) and the median and quartiles of the per-round ratios (this side over the
-other).  The rows go into ``BENCH_<pr>.json`` under ``interleaved``, with
-``--label`` naming this side and ``parent`` the other.
+each of ``STEP_N`` patients, timed per call), and the theory rows:
+``theory_report`` at 64, 4,096 and 262,144 nodes and ``plugin_estimates`` on
+``PLUGIN_ROWS`` observed rows (the benchmark's generated history for its
+two-coordinate ``theory-continuous`` design), in milliseconds per call; of
+both source trees in one process: the other tree's ``carasim`` package is
+loaded under the name ``carasim_other`` (the package imports its own modules
+relatively).  Each of ``INTERLEAVE_ROUNDS`` rounds times every row once on
+each side, the side that goes first alternating between rounds, so that
+both sides see the same host speed; a row records each side's median
+microseconds per patient (a step row: per call, which admits one patient)
+or milliseconds per call, and the median and quartiles of the per-round
+ratios (this side over the other).  The peak resident set size of a fresh
+process that computes the 262,144-node report is read for each tree.  The
+rows go into ``BENCH_<pr>.json`` under ``interleaved``, with ``--label``
+naming this side and ``parent`` the other.
 """
 
 from __future__ import annotations
@@ -84,6 +90,8 @@ IRLS_CALLS = 200
 IRLS_REPEATS = 15
 # Nodes -> (theory-continuous design, calls per timing, timings).
 THEORY_NODES = {64: (0, 100, 15), 4096: (1, 10, 15), 262144: (2, 1, 5)}
+PLUGIN_ROWS = 4096  # observed rows of the interleaved plug-in row
+PLUGIN_CALLS = 10
 CALIBRATION_ITERS = 1500
 CALIBRATION_REF_S = 0.010
 STEP_N = (500, 2000)
@@ -217,14 +225,48 @@ def load_other(src: Path) -> str:
     return name
 
 
-def interleaved_engine(other_src: Path, label: str) -> dict:
-    """The interleaved engine rows of this tree (named ``label``) and of
-    ``other_src`` (named ``parent``), timed in alternating order round by
-    round."""
-    sides = (engine_rows("carasim", interleaved=True),
-             engine_rows(load_other(other_src), interleaved=True))
+def theory_rows(package: str = "carasim") -> dict:
+    """Row name -> (run, calls of the timed function per run) of the
+    interleaved theory rows, on the carasim package imported as ``package``:
+    ``theory_report`` at 64, 4,096 and 262,144 nodes, and ``plugin_estimates``
+    on ``PLUGIN_ROWS`` observed rows of the benchmark's generated history for
+    the two-coordinate ``theory-continuous`` design."""
+    asymptotics = importlib.import_module(f"{package}.asymptotics")
+    TrialHistory = importlib.import_module(f"{package}.engine").TrialHistory
+    parse_config = importlib.import_module(f"{package}.harness").parse_config
+    seed = importlib.import_module(f"{package}.fixtures").DEFAULT_SEED
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import designs, history_arrays
+
+    cases = designs("theory-continuous", seed)
+    rows = {}
+    for nodes, (index, calls, _) in THEORY_NODES.items():
+        cfg = parse_config(cases[index].config)
+
+        def run(cfg=cfg, calls=calls):
+            for _ in range(calls):
+                asymptotics.theory_report(cfg.model, cfg.rule)
+
+        rows[f"theory_report/nodes={nodes}"] = (run, calls)
+    cfg = parse_config(cases[1].config)
+    X, arms, y, theta = history_arrays(cfg.model, seed, 1, PLUGIN_ROWS)
+    hist = TrialHistory.from_arrays(X, arms, y, cfg.model.K, current_theta=theta)
+
+    def plugin(calls=PLUGIN_CALLS):
+        for _ in range(calls):
+            asymptotics.plugin_estimates(hist, cfg.model, cfg.rule)
+
+    rows[f"plugin_estimates/rows={PLUGIN_ROWS}"] = (plugin, PLUGIN_CALLS)
+    return rows
+
+
+def interleaved(sides: tuple[dict, dict], label: str, unit: str, scale: float) -> dict:
+    """Rows of this tree (``sides[0]``, named ``label``) and of the other
+    (``sides[1]``, named ``parent``), timed in alternating order round by
+    round; a row is (run, divisor), and its figure is seconds per run times
+    ``scale`` over the divisor, in ``unit``."""
     out = {}
-    for row, (run, timed, n) in sides[0].items():
+    for row, (run, divisor) in sides[0].items():
         other = sides[1][row][0]
         t0 = time.perf_counter()
         run()  # warm caches; also sizes the timings
@@ -238,16 +280,27 @@ def interleaved_engine(other_src: Path, label: str) -> dict:
                 for _ in range(calls):
                     fn()
                 seconds[side].append((time.perf_counter() - t0) / calls)
-        us = 1e6 / (timed * n)
+        per = scale / divisor
         q1, ratio, q3 = statistics.quantiles([a / b for a, b in zip(*seconds)], n=4)
-        out[row] = {"us_per_patient": {name: round(statistics.median(s) * us, 3)
-                                       for name, s in zip((label, "parent"), seconds)},
+        out[row] = {unit: {name: round(statistics.median(s) * per, 4)
+                           for name, s in zip((label, "parent"), seconds)},
                     "ratio_median": round(ratio, 4), "ratio_q1": round(q1, 4),
                     "ratio_q3": round(q3, 4), "rounds": INTERLEAVE_ROUNDS,
-                    "calls_per_timing": calls, "replicates_timed": timed}
-        print(f"engine {row}: {statistics.median(seconds[0]) * us:.3f} against "
-              f"{statistics.median(seconds[1]) * us:.3f} us/patient, ratio {ratio:.3f} "
+                    "calls_per_timing": calls}
+        print(f"{row}: {statistics.median(seconds[0]) * per:.4f} against "
+              f"{statistics.median(seconds[1]) * per:.4f} {unit}, ratio {ratio:.3f} "
               f"[{q1:.3f}, {q3:.3f}]", flush=True)
+    return out
+
+
+def interleaved_engine(this: dict, other: dict, label: str) -> dict:
+    """The interleaved engine rows (``engine_rows(..., interleaved=True)``)
+    of two trees, in microseconds per patient."""
+    sides = ({row: (run, timed * n) for row, (run, timed, n) in this.items()},
+             {row: (run, timed * n) for row, (run, timed, n) in other.items()})
+    out = interleaved(sides, label, "us_per_patient", 1e6)
+    for row, entry in out.items():
+        entry["replicates_timed"] = this[row][1]
     return out
 
 
@@ -379,9 +432,16 @@ def main(argv=None) -> int:
     path = ROOT / f"BENCH_{args.pr}.json"
     doc = json.loads(path.read_text()) if path.exists() else {"pr": args.pr, "runs": {}}
     if args.interleave is not None:
+        other_src = args.interleave.resolve()
+        other = load_other(other_src)
         entry = {"machine": machine(), "engine_n": ENGINE_N,
                  "ratio": f"{args.label} / parent",
-                 "engine": interleaved_engine(args.interleave.resolve(), args.label)}
+                 "engine": interleaved_engine(engine_rows("carasim", interleaved=True),
+                                              engine_rows(other, interleaved=True), args.label),
+                 "theory": interleaved((theory_rows("carasim"), theory_rows(other)),
+                                       args.label, "ms_per_call", 1e3),
+                 "theory_262144_rss": {args.label: theory_peak_rss(args.src.resolve()),
+                                       "parent": theory_peak_rss(other_src)}}
         doc["interleaved"] = entry
         label = "interleaved"
     else:

@@ -24,10 +24,15 @@ Notation (row-vector coefficients; K arms, covariate dimension d):
 Each of these is one weighted sum over a set of covariate nodes of pi,
 d pi / d theta and the arms' GLM weights (:func:`carasim.model.glm_weights`):
 the expectation nodes for the theory, a trial's support points or observed
-rows for the plug-ins.  Every public function evaluates the batched rule
-kernel once on its whole node set and contracts the node axis by BLAS
-matrix products (:func:`_gram`, ``jacobian(weights=)``); no function loops
-over the nodes in Python.
+rows for the plug-ins.  :func:`theory_report` and :func:`plugin_estimates`
+evaluate the batched rule kernel once on their node set
+(:func:`carasim.allocation.node_pass`): that one evaluation forms the linear
+predictors z = x theta' once and gives pi, the weighted sum of d pi / d
+theta as one BLAS product of the weighted (N, K*K) block of d pi / d z with
+the nodes, and the z from which the GLM weights follow; the information
+sums are one BLAS product per arm (:func:`_gram`).  The x values of a
+conditional covariance take one more evaluation, on their own rows.  No
+function loops over the nodes in Python.
 
 Expectations over the covariate distribution are exact finite sums whenever
 the support is finite.  Otherwise uniform coordinates are integrated by
@@ -46,7 +51,7 @@ import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 from scipy.special import ndtr
 
-from .allocation import AllocationRule, jacobian, probabilities
+from .allocation import AllocationRule, fold_columns, node_pass, probabilities
 from .engine import TrialHistory
 from .estimation import COND_MAX
 from .model import CovariateSpec, TrialModel, Uniform, glm_weights, tensor_grid
@@ -203,15 +208,17 @@ def _gram(X: np.ndarray, W: np.ndarray) -> np.ndarray:
     """
     out = np.empty((W.shape[1], X.shape[1], X.shape[1]))
     XT = X.T
+    XW = np.empty_like(XT)  # the layout of XT * W[:, k], which decides the BLAS call
     for k in range(W.shape[1]):
-        np.matmul(XT * W[:, k], X, out=out[k])
+        np.matmul(np.multiply(XT, W[:, k], out=XW), X, out=out[k])
     return out
 
 
-def _fisher_gram(model: TrialModel, theta: np.ndarray, X: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """sum_n W[n, k] I_k(theta_k | X[n]), every arm at the model's dispersion."""
-    phi = np.array([a.dispersion for a in model.arms])
-    return _gram(X, W * glm_weights(model.arms, theta, X) / phi)
+def _fisher_gram(model: TrialModel, X: np.ndarray, W: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_n W[n, k] I_k(theta_k | X[n]), every arm at the model's dispersion,
+    from the linear predictors z = X theta'."""
+    v = glm_weights(model.logistic, z)
+    return _gram(X, np.divide(np.multiply(W, v, out=v), model.dispersion, out=v))
 
 
 def _invert(info: np.ndarray, what: str) -> np.ndarray:
@@ -263,8 +270,7 @@ def _conditionals(rule: AllocationRule, theta: np.ndarray, X: np.ndarray,
                   masses: list[float], C: np.ndarray) -> tuple[ConditionalCovariance, ...]:
     if not X.shape[0]:
         return ()  # the rule kernel costs as much on no rows as on a few
-    pis = probabilities(rule, theta, X)
-    jacs = jacobian(rule, theta, X)
+    pis, jacs, _ = node_pass(rule, theta, X)
     return tuple(
         ConditionalCovariance(x=X[q], mass=masses[q], pi=pis[q],
                               sigma=_allocation_covariance(pis[q], jacs[q], C, masses[q])[2])
@@ -276,10 +282,11 @@ def _conditionals(rule: AllocationRule, theta: np.ndarray, X: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _design_information(model: TrialModel, pts: np.ndarray, w: np.ndarray,
-                        pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """I_k = E[pi_k I_k(theta_k | xi)] on the nodes, and V_k = I_k^{-1}."""
-    info = _fisher_gram(model, model.true_theta, pts, w[:, None] * pi)
+def _design_information(model: TrialModel, pts: np.ndarray, w: np.ndarray, pi: np.ndarray,
+                        z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """I_k = E[pi_k I_k(theta_k | xi)] on the nodes, and V_k = I_k^{-1}; z
+    holds the nodes' linear predictors at the true coefficients."""
+    info = _fisher_gram(model, pts, w[:, None] * pi, z)
     V = _invert(info, "design-weighted information")
     _assert_psd([f"V_{k + 1}" for k in range(model.K)], V)
     return info, V
@@ -289,8 +296,8 @@ def info_matrices(model: TrialModel, rule: AllocationRule,
                   opts: TheoryOptions = TheoryOptions()) -> InfoMatrices:
     """Design-weighted Fisher information I_k and V_k = I_k^{-1} per arm."""
     pts, w, method = expectation_nodes(model.covariates, opts)
-    pi = probabilities(rule, model.true_theta, pts)
-    info, V = _design_information(model, pts, w, pi)
+    theta = model.true_theta
+    info, V = _design_information(model, pts, w, probabilities(rule, theta, pts), pts @ theta.T)
     return InfoMatrices(info=info, V=V, method=method)
 
 
@@ -298,17 +305,20 @@ def theory_report(model: TrialModel, rule: AllocationRule, x_list=(),
                   opts: TheoryOptions = TheoryOptions()) -> TheoryReport:
     """All limit-theorem quantities for one (model, rule) pair.
 
-    One pass over the expectation nodes gives v = E[pi], dg = E[d pi / d
-    theta] and the design-weighted information, from which V_k and C
-    follow; Sigma and every Sigma|x in ``x_list`` are composed from them.
-    Each x must have positive mass.
+    One evaluation of the rule kernel on the expectation nodes
+    (:func:`carasim.allocation.node_pass`) gives pi, the weighted sum
+    dg = E[d pi / d theta] and the linear predictors; v = E[pi] and the
+    design-weighted information (from pi and the GLM weights at those
+    predictors) are then weighted sums, from which V_k and C follow.  Sigma
+    and every Sigma|x in ``x_list`` are composed from them; the x values
+    take one more kernel evaluation, on their own rows.  Each x must have
+    positive mass.
     """
     pts, w, method = expectation_nodes(model.covariates, opts)
     theta = model.true_theta
-    pi = probabilities(rule, theta, pts)
+    pi, dg, z = node_pass(rule, theta, pts, w)
     v = w @ pi
-    dg = jacobian(rule, theta, pts, weights=w)
-    info, V = _design_information(model, pts, w, pi)
+    info, V = _design_information(model, pts, w, pi, z)
     C = _theta_covariance(model, info)
     if method.kind == "monte-carlo":
         method = replace(method, stderr=_mc_stderr(pi, w))
@@ -332,8 +342,9 @@ def scaled_mle_covariance(model: TrialModel, rule: AllocationRule,
                           opts: TheoryOptions = TheoryOptions()) -> np.ndarray:
     """Asymptotic covariance of sqrt(N_{n,k}) (theta_hat_k - theta_k): v_k V_k."""
     pts, w, _ = expectation_nodes(model.covariates, opts)
-    pi = probabilities(rule, model.true_theta, pts)
-    _, V = _design_information(model, pts, w, pi)
+    theta = model.true_theta
+    pi = probabilities(rule, theta, pts)
+    _, V = _design_information(model, pts, w, pi, pts @ theta.T)
     return (w @ pi)[:, None, None] * V
 
 
@@ -345,7 +356,7 @@ def iid_mle_covariance(model: TrialModel,
     :func:`scaled_mle_covariance`: adaptivity then costs the coefficient
     estimates nothing asymptotically."""
     pts, w, _ = expectation_nodes(model.covariates, opts)
-    info = _fisher_gram(model, model.true_theta, pts, w[:, None])
+    info = _fisher_gram(model, pts, w[:, None], pts @ model.true_theta.T)
     return _invert(info, "expected information")
 
 
@@ -401,16 +412,17 @@ def plugin_estimates(history: TrialHistory, model: TrialModel, rule: AllocationR
     counts = history.counts()
     warnings: list[str] = []
 
-    # One pass over the nodes: the support points when the history records
-    # them, else the observed rows, each weighted by its per-arm counts / n.
+    # One kernel evaluation on the nodes: the support points when the history
+    # records them, else the observed rows, each weighted by its per-arm
+    # counts / n.
     if history.support_idx is not None:
         nodes, node_of_row = model.covariates.enumerated()[0], history.support_idx[:n]
     else:
         nodes, node_of_row = X, np.arange(n)
     arm_node = np.bincount(node_of_row * K + arms_arr,
                            minlength=nodes.shape[0] * K).reshape(-1, K)
-    dg_hat = jacobian(rule, theta, nodes, weights=arm_node.sum(axis=1) / n)
-    info_hat = _fisher_gram(model, theta, nodes, arm_node / n)
+    _, dg_hat, z = node_pass(rule, theta, nodes, arm_node.sum(axis=1) / n)
+    info_hat = _fisher_gram(model, nodes, arm_node / n, z)
 
     inverse = np.linalg.inv
     try:
@@ -425,7 +437,7 @@ def plugin_estimates(history: TrialHistory, model: TrialModel, rule: AllocationR
     sigma1_hat, sigma2_hat, sigma_hat = _allocation_covariance(counts / n, dg_hat, C_hat)
 
     xs = _points(x_list, d)
-    masses = [float(np.all(X == x, axis=1).sum()) / n for x in xs]
+    masses = [float(fold_columns(np.logical_and, X == x).sum()) / n for x in xs]
     for x, mass in zip(xs, masses):
         if mass == 0.0:
             raise ZeroMassCovariateError(
@@ -541,8 +553,7 @@ def lse_sandwich(model: TrialModel, rule: AllocationRule,
     pts, w, method = expectation_nodes(model.covariates, opts)
     theta = model.true_theta
     pi = probabilities(rule, theta, pts)
-    phi = np.array([a.dispersion for a in model.arms])
-    var_y = phi * glm_weights(model.arms, theta, pts)
+    var_y = model.dispersion * glm_weights(model.logistic, pts @ theta.T)
     info_x = _gram(pts, w[:, None] * pi)
     info_y = _gram(pts, w[:, None] * pi * var_y)
     inv = _invert(info_x, "E[pi_k xi'xi]")

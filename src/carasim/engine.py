@@ -87,7 +87,6 @@ for bit.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -95,7 +94,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 
-from .allocation import AllocationRule, check_rule, probabilities_unchecked
+from .allocation import AllocationRule, check_rule, fold_columns, probabilities_unchecked
 from .estimation import COND_MAX, fit_logistic_cells, solve_stack
 from .model import TrialModel, responses_from_uniforms
 
@@ -318,12 +317,6 @@ def burn_in_schedule(K: int, m0: int, rng: Generator) -> np.ndarray:
 _GROUPED, _ROWS, _LSE = 0, 1, 2
 
 
-def _any_rows(a: np.ndarray) -> np.ndarray:
-    """``a.any(axis=1)`` for a few columns, as an or of the columns: numpy
-    takes about 20 ns a row to reduce a short last axis."""
-    return functools.reduce(np.logical_or, a.T)
-
-
 # Logistic refits of each (replicate, arm), by kind: closed-form refits, IRLS
 # fits, their Newton iterations, and IRLS fits that stopped at the iteration
 # limit or on a singular Newton system.  The IRLS counters are per-cell arrays
@@ -375,9 +368,9 @@ class _Lockstep:
 
         # How each arm refits: from support counts (_GROUPED), from its rows
         # (_ROWS) or from normal equations (_LSE); shared slopes fit jointly.
-        logistic = np.array([a.family == "logistic" for a in model.arms])
         self.joint = model.shared_slopes
-        self.arm_kind = np.where(logistic, _GROUPED if self.support is not None else _ROWS, _LSE)
+        self.arm_kind = np.where(model.logistic,
+                                 _GROUPED if self.support is not None else _ROWS, _LSE)
         self.kinds = np.unique(self.arm_kind).tolist()
         self.grouped = _GROUPED in self.kinds
         self.rowwise = _ROWS in self.kinds
@@ -467,10 +460,10 @@ class _Lockstep:
             self._raw = None
             self._converged[:] = True
             if self.joint:
-                per_replicate = _any_rows(off.reshape(self.B, -1))
+                per_replicate = fold_columns(np.logical_or, off.reshape(self.B, -1))
                 self._projected.reshape(self.B, self.K)[:] = per_replicate[:, None]
             else:
-                self._projected[:] = _any_rows(off)
+                self._projected[:] = fold_columns(np.logical_or, off)
 
     @property
     def converged(self) -> np.ndarray:
@@ -645,10 +638,10 @@ class _Lockstep:
                 self._raw = raw
                 return
         else:
-            nan = _any_rows(np.isnan(raw))
+            nan = fold_columns(np.logical_or, np.isnan(raw))
             terms = self.sat_inv * logit[nan][:, None, :]
             raw[nan] = np.where(self.sat_inv != 0.0, terms, 0.0).sum(axis=2)
-            nan = _any_rows(np.isnan(raw))
+            nan = fold_columns(np.logical_or, np.isnan(raw))
             if nan.any():
                 # Where a coefficient is still NaN (inf - inf, or an empty
                 # group) the closed form says nothing: IRLS fits the joined
@@ -660,7 +653,7 @@ class _Lockstep:
                 rows, raw = np.arange(self.theta.shape[0])[rows][~nan], raw[~nan]
         val = np.minimum(np.maximum(raw, self.lo[rows]), self.hi[rows])
         self.converged[rows] = True
-        self.projected[rows] = _any_rows(val != raw)
+        self.projected[rows] = fold_columns(np.logical_or, val != raw)
         self.theta[rows] = val
 
     def _irls_grouped(self, cells) -> None:
@@ -770,7 +763,7 @@ def run_trials(model: TrialModel, rule: AllocationRule, n: int, m0: int, seeds,
             u = np.stack([s.covariate.random((c, q)) for s in streams], axis=1)
             xs, sixs = spec.from_uniforms(u.reshape(c * B, q))
             ys = responses_from_uniforms(
-                model.arms, model.true_theta, xs,
+                model.logistic, model.dispersion, model.true_theta, xs,
                 np.stack([s.response.random(c) for s in streams], axis=1).reshape(-1))
             xs, ys = xs.reshape(c, B, d), ys.reshape(c, B, K)
             if sixs is not None:
@@ -896,8 +889,8 @@ def step(history: TrialHistory, model: TrialModel, rule: AllocationRule,
     else:
         six = None
         x = spec.sample(streams.covariate)[None, :]
-    responses = responses_from_uniforms(model.arms, model.true_theta, x,
-                                        np.array([streams.response.random()]))
+    responses = responses_from_uniforms(model.logistic, model.dispersion, model.true_theta,
+                                        x, np.array([streams.response.random()]))
     with np.errstate(divide="ignore", invalid="ignore"):
         k, psi, y = state.patient(x, six, np.array([streams.assignment.random()]), responses)
     theta = state.estimates()[0]

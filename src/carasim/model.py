@@ -27,6 +27,7 @@ __all__ = [
     "ArmModel",
     "TrialModel",
     "tensor_grid",
+    "arm_table",
     "responses_from_uniforms",
     "glm_weights",
     "conditional_fisher_info",
@@ -85,8 +86,8 @@ class Constant:
 CoordinateDist = Uniform | TwoPoint | Constant
 
 
-def _as_readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+def _as_readonly(a: np.ndarray, dtype=float) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
@@ -267,11 +268,16 @@ def tensor_grid(coords: Sequence[CoordinateDist],
             mid, half = 0.5 * (c.lo + c.hi), 0.5 * (c.hi - c.lo)
             values.append(mid + half * uniform_nodes[0])
             weights.append(0.5 * uniform_nodes[1])
-    pts = np.stack([g.ravel() for g in np.meshgrid(*values, indexing="ij")], axis=1)
-    w = np.ones(pts.shape[0])
-    for g in np.meshgrid(*weights, indexing="ij"):
-        w = w * g.ravel()
-    return pts, w
+    # Coordinate i varies along axis i of the grid; the weights multiply in
+    # coordinate order, ((w_0 w_1) w_2) ..., by outer products.
+    D = len(values)
+    pts = np.empty(tuple(v.size for v in values) + (D,))
+    for i, v in enumerate(values):
+        pts[..., i] = v.reshape((-1,) + (1,) * (D - 1 - i))
+    w = weights[0]
+    for g in weights[1:]:
+        w = np.multiply.outer(w, g)
+    return pts.reshape(-1, D), w.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -308,23 +314,34 @@ def _check_dims(theta_k: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     return theta_k, x
 
 
-def glm_weights(arms: Sequence[ArmModel], theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+def arm_table(arms: Sequence[ArmModel]) -> tuple[np.ndarray, np.ndarray]:
+    """(logistic, dispersion): read-only (K,) arrays of which arms are
+    logistic and of every arm's dispersion.  A :class:`TrialModel` builds
+    them once, as ``model.logistic`` and ``model.dispersion``."""
+    return (_as_readonly([a.family == "logistic" for a in arms], bool),
+            _as_readonly([a.dispersion for a in arms]))
+
+
+def glm_weights(logistic: np.ndarray, z: np.ndarray) -> np.ndarray:
     """GLM variance function V_k(x) of every arm, shape (K,) or (N, K).
 
-    ``theta`` is the (K, d) coefficient matrix and ``x`` one covariate (d,)
-    or a stack (N, d).  V_k = p(1-p) for logistic arms and 1 for
+    ``logistic`` marks the logistic arms (:func:`arm_table`) and ``z`` holds
+    the linear predictors x theta' of one covariate (K,) or a stack (N, K).
+    V_k = p(1-p) with p = expit(z_k) for logistic arms and 1 for
     normal-linear arms, so that with dispersion phi_k
     Var(Y_k | x) = phi_k V_k(x) and I_k(theta_k | x) = (V_k(x) / phi_k) x'x.
     """
-    p = expit(x @ theta.T)
-    logistic = np.array([a.family == "logistic" for a in arms])
-    return np.where(logistic, p * (1.0 - p), 1.0)
+    p = expit(z)
+    v = np.multiply(p, np.subtract(1.0, p), out=p)
+    return v if logistic.all() else np.where(logistic, v, 1.0)
 
 
-def responses_from_uniforms(arms: Sequence[ArmModel], theta: np.ndarray, x: np.ndarray,
-                            u: np.ndarray) -> np.ndarray:
+def responses_from_uniforms(logistic: np.ndarray, dispersion: np.ndarray, theta: np.ndarray,
+                            x: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Responses (N, K) of every arm at covariates ``x`` (N, d) with
-    coefficient rows ``theta`` (K, d), from one uniform ``u`` (N,) per covariate.
+    coefficient rows ``theta`` (K, d), from one uniform ``u`` (N,) per
+    covariate; ``logistic`` and ``dispersion`` describe the arms
+    (:func:`arm_table`).
 
     This is the one response transform: patient i's uniform goes through
     each arm's inverse CDF, so a patient consumes exactly one uniform
@@ -334,14 +351,13 @@ def responses_from_uniforms(arms: Sequence[ArmModel], theta: np.ndarray, x: np.n
     """
     # One (1, d) @ (d, 1) product per arm and row: bitwise the one-row theta_k @ x.
     mu = (theta[:, None, None, :] @ x[:, :, None])[:, :, 0, 0].T
-    logistic = np.array([a.family == "logistic" for a in arms])
     y = np.empty_like(mu)
     if logistic.any():
         m = mu[:, logistic]
         e = np.exp(-np.abs(m))
         y[:, logistic] = u[:, None] < np.where(m >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
     if not logistic.all():
-        sd = np.sqrt([a.dispersion for a in arms])[~logistic]
+        sd = np.sqrt(dispersion)[~logistic]
         z = ndtri(np.clip(u, 2.0 ** -55, 1.0 - 2.0 ** -53))
         y[:, ~logistic] = mu[:, ~logistic] + sd * z[:, None]
     return y
@@ -353,7 +369,8 @@ def conditional_fisher_info(arm: ArmModel, theta_k: np.ndarray, x: np.ndarray) -
     Identity link: p(1-p) x'x for logistic, x'x / sigma^2 for normal-linear.
     """
     theta_k, x = _check_dims(theta_k, x)
-    w = float(glm_weights((arm,), theta_k[None, :], x)[0]) / arm.dispersion
+    logistic, _ = arm_table((arm,))
+    w = float(glm_weights(logistic, x @ theta_k[None, :].T)[0]) / arm.dispersion
     return w * np.outer(x, x)
 
 
@@ -382,6 +399,10 @@ class TrialModel:
     box_lo: np.ndarray
     box_hi: np.ndarray
     shared_slopes: bool = False
+    # Derived from ``arms`` once (arm_table): which arms are logistic, and
+    # every arm's dispersion, as read-only (K,) arrays.
+    logistic: np.ndarray = field(init=False, repr=False, compare=False)
+    dispersion: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.arms) < 2:
@@ -408,6 +429,9 @@ class TrialModel:
         object.__setattr__(self, "true_theta", _as_readonly(theta))
         object.__setattr__(self, "box_lo", _as_readonly(lo))
         object.__setattr__(self, "box_hi", _as_readonly(hi))
+        logistic, dispersion = arm_table(self.arms)
+        object.__setattr__(self, "logistic", logistic)
+        object.__setattr__(self, "dispersion", dispersion)
 
     @property
     def K(self) -> int:

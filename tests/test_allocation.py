@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from carasim.allocation import AllocationRule, jacobian, jacobian_fd, probabilities
+from carasim import allocation
+from carasim.allocation import AllocationRule, fold_columns, jacobian, jacobian_fd, probabilities
 
 ODDS = AllocationRule(kind="odds-ratio")
 
@@ -145,3 +146,34 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         probabilities(ODDS, np.zeros((2, 2)), np.array([1.0]))
 
+
+@pytest.mark.parametrize("ufunc", [np.add, np.maximum])
+@pytest.mark.parametrize("K", range(2, 8))
+def test_fold_over_columns_is_bitwise_numpys_reduce(ufunc, K):
+    # Magnitudes over 40 decades, both signs and signed zeros: any other
+    # order of the additions, e.g. a0 + (a1 + a2), changes last bits.
+    rng = np.random.default_rng(K)
+    for rows in (1, 5, allocation._MANY_ROWS - 1, allocation._MANY_ROWS, 3000):
+        a = rng.standard_normal((rows, K)) * np.exp(rng.uniform(-46.0, 46.0, (rows, K)))
+        a[rng.random((rows, K)) < 0.05] = 0.0
+        a[rng.random((rows, K)) < 0.05] = -0.0
+        a[:, 0] = np.where(np.all(a == 0.0, axis=1), 1.0, a[:, 0])  # no row of zeros only
+        for keepdims in (False, True):
+            for arr in (a, a.reshape(1, rows, K), np.asfortranarray(a)):
+                got = fold_columns(ufunc, arr, keepdims=keepdims)
+                want = ufunc.reduce(arr, axis=-1, keepdims=keepdims)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_fold_over_columns_ors_boolean_rows():
+    a = np.random.default_rng(3).random((500, 3)) < 0.2
+    for cols in (1, 2, 3):
+        np.testing.assert_array_equal(fold_columns(np.logical_or, a[:, :cols]),
+                                      a[:, :cols].any(axis=1))
+
+
+def test_fold_over_columns_sums_negative_zeros_to_negative_zero():
+    # The one documented difference from numpy, which starts a sum from +0.
+    a = np.full((allocation._MANY_ROWS, 3), -0.0)
+    assert np.all(np.signbit(fold_columns(np.add, a)))
+    assert not np.any(np.signbit(np.add.reduce(a, axis=-1)))

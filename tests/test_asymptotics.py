@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ndtr
 
+from carasim import allocation
 from carasim.allocation import AllocationRule, jacobian, probabilities
 from carasim.asymptotics import (
     SingularInformationError,
@@ -351,6 +352,47 @@ def test_plugin_structural_invariants():
                                atol=1e-12)
     for cond in rep.conditional:
         np.testing.assert_allclose(cond.sigma.sum(axis=1), 0.0, atol=1e-12)
+
+
+def _continuous_config():
+    """Three logistic arms on (1, U(-1, 1)), allocated by ratio-of-g with 1 + z^2."""
+    raw = two_point_config(n=300, replicates=1, seed=4)
+    raw["model"].update(
+        arms=[{"family": "logistic"}] * 3, box_lo=-3.0, box_hi=3.0,
+        true_theta=[[0.4, 0.8], [0.0, -0.6], [-0.3, 0.3]],
+        covariates={"kind": "continuous-product", "intercept": True,
+                    "coords": [{"kind": "uniform", "lo": -1.0, "hi": 1.0}]})
+    raw["rule"] = {"kind": "ratio-of-g", "g": "one-plus-z-squared"}
+    del raw["replication"]["x_list"]
+    return raw
+
+
+@pytest.mark.parametrize("raw", [two_point_config(n=300, replicates=1, seed=4),
+                                 _continuous_config()])
+def test_one_rule_kernel_evaluation_per_node_set(raw, monkeypatch):
+    # theory_report and plugin_estimates evaluate the rule once on their
+    # nodes, and once more on the x_list points when there are any (the
+    # theory's need positive mass, so only on a finite support).
+    cfg, hist = _one_trial(raw)
+    x_list = [hist.covariates[0], hist.covariates[1]]
+    runs = [(theory_report, (), ()), (plugin_estimates, (hist,), ()),
+            (plugin_estimates, (hist,), x_list)]
+    if cfg.model.covariates.enumerated() is not None:
+        runs.append((theory_report, (), x_list))
+    calls = []
+    kernel = allocation._kernel
+
+    def counted(*args, **kwargs):
+        calls.append(args[2].shape)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(allocation, "_kernel", counted)
+    for report, history, points in runs:
+        calls.clear()
+        report(*history, cfg.model, cfg.rule, x_list=points)
+        assert len(calls) == 1 + bool(points), report.__name__
+        if points:
+            assert calls[1] == (2, cfg.model.d)
 
 
 def test_plugin_support_points_and_observed_rows_agree():

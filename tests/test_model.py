@@ -8,6 +8,7 @@ from carasim.model import (
     TrialModel,
     TwoPoint,
     Uniform,
+    arm_table,
     conditional_fisher_info,
     glm_weights,
     responses_from_uniforms,
@@ -16,6 +17,10 @@ from carasim.model import (
 
 LOGISTIC = ArmModel(family="logistic")
 NORMAL4 = ArmModel(family="normal-linear", dispersion=4.0)
+
+
+def _responses(arms, theta, x, u):
+    return responses_from_uniforms(*arm_table(arms), theta, x, u)
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +61,21 @@ def test_product_enumeration_matches_expected_masses():
     np.testing.assert_allclose(spec.mass(np.array([1.0, 0.0, -1.0])), 0.3 * 0.6)
     np.testing.assert_allclose(spec.mass(np.array([1.0, 1.0, 2.0])), 0.7 * 0.4)
     assert spec.mass(np.array([1.0, 0.5, -1.0])) == 0.0
+
+
+def test_tensor_grid_is_bitwise_the_meshgrid_product():
+    # Points by broadcasting, weights multiplied in coordinate order.
+    glx, glw = np.polynomial.legendre.leggauss(7)
+    coords = (Constant(1.0), Uniform(-1.0, 3.0), TwoPoint(0.5, 1.5, p_a=0.3), Uniform(-1.0, 1.0))
+    pts, w = tensor_grid(coords, (glx, glw))
+    values = [np.array([1.0]), 1.0 + 2.0 * glx, np.array([0.5, 1.5]), 0.0 + 1.0 * glx]
+    weights = [np.array([1.0]), 0.5 * glw, np.array([0.3, 1.0 - 0.3]), 0.5 * glw]
+    want = np.stack([g.ravel() for g in np.meshgrid(*values, indexing="ij")], axis=1)
+    want_w = np.ones(want.shape[0])
+    for g in np.meshgrid(*weights, indexing="ij"):
+        want_w = want_w * g.ravel()
+    assert pts.flags.c_contiguous and pts.tobytes() == want.tobytes()
+    assert w.tobytes() == want_w.tobytes()
 
 
 def test_tensor_grid_maps_uniform_nodes_and_multiplies_weights():
@@ -177,7 +197,7 @@ def test_score_has_mean_zero_at_truth():
                        (ArmModel(family="normal-linear", dispersion=2.0),
                         np.array([1.0]))]:
         x = np.array([1.0])
-        ys = responses_from_uniforms((arm,), theta[None], np.tile(x, (n, 1)), rng.random(n))[:, 0]
+        ys = _responses((arm,), theta[None], np.tile(x, (n, 1)), rng.random(n))[:, 0]
         draws = np.array([_score(arm, theta, x, y)[0] for y in ys])
         info = conditional_fisher_info(arm, theta, x)[0, 0]
         assert abs(draws.mean()) <= 4.0 * np.sqrt(info / n)
@@ -192,8 +212,8 @@ def test_bernoulli_sample_mean():
     rng = np.random.default_rng(12345)
     x = np.array([1.0])
     theta = np.array([0.0])
-    draws = responses_from_uniforms((LOGISTIC,), theta[None], np.tile(x, (100_000, 1)),
-                                    rng.random(100_000))[:, 0]
+    draws = _responses((LOGISTIC,), theta[None], np.tile(x, (100_000, 1)),
+                       rng.random(100_000))[:, 0]
     assert abs(np.mean(draws) - 0.5) <= 0.01
     assert set(np.unique(draws)) <= {0.0, 1.0}
 
@@ -202,8 +222,8 @@ def test_normal_sample_variance():
     rng = np.random.default_rng(777)
     x = np.array([1.0])
     theta = np.array([1.0])
-    draws = responses_from_uniforms((NORMAL4,), theta[None], np.tile(x, (100_000, 1)),
-                                    rng.random(100_000))[:, 0]
+    draws = _responses((NORMAL4,), theta[None], np.tile(x, (100_000, 1)),
+                       rng.random(100_000))[:, 0]
     assert abs(draws.var(ddof=1) - 4.0) <= 0.15
     assert abs(draws.mean() - 1.0) <= 0.03
 
@@ -211,17 +231,26 @@ def test_normal_sample_variance():
 def test_response_from_uniform_matches_inverse_cdf():
     x = np.array([[1.0], [1.0]])
     arm = ArmModel(family="normal-linear", dispersion=9.0)
-    y = responses_from_uniforms((LOGISTIC, arm), np.array([[np.log(3.0)], [2.0]]), x,
-                                np.array([0.74, 0.5]))
+    y = _responses((LOGISTIC, arm), np.array([[np.log(3.0)], [2.0]]), x,
+                   np.array([0.74, 0.5]))
     # Bernoulli: u below the success probability 3/4 yields 1.
     np.testing.assert_array_equal(y[:, 0], [1.0, 1.0])
-    assert responses_from_uniforms((LOGISTIC,), np.array([[np.log(3.0)]]), x[:1],
-                                   np.array([0.76]))[0, 0] == 0.0
+    assert _responses((LOGISTIC,), np.array([[np.log(3.0)]]), x[:1],
+                      np.array([0.76]))[0, 0] == 0.0
     # Normal: median of the conditional law at u = 1/2.
     np.testing.assert_allclose(y[1, 1], 2.0, atol=1e-12)
     # Var(Y | x) = dispersion times the GLM weight, 1 for normal arms.
     np.testing.assert_allclose(
-        arm.dispersion * glm_weights((arm,), np.array([[2.0]]), x[0]), [9.0])
+        arm.dispersion * glm_weights(arm_table((arm,))[0], x[0] @ np.array([[2.0]]).T), [9.0])
+
+
+def test_model_arm_table_is_built_once_and_read_only():
+    model = TrialModel(arms=(LOGISTIC, NORMAL4, LOGISTIC), covariates=CovariateSpec.constant([1.0]),
+                       true_theta=np.zeros((3, 1)), box_lo=-1.0, box_hi=1.0)
+    np.testing.assert_array_equal(model.logistic, [True, False, True])
+    np.testing.assert_array_equal(model.dispersion, [1.0, 4.0, 1.0])
+    assert not (model.logistic.flags.writeable or model.dispersion.flags.writeable)
+    assert model.logistic is model.logistic and model.dispersion is model.dispersion
 
 
 def test_arm_model_validation():

@@ -1,5 +1,7 @@
 """Property tests of the batched rule kernel, the limit theory and the lockstep engine."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from carasim import asymptotics
-from carasim.allocation import AllocationRule, jacobian, jacobian_fd, probabilities
+from carasim import allocation
+from carasim.allocation import AllocationRule, jacobian, jacobian_fd, node_pass, probabilities
 from carasim.asymptotics import TheoryOptions, expectation_nodes, lse_sandwich, theory_report
 from carasim.engine import (
     EngineOptions,
@@ -84,6 +87,71 @@ def test_batched_rows_match_single_row_calls(case, seed):
     w = np.random.default_rng(seed).random(X.shape[0])
     np.testing.assert_allclose(jacobian(rule, theta, X, weights=w),
                                np.tensordot(w, J, axes=1), rtol=0, atol=1e-14)
+
+
+def _textbook_dpi_dz(rule, theta, X):
+    """(d pi / d z (N, K, K), u) by the textbook forms: T (pi_k delta_kj -
+    pi_k pi_j), (delta_kj G'(z_j) - pi_k G'(z_j)) / sum G and
+    g [[1, -1], [-1, 1]], each built from eye and outer-product stacks."""
+    K = theta.shape[0]
+    p = probabilities(rule, theta, X)
+    z = X @ theta.T
+    eye = np.eye(K)
+    if rule.kind in ("two-arm-g-difference", "covariate-free-normal"):
+        if rule.kind == "covariate-free-normal":
+            t = np.full(X.shape[0], (theta[0, 0] - theta[1, 0]) / rule.T)
+            u = np.broadcast_to(np.eye(X.shape[1])[0], X.shape)
+        else:
+            t = (z[:, 0] - z[:, 1]) / rule.T
+            u = X
+        g = np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi) / rule.T
+        return g[:, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]]), u
+    if rule.kind == "ratio-of-g" and rule.g_name == "one-plus-z-squared":
+        gp = 2.0 * z
+        s = (1.0 + z * z).sum(axis=-1, keepdims=True)
+        return (eye * gp[:, None, :] - p[:, :, None] * gp[:, None, :]) / s[:, None], X
+    T = rule.T if rule.kind == "exponential" else 1.0
+    return T * (p[:, :, None] * eye - p[:, :, None] * p[:, None, :]), X
+
+
+@st.composite
+def node_pass_cases(draw):
+    """(rule, theta (K, d), X (N, d), weights (N,), logistic (K,)) with K up
+    to 5 and N one, a few, several hundred, or a few thousand rows (more than
+    one block of the kernel's derivative)."""
+    rule = draw(rules())
+    K = 2 if rule.kind in _TWO_ARM else draw(st.integers(2, 5))
+    d = draw(st.integers(1, 4))
+    N = draw(st.one_of(st.just(1), st.integers(2, 9), st.integers(200, 700),
+                       st.integers(allocation._BLOCK_ROWS, 2 * allocation._BLOCK_ROWS + 5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    theta = rng.uniform(-2.0, 2.0, (K, d))
+    X = rng.uniform(-2.0, 2.0, (N, d))
+    w = np.where(rng.random(N) < 0.2, 0.0, rng.random(N))
+    return rule, theta, X, w, rng.random(K) < 0.5
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(node_pass_cases())
+def test_node_pass_is_bitwise_the_separate_calls(case):
+    rule, theta, X, w, logistic = case
+    K, d = theta.shape
+    p, dg, z = node_pass(rule, theta, X, w)
+    _same_bytes(p, probabilities(rule, theta, X))
+    _same_bytes(dg, jacobian(rule, theta, X, weights=w))
+    _same_bytes(glm_weights(logistic, z), glm_weights(logistic, X @ theta.T))
+    # The in-place derivative block gives the bits of the textbook stacks.
+    dpi_dz, u = _textbook_dpi_dz(rule, theta, X)
+    _same_bytes(dg, ((dpi_dz.reshape(-1, K * K) * w[:, None]).T @ u).reshape(K, K * d))
+    p_rows, jac_rows, z_rows = node_pass(rule, theta, X)
+    _same_bytes(p_rows, p)
+    _same_bytes(z_rows, z)
+    _same_bytes(jac_rows, (dpi_dz[..., None] * u[:, None, None, :]).reshape(-1, K, K * d))
 
 
 @st.composite
@@ -191,7 +259,7 @@ def test_theory_node_sums_equal_einsum(design):
     theta = model.true_theta
     pi = probabilities(rule, theta, pts)
     phi = np.array([a.dispersion for a in model.arms])
-    gw = glm_weights(model.arms, theta, pts)
+    gw = glm_weights(model.logistic, pts @ theta.T)
     rep = theory_report(model, rule, opts=opts)
     _assert_node_sum(rep.info, w[:, None] * pi * gw / phi, pts, pts)
     lse = lse_sandwich(model, rule, opts)
