@@ -26,8 +26,6 @@ Every kind runs through one batched kernel that gives pi and, for the
 Jacobian, d pi / d z and the linear predictors z = x theta';
 :func:`node_pass` returns pi, d pi / d theta and z from one evaluation,
 which is how the limit theory and the plug-ins read them.
-:func:`jacobian_fd` is a central finite-difference reference for the
-Jacobian.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ import numpy as np
 from scipy.special import ndtr
 
 __all__ = ["AllocationRule", "KIND_PARAMS", "check_rule", "probabilities",
-           "probabilities_unchecked", "node_pass", "jacobian", "jacobian_fd", "fold_columns"]
+           "probabilities_unchecked", "node_pass", "jacobian", "fold_columns"]
 
 # The parameters each kind reads; a kind must be given these and no others.
 KIND_PARAMS = {"ratio-of-g": ("g_name",), "exponential": ("T",), "odds-ratio": (),
@@ -295,23 +293,3 @@ def jacobian(rule: AllocationRule, theta: np.ndarray, x: np.ndarray,
     block with the (N, d) covariates, so the per-row stack is never built.
     """
     return node_pass(rule, theta, x, weights)[1]
-
-
-_FD_STEP = 1e-6
-
-
-def jacobian_fd(rule: AllocationRule, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Central finite-difference Jacobian at one covariate, one column per coefficient."""
-    theta = np.asarray(theta, dtype=float)
-    x = np.asarray(x, dtype=float)
-    K, d = theta.shape
-    jac = np.empty((K, K * d))
-    for j in range(K):
-        for l in range(d):
-            tp = theta.copy()
-            tm = theta.copy()
-            tp[j, l] += _FD_STEP
-            tm[j, l] -= _FD_STEP
-            jac[:, j * d + l] = (probabilities(rule, tp, x)
-                                 - probabilities(rule, tm, x)) / (2.0 * _FD_STEP)
-    return jac

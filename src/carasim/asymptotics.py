@@ -59,7 +59,6 @@ from .model import CovariateSpec, TrialModel, Uniform, glm_weights, tensor_grid
 __all__ = [
     "TheoryOptions",
     "ExpectationMethod",
-    "InfoMatrices",
     "ConditionalCovariance",
     "TheoryReport",
     "PluginReport",
@@ -96,6 +95,12 @@ class ZeroMassCovariateError(Exception):
 class TheoryOptions:
     gl_nodes: int = 64
     mc_size: int = 1_000_000
+
+    def __post_init__(self):
+        for name in ("gl_nodes", "mc_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -164,13 +169,6 @@ def _mc_stderr(values: np.ndarray, weights: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Theory result types
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InfoMatrices:
-    info: np.ndarray  # (K, d, d)
-    V: np.ndarray  # (K, d, d)
-    method: ExpectationMethod
 
 
 @dataclass(frozen=True)
@@ -282,25 +280,6 @@ def _conditionals(rule: AllocationRule, theta: np.ndarray, X: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _design_information(model: TrialModel, pts: np.ndarray, w: np.ndarray, pi: np.ndarray,
-                        z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """I_k = E[pi_k I_k(theta_k | xi)] on the nodes, and V_k = I_k^{-1}; z
-    holds the nodes' linear predictors at the true coefficients."""
-    info = _fisher_gram(model, pts, w[:, None] * pi, z)
-    V = _invert(info, "design-weighted information")
-    _assert_psd([f"V_{k + 1}" for k in range(model.K)], V)
-    return info, V
-
-
-def info_matrices(model: TrialModel, rule: AllocationRule,
-                  opts: TheoryOptions = TheoryOptions()) -> InfoMatrices:
-    """Design-weighted Fisher information I_k and V_k = I_k^{-1} per arm."""
-    pts, w, method = expectation_nodes(model.covariates, opts)
-    theta = model.true_theta
-    info, V = _design_information(model, pts, w, probabilities(rule, theta, pts), pts @ theta.T)
-    return InfoMatrices(info=info, V=V, method=method)
-
-
 def theory_report(model: TrialModel, rule: AllocationRule, x_list=(),
                   opts: TheoryOptions = TheoryOptions()) -> TheoryReport:
     """All limit-theorem quantities for one (model, rule) pair.
@@ -318,7 +297,9 @@ def theory_report(model: TrialModel, rule: AllocationRule, x_list=(),
     theta = model.true_theta
     pi, dg, z = node_pass(rule, theta, pts, w)
     v = w @ pi
-    info, V = _design_information(model, pts, w, pi, z)
+    info = _fisher_gram(model, pts, w[:, None] * pi, z)
+    V = _invert(info, "design-weighted information")
+    _assert_psd([f"V_{k + 1}" for k in range(model.K)], V)
     C = _theta_covariance(model, info)
     if method.kind == "monte-carlo":
         method = replace(method, stderr=_mc_stderr(pi, w))
@@ -338,14 +319,17 @@ def theory_report(model: TrialModel, rule: AllocationRule, x_list=(),
                         conditional=conditional, method=method)
 
 
+def info_matrices(model: TrialModel, rule: AllocationRule,
+                  opts: TheoryOptions = TheoryOptions()) -> TheoryReport:
+    """The theory report, read for the design information I_k and V_k = I_k^{-1}."""
+    return theory_report(model, rule, opts=opts)
+
+
 def scaled_mle_covariance(model: TrialModel, rule: AllocationRule,
                           opts: TheoryOptions = TheoryOptions()) -> np.ndarray:
     """Asymptotic covariance of sqrt(N_{n,k}) (theta_hat_k - theta_k): v_k V_k."""
-    pts, w, _ = expectation_nodes(model.covariates, opts)
-    theta = model.true_theta
-    pi = probabilities(rule, theta, pts)
-    _, V = _design_information(model, pts, w, pi, pts @ theta.T)
-    return (w @ pi)[:, None, None] * V
+    rep = theory_report(model, rule, opts=opts)
+    return rep.v[:, None, None] * rep.V
 
 
 def iid_mle_covariance(model: TrialModel,
@@ -496,8 +480,6 @@ def bb_closed_forms(model: TrialModel, rule: AllocationRule,
     if rule.kind != "covariate-free-normal":
         raise ValueError("closed forms require the covariate-free normal rule")
     sigma2 = model.arms[0].dispersion
-    if model.arms[1].dispersion != sigma2:
-        raise ValueError("closed forms require a common error variance")
     T = rule.T
     mu = model.true_theta[:, 0]
     delta = float(mu[0] - mu[1])
@@ -507,15 +489,13 @@ def bb_closed_forms(model: TrialModel, rule: AllocationRule,
     a = w @ tilde
     centred = tilde - a
     J = (centred * w[:, None]).T @ centred
-    dt = model.d - 1
-    if dt > 0:
+    if model.d > 1:
         if np.linalg.cond(J) > COND_MAX:
             raise SingularInformationError("Var(xi_tilde) is singular")
         Jinv = np.linalg.inv(J)
         c = float(a @ Jinv @ a)
         beta_cov = sigma2 * Jinv
     else:
-        Jinv = np.empty((0, 0))
         c = 0.0
         beta_cov = np.empty((0, 0))
 

@@ -74,10 +74,10 @@ support counts of designs without grouped logistic arms, whose refits do
 not read them, from the support points of up to a draw block of patients,
 added at once.
 
-The incremental fits agree with :func:`carasim.estimation.update_all_estimates`
-run on the stored history.  Unlike the standalone fits, the incremental
-least-squares refits skip the conditioning-number guard; exactly singular
-systems still fail soft (the arm keeps its previous estimate).
+The incremental fits agree with a batch refit of every arm from the stored
+history.  Unlike the standalone fits, the incremental least-squares refits
+skip the conditioning-number guard; exactly singular systems still fail
+soft (the arm keeps its previous estimate).
 
 A history from :func:`run_trial` or :func:`run_trials` carries the engine
 state after its last patient, and :func:`step` resumes from a copy of it

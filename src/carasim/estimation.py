@@ -18,29 +18,22 @@ it.  The engine refits all its logistic cells of one patient in one call.
 Normal-linear arms are fitted by the normal equations.  Final estimates are
 always clamped coordinatewise into the arm's parameter box; ``projected``
 records whether the clamp moved the point.  With
-``check_conditioning=False`` (the engine's refits and
-``update_all_estimates``) IRLS skips its condition-number guard on the
-Hessian; an exactly singular system still ends the fit as singular.
+``check_conditioning=False`` (the engine's refits) IRLS skips its
+condition-number guard on the Hessian; an exactly singular system still
+ends the fit as singular.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.special import expit
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .engine import TrialHistory
-    from .model import TrialModel
-
 __all__ = [
     "ArmSample",
     "FitResult",
-    "JointFitResult",
-    "EstimatesUpdate",
     "EstimationError",
     "EmptySampleError",
     "fit_logistic_mle",
@@ -48,8 +41,6 @@ __all__ = [
     "fit_logistic_cells",
     "CellFits",
     "fit_linear_lse",
-    "fit_shared_slope_lse",
-    "update_all_estimates",
 ]
 
 # Machine-readable failure reasons carried on non-converged fits.
@@ -108,23 +99,6 @@ class FitResult:
     projected: bool
     iterations: int
     reason: str = ""
-
-
-@dataclass(frozen=True)
-class JointFitResult:
-    """Outcome of a shared-slope least-squares fit across all arms."""
-
-    theta: np.ndarray  # (K, d)
-    converged: bool
-    projected: bool
-    reason: str = ""
-
-
-@dataclass(frozen=True)
-class EstimatesUpdate:
-    theta: np.ndarray  # (K, d)
-    converged: np.ndarray  # (K,) bool
-    projected: np.ndarray  # (K,) bool
 
 
 def _check_box(lo: np.ndarray, hi: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -451,100 +425,3 @@ def fit_linear_lse(sample: ArmSample, lo: np.ndarray, hi: np.ndarray) -> FitResu
         return degenerate
     theta_c, projected = _clamp(theta, lo, hi)
     return FitResult(theta_hat=theta_c, converged=True, projected=projected, iterations=1)
-
-
-def fit_shared_slope_lse(X: np.ndarray, y: np.ndarray, arm_idx: np.ndarray, K: int,
-                         lo: np.ndarray, hi: np.ndarray) -> JointFitResult:
-    """Joint least squares: per-arm intercepts, slopes shared across arms.
-
-    Rows must carry a leading constant-1 coordinate; the fitted coefficient
-    matrix has rows (mu_k, beta) with one intercept per arm and a common
-    slope vector beta.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    arm_idx = np.asarray(arm_idx, dtype=int).ravel()
-    n, d = X.shape
-    if n == 0:
-        raise EmptySampleError("least-squares fit requires at least one observation")
-    if y.shape[0] != n or arm_idx.shape[0] != n:
-        raise ValueError("X, y and arm_idx must have matching lengths")
-    if not np.all(X[:, 0] == 1.0):
-        raise ValueError("shared-slope fit requires a leading constant-1 column")
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), (K, d))
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), (K, d))
-
-    P = K + (d - 1)
-    eta = np.zeros((n, P))
-    eta[np.arange(n), arm_idx] = 1.0
-    eta[:, K:] = X[:, 1:]
-    A = eta.T @ eta
-    rhs = eta.T @ y
-
-    def _theta_from(coef: np.ndarray) -> np.ndarray:
-        theta = np.empty((K, d))
-        theta[:, 0] = coef[:K]
-        theta[:, 1:] = coef[K:]
-        return theta
-
-    mid = _theta_from(np.concatenate([0.5 * (lo[:, 0] + hi[:, 0]),
-                                      0.5 * (lo[0, 1:] + hi[0, 1:])]))
-    degenerate = JointFitResult(theta=mid, converged=False, projected=False,
-                                reason=DEGENERATE_DESIGN)
-    if n < P or np.linalg.cond(A) > COND_MAX:
-        return degenerate
-    try:
-        coef = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError:
-        return degenerate
-    theta = _theta_from(coef)
-    clipped = np.clip(theta, lo, hi)
-    return JointFitResult(theta=clipped, converged=True,
-                          projected=bool(np.any(clipped != theta)))
-
-
-def update_all_estimates(history: "TrialHistory", model: "TrialModel") -> EstimatesUpdate:
-    """Refit every arm from a trial history, warm-starting at its latest
-    estimate; arms whose fit fails (or that have no data) keep the previous
-    value.  Logistic arms are refitted as the engine refits them, without the
-    conditioning guard.  Pure: identical history in, identical estimates out."""
-    K, d = model.K, model.d
-    prev = history.current_theta
-    if prev is None:
-        prev = 0.5 * (model.box_lo + model.box_hi)
-    theta = np.array(prev, dtype=float)
-    converged = np.zeros(K, dtype=bool)
-    projected = np.zeros(K, dtype=bool)
-
-    X = history.covariates[:history.n]
-    y = history.responses[:history.n]
-    arms = history.arms[:history.n]
-
-    if model.shared_slopes:
-        if history.n == 0:
-            return EstimatesUpdate(theta=theta, converged=converged, projected=projected)
-        fit = fit_shared_slope_lse(X, y, arms, K, model.box_lo, model.box_hi)
-        if fit.converged:
-            theta = fit.theta
-        converged[:] = fit.converged
-        projected[:] = fit.projected
-        return EstimatesUpdate(theta=theta, converged=converged, projected=projected)
-
-    for k in range(K):
-        mask = arms == k
-        if not np.any(mask):
-            continue
-        sample = ArmSample(X=X[mask], y=y[mask])
-        lo, hi = model.box_lo[k], model.box_hi[k]
-        if model.arms[k].family == "logistic":
-            init = np.clip(theta[k], lo, hi)
-            fit = fit_grouped_logistic_mle(sample.X, np.ones(sample.n), sample.y, lo, hi,
-                                           init=init, check_conditioning=False)
-        else:
-            fit = fit_linear_lse(sample, lo, hi)
-        if fit.reason in (SINGULAR_HESSIAN, DEGENERATE_DESIGN):
-            continue  # keep previous estimate
-        theta[k] = fit.theta_hat
-        converged[k] = fit.converged
-        projected[k] = fit.projected
-    return EstimatesUpdate(theta=theta, converged=converged, projected=projected)

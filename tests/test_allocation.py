@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from carasim import allocation
-from carasim.allocation import AllocationRule, fold_columns, jacobian, jacobian_fd, probabilities
+from carasim.allocation import AllocationRule, fold_columns, jacobian, probabilities
+
+from oracles import jacobian_fd
 
 ODDS = AllocationRule(kind="odds-ratio")
 

@@ -173,6 +173,25 @@ def test_monte_carlo_fallback_is_deterministic_and_close():
     assert abs(mc1.v[0] - exact[0]) <= 5.0 * mc1.method.stderr
 
 
+@pytest.mark.parametrize("field, value", [
+    ("mc_size", 0),  # once a ZeroDivisionError in expectation_nodes
+    ("gl_nodes", 0),  # once numpy's "deg must be a positive integer"
+    ("gl_nodes", -2),
+    ("gl_nodes", 2.5),  # once a TypeError
+    ("mc_size", 1e6),
+    ("gl_nodes", True),
+    ("mc_size", False),
+])
+def test_theory_options_reject_values_that_are_not_positive_integers(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a positive integer"):
+        TheoryOptions(**{field: value})
+
+
+def test_theory_options_accept_numpy_integers():
+    opts = TheoryOptions(gl_nodes=np.int64(8), mc_size=np.int32(100))
+    assert (opts.gl_nodes, opts.mc_size) == (8, 100)
+
+
 # ---------------------------------------------------------------------------
 # Information matrices
 # ---------------------------------------------------------------------------

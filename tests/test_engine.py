@@ -14,10 +14,11 @@ from carasim.engine import (
     step,
     streams_for_trial,
 )
-from carasim.estimation import update_all_estimates
 from carasim.fixtures import bb_config, f1_config, two_point_config
 from carasim.harness import parse_config
 from carasim.model import ArmModel, CovariateSpec, TrialModel, Uniform
+
+from oracles import update_all_estimates
 
 OPTS = EngineOptions()
 ODDS_RULE = AllocationRule(kind="odds-ratio")

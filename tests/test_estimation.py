@@ -11,12 +11,12 @@ from carasim.estimation import (
     fit_grouped_logistic_mle,
     fit_linear_lse,
     fit_logistic_mle,
-    fit_shared_slope_lse,
-    update_all_estimates,
 )
 from carasim.fixtures import MLE_X, MLE_Y, f1_config
 from carasim.harness import parse_config
 from carasim.model import ArmModel, CovariateSpec, TrialModel, TwoPoint
+
+from oracles import fit_shared_slope_lse, update_all_estimates
 
 BOX1 = (np.array([-5.0]), np.array([5.0]))
 BOX2 = (np.array([-5.0, -5.0]), np.array([5.0, 5.0]))

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from carasim import asymptotics
 from carasim import allocation
-from carasim.allocation import AllocationRule, jacobian, jacobian_fd, node_pass, probabilities
+from carasim.allocation import AllocationRule, jacobian, node_pass, probabilities
 from carasim.asymptotics import TheoryOptions, expectation_nodes, lse_sandwich, theory_report
 from carasim.engine import (
     EngineOptions,
@@ -20,10 +20,12 @@ from carasim.engine import (
     step,
     streams_for_trial,
 )
-from carasim.estimation import fit_grouped_logistic_mle, fit_logistic_cells, update_all_estimates
+from carasim.estimation import fit_grouped_logistic_mle, fit_logistic_cells
 from carasim.fixtures import bb_config, f1_config, two_point_config
 from carasim.harness import parse_config
 from carasim.model import ArmModel, CovariateSpec, TrialModel, TwoPoint, Uniform, glm_weights
+
+from oracles import jacobian_fd, update_all_estimates
 
 _TWO_ARM = ("odds-ratio", "two-arm-g-difference", "covariate-free-normal")
 

@@ -2,8 +2,10 @@
 by name; these tests fail when a rename or deletion would break a traced
 benchmark run.  The benchmark also drives the CLI's ``--workers`` flag,
 parses the config documents of its workloads (perfbench/workloads.py) and
-calls the engine and the plug-ins with positional arguments."""
+calls the engine and the plug-ins with positional arguments.  Every name the
+package exports must run outside the tests, or be traced by the benchmark."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -15,8 +17,10 @@ import pytest
 
 import carasim
 import carasim.cli  # noqa: F401  (the tracer wraps cli.main)
+from carasim.allocation import probabilities
+from carasim.asymptotics import _fisher_gram, expectation_nodes
 from carasim.estimation import fit_grouped_logistic_mle
-from carasim.fixtures import f1_config
+from carasim.fixtures import bb_config, coincidence_configs, f1_config, two_point_config
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -37,6 +41,55 @@ def test_every_traced_name_resolves_in_carasim():
             assert meth in vars(getattr(home, cls)), f"{mod}.{attr}"
         else:
             assert callable(getattr(home, attr, None)), f"{mod}.{attr}"
+
+
+def _names_read(paths) -> set[str]:
+    """Every bare name and attribute name that the code in ``paths`` reads;
+    imports, definitions, docstrings and comments do not count."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+def test_every_exported_name_runs_outside_the_tests():
+    # What only tests call belongs in tests/ (tests/oracles.py), not in the
+    # package's exports.
+    root = PERFBENCH.parent
+    read = _names_read([*(root / "src" / "carasim").glob("*.py"), *(root / "bench").glob("*.py"),
+                        *PERFBENCH.glob("*.py")])
+    traced = {attr.split(".")[0] for _, attr, _, _ in _load("spans").TRACED}
+    assert sorted(set(carasim.__all__) - read - traced) == []
+
+
+def test_info_matrices_and_scaled_covariance_are_the_theory_report_bitwise():
+    # On the gate's fixtures and every benchmark design, the two readers of
+    # the theory report give its fields bit for bit, and the information is
+    # the same bits as a sum over the rule's probabilities at x theta'.
+    workloads = _load("workloads")
+    fixtures = [f1_config(n=100, replicates=1, seed=0), two_point_config(n=100, replicates=1, seed=0),
+                bb_config(n=100, replicates=1, seed=0), *coincidence_configs(0)]
+    cases = [(raw, None) for raw in fixtures] + [
+        (design.config, design.theory_opts)
+        for name in workloads.NAMES for design in workloads.designs(name, 7)]
+    for raw, theory_opts in cases:
+        cfg = carasim.parse_config(raw)
+        model, rule = cfg.model, cfg.rule
+        opts = carasim.TheoryOptions(**(theory_opts or {}))
+        rep = carasim.theory_report(model, rule, opts=opts)
+        im = carasim.info_matrices(model, rule, opts)
+        assert np.array_equal(im.info, rep.info) and np.array_equal(im.V, rep.V)
+        assert (im.method.kind, im.method.size) == (rep.method.kind, rep.method.size)
+        assert np.array_equal(carasim.scaled_mle_covariance(model, rule, opts),
+                              rep.v[:, None, None] * rep.V)
+        pts, w, _ = expectation_nodes(model.covariates, opts)
+        theta = model.true_theta
+        info = _fisher_gram(model, pts, w[:, None] * probabilities(rule, theta, pts), pts @ theta.T)
+        assert np.array_equal(info, rep.info)
 
 
 def test_irls_fits_report_their_iterations():
