@@ -40,22 +40,26 @@ All work is single-threaded (one BLAS thread).
 
 times only the F1, two-point and bb engine rows, those of three variants
 of the two-point fixture (three and five logistic arms, and two logistic
-arms beside a normal arm; batches of 1, 8 and 256), and ``step()`` rows
-(``STEP_CALLS`` chained calls that continue a two-point or bb trial of
-each of ``STEP_N`` patients, timed per call), and the theory rows:
-``theory_report`` at 64, 4,096 and 262,144 nodes and ``plugin_estimates`` on
-``PLUGIN_ROWS`` observed rows (the benchmark's generated history for its
-two-coordinate ``theory-continuous`` design), in milliseconds per call; of
-both source trees in one process: the other tree's ``carasim`` package is
-loaded under the name ``carasim_other`` (the package imports its own modules
-relatively).  Each of ``INTERLEAVE_ROUNDS`` rounds times every row once on
-each side, the side that goes first alternating between rounds, so that
-both sides see the same host speed; a row records each side's median
-microseconds per patient (a step row: per call, which admits one patient)
-or milliseconds per call, and the median and quartiles of the per-round
-ratios (this side over the other).  The peak resident set size of a fresh
-process that computes the 262,144-node report is read for each tree.  The
-rows go into ``BENCH_<pr>.json`` under ``interleaved``, with ``--label``
+arms beside a normal arm; batches of 1, 8 and 256), rowwise rows (the
+``continuous-logit`` design at the trial lengths and batches of
+``ROWWISE_BATCHES``, where every refit runs IRLS on an arm's rows), and
+``step()`` rows (``STEP_CALLS`` chained calls that continue a two-point or
+bb trial of each of ``STEP_N`` patients, timed per call); the IRLS rows
+(``fit_grouped_logistic_mle`` as above, in microseconds per fit); and the
+theory rows: ``theory_report`` at 64, 4,096 and 262,144 nodes and
+``plugin_estimates`` on ``PLUGIN_ROWS`` observed rows (the benchmark's
+generated history for its two-coordinate ``theory-continuous`` design), in
+milliseconds per call; of both source trees in one process: the other
+tree's ``carasim`` package is loaded under the name ``carasim_other`` (the
+package imports its own modules relatively).  Each of ``INTERLEAVE_ROUNDS``
+rounds times every row once on each side, the side that goes first
+alternating between rounds, so that both sides see the same host speed; a
+row records each side's median microseconds per patient (a step row: per
+call, which admits one patient), microseconds per fit or milliseconds per
+call, and the median and quartiles of the per-round ratios (this side over
+the other).  The peak resident set size of a fresh process that computes
+the 262,144-node report is read for each tree.  The rows go into
+``BENCH_<pr>.json`` under ``interleaved``, with ``--label``
 naming this side and ``parent`` the other.
 """
 
@@ -82,6 +86,10 @@ CRITERIA = {2: "allocation-clt", 3: "estimator-clt", 4: "conditional-clt",
 BATCHES = (1, 8, 2000)
 LOGIT_BATCHES = (1, 10, 256)
 VARIANT_BATCHES = (1, 8, 256)
+# Interleaved rowwise rows: continuous-logit trial length -> batches.  Each
+# refit runs IRLS on all of an arm's rows, so a trial costs about n squared:
+# at n = 6,400 one timing of a batch of 32 takes about 100 s, and is left out.
+ROWWISE_BATCHES = {400: (1, 10), 1600: (1, 32)}
 ENGINE_N = 500
 SEQUENTIAL_CAP = 16
 ENGINE_REPEATS = 5  # batches of at most this many replicates are timed this many times
@@ -142,8 +150,8 @@ def two_point_variants(fixtures) -> dict:
 def engine_rows(package: str = "carasim", interleaved: bool = False) -> dict:
     """Row name -> (run, replicates timed, patients per replicate) of the
     engine rows, on the carasim package imported as ``package``; the
-    interleaved rows replace ``continuous-logit`` by the two-point variants
-    and the step rows."""
+    interleaved rows add the two-point variants and the step rows, and time
+    ``continuous-logit`` at the lengths and batches of ``ROWWISE_BATCHES``."""
     engine = importlib.import_module(f"{package}.engine")
     fixtures = importlib.import_module(f"{package}.fixtures")
     parse_config = importlib.import_module(f"{package}.harness").parse_config
@@ -152,15 +160,18 @@ def engine_rows(package: str = "carasim", interleaved: bool = False) -> dict:
             "bb": fixtures.bb_config}
     configs = {name: (parse_config(f(n=ENGINE_N, replicates=1, seed=fixtures.DEFAULT_SEED)),
                       BATCHES) for name, f in make.items()}
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import designs
+
+    logit = designs("continuous-logit", fixtures.DEFAULT_SEED)[0].config
     if interleaved:
         for name, raw in two_point_variants(fixtures).items():
             configs[name] = (parse_config(raw), VARIANT_BATCHES)
+        for n, batches in ROWWISE_BATCHES.items():
+            raw = dict(logit, trial=dict(logit["trial"], n=n))
+            configs[f"continuous-logit n={n}"] = (parse_config(raw), batches)
     else:
-        sys.path.insert(0, str(ROOT / "perfbench"))
-        from workloads import designs
-
-        configs["continuous-logit"] = (parse_config(
-            designs("continuous-logit", fixtures.DEFAULT_SEED)[0].config), LOGIT_BATCHES)
+        configs["continuous-logit"] = (parse_config(logit), LOGIT_BATCHES)
     rows = {}
     for name, (cfg, batches) in configs.items():
         opts = cfg.engine_options()
@@ -332,24 +343,42 @@ def timings(run, repeats: int) -> tuple[float, float]:
     return min(raw), statistics.median(scaled)
 
 
-def irls_us_per_fit() -> dict:
+def irls_cases(package: str = "carasim") -> dict:
+    """d -> (run, fit) on the carasim package imported as ``package``: ``run``
+    makes ``IRLS_CALLS`` fits of ``estimation.fit_grouped_logistic_mle`` on
+    ``IRLS_ROWS[d]`` unit-trial rows, started at zero without the
+    conditioning guard, and ``fit`` is the result of one."""
     import numpy as np
-    from carasim import fixtures
-    from carasim.estimation import fit_grouped_logistic_mle
 
+    seed = importlib.import_module(f"{package}.fixtures").DEFAULT_SEED
+    fit_mle = importlib.import_module(f"{package}.estimation").fit_grouped_logistic_mle
     out = {}
     for d, n in IRLS_ROWS.items():
-        rng = np.random.default_rng([fixtures.DEFAULT_SEED, d])
+        rng = np.random.default_rng([seed, d])
         X = np.column_stack([np.ones(n), rng.uniform(-1.0, 1.0, (n, d - 1))])
         theta = rng.uniform(-0.5, 0.5, d)
         y = (rng.random(n) < 1.0 / (1.0 + np.exp(-X @ theta))).astype(float)
-        t, lo, hi, init = np.ones(n), np.full(d, -3.0), np.full(d, 3.0), np.zeros(d)
+        args = (X, np.ones(n), y, np.full(d, -3.0), np.full(d, 3.0))
+        init = np.zeros(d)
 
-        def run():
+        def run(args=args, init=init):
             for _ in range(IRLS_CALLS):
-                fit_grouped_logistic_mle(X, t, y, lo, hi, init=init, check_conditioning=False)
+                fit_mle(*args, init=init, check_conditioning=False)
 
-        fit = fit_grouped_logistic_mle(X, t, y, lo, hi, init=init, check_conditioning=False)
+        out[d] = (run, fit_mle(*args, init=init, check_conditioning=False))
+    return out
+
+
+def irls_rows(package: str = "carasim") -> dict:
+    """The interleaved IRLS rows: row name -> (run, fits per run)."""
+    return {f"fit_grouped_logistic_mle/d={d}": (run, IRLS_CALLS)
+            for d, (run, _) in irls_cases(package).items()}
+
+
+def irls_us_per_fit() -> dict:
+    out = {}
+    for d, (run, fit) in irls_cases().items():
+        n = IRLS_ROWS[d]
         best, calibrated = timings(run, IRLS_REPEATS)
         us = 1e6 / IRLS_CALLS
         out[f"d={d}"] = {"us_per_fit": round(best * us, 3),
@@ -438,6 +467,10 @@ def main(argv=None) -> int:
                  "ratio": f"{args.label} / parent",
                  "engine": interleaved_engine(engine_rows("carasim", interleaved=True),
                                               engine_rows(other, interleaved=True), args.label),
+                 "rowwise_left_out": "continuous-logit at n = 6,400: one timing of a batch "
+                                     "of 32 takes about 100 s",
+                 "irls": interleaved((irls_rows("carasim"), irls_rows(other)), args.label,
+                                     "us_per_fit", 1e6),
                  "theory": interleaved((theory_rows("carasim"), theory_rows(other)),
                                        args.label, "ms_per_call", 1e3),
                  "theory_262144_rss": {args.label: theory_peak_rss(args.src.resolve()),

@@ -51,7 +51,12 @@ arm's rows, so its cost grows with the arm and a trial's with n squared:
   cells whose closed form comes out NaN, and every rowwise refit) runs in
   one call of the batched IRLS :func:`carasim.estimation.fit_logistic_cells`
   per refit, which fits each (replicate, arm) cell as it would alone; a cell
-  no patient joined whose closed form is NaN keeps its estimate;
+  no patient joined whose closed form is NaN keeps its estimate.  A refit of
+  one cell (every refit after burn-in in a batch of one: ``run_trial`` and
+  ``step()``) calls the batch-of-one core
+  :func:`carasim.estimation.fit_one_cell` directly, under the error state
+  the patient loop enters once per run (per call of ``step()``), and
+  writes the estimate, its flags and the IRLS counters by scalar index;
 * normal arms keep normal-equation accumulators, solved as one stack;
 * the shared-slope joint fit carries the inverse of its Gram matrix forward
   by rank-one (Sherman-Morrison) updates once it is solvable; when every
@@ -95,7 +100,7 @@ import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 
 from .allocation import AllocationRule, check_rule, fold_columns, probabilities_unchecked
-from .estimation import COND_MAX, fit_logistic_cells, solve_stack
+from .estimation import COND_MAX, fit_logistic_cells, fit_one_cell, solve_errstate, solve_stack
 from .model import TrialModel, responses_from_uniforms
 
 __all__ = [
@@ -610,7 +615,23 @@ class _Lockstep:
         i owns ``sizes[i]`` consecutive rows of X, trials and successes),
         warm-started at their current estimates (which every fit leaves in
         the box), without the conditioning guard; a fit that fails keeps the
-        estimate."""
+        estimate.  One cell is fitted by the batch-of-one core and written by
+        scalar index (module docstring)."""
+        if cells.size == 1:
+            c = cells[0]
+            theta, converged, projected, iterations, singular = fit_one_cell(
+                X, trials, successes, self.lo[c], self.hi[c], self.theta[c], False)
+            self.converged[c] = converged
+            self.projected[c] = projected
+            if singular:
+                self.fail[c] += 1
+            else:
+                self.theta[c] = theta
+            self.irls_fits[c] += 1
+            self.irls_iterations[c] += iterations
+            self.irls_nonconverged[c] += not (converged or singular)
+            self.irls_singular[c] += singular
+            return
         fits = fit_logistic_cells(X, trials, successes, sizes, self.lo[cells], self.hi[cells],
                                   self.theta[cells])
         self._store(cells, fits.theta, fits.converged, fits.projected, fits.singular)
@@ -754,8 +775,9 @@ def run_trials(model: TrialModel, rule: AllocationRule, n: int, m0: int, seeds,
         records = np.empty((n // stride, B, K, d))
         probs[:burn] = 1.0 / K
 
-    # Closed-form logits of groups without both outcomes are not finite.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # Closed-form logits of groups without both outcomes are not finite, and
+    # a singular Newton or normal-equation system sets the invalid flag.
+    with solve_errstate():
         for start in range(0, n, _DRAW_BLOCK):
             stop = min(n, start + _DRAW_BLOCK)
             c = stop - start
@@ -891,7 +913,7 @@ def step(history: TrialHistory, model: TrialModel, rule: AllocationRule,
         x = spec.sample(streams.covariate)[None, :]
     responses = responses_from_uniforms(model.logistic, model.dispersion, model.true_theta,
                                         x, np.array([streams.response.random()]))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with solve_errstate():
         k, psi, y = state.patient(x, six, np.array([streams.assignment.random()]), responses)
     theta = state.estimates()[0]
     n = history.n + 1

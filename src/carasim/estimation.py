@@ -9,11 +9,20 @@ cell's rows is an ``np.add.reduceat`` over its own segment and every other
 step is elementwise, so a cell's fit gives the same bits whatever cells
 share the call; each cell stops by its own tests (gradient, step, iteration
 limit, singular system) and the rows of the cells still iterating are
-gathered again.  A batch of one calls the same arithmetic helpers but reads
-its tests off its one cell, without the live-cell masks.
-``fit_grouped_logistic_mle`` (binomial counts at distinct points) is that
-batch of one, and the rowwise ``fit_logistic_mle`` the unit-trial case of
-it.  The engine refits all its logistic cells of one patient in one call.
+gathered again.  A batch of one, :func:`fit_one_cell`, calls the same
+arithmetic helpers but reads its tests off its one cell, without the
+live-cell masks.  ``fit_grouped_logistic_mle`` (binomial counts at distinct
+points) is that batch of one, and the rowwise ``fit_logistic_mle`` the
+unit-trial case of it.  The engine refits all its logistic cells of one
+patient in one call, and a single cell by ``fit_one_cell`` itself.
+
+Newton systems are solved by :func:`solve_stack`, one call of numpy's
+private LAPACK gufunc behind ``np.linalg.solve``; a singular system gives a
+row of NaN, which ends its cell's fit as singular.  Every fit call enters
+:func:`solve_errstate` once, not once per Newton step (``fit_logistic_cells``,
+and the engine's run loop around ``fit_one_cell``).
+``test_solve_stack_is_numpys_solve_system_by_system`` pins the gufunc,
+verified on numpy 2.4.6.
 
 Normal-linear arms are fitted by the normal equations.  Final estimates are
 always clamped coordinatewise into the arm's parameter box; ``projected``
@@ -29,6 +38,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1 as _solve1
 from scipy.special import expit
 
 __all__ = [
@@ -116,25 +126,30 @@ def _clamp(theta: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarra
     return clipped, bool(np.any(clipped != theta))
 
 
-def solve_stack(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve every system ``A[i] x = b[i]`` of a stack, (C, d, d) and (C, d).
+def solve_errstate() -> np.errstate:
+    """The floating-point error state that ``np.linalg.solve`` enters around
+    its LAPACK gufunc (invalid, overflow, divide-by-zero and underflow
+    ignored), without its hook that raises on a singular system.  Every IRLS
+    entry point enters it once per fit call, and the engine once per run, so
+    that :func:`solve_stack` reports a singular system by NaN alone."""
+    return np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore")
 
-    A singular system gives a row of NaN.  ``np.linalg.solve`` fails the
-    whole stack when one system is singular; the systems are then solved one
-    by one, which gives the same bits for every regular one.
+
+def solve_stack(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve every system ``A[i] x = b[i]`` of a float stack, (C, d, d) and
+    (C, d); one system, (d, d) and (d,), gives (d,).
+
+    One call of ``_solve1``, the gufunc that ``np.linalg.solve`` wraps
+    (LAPACK ``gesv`` on each system in turn), so every regular system gives
+    the bits that ``np.linalg.solve`` gives on it alone.  A system that
+    LAPACK finds singular gets a row of NaN within the same call, and the
+    call raises the invalid-value flag: run it under :func:`solve_errstate`,
+    as the fits and the engine do, or numpy warns.  ``_solve1`` is private
+    to numpy and verified on numpy 2.4.6;
+    ``test_solve_stack_is_numpys_solve_system_by_system`` fails if a release
+    changes what it gives.
     """
-    try:
-        if A.shape[0] == 1:
-            return np.linalg.solve(A[0], b[0])[None]
-        return np.linalg.solve(A, b[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        x = np.full(b.shape, np.nan)
-        for i in range(A.shape[0]):
-            try:
-                x[i] = np.linalg.solve(A[i], b[i])
-            except np.linalg.LinAlgError:
-                pass
-        return x
+    return _solve1(A, b)
 
 
 @dataclass(frozen=True)
@@ -207,18 +222,24 @@ def _newton_sums(Xt, XX, Z, t, s, mu, starts) -> np.ndarray:
 
 def _ill_conditioned(H: np.ndarray) -> np.ndarray:
     """Which of the (C, d, d) matrices are not finite or exceed ``COND_MAX``."""
-    out = ~np.isfinite(H).all(axis=(1, 2))
-    if not out.all():
+    out = ~np.logical_and.reduce(np.isfinite(H), axis=(1, 2))
+    if not np.logical_and.reduce(out):
         out[~out] = np.linalg.cond(H[~out]) > COND_MAX
     return out
 
 
 _ONE_CELL = np.zeros(1, dtype=np.intp)
 
+# The tests of both IRLS loops reduce by the ufuncs' ``reduce``: the same
+# reductions as ``ndarray.max``, ``.any`` and ``.all`` without their Python
+# wrappers, which cost more than the reduction of a few entries.
 
-def _fit_one(X, t, s, lo, hi, init, check_conditioning) -> CellFits:
+
+def fit_one_cell(X, t, s, lo, hi, init, check_conditioning):
     """The batch of one of :func:`fit_logistic_cells`: the same arithmetic, with
-    each test read off the one cell instead of masks over live cells."""
+    each test read off the one cell instead of masks over live cells.  Returns
+    the clamped estimate (d,), converged, projected, iterations and singular;
+    runs under :func:`solve_errstate`."""
     d = init.size
     Xt, XX, Z = _design(X)
     theta, converged, singular = init, False, False
@@ -226,13 +247,13 @@ def _fit_one(X, t, s, lo, hi, init, check_conditioning) -> CellFits:
     ll = _loglik(mu, t, s, _ONE_CELL)[0]
     for it in range(1, _MAX_ITER + 1):
         sums = _newton_sums(Xt, XX, Z, t, s, mu, _ONE_CELL)[:, 0]
-        if np.abs(sums[:d]).max() <= _GRAD_TOL:
+        if np.maximum.reduce(np.abs(sums[:d])) <= _GRAD_TOL:
             converged, it = True, it - 1
             break
-        H = sums[d:].reshape(1, d, d)
-        delta = solve_stack(H, sums[None, :d])[0]
-        dmax = np.abs(delta).max()
-        if not math.isfinite(dmax) or (check_conditioning and _ill_conditioned(H)[0]):
+        H = sums[d:].reshape(d, d)
+        delta = solve_stack(H, sums[:d])
+        dmax = np.maximum.reduce(np.abs(delta))
+        if not math.isfinite(dmax) or (check_conditioning and _ill_conditioned(H[None])[0]):
             singular = True
             break
         # Step halving, as in fit_logistic_cells (1.0 * delta is delta).
@@ -252,9 +273,7 @@ def _fit_one(X, t, s, lo, hi, init, check_conditioning) -> CellFits:
             break
     raw = init if singular else theta
     clipped = np.minimum(np.maximum(raw, lo), hi)
-    return CellFits(theta=clipped[None], converged=np.array([converged]),
-                    projected=np.array([(clipped != raw).any()]),
-                    iterations=np.array([it]), singular=np.array([singular]))
+    return clipped, converged, bool(np.logical_or.reduce(clipped != raw)), it, singular
 
 
 def fit_logistic_cells(X: np.ndarray, trials: np.ndarray | None, successes: np.ndarray,
@@ -269,13 +288,27 @@ def fit_logistic_cells(X: np.ndarray, trials: np.ndarray | None, successes: np.n
     (terms, N) block and every other operation is elementwise, so each cell's
     fit takes the same floating-point steps, and gives the same bits,
     whatever cells share the call.  A cell leaves the iteration when it
-    converges, when its Newton system is singular or not finite, or after
+    converges, when its Newton system is singular or not finite (the
+    :func:`solve_stack` row of a singular system is NaN), or after
     ``_MAX_ITER`` iterations; the rows of the cells still iterating are then
     gathered again.  A batch of one runs the same steps without the masks.
+    The call enters :func:`solve_errstate` once, whatever the number of
+    Newton steps.
     """
+    with solve_errstate():
+        if init.shape[0] > 1:
+            return _fit_cells(X, trials, successes, sizes, lo, hi, init, check_conditioning)
+        theta, converged, projected, iterations, singular = fit_one_cell(
+            X, trials, successes, lo[0], hi[0], init[0], check_conditioning)
+    return CellFits(theta=theta[None], converged=np.array([converged]),
+                    projected=np.array([projected]), iterations=np.array([iterations]),
+                    singular=np.array([singular]))
+
+
+def _fit_cells(X, trials, successes, sizes, lo, hi, init, check_conditioning) -> CellFits:
+    """The batched loop of :func:`fit_logistic_cells`, for C > 1 cells; runs
+    under :func:`solve_errstate`."""
     C, d = init.shape
-    if C == 1:
-        return _fit_one(X, trials, successes, lo[0], hi[0], init[0], check_conditioning)
     raw = np.array(init, dtype=float)  # each cell's unclamped result
     converged, singular = np.zeros((2, C), dtype=bool)
     iterations = np.zeros(C, dtype=int)
@@ -294,7 +327,7 @@ def fit_logistic_cells(X: np.ndarray, trials: np.ndarray | None, successes: np.n
         initial value); returns the mask of the cells that go on, or None
         when none does."""
         nonlocal live, sizes, starts, seg, Xt, XX, Z, t, s, theta, mu, ll
-        last = out.all()
+        last = np.logical_and.reduce(out)
         done = live if last else live[out]
         flag[done] = True
         iterations[done] = count
@@ -315,7 +348,7 @@ def fit_logistic_cells(X: np.ndarray, trials: np.ndarray | None, successes: np.n
     ll = _loglik(mu, t, s, starts)
     for it in range(1, _MAX_ITER + 1):
         sums = _newton_sums(Xt, XX, Z, t, s, mu, starts)
-        gmax = np.abs(sums[:d]).max(axis=0)
+        gmax = np.maximum.reduce(np.abs(sums[:d]), axis=0)
         if np.fmin.reduce(gmax) <= _GRAD_TOL:
             keep = leave(gmax <= _GRAD_TOL, it - 1, converged, theta)
             if keep is None:
@@ -324,11 +357,11 @@ def fit_logistic_cells(X: np.ndarray, trials: np.ndarray | None, successes: np.n
         H = sums[d:].T.reshape(-1, d, d)
         delta = solve_stack(H, sums[:d].T)
         # The largest step component; not finite when the system is singular.
-        dmax = np.abs(delta).max(axis=1)
+        dmax = np.maximum.reduce(np.abs(delta), axis=1)
         out = ~np.isfinite(dmax)
         if check_conditioning:
             out |= _ill_conditioned(H)
-        if out.any():
+        if np.logical_or.reduce(out):
             keep = leave(out, it, singular)
             if keep is None:
                 break
@@ -341,7 +374,7 @@ def fit_logistic_cells(X: np.ndarray, trials: np.ndarray | None, successes: np.n
         ll_c = _loglik(mu_c, t, s, starts)
         floor = ll - 1e-12
         ok = ll_c >= floor
-        if not ok.all():
+        if not np.logical_and.reduce(ok):
             scale = np.ones(live.size)
             for _ in range(1, _MAX_HALVINGS):
                 scale[~ok] *= 0.5
@@ -351,7 +384,7 @@ def fit_logistic_cells(X: np.ndarray, trials: np.ndarray | None, successes: np.n
                 redo = ~ok[seg]
                 cand[~ok], ll_c[~ok], mu_c[redo] = retry[~ok], ll_r[~ok], mu_r[redo]
                 ok = ll_c >= floor
-                if ok.all():
+                if np.logical_and.reduce(ok):
                     break
             else:
                 redo = ~ok[seg]
@@ -368,7 +401,7 @@ def fit_logistic_cells(X: np.ndarray, trials: np.ndarray | None, successes: np.n
 
     clipped = np.minimum(np.maximum(raw, lo), hi)
     return CellFits(theta=clipped, converged=converged,
-                    projected=np.any(clipped != raw, axis=1),
+                    projected=np.logical_or.reduce(clipped != raw, axis=1),
                     iterations=iterations, singular=singular)
 
 

@@ -1,10 +1,11 @@
 """Property tests of the batched rule kernel, the limit theory and the lockstep engine."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -20,7 +21,12 @@ from carasim.engine import (
     step,
     streams_for_trial,
 )
-from carasim.estimation import fit_grouped_logistic_mle, fit_logistic_cells
+from carasim.estimation import (
+    fit_grouped_logistic_mle,
+    fit_logistic_cells,
+    solve_errstate,
+    solve_stack,
+)
 from carasim.fixtures import bb_config, f1_config, two_point_config
 from carasim.harness import parse_config
 from carasim.model import ArmModel, CovariateSpec, TrialModel, TwoPoint, Uniform, glm_weights
@@ -326,6 +332,52 @@ def test_each_cell_of_a_batched_fit_is_bitwise_its_fit_alone(case, check_conditi
             (alone.converged, alone.projected, alone.iterations, alone.reason)
 
 
+@st.composite
+def newton_stacks(draw):
+    """1-8 systems (C, d, d) and (C, d) with d = 1..5, each regular, exactly
+    singular (a zero row or column), or with a NaN or infinite entry."""
+    d = draw(st.integers(1, 5))
+    C = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.uniform(-2.0, 2.0, (C, d, d))
+    b = rng.uniform(-2.0, 2.0, (C, d))
+    for i in range(C):
+        kind = draw(st.sampled_from(("regular", "zero-row", "zero-column", "nan", "inf")))
+        j, k = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        if kind == "zero-row":
+            A[i, j] = 0.0
+        elif kind == "zero-column":
+            A[i, :, j] = 0.0
+        elif kind != "regular":
+            A[i, j, k] = np.nan if kind == "nan" else draw(st.sampled_from((np.inf, -np.inf)))
+    return A, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(newton_stacks())
+def test_solve_stack_is_numpys_solve_system_by_system(case):
+    """Under the fits' error state, a stack is solved without a warning; a
+    system that ``np.linalg.solve`` solves alone gives its bits (NaN and inf
+    included), and one that it refuses as singular gives a row of NaN.  The
+    one-system form gives the same bits.  This pins the private numpy gufunc
+    that ``solve_stack`` calls."""
+    A, b = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with solve_errstate():
+            x = solve_stack(A, b)
+            single = [solve_stack(A[i], b[i]) for i in range(A.shape[0])]
+    assert x.shape == b.shape and x.dtype == np.float64
+    for i in range(A.shape[0]):
+        _same_bytes(single[i], x[i])
+        try:
+            alone = np.linalg.solve(A[i], b[i])
+        except np.linalg.LinAlgError:
+            assert np.isnan(x[i]).all()
+        else:
+            _same_bytes(x[i], alone)
+
+
 # ---------------------------------------------------------------------------
 # The lockstep engine
 # ---------------------------------------------------------------------------
@@ -367,6 +419,17 @@ def _continuous_logit_d1_design():
     theta = np.array([[0.7], [-0.3]])
     return (TrialModel(arms=(arm, arm), covariates=covariates, true_theta=theta,
                        box_lo=-3.0, box_hi=3.0), AllocationRule(kind="odds-ratio"), 8)
+
+
+def _continuous_logit_d5_design():
+    """Three logistic arms on (1, U(-1, 1)^4), like the benchmark's
+    four-coordinate design: every refit solves 5 x 5 Newton systems."""
+    arm = ArmModel("logistic")
+    covariates = CovariateSpec.product([Uniform(-1.0, 1.0)] * 4, intercept=True)
+    theta = np.array([[0.4, 0.8, 0.7, 0.9, 0.8], [0.0, -0.6, -0.5, -0.7, -0.6],
+                      [-0.3, 0.3, 0.2, 0.4, 0.3]])
+    return (TrialModel(arms=(arm, arm, arm), covariates=covariates, true_theta=theta,
+                       box_lo=-3.0, box_hi=3.0), AllocationRule(kind="exponential", T=1.0), 6)
 
 
 def _sparse_saturated_design():
@@ -426,6 +489,7 @@ DESIGNS = {
     "least-squares-continuous": _continuous_lse_design,
     "row-logit-continuous": _continuous_logit_design,
     "row-logit-d1": _continuous_logit_d1_design,
+    "row-logit-d5": _continuous_logit_d5_design,
     "shared-slope": lambda: _from_config(bb_config(n=100, replicates=1, seed=0)),
     "shared-slope-rare": _rare_shared_slope_design,
 }
@@ -449,6 +513,7 @@ def _assert_same_trial(a, b):
 @settings(max_examples=12)
 @given(st.sampled_from(sorted(DESIGNS)), st.integers(0, 2**16), st.integers(1, 7),
        st.integers(1, 3), st.integers(0, 60))
+@example("row-logit-d5", 3, 5, 2, 60)  # 5 x 5 Newton systems, one cell and batched
 def test_replicate_of_a_lockstep_batch_is_bitwise_run_trial(name, seed, R, cut, extra):
     model, rule, m0 = DESIGNS[name]()
     n = model.K * m0 + extra
@@ -486,6 +551,7 @@ def test_incremental_estimates_equal_a_batch_refit(name, seed, extra):
 @settings(max_examples=12)
 @given(st.sampled_from(sorted(DESIGNS)), st.integers(0, 2**16), st.integers(1, 8),
        st.integers(1, 3), st.integers(0, 30))
+@example("row-logit-d5", 3, 8, 2, 30)
 def test_steps_reproduce_run_trial(name, seed, k, stride, extra):
     model, rule, m0 = DESIGNS[name]()
     n = model.K * m0 + extra
