@@ -102,7 +102,7 @@ PLUGIN_ROWS = 4096  # observed rows of the interleaved plug-in row
 PLUGIN_CALLS = 10
 CALIBRATION_ITERS = 1500
 CALIBRATION_REF_S = 0.010
-STEP_N = (500, 2000)
+STEP_N = (500, 2000, 20000)
 STEP_CALLS = 20  # chained step() calls per run of a step row
 INTERLEAVE_ROUNDS = 15
 INTERLEAVE_TIMING_S = 0.2  # a timing repeats a row's run for at least about this long

@@ -15,20 +15,22 @@ never perturbs the response stream and vice versa.  After the burn-in
 permutation every stream takes a fixed number of uniforms per patient (one,
 or one per non-constant covariate coordinate), so the engine draws them in
 blocks: ``gen.random(m)`` gives the same numbers as m calls of
-``gen.random()``.  A patient's response is its one response uniform pushed
+``gen.random()``; covariates come from them by ``CovariateSpec.from_uniforms``.
+A patient's response is its one response uniform pushed
 through the chosen arm's inverse CDF
 (:func:`carasim.model.responses_from_uniforms`, which transforms a block of
 uniforms for every arm at once; the engine keeps the chosen arm's), so no
 stream depends on which arm a patient gets.
 
-:func:`run_trials` advances B replicates of one design together, one patient
-at a time, as array operations over the replicates: the rule is evaluated
+One patient loop advances B replicates of one design together, one patient
+at a time, as array operations over the replicates (the rule is evaluated
 with one coefficient matrix per replicate, arms are drawn from the
 cumulative probabilities, and every replicate's estimator state is updated
-in one step.  :func:`run_trial` is a batch of one.  Every operation acts on
-each replicate's own row with the same floating-point steps whatever B is,
-so replicate i of a batch is bit for bit ``run_trial`` with replicate i's
-seed.
+in one step), and writes them into a record whose rows the histories take.
+:func:`run_trials` runs it over every patient; :func:`run_trial` is a batch
+of one.  Every operation acts on each replicate's own row with the same
+floating-point steps whatever B is, so replicate i of a batch is bit for bit
+``run_trial`` with replicate i's seed.
 
 Grouped, least-squares and joint refits run on sufficient statistics, so they
 cost the same at patient 100 and patient 10000.  A rowwise logistic arm (no
@@ -55,8 +57,8 @@ arm's rows, so its cost grows with the arm and a trial's with n squared:
   one cell (every refit after burn-in in a batch of one: ``run_trial`` and
   ``step()``) calls the batch-of-one core
   :func:`carasim.estimation.fit_one_cell` directly, under the error state
-  the patient loop enters once per run (per call of ``step()``), and
-  writes the estimate, its flags and the IRLS counters by scalar index;
+  the patient loop enters once per call, and writes the estimate, its flags
+  and the IRLS counters by scalar index;
 * normal arms keep normal-equation accumulators, solved as one stack;
 * the shared-slope joint fit carries the inverse of its Gram matrix forward
   by rank-one (Sherman-Morrison) updates once it is solvable; when every
@@ -85,9 +87,9 @@ skip the conditioning-number guard; exactly singular systems still fail
 soft (the arm keeps its previous estimate).
 
 A history from :func:`run_trial` or :func:`run_trials` carries the engine
-state after its last patient, and :func:`step` resumes from a copy of it
-instead of replaying the history, so stepping reproduces ``run_trial`` bit
-for bit.
+state after its last patient, and :func:`step` runs the same patient loop
+over one more patient on a copy of it instead of replaying the history, so
+stepping reproduces ``run_trial`` bit for bit.
 """
 
 from __future__ import annotations
@@ -342,8 +344,8 @@ class _Lockstep:
     (module docstring).
     """
 
-    _PER_CELL = ("theta", "_converged", "_projected", "_raw", "fail", "counts", "lo", "hi",
-                 "trials", "succ", "X", "y", "gram", "moment") + _IRLS_COUNTERS
+    _PER_CELL = ("theta", "_converged", "_projected", "_raw", "fail", "counts", "trials", "succ",
+                 "X", "y", "gram", "moment") + _IRLS_COUNTERS
     _PER_REPLICATE = ("joint_gram", "joint_moment", "joint_inv", "formed")
 
     def __init__(self, model: TrialModel, rule: AllocationRule, m0: int,
@@ -426,26 +428,24 @@ class _Lockstep:
         self._first_cell = np.arange(B) * K
         self._theta3 = self.theta.reshape(B, K, d)
 
-    def take(self, idx: list[int]) -> "_Lockstep":
-        """A copy that holds only the replicates ``idx``."""
+    def take(self, row: int) -> "_Lockstep":
+        """A copy that holds only replicate ``row``."""
         K = self.K
         if self.support is not None:
             self._fold()
         new = object.__new__(_Lockstep)
         new.__dict__ = state = dict(self.__dict__)
-        # Of one replicate (idx = [0]), copying every array costs less than
-        # indexing it.
-        one = self.B == 1
-        cells = None if one else (np.asarray(idx)[:, None] * K + np.arange(K)).ravel()
-        for names, rows in ((self._PER_CELL, cells), (self._PER_REPLICATE, idx)):
+        for names, rows in ((self._PER_CELL, slice(row * K, (row + 1) * K)),
+                            (self._PER_REPLICATE, slice(row, row + 1))):
             for name in names:
                 value = state.get(name)
                 if value is not None:
-                    state[name] = value.copy() if one else value[rows]
-        new.B = len(idx)
-        if not one:
-            new._first_cell = np.arange(new.B) * K
-        new._theta3 = new.theta.reshape(new.B, K, self.model.d)
+                    state[name] = value[rows].copy()
+        new.B = 1
+        # Every replicate has the same box, which no refit writes.
+        new.lo, new.hi = self.lo[:K], self.hi[:K]
+        new._first_cell = self._first_cell[:1]
+        new._theta3 = new.theta.reshape(1, K, self.model.d)
         if self.support is not None:
             new._points = []
         if self.joint:
@@ -736,6 +736,111 @@ class _Lockstep:
 _DRAW_BLOCK = 256
 
 
+class _Record:
+    """The per-patient arrays of B trials of n patients, one row per
+    replicate, under the names of the history fields they become; with
+    ``history`` (a batch of one), the columns of its patients are copies of
+    the history's."""
+
+    def __init__(self, state: _Lockstep, n: int, history: TrialHistory | None = None):
+        B, K, d = state.B, state.K, state.model.d
+        self.covariates = np.empty((B, n, d))
+        self.support_idx = np.empty((B, n), dtype=np.int64) if state.support is not None else None
+        self.arms = np.empty((B, n), dtype=np.int64)
+        self.probs = np.empty((B, n, K))
+        self.responses = np.empty((B, n))
+        self.theta_records = np.empty((B, n // state.opts.theta_stride, K, d))
+        if history is None:
+            self.probs[:, :state.burn] = 1.0 / K
+            return
+        m = history.n
+        self.covariates[0, :m] = history.covariates
+        if self.support_idx is not None:
+            self.support_idx[0, :m] = history.support_idx
+        self.arms[0, :m] = history.arms
+        self.probs[0, :m] = history.probs
+        self.responses[0, :m] = history.responses
+        self.theta_records[0, :len(history.theta_records)] = history.theta_records
+
+    def histories(self, state: _Lockstep, streams: list[TrialStreams]) -> tuple[TrialHistory, ...]:
+        """Each replicate's history, whose per-patient arrays are read-only
+        views of its row of the record."""
+        for a in (self.covariates, self.support_idx, self.arms, self.probs, self.responses,
+                  self.theta_records):
+            if a is not None:
+                a.setflags(write=False)
+        B, K, n = state.B, state.K, self.arms.shape[1]
+        stride = state.opts.theta_stride
+        record_ms = _freeze(np.arange(stride, n + 1, stride))
+        theta = state.estimates()
+        flags = [a.reshape(B, K) for a in (state.converged, state.projected, state.fail)]
+        six = self.support_idx
+        return tuple([
+            TrialHistory(
+                n=n, m0=state.m0, K=K, d=state.model.d, covariates=self.covariates[i],
+                support_idx=None if six is None else six[i], arms=self.arms[i],
+                probs=self.probs[i], responses=self.responses[i],
+                theta_records=self.theta_records[i], record_ms=record_ms,
+                current_theta=theta[i].copy(), converged=flags[0][i].copy(),
+                projected=flags[1][i].copy(), fit_failures=flags[2][i].copy(),
+                seed_entropy=streams[i].root.entropy,
+                seed_spawn_key=tuple(streams[i].root.spawn_key), engine_state=state,
+                engine_row=i)
+            for i in range(B)])
+
+
+# Closed-form logits of groups without both outcomes are not finite, and a
+# singular Newton or normal-equation system sets the invalid flag.
+@solve_errstate()
+def _admit(state: _Lockstep, streams: list[TrialStreams], stop: int,
+           schedule: np.ndarray | None, record: _Record | None) -> None:
+    """The patient loop: admit patients ``state.m`` to ``stop - 1`` to every
+    replicate (replicate b draws from ``streams[b]``) and write them into
+    ``record`` (None: keep no history).  ``schedule`` (B, K * m0) holds the
+    burn-in arms, which only a run from the first patient reads."""
+    model, B, burn = state.model, state.B, state.burn
+    spec = model.covariates
+    q = spec.uniforms_per_draw
+    stride = state.opts.theta_stride
+    for start in range(state.m, stop, _DRAW_BLOCK):
+        end = min(stop, start + _DRAW_BLOCK)
+        c = end - start
+        first = max(start, burn)
+        # Each stream's uniforms for patients start..end-1, a row per
+        # replicate, then patient-major.
+        u = np.empty((B, c, q))
+        u_resp = np.empty((B, c))
+        u_assign = np.empty((B, max(end - first, 0)))
+        for b, s in enumerate(streams):
+            s.covariate.random(out=u[b])
+            s.response.random(out=u_resp[b])
+            s.assignment.random(out=u_assign[b])
+        xs, sixs = spec.from_uniforms(u.transpose(1, 0, 2).reshape(c * B, q))
+        ys = responses_from_uniforms(model.logistic, model.dispersion, model.true_theta,
+                                     xs, u_resp.T.reshape(-1))
+        xs, ys = xs.reshape(c, B, -1), ys.reshape(c, B, -1)
+        if sixs is not None:
+            sixs = sixs.reshape(c, B)
+        for m in range(start, end):
+            i = m - start
+            six = sixs[i] if sixs is not None else None
+            if m < burn:
+                k, psi, y = state.patient(xs[i], six, None, ys[i], arm=schedule[:, m])
+            else:
+                k, psi, y = state.patient(xs[i], six, u_assign[:, m - first], ys[i])
+            if record is not None:
+                record.arms[:, m] = k
+                record.responses[:, m] = y
+                if psi is not None:
+                    record.probs[:, m] = psi
+                if (m + 1) % stride == 0:
+                    record.theta_records[:, m // stride] = state.estimates()
+        if record is not None:
+            record.covariates[:, start:end] = xs.transpose(1, 0, 2)
+            if sixs is not None:
+                record.support_idx[:, start:end] = sixs.T
+
+
 @dataclass(frozen=True)
 class TrialBatch:
     """Outcomes of trials run in lockstep by :func:`run_trials`, one row per seed."""
@@ -757,85 +862,16 @@ def run_trials(model: TrialModel, rule: AllocationRule, n: int, m0: int, seeds,
     """
     if n < model.K * m0:
         raise ValueError(f"n = {n} is smaller than the burn-in size K * m0 = {model.K * m0}")
-    K, d = model.K, model.d
     streams = [s if isinstance(s, TrialStreams) else streams_for_trial(s) for s in seeds]
-    B = len(streams)
-    state = _Lockstep(model, rule, m0, opts, B)
-    burn = state.burn
-    schedule = np.stack([burn_in_schedule(K, m0, s.assignment) for s in streams])
-    spec = model.covariates
-    q = spec.uniforms_per_draw
-    stride = opts.theta_stride
-    if histories:
-        cov = np.empty((n, B, d))
-        six_all = np.empty((n, B), dtype=np.int64)
-        arms = np.empty((n, B), dtype=np.int64)
-        probs = np.empty((n, B, K))
-        resp = np.empty((n, B))
-        records = np.empty((n // stride, B, K, d))
-        probs[:burn] = 1.0 / K
-
-    # Closed-form logits of groups without both outcomes are not finite, and
-    # a singular Newton or normal-equation system sets the invalid flag.
-    with solve_errstate():
-        for start in range(0, n, _DRAW_BLOCK):
-            stop = min(n, start + _DRAW_BLOCK)
-            c = stop - start
-            # Each stream's uniforms for patients start..stop-1, patient-major.
-            u = np.stack([s.covariate.random((c, q)) for s in streams], axis=1)
-            xs, sixs = spec.from_uniforms(u.reshape(c * B, q))
-            ys = responses_from_uniforms(
-                model.logistic, model.dispersion, model.true_theta, xs,
-                np.stack([s.response.random(c) for s in streams], axis=1).reshape(-1))
-            xs, ys = xs.reshape(c, B, d), ys.reshape(c, B, K)
-            if sixs is not None:
-                sixs = sixs.reshape(c, B)
-            first = max(start, burn)
-            if stop > first:
-                u_assign = np.stack([s.assignment.random(stop - first) for s in streams], axis=1)
-            for m in range(start, stop):
-                i = m - start
-                six = sixs[i] if sixs is not None else None
-                if m < burn:
-                    k, psi, y = state.patient(xs[i], six, None, ys[i], arm=schedule[:, m])
-                else:
-                    k, psi, y = state.patient(xs[i], six, u_assign[m - first], ys[i])
-                if histories:
-                    arms[m] = k
-                    resp[m] = y
-                    if psi is not None:
-                        probs[m] = psi
-                    if (m + 1) % stride == 0:
-                        records[m // stride] = state.estimates()
-            if histories:
-                cov[start:stop] = xs
-                if sixs is not None:
-                    six_all[start:stop] = sixs
-
-    theta = state.estimates()
-    flags = [a.reshape(B, K) for a in (state.converged, state.projected, state.fail)]
-    hist = None
-    if histories:
-        record_ms = _freeze(np.arange(stride, n + 1, stride))
-        hist = tuple(
-            TrialHistory(
-                n=n, m0=m0, K=K, d=d,
-                covariates=_freeze(cov[:, i].copy()),
-                support_idx=_freeze(six_all[:, i].copy()) if state.support is not None else None,
-                arms=_freeze(arms[:, i].copy()), probs=_freeze(probs[:, i].copy()),
-                responses=_freeze(resp[:, i].copy()),
-                theta_records=_freeze(records[:, i].copy()), record_ms=record_ms,
-                current_theta=theta[i].copy(),
-                converged=flags[0][i].copy(), projected=flags[1][i].copy(),
-                fit_failures=flags[2][i].copy(),
-                seed_entropy=streams[i].root.entropy,
-                seed_spawn_key=tuple(streams[i].root.spawn_key),
-                engine_state=state, engine_row=i)
-            for i in range(B))
+    state = _Lockstep(model, rule, m0, opts, len(streams))
+    schedule = np.stack([burn_in_schedule(model.K, m0, s.assignment) for s in streams])
+    record = _Record(state, n) if histories else None
+    _admit(state, streams, n, schedule, record)
     return TrialBatch(
-        counts=state.arm_counts(), theta=theta.copy(),
+        counts=state.arm_counts(), theta=state.estimates().copy(),
         support_counts=state.support_counts() if state.support is not None else None,
-        histories=hist, refit_counts=state.refit_counts())
+        histories=record.histories(state, streams) if histories else None,
+        refit_counts=state.refit_counts())
 
 
 def bytes_per_patient(model: TrialModel, histories: bool) -> int:
@@ -863,11 +899,6 @@ def run_trial(model: TrialModel, rule: AllocationRule, n: int, m0: int,
     return run_trials(model, rule, n, m0, [seed], opts).histories[0]
 
 
-def _append(a: np.ndarray, value) -> np.ndarray:
-    """A read-only copy of ``a`` with ``value`` as one more row."""
-    return _freeze(np.concatenate([a, np.asarray(value, dtype=a.dtype)[None]]))
-
-
 def _same(a, b) -> bool:
     """Equality of models and their parts, comparing arrays by value."""
     if a is b:
@@ -887,46 +918,24 @@ def step(history: TrialHistory, model: TrialModel, rule: AllocationRule,
     """Append one adaptively allocated patient to a history of :func:`run_trial`
     or :func:`step`, which has always completed burn-in.
 
-    Resumes from a copy of the engine state the history carries, so the
-    history is never replayed.  ``model`` must be the model the history was
-    run with (its sufficient statistics and estimates belong to it); ``rule``
-    allocates the new patient and may differ from the one used so far.  With
-    the same streams, repeatedly stepping reproduces ``run_trial`` patient
-    for patient, on the record stride (``EngineOptions``) the history was run
-    with, which the engine state carries.
+    Runs the patient loop of :func:`run_trials` over the new patient, on a
+    copy of the engine state the history carries and a record that is the
+    history's one patient longer, so the history is never replayed.
+    ``model`` must be the model the history was run with (its sufficient
+    statistics and estimates belong to it); ``rule`` allocates the new
+    patient and may differ from the one used so far.  With the same streams,
+    repeatedly stepping reproduces ``run_trial`` patient for patient, on the
+    record stride (``EngineOptions``) the history was run with.
     """
     if history.engine_state is None:
         raise ValueError("the history carries no engine state to resume from; only "
                          "histories from run_trial or step can be continued")
     if not _same(model, history.engine_state.model):
         raise ValueError("step() needs the model the history was run with")
-    state = history.engine_state.take([history.engine_row])
+    state = history.engine_state.take(history.engine_row)
     if rule is not state.rule:
         check_rule(rule, model.K)
         state.rule = rule
-    spec = model.covariates
-    if state.support is not None:
-        six = np.array([spec.sample_index(streams.covariate)])
-        x = state.support[six]
-    else:
-        six = None
-        x = spec.sample(streams.covariate)[None, :]
-    responses = responses_from_uniforms(model.logistic, model.dispersion, model.true_theta,
-                                        x, np.array([streams.response.random()]))
-    with solve_errstate():
-        k, psi, y = state.patient(x, six, np.array([streams.assignment.random()]), responses)
-    theta = state.estimates()[0]
-    n = history.n + 1
-    record = n % state.opts.theta_stride == 0
-    return TrialHistory(
-        n=n, m0=history.m0, K=history.K, d=history.d,
-        covariates=_append(history.covariates, x[0]),
-        support_idx=None if six is None else _append(history.support_idx, six[0]),
-        arms=_append(history.arms, k[0]), probs=_append(history.probs, psi[0]),
-        responses=_append(history.responses, y[0]),
-        theta_records=_append(history.theta_records, theta) if record else history.theta_records,
-        record_ms=_append(history.record_ms, n) if record else history.record_ms,
-        current_theta=theta.copy(), converged=state.converged.copy(),
-        projected=state.projected.copy(), fit_failures=state.fail.copy(),
-        seed_entropy=streams.root.entropy, seed_spawn_key=tuple(streams.root.spawn_key),
-        engine_state=state)
+    record = _Record(state, history.n + 1, history)
+    _admit(state, [streams], history.n + 1, None, record)
+    return record.histories(state, [streams])[0]

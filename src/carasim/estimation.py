@@ -9,22 +9,23 @@ cell's rows is an ``np.add.reduceat`` over its own segment and every other
 step is elementwise, so a cell's fit gives the same bits whatever cells
 share the call; each cell stops by its own tests (gradient, step, iteration
 limit, singular system) and the rows of the cells still iterating are
-gathered again.  A batch of one, :func:`fit_one_cell`, calls the same
-arithmetic helpers but reads its tests off its one cell, without the
-live-cell masks.  ``fit_grouped_logistic_mle`` (binomial counts at distinct
-points) is that batch of one, and the rowwise ``fit_logistic_mle`` the
-unit-trial case of it.  The engine refits all its logistic cells of one
-patient in one call, and a single cell by ``fit_one_cell`` itself.
+gathered again.  One cell, :func:`fit_one_cell`, calls the same arithmetic
+helpers but reads its tests off its one cell, without the live-cell masks.
+The engine refits the logistic cells of one patient in one call of
+``fit_logistic_cells``, and a single cell by ``fit_one_cell``, which is
+also the standalone ``fit_grouped_logistic_mle`` (binomial counts at
+distinct points) and its unit-trial case, the rowwise ``fit_logistic_mle``.
 
 Newton systems are solved by :func:`solve_stack`, one call of numpy's
 private LAPACK gufunc behind ``np.linalg.solve``; a singular system gives a
 row of NaN, which ends its cell's fit as singular.  Every fit call enters
 :func:`solve_errstate` once, not once per Newton step (``fit_logistic_cells``,
-and the engine's run loop around ``fit_one_cell``).
-``test_solve_stack_is_numpys_solve_system_by_system`` pins the gufunc,
-verified on numpy 2.4.6.
+``fit_grouped_logistic_mle``, and the engine's patient loop around
+``fit_one_cell``).  ``test_solve_stack_is_numpys_solve_system_by_system``
+pins the gufunc, verified on numpy 2.4.6.
 
-Normal-linear arms are fitted by the normal equations.  Final estimates are
+Normal-linear arms are fitted by the normal equations, solved by
+``solve_stack`` as the engine solves them.  Final estimates are
 always clamped coordinatewise into the arm's parameter box; ``projected``
 records whether the clamp moved the point.  With
 ``check_conditioning=False`` (the engine's refits) IRLS skips its
@@ -129,9 +130,10 @@ def _clamp(theta: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarra
 def solve_errstate() -> np.errstate:
     """The floating-point error state that ``np.linalg.solve`` enters around
     its LAPACK gufunc (invalid, overflow, divide-by-zero and underflow
-    ignored), without its hook that raises on a singular system.  Every IRLS
-    entry point enters it once per fit call, and the engine once per run, so
-    that :func:`solve_stack` reports a singular system by NaN alone."""
+    ignored), without its hook that raises on a singular system.  Every fit
+    entry point enters it once per fit call, and the engine's patient loop
+    once per call, so that :func:`solve_stack` reports a singular system by
+    NaN alone."""
     return np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore")
 
 
@@ -161,15 +163,6 @@ class CellFits:
     projected: np.ndarray  # (C,) bool
     iterations: np.ndarray  # (C,) int
     singular: np.ndarray  # (C,) bool: the fit ended on a singular Newton system
-
-    def result(self, c: int) -> FitResult:
-        """Cell ``c``'s fit."""
-        converged = bool(self.converged[c])
-        reason = (SINGULAR_HESSIAN if self.singular[c]
-                  else "" if converged else MAX_ITERATIONS)
-        return FitResult(theta_hat=self.theta[c], converged=converged,
-                         projected=bool(self.projected[c]),
-                         iterations=int(self.iterations[c]), reason=reason)
 
 
 # The arithmetic of an IRLS step, shared by a batch of cells and a batch of
@@ -276,6 +269,7 @@ def fit_one_cell(X, t, s, lo, hi, init, check_conditioning):
     return clipped, converged, bool(np.logical_or.reduce(clipped != raw)), it, singular
 
 
+@solve_errstate()
 def fit_logistic_cells(X: np.ndarray, trials: np.ndarray | None, successes: np.ndarray,
                        sizes: np.ndarray, lo: np.ndarray, hi: np.ndarray, init: np.ndarray,
                        check_conditioning: bool = False) -> CellFits:
@@ -291,23 +285,10 @@ def fit_logistic_cells(X: np.ndarray, trials: np.ndarray | None, successes: np.n
     converges, when its Newton system is singular or not finite (the
     :func:`solve_stack` row of a singular system is NaN), or after
     ``_MAX_ITER`` iterations; the rows of the cells still iterating are then
-    gathered again.  A batch of one runs the same steps without the masks.
-    The call enters :func:`solve_errstate` once, whatever the number of
-    Newton steps.
+    gathered again.  :func:`fit_one_cell` takes the same steps on one cell
+    without the masks.  The call runs under :func:`solve_errstate`, entered
+    once whatever the number of Newton steps.
     """
-    with solve_errstate():
-        if init.shape[0] > 1:
-            return _fit_cells(X, trials, successes, sizes, lo, hi, init, check_conditioning)
-        theta, converged, projected, iterations, singular = fit_one_cell(
-            X, trials, successes, lo[0], hi[0], init[0], check_conditioning)
-    return CellFits(theta=theta[None], converged=np.array([converged]),
-                    projected=np.array([projected]), iterations=np.array([iterations]),
-                    singular=np.array([singular]))
-
-
-def _fit_cells(X, trials, successes, sizes, lo, hi, init, check_conditioning) -> CellFits:
-    """The batched loop of :func:`fit_logistic_cells`, for C > 1 cells; runs
-    under :func:`solve_errstate`."""
     C, d = init.shape
     raw = np.array(init, dtype=float)  # each cell's unclamped result
     converged, singular = np.zeros((2, C), dtype=bool)
@@ -409,8 +390,9 @@ def fit_grouped_logistic_mle(points: np.ndarray, trials: np.ndarray,
                              successes: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                              init: np.ndarray | None = None,
                              check_conditioning: bool = True) -> FitResult:
-    """Logistic MLE from binomial counts at distinct covariate points: the
-    batch of one of :func:`fit_logistic_cells`."""
+    """Logistic MLE from binomial counts at distinct covariate points, by
+    :func:`fit_one_cell` (the engine's one-cell refit) with the
+    conditioning guard on by default."""
     X = np.atleast_2d(np.asarray(points, dtype=float))
     t = np.asarray(trials, dtype=float).ravel()
     s = np.asarray(successes, dtype=float).ravel()
@@ -428,9 +410,12 @@ def fit_grouped_logistic_mle(points: np.ndarray, trials: np.ndarray,
             raise ValueError(f"init must have shape ({d},)")
         if (init < lo).any() or (init > hi).any():
             raise ValueError("init must lie inside the box")
-    fits = fit_logistic_cells(X, None if np.all(t == 1.0) else t, s, np.array([X.shape[0]]),
-                              lo[None], hi[None], init[None], check_conditioning=check_conditioning)
-    return fits.result(0)
+    with solve_errstate():
+        theta, converged, projected, iterations, singular = fit_one_cell(
+            X, None if np.all(t == 1.0) else t, s, lo, hi, init, check_conditioning)
+    reason = SINGULAR_HESSIAN if singular else "" if converged else MAX_ITERATIONS
+    return FitResult(theta_hat=theta, converged=converged, projected=projected,
+                     iterations=iterations, reason=reason)
 
 
 def fit_logistic_mle(sample: ArmSample, lo: np.ndarray, hi: np.ndarray,
@@ -442,7 +427,8 @@ def fit_logistic_mle(sample: ArmSample, lo: np.ndarray, hi: np.ndarray,
 
 
 def fit_linear_lse(sample: ArmSample, lo: np.ndarray, hi: np.ndarray) -> FitResult:
-    """Least squares by the normal equations; degenerate designs fail soft."""
+    """Least squares by the normal equations, solved as the engine solves
+    them (:func:`solve_stack`); degenerate designs fail soft."""
     if sample.n == 0:
         raise EmptySampleError("least-squares fit requires at least one observation")
     d = sample.X.shape[1]
@@ -452,9 +438,9 @@ def fit_linear_lse(sample: ArmSample, lo: np.ndarray, hi: np.ndarray) -> FitResu
                            iterations=0, reason=DEGENERATE_DESIGN)
     if sample.n < d or np.linalg.cond(A) > COND_MAX:
         return degenerate
-    try:
-        theta = np.linalg.solve(A, sample.X.T @ sample.y)
-    except np.linalg.LinAlgError:
+    with solve_errstate():  # a singular system gives a row of NaN
+        theta = solve_stack(A, sample.X.T @ sample.y)
+    if np.isnan(theta).any():
         return degenerate
     theta_c, projected = _clamp(theta, lo, hi)
     return FitResult(theta_hat=theta_c, converged=True, projected=projected, iterations=1)

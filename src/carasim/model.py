@@ -176,7 +176,9 @@ class CovariateSpec:
             raise ValueError(f"unknown covariate kind: {self.kind!r}")
         object.__setattr__(self, "_enum", enum)
         if enum is not None:
-            object.__setattr__(self, "_cum", np.cumsum(enum[1]))
+            cum = np.cumsum(enum[1])
+            cum[-1] = np.inf  # the last point also takes what rounding leaves short of 1
+            object.__setattr__(self, "_cum", cum)
 
     # -- queries ------------------------------------------------------------
 
@@ -217,9 +219,8 @@ class CovariateSpec:
         ``a`` when ``u < p_a`` else ``b`` (two-point), in coordinate order.
         """
         if self._enum is not None:
-            idx = np.searchsorted(self._cum, u[:, 0], side="right")
-            np.minimum(idx, self._cum.shape[0] - 1, out=idx)
-            return self._enum[0][idx], idx
+            idx = self._cum.searchsorted(u[:, 0], side="right")
+            return self._enum[0].take(idx, 0), idx
         out = np.empty((u.shape[0], self.d))
         j = 0
         for i, c in enumerate(self.coords):
@@ -235,8 +236,7 @@ class CovariateSpec:
 
     def sample_index(self, rng: Generator) -> int:
         """Draw a support index (finite-support specs only)."""
-        return min(int(np.searchsorted(self._cum, rng.random(), side="right")),
-                   self._cum.shape[0] - 1)
+        return int(self._cum.searchsorted(rng.random(), side="right"))
 
     def sample(self, rng: Generator) -> np.ndarray:
         """Draw one covariate; consumes ``uniforms_per_draw`` uniforms."""
@@ -351,16 +351,17 @@ def responses_from_uniforms(logistic: np.ndarray, dispersion: np.ndarray, theta:
     """
     # One (1, d) @ (d, 1) product per arm and row: bitwise the one-row theta_k @ x.
     mu = (theta[:, None, None, :] @ x[:, :, None])[:, :, 0, 0].T
-    y = np.empty_like(mu)
-    if logistic.any():
-        m = mu[:, logistic]
-        e = np.exp(-np.abs(m))
-        y[:, logistic] = u[:, None] < np.where(m >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-    if not logistic.all():
-        sd = np.sqrt(dispersion)[~logistic]
-        z = ndtri(np.clip(u, 2.0 ** -55, 1.0 - 2.0 ** -53))
-        y[:, ~logistic] = mu[:, ~logistic] + sd * z[:, None]
-    return y
+    # Each family transforms whole (N, K) arrays: for a few patients that
+    # costs less than selecting the family's columns.
+    any_logistic = np.logical_or.reduce(logistic)
+    if any_logistic:
+        e = np.exp(-np.abs(mu))
+        y = (u[:, None] < np.where(mu >= 0.0, 1.0, e) / (1.0 + e)).astype(float)
+        if np.logical_and.reduce(logistic):
+            return y
+    z = ndtri(np.minimum(np.maximum(u, 2.0 ** -55), 1.0 - 2.0 ** -53))
+    normal = mu + np.sqrt(dispersion) * z[:, None]
+    return np.where(logistic, y, normal) if any_logistic else normal
 
 
 def conditional_fisher_info(arm: ArmModel, theta_k: np.ndarray, x: np.ndarray) -> np.ndarray:

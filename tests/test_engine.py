@@ -279,18 +279,25 @@ def test_step_needs_the_model_the_history_was_run_with():
     assert step(hist, again, rule, streams).n == 41
 
 
-def test_each_history_of_a_batch_can_be_stepped():
-    from carasim.engine import run_trials
-
+@pytest.mark.parametrize("stride", [1, 3])
+def test_each_history_of_a_batch_can_be_stepped(stride):
+    # Replicate i of the batch resumes from row i of the batch's engine state
+    # and record; at stride 3 the stepped patient 31 is not recorded, and the
+    # next one is.
     model, rule = _f1(n=30)
+    opts = EngineOptions(theta_stride=stride)
     streams = [streams_for_trial(replicate_root(8, i)) for i in range(3)]
-    batch = run_trials(model, rule, 30, 6, streams, OPTS)
+    batch = run_trials(model, rule, 30, 6, streams, opts)
     for i, (hist, s) in enumerate(zip(batch.histories, streams)):
-        stepped = step(hist, model, rule, s)
-        whole = run_trial(model, rule, 31, 6, replicate_root(8, i), OPTS)
-        np.testing.assert_array_equal(stepped.arms, whole.arms)
-        np.testing.assert_array_equal(stepped.probs, whole.probs)
-        np.testing.assert_array_equal(stepped.current_theta, whole.current_theta)
+        stepped = hist
+        for n in (31, 32, 33):
+            stepped = step(stepped, model, rule, s)
+            whole = run_trial(model, rule, n, 6, replicate_root(8, i), opts)
+            for name in _HISTORY_FIELDS:
+                a, b = getattr(stepped, name), getattr(whole, name)
+                np.testing.assert_array_equal(a, b, err_msg=f"{name} of replicate {i} at n = {n}")
+            for name, counts in stepped.refit_counts().items():
+                np.testing.assert_array_equal(counts, whole.refit_counts()[name], err_msg=name)
 
 
 def test_different_replicates_differ():

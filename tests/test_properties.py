@@ -22,6 +22,8 @@ from carasim.engine import (
     streams_for_trial,
 )
 from carasim.estimation import (
+    MAX_ITERATIONS,
+    SINGULAR_HESSIAN,
     fit_grouped_logistic_mle,
     fit_logistic_cells,
     solve_errstate,
@@ -315,6 +317,8 @@ def logistic_cells(draw):
 @settings(max_examples=60, deadline=None)
 @given(logistic_cells(), st.booleans())
 def test_each_cell_of_a_batched_fit_is_bitwise_its_fit_alone(case, check_conditioning):
+    # The batched loop, at every C from 1, against fit_one_cell (under
+    # fit_grouped_logistic_mle), which fits each cell alone.
     d, cells = case
     lo, hi = np.full(d, -3.0), np.full(d, 3.0)
     fits = fit_logistic_cells(np.vstack([c[0] for c in cells]),
@@ -326,10 +330,11 @@ def test_each_cell_of_a_batched_fit_is_bitwise_its_fit_alone(case, check_conditi
     for i, (X, t, s, init) in enumerate(cells):
         alone = fit_grouped_logistic_mle(X, t, s, lo, hi, init=init,
                                          check_conditioning=check_conditioning)
-        got = fits.result(i)
-        np.testing.assert_array_equal(got.theta_hat, alone.theta_hat)
-        assert (got.converged, got.projected, got.iterations, got.reason) == \
-            (alone.converged, alone.projected, alone.iterations, alone.reason)
+        np.testing.assert_array_equal(fits.theta[i], alone.theta_hat)
+        assert (fits.converged[i], fits.projected[i], fits.iterations[i]) == \
+            (alone.converged, alone.projected, alone.iterations)
+        assert alone.reason == (SINGULAR_HESSIAN if fits.singular[i]
+                                else "" if fits.converged[i] else MAX_ITERATIONS)
 
 
 @st.composite
