@@ -6,9 +6,9 @@ incoming patient's covariate ``x``.  Every rule is smooth in
 ``theta``; ``jacobian`` returns the K-by-(K*d) matrix of partial derivatives
 with columns ordered row-major over (arm j, coordinate l), i.e. column
 ``j*d + l`` holds d pi_k / d theta_{j,l}.  Both accept one covariate (d,)
-or a stack of covariates (N, d) and then evaluate every row at once;
-``probabilities`` also takes one coefficient matrix per row, theta of shape
-(N, K, d), which is how the engine evaluates a batch of replicates.
+or a stack of covariates (N, d) and then evaluate every row at once.  The
+engine evaluates a batch of replicates with one coefficient matrix per row,
+theta of shape (N, K, d), through :func:`probabilities_unchecked`.
 
 Kinds:
 
@@ -81,20 +81,16 @@ def check_rule(rule: AllocationRule, K: int) -> None:
         raise ValueError(f"{rule.kind} rule is defined for exactly two arms")
 
 
-def _check_args(rule: AllocationRule, theta: np.ndarray, x: np.ndarray,
-                per_row: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _check_args(rule: AllocationRule, theta: np.ndarray,
+                x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     theta = np.asarray(theta, dtype=float)
     x = np.asarray(x, dtype=float)
-    if per_row and theta.ndim == 3:
-        if x.ndim != 2 or x.shape[0] != theta.shape[0] or x.shape[1] != theta.shape[2]:
-            raise ValueError(f"covariates have shape {x.shape}, expected "
-                             f"({theta.shape[0]}, {theta.shape[2]}) for one theta per row")
-    elif theta.ndim != 2:
+    if theta.ndim != 2:
         raise ValueError(f"theta must be a (K, d) matrix, got shape {theta.shape}")
-    elif x.ndim not in (1, 2) or x.shape[-1] != theta.shape[1]:
+    if x.ndim not in (1, 2) or x.shape[-1] != theta.shape[1]:
         raise ValueError(f"covariate has shape {x.shape}, expected ({theta.shape[1]},) "
                          f"or (N, {theta.shape[1]})")
-    check_rule(rule, theta.shape[-2])
+    check_rule(rule, theta.shape[0])
     return theta, x
 
 
@@ -151,7 +147,8 @@ def _kernel(rule: AllocationRule, theta: np.ndarray, x: np.ndarray,
     has shape (..., K, K), times ``weights`` (...,) row by row when they
     are given (:func:`_delta_minus_outer` builds it from pi).
     Leading axes of ``x`` are carried through; ``theta`` is one (K, d)
-    matrix, or (N, K, d) with one matrix per row of ``x`` (probabilities only).
+    matrix, or (N, K, d) with one matrix per row of ``x`` (the engine's
+    :func:`probabilities_unchecked` only).
     """
     if rule.kind in _PHI_KINDS:
         if rule.kind == "covariate-free-normal":
@@ -245,18 +242,19 @@ def probabilities(rule: AllocationRule, theta: np.ndarray, x: np.ndarray) -> np.
     """Evaluate pi(theta, x); strictly positive, sums to 1.
 
     ``x`` is one covariate (d,), giving shape (K,), or a stack (N, d),
-    giving one probability row per covariate, shape (N, K).  ``theta`` is
-    one (K, d) matrix for every row, or a stack (N, K, d) with one matrix
-    per row of ``x``.
+    giving one probability row per covariate, shape (N, K); ``theta`` is
+    one (K, d) matrix for every row.
     """
-    theta, x = _check_args(rule, theta, x, per_row=True)
+    theta, x = _check_args(rule, theta, x)
     return probabilities_unchecked(rule, theta, x)
 
 
 def probabilities_unchecked(rule: AllocationRule, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     """:func:`probabilities` without its argument checks, for a caller that
     checked the rule once with :func:`check_rule` and passes float arrays of
-    matching shapes (the engine, once per patient)."""
+    matching shapes (the engine, once per patient).  ``theta`` may also be a
+    stack (N, K, d) with one matrix per row of ``x`` (N, d): a batch of
+    replicates."""
     return _kernel(rule, theta, x)
 
 

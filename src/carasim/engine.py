@@ -82,9 +82,11 @@ not read them, from the support points of up to a draw block of patients,
 added at once.
 
 The incremental fits agree with a batch refit of every arm from the stored
-history.  Unlike the standalone fits, the incremental least-squares refits
-skip the conditioning-number guard; exactly singular systems still fail
-soft (the arm keeps its previous estimate).
+history.  A least-squares cell, like the joint fit, is solved from the first
+refit at which its Gram matrix passes the condition-number test
+(``COND_MAX``), as the standalone ``fit_linear_lse`` tests it; until then
+each of its refits fails soft: the arm keeps its previous estimate, is
+flagged unconverged and counts a fit failure.
 
 A history from :func:`run_trial` or :func:`run_trials` carries the engine
 state after its last patient, and :func:`step` runs the same patient loop
@@ -345,7 +347,7 @@ class _Lockstep:
     """
 
     _PER_CELL = ("theta", "_converged", "_projected", "_raw", "fail", "counts", "trials", "succ",
-                 "X", "y", "gram", "moment") + _IRLS_COUNTERS
+                 "X", "y", "gram", "moment", "solvable") + _IRLS_COUNTERS
     _PER_REPLICATE = ("joint_gram", "joint_moment", "joint_inv", "formed")
 
     def __init__(self, model: TrialModel, rule: AllocationRule, m0: int,
@@ -397,14 +399,14 @@ class _Lockstep:
             # successes (None: every arm is grouped).
             self._succ_arms = None if self.kinds == [_GROUPED] else self.arm_kind == _GROUPED
         # Patients per cell, where the support counts do not give them.
-        self.counts = (np.zeros(C, dtype=np.int64)
-                       if self.support is None or self.lse else None)
+        self.counts = np.zeros(C, dtype=np.int64) if self.support is None else None
         if self.rowwise:
             self.X = np.empty((C, 64, d))
             self.y = np.empty((C, 64))
         if self.lse:
             self.gram = np.zeros((C, d, d))
             self.moment = np.zeros((C, d))
+            self.solvable = np.zeros(C, dtype=bool)  # a Gram matrix once within COND_MAX
         if self.joint:
             # Coefficients of the joint fit that make up theta, row by row.
             self.joint_cols = model.param_cols.ravel()
@@ -694,10 +696,15 @@ class _Lockstep:
         self._irls(cells, self.X[take], None, self.y[take], sizes)
 
     def _fit_lse(self, cells) -> None:
-        gram, moment = self.gram[cells], self.moment[cells]
-        sol = solve_stack(gram, moment)
+        # As in the joint fit, a cell is solved from the first refit where its
+        # Gram matrix is well conditioned; until then it fails and keeps its
+        # estimate.
+        fresh = cells[~self.solvable[cells]]
+        if fresh.size:
+            self.solvable[fresh] = np.linalg.cond(self.gram[fresh]) <= COND_MAX
+        sol = solve_stack(self.gram[cells], self.moment[cells])
         clipped = np.minimum(np.maximum(sol, self.lo[cells]), self.hi[cells])
-        converged = (self.counts[cells] >= self.model.d) & np.all(np.isfinite(sol), axis=1)
+        converged = self.solvable[cells] & np.all(np.isfinite(sol), axis=1)
         projected = converged & np.any(clipped != sol, axis=1)
         self._store(cells, clipped, converged, projected, ~converged)
 

@@ -27,10 +27,11 @@ pins the gufunc, verified on numpy 2.4.6.
 Normal-linear arms are fitted by the normal equations, solved by
 ``solve_stack`` as the engine solves them.  Final estimates are
 always clamped coordinatewise into the arm's parameter box; ``projected``
-records whether the clamp moved the point.  With
-``check_conditioning=False`` (the engine's refits) IRLS skips its
-condition-number guard on the Hessian; an exactly singular system still
-ends the fit as singular.
+records whether the clamp moved the point.  Only a standalone fit guards
+IRLS by the condition number of its Hessian (``fit_grouped_logistic_mle``'s
+``check_conditioning``, on by default); the engine's refits and every
+batched fit do not, and there an exactly singular system still ends the fit
+as singular.
 """
 
 from __future__ import annotations
@@ -92,8 +93,8 @@ class ArmSample:
 # falls to its tolerance, and gives up after _MAX_ITER iterations; a step is
 # halved at most _MAX_HALVINGS times to keep the log-likelihood from
 # decreasing.  A matrix whose condition number exceeds COND_MAX is singular;
-# with ``check_conditioning`` an IRLS Hessian that is not finite or that
-# exceeds it ends the fit as singular.
+# with ``check_conditioning`` (fit_one_cell) an IRLS Hessian that is not
+# finite or that exceeds it ends the fit as singular.
 _GRAD_TOL = 1e-8
 _STEP_TOL = 1e-10
 _MAX_ITER = 100
@@ -213,14 +214,6 @@ def _newton_sums(Xt, XX, Z, t, s, mu, starts) -> np.ndarray:
     return np.add.reduceat(Z, starts, axis=1)
 
 
-def _ill_conditioned(H: np.ndarray) -> np.ndarray:
-    """Which of the (C, d, d) matrices are not finite or exceed ``COND_MAX``."""
-    out = ~np.logical_and.reduce(np.isfinite(H), axis=(1, 2))
-    if not np.logical_and.reduce(out):
-        out[~out] = np.linalg.cond(H[~out]) > COND_MAX
-    return out
-
-
 _ONE_CELL = np.zeros(1, dtype=np.intp)
 
 # The tests of both IRLS loops reduce by the ufuncs' ``reduce``: the same
@@ -232,7 +225,9 @@ def fit_one_cell(X, t, s, lo, hi, init, check_conditioning):
     """The batch of one of :func:`fit_logistic_cells`: the same arithmetic, with
     each test read off the one cell instead of masks over live cells.  Returns
     the clamped estimate (d,), converged, projected, iterations and singular;
-    runs under :func:`solve_errstate`."""
+    runs under :func:`solve_errstate`.  With ``check_conditioning`` (the
+    standalone fits) a Hessian that is not finite or whose condition number
+    exceeds ``COND_MAX`` also ends the fit as singular."""
     d = init.size
     Xt, XX, Z = _design(X)
     theta, converged, singular = init, False, False
@@ -246,7 +241,8 @@ def fit_one_cell(X, t, s, lo, hi, init, check_conditioning):
         H = sums[d:].reshape(d, d)
         delta = solve_stack(H, sums[:d])
         dmax = np.maximum.reduce(np.abs(delta))
-        if not math.isfinite(dmax) or (check_conditioning and _ill_conditioned(H[None])[0]):
+        if not math.isfinite(dmax) or (check_conditioning and not (
+                np.isfinite(H).all() and np.linalg.cond(H) <= COND_MAX)):
             singular = True
             break
         # Step halving, as in fit_logistic_cells (1.0 * delta is delta).
@@ -271,8 +267,8 @@ def fit_one_cell(X, t, s, lo, hi, init, check_conditioning):
 
 @solve_errstate()
 def fit_logistic_cells(X: np.ndarray, trials: np.ndarray | None, successes: np.ndarray,
-                       sizes: np.ndarray, lo: np.ndarray, hi: np.ndarray, init: np.ndarray,
-                       check_conditioning: bool = False) -> CellFits:
+                       sizes: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                       init: np.ndarray) -> CellFits:
     """IRLS for C independent logistic fits at once.
 
     Cell c owns ``sizes[c]`` consecutive rows of ``X`` (N, d), ``trials``
@@ -340,8 +336,6 @@ def fit_logistic_cells(X: np.ndarray, trials: np.ndarray | None, successes: np.n
         # The largest step component; not finite when the system is singular.
         dmax = np.maximum.reduce(np.abs(delta), axis=1)
         out = ~np.isfinite(dmax)
-        if check_conditioning:
-            out |= _ill_conditioned(H)
         if np.logical_or.reduce(out):
             keep = leave(out, it, singular)
             if keep is None:

@@ -7,8 +7,11 @@ replicated trials out over workers with per-replicate seed derivation
 the asymptotic theory, and emits deterministic reports: byte-identical for
 the same (config, master seed) at any worker count.
 
-Replicates run in lockstep batches (:func:`carasim.engine.run_trials`);
-every output is independent of the batch size.  Covariances are sample
+Replicates run in lockstep batches (:func:`carasim.engine.run_trials`),
+each worker over one block of consecutive replicates; every output is
+independent of the batch size and of the blocks.  The aggregates read what
+the library returns, each batch's ``TrialBatch`` and each replicate's
+``PluginReport``, with no second record per replicate.  Covariances are sample
 covariances (denominator R - 1) computed over the successfully completed
 replicates in replicate-index order.  A replicate whose trial raises is
 left out of every aggregate; one whose plug-in estimates raise is left out
@@ -22,7 +25,7 @@ import concurrent.futures
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -370,88 +373,48 @@ def _failure(i: int, exc: Exception) -> tuple[int, str, str]:
     return (i, type(exc).__name__, str(exc))
 
 
-def _replicate_block(raw: dict, indices: list[int]) -> dict:
+def _replicate_block(raw: dict, indices: list[int]) -> tuple[list, list, list, list]:
+    """Run replicates ``indices`` of the experiment ``raw`` in lockstep batches.
+
+    Returns what the engine and the plug-ins give, in replicate order: each
+    batch as (its replicate indices, its ``TrialBatch``, histories dropped
+    once their plug-in estimates are taken), each ``PluginReport``, and the
+    failures of trials and of plug-in estimates.
+    """
     cfg = parse_config(raw)
     model, rule = cfg.model, cfg.rule
-    K, d, nx = model.K, model.d, len(cfg.x_list)
-    B = len(indices)
-    out = {
-        "counts": np.zeros((B, K), dtype=np.int64),
-        "theta": np.zeros((B, K, d)),
-        "cond_totals": np.zeros((B, nx), dtype=np.int64),
-        "cond_counts": np.zeros((B, nx, K), dtype=np.int64),
-        "ok": np.zeros(B, dtype=bool),
-        "plugin_ok": np.zeros(B, dtype=bool),
-        "failures": [],
-        "plugin_failures": [],
-        "plugin_sigma": np.zeros((B, K, K)) if cfg.plugins else None,
-        "plugin_sigma1": np.zeros((B, K, K)) if cfg.plugins else None,
-        "plugin_V": np.zeros((B, K, d, d)) if cfg.plugins else None,
-        "plugin_cond": np.zeros((B, nx, K, K)) if cfg.plugins else None,
-        "plugin_warnings": 0,
-    }
-    if nx:
-        support = model.covariates.enumerated()[0]
-        at_x = np.array([[np.all(p == x) for x in cfg.x_list] for p in support], dtype=np.int64)
     opts = cfg.engine_options()
+    batches, reports, failures, plugin_failures = [], [], [], []
 
     def run(rows: list[int]):
-        seeds = [replicate_root(cfg.seed, indices[j]) for j in rows]
+        seeds = [replicate_root(cfg.seed, i) for i in rows]
         return run_trials(model, rule, cfg.n, cfg.m0, seeds, opts, histories=cfg.plugins)
 
     size = _BATCH
     per_patient = bytes_per_patient(model, cfg.plugins)
     if per_patient:
         size = max(1, min(size, _BATCH_BYTES // (per_patient * cfg.n)))
-    for start in range(0, B, size):
-        rows = list(range(start, min(B, start + size)))
+    for start in range(0, len(indices), size):
+        rows = indices[start:start + size]
         try:
             done = [(rows, run(rows))]
         except Exception:
             # A trial that raises stops its whole batch: run the batch's
             # replicates one at a time, so that only the failing ones are lost.
             done = []
-            for j in rows:
+            for i in rows:
                 try:
-                    done.append(([j], run([j])))
+                    done.append(([i], run([i])))
                 except Exception as exc:
-                    out["failures"].append(_failure(indices[j], exc))
-        for js, result in done:
-            out["counts"][js] = result.counts
-            out["theta"][js] = result.theta
-            out["ok"][js] = True
-            if nx:
-                # Patients per arm at each x_list point: sum over the support
-                # points equal to it.
-                per_point = np.einsum("bks,sq->bqk", result.support_counts, at_x)
-                out["cond_counts"][js] = per_point
-                out["cond_totals"][js] = per_point.sum(axis=2)
-            for j, hist in zip(js, result.histories or ()):
+                    failures.append(_failure(i, exc))
+        for rows, batch in done:
+            for i, hist in zip(rows, batch.histories or ()):
                 try:
-                    rep = plugin_estimates(hist, model, rule, cfg.x_list)
+                    reports.append(plugin_estimates(hist, model, rule, cfg.x_list))
                 except Exception as exc:
-                    out["plugin_failures"].append(_failure(indices[j], exc))
-                    continue
-                out["plugin_sigma"][j] = rep.sigma_hat
-                out["plugin_sigma1"][j] = rep.sigma1_hat
-                out["plugin_V"][j] = rep.V_hat
-                for q in range(nx):
-                    out["plugin_cond"][j, q] = rep.conditional[q].sigma
-                out["plugin_warnings"] += len(rep.warnings)
-                out["plugin_ok"][j] = True
-    return out
-
-
-def _split_blocks(R: int, workers: int) -> list[list[int]]:
-    workers = max(1, min(workers, R))
-    base, rem = divmod(R, workers)
-    blocks, start = [], 0
-    for w in range(workers):
-        size = base + (1 if w < rem else 0)
-        if size:
-            blocks.append(list(range(start, start + size)))
-        start += size
-    return blocks
+                    plugin_failures.append(_failure(i, exc))
+            batches.append((rows, replace(batch, histories=None)))
+    return batches, reports, failures, plugin_failures
 
 
 def run_replications(config: ExperimentConfig, workers: int | None = None) -> ReplicationSummary:
@@ -473,21 +436,33 @@ def run_replications(config: ExperimentConfig, workers: int | None = None) -> Re
     R = config.replicates
     theory = theory_report(model, rule, config.x_list)
 
-    blocks = _split_blocks(R, workers)
+    # Each worker runs one block of consecutive replicates.
+    blocks = [b.tolist() for b in np.array_split(np.arange(R), max(1, min(workers, R)))]
     if len(blocks) == 1:
         results = [_replicate_block(config.raw, blocks[0])]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=len(blocks)) as pool:
             results = list(pool.map(_replicate_block, [config.raw] * len(blocks), blocks))
 
-    # Blocks hold consecutive replicates in order, so their records stack.
-    def stacked(key: str) -> np.ndarray:
-        return np.concatenate([res[key] for res in results])
-
-    counts, theta_hat, ok, plugin_ok = (stacked(k) for k in ("counts", "theta", "ok", "plugin_ok"))
-    cond_totals, cond_counts = stacked("cond_totals"), stacked("cond_counts")
-    failures = [f for res in results for f in res["failures"]]
-    plugin_failures = [f for res in results for f in res["plugin_failures"]]
+    counts = np.zeros((R, K), dtype=np.int64)
+    theta_hat = np.zeros((R, K, d))
+    cond_counts = np.zeros((R, nx, K), dtype=np.int64)
+    ok = np.zeros(R, dtype=bool)
+    if nx:
+        support = model.covariates.enumerated()[0]
+        at_x = np.array([[np.all(p == x) for x in config.x_list] for p in support], dtype=np.int64)
+    reports, failures, plugin_failures = [], [], []
+    for batches, block_reports, block_failures, block_plugin_failures in results:
+        for rows, batch in batches:
+            counts[rows], theta_hat[rows], ok[rows] = batch.counts, batch.theta, True
+            if nx:
+                # Patients per arm at each x_list point: sum over the support
+                # points equal to it.
+                cond_counts[rows] = np.einsum("bks,sq->bqk", batch.support_counts, at_x)
+        reports += block_reports
+        failures += block_failures
+        plugin_failures += block_plugin_failures
+    cond_totals = cond_counts.sum(axis=2)
 
     good = np.flatnonzero(ok)
     sqrt_n = math.sqrt(config.n)
@@ -520,20 +495,24 @@ def run_replications(config: ExperimentConfig, workers: int | None = None) -> Re
 
     plugins = None
     if config.plugins:
-        good = np.flatnonzero(ok & plugin_ok)
-        p_sigma, p_V = stacked("plugin_sigma")[good], stacked("plugin_V")[good]
+        # One row per replicate whose trial and plug-in estimates ran.
+        def stacked(values: list, *shape: int) -> np.ndarray:
+            return np.array(values).reshape((len(reports),) + shape)
+
+        p_sigma = stacked([r.sigma_hat for r in reports], K, K)
+        p_V = stacked([r.V_hat for r in reports], K, d, d)
+        p_cond = stacked([[c.sigma for c in r.conditional] for r in reports], nx, K, K)
         # Relative deviations in the max-abs norm, one per replicate (and arm).
         rel_sigma = np.abs(p_sigma - theory.sigma).max(axis=(1, 2)) / np.abs(theory.sigma).max()
         rel_V = np.abs(p_V - theory.V).max(axis=(2, 3)) / np.abs(theory.V).max(axis=(1, 2))
         plugins = PluginAggregates(
             sigma_hat_median=np.median(p_sigma, axis=0),
-            sigma1_hat_median=np.median(stacked("plugin_sigma1")[good], axis=0),
+            sigma1_hat_median=np.median(stacked([r.sigma1_hat for r in reports], K, K), axis=0),
             V_hat_median=np.median(p_V, axis=0),
-            cond_sigma_median=(np.median(stacked("plugin_cond")[good], axis=0) if nx
-                               else np.zeros((0, K, K))),
-            rel_dev_sigma_median=float(np.median(rel_sigma)) if good.size else math.nan,
-            rel_dev_V_median=np.median(rel_V, axis=0) if good.size else np.full(K, math.nan),
-            warning_count=sum(res["plugin_warnings"] for res in results),
+            cond_sigma_median=np.median(p_cond, axis=0) if nx else np.zeros((0, K, K)),
+            rel_dev_sigma_median=float(np.median(rel_sigma)) if reports else math.nan,
+            rel_dev_V_median=np.median(rel_V, axis=0) if reports else np.full(K, math.nan),
+            warning_count=sum(len(r.warnings) for r in reports),
         )
 
     return ReplicationSummary(
@@ -909,19 +888,17 @@ def _resolve_criteria(names) -> tuple[str, ...]:
     return tuple(resolved)
 
 
-def verify(criteria=("all",), seed: int | None = None, workers: int = 1,
-           cache: dict | None = None) -> VerificationReport:
+def verify(criteria=("all",), seed: int | None = None, workers: int = 1) -> VerificationReport:
     """Run the named verification criteria and report per-check verdicts.
 
     ``criteria`` accepts criterion slugs or aliases ("all", "f1", "smoke").
-    ``seed`` defaults to the documented verification seed.  ``cache`` may be
-    supplied to share heavy Monte Carlo runs across calls.
+    ``seed`` defaults to the documented verification seed.  Criteria that
+    score the same Monte Carlo run share it within the call.
     """
     names = _resolve_criteria(criteria)
     if seed is None:
         seed = fixtures.DEFAULT_SEED
-    if cache is None:
-        cache = {}
+    cache: dict = {}
     checks: list[CriterionCheck] = []
     for name in names:
         checks.extend(CRITERIA[name](seed, cache, workers))

@@ -147,6 +147,8 @@ def test_validation_errors():
         probabilities(AllocationRule(kind="covariate-free-normal", T=1.0), theta3, np.array([1.0]))
     with pytest.raises(ValueError):
         probabilities(ODDS, np.zeros((2, 2)), np.array([1.0]))
+    with pytest.raises(ValueError, match=r"\(K, d\) matrix"):  # one theta per row: engine only
+        probabilities(ODDS, np.zeros((3, 2, 1)), np.ones((3, 1)))
 
 
 @pytest.mark.parametrize("ufunc", [np.add, np.maximum])

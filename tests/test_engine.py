@@ -300,6 +300,42 @@ def test_each_history_of_a_batch_can_be_stepped(stride):
                 np.testing.assert_array_equal(counts, whole.refit_counts()[name], err_msg=name)
 
 
+def test_a_normal_arm_whose_gram_matrix_is_rank_deficient_fails_soft():
+    """Burn-in can give a per-arm least-squares cell a single support point.
+    Its Gram matrix is then rank deficient, and with coordinates that are not
+    exact in binary it is not exactly singular either: the cell must fail as
+    a singular one does, keeping the box midpoint, unconverged, with one
+    failure, and not report an arbitrary solution as converged."""
+    arm = ArmModel(family="normal-linear")
+    model = TrialModel(arms=(arm, arm),
+                       covariates=CovariateSpec.discrete([[1.0, 0.3], [1.0, 0.7]], [0.5, 0.5]),
+                       true_theta=np.array([[0.5, 0.2], [0.0, 0.4]]), box_lo=-5.0, box_hi=5.0)
+    rule = AllocationRule(kind="exponential", T=1.0)
+    batch = run_trials(model, rule, 6, 3, range(200), OPTS)
+    one_point = 0
+    for seed, hist in enumerate(batch.histories):
+        for k in range(2):
+            if np.unique(hist.support_idx[hist.arms == k]).size == 1:
+                one_point += 1
+                np.testing.assert_array_equal(hist.current_theta[k], [0.0, 0.0])
+                assert not hist.converged[k] and hist.fit_failures[k] == 1, (seed, k)
+            else:
+                assert hist.converged[k] and hist.fit_failures[k] == 0, (seed, k)
+    assert one_point > 0
+    # A batch of one agrees.  The cell fails at each refit until it has seen
+    # both points, and is solved from then on.
+    streams = streams_for_trial(4)
+    hist = run_trial(model, rule, 6, 3, streams, OPTS)
+    np.testing.assert_array_equal(hist.current_theta, batch.histories[4].current_theta)
+    while np.unique(hist.support_idx[hist.arms == 1]).size == 1:
+        hist = step(hist, model, rule, streams)
+    assert hist.arms[-1] == 1 and hist.converged[1]
+    # One failure at the end of burn-in (the arm's m0 = 3 patients), and one
+    # at each later patient of the arm before the last.
+    assert hist.fit_failures[1] == 1 + np.count_nonzero(hist.arms[:-1] == 1) - 3
+    assert np.all(hist.current_theta[1] != 0.0)
+
+
 def test_different_replicates_differ():
     model, rule = _f1(n=200)
     a = run_trial(model, rule, 200, 6, replicate_root(33, 0), OPTS)

@@ -6,6 +6,7 @@ from carasim import estimation
 from carasim.engine import TrialHistory, replicate_root, run_trial, run_trials
 from carasim.estimation import (
     DEGENERATE_DESIGN,
+    SINGULAR_HESSIAN,
     ArmSample,
     EmptySampleError,
     fit_grouped_logistic_mle,
@@ -98,6 +99,20 @@ def test_grouped_and_rowwise_fits_agree():
     np.testing.assert_allclose(grouped.theta_hat, rowwise.theta_hat, rtol=0, atol=1e-9)
     # Saturated two-point design: the MLE interpolates the group logits.
     np.testing.assert_allclose(grouped.theta_hat[0], np.log(24.0 / 16.0), atol=1e-7)
+
+
+def test_conditioning_guard_ends_a_nearly_singular_fit():
+    # Four points on a line through the origin, two of them perturbed by
+    # 1e-6: the Hessian is regular but its condition number passes COND_MAX.
+    X = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-6], [2.0, 2.0], [0.5, 0.5 - 1e-6]])
+    t, s = np.array([3.0, 3.0, 3.0, 2.0]), np.array([1.0, 2.0, 1.0, 1.0])
+    box = (np.full(2, -3.0), np.full(2, 3.0))
+    guarded = fit_grouped_logistic_mle(X, t, s, *box)
+    assert guarded.reason == SINGULAR_HESSIAN and not guarded.converged
+    np.testing.assert_array_equal(guarded.theta_hat, [0.0, 0.0])
+    unguarded = fit_grouped_logistic_mle(X, t, s, *box, check_conditioning=False)
+    assert unguarded.reason != SINGULAR_HESSIAN and unguarded.projected
+    np.testing.assert_array_equal(unguarded.theta_hat, [-3.0, 3.0])
 
 
 def test_empty_sample_raises():

@@ -380,6 +380,39 @@ def test_trial_failure_is_reported_and_other_replicates_are_kept(monkeypatch):
                                       if not line.startswith("3,")]
 
 
+def test_failures_are_gathered_across_worker_blocks(monkeypatch, tmp_path):
+    # At three workers the blocks are replicates 0-2, 3-4 and 5-6: the trial
+    # failure and the plug-in failure each open a block.
+    raw = two_point_config(n=120, replicates=7, seed=31)
+    raw["replication"]["plugins"] = True
+    cfg = parse_config(raw)
+    run_trials, plugin_estimates = harness.run_trials, harness.plugin_estimates
+
+    def failing_trial(model, rule, n, m0, seeds, *args, **kwargs):
+        if any(seed.spawn_key == (3,) for seed in seeds):
+            raise RuntimeError("injected trial failure")
+        return run_trials(model, rule, n, m0, seeds, *args, **kwargs)
+
+    def failing_plugins(hist, *args, **kwargs):
+        if hist.seed_spawn_key == (5,):
+            raise ZeroMassCovariateError("injected plug-in failure")
+        return plugin_estimates(hist, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_trials", failing_trial)
+    monkeypatch.setattr(harness, "plugin_estimates", failing_plugins)
+    outputs = []
+    for workers in (1, 3):
+        s = run_replications(cfg, workers=workers)
+        assert s.failures == ((3, "RuntimeError", "injected trial failure"),)
+        assert s.plugin_failures == ((5, "ZeroMassCovariateError", "injected plug-in failure"),)
+        out = tmp_path / f"workers-{workers}"
+        emit_reports(s, out)
+        outputs.append(((out / "report.json").read_bytes(), (out / "replicates.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+    csv = outputs[0][1].decode().splitlines()
+    assert [row.split(",")[0] for row in csv[1:]] == ["0", "1", "2", "4", "5", "6"]
+
+
 def test_shared_slope_variance_ratios_use_the_closed_forms():
     from scipy.stats import chi2
 
