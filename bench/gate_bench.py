@@ -42,7 +42,8 @@ times only the F1, two-point and bb engine rows, those of three variants
 of the two-point fixture (three and five logistic arms, and two logistic
 arms beside a normal arm; batches of 1, 8 and 256), rowwise rows (the
 ``continuous-logit`` design at the trial lengths and batches of
-``ROWWISE_BATCHES``, where every refit runs IRLS on an arm's rows), and
+``ROWWISE_BATCHES``, where every refit runs IRLS on an arm's rows; the
+trial lengths in ``ROWWISE_ROUNDS`` take that many rounds instead), and
 ``step()`` rows (``STEP_CALLS`` chained calls that continue a two-point or
 bb trial of each of ``STEP_N`` patients, timed per call); the IRLS rows
 (``fit_grouped_logistic_mle`` as above, in microseconds per fit); and the
@@ -88,8 +89,10 @@ LOGIT_BATCHES = (1, 10, 256)
 VARIANT_BATCHES = (1, 8, 256)
 # Interleaved rowwise rows: continuous-logit trial length -> batches.  Each
 # refit runs IRLS on all of an arm's rows, so a trial costs about n squared:
-# at n = 6,400 one timing of a batch of 32 takes about 100 s, and is left out.
-ROWWISE_BATCHES = {400: (1, 10), 1600: (1, 32)}
+# at n = 6,400 one timing of a batch of 32 takes about a minute, so those
+# rows run ROWWISE_ROUNDS[6400] rounds (plus the first, untimed run of each side).
+ROWWISE_BATCHES = {400: (1, 10), 1600: (1, 32), 6400: (1, 32)}
+ROWWISE_ROUNDS = {6400: 3}
 ENGINE_N = 500
 SEQUENTIAL_CAP = 16
 ENGINE_REPEATS = 5  # batches of at most this many replicates are timed this many times
@@ -151,7 +154,8 @@ def engine_rows(package: str = "carasim", interleaved: bool = False) -> dict:
     """Row name -> (run, replicates timed, patients per replicate) of the
     engine rows, on the carasim package imported as ``package``; the
     interleaved rows add the two-point variants and the step rows, and time
-    ``continuous-logit`` at the lengths and batches of ``ROWWISE_BATCHES``."""
+    ``continuous-logit`` at the lengths and batches of ``ROWWISE_BATCHES``
+    (rows named ``continuous-logit n=N/B=B``)."""
     engine = importlib.import_module(f"{package}.engine")
     fixtures = importlib.import_module(f"{package}.fixtures")
     parse_config = importlib.import_module(f"{package}.harness").parse_config
@@ -271,11 +275,13 @@ def theory_rows(package: str = "carasim") -> dict:
     return rows
 
 
-def interleaved(sides: tuple[dict, dict], label: str, unit: str, scale: float) -> dict:
+def interleaved(sides: tuple[dict, dict], label: str, unit: str, scale: float,
+                rounds: dict | None = None) -> dict:
     """Rows of this tree (``sides[0]``, named ``label``) and of the other
     (``sides[1]``, named ``parent``), timed in alternating order round by
-    round; a row is (run, divisor), and its figure is seconds per run times
-    ``scale`` over the divisor, in ``unit``."""
+    round, ``INTERLEAVE_ROUNDS`` rounds or ``rounds[row]``; a row is (run,
+    divisor), and its figure is seconds per run times ``scale`` over the
+    divisor, in ``unit``."""
     out = {}
     for row, (run, divisor) in sides[0].items():
         other = sides[1][row][0]
@@ -284,7 +290,8 @@ def interleaved(sides: tuple[dict, dict], label: str, unit: str, scale: float) -
         other()
         calls = max(1, round(2 * INTERLEAVE_TIMING_S / (time.perf_counter() - t0)))
         seconds = ([], [])
-        for r in range(INTERLEAVE_ROUNDS):
+        n_rounds = (rounds or {}).get(row, INTERLEAVE_ROUNDS)
+        for r in range(n_rounds):
             for side in ((0, 1) if r % 2 == 0 else (1, 0)):
                 fn = (run, other)[side]
                 t0 = time.perf_counter()
@@ -296,7 +303,7 @@ def interleaved(sides: tuple[dict, dict], label: str, unit: str, scale: float) -
         out[row] = {unit: {name: round(statistics.median(s) * per, 4)
                            for name, s in zip((label, "parent"), seconds)},
                     "ratio_median": round(ratio, 4), "ratio_q1": round(q1, 4),
-                    "ratio_q3": round(q3, 4), "rounds": INTERLEAVE_ROUNDS,
+                    "ratio_q3": round(q3, 4), "rounds": n_rounds,
                     "calls_per_timing": calls}
         print(f"{row}: {statistics.median(seconds[0]) * per:.4f} against "
               f"{statistics.median(seconds[1]) * per:.4f} {unit}, ratio {ratio:.3f} "
@@ -306,10 +313,13 @@ def interleaved(sides: tuple[dict, dict], label: str, unit: str, scale: float) -
 
 def interleaved_engine(this: dict, other: dict, label: str) -> dict:
     """The interleaved engine rows (``engine_rows(..., interleaved=True)``)
-    of two trees, in microseconds per patient."""
+    of two trees, in microseconds per patient; the rowwise rows of the trial
+    lengths in ``ROWWISE_ROUNDS`` run that many rounds."""
     sides = ({row: (run, timed * n) for row, (run, timed, n) in this.items()},
              {row: (run, timed * n) for row, (run, timed, n) in other.items()})
-    out = interleaved(sides, label, "us_per_patient", 1e6)
+    rounds = {f"continuous-logit n={n}/B={B}": count for n, count in ROWWISE_ROUNDS.items()
+              for B in ROWWISE_BATCHES[n]}
+    out = interleaved(sides, label, "us_per_patient", 1e6, rounds)
     for row, entry in out.items():
         entry["replicates_timed"] = this[row][1]
     return out
@@ -467,8 +477,6 @@ def main(argv=None) -> int:
                  "ratio": f"{args.label} / parent",
                  "engine": interleaved_engine(engine_rows("carasim", interleaved=True),
                                               engine_rows(other, interleaved=True), args.label),
-                 "rowwise_left_out": "continuous-logit at n = 6,400: one timing of a batch "
-                                     "of 32 takes about 100 s",
                  "irls": interleaved((irls_rows("carasim"), irls_rows(other)), args.label,
                                      "us_per_fit", 1e6),
                  "theory": interleaved((theory_rows("carasim"), theory_rows(other)),

@@ -48,7 +48,21 @@ arm's rows, so its cost grows with the arm and a trial's with n squared:
   count a closed-form refit (with more arms, the K cells of each replicate
   and the repairs of idle cells whose product is NaN cost more than the
   gathers);
-* logistic arms on a continuous support keep their rows;
+* logistic arms on a continuous support keep their rows in a row store laid
+  out as the IRLS core reads them: a (3 + d, C * cap) block whose rows are
+  the response, the d covariates and the two warm values (linear predictor
+  and log-likelihood term), with cell c's rows from column c * cap on (cap
+  doubles when a cell outgrows it).  A batched refit gathers its cells'
+  columns with one ``take`` at ``np.arange(N) + np.repeat(cells * cap -
+  starts, sizes)``; a refit of one cell reads a view of its columns.  A row's
+  warm values are computed when the row is stored, at the estimate its
+  cell's next refit starts from, and each refit leaves in the store the
+  values at its result (a singular fit keeps its start, and so the values
+  that went with it), so a refit computes them for no row it already had.
+  They hold only while the cell's estimate is bitwise the iterate they were
+  computed at: a refit that the box moves leaves them stale (``warm``), and
+  the cell's next refit computes them all again, as it does at the end of
+  burn-in.  ``take()`` copies them with the rows;
 * every other logistic refit (grouped counts off the saturated form, joined
   cells whose closed form comes out NaN, and every rowwise refit) runs in
   one call of the batched IRLS :func:`carasim.estimation.fit_logistic_cells`
@@ -104,7 +118,8 @@ import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 
 from .allocation import AllocationRule, check_rule, fold_columns, probabilities_unchecked
-from .estimation import COND_MAX, fit_logistic_cells, fit_one_cell, solve_errstate, solve_stack
+from .estimation import (COND_MAX, fit_logistic_cells, fit_one_cell, predictors, row_predictor,
+                         segment_index, solve_errstate, solve_stack)
 from .model import TrialModel, responses_from_uniforms
 
 __all__ = [
@@ -347,7 +362,7 @@ class _Lockstep:
     """
 
     _PER_CELL = ("theta", "_converged", "_projected", "_raw", "fail", "counts", "trials", "succ",
-                 "X", "y", "gram", "moment", "solvable") + _IRLS_COUNTERS
+                 "warm", "gram", "moment", "solvable") + _IRLS_COUNTERS
     _PER_REPLICATE = ("joint_gram", "joint_moment", "joint_inv", "formed")
 
     def __init__(self, model: TrialModel, rule: AllocationRule, m0: int,
@@ -401,8 +416,14 @@ class _Lockstep:
         # Patients per cell, where the support counts do not give them.
         self.counts = np.zeros(C, dtype=np.int64) if self.support is None else None
         if self.rowwise:
-            self.X = np.empty((C, 64, d))
-            self.y = np.empty((C, 64))
+            # The row store: cell c's rows are columns c * cap onwards of
+            # (response, covariates, warm values), the block the IRLS core
+            # reads; warm[c] says whether the warm values of all of cell c's
+            # rows hold at its estimate (module docstring).
+            self.cap = 64
+            self.rows = np.empty((3 + d, C * self.cap))
+            self.warm = np.zeros(C, dtype=bool)
+            self._new_row = np.empty((3 + d, B))
         if self.lse:
             self.gram = np.zeros((C, d, d))
             self.moment = np.zeros((C, d))
@@ -450,6 +471,8 @@ class _Lockstep:
         new._theta3 = new.theta.reshape(1, K, self.model.d)
         if self.support is not None:
             new._points = []
+        if self.rowwise:
+            new.rows = self.rows[:, row * K * self.cap:(row + 1) * K * self.cap].copy()
         if self.joint:
             new.n_formed = int(new.formed.sum())
         return new
@@ -560,11 +583,28 @@ class _Lockstep:
             at = self.counts[cell]
             self.counts[cell] = at + 1
         if self.rowwise:
-            if self.m >= self.X.shape[1] and at.max() == self.X.shape[1]:
-                self.X = np.concatenate([self.X, np.empty_like(self.X)], axis=1)
-                self.y = np.concatenate([self.y, np.empty_like(self.y)], axis=1)
-            self.X[cell, at] = x
-            self.y[cell, at] = y
+            cap = self.cap
+            if self.m >= cap and at.max() == cap:
+                # Double every cell's room, keeping its rows.
+                grown = np.empty((self.rows.shape[0], self.theta.shape[0], 2 * cap))
+                grown[:, :, :cap] = self.rows.reshape(grown.shape[0], -1, cap)
+                cap *= 2
+                self.rows, self.cap = grown.reshape(grown.shape[0], -1), cap
+            # The new row, with its warm values at the estimate its cell's
+            # next refit starts from.
+            if cell.size == 1:  # by scalar index: a third of the cost for one row
+                c, rows = cell[0], self.rows
+                column = c * cap + at[0]
+                rows[0, column] = y[0]
+                rows[1:-2, column] = x[0]
+                rows[-2, column], rows[-1, column] = row_predictor(
+                    x[0].tolist(), y[0].item(), self.theta[c].tolist())
+            else:
+                new = self._new_row
+                new[0] = y
+                new[1:-2] = x.T
+                predictors(new[1:-2], y, None, self.theta[cell].T, out=new[-2:])
+                self.rows[:, cell * cap + at] = new
         if self.lse:
             self.gram[cell] += x[:, :, None] * x[:, None, :]
             self.moment[cell] += y[:, None] * x
@@ -607,22 +647,24 @@ class _Lockstep:
         checking first costs about 1 us.)"""
         self.converged[cells] = converged
         self.projected[cells] = projected
-        if failed.any():
+        if np.logical_or.reduce(failed):
             self.fail[cells[failed]] += 1
             cells, theta = cells[~failed], theta[~failed]
         self.theta[cells] = theta
 
-    def _irls(self, cells, X, trials, successes, sizes) -> None:
+    def _irls(self, cells, rows, trials, sizes, warm=None, warm_columns=None):
         """Refit the cells in place by one batched IRLS on their rows (cell
-        i owns ``sizes[i]`` consecutive rows of X, trials and successes),
-        warm-started at their current estimates (which every fit leaves in
-        the box), without the conditioning guard; a fit that fails keeps the
-        estimate.  One cell is fitted by the batch-of-one core and written by
-        scalar index (module docstring)."""
+        i owns ``sizes[i]`` consecutive columns of ``rows``, successes and
+        covariates, and of ``trials``; ``warm`` and ``warm_columns`` as in
+        ``fit_logistic_cells``), warm-started at their current estimates
+        (which every fit leaves in the box), without the conditioning guard;
+        a fit that fails keeps the estimate.  One cell is fitted by the
+        batch-of-one core and written by scalar index (module docstring).
+        Returns the fits' ``projected`` flags."""
         if cells.size == 1:
             c = cells[0]
             theta, converged, projected, iterations, singular = fit_one_cell(
-                X, trials, successes, self.lo[c], self.hi[c], self.theta[c], False)
+                rows, trials, self.lo[c], self.hi[c], self.theta[c], False, warm)
             self.converged[c] = converged
             self.projected[c] = projected
             if singular:
@@ -633,14 +675,16 @@ class _Lockstep:
             self.irls_iterations[c] += iterations
             self.irls_nonconverged[c] += not (converged or singular)
             self.irls_singular[c] += singular
-            return
-        fits = fit_logistic_cells(X, trials, successes, sizes, self.lo[cells], self.hi[cells],
-                                  self.theta[cells])
+            return projected
+        fits = fit_logistic_cells(rows, trials, sizes, self.lo[cells], self.hi[cells],
+                                  self.theta[cells], warm, warm_columns)
         self._store(cells, fits.theta, fits.converged, fits.projected, fits.singular)
         self.irls_fits[cells] += 1
         self.irls_iterations[cells] += fits.iterations
-        self.irls_nonconverged[cells] += ~fits.converged & ~fits.singular
-        self.irls_singular[cells] += fits.singular
+        if not np.logical_and.reduce(fits.converged):
+            self.irls_nonconverged[cells] += ~fits.converged & ~fits.singular
+            self.irls_singular[cells] += fits.singular
+        return fits.projected
 
     def _fit_grouped(self, cells) -> None:
         if self.sat_inv is None:
@@ -681,19 +725,38 @@ class _Lockstep:
 
     def _irls_grouped(self, cells) -> None:
         """IRLS on the cells' counts at the support points."""
-        self._irls(cells, np.tile(self.support, (cells.size, 1)), self.trials[cells].ravel(),
-                   self.succ[cells].ravel(), np.full(cells.size, self.support.shape[0]))
+        S = self.support.shape[0]
+        rows = np.empty((1 + self.model.d, cells.size * S))
+        rows[0] = self.succ[cells].ravel()
+        rows[1:] = np.tile(self.support.T, cells.size)
+        self._irls(cells, rows, self.trials[cells].ravel(), np.full(cells.size, S))
 
     def _fit_rows(self, cells) -> None:
-        # The rows of the refit cells, cell by cell, in one gather (a slice
-        # for one cell); the slots past each cell's count are never read.
-        sizes = self.counts[cells]
+        # The cells' columns of the row store, in one gather (a view for one
+        # cell).  A cell whose warm values do not hold gets them at its
+        # estimate; the fit leaves the values at its result, which hold
+        # unless the box moved it.
+        d, cap = self.model.d, self.cap
         if cells.size == 1:
-            take = cells[0], slice(sizes[0])
-        else:
-            take = np.zeros(self.y.shape, dtype=bool)
-            take[cells] = np.arange(take.shape[1]) < sizes[:, None]
-        self._irls(cells, self.X[take], None, self.y[take], sizes)
+            c = cells[0]
+            block = self.rows[:, c * cap:c * cap + self.counts[c]]
+            if not self.warm[c]:
+                predictors(block[1:1 + d], block[0], None, self.theta[c][:, None],
+                           out=block[1 + d:])
+            self.warm[c] = not self._irls(cells, block[:1 + d], None, None, block[1 + d:])
+            return
+        sizes = self.counts[cells]
+        columns = segment_index(cells * cap, sizes)
+        block = self.rows[:1 + d].take(columns, axis=1)
+        warm = self.warm[cells]
+        if not np.logical_and.reduce(warm):
+            lost = np.where(warm, 0, sizes)
+            new = segment_index(sizes.cumsum() - sizes, lost)
+            part = block[:, new]
+            self.rows[1 + d:, columns[new]] = predictors(
+                part[1:], part[0], None, self.theta[cells].T.repeat(lost, axis=1))
+        projected = self._irls(cells, block, None, sizes, self.rows[1 + d:], columns)
+        self.warm[cells] = ~projected
 
     def _fit_lse(self, cells) -> None:
         # As in the joint fit, a cell is solved from the first refit where its
@@ -884,12 +947,13 @@ def run_trials(model: TrialModel, rule: AllocationRule, n: int, m0: int, seeds,
 def bytes_per_patient(model: TrialModel, histories: bool) -> int:
     """Bytes per replicate and patient, at most, of what :func:`run_trials`
     keeps that grows with n: the per-patient histories (with ``histories``)
-    and the rows that logistic arms on a continuous covariate refit from
-    (each arm's rows have room for twice its patients)."""
+    and the row store that logistic arms on a continuous covariate refit
+    from (each arm's response, covariates and two warm values, with room
+    for twice its patients once it holds more than 32)."""
     K, d = model.K, model.d
     total = 8 * (d + K + 3 + K * d) if histories else 0  # covariates, psi, arm, index, y, estimate
     if model.covariates.enumerated() is None and any(a.family == "logistic" for a in model.arms):
-        total += 16 * K * (d + 1)
+        total += 16 * K * (d + 3)
     return total
 
 

@@ -2,19 +2,30 @@
 
 Logistic fits run on one core, :func:`fit_logistic_cells`: Newton's method
 (IRLS) with step halving, so the log-likelihood never decreases along the
-iteration, for C independent cells at once.  Cell c owns a segment of
-consecutive rows of one (N, d) block (covariate points, trial counts and
-successes), so cells of any sizes share one array program.  Every sum over a
+iteration, for C independent cells at once.  The rows come as one
+(1 + d, N) block, the successes and then the covariates, in the layout the
+engine keeps them (trial counts, for grouped rows, come beside it); cell c
+owns a segment of consecutive columns, so cells of any sizes share one array
+program, and each fit builds the products x_i x_j once.  Every sum over a
 cell's rows is an ``np.add.reduceat`` over its own segment and every other
 step is elementwise, so a cell's fit gives the same bits whatever cells
 share the call; each cell stops by its own tests (gradient, step, iteration
-limit, singular system) and the rows of the cells still iterating are
-gathered again.  One cell, :func:`fit_one_cell`, calls the same arithmetic
-helpers but reads its tests off its one cell, without the live-cell masks.
-The engine refits the logistic cells of one patient in one call of
-``fit_logistic_cells``, and a single cell by ``fit_one_cell``, which is
-also the standalone ``fit_grouped_logistic_mle`` (binomial counts at
-distinct points) and its unit-trial case, the rowwise ``fit_logistic_mle``.
+limit, singular system), and the columns of the cells still iterating are
+kept by one ``np.compress`` of the block.  One cell, :func:`fit_one_cell`,
+calls the same arithmetic helpers but reads its tests off its one cell,
+without the live-cell masks.  The engine refits the logistic cells of one
+patient in one call of ``fit_logistic_cells``, and a single cell by
+``fit_one_cell``, which is also the standalone ``fit_grouped_logistic_mle``
+(binomial counts at distinct points) and its unit-trial case, the rowwise
+``fit_logistic_mle``.
+
+A fit may be given its rows' warm values: each row's linear predictor and
+log-likelihood term at its cell's starting point (:func:`predictors`).  It
+then starts from them instead of computing them, and leaves in them the
+values at each cell's last iterate, except where the fit ends singular and
+the cell keeps its start.  A row's values depend on that row and the
+coefficients alone, so the engine keeps them between refits and computes
+only the rows added since.
 
 Newton systems are solved by :func:`solve_stack`, one call of numpy's
 private LAPACK gufunc behind ``np.linalg.solve``; a singular system gives a
@@ -36,12 +47,15 @@ as singular.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _solve1
 from scipy.special import expit
+
+from .allocation import fold_columns
 
 __all__ = [
     "ArmSample",
@@ -167,45 +181,85 @@ class CellFits:
 
 
 # The arithmetic of an IRLS step, shared by a batch of cells and a batch of
-# one.  Xt (d, N) holds the rows' covariates, XX (d * d, N) their products
-# x_i x_j in row-major order, and Z (d + d * d, N) is scratch space; a cell's
-# rows are one segment, starting at ``starts``.  Every sum over a cell's rows
-# is an ``np.add.reduceat`` over its own segment and every other operation is
+# one.  A cell's rows are one segment of columns, starting at ``starts``, of a
+# (1 + d, N) block of rows: the successes, then the covariates.  A fit builds
+# the products x_i x_j once per call (:func:`_products`: m = d (d + 1) / 2
+# rows, i <= j), and Z (d + m, N) is scratch space.  A row's warm values are
+# its linear predictor mu and its log-likelihood term at its cell's iterate,
+# the two rows of a (2, N) block.  Every sum over a cell's rows is an
+# ``np.add.reduceat`` over its own segment and every other operation is
 # elementwise.
 
-def _design(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Xt, XX and Z for the rows X (N, d)."""
-    Xt = np.ascontiguousarray(X.T)
-    d, N = Xt.shape
-    return Xt, (Xt[:, None] * Xt[None]).reshape(d * d, N), np.empty((d + d * d, N))
+def segment_index(firsts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The columns of consecutive segments, segment i being ``sizes[i]``
+    columns from ``firsts[i]`` (at least one column in all)."""
+    ends = sizes.cumsum()
+    return np.arange(ends[-1]) + (firsts - ends + sizes).repeat(sizes)
 
 
-def _segments(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First row of each cell, and each row's cell."""
-    return np.cumsum(sizes) - sizes, np.repeat(np.arange(sizes.size), sizes)
+def _scatter(a: np.ndarray, columns: np.ndarray, values: np.ndarray) -> None:
+    """``a[:, columns] = values``, row by row: a fancy assignment to a 1-D
+    row costs a fraction of one to a 2-D block."""
+    for row, v in zip(a, values):
+        row[columns] = v
 
 
-def _row_sums(P: np.ndarray) -> np.ndarray:
-    """Each column's sum of the (d, N) block P, added row after row."""
-    # A reduction over the first axis of a (d, N > 1) block adds row after
-    # row; numpy sums a single contiguous run pairwise instead, so a (d, 1)
-    # block is added row by row here.
+def predictors(Xt, s, t, theta_rows, out=None) -> np.ndarray:
+    """The warm values (2, N) of rows with covariates ``Xt`` (d, N), successes
+    ``s`` and trials ``t`` (None: one trial per row) at the per-row
+    coefficients ``theta_rows`` ((d, N), or (d, 1) for every row), into
+    ``out`` if given: each row's linear predictor and its log-likelihood term.
+    A row's values do not depend on the other rows."""
+    W = np.empty((2, Xt.shape[1])) if out is None else out
+    P, mu = Xt * theta_rows, W[0]
+    # mu sums the products row after row: so does a reduction over the first
+    # axis of a (d, N > 1) block, but numpy sums a single contiguous run
+    # pairwise, so a (d, 1) block is added row by row here.
     if P.shape[1] > 1:
-        return np.add.reduce(P, axis=0)
-    total = P[0].copy()
-    for j in range(1, P.shape[0]):
-        total += P[j]
-    return total
-
-
-def _loglik(mu, t, s, starts) -> np.ndarray:
-    """Each cell's log-likelihood at the linear predictors ``mu`` of its rows."""
+        np.add.reduce(P, axis=0, out=mu)
+    else:
+        mu[:] = P[0]
+        for j in range(1, P.shape[0]):
+            mu += P[j]
     lae = np.logaddexp(0.0, mu)
-    return np.add.reduceat(s * mu - (lae if t is None else t * lae), starts)
+    np.subtract(s * mu, lae if t is None else t * lae, out=W[1])
+    return W
+
+
+def row_predictor(x: list, s: float, theta: list) -> tuple[float, float]:
+    """:func:`predictors` of one row with one trial, as Python floats: the
+    same IEEE products and sums in the same order, and numpy's ``logaddexp``,
+    at a fraction of the cost of array calls on one row."""
+    mu = x[0] * theta[0]
+    for j in range(1, len(x)):
+        mu += x[j] * theta[j]
+    return mu, s * mu - np.logaddexp(0.0, mu)
+
+
+def _products(Xt: np.ndarray, out: np.ndarray) -> None:
+    """The products x_i x_j, i <= j, of the covariate rows ``Xt`` (d, N) into
+    ``out`` (m, N), row-major over the upper triangle.  x_j x_i is the same
+    number, so both Hessian entries of a pair read one sum
+    (:func:`_hessian_rows`)."""
+    d, r = Xt.shape[0], 0
+    for i in range(d):
+        np.multiply(Xt[i], Xt[i:], out=out[r:r + d - i])
+        r += d - i
+
+
+@functools.cache
+def _hessian_rows(d: int) -> np.ndarray:
+    """The row of :func:`_newton_sums` that holds each Hessian entry, row-major."""
+    tri = np.zeros((d, d), dtype=np.intp)
+    tri[np.triu_indices(d)] = np.arange(d, d + d * (d + 1) // 2)
+    rows = np.maximum(tri, tri.T).ravel()
+    rows.setflags(write=False)  # one array serves every fit
+    return rows
 
 
 def _newton_sums(Xt, XX, Z, t, s, mu, starts) -> np.ndarray:
-    """Each cell's gradient (d rows) and Hessian terms (d * d rows, row-major)."""
+    """Each cell's gradient (d rows) and Hessian terms (m rows, the products
+    ``XX`` of :func:`_products`)."""
     d = Xt.shape[0]
     p = expit(mu)
     tp = p if t is None else t * p
@@ -221,24 +275,33 @@ _ONE_CELL = np.zeros(1, dtype=np.intp)
 # wrappers, which cost more than the reduction of a few entries.
 
 
-def fit_one_cell(X, t, s, lo, hi, init, check_conditioning):
+def fit_one_cell(rows, t, lo, hi, init, check_conditioning, warm=None):
     """The batch of one of :func:`fit_logistic_cells`: the same arithmetic, with
-    each test read off the one cell instead of masks over live cells.  Returns
-    the clamped estimate (d,), converged, projected, iterations and singular;
-    runs under :func:`solve_errstate`.  With ``check_conditioning`` (the
-    standalone fits) a Hessian that is not finite or whose condition number
-    exceeds ``COND_MAX`` also ends the fit as singular."""
+    each test read off the one cell instead of masks over live cells.
+    ``rows`` (1 + d, N) holds the successes and the covariates, ``t`` the
+    trials (None: one per row), and ``warm`` (2, N), if given, the rows' warm
+    values at ``init``; the fit then leaves in it the warm values at its last
+    iterate, unless it ends singular.  Returns the clamped estimate (d,),
+    converged, projected, iterations and singular; runs under
+    :func:`solve_errstate`.  With ``check_conditioning`` (the standalone
+    fits) a Hessian that is not finite or whose condition number exceeds
+    ``COND_MAX`` also ends the fit as singular."""
     d = init.size
-    Xt, XX, Z = _design(X)
+    s, Xt = rows[0], rows[1:]
+    N = Xt.shape[1]
+    m, hessian = d * (d + 1) // 2, _hessian_rows(d)
+    XX = np.empty((m, N))
+    _products(Xt, XX)
+    Z = np.empty((d + m, N))
     theta, converged, singular = init, False, False
-    mu = _row_sums(Xt * theta[:, None])
-    ll = _loglik(mu, t, s, _ONE_CELL)[0]
+    W = predictors(Xt, s, t, theta[:, None]) if warm is None else warm
+    ll = np.add.reduceat(W[1], _ONE_CELL)[0]
     for it in range(1, _MAX_ITER + 1):
-        sums = _newton_sums(Xt, XX, Z, t, s, mu, _ONE_CELL)[:, 0]
+        sums = _newton_sums(Xt, XX, Z, t, s, W[0], _ONE_CELL)[:, 0]
         if np.maximum.reduce(np.abs(sums[:d])) <= _GRAD_TOL:
             converged, it = True, it - 1
             break
-        H = sums[d:].reshape(d, d)
+        H = sums.take(hessian).reshape(d, d)
         delta = solve_stack(H, sums[:d])
         dmax = np.maximum.reduce(np.abs(delta))
         if not math.isfinite(dmax) or (check_conditioning and not (
@@ -246,107 +309,141 @@ def fit_one_cell(X, t, s, lo, hi, init, check_conditioning):
             singular = True
             break
         # Step halving, as in fit_logistic_cells (1.0 * delta is delta).
-        scale = 1.0
+        scale, cand = 1.0, theta + delta
         for _ in range(_MAX_HALVINGS):
-            cand = theta + scale * delta
-            mu_c = _row_sums(Xt * cand[:, None])
-            ll_c = _loglik(mu_c, t, s, _ONE_CELL)[0]
+            W_c = predictors(Xt, s, t, cand[:, None])
+            ll_c = np.add.reduceat(W_c[1], _ONE_CELL)[0]
             if ll_c >= ll - 1e-12:
                 break
             scale *= 0.5
+            cand = theta + scale * delta
         else:
-            scale, cand, mu_c, ll_c = 0.0, theta, mu, ll
-        theta, mu, ll = cand, mu_c, ll_c
+            scale, cand, W_c, ll_c = 0.0, theta, W, ll
+        theta, W, ll = cand, W_c, ll_c
         if scale * dmax <= _STEP_TOL:
             converged = True
             break
+    if warm is not None and not singular and W is not warm:
+        warm[...] = W
     raw = init if singular else theta
     clipped = np.minimum(np.maximum(raw, lo), hi)
     return clipped, converged, bool(np.logical_or.reduce(clipped != raw)), it, singular
 
 
 @solve_errstate()
-def fit_logistic_cells(X: np.ndarray, trials: np.ndarray | None, successes: np.ndarray,
-                       sizes: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                       init: np.ndarray) -> CellFits:
+def fit_logistic_cells(rows: np.ndarray, trials: np.ndarray | None, sizes: np.ndarray,
+                       lo: np.ndarray, hi: np.ndarray, init: np.ndarray,
+                       warm: np.ndarray | None = None,
+                       warm_columns: np.ndarray | None = None) -> CellFits:
     """IRLS for C independent logistic fits at once.
 
-    Cell c owns ``sizes[c]`` consecutive rows of ``X`` (N, d), ``trials``
-    (None: one trial per row) and ``successes`` (N,), after the rows of the
-    cells before it; ``lo``, ``hi`` and ``init`` are (C, d).  Every sum over
-    a cell's rows is an ``np.add.reduceat`` over the cell's own segment of a
-    (terms, N) block and every other operation is elementwise, so each cell's
-    fit takes the same floating-point steps, and gives the same bits,
+    Cell c owns ``sizes[c]`` consecutive columns of ``rows`` (1 + d, N: the
+    successes, then the covariates) and of ``trials`` (None: one trial per
+    row), after the columns of the cells before it; ``lo``, ``hi`` and
+    ``init`` are (C, d).  ``warm`` (2, M), if given, holds each row's warm
+    values (linear predictor and log-likelihood term) at its cell's
+    ``init``, row i's in column ``warm_columns[i]``, and the fit leaves
+    there the warm values at each cell's last iterate, except for cells that
+    end singular, which keep theirs.  Every sum over a
+    cell's rows is an ``np.add.reduceat`` over the cell's own segment of a
+    (terms, N) block and every other operation is elementwise, so each
+    cell's fit takes the same floating-point steps, and gives the same bits,
     whatever cells share the call.  A cell leaves the iteration when it
     converges, when its Newton system is singular or not finite (the
     :func:`solve_stack` row of a singular system is NaN), or after
-    ``_MAX_ITER`` iterations; the rows of the cells still iterating are then
-    gathered again.  :func:`fit_one_cell` takes the same steps on one cell
-    without the masks.  The call runs under :func:`solve_errstate`, entered
-    once whatever the number of Newton steps.
+    ``_MAX_ITER`` iterations; the columns of the cells still iterating are
+    then kept by one ``np.compress`` of the block that holds their rows,
+    products and trials, and one of their warm values.
+    :func:`fit_one_cell` takes the same steps on one cell without the masks.
+    The call runs under :func:`solve_errstate`, entered once whatever the
+    number of Newton steps.
     """
     C, d = init.shape
     raw = np.array(init, dtype=float)  # each cell's unclamped result
     converged, singular = np.zeros((2, C), dtype=bool)
     iterations = np.zeros(C, dtype=int)
 
-    # The cells still iterating, with their rows and iterates.
+    # The cells still iterating, with their columns of one block (successes,
+    # covariates, products x_i x_j and trials), their rows' warm values and
+    # the columns of ``warm`` that keep them, and their iterates.
     live = np.arange(C)
     sizes = np.asarray(sizes, dtype=np.intp)
-    starts, seg = _segments(sizes)
-    Xt, XX, Z = _design(X)
-    t, s = trials, successes
+    starts = sizes.cumsum() - sizes
+    N = rows.shape[1]
+    dd = 1 + d + d * (d + 1) // 2
+    block = np.empty((dd + (trials is not None), N))
+    block[:1 + d] = rows
+    _products(rows[1:], block[1 + d:dd])
+    if trials is not None:
+        block[dd] = trials
+    s, Xt, XX, t = block[0], block[1:1 + d], block[1 + d:dd], None if trials is None else block[dd]
+    Z = np.empty((dd - 1, N))
+    hessian = _hessian_rows(d)
     theta = init
+    if warm is None:
+        W = predictors(Xt, s, t, init.T.repeat(sizes, axis=1))
+    else:
+        W, kept = warm.take(warm_columns, axis=1), warm_columns
 
     def leave(out, count, flag, values=None):
         """Record the cells flagged in ``out`` as finished after ``count``
-        iterations, with ``values`` as their estimates (by default their
-        initial value); returns the mask of the cells that go on, or None
-        when none does."""
-        nonlocal live, sizes, starts, seg, Xt, XX, Z, t, s, theta, mu, ll
+        iterations, with ``values`` as their estimates and their warm values
+        as the fit's (by default their initial value and warm values);
+        returns the mask of the cells that go on, or None when none does."""
+        nonlocal live, sizes, starts, kept, block, s, Xt, XX, t, Z, theta, W, ll
         last = np.logical_and.reduce(out)
         done = live if last else live[out]
         flag[done] = True
         iterations[done] = count
+        keep = ~out
+        columns = None if last else keep.repeat(sizes)
         if values is not None:
             raw[done] = values if last else values[out]
+            if warm is not None:
+                if last:
+                    _scatter(warm, kept, W)
+                else:
+                    _scatter(warm, kept.compress(~columns), W.compress(~columns, axis=1))
         if last:
             return None
-        keep = ~out
-        rows = keep[seg]
-        live, sizes, theta, mu, ll = live[keep], sizes[keep], theta[keep], mu[rows], ll[keep]
-        starts, seg = _segments(sizes)
-        Xt, XX, s = Xt[:, rows], XX[:, rows], s[rows]
-        t = None if t is None else t[rows]
-        Z = np.empty((Z.shape[0], Xt.shape[1]))
+        live, sizes, theta, ll = live[keep], sizes[keep], theta[keep], ll[keep]
+        starts = sizes.cumsum() - sizes
+        block = block.compress(columns, axis=1)
+        W = W.compress(columns, axis=1)
+        if warm is not None:
+            kept = kept.compress(columns)
+        s, Xt, XX = block[0], block[1:1 + d], block[1 + d:dd]
+        t = None if t is None else block[dd]
+        Z = np.empty((Z.shape[0], block.shape[1]))
         return keep
 
-    mu = _row_sums(Xt * theta.T[:, seg])
-    ll = _loglik(mu, t, s, starts)
+    ll = np.add.reduceat(W[1], starts)
     for it in range(1, _MAX_ITER + 1):
-        sums = _newton_sums(Xt, XX, Z, t, s, mu, starts)
-        gmax = np.maximum.reduce(np.abs(sums[:d]), axis=0)
+        sums = _newton_sums(Xt, XX, Z, t, s, W[0], starts)
+        gmax = fold_columns(np.maximum, np.abs(sums[:d].T))
         if np.fmin.reduce(gmax) <= _GRAD_TOL:
             keep = leave(gmax <= _GRAD_TOL, it - 1, converged, theta)
             if keep is None:
                 break
             sums = sums[:, keep]
-        H = sums[d:].T.reshape(-1, d, d)
+        H = sums.T.take(hessian, axis=1).reshape(-1, d, d)
         delta = solve_stack(H, sums[:d].T)
-        # The largest step component; not finite when the system is singular.
-        dmax = np.maximum.reduce(np.abs(delta), axis=1)
-        out = ~np.isfinite(dmax)
-        if np.logical_or.reduce(out):
-            keep = leave(out, it, singular)
-            if keep is None:
-                break
-            delta, dmax = delta[keep], dmax[keep]
+        # The largest step component; not finite when the system is singular
+        # (a sum that is finite has no such component).
+        dmax = fold_columns(np.maximum, np.abs(delta))
+        if not math.isfinite(np.add.reduce(dmax)):
+            out = ~np.isfinite(dmax)
+            if np.logical_or.reduce(out):
+                keep = leave(out, it, singular)
+                if keep is None:
+                    break
+                delta, dmax = delta[keep], dmax[keep]
         # Step halving: a cell whose log-likelihood would fall below its
         # current value halves its step, at most _MAX_HALVINGS times, and
         # otherwise stays where it is.
         cand = theta + delta
-        mu_c = _row_sums(Xt * cand.T[:, seg])
-        ll_c = _loglik(mu_c, t, s, starts)
+        W_c = predictors(Xt, s, t, cand.T.repeat(sizes, axis=1))
+        ll_c = np.add.reduceat(W_c[1], starts)
         floor = ll - 1e-12
         ok = ll_c >= floor
         if not np.logical_and.reduce(ok):
@@ -354,25 +451,27 @@ def fit_logistic_cells(X: np.ndarray, trials: np.ndarray | None, successes: np.n
             for _ in range(1, _MAX_HALVINGS):
                 scale[~ok] *= 0.5
                 retry = theta + scale[:, None] * delta
-                mu_r = _row_sums(Xt * retry.T[:, seg])
-                ll_r = _loglik(mu_r, t, s, starts)
-                redo = ~ok[seg]
-                cand[~ok], ll_c[~ok], mu_c[redo] = retry[~ok], ll_r[~ok], mu_r[redo]
+                W_r = predictors(Xt, s, t, retry.T.repeat(sizes, axis=1))
+                ll_r = np.add.reduceat(W_r[1], starts)
+                cand[~ok], ll_c[~ok] = retry[~ok], ll_r[~ok]
+                np.copyto(W_c, W_r, where=(~ok).repeat(sizes))
                 ok = ll_c >= floor
                 if np.logical_and.reduce(ok):
                     break
             else:
-                redo = ~ok[seg]
                 scale[~ok] = 0.0
-                cand[~ok], ll_c[~ok], mu_c[redo] = theta[~ok], ll[~ok], mu[redo]
+                cand[~ok], ll_c[~ok] = theta[~ok], ll[~ok]
+                np.copyto(W_c, W, where=(~ok).repeat(sizes))
             dmax = scale * dmax
-        theta, mu, ll = cand, mu_c, ll_c
+        theta, W, ll = cand, W_c, ll_c
         if np.fmin.reduce(dmax) <= _STEP_TOL and leave(dmax <= _STEP_TOL, it, converged,
                                                        theta) is None:
             break
     else:
         iterations[live] = _MAX_ITER
         raw[live] = theta
+        if warm is not None:
+            _scatter(warm, kept, W)
 
     clipped = np.minimum(np.maximum(raw, lo), hi)
     return CellFits(theta=clipped, converged=converged,
@@ -404,9 +503,13 @@ def fit_grouped_logistic_mle(points: np.ndarray, trials: np.ndarray,
             raise ValueError(f"init must have shape ({d},)")
         if (init < lo).any() or (init > hi).any():
             raise ValueError("init must lie inside the box")
+    # The core's block, in C order: ``np.vstack`` of X.T would keep X's
+    # layout, and every op of the fit would run along strided rows.
+    rows = np.empty((1 + d, X.shape[0]))
+    rows[0], rows[1:] = s, X.T
     with solve_errstate():
         theta, converged, projected, iterations, singular = fit_one_cell(
-            X, None if np.all(t == 1.0) else t, s, lo, hi, init, check_conditioning)
+            rows, None if np.all(t == 1.0) else t, lo, hi, init, check_conditioning)
     reason = SINGULAR_HESSIAN if singular else "" if converged else MAX_ITERATIONS
     return FitResult(theta_hat=theta, converged=converged, projected=projected,
                      iterations=iterations, reason=reason)

@@ -311,12 +311,15 @@ def parse_config(document: dict | str | Path) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class PluginAggregates:
-    sigma_hat_median: np.ndarray
-    sigma1_hat_median: np.ndarray
-    V_hat_median: np.ndarray
-    cond_sigma_median: np.ndarray  # (nx, K, K)
-    rel_dev_sigma_median: float
-    rel_dev_V_median: np.ndarray  # (K,)
+    """Medians over the replicates with plug-in estimates; every median is
+    None when no replicate has them."""
+
+    sigma_hat_median: np.ndarray | None
+    sigma1_hat_median: np.ndarray | None
+    V_hat_median: np.ndarray | None
+    cond_sigma_median: np.ndarray | None  # (nx, K, K)
+    rel_dev_sigma_median: float | None
+    rel_dev_V_median: np.ndarray | None  # (K,)
     warning_count: int
 
 
@@ -494,7 +497,9 @@ def run_replications(config: ExperimentConfig, workers: int | None = None) -> Re
     var_ratio_theta = (np.diag(theta_dev_cov) / np.diag(theory.theta_cov)).reshape(K, d)
 
     plugins = None
-    if config.plugins:
+    if config.plugins and not reports:
+        plugins = PluginAggregates(None, None, None, None, None, None, warning_count=0)
+    elif config.plugins:
         # One row per replicate whose trial and plug-in estimates ran.
         def stacked(values: list, *shape: int) -> np.ndarray:
             return np.array(values).reshape((len(reports),) + shape)
@@ -510,8 +515,8 @@ def run_replications(config: ExperimentConfig, workers: int | None = None) -> Re
             sigma1_hat_median=np.median(stacked([r.sigma1_hat for r in reports], K, K), axis=0),
             V_hat_median=np.median(p_V, axis=0),
             cond_sigma_median=np.median(p_cond, axis=0) if nx else np.zeros((0, K, K)),
-            rel_dev_sigma_median=float(np.median(rel_sigma)) if reports else math.nan,
-            rel_dev_V_median=np.median(rel_V, axis=0) if reports else np.full(K, math.nan),
+            rel_dev_sigma_median=float(np.median(rel_sigma)),
+            rel_dev_V_median=np.median(rel_V, axis=0),
             warning_count=sum(len(r.warnings) for r in reports),
         )
 
@@ -589,14 +594,16 @@ def summary_payload(s: ReplicationSummary) -> dict:
     if s.plugins is not None:
         p = s.plugins
         payload["plugins"] = {
-            "sigma_hat_median": _mat(p.sigma_hat_median),
-            "sigma1_hat_median": _mat(p.sigma1_hat_median),
-            "V_hat_median": _mat(p.V_hat_median),
-            "cond_sigma_median": _mat(p.cond_sigma_median),
-            "rel_dev_sigma_median": float(p.rel_dev_sigma_median),
-            "rel_dev_V_median": _mat(p.rel_dev_V_median),
-            "warning_count": int(p.warning_count),
-        }
+            name: None if value is None else _mat(value)
+            for name, value in (("sigma_hat_median", p.sigma_hat_median),
+                                ("sigma1_hat_median", p.sigma1_hat_median),
+                                ("V_hat_median", p.V_hat_median),
+                                ("cond_sigma_median", p.cond_sigma_median),
+                                ("rel_dev_V_median", p.rel_dev_V_median))}
+        payload["plugins"].update(
+            rel_dev_sigma_median=None if p.rel_dev_sigma_median is None
+            else float(p.rel_dev_sigma_median),
+            warning_count=int(p.warning_count))
     return payload
 
 
@@ -762,11 +769,14 @@ def _c_conditional_clt(seed, cache, workers):
 def _c_plugin_consistency(seed, cache, workers):
     raw = fixtures.f1_config(n=5000, replicates=100, seed=seed, plugins=True)
     s = _cached_summary(cache, ("f1-plugin", seed), raw, workers)
-    out = [_abs_check("plugin-consistency", "median-rel-dev-sigma",
-                      s.plugins.rel_dev_sigma_median, 0.0, 0.10)]
+    p = s.plugins
+    # Without a plug-in estimate there is no median, and every check fails.
+    sigma = math.nan if p.rel_dev_sigma_median is None else p.rel_dev_sigma_median
+    V = np.full(s.K, math.nan) if p.rel_dev_V_median is None else p.rel_dev_V_median
+    out = [_abs_check("plugin-consistency", "median-rel-dev-sigma", sigma, 0.0, 0.10)]
     for k in range(s.K):
         out.append(_abs_check("plugin-consistency", f"median-rel-dev-V{k + 1}",
-                              s.plugins.rel_dev_V_median[k], 0.0, 0.10))
+                              V[k], 0.0, 0.10))
     return out
 
 

@@ -4,9 +4,12 @@ The engine refits every arm incrementally, after every patient;
 :func:`update_all_estimates` refits every arm in one batch from a stored
 history (shared slopes by :func:`fit_shared_slope_lse`, the joint least
 squares with one intercept per arm), so the tests can check the running
-estimates against a fit from scratch.  :func:`jacobian_fd` is a central
-finite-difference Jacobian of the allocation rule, the reference for the
-analytic one.  The library itself runs none of these.
+estimates against a fit from scratch.  :func:`replay_rowwise_refits` replays
+each rowwise logistic refit of a history by the one-cell IRLS core on the
+arm's rows, without the engine's row store or warm values.
+:func:`jacobian_fd` is a central finite-difference Jacobian of the
+allocation rule, the reference for the analytic one.  The library itself
+runs none of these.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from carasim.estimation import (
     EmptySampleError,
     fit_grouped_logistic_mle,
     fit_linear_lse,
+    fit_one_cell,
+    solve_errstate,
 )
 from carasim.model import TrialModel
 
@@ -153,6 +158,56 @@ def update_all_estimates(history: "TrialHistory", model: "TrialModel") -> Estima
 
 
 _FD_STEP = 1e-6
+
+
+@dataclass(frozen=True)
+class RowwiseReplay:
+    theta_records: np.ndarray  # (n - burn + 1, K, d): the estimates after patients burn..n
+    converged: np.ndarray  # (K,) bool: each arm's last refit
+    projected: np.ndarray  # (K,) bool
+    fit_failures: np.ndarray  # (K,) int
+    counts: dict  # IRLS counters per arm, by the engine's names
+    projected_refits: int  # refits that the box moved
+
+
+def replay_rowwise_refits(history: "TrialHistory", model: "TrialModel") -> RowwiseReplay:
+    """Every refit of a history whose arms are all rowwise logistic arms
+    (continuous covariates, ``theta_stride`` 1), replayed by ``fit_one_cell``
+    on the arm's rows of the history, without the conditioning guard: at the
+    end of burn-in every arm from the box midpoint, and after it the arm
+    patient m joined from its estimate after patient m - 1.  A singular fit
+    keeps the estimate and counts a fit failure."""
+    K, d, burn = history.K, history.d, history.K * history.m0
+    lo, hi = model.box_lo, model.box_hi
+    theta = 0.5 * (lo + hi)
+    converged, projected = np.zeros((2, K), dtype=bool)
+    failures = np.zeros(K, dtype=int)
+    counts = {name: np.zeros(K, dtype=np.int64)
+              for name in ("irls_fits", "irls_iterations", "irls_nonconverged", "irls_singular")}
+    records, moved = [], 0
+    with solve_errstate():
+        for m in range(burn - 1, history.n):
+            if m >= burn:
+                theta = history.theta_records[m - 1].copy()
+            for k in range(K) if m == burn - 1 else [history.arms[m]]:
+                mine = history.arms[:m + 1] == k
+                rows = np.vstack([history.responses[:m + 1][mine],
+                                  history.covariates[:m + 1][mine].T])
+                est, converged[k], projected[k], iterations, singular = fit_one_cell(
+                    rows, None, lo[k], hi[k], theta[k], False)
+                if singular:
+                    failures[k] += 1
+                else:
+                    theta[k] = est
+                moved += projected[k]
+                counts["irls_fits"][k] += 1
+                counts["irls_iterations"][k] += iterations
+                counts["irls_nonconverged"][k] += not (converged[k] or singular)
+                counts["irls_singular"][k] += singular
+            records.append(theta.copy())
+    return RowwiseReplay(theta_records=np.array(records), converged=converged,
+                         projected=projected, fit_failures=failures, counts=counts,
+                         projected_refits=int(moved))
 
 
 def jacobian_fd(rule: AllocationRule, theta: np.ndarray, x: np.ndarray) -> np.ndarray:

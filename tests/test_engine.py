@@ -7,6 +7,7 @@ from carasim.allocation import AllocationRule, probabilities
 from carasim.engine import (
     EngineOptions,
     burn_in_schedule,
+    bytes_per_patient,
     child_sequence,
     replicate_root,
     run_trial,
@@ -215,11 +216,18 @@ _HISTORY_FIELDS = ("covariates", "support_idx", "arms", "probs", "responses", "t
 
 def _snapshot(hist) -> dict:
     """Copies of a history's fields, its refit counts and its engine state's
-    support counts."""
+    support counts, or its rows and their warm values off a finite support."""
     out = {name: None if getattr(hist, name) is None else getattr(hist, name).copy()
            for name in _HISTORY_FIELDS}
     out.update(hist.refit_counts())
-    out["support_counts"] = hist.engine_state.support_counts()[hist.engine_row]
+    state = hist.engine_state
+    if state.support is not None:
+        out["support_counts"] = state.support_counts()[hist.engine_row]
+    else:
+        cells = range(hist.engine_row * state.K, (hist.engine_row + 1) * state.K)
+        out["rows"] = np.hstack([state.rows[:, c * state.cap:c * state.cap + state.counts[c]]
+                                 for c in cells])
+        out["warm"] = state.warm[cells.start:cells.stop].copy()
     return out
 
 
@@ -232,7 +240,8 @@ def _assert_same_snapshot(a: dict, b: dict):
             np.testing.assert_array_equal(a[name], b[name], err_msg=name)
 
 
-@pytest.mark.parametrize("design", [_f1, _two_point, _bb], ids=["f1", "two-point", "bb"])
+@pytest.mark.parametrize("design", [_f1, _two_point, _bb, _continuous_logit],
+                         ids=["f1", "two-point", "bb", "continuous-logit"])
 def test_stepping_leaves_the_history_it_resumes_unchanged(design):
     model, rule = design()
     streams = streams_for_trial(replicate_root(12, 0))
@@ -544,3 +553,17 @@ def test_support_counts_are_the_patients_per_arm_and_support_point(design, n):
             state = hist.engine_state
             np.testing.assert_array_equal(state.support_counts()[0], expected(hist))
             np.testing.assert_array_equal(state.arm_counts()[0], hist.counts())
+
+
+@pytest.mark.parametrize("n", [100, 300, 700])
+def test_rowwise_arrays_stay_within_bytes_per_patient(n):
+    """The row store of logistic arms on a continuous covariate (responses,
+    covariates and warm values, room doubling as an arm outgrows it) and its
+    per-cell flags and scratch row stay within what ``bytes_per_patient``
+    declares per replicate and patient, which sizes the harness's batches."""
+    model, rule = _continuous_logit()
+    B = 4
+    state = run_trials(model, rule, n, 10, [replicate_root(n, i) for i in range(B)]
+                       ).histories[0].engine_state
+    kept = state.rows.nbytes + state.warm.nbytes + state._new_row.nbytes
+    assert kept / (B * n) <= bytes_per_patient(model, histories=False)

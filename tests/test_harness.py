@@ -357,6 +357,30 @@ def test_plugin_failure_is_reported_and_keeps_the_trial(monkeypatch):
     assert np.isfinite(s.plugins.rel_dev_sigma_median)
 
 
+def test_report_without_any_plugin_estimate_has_null_medians_and_fails_the_checks(monkeypatch):
+    """When every replicate's plug-in estimates fail there is no median: the
+    report holds JSON null, not NaN, and the plug-in checks fail."""
+    raw = f1_config(n=60, replicates=3, seed=DEFAULT_SEED, plugins=True)
+
+    def failing(hist, *args, **kwargs):
+        raise ZeroMassCovariateError("no plug-in estimate")
+
+    monkeypatch.setattr(harness, "plugin_estimates", failing)
+    s = run_replications(parse_config(raw), workers=1)
+
+    def strict(name):
+        raise ValueError(f"{name} is not JSON")
+
+    payload = json.loads(report_json_bytes(s), parse_constant=strict)
+    assert [f["replicate"] for f in payload["plugin_failures"]] == [0, 1, 2]
+    assert payload["plugins"] == {
+        "sigma_hat_median": None, "sigma1_hat_median": None, "V_hat_median": None,
+        "cond_sigma_median": None, "rel_dev_sigma_median": None, "rel_dev_V_median": None,
+        "warning_count": 0}
+    checks = harness._c_plugin_consistency(DEFAULT_SEED, {("f1-plugin", DEFAULT_SEED): s}, 1)
+    assert len(checks) == 1 + s.K and not any(c.passed for c in checks)
+
+
 def test_trial_failure_is_reported_and_other_replicates_are_kept(monkeypatch):
     raw = f1_config(n=80, replicates=7, seed=4)
     clean = run_replications(parse_config(raw))

@@ -26,6 +26,8 @@ from carasim.estimation import (
     SINGULAR_HESSIAN,
     fit_grouped_logistic_mle,
     fit_logistic_cells,
+    fit_one_cell,
+    predictors,
     solve_errstate,
     solve_stack,
 )
@@ -33,7 +35,7 @@ from carasim.fixtures import bb_config, f1_config, two_point_config
 from carasim.harness import parse_config
 from carasim.model import ArmModel, CovariateSpec, TrialModel, TwoPoint, Uniform, glm_weights
 
-from oracles import jacobian_fd, update_all_estimates
+from oracles import jacobian_fd, replay_rowwise_refits, update_all_estimates
 
 _TWO_ARM = ("odds-ratio", "two-arm-g-difference", "covariate-free-normal")
 
@@ -314,6 +316,16 @@ def logistic_cells(draw):
     return d, cells
 
 
+def _stacked(d, cells):
+    """The cells' rows as one (1 + d, N) block (successes, covariates), their
+    trials, sizes, boxes and starting points, as ``fit_logistic_cells`` takes them."""
+    rows = np.vstack([np.concatenate([c[2] for c in cells]),
+                      np.hstack([c[0].T for c in cells])])
+    lo, hi = np.full((len(cells), d), -3.0), np.full((len(cells), d), 3.0)
+    return (rows, np.concatenate([c[1] for c in cells]),
+            np.array([c[0].shape[0] for c in cells]), lo, hi, np.array([c[3] for c in cells]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(logistic_cells())
 def test_each_cell_of_a_batched_fit_is_bitwise_its_fit_alone(case):
@@ -322,12 +334,7 @@ def test_each_cell_of_a_batched_fit_is_bitwise_its_fit_alone(case):
     # engine fits), which fits each cell alone.
     d, cells = case
     lo, hi = np.full(d, -3.0), np.full(d, 3.0)
-    fits = fit_logistic_cells(np.vstack([c[0] for c in cells]),
-                              np.concatenate([c[1] for c in cells]),
-                              np.concatenate([c[2] for c in cells]),
-                              np.array([c[0].shape[0] for c in cells]),
-                              np.tile(lo, (len(cells), 1)), np.tile(hi, (len(cells), 1)),
-                              np.array([c[3] for c in cells]))
+    fits = fit_logistic_cells(*_stacked(d, cells))
     for i, (X, t, s, init) in enumerate(cells):
         alone = fit_grouped_logistic_mle(X, t, s, lo, hi, init=init, check_conditioning=False)
         np.testing.assert_array_equal(fits.theta[i], alone.theta_hat)
@@ -335,6 +342,41 @@ def test_each_cell_of_a_batched_fit_is_bitwise_its_fit_alone(case):
             (alone.converged, alone.projected, alone.iterations)
         assert alone.reason == (SINGULAR_HESSIAN if fits.singular[i]
                                 else "" if fits.converged[i] else MAX_ITERATIONS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(logistic_cells(), st.integers(0, 2**16))
+def test_fits_from_warm_values_are_bitwise_the_fits_that_compute_them(case, seed):
+    """Given the rows' warm values at the start, kept at scattered columns of
+    a larger block (as the engine keeps them), the batched fit and each
+    one-cell fit give the bits of the fits that compute them, and leave
+    there the warm values at each cell's result: those of its unclamped
+    estimate, and the starting values where the fit ends singular."""
+    d, cells = case
+    rows, t, sizes, lo, hi, init = _stacked(d, cells)
+    cold = fit_logistic_cells(rows, t, sizes, lo, hi, init)
+    start = predictors(rows[1:], rows[0], t, init.T.repeat(sizes, axis=1))
+    columns = np.random.default_rng(seed).permutation(rows.shape[1] + 5)[:rows.shape[1]]
+    store = np.full((2, rows.shape[1] + 5), np.nan)
+    store[:, columns] = start
+    fits = fit_logistic_cells(rows, t, sizes, lo, hi, init, store, columns)
+    for name in ("theta", "converged", "projected", "iterations", "singular"):
+        np.testing.assert_array_equal(getattr(fits, name), getattr(cold, name), err_msg=name)
+    first = sizes.cumsum() - sizes
+    with solve_errstate():
+        for i, (a, n) in enumerate(zip(first, sizes)):
+            mine = slice(a, a + n)
+            warm = start[:, mine].copy()
+            alone = fit_one_cell(rows[:, mine], t[mine], lo[i], hi[i], init[i], False, warm)
+            np.testing.assert_array_equal(alone[0], cold.theta[i])
+            assert alone[1:] == (cold.converged[i], cold.projected[i], cold.iterations[i],
+                                 cold.singular[i])
+            if cold.projected[i]:
+                continue  # the values are those of the unclamped estimate, not reported
+            expected = (start[:, mine] if cold.singular[i] else
+                        predictors(rows[1:, mine], rows[0, mine], t[mine], cold.theta[i][:, None]))
+            np.testing.assert_array_equal(warm, expected)
+            np.testing.assert_array_equal(store[:, columns[mine]], expected)
 
 
 @st.composite
@@ -415,6 +457,16 @@ def _continuous_logit_design():
                        box_lo=-3.0, box_hi=3.0), AllocationRule(kind="odds-ratio"), 32)
 
 
+def _boxed_logit_design():
+    """The continuous logistic design in the box +-0.5: estimates often end
+    on the box, and each such refit leaves its cell's warm values stale."""
+    arm = ArmModel("logistic")
+    covariates = CovariateSpec.product([Uniform(-1.0, 1.0)], intercept=True)
+    theta = np.array([[0.45, 0.4], [-0.3, 0.2]])
+    return (TrialModel(arms=(arm, arm), covariates=covariates, true_theta=theta,
+                       box_lo=-0.5, box_hi=0.5), AllocationRule(kind="odds-ratio"), 32)
+
+
 def _continuous_logit_d1_design():
     """Logistic arms on one covariate without an intercept: d = 1, where numpy
     collapses array layouts and a reduction is likeliest to change its order
@@ -492,6 +544,7 @@ DESIGNS = {
     "grouped-logit-with-least-squares": _saturated_with_least_squares_design,
     "least-squares": _lse_design,
     "least-squares-continuous": _continuous_lse_design,
+    "row-logit-boxed": _boxed_logit_design,
     "row-logit-continuous": _continuous_logit_design,
     "row-logit-d1": _continuous_logit_d1_design,
     "row-logit-d5": _continuous_logit_d5_design,
@@ -586,6 +639,34 @@ def test_every_logistic_cell_refits_once_per_patient_after_burn_in(name):
             for counts in ({k: c[i] for k, c in batch.refit_counts.items()}, alone):
                 np.testing.assert_array_equal(counts["closed_form"] + counts["irls_fits"],
                                               expected)
+
+
+@pytest.mark.parametrize("name", ["row-logit-boxed", "row-logit-continuous", "row-logit-d5"])
+def test_rowwise_refits_replay_bit_for_bit_from_the_history(name):
+    """Every rowwise refit, batched or alone, is ``fit_one_cell`` on the arm's
+    history rows from the previous estimate, without warm values: the
+    estimates after each patient, the final flags, the fit failures and the
+    IRLS counters.  On the boxed design refits end on the box, so the warm
+    values go stale and are computed again."""
+    model, rule, m0 = DESIGNS[name]()
+    n = model.K * m0 + 80
+    projected = 0
+    for seed in range(2):
+        seeds = [replicate_root(seed, i) for i in range(3)]
+        batch = run_trials(model, rule, n, m0, seeds)
+        for hist in batch.histories + (run_trial(model, rule, n, m0, seeds[0]),):
+            replay = replay_rowwise_refits(hist, model)
+            burn = model.K * m0
+            np.testing.assert_array_equal(hist.theta_records[burn - 1:], replay.theta_records)
+            for field in ("converged", "projected", "fit_failures"):
+                np.testing.assert_array_equal(getattr(hist, field), getattr(replay, field),
+                                              err_msg=field)
+            counts = hist.refit_counts()
+            for counter, value in replay.counts.items():
+                np.testing.assert_array_equal(counts[counter], value, err_msg=counter)
+            projected += replay.projected_refits
+    if name == "row-logit-boxed":
+        assert projected > 0
 
 
 def test_only_grouped_logistic_cells_count_successes():
