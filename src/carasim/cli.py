@@ -111,8 +111,11 @@ def _print_summary(payload: dict) -> None:
               f"deviation mean {_fmt_matrix(cond['dev_mean'])}")
     if payload.get("plugins"):
         p = payload["plugins"]
-        print(f"plug-in median relative deviation: Sigma {p['rel_dev_sigma_median']:.4g}, "
-              f"V {_fmt_matrix(p['rel_dev_V_median'])}")
+        if p["rel_dev_sigma_median"] is None:
+            print("plug-in median relative deviation: no replicate has plug-in estimates")
+        else:
+            print(f"plug-in median relative deviation: Sigma {p['rel_dev_sigma_median']:.4g}, "
+                  f"V {_fmt_matrix(p['rel_dev_V_median'])}")
 
 
 def _cmd_verify(args) -> int:

@@ -49,20 +49,11 @@ arm's rows, so its cost grows with the arm and a trial's with n squared:
   and the repairs of idle cells whose product is NaN cost more than the
   gathers);
 * logistic arms on a continuous support keep their rows in a row store laid
-  out as the IRLS core reads them: a (3 + d, C * cap) block whose rows are
-  the response, the d covariates and the two warm values (linear predictor
-  and log-likelihood term), with cell c's rows from column c * cap on (cap
-  doubles when a cell outgrows it).  A batched refit gathers its cells'
-  columns with one ``take`` at ``np.arange(N) + np.repeat(cells * cap -
-  starts, sizes)``; a refit of one cell reads a view of its columns.  A row's
-  warm values are computed when the row is stored, at the estimate its
-  cell's next refit starts from, and each refit leaves in the store the
-  values at its result (a singular fit keeps its start, and so the values
-  that went with it), so a refit computes them for no row it already had.
-  They hold only while the cell's estimate is bitwise the iterate they were
-  computed at: a refit that the box moves leaves them stale (``warm``), and
-  the cell's next refit computes them all again, as it does at the end of
-  burn-in.  ``take()`` copies them with the rows;
+  out as the IRLS core reads them: a (1 + d, C * cap) block whose rows are
+  the response and the d covariates, with cell c's rows from column c * cap
+  on (cap doubles when a cell outgrows it).  A batched refit gathers its
+  cells' columns with one ``take`` at ``np.arange(N) + np.repeat(cells * cap
+  - starts, sizes)``; a refit of one cell reads a view of its columns;
 * every other logistic refit (grouped counts off the saturated form, joined
   cells whose closed form comes out NaN, and every rowwise refit) runs in
   one call of the batched IRLS :func:`carasim.estimation.fit_logistic_cells`
@@ -118,8 +109,7 @@ import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 
 from .allocation import AllocationRule, check_rule, fold_columns, probabilities_unchecked
-from .estimation import (COND_MAX, fit_logistic_cells, fit_one_cell, predictors, row_predictor,
-                         segment_index, solve_errstate, solve_stack)
+from .estimation import COND_MAX, fit_logistic_cells, fit_one_cell, solve_errstate, solve_stack
 from .model import TrialModel, responses_from_uniforms
 
 __all__ = [
@@ -362,7 +352,7 @@ class _Lockstep:
     """
 
     _PER_CELL = ("theta", "_converged", "_projected", "_raw", "fail", "counts", "trials", "succ",
-                 "warm", "gram", "moment", "solvable") + _IRLS_COUNTERS
+                 "gram", "moment", "solvable") + _IRLS_COUNTERS
     _PER_REPLICATE = ("joint_gram", "joint_moment", "joint_inv", "formed")
 
     def __init__(self, model: TrialModel, rule: AllocationRule, m0: int,
@@ -417,13 +407,9 @@ class _Lockstep:
         self.counts = np.zeros(C, dtype=np.int64) if self.support is None else None
         if self.rowwise:
             # The row store: cell c's rows are columns c * cap onwards of
-            # (response, covariates, warm values), the block the IRLS core
-            # reads; warm[c] says whether the warm values of all of cell c's
-            # rows hold at its estimate (module docstring).
+            # (response, covariates), the block the IRLS core reads.
             self.cap = 64
-            self.rows = np.empty((3 + d, C * self.cap))
-            self.warm = np.zeros(C, dtype=bool)
-            self._new_row = np.empty((3 + d, B))
+            self.rows = np.empty((1 + d, C * self.cap))
         if self.lse:
             self.gram = np.zeros((C, d, d))
             self.moment = np.zeros((C, d))
@@ -590,21 +576,9 @@ class _Lockstep:
                 grown[:, :, :cap] = self.rows.reshape(grown.shape[0], -1, cap)
                 cap *= 2
                 self.rows, self.cap = grown.reshape(grown.shape[0], -1), cap
-            # The new row, with its warm values at the estimate its cell's
-            # next refit starts from.
-            if cell.size == 1:  # by scalar index: a third of the cost for one row
-                c, rows = cell[0], self.rows
-                column = c * cap + at[0]
-                rows[0, column] = y[0]
-                rows[1:-2, column] = x[0]
-                rows[-2, column], rows[-1, column] = row_predictor(
-                    x[0].tolist(), y[0].item(), self.theta[c].tolist())
-            else:
-                new = self._new_row
-                new[0] = y
-                new[1:-2] = x.T
-                predictors(new[1:-2], y, None, self.theta[cell].T, out=new[-2:])
-                self.rows[:, cell * cap + at] = new
+            column = cell * cap + at
+            self.rows[0, column] = y
+            self.rows[1:, column] = x.T
         if self.lse:
             self.gram[cell] += x[:, :, None] * x[:, None, :]
             self.moment[cell] += y[:, None] * x
@@ -652,19 +626,18 @@ class _Lockstep:
             cells, theta = cells[~failed], theta[~failed]
         self.theta[cells] = theta
 
-    def _irls(self, cells, rows, trials, sizes, warm=None, warm_columns=None):
+    def _irls(self, cells, rows, trials, sizes) -> None:
         """Refit the cells in place by one batched IRLS on their rows (cell
         i owns ``sizes[i]`` consecutive columns of ``rows``, successes and
-        covariates, and of ``trials``; ``warm`` and ``warm_columns`` as in
-        ``fit_logistic_cells``), warm-started at their current estimates
-        (which every fit leaves in the box), without the conditioning guard;
-        a fit that fails keeps the estimate.  One cell is fitted by the
-        batch-of-one core and written by scalar index (module docstring).
-        Returns the fits' ``projected`` flags."""
+        covariates, and of ``trials``), warm-started at their current
+        estimates (which every fit leaves in the box), without the
+        conditioning guard; a fit that fails keeps the estimate.  One cell is
+        fitted by the batch-of-one core and written by scalar index (module
+        docstring)."""
         if cells.size == 1:
             c = cells[0]
             theta, converged, projected, iterations, singular = fit_one_cell(
-                rows, trials, self.lo[c], self.hi[c], self.theta[c], False, warm)
+                rows, trials, self.lo[c], self.hi[c], self.theta[c], False)
             self.converged[c] = converged
             self.projected[c] = projected
             if singular:
@@ -675,16 +648,15 @@ class _Lockstep:
             self.irls_iterations[c] += iterations
             self.irls_nonconverged[c] += not (converged or singular)
             self.irls_singular[c] += singular
-            return projected
+            return
         fits = fit_logistic_cells(rows, trials, sizes, self.lo[cells], self.hi[cells],
-                                  self.theta[cells], warm, warm_columns)
+                                  self.theta[cells])
         self._store(cells, fits.theta, fits.converged, fits.projected, fits.singular)
         self.irls_fits[cells] += 1
         self.irls_iterations[cells] += fits.iterations
         if not np.logical_and.reduce(fits.converged):
             self.irls_nonconverged[cells] += ~fits.converged & ~fits.singular
             self.irls_singular[cells] += fits.singular
-        return fits.projected
 
     def _fit_grouped(self, cells) -> None:
         if self.sat_inv is None:
@@ -733,30 +705,16 @@ class _Lockstep:
 
     def _fit_rows(self, cells) -> None:
         # The cells' columns of the row store, in one gather (a view for one
-        # cell).  A cell whose warm values do not hold gets them at its
-        # estimate; the fit leaves the values at its result, which hold
-        # unless the box moved it.
-        d, cap = self.model.d, self.cap
+        # cell); the slots past each cell's count are never read.
+        cap = self.cap
         if cells.size == 1:
             c = cells[0]
-            block = self.rows[:, c * cap:c * cap + self.counts[c]]
-            if not self.warm[c]:
-                predictors(block[1:1 + d], block[0], None, self.theta[c][:, None],
-                           out=block[1 + d:])
-            self.warm[c] = not self._irls(cells, block[:1 + d], None, None, block[1 + d:])
+            self._irls(cells, self.rows[:, c * cap:c * cap + self.counts[c]], None, None)
             return
         sizes = self.counts[cells]
-        columns = segment_index(cells * cap, sizes)
-        block = self.rows[:1 + d].take(columns, axis=1)
-        warm = self.warm[cells]
-        if not np.logical_and.reduce(warm):
-            lost = np.where(warm, 0, sizes)
-            new = segment_index(sizes.cumsum() - sizes, lost)
-            part = block[:, new]
-            self.rows[1 + d:, columns[new]] = predictors(
-                part[1:], part[0], None, self.theta[cells].T.repeat(lost, axis=1))
-        projected = self._irls(cells, block, None, sizes, self.rows[1 + d:], columns)
-        self.warm[cells] = ~projected
+        ends = sizes.cumsum()
+        columns = np.arange(ends[-1]) + (cells * cap - ends + sizes).repeat(sizes)
+        self._irls(cells, self.rows.take(columns, axis=1), None, sizes)
 
     def _fit_lse(self, cells) -> None:
         # As in the joint fit, a cell is solved from the first refit where its
@@ -948,12 +906,12 @@ def bytes_per_patient(model: TrialModel, histories: bool) -> int:
     """Bytes per replicate and patient, at most, of what :func:`run_trials`
     keeps that grows with n: the per-patient histories (with ``histories``)
     and the row store that logistic arms on a continuous covariate refit
-    from (each arm's response, covariates and two warm values, with room
-    for twice its patients once it holds more than 32)."""
+    from (each arm's response and covariates, with room for twice its
+    patients once it holds more than 32)."""
     K, d = model.K, model.d
     total = 8 * (d + K + 3 + K * d) if histories else 0  # covariates, psi, arm, index, y, estimate
     if model.covariates.enumerated() is None and any(a.family == "logistic" for a in model.arms):
-        total += 16 * K * (d + 3)
+        total += 16 * K * (d + 1)
     return total
 
 

@@ -19,14 +19,6 @@ patient in one call of ``fit_logistic_cells``, and a single cell by
 (binomial counts at distinct points) and its unit-trial case, the rowwise
 ``fit_logistic_mle``.
 
-A fit may be given its rows' warm values: each row's linear predictor and
-log-likelihood term at its cell's starting point (:func:`predictors`).  It
-then starts from them instead of computing them, and leaves in them the
-values at each cell's last iterate, except where the fit ends singular and
-the cell keeps its start.  A row's values depend on that row and the
-coefficients alone, so the engine keeps them between refits and computes
-only the rows added since.
-
 Newton systems are solved by :func:`solve_stack`, one call of numpy's
 private LAPACK gufunc behind ``np.linalg.solve``; a singular system gives a
 row of NaN, which ends its cell's fit as singular.  Every fit call enters
@@ -184,56 +176,27 @@ class CellFits:
 # one.  A cell's rows are one segment of columns, starting at ``starts``, of a
 # (1 + d, N) block of rows: the successes, then the covariates.  A fit builds
 # the products x_i x_j once per call (:func:`_products`: m = d (d + 1) / 2
-# rows, i <= j), and Z (d + m, N) is scratch space.  A row's warm values are
-# its linear predictor mu and its log-likelihood term at its cell's iterate,
-# the two rows of a (2, N) block.  Every sum over a cell's rows is an
-# ``np.add.reduceat`` over its own segment and every other operation is
-# elementwise.
+# rows, i <= j), and Z (d + m, N) is scratch space.  Every sum over a cell's
+# rows is an ``np.add.reduceat`` over its own segment and every other
+# operation is elementwise.
 
-def segment_index(firsts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The columns of consecutive segments, segment i being ``sizes[i]``
-    columns from ``firsts[i]`` (at least one column in all)."""
-    ends = sizes.cumsum()
-    return np.arange(ends[-1]) + (firsts - ends + sizes).repeat(sizes)
-
-
-def _scatter(a: np.ndarray, columns: np.ndarray, values: np.ndarray) -> None:
-    """``a[:, columns] = values``, row by row: a fancy assignment to a 1-D
-    row costs a fraction of one to a 2-D block."""
-    for row, v in zip(a, values):
-        row[columns] = v
-
-
-def predictors(Xt, s, t, theta_rows, out=None) -> np.ndarray:
-    """The warm values (2, N) of rows with covariates ``Xt`` (d, N), successes
-    ``s`` and trials ``t`` (None: one trial per row) at the per-row
-    coefficients ``theta_rows`` ((d, N), or (d, 1) for every row), into
-    ``out`` if given: each row's linear predictor and its log-likelihood term.
-    A row's values do not depend on the other rows."""
-    W = np.empty((2, Xt.shape[1])) if out is None else out
-    P, mu = Xt * theta_rows, W[0]
-    # mu sums the products row after row: so does a reduction over the first
-    # axis of a (d, N > 1) block, but numpy sums a single contiguous run
-    # pairwise, so a (d, 1) block is added row by row here.
+def _row_sums(P: np.ndarray) -> np.ndarray:
+    """Each column's sum of the (d, N) block P, added row after row."""
+    # A reduction over the first axis of a (d, N > 1) block adds row after
+    # row; numpy sums a single contiguous run pairwise instead, so a (d, 1)
+    # block is added row by row here.
     if P.shape[1] > 1:
-        np.add.reduce(P, axis=0, out=mu)
-    else:
-        mu[:] = P[0]
-        for j in range(1, P.shape[0]):
-            mu += P[j]
+        return np.add.reduce(P, axis=0)
+    total = P[0].copy()
+    for j in range(1, P.shape[0]):
+        total += P[j]
+    return total
+
+
+def _loglik(mu, t, s, starts) -> np.ndarray:
+    """Each cell's log-likelihood at the linear predictors ``mu`` of its rows."""
     lae = np.logaddexp(0.0, mu)
-    np.subtract(s * mu, lae if t is None else t * lae, out=W[1])
-    return W
-
-
-def row_predictor(x: list, s: float, theta: list) -> tuple[float, float]:
-    """:func:`predictors` of one row with one trial, as Python floats: the
-    same IEEE products and sums in the same order, and numpy's ``logaddexp``,
-    at a fraction of the cost of array calls on one row."""
-    mu = x[0] * theta[0]
-    for j in range(1, len(x)):
-        mu += x[j] * theta[j]
-    return mu, s * mu - np.logaddexp(0.0, mu)
+    return np.add.reduceat(s * mu - (lae if t is None else t * lae), starts)
 
 
 def _products(Xt: np.ndarray, out: np.ndarray) -> None:
@@ -275,13 +238,11 @@ _ONE_CELL = np.zeros(1, dtype=np.intp)
 # wrappers, which cost more than the reduction of a few entries.
 
 
-def fit_one_cell(rows, t, lo, hi, init, check_conditioning, warm=None):
+def fit_one_cell(rows, t, lo, hi, init, check_conditioning):
     """The batch of one of :func:`fit_logistic_cells`: the same arithmetic, with
     each test read off the one cell instead of masks over live cells.
-    ``rows`` (1 + d, N) holds the successes and the covariates, ``t`` the
-    trials (None: one per row), and ``warm`` (2, N), if given, the rows' warm
-    values at ``init``; the fit then leaves in it the warm values at its last
-    iterate, unless it ends singular.  Returns the clamped estimate (d,),
+    ``rows`` (1 + d, N) holds the successes and the covariates and ``t`` the
+    trials (None: one per row).  Returns the clamped estimate (d,),
     converged, projected, iterations and singular; runs under
     :func:`solve_errstate`.  With ``check_conditioning`` (the standalone
     fits) a Hessian that is not finite or whose condition number exceeds
@@ -294,10 +255,10 @@ def fit_one_cell(rows, t, lo, hi, init, check_conditioning, warm=None):
     _products(Xt, XX)
     Z = np.empty((d + m, N))
     theta, converged, singular = init, False, False
-    W = predictors(Xt, s, t, theta[:, None]) if warm is None else warm
-    ll = np.add.reduceat(W[1], _ONE_CELL)[0]
+    mu = _row_sums(Xt * theta[:, None])
+    ll = _loglik(mu, t, s, _ONE_CELL)[0]
     for it in range(1, _MAX_ITER + 1):
-        sums = _newton_sums(Xt, XX, Z, t, s, W[0], _ONE_CELL)[:, 0]
+        sums = _newton_sums(Xt, XX, Z, t, s, mu, _ONE_CELL)[:, 0]
         if np.maximum.reduce(np.abs(sums[:d])) <= _GRAD_TOL:
             converged, it = True, it - 1
             break
@@ -311,20 +272,18 @@ def fit_one_cell(rows, t, lo, hi, init, check_conditioning, warm=None):
         # Step halving, as in fit_logistic_cells (1.0 * delta is delta).
         scale, cand = 1.0, theta + delta
         for _ in range(_MAX_HALVINGS):
-            W_c = predictors(Xt, s, t, cand[:, None])
-            ll_c = np.add.reduceat(W_c[1], _ONE_CELL)[0]
+            mu_c = _row_sums(Xt * cand[:, None])
+            ll_c = _loglik(mu_c, t, s, _ONE_CELL)[0]
             if ll_c >= ll - 1e-12:
                 break
             scale *= 0.5
             cand = theta + scale * delta
         else:
-            scale, cand, W_c, ll_c = 0.0, theta, W, ll
-        theta, W, ll = cand, W_c, ll_c
+            scale, cand, mu_c, ll_c = 0.0, theta, mu, ll
+        theta, mu, ll = cand, mu_c, ll_c
         if scale * dmax <= _STEP_TOL:
             converged = True
             break
-    if warm is not None and not singular and W is not warm:
-        warm[...] = W
     raw = init if singular else theta
     clipped = np.minimum(np.maximum(raw, lo), hi)
     return clipped, converged, bool(np.logical_or.reduce(clipped != raw)), it, singular
@@ -332,28 +291,22 @@ def fit_one_cell(rows, t, lo, hi, init, check_conditioning, warm=None):
 
 @solve_errstate()
 def fit_logistic_cells(rows: np.ndarray, trials: np.ndarray | None, sizes: np.ndarray,
-                       lo: np.ndarray, hi: np.ndarray, init: np.ndarray,
-                       warm: np.ndarray | None = None,
-                       warm_columns: np.ndarray | None = None) -> CellFits:
+                       lo: np.ndarray, hi: np.ndarray, init: np.ndarray) -> CellFits:
     """IRLS for C independent logistic fits at once.
 
     Cell c owns ``sizes[c]`` consecutive columns of ``rows`` (1 + d, N: the
     successes, then the covariates) and of ``trials`` (None: one trial per
     row), after the columns of the cells before it; ``lo``, ``hi`` and
-    ``init`` are (C, d).  ``warm`` (2, M), if given, holds each row's warm
-    values (linear predictor and log-likelihood term) at its cell's
-    ``init``, row i's in column ``warm_columns[i]``, and the fit leaves
-    there the warm values at each cell's last iterate, except for cells that
-    end singular, which keep theirs.  Every sum over a
-    cell's rows is an ``np.add.reduceat`` over the cell's own segment of a
-    (terms, N) block and every other operation is elementwise, so each
-    cell's fit takes the same floating-point steps, and gives the same bits,
+    ``init`` are (C, d).  Every sum over a cell's rows is an
+    ``np.add.reduceat`` over the cell's own segment of a (terms, N) block
+    and every other operation is elementwise, so each cell's fit takes the
+    same floating-point steps, and gives the same bits,
     whatever cells share the call.  A cell leaves the iteration when it
     converges, when its Newton system is singular or not finite (the
     :func:`solve_stack` row of a singular system is NaN), or after
     ``_MAX_ITER`` iterations; the columns of the cells still iterating are
     then kept by one ``np.compress`` of the block that holds their rows,
-    products and trials, and one of their warm values.
+    products and trials.
     :func:`fit_one_cell` takes the same steps on one cell without the masks.
     The call runs under :func:`solve_errstate`, entered once whatever the
     number of Newton steps.
@@ -364,8 +317,8 @@ def fit_logistic_cells(rows: np.ndarray, trials: np.ndarray | None, sizes: np.nd
     iterations = np.zeros(C, dtype=int)
 
     # The cells still iterating, with their columns of one block (successes,
-    # covariates, products x_i x_j and trials), their rows' warm values and
-    # the columns of ``warm`` that keep them, and their iterates.
+    # covariates, products x_i x_j and trials), their rows' linear
+    # predictors, and their iterates.
     live = np.arange(C)
     sizes = np.asarray(sizes, dtype=np.intp)
     starts = sizes.cumsum() - sizes
@@ -380,46 +333,36 @@ def fit_logistic_cells(rows: np.ndarray, trials: np.ndarray | None, sizes: np.nd
     Z = np.empty((dd - 1, N))
     hessian = _hessian_rows(d)
     theta = init
-    if warm is None:
-        W = predictors(Xt, s, t, init.T.repeat(sizes, axis=1))
-    else:
-        W, kept = warm.take(warm_columns, axis=1), warm_columns
 
     def leave(out, count, flag, values=None):
         """Record the cells flagged in ``out`` as finished after ``count``
-        iterations, with ``values`` as their estimates and their warm values
-        as the fit's (by default their initial value and warm values);
-        returns the mask of the cells that go on, or None when none does."""
-        nonlocal live, sizes, starts, kept, block, s, Xt, XX, t, Z, theta, W, ll
+        iterations, with ``values`` as their estimates (by default their
+        initial value); returns the mask of the cells that go on, or None
+        when none does."""
+        nonlocal live, sizes, starts, block, s, Xt, XX, t, Z, theta, mu, ll
         last = np.logical_and.reduce(out)
         done = live if last else live[out]
         flag[done] = True
         iterations[done] = count
-        keep = ~out
-        columns = None if last else keep.repeat(sizes)
         if values is not None:
             raw[done] = values if last else values[out]
-            if warm is not None:
-                if last:
-                    _scatter(warm, kept, W)
-                else:
-                    _scatter(warm, kept.compress(~columns), W.compress(~columns, axis=1))
         if last:
             return None
+        keep = ~out
+        columns = keep.repeat(sizes)
         live, sizes, theta, ll = live[keep], sizes[keep], theta[keep], ll[keep]
         starts = sizes.cumsum() - sizes
         block = block.compress(columns, axis=1)
-        W = W.compress(columns, axis=1)
-        if warm is not None:
-            kept = kept.compress(columns)
+        mu = mu.compress(columns)
         s, Xt, XX = block[0], block[1:1 + d], block[1 + d:dd]
         t = None if t is None else block[dd]
         Z = np.empty((Z.shape[0], block.shape[1]))
         return keep
 
-    ll = np.add.reduceat(W[1], starts)
+    mu = _row_sums(Xt * theta.T.repeat(sizes, axis=1))
+    ll = _loglik(mu, t, s, starts)
     for it in range(1, _MAX_ITER + 1):
-        sums = _newton_sums(Xt, XX, Z, t, s, W[0], starts)
+        sums = _newton_sums(Xt, XX, Z, t, s, mu, starts)
         gmax = fold_columns(np.maximum, np.abs(sums[:d].T))
         if np.fmin.reduce(gmax) <= _GRAD_TOL:
             keep = leave(gmax <= _GRAD_TOL, it - 1, converged, theta)
@@ -442,8 +385,8 @@ def fit_logistic_cells(rows: np.ndarray, trials: np.ndarray | None, sizes: np.nd
         # current value halves its step, at most _MAX_HALVINGS times, and
         # otherwise stays where it is.
         cand = theta + delta
-        W_c = predictors(Xt, s, t, cand.T.repeat(sizes, axis=1))
-        ll_c = np.add.reduceat(W_c[1], starts)
+        mu_c = _row_sums(Xt * cand.T.repeat(sizes, axis=1))
+        ll_c = _loglik(mu_c, t, s, starts)
         floor = ll - 1e-12
         ok = ll_c >= floor
         if not np.logical_and.reduce(ok):
@@ -451,27 +394,25 @@ def fit_logistic_cells(rows: np.ndarray, trials: np.ndarray | None, sizes: np.nd
             for _ in range(1, _MAX_HALVINGS):
                 scale[~ok] *= 0.5
                 retry = theta + scale[:, None] * delta
-                W_r = predictors(Xt, s, t, retry.T.repeat(sizes, axis=1))
-                ll_r = np.add.reduceat(W_r[1], starts)
+                mu_r = _row_sums(Xt * retry.T.repeat(sizes, axis=1))
+                ll_r = _loglik(mu_r, t, s, starts)
                 cand[~ok], ll_c[~ok] = retry[~ok], ll_r[~ok]
-                np.copyto(W_c, W_r, where=(~ok).repeat(sizes))
+                np.copyto(mu_c, mu_r, where=(~ok).repeat(sizes))
                 ok = ll_c >= floor
                 if np.logical_and.reduce(ok):
                     break
             else:
                 scale[~ok] = 0.0
                 cand[~ok], ll_c[~ok] = theta[~ok], ll[~ok]
-                np.copyto(W_c, W, where=(~ok).repeat(sizes))
+                np.copyto(mu_c, mu, where=(~ok).repeat(sizes))
             dmax = scale * dmax
-        theta, W, ll = cand, W_c, ll_c
+        theta, mu, ll = cand, mu_c, ll_c
         if np.fmin.reduce(dmax) <= _STEP_TOL and leave(dmax <= _STEP_TOL, it, converged,
                                                        theta) is None:
             break
     else:
         iterations[live] = _MAX_ITER
         raw[live] = theta
-        if warm is not None:
-            _scatter(warm, kept, W)
 
     clipped = np.minimum(np.maximum(raw, lo), hi)
     return CellFits(theta=clipped, converged=converged,

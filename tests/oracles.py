@@ -6,7 +6,7 @@ history (shared slopes by :func:`fit_shared_slope_lse`, the joint least
 squares with one intercept per arm), so the tests can check the running
 estimates against a fit from scratch.  :func:`replay_rowwise_refits` replays
 each rowwise logistic refit of a history by the one-cell IRLS core on the
-arm's rows, without the engine's row store or warm values.
+arm's rows, without the engine's row store.
 :func:`jacobian_fd` is a central finite-difference Jacobian of the
 allocation rule, the reference for the analytic one.  The library itself
 runs none of these.

@@ -216,7 +216,7 @@ _HISTORY_FIELDS = ("covariates", "support_idx", "arms", "probs", "responses", "t
 
 def _snapshot(hist) -> dict:
     """Copies of a history's fields, its refit counts and its engine state's
-    support counts, or its rows and their warm values off a finite support."""
+    support counts, or its rows off a finite support."""
     out = {name: None if getattr(hist, name) is None else getattr(hist, name).copy()
            for name in _HISTORY_FIELDS}
     out.update(hist.refit_counts())
@@ -227,7 +227,6 @@ def _snapshot(hist) -> dict:
         cells = range(hist.engine_row * state.K, (hist.engine_row + 1) * state.K)
         out["rows"] = np.hstack([state.rows[:, c * state.cap:c * state.cap + state.counts[c]]
                                  for c in cells])
-        out["warm"] = state.warm[cells.start:cells.stop].copy()
     return out
 
 
@@ -557,13 +556,12 @@ def test_support_counts_are_the_patients_per_arm_and_support_point(design, n):
 
 @pytest.mark.parametrize("n", [100, 300, 700])
 def test_rowwise_arrays_stay_within_bytes_per_patient(n):
-    """The row store of logistic arms on a continuous covariate (responses,
-    covariates and warm values, room doubling as an arm outgrows it) and its
-    per-cell flags and scratch row stay within what ``bytes_per_patient``
-    declares per replicate and patient, which sizes the harness's batches."""
+    """The row store of logistic arms on a continuous covariate (responses
+    and covariates, room doubling as an arm outgrows it) stays within what
+    ``bytes_per_patient`` declares per replicate and patient, which sizes the
+    harness's batches."""
     model, rule = _continuous_logit()
     B = 4
     state = run_trials(model, rule, n, 10, [replicate_root(n, i) for i in range(B)]
                        ).histories[0].engine_state
-    kept = state.rows.nbytes + state.warm.nbytes + state._new_row.nbytes
-    assert kept / (B * n) <= bytes_per_patient(model, histories=False)
+    assert state.rows.nbytes / (B * n) <= bytes_per_patient(model, histories=False)

@@ -357,9 +357,11 @@ def test_plugin_failure_is_reported_and_keeps_the_trial(monkeypatch):
     assert np.isfinite(s.plugins.rel_dev_sigma_median)
 
 
-def test_report_without_any_plugin_estimate_has_null_medians_and_fails_the_checks(monkeypatch):
+def test_report_without_any_plugin_estimate_has_null_medians_and_fails_the_checks(
+        monkeypatch, tmp_path, capsys):
     """When every replicate's plug-in estimates fail there is no median: the
-    report holds JSON null, not NaN, and the plug-in checks fail."""
+    report holds JSON null, not NaN, the plug-in checks fail, and the CLI
+    writes and prints that report."""
     raw = f1_config(n=60, replicates=3, seed=DEFAULT_SEED, plugins=True)
 
     def failing(hist, *args, **kwargs):
@@ -379,6 +381,15 @@ def test_report_without_any_plugin_estimate_has_null_medians_and_fails_the_check
         "warning_count": 0}
     checks = harness._c_plugin_consistency(DEFAULT_SEED, {("f1-plugin", DEFAULT_SEED): s}, 1)
     assert len(checks) == 1 + s.K and not any(c.passed for c in checks)
+
+    config, out_dir = tmp_path / "exp.json", tmp_path / "results"
+    config.write_text(json.dumps(raw))
+    assert cli.main(["replicate", "--config", str(config), "--out", str(out_dir)]) == 0
+    assert (out_dir / "report.json").read_bytes() == report_json_bytes(s)
+    assert cli.main(["report", "--out", str(out_dir)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    note = "plug-in median relative deviation: no replicate has plug-in estimates"
+    assert printed.count(note) == 2
 
 
 def test_trial_failure_is_reported_and_other_replicates_are_kept(monkeypatch):

@@ -26,8 +26,6 @@ from carasim.estimation import (
     SINGULAR_HESSIAN,
     fit_grouped_logistic_mle,
     fit_logistic_cells,
-    fit_one_cell,
-    predictors,
     solve_errstate,
     solve_stack,
 )
@@ -344,41 +342,6 @@ def test_each_cell_of_a_batched_fit_is_bitwise_its_fit_alone(case):
                                 else "" if fits.converged[i] else MAX_ITERATIONS)
 
 
-@settings(max_examples=60, deadline=None)
-@given(logistic_cells(), st.integers(0, 2**16))
-def test_fits_from_warm_values_are_bitwise_the_fits_that_compute_them(case, seed):
-    """Given the rows' warm values at the start, kept at scattered columns of
-    a larger block (as the engine keeps them), the batched fit and each
-    one-cell fit give the bits of the fits that compute them, and leave
-    there the warm values at each cell's result: those of its unclamped
-    estimate, and the starting values where the fit ends singular."""
-    d, cells = case
-    rows, t, sizes, lo, hi, init = _stacked(d, cells)
-    cold = fit_logistic_cells(rows, t, sizes, lo, hi, init)
-    start = predictors(rows[1:], rows[0], t, init.T.repeat(sizes, axis=1))
-    columns = np.random.default_rng(seed).permutation(rows.shape[1] + 5)[:rows.shape[1]]
-    store = np.full((2, rows.shape[1] + 5), np.nan)
-    store[:, columns] = start
-    fits = fit_logistic_cells(rows, t, sizes, lo, hi, init, store, columns)
-    for name in ("theta", "converged", "projected", "iterations", "singular"):
-        np.testing.assert_array_equal(getattr(fits, name), getattr(cold, name), err_msg=name)
-    first = sizes.cumsum() - sizes
-    with solve_errstate():
-        for i, (a, n) in enumerate(zip(first, sizes)):
-            mine = slice(a, a + n)
-            warm = start[:, mine].copy()
-            alone = fit_one_cell(rows[:, mine], t[mine], lo[i], hi[i], init[i], False, warm)
-            np.testing.assert_array_equal(alone[0], cold.theta[i])
-            assert alone[1:] == (cold.converged[i], cold.projected[i], cold.iterations[i],
-                                 cold.singular[i])
-            if cold.projected[i]:
-                continue  # the values are those of the unclamped estimate, not reported
-            expected = (start[:, mine] if cold.singular[i] else
-                        predictors(rows[1:, mine], rows[0, mine], t[mine], cold.theta[i][:, None]))
-            np.testing.assert_array_equal(warm, expected)
-            np.testing.assert_array_equal(store[:, columns[mine]], expected)
-
-
 @st.composite
 def newton_stacks(draw):
     """1-8 systems (C, d, d) and (C, d) with d = 1..5, each regular, exactly
@@ -459,7 +422,7 @@ def _continuous_logit_design():
 
 def _boxed_logit_design():
     """The continuous logistic design in the box +-0.5: estimates often end
-    on the box, and each such refit leaves its cell's warm values stale."""
+    on the box, and the next refit starts from the clamped estimate."""
     arm = ArmModel("logistic")
     covariates = CovariateSpec.product([Uniform(-1.0, 1.0)], intercept=True)
     theta = np.array([[0.45, 0.4], [-0.3, 0.2]])
@@ -644,10 +607,9 @@ def test_every_logistic_cell_refits_once_per_patient_after_burn_in(name):
 @pytest.mark.parametrize("name", ["row-logit-boxed", "row-logit-continuous", "row-logit-d5"])
 def test_rowwise_refits_replay_bit_for_bit_from_the_history(name):
     """Every rowwise refit, batched or alone, is ``fit_one_cell`` on the arm's
-    history rows from the previous estimate, without warm values: the
-    estimates after each patient, the final flags, the fit failures and the
-    IRLS counters.  On the boxed design refits end on the box, so the warm
-    values go stale and are computed again."""
+    history rows from the previous estimate: the estimates after each
+    patient, the final flags, the fit failures and the IRLS counters.  On the
+    boxed design refits end on the box, and the next starts from there."""
     model, rule, m0 = DESIGNS[name]()
     n = model.K * m0 + 80
     projected = 0
