@@ -62,6 +62,10 @@ the other).  The peak resident set size of a fresh process that computes
 the 262,144-node report is read for each tree.  The rows go into
 ``BENCH_<pr>.json`` under ``interleaved``, with ``--label``
 naming this side and ``parent`` the other.
+
+Either way the file records, as ``src_lines``, the lines of each timed
+tree's ``carasim/*.py`` (what ``wc -l src/carasim/*.py`` counts), so the
+size of the code stands next to its timings.
 """
 
 from __future__ import annotations
@@ -458,6 +462,11 @@ def theory_peak_rss(src: Path) -> dict:
     return {"peak_rss_mb": round(after, 1), "rss_before_report_mb": round(before, 1)}
 
 
+def src_lines(src: Path) -> int:
+    """Newlines in the package modules of a source tree, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (src / "carasim").glob("*.py"))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pr", type=int, required=True)
@@ -482,14 +491,17 @@ def main(argv=None) -> int:
                  "theory": interleaved((theory_rows("carasim"), theory_rows(other)),
                                        args.label, "ms_per_call", 1e3),
                  "theory_262144_rss": {args.label: theory_peak_rss(args.src.resolve()),
-                                       "parent": theory_peak_rss(other_src)}}
+                                       "parent": theory_peak_rss(other_src)},
+                 "src_lines": {args.label: src_lines(args.src.resolve()),
+                               "parent": src_lines(other_src)}}
         doc["interleaved"] = entry
         label = "interleaved"
     else:
         entry = {"machine": machine(), "engine_n": ENGINE_N, "irls": irls_us_per_fit(),
                  "theory": theory_ms_per_call(),
                  "theory_262144_rss": theory_peak_rss(args.src.resolve()),
-                 "engine": engine_us_per_patient(), "gate_seconds": gate_seconds()}
+                 "engine": engine_us_per_patient(), "gate_seconds": gate_seconds(),
+                 "src_lines": src_lines(args.src.resolve())}
         doc["runs"][args.label] = entry
         label = args.label
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -62,13 +62,19 @@ arm's rows, so its cost grows with the arm and a trial's with n squared:
   one cell (every refit after burn-in in a batch of one: ``run_trial`` and
   ``step()``) calls the batch-of-one core
   :func:`carasim.estimation.fit_one_cell` directly, under the error state
-  the patient loop enters once per call, and writes the estimate, its flags
-  and the IRLS counters by scalar index;
+  the patient loop enters once per call, and clamps and writes the
+  estimate, its flags and the IRLS counters by scalar index;
 * normal arms keep normal-equation accumulators, solved as one stack;
 * the shared-slope joint fit carries the inverse of its Gram matrix forward
   by rank-one (Sherman-Morrison) updates once it is solvable; when every
   replicate's is, and every solution is finite, a refit writes all the
   estimates without masks.
+
+The IRLS cores return unclipped estimates; the box is the engine's.  The
+batched IRLS refit, the gathered closed form and least squares write through
+:meth:`_Lockstep._store`: it clamps, flags ``projected`` where the clamp
+moved a refit that did not fail, and a failed refit keeps its estimate and
+counts a fit failure.
 
 Each (replicate, arm) cell counts its logistic refits (``REFIT_COUNTERS``):
 closed-form refits, IRLS fits and their iterations, and IRLS fits that
@@ -615,48 +621,53 @@ class _Lockstep:
                     if of_kind.size:
                         fits[kind](of_kind)
 
-    def _store(self, cells, theta, converged, projected, failed) -> None:
-        """Write refits; the cells flagged in ``failed`` keep their estimates.
-        (Selecting the failed cells costs about 5 us even when there are none;
-        checking first costs about 1 us.)"""
+    def _store(self, cells, raw, converged, failed) -> None:
+        """Write refits of ``cells`` (indices, or a slice of every cell) from
+        their unclipped estimates ``raw`` (module docstring); the cells flagged
+        in ``failed`` (None: none can fail) keep their estimates.  Checking for
+        a failure first saves about 2 us."""
+        theta = np.minimum(np.maximum(raw, self.lo[cells]), self.hi[cells])
+        projected = fold_columns(np.logical_or, theta != raw)
+        if failed is not None and np.logical_or.reduce(failed):
+            projected &= ~failed
+            self.fail[cells[failed]] += 1
+            theta[failed] = self.theta[cells[failed]]
         self.converged[cells] = converged
         self.projected[cells] = projected
-        if np.logical_or.reduce(failed):
-            self.fail[cells[failed]] += 1
-            cells, theta = cells[~failed], theta[~failed]
         self.theta[cells] = theta
 
     def _irls(self, cells, rows, trials, sizes) -> None:
         """Refit the cells in place by one batched IRLS on their rows (cell
         i owns ``sizes[i]`` consecutive columns of ``rows``, successes and
         covariates, and of ``trials``), warm-started at their current
-        estimates (which every fit leaves in the box), without the
+        estimates (which every refit leaves in the box), without the
         conditioning guard; a fit that fails keeps the estimate.  One cell is
         fitted by the batch-of-one core and written by scalar index (module
         docstring)."""
         if cells.size == 1:
             c = cells[0]
-            theta, converged, projected, iterations, singular = fit_one_cell(
-                rows, trials, self.lo[c], self.hi[c], self.theta[c], False)
+            raw, converged, iterations, singular = fit_one_cell(rows, trials, self.theta[c], False)
             self.converged[c] = converged
-            self.projected[c] = projected
             if singular:
+                self.projected[c] = False
                 self.fail[c] += 1
             else:
+                theta = np.minimum(np.maximum(raw, self.lo[c]), self.hi[c])
+                self.projected[c] = np.logical_or.reduce(theta != raw)
                 self.theta[c] = theta
             self.irls_fits[c] += 1
             self.irls_iterations[c] += iterations
             self.irls_nonconverged[c] += not (converged or singular)
             self.irls_singular[c] += singular
             return
-        fits = fit_logistic_cells(rows, trials, sizes, self.lo[cells], self.hi[cells],
-                                  self.theta[cells])
-        self._store(cells, fits.theta, fits.converged, fits.projected, fits.singular)
+        raw, converged, iterations, singular = fit_logistic_cells(rows, trials, sizes,
+                                                                  self.theta[cells])
+        self._store(cells, raw, converged, singular)
         self.irls_fits[cells] += 1
-        self.irls_iterations[cells] += fits.iterations
-        if not np.logical_and.reduce(fits.converged):
-            self.irls_nonconverged[cells] += ~fits.converged & ~fits.singular
-            self.irls_singular[cells] += fits.singular
+        self.irls_iterations[cells] += iterations
+        if not np.logical_and.reduce(converged):
+            self.irls_nonconverged[cells] += ~converged & ~singular
+            self.irls_singular[cells] += singular
 
     def _fit_grouped(self, cells) -> None:
         if self.sat_inv is None:
@@ -688,12 +699,8 @@ class _Lockstep:
                 stale = nan[cells] if whole else nan
                 if stale.any():
                     self._irls_grouped(cells[stale])
-                    cells = cells[~stale]
                 rows, raw = np.arange(self.theta.shape[0])[rows][~nan], raw[~nan]
-        val = np.minimum(np.maximum(raw, self.lo[rows]), self.hi[rows])
-        self.converged[rows] = True
-        self.projected[rows] = fold_columns(np.logical_or, val != raw)
-        self.theta[rows] = val
+        self._store(rows, raw, True, None)
 
     def _irls_grouped(self, cells) -> None:
         """IRLS on the cells' counts at the support points."""
@@ -724,10 +731,8 @@ class _Lockstep:
         if fresh.size:
             self.solvable[fresh] = np.linalg.cond(self.gram[fresh]) <= COND_MAX
         sol = solve_stack(self.gram[cells], self.moment[cells])
-        clipped = np.minimum(np.maximum(sol, self.lo[cells]), self.hi[cells])
         converged = self.solvable[cells] & np.all(np.isfinite(sol), axis=1)
-        projected = converged & np.any(clipped != sol, axis=1)
-        self._store(cells, clipped, converged, projected, ~converged)
+        self._store(cells, sol, converged, ~converged)
 
     def _refit_joint(self) -> None:
         B, K = self.B, self.K

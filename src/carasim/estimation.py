@@ -1,4 +1,4 @@
-"""Per-arm maximum likelihood / least squares with box-clamped estimates.
+"""Per-arm maximum likelihood and least squares.
 
 Logistic fits run on one core, :func:`fit_logistic_cells`: Newton's method
 (IRLS) with step halving, so the log-likelihood never decreases along the
@@ -28,10 +28,12 @@ row of NaN, which ends its cell's fit as singular.  Every fit call enters
 pins the gufunc, verified on numpy 2.4.6.
 
 Normal-linear arms are fitted by the normal equations, solved by
-``solve_stack`` as the engine solves them.  Final estimates are
-always clamped coordinatewise into the arm's parameter box; ``projected``
-records whether the clamp moved the point.  Only a standalone fit guards
-IRLS by the condition number of its Hessian (``fit_grouped_logistic_mle``'s
+``solve_stack`` as the engine solves them.  The logistic cores return
+unclipped estimates (a singular fit its start): the parameter box, the
+``projected`` flag and the failure rule belong to the caller.  The
+standalone fits clamp into the arm's box and report ``projected`` when
+that moved the estimate.  Only a standalone fit guards IRLS by the
+condition number of its Hessian (``fit_grouped_logistic_mle``'s
 ``check_conditioning``, on by default); the engine's refits and every
 batched fit do not, and there an exactly singular system still ends the fit
 as singular.
@@ -57,7 +59,6 @@ __all__ = [
     "fit_logistic_mle",
     "fit_grouped_logistic_mle",
     "fit_logistic_cells",
-    "CellFits",
     "fit_linear_lse",
 ]
 
@@ -161,17 +162,6 @@ def solve_stack(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _solve1(A, b)
 
 
-@dataclass(frozen=True)
-class CellFits:
-    """Logistic fits of C cells by :func:`fit_logistic_cells`, one row per cell."""
-
-    theta: np.ndarray  # (C, d) estimates, clamped to each cell's box
-    converged: np.ndarray  # (C,) bool
-    projected: np.ndarray  # (C,) bool
-    iterations: np.ndarray  # (C,) int
-    singular: np.ndarray  # (C,) bool: the fit ended on a singular Newton system
-
-
 # The arithmetic of an IRLS step, shared by a batch of cells and a batch of
 # one.  A cell's rows are one segment of columns, starting at ``starts``, of a
 # (1 + d, N) block of rows: the successes, then the covariates.  A fit builds
@@ -238,13 +228,13 @@ _ONE_CELL = np.zeros(1, dtype=np.intp)
 # wrappers, which cost more than the reduction of a few entries.
 
 
-def fit_one_cell(rows, t, lo, hi, init, check_conditioning):
+def fit_one_cell(rows, t, init, check_conditioning):
     """The batch of one of :func:`fit_logistic_cells`: the same arithmetic, with
     each test read off the one cell instead of masks over live cells.
     ``rows`` (1 + d, N) holds the successes and the covariates and ``t`` the
-    trials (None: one per row).  Returns the clamped estimate (d,),
-    converged, projected, iterations and singular; runs under
-    :func:`solve_errstate`.  With ``check_conditioning`` (the standalone
+    trials (None: one per row).  Returns the unclipped estimate (d,) (the
+    start, when the fit is singular), converged, iterations and singular;
+    runs under :func:`solve_errstate`.  With ``check_conditioning`` (the standalone
     fits) a Hessian that is not finite or whose condition number exceeds
     ``COND_MAX`` also ends the fit as singular."""
     d = init.size
@@ -284,32 +274,30 @@ def fit_one_cell(rows, t, lo, hi, init, check_conditioning):
         if scale * dmax <= _STEP_TOL:
             converged = True
             break
-    raw = init if singular else theta
-    clipped = np.minimum(np.maximum(raw, lo), hi)
-    return clipped, converged, bool(np.logical_or.reduce(clipped != raw)), it, singular
+    return init if singular else theta, converged, it, singular
 
 
 @solve_errstate()
 def fit_logistic_cells(rows: np.ndarray, trials: np.ndarray | None, sizes: np.ndarray,
-                       lo: np.ndarray, hi: np.ndarray, init: np.ndarray) -> CellFits:
+                       init: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """IRLS for C independent logistic fits at once.
 
     Cell c owns ``sizes[c]`` consecutive columns of ``rows`` (1 + d, N: the
     successes, then the covariates) and of ``trials`` (None: one trial per
-    row), after the columns of the cells before it; ``lo``, ``hi`` and
-    ``init`` are (C, d).  Every sum over a cell's rows is an
-    ``np.add.reduceat`` over the cell's own segment of a (terms, N) block
-    and every other operation is elementwise, so each cell's fit takes the
-    same floating-point steps, and gives the same bits,
-    whatever cells share the call.  A cell leaves the iteration when it
-    converges, when its Newton system is singular or not finite (the
-    :func:`solve_stack` row of a singular system is NaN), or after
-    ``_MAX_ITER`` iterations; the columns of the cells still iterating are
-    then kept by one ``np.compress`` of the block that holds their rows,
-    products and trials.
-    :func:`fit_one_cell` takes the same steps on one cell without the masks.
-    The call runs under :func:`solve_errstate`, entered once whatever the
-    number of Newton steps.
+    row), after the columns of the cells before it; ``init`` is (C, d).
+    Every sum over a cell's rows is an ``np.add.reduceat`` over the cell's
+    own segment of a (terms, N) block and every other operation is
+    elementwise, so each cell's fit takes the same floating-point steps, and
+    gives the same bits, whatever cells share the call.  A cell leaves the
+    iteration when it converges, when its Newton system is singular or not
+    finite (the :func:`solve_stack` row of a singular system is NaN), or
+    after ``_MAX_ITER`` iterations; the columns of the cells still iterating
+    are then kept by one ``np.compress`` of the block that holds their rows,
+    products and trials.  :func:`fit_one_cell` takes the same steps on one
+    cell without the masks.  Returns per cell the unclipped estimate (a
+    singular cell's start), converged, iterations and singular.  The call
+    runs under :func:`solve_errstate`, entered once whatever the number of
+    Newton steps.
     """
     C, d = init.shape
     raw = np.array(init, dtype=float)  # each cell's unclamped result
@@ -381,43 +369,31 @@ def fit_logistic_cells(rows: np.ndarray, trials: np.ndarray | None, sizes: np.nd
                 if keep is None:
                     break
                 delta, dmax = delta[keep], dmax[keep]
-        # Step halving: a cell whose log-likelihood would fall below its
-        # current value halves its step, at most _MAX_HALVINGS times, and
-        # otherwise stays where it is.
-        cand = theta + delta
-        mu_c = _row_sums(Xt * cand.T.repeat(sizes, axis=1))
-        ll_c = _loglik(mu_c, t, s, starts)
-        floor = ll - 1e-12
-        ok = ll_c >= floor
-        if not np.logical_and.reduce(ok):
-            scale = np.ones(live.size)
-            for _ in range(1, _MAX_HALVINGS):
-                scale[~ok] *= 0.5
-                retry = theta + scale[:, None] * delta
-                mu_r = _row_sums(Xt * retry.T.repeat(sizes, axis=1))
-                ll_r = _loglik(mu_r, t, s, starts)
-                cand[~ok], ll_c[~ok] = retry[~ok], ll_r[~ok]
-                np.copyto(mu_c, mu_r, where=(~ok).repeat(sizes))
-                ok = ll_c >= floor
-                if np.logical_and.reduce(ok):
-                    break
-            else:
-                scale[~ok] = 0.0
-                cand[~ok], ll_c[~ok] = theta[~ok], ll[~ok]
-                np.copyto(mu_c, mu, where=(~ok).repeat(sizes))
-            dmax = scale * dmax
+        # Step halving, as in fit_one_cell: a cell whose log-likelihood would
+        # fall halves its step, at most _MAX_HALVINGS times, or else stays where
+        # it is; a cell that stopped halving recomputes the same bits.
+        scale, cand, floor = 1.0, theta + delta, ll - 1e-12
+        for _ in range(_MAX_HALVINGS):
+            mu_c = _row_sums(Xt * cand.T.repeat(sizes, axis=1))
+            ll_c = _loglik(mu_c, t, s, starts)
+            ok = ll_c >= floor
+            if np.logical_and.reduce(ok):
+                break
+            scale = np.where(ok, scale, 0.5 * scale)
+            cand = theta + scale[:, None] * delta
+        else:
+            scale[~ok] = 0.0
+            cand[~ok], ll_c[~ok] = theta[~ok], ll[~ok]
+            np.copyto(mu_c, mu, where=(~ok).repeat(sizes))
         theta, mu, ll = cand, mu_c, ll_c
+        dmax = scale * dmax
         if np.fmin.reduce(dmax) <= _STEP_TOL and leave(dmax <= _STEP_TOL, it, converged,
                                                        theta) is None:
             break
     else:
         iterations[live] = _MAX_ITER
         raw[live] = theta
-
-    clipped = np.minimum(np.maximum(raw, lo), hi)
-    return CellFits(theta=clipped, converged=converged,
-                    projected=np.logical_or.reduce(clipped != raw, axis=1),
-                    iterations=iterations, singular=singular)
+    return raw, converged, iterations, singular
 
 
 def fit_grouped_logistic_mle(points: np.ndarray, trials: np.ndarray,
@@ -449,8 +425,9 @@ def fit_grouped_logistic_mle(points: np.ndarray, trials: np.ndarray,
     rows = np.empty((1 + d, X.shape[0]))
     rows[0], rows[1:] = s, X.T
     with solve_errstate():
-        theta, converged, projected, iterations, singular = fit_one_cell(
-            rows, None if np.all(t == 1.0) else t, lo, hi, init, check_conditioning)
+        raw, converged, iterations, singular = fit_one_cell(
+            rows, None if np.all(t == 1.0) else t, init, check_conditioning)
+    theta, projected = _clamp(raw, lo, hi)
     reason = SINGULAR_HESSIAN if singular else "" if converged else MAX_ITERATIONS
     return FitResult(theta_hat=theta, converged=converged, projected=projected,
                      iterations=iterations, reason=reason)

@@ -66,23 +66,21 @@ F1_EXACT = {
 }
 
 
-def f1_config(n: int, replicates: int, seed: int, m0: int = F1_M0,
-              box: float = F1_BOX, plugins: bool = False,
-              workers: int = 1) -> dict:
+def f1_config(n: int, replicates: int, seed: int, plugins: bool = False) -> dict:
     return {
         "model": {
             "arms": [{"family": "logistic"}, {"family": "logistic"}],
             "covariates": {"kind": "constant", "values": [1.0]},
             "true_theta": [[math.log(3.0)], [0.0]],
-            "box_lo": -box,
-            "box_hi": box,
+            "box_lo": -F1_BOX,
+            "box_hi": F1_BOX,
         },
         "rule": {"kind": "odds-ratio"},
-        "trial": {"n": n, "m0": m0},
+        "trial": {"n": n, "m0": F1_M0},
         "replication": {
             "replicates": replicates,
             "seed": seed,
-            "workers": workers,
+            "workers": 1,
             "plugins": plugins,
         },
     }
@@ -99,8 +97,7 @@ def f1_config(n: int, replicates: int, seed: int, m0: int = F1_M0,
 # Both conditional targets are interior, and the conditional covariance
 # Sigma_{|x} comes out of the exact-enumeration theory path.
 
-def two_point_config(n: int, replicates: int, seed: int,
-                     workers: int = 1) -> dict:
+def two_point_config(n: int, replicates: int, seed: int) -> dict:
     # Conditional targets pi_1(theta, x) = sigmoid(0.5) = 0.622 at x = (1, 0)
     # and sigmoid(-0.4) = 0.401 at x = (1, 1), so the allocation genuinely
     # depends on the covariate while staying well inside the simplex.  The
@@ -126,7 +123,7 @@ def two_point_config(n: int, replicates: int, seed: int,
         "replication": {
             "replicates": replicates,
             "seed": seed,
-            "workers": workers,
+            "workers": 1,
             "x_list": [[1.0, 0.0], [1.0, 1.0]],
         },
     }
@@ -144,7 +141,7 @@ def two_point_config(n: int, replicates: int, seed: int,
 #   Var sqrt(n) (mu_hat_1 - mu_1) -> 1/v_1 + a Var(xi~)^{-1} a' ~ 2.2071
 #   Var sqrt(n) (N_{n,1}/n - v_1) -> v_1 v_2 + 2 phi(1)^2 / (v_1 v_2) ~ 1.0108
 
-def bb_config(n: int, replicates: int, seed: int, workers: int = 1) -> dict:
+def bb_config(n: int, replicates: int, seed: int) -> dict:
     return {
         "model": {
             "arms": [
@@ -169,7 +166,7 @@ def bb_config(n: int, replicates: int, seed: int, workers: int = 1) -> dict:
         "replication": {
             "replicates": replicates,
             "seed": seed,
-            "workers": workers,
+            "workers": 1,
         },
     }
 

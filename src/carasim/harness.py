@@ -672,7 +672,8 @@ class CriterionCheck:
 
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
-        return (f"{verdict} {self.criterion}/{self.check}: observed {self.observed:.6g}, "
+        observed = f"{self.observed:.6g}" if math.isfinite(self.observed) else "null"
+        return (f"{verdict} {self.criterion}/{self.check}: observed {observed}, "
                 f"target {self.target:.6g}, band [{self.band[0]:.6g}, {self.band[1]:.6g}]")
 
 
@@ -690,7 +691,8 @@ def verification_json_bytes(report: VerificationReport) -> bytes:
         "criteria": list(report.criteria),
         "passed": bool(report.passed),
         "checks": [
-            {"criterion": c.criterion, "check": c.check, "observed": float(c.observed),
+            {"criterion": c.criterion, "check": c.check,
+             "observed": float(c.observed) if math.isfinite(c.observed) else None,
              "target": float(c.target), "band": [float(c.band[0]), float(c.band[1])],
              "passed": bool(c.passed)}
             for c in report.checks

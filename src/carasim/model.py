@@ -68,6 +68,8 @@ class TwoPoint:
     def __post_init__(self):
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
             raise ValueError("two-point coordinate values must be finite")
+        if self.a == self.b:
+            raise ValueError(f"two-point coordinate needs two distinct values, got a = b = {self.a}")
         if not 0.0 < self.p_a < 1.0:
             raise ValueError(f"two-point probability must lie in (0, 1), got {self.p_a}")
 
@@ -96,22 +98,21 @@ def _as_readonly(a: np.ndarray, dtype=float) -> np.ndarray:
 class CovariateSpec:
     """Distribution of the i.i.d. covariate vector.
 
-    Two kinds are supported.  ``"discrete"`` lists the support points and
-    their probabilities explicitly.  ``"continuous-product"`` specifies
-    independent coordinates, each uniform, two-point, or constant.  With
-    ``intercept=True`` a leading constant-1 coordinate is prepended; ``d`` is
-    the final dimension including that intercept.
+    Two forms are supported.  :meth:`discrete` lists distinct support points
+    and their probabilities explicitly (``support`` and ``probs``).
+    :meth:`product` specifies independent coordinates (``coords``), each
+    uniform, two-point, or constant.  With ``intercept=True`` either
+    constructor prepends a leading constant-1 coordinate; ``d`` is the final
+    dimension including that intercept.
 
     Product specs with no uniform coordinate have finite support and are
     enumerated internally, so expectations over them are exact sums.
     """
 
-    kind: Literal["discrete", "continuous-product"]
     d: int
     support: np.ndarray | None = None  # (S, d), includes intercept column
     probs: np.ndarray | None = None  # (S,)
     coords: tuple[CoordinateDist, ...] | None = None
-    intercept: bool = False
     # Cached enumeration for product specs with finite support; see __post_init__.
     _enum: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
     _cum: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -132,15 +133,17 @@ class CovariateSpec:
                 f"expected {pts.shape[0]}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("discrete support points must be finite")
+        srt = pts[np.lexsort(pts.T)]  # equal points are neighbours once sorted
+        same = np.flatnonzero(np.all(srt[1:] == srt[:-1], axis=1))
+        if same.size:
+            raise ValueError(f"discrete support lists {srt[same[0]].tolist()} more than once")
         if np.any(pr <= 0.0):
             raise ValueError("support probabilities must be strictly positive")
         if abs(pr.sum() - 1.0) > _PROB_TOL:
             raise ValueError(f"support probabilities sum to {pr.sum()!r}, not 1")
         if intercept:
             pts = np.hstack([np.ones((pts.shape[0], 1)), pts])
-        return CovariateSpec(kind="discrete", d=pts.shape[1],
-                             support=_as_readonly(pts), probs=_as_readonly(pr),
-                             intercept=intercept)
+        return CovariateSpec(d=pts.shape[1], support=_as_readonly(pts), probs=_as_readonly(pr))
 
     @staticmethod
     def product(coords: Sequence[CoordinateDist], intercept: bool = False) -> "CovariateSpec":
@@ -152,7 +155,7 @@ class CovariateSpec:
                 raise ValueError(f"unsupported coordinate distribution: {c!r}")
         if intercept:
             coords = (Constant(1.0),) + coords
-        return CovariateSpec(kind="continuous-product", d=len(coords), coords=coords)
+        return CovariateSpec(d=len(coords), coords=coords)
 
     @staticmethod
     def constant(values: Sequence[float] | float) -> "CovariateSpec":
@@ -161,19 +164,15 @@ class CovariateSpec:
         return CovariateSpec.discrete(v[None, :], [1.0])
 
     def __post_init__(self):
-        if self.kind == "discrete":
-            if self.support is None or self.probs is None:
-                raise ValueError("discrete spec requires support and probs")
+        if (self.coords is None) == (self.support is None or self.probs is None):
+            raise ValueError("a covariate spec needs either support and probs, or coords")
+        if self.coords is None:
             enum = (self.support, self.probs)
-        elif self.kind == "continuous-product":
-            if self.coords is None:
-                raise ValueError("product spec requires coordinate distributions")
+        else:
             enum = None
             if (not any(isinstance(c, Uniform) for c in self.coords)
                     and 2 ** sum(isinstance(c, TwoPoint) for c in self.coords) <= _ENUM_CAP):
                 enum = tuple(map(_as_readonly, tensor_grid(self.coords)))
-        else:
-            raise ValueError(f"unknown covariate kind: {self.kind!r}")
         object.__setattr__(self, "_enum", enum)
         if enum is not None:
             cum = np.cumsum(enum[1])

@@ -193,12 +193,13 @@ def replay_rowwise_refits(history: "TrialHistory", model: "TrialModel") -> Rowwi
                 mine = history.arms[:m + 1] == k
                 rows = np.vstack([history.responses[:m + 1][mine],
                                   history.covariates[:m + 1][mine].T])
-                est, converged[k], projected[k], iterations, singular = fit_one_cell(
-                    rows, None, lo[k], hi[k], theta[k], False)
+                raw, converged[k], iterations, singular = fit_one_cell(rows, None, theta[k], False)
+                projected[k] = False
                 if singular:
                     failures[k] += 1
                 else:
-                    theta[k] = est
+                    theta[k] = np.clip(raw, lo[k], hi[k])
+                    projected[k] = np.any(theta[k] != raw)
                 moved += projected[k]
                 counts["irls_fits"][k] += 1
                 counts["irls_iterations"][k] += iterations

@@ -11,12 +11,14 @@ from carasim.engine import replicate_root, run_trial
 from carasim.fixtures import DEFAULT_SEED, bb_config, f1_config, two_point_config
 from carasim.harness import (
     ConfigError,
+    VerificationReport,
     emit_reports,
     parse_config,
     replicate_csv_lines,
     report_json_bytes,
     run_replications,
     summary_payload,
+    verification_json_bytes,
     verify,
 )
 
@@ -101,6 +103,24 @@ def test_wrong_dimension_conditional_point_is_rejected():
     doc = two_point_config(n=60, replicates=2, seed=0)
     doc["replication"]["x_list"] = [[1.0]]
     with pytest.raises(ConfigError, match=r"x_list\[0\].*dimension"):
+        parse_config(doc)
+
+
+@pytest.mark.parametrize("covariates, where", [
+    ({"kind": "discrete", "support": [[1.0, 0.0], [1.0, 1.0], [1.0, 0.0]],
+      "probs": [0.25, 0.5, 0.25]},
+     r"'model\.covariates': discrete support lists \[1\.0, 0\.0\] more than once"),
+    ({"kind": "continuous-product", "intercept": True,
+      "coords": [{"kind": "two-point", "a": 0.0, "b": 0.0, "p_a": 0.3}]},
+     r"'model\.covariates\.coords\[0\]': two-point coordinate needs two distinct values"),
+])
+def test_a_covariate_point_listed_twice_is_rejected(covariates, where):
+    """A support that lists a point twice would give the point only its first
+    copy's mass, while the engine pools both copies' patients."""
+    doc = two_point_config(n=60, replicates=2, seed=0)
+    doc["model"]["covariates"] = covariates
+    doc["replication"].pop("x_list")
+    with pytest.raises(ConfigError, match=where):
         parse_config(doc)
 
 
@@ -381,6 +401,14 @@ def test_report_without_any_plugin_estimate_has_null_medians_and_fails_the_check
         "warning_count": 0}
     checks = harness._c_plugin_consistency(DEFAULT_SEED, {("f1-plugin", DEFAULT_SEED): s}, 1)
     assert len(checks) == 1 + s.K and not any(c.passed for c in checks)
+    # verification.json writes a missing observation as null, and so does the
+    # printed line; the check still fails.
+    report = VerificationReport(master_seed=DEFAULT_SEED, criteria=("plugin-consistency",),
+                                checks=tuple(checks), passed=False)
+    written = json.loads(verification_json_bytes(report), parse_constant=strict)
+    assert [c["observed"] for c in written["checks"]] == [None] * len(checks)
+    assert not any(c["passed"] for c in written["checks"])
+    assert all(": observed null, " in c.line() for c in checks)
 
     config, out_dir = tmp_path / "exp.json", tmp_path / "results"
     config.write_text(json.dumps(raw))

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -314,14 +315,13 @@ def logistic_cells(draw):
     return d, cells
 
 
-def _stacked(d, cells):
+def _stacked(cells):
     """The cells' rows as one (1 + d, N) block (successes, covariates), their
-    trials, sizes, boxes and starting points, as ``fit_logistic_cells`` takes them."""
+    trials, sizes and starting points, as ``fit_logistic_cells`` takes them."""
     rows = np.vstack([np.concatenate([c[2] for c in cells]),
                       np.hstack([c[0].T for c in cells])])
-    lo, hi = np.full((len(cells), d), -3.0), np.full((len(cells), d), 3.0)
     return (rows, np.concatenate([c[1] for c in cells]),
-            np.array([c[0].shape[0] for c in cells]), lo, hi, np.array([c[3] for c in cells]))
+            np.array([c[0].shape[0] for c in cells]), np.array([c[3] for c in cells]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -332,14 +332,17 @@ def test_each_cell_of_a_batched_fit_is_bitwise_its_fit_alone(case):
     # engine fits), which fits each cell alone.
     d, cells = case
     lo, hi = np.full(d, -3.0), np.full(d, 3.0)
-    fits = fit_logistic_cells(*_stacked(d, cells))
+    raw, converged, iterations, singular = fit_logistic_cells(*_stacked(cells))
     for i, (X, t, s, init) in enumerate(cells):
         alone = fit_grouped_logistic_mle(X, t, s, lo, hi, init=init, check_conditioning=False)
-        np.testing.assert_array_equal(fits.theta[i], alone.theta_hat)
-        assert (fits.converged[i], fits.projected[i], fits.iterations[i]) == \
+        clipped = np.clip(raw[i], lo, hi)
+        np.testing.assert_array_equal(clipped, alone.theta_hat)
+        assert (converged[i], np.any(clipped != raw[i]), iterations[i]) == \
             (alone.converged, alone.projected, alone.iterations)
-        assert alone.reason == (SINGULAR_HESSIAN if fits.singular[i]
-                                else "" if fits.converged[i] else MAX_ITERATIONS)
+        assert alone.reason == (SINGULAR_HESSIAN if singular[i]
+                                else "" if converged[i] else MAX_ITERATIONS)
+        if singular[i]:
+            np.testing.assert_array_equal(raw[i], init)
 
 
 @st.composite
@@ -628,6 +631,44 @@ def test_rowwise_refits_replay_bit_for_bit_from_the_history(name):
                 np.testing.assert_array_equal(counts[counter], value, err_msg=counter)
             projected += replay.projected_refits
     if name == "row-logit-boxed":
+        assert projected > 0
+
+
+@settings(max_examples=2)
+@given(st.integers(0, 2**16))
+@pytest.mark.parametrize("half", [None, 0.2], ids=["own-box", "tight-box"])
+@pytest.mark.parametrize("name", sorted(DESIGNS))
+def test_every_refit_writes_an_estimate_in_the_box(name, half, seed):
+    """Whatever refit wrote them, batched or alone, every recorded estimate
+    lies in the box, and an arm flagged ``projected`` has a coordinate on a
+    box face (with shared slopes the flag is the replicate's: some arm has
+    one).  Together the designs reach every writer: the whole-array and the
+    gathered closed forms, grouped IRLS off the saturated form, per-arm least
+    squares, batched and one-cell rowwise refits, and masked and unmasked
+    joint fits.  In the box true_theta +- 0.2 the box moves many refits."""
+    model, rule, m0 = DESIGNS[name]()
+    if half is not None:
+        model = replace(model, box_lo=model.true_theta - half, box_hi=model.true_theta + half)
+    lo, hi = model.box_lo, model.box_hi
+    n = model.K * m0 + 40
+    seeds = [replicate_root(seed, i) for i in range(4)]
+    histories = list(run_trials(model, rule, n, m0, seeds).histories)
+    streams = streams_for_trial(seeds[0])
+    hist = run_trial(model, rule, n, m0, streams)
+    for _ in range(10):
+        histories.append(hist)
+        hist = step(hist, model, rule, streams)
+    projected = 0
+    for hist in histories + [hist]:
+        for theta in (hist.theta_records, hist.current_theta):
+            assert np.all((lo <= theta) & (theta <= hi))
+        on_face = np.any((hist.current_theta == lo) | (hist.current_theta == hi), axis=1)
+        if model.shared_slopes:
+            assert len(set(hist.projected)) == 1
+            on_face[:] = on_face.any()
+        assert not np.any(hist.projected & ~on_face)
+        projected += hist.projected.sum()
+    if half is not None:
         assert projected > 0
 
 
