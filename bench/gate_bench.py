@@ -31,10 +31,7 @@ labels already in the file are kept, so the two sides of a comparison are
 written by two runs of this script on the same machine.
 
 ``--src`` selects the carasim sources to time (default: this checkout's
-``src/``).  Sources without ``engine.run_trials`` run replicates one
-``run_trial`` at a time, whose cost per patient does not depend on the
-batch, so at most ``SEQUENTIAL_CAP`` replicates of a batch are timed there.
-All work is single-threaded (one BLAS thread).
+``src/``).  All work is single-threaded (one BLAS thread).
 
     python bench/gate_bench.py --pr N --label change --interleave OTHER_CHECKOUT/src
 
@@ -98,7 +95,6 @@ VARIANT_BATCHES = (1, 8, 256)
 ROWWISE_BATCHES = {400: (1, 10), 1600: (1, 32), 6400: (1, 32)}
 ROWWISE_ROUNDS = {6400: 3}
 ENGINE_N = 500
-SEQUENTIAL_CAP = 16
 ENGINE_REPEATS = 5  # batches of at most this many replicates are timed this many times
 IRLS_ROWS = {2: 80, 5: 170}
 IRLS_CALLS = 200
@@ -185,19 +181,12 @@ def engine_rows(package: str = "carasim", interleaved: bool = False) -> dict:
         opts = cfg.engine_options()
         for B in batches:
             seeds = [engine.replicate_root(cfg.seed, i) for i in range(B)]
-            if hasattr(engine, "run_trials"):
-                timed = B
 
-                def run(cfg=cfg, B=B, seeds=seeds, opts=opts):
-                    engine.run_trials(cfg.model, cfg.rule, cfg.n, cfg.m0, seeds, opts,
-                                      histories=B == 1)
-            else:
-                timed = min(B, SEQUENTIAL_CAP)
+            def run(cfg=cfg, B=B, seeds=seeds, opts=opts):
+                engine.run_trials(cfg.model, cfg.rule, cfg.n, cfg.m0, seeds, opts,
+                                  histories=B == 1)
 
-                def run(cfg=cfg, seeds=seeds[:timed], opts=opts):
-                    for seed in seeds:
-                        engine.run_trial(cfg.model, cfg.rule, cfg.n, cfg.m0, seed, opts)
-            rows[f"{name}/B={B}"] = (run, timed, cfg.n)
+            rows[f"{name}/B={B}"] = (run, B, cfg.n)
     if interleaved:
         for name in ("two-point", "bb"):
             for n in STEP_N:

@@ -62,19 +62,22 @@ arm's rows, so its cost grows with the arm and a trial's with n squared:
   one cell (every refit after burn-in in a batch of one: ``run_trial`` and
   ``step()``) calls the batch-of-one core
   :func:`carasim.estimation.fit_one_cell` directly, under the error state
-  the patient loop enters once per call, and clamps and writes the
-  estimate, its flags and the IRLS counters by scalar index;
+  the patient loop enters once per call, and writes its result, the clamp
+  of it, its ``converged`` flag and the IRLS counters by scalar index;
 * normal arms keep normal-equation accumulators, solved as one stack;
 * the shared-slope joint fit carries the inverse of its Gram matrix forward
   by rank-one (Sherman-Morrison) updates once it is solvable; when every
   replicate's is, and every solution is finite, a refit writes all the
   estimates without masks.
 
-The IRLS cores return unclipped estimates; the box is the engine's.  The
-batched IRLS refit, the gathered closed form and least squares write through
-:meth:`_Lockstep._store`: it clamps, flags ``projected`` where the clamp
-moved a refit that did not fail, and a failed refit keeps its estimate and
-counts a fit failure.
+The IRLS cores return unclipped estimates; the box is the engine's.  Every
+refit writes what it asked for in ``raw`` and the clamp of that to the box
+in ``theta``; a failed refit keeps its estimate in both and counts a fit
+failure.  The batched IRLS refit, the gathered closed form, least squares
+and the masked joint fit write through :meth:`_Lockstep._store`; the
+one-cell refit writes by scalar index, and the whole-array closed form and
+the unmasked joint fit clamp whole arrays in place, as each costs less than
+the writer's indexing.
 
 Each (replicate, arm) cell counts its logistic refits (``REFIT_COUNTERS``):
 closed-form refits, IRLS fits and their iterations, and IRLS fits that
@@ -83,13 +86,13 @@ stopped at the iteration limit or on a singular system.
 them; like every other output they do not depend on the batch.
 
 A patient step keeps only the estimates and the sufficient statistics that
-refits read.  What is only reported is derived when it is read: the
-``converged`` and ``projected`` flags of a refit that writes every cell (the
-whole-array closed form, the unmasked joint fit) from its unclipped
-estimates; the closed-form refits of a grouped cell as its refits (one at
-the end of burn-in and one per later patient) less its IRLS fits; and the
-support counts of designs without grouped logistic arms, whose refits do
-not read them, from the support points of up to a draw block of patients,
+refits read.  What is only reported is derived when it is read: a cell is
+``projected`` where its ``theta`` differs from its ``raw`` (with shared
+slopes, every cell of a replicate where any of its cells does); the
+closed-form refits of a grouped cell are its refits (one at the end of
+burn-in and one per later patient) less its IRLS fits; and the support
+counts of designs without grouped logistic arms, whose refits do not read
+them, come from the support points of up to a draw block of patients,
 added at once.
 
 The incremental fits agree with a batch refit of every arm from the stored
@@ -352,13 +355,15 @@ class _Lockstep:
 
     Per-arm quantities are kept per cell ``c = b * K + k`` (replicate b, arm
     k), so that the cells one patient touches are a flat index; the joint
-    shared-slope fit is kept per replicate.  :meth:`patient` admits one
+    shared-slope fit is kept per replicate.  Each cell keeps the estimate
+    its last refit asked for in ``raw`` beside its estimate ``theta``, and
+    :attr:`projected` is read off the two.  :meth:`patient` admits one
     patient to every replicate; what it only reports is derived when read
     (module docstring).
     """
 
-    _PER_CELL = ("theta", "_converged", "_projected", "_raw", "fail", "counts", "trials", "succ",
-                 "gram", "moment", "solvable") + _IRLS_COUNTERS
+    _PER_CELL = ("theta", "raw", "converged", "fail", "counts", "trials", "succ", "gram", "moment",
+                 "solvable") + _IRLS_COUNTERS
     _PER_REPLICATE = ("joint_gram", "joint_moment", "joint_inv", "formed")
 
     def __init__(self, model: TrialModel, rule: AllocationRule, m0: int,
@@ -379,9 +384,8 @@ class _Lockstep:
         self.lo = np.tile(model.box_lo, (B, 1))
         self.hi = np.tile(model.box_hi, (B, 1))
         self.theta = 0.5 * (self.lo + self.hi)
-        self._converged = np.zeros(C, dtype=bool)
-        self._projected = np.zeros(C, dtype=bool)
-        self._raw = None  # the unclipped estimates of a refit whose flags are not yet written
+        self.raw = self.theta.copy()  # what each cell's last refit asked for, before the box
+        self.converged = np.zeros(C, dtype=bool)
         self.fail = np.zeros(C, dtype=int)
         (self.irls_fits, self.irls_iterations, self.irls_nonconverged,
          self.irls_singular) = np.zeros((len(_IRLS_COUNTERS), C), dtype=np.int64)
@@ -473,31 +477,14 @@ class _Lockstep:
         """Current estimates, (B, K, d)."""
         return self._theta3
 
-    def _settle(self) -> None:
-        """Write the flags that the last whole-array refit left to be derived:
-        it converged everywhere, and a cell (a replicate, in the joint fit)
-        is projected where the box moved its unclipped estimates ``_raw``."""
-        if self._raw is not None:
-            off = self.theta != self._raw
-            self._raw = None
-            self._converged[:] = True
-            if self.joint:
-                per_replicate = fold_columns(np.logical_or, off.reshape(self.B, -1))
-                self._projected.reshape(self.B, self.K)[:] = per_replicate[:, None]
-            else:
-                self._projected[:] = fold_columns(np.logical_or, off)
-
-    @property
-    def converged(self) -> np.ndarray:
-        """Per cell: whether its last refit converged."""
-        self._settle()
-        return self._converged
-
     @property
     def projected(self) -> np.ndarray:
-        """Per cell: whether its last refit was clipped to the box."""
-        self._settle()
-        return self._projected
+        """Per cell: whether the box moved its last refit (with shared
+        slopes: some cell of its replicate's)."""
+        off = self.theta != self.raw
+        if self.joint:
+            return fold_columns(np.logical_or, off.reshape(self.B, -1)).repeat(self.K)
+        return fold_columns(np.logical_or, off)
 
     def _fold(self) -> None:
         """Add the support points that wait in ``_points`` to the support counts."""
@@ -622,18 +609,17 @@ class _Lockstep:
                         fits[kind](of_kind)
 
     def _store(self, cells, raw, converged, failed) -> None:
-        """Write refits of ``cells`` (indices, or a slice of every cell) from
-        their unclipped estimates ``raw`` (module docstring); the cells flagged
-        in ``failed`` (None: none can fail) keep their estimates.  Checking for
-        a failure first saves about 2 us."""
+        """Write refits of ``cells`` (indices, or a slice of every cell): the
+        unclipped estimates ``raw`` and, in ``theta``, their clamp to the box
+        (module docstring); the cells flagged in ``failed`` (None: none can
+        fail) keep their estimates in both.  Checking for a failure first
+        saves about 2 us."""
         theta = np.minimum(np.maximum(raw, self.lo[cells]), self.hi[cells])
-        projected = fold_columns(np.logical_or, theta != raw)
         if failed is not None and np.logical_or.reduce(failed):
-            projected &= ~failed
             self.fail[cells[failed]] += 1
-            theta[failed] = self.theta[cells[failed]]
+            theta[failed] = raw[failed] = self.theta[cells[failed]]
         self.converged[cells] = converged
-        self.projected[cells] = projected
+        self.raw[cells] = raw
         self.theta[cells] = theta
 
     def _irls(self, cells, rows, trials, sizes) -> None:
@@ -641,20 +627,16 @@ class _Lockstep:
         i owns ``sizes[i]`` consecutive columns of ``rows``, successes and
         covariates, and of ``trials``), warm-started at their current
         estimates (which every refit leaves in the box), without the
-        conditioning guard; a fit that fails keeps the estimate.  One cell is
-        fitted by the batch-of-one core and written by scalar index (module
-        docstring)."""
+        conditioning guard; each writes ``raw`` and ``theta``, and a fit that
+        fails keeps the estimate in both.  One cell is fitted by the
+        batch-of-one core and written by scalar index (module docstring)."""
         if cells.size == 1:
             c = cells[0]
             raw, converged, iterations, singular = fit_one_cell(rows, trials, self.theta[c], False)
+            self.raw[c] = raw  # a singular fit returns its start, the estimate it keeps
+            self.theta[c] = np.minimum(np.maximum(raw, self.lo[c]), self.hi[c])
             self.converged[c] = converged
-            if singular:
-                self.projected[c] = False
-                self.fail[c] += 1
-            else:
-                theta = np.minimum(np.maximum(raw, self.lo[c]), self.hi[c])
-                self.projected[c] = np.logical_or.reduce(theta != raw)
-                self.theta[c] = theta
+            self.fail[c] += singular
             self.irls_fits[c] += 1
             self.irls_iterations[c] += iterations
             self.irls_nonconverged[c] += not (converged or singular)
@@ -683,9 +665,10 @@ class _Lockstep:
         logit = np.log(s / (t - s))
         raw = (self.sat_inv @ logit[:, :, None])[:, :, 0]
         if not math.isnan(np.add.reduce(raw, None)):  # no NaN, nor +inf and -inf in the sum
-            if whole:  # every cell is refit: its flags are derived when read
+            if whole:  # every cell is refit, and converges
                 np.minimum(np.maximum(raw, self.lo), self.hi, out=self.theta)
-                self._raw = raw
+                self.raw = raw
+                self.converged.fill(True)
                 return
         else:
             nan = fold_columns(np.logical_or, np.isnan(raw))
@@ -745,19 +728,17 @@ class _Lockstep:
             self.n_formed += idx.size
         coef = (self.joint_inv @ self.joint_moment[:, :, None])[:, :, 0]
         theta = coef.take(self.joint_cols, 1)  # (B, K * d): arm k's row is (mu_k, slopes)
-        lo, hi = self.lo.reshape(B, -1), self.hi.reshape(B, -1)
+        raw = theta.reshape(self.theta.shape)
         if self.n_formed == B and math.isfinite(np.add.reduce(coef, None)):
-            # Every fit stands: no masks, and the flags are derived when read.
-            np.minimum(np.maximum(theta, lo), hi, out=self.theta.reshape(B, -1))
-            self._raw = theta.reshape(self.theta.shape)
+            # Every fit stands: no masks.
+            np.minimum(np.maximum(theta, self.lo.reshape(B, -1)), self.hi.reshape(B, -1),
+                       out=self.theta.reshape(B, -1))
+            self.raw = raw
+            self.converged.fill(True)
             return
-        clipped = np.minimum(np.maximum(theta, lo), hi)
-        ok = self.formed & np.isfinite(coef).all(axis=1)
-        # Every arm of a replicate shares its flags.
-        self.converged.reshape(B, K)[:] = ok[:, None]
-        self.projected.reshape(B, K)[:] = (ok & (clipped != theta).any(axis=1))[:, None]
-        self.theta.reshape(B, -1)[ok] = clipped[ok]
-        self.fail.reshape(B, K)[~ok] += 1
+        # Every arm of a replicate shares its fit's fate.
+        ok = (self.formed & np.isfinite(coef).all(axis=1)).repeat(K)
+        self._store(np.arange(B * K), raw, ok, ~ok)
 
 
 # ---------------------------------------------------------------------------
@@ -896,6 +877,8 @@ def run_trials(model: TrialModel, rule: AllocationRule, n: int, m0: int, seeds,
     if n < model.K * m0:
         raise ValueError(f"n = {n} is smaller than the burn-in size K * m0 = {model.K * m0}")
     streams = [s if isinstance(s, TrialStreams) else streams_for_trial(s) for s in seeds]
+    if not streams:
+        raise ValueError("run_trials needs at least one seed")
     state = _Lockstep(model, rule, m0, opts, len(streams))
     schedule = np.stack([burn_in_schedule(model.K, m0, s.assignment) for s in streams])
     record = _Record(state, n) if histories else None

@@ -123,6 +123,20 @@ def _as_number(value, ctx: str) -> float:
     return float(value)
 
 
+def _as_array(value, ctx: str) -> np.ndarray:
+    """A number, or arrays of numbers nested to one shape, as floats."""
+    def numbers(v):
+        if isinstance(v, (list, tuple)):
+            return all(map(numbers, v))
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+    try:
+        if numbers(value):
+            return np.asarray(value, dtype=float)
+    except ValueError:  # nested to more than one shape
+        pass
+    raise ConfigError(f"key '{ctx}' must be a number or an array of numbers of one shape")
+
+
 # The keys each kind of coordinate, covariate spec and rule reads (a rule's
 # are its parameters in ``allocation.KIND_PARAMS``, with ``g_name`` keyed ``g``).
 _COORD_KEYS = {"uniform": ("lo", "hi"), "two-point": ("a", "b", "p_a"), "constant": ("value",)}
@@ -153,8 +167,8 @@ def _parse_covariates(doc, ctx: str) -> CovariateSpec:
     kind = _kind(doc, ctx, _COVARIATE_KEYS)
     try:
         if kind == "discrete":
-            return CovariateSpec.discrete(_need(doc, "support", ctx),
-                                          _need(doc, "probs", ctx),
+            return CovariateSpec.discrete(_as_array(_need(doc, "support", ctx), f"{ctx}.support"),
+                                          _as_array(_need(doc, "probs", ctx), f"{ctx}.probs"),
                                           intercept=_as_bool(doc.get("intercept", False),
                                                              f"{ctx}.intercept"))
         if kind == "continuous-product":
@@ -164,7 +178,7 @@ def _parse_covariates(doc, ctx: str) -> CovariateSpec:
             parsed = [_parse_coord(c, f"{ctx}.coords[{i}]") for i, c in enumerate(coords)]
             return CovariateSpec.product(
                 parsed, intercept=_as_bool(doc.get("intercept", False), f"{ctx}.intercept"))
-        return CovariateSpec.constant(_need(doc, "values", ctx))
+        return CovariateSpec.constant(_as_array(_need(doc, "values", ctx), f"{ctx}.values"))
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
@@ -189,13 +203,12 @@ def _parse_model(doc, ctx: str = "model") -> TrialModel:
         except ValueError as exc:
             raise ConfigError(f"invalid arm at '{ctx}.arms[{i}]': {exc}") from exc
     covariates = _parse_covariates(_need(doc, "covariates", ctx), f"{ctx}.covariates")
-    theta = np.asarray(_need(doc, "true_theta", ctx), dtype=float)
+    theta, lo, hi = (_as_array(_need(doc, key, ctx), f"{ctx}.{key}")
+                     for key in ("true_theta", "box_lo", "box_hi"))
     shared_slopes = _as_bool(doc.get("shared_slopes", False), f"{ctx}.shared_slopes")
     try:
         return TrialModel(arms=tuple(arms), covariates=covariates, true_theta=theta,
-                          box_lo=np.asarray(_need(doc, "box_lo", ctx), dtype=float),
-                          box_hi=np.asarray(_need(doc, "box_hi", ctx), dtype=float),
-                          shared_slopes=shared_slopes)
+                          box_lo=lo, box_hi=hi, shared_slopes=shared_slopes)
     except ValueError as exc:
         raise ConfigError(f"invalid model at '{ctx}': {exc}") from exc
 
@@ -279,7 +292,7 @@ def parse_config(document: dict | str | Path) -> ExperimentConfig:
         raise ConfigError("key 'replication.x_list' must be an array of covariate points")
     x_list = []
     for j, xv in enumerate(x_raw):
-        x = np.asarray(xv, dtype=float).ravel()
+        x = _as_array(xv, f"replication.x_list[{j}]").ravel()
         if x.shape != (model.d,):
             raise ConfigError(f"key 'replication.x_list[{j}]' has dimension {x.shape[0]}, "
                               f"expected {model.d}")

@@ -99,6 +99,8 @@ def test_burn_in_size_validation():
         run_trial(model, rule, 8, 6, replicate_root(0, 0), OPTS)  # n < K m0
     with pytest.raises(ValueError):
         run_trial(model, rule, 12, 0, replicate_root(0, 0), OPTS)
+    with pytest.raises(ValueError, match="at least one seed"):
+        run_trials(model, rule, 12, 6, [], OPTS)
 
 
 # ---------------------------------------------------------------------------

@@ -152,13 +152,13 @@ def test_non_boolean_flags_are_rejected(key, path):
 
 def _set(path: str, value):
     """A change to a valid document: sets ``value`` at ``path`` (keys and
-    list indices separated by dots) in a copy of the bb fixture, whose
+    list indices separated by dots), such as a copy of the bb fixture, whose
     covariates have coordinates and whose rule reads T."""
     def change(doc):
         *parents, last = path.split(".")
         for key in parents:
             doc = doc[int(key)] if isinstance(doc, list) else doc[key]
-        doc[last] = value
+        doc[int(last) if isinstance(doc, list) else last] = value
     return change
 
 
@@ -183,6 +183,26 @@ def test_config_rejects_what_it_does_not_read(change, key):
     doc = bb_config(n=100, replicates=1, seed=0)
     change(doc)
     with pytest.raises(ConfigError, match=re.escape(f"unknown key '{key}'")):
+        parse_config(doc)
+
+
+@pytest.mark.parametrize("change, key", [
+    (_set("model.true_theta", [[0.5, -0.5], [0.0]]), "model.true_theta"),
+    (_set("model.true_theta", [["a", 1.0], [0.0, 0.4]]), "model.true_theta"),
+    (_set("model.true_theta", [[0.5, -0.5], [0.0, True]]), "model.true_theta"),
+    (_set("model.box_lo", "low"), "model.box_lo"),
+    (_set("model.box_hi", [[1.5, 1.5], None]), "model.box_hi"),
+    (_set("replication.x_list.1", [1.0, "one"]), "replication.x_list[1]"),
+    (_set("replication.x_list.0", [[1.0], [0.0, 1.0]]), "replication.x_list[0]"),
+    (_set("model.covariates.support", [["1", 0.0], [1.0, 1.0]]), "model.covariates.support"),
+    (_set("model.covariates.probs", [0.5, "0.5"]), "model.covariates.probs"),
+    (_set("model.covariates", {"kind": "constant", "values": [1.0, None]}),
+     "model.covariates.values"),
+])
+def test_a_malformed_number_names_its_key(change, key):
+    doc = two_point_config(n=60, replicates=2, seed=0)
+    change(doc)
+    with pytest.raises(ConfigError, match=re.escape(f"key '{key}' must be a number")):
         parse_config(doc)
 
 

@@ -572,6 +572,33 @@ def test_incremental_estimates_equal_a_batch_refit(name, seed, extra):
                                rtol=0, atol=1e-6)
 
 
+@pytest.mark.parametrize("half", [None, 0.2], ids=["own-box", "tight-box"])
+@pytest.mark.parametrize("name", [name for name in sorted(DESIGNS)
+                                  if any(a.family != "logistic" for a in DESIGNS[name]()[0].arms)])
+def test_least_squares_flags_equal_a_batch_refit(name, half):
+    """The ``converged`` and ``projected`` flags of every normal arm, alone and
+    in a batch of 4, are a batch refit's.  Least squares writes them through
+    the same writer as the batched refits; shared slopes write them per
+    replicate, unmasked or (in a batch whose replicates have not all formed
+    their fit, or alone before it forms) masked."""
+    model, rule, m0 = DESIGNS[name]()
+    if half is not None:
+        model = replace(model, box_lo=model.true_theta - half, box_hi=model.true_theta + half)
+    normal = np.array([a.family != "logistic" for a in model.arms])
+    projected = 0
+    for seed in range(10):
+        n = model.K * m0 + 10 * seed
+        seeds = [replicate_root(seed, i) for i in range(4)]
+        alone = run_trial(model, rule, n, m0, seeds[0])
+        for hist in run_trials(model, rule, n, m0, seeds).histories + (alone,):
+            expected = update_all_estimates(hist, model)
+            np.testing.assert_array_equal(hist.converged[normal], expected.converged[normal])
+            np.testing.assert_array_equal(hist.projected[normal], expected.projected[normal])
+            projected += hist.projected[normal].sum()
+    if half is not None:
+        assert projected > 0
+
+
 @settings(max_examples=12)
 @given(st.sampled_from(sorted(DESIGNS)), st.integers(0, 2**16), st.integers(1, 8),
        st.integers(1, 3), st.integers(0, 30))
