@@ -12,9 +12,10 @@ replicates of ``ENGINE_N`` patients, and on the benchmark's
 ``fixtures.DEFAULT_SEED``: three logistic arms on one uniform covariate, 400
 patients) for batches of 1, 10 and 256 (batches of at most
 ``ENGINE_REPEATS`` replicates are timed that many times); and the
-microseconds per call of ``estimation.fit_grouped_logistic_mle`` (a batch
-of one IRLS fit, started at the box midpoint) on ``IRLS_ROWS`` rows at
-d = 2 and d = 5, timed ``IRLS_REPEATS`` times; the milliseconds per call of
+microseconds per call of ``estimation.fit_one_cell`` (the one-cell IRLS
+core, started at zero without the conditioning guard, as the engine refits
+one cell) on ``IRLS_ROWS`` rows at d = 2 and d = 5, timed ``IRLS_REPEATS``
+times; the milliseconds per call of
 ``asymptotics.theory_report`` and ``asymptotics.lse_sandwich`` at 64, 4,096
 and 262,144 expectation nodes (the benchmark's ``theory-continuous`` designs
 with one, two and three uniform coordinates, 64 Gauss-Legendre nodes each),
@@ -43,7 +44,8 @@ arms beside a normal arm; batches of 1, 8 and 256), rowwise rows (the
 trial lengths in ``ROWWISE_ROUNDS`` take that many rounds instead), and
 ``step()`` rows (``STEP_CALLS`` chained calls that continue a two-point or
 bb trial of each of ``STEP_N`` patients, timed per call); the IRLS rows
-(``fit_grouped_logistic_mle`` as above, in microseconds per fit); and the
+(``fit_one_cell`` as above, in microseconds per fit, under the row names
+``fit_grouped_logistic_mle/d=2`` and ``/d=5`` of earlier BENCH files); and the
 theory rows: ``theory_report`` at 64, 4,096 and 262,144 nodes and
 ``plugin_estimates`` on ``PLUGIN_ROWS`` observed rows (the benchmark's
 generated history for its two-coordinate ``theory-continuous`` design), in
@@ -347,28 +349,33 @@ def timings(run, repeats: int) -> tuple[float, float]:
 
 
 def irls_cases(package: str = "carasim") -> dict:
-    """d -> (run, fit) on the carasim package imported as ``package``: ``run``
-    makes ``IRLS_CALLS`` fits of ``estimation.fit_grouped_logistic_mle`` on
+    """d -> (run, iterations) on the carasim package imported as ``package``:
+    ``run`` makes ``IRLS_CALLS`` fits by ``estimation.fit_one_cell`` on
     ``IRLS_ROWS[d]`` unit-trial rows, started at zero without the
-    conditioning guard, and ``fit`` is the result of one."""
+    conditioning guard, as the engine refits one cell, and ``iterations``
+    is the iteration count of one fit."""
     import numpy as np
 
     seed = importlib.import_module(f"{package}.fixtures").DEFAULT_SEED
-    fit_mle = importlib.import_module(f"{package}.estimation").fit_grouped_logistic_mle
+    estimation = importlib.import_module(f"{package}.estimation")
+    fit, errstate = estimation.fit_one_cell, estimation.solve_errstate
     out = {}
     for d, n in IRLS_ROWS.items():
         rng = np.random.default_rng([seed, d])
         X = np.column_stack([np.ones(n), rng.uniform(-1.0, 1.0, (n, d - 1))])
         theta = rng.uniform(-0.5, 0.5, d)
         y = (rng.random(n) < 1.0 / (1.0 + np.exp(-X @ theta))).astype(float)
-        args = (X, np.ones(n), y, np.full(d, -3.0), np.full(d, 3.0))
+        rows = np.empty((1 + d, n))  # the core's C-order block: successes, covariates
+        rows[0], rows[1:] = y, X.T
         init = np.zeros(d)
 
-        def run(args=args, init=init):
-            for _ in range(IRLS_CALLS):
-                fit_mle(*args, init=init, check_conditioning=False)
+        def run(rows=rows, init=init):
+            with errstate():
+                for _ in range(IRLS_CALLS):
+                    fit(rows, None, init, False)
 
-        out[d] = (run, fit_mle(*args, init=init, check_conditioning=False))
+        with errstate():
+            out[d] = (run, fit(rows, None, init, False)[2])
     return out
 
 
@@ -380,15 +387,15 @@ def irls_rows(package: str = "carasim") -> dict:
 
 def irls_us_per_fit() -> dict:
     out = {}
-    for d, (run, fit) in irls_cases().items():
+    for d, (run, iterations) in irls_cases().items():
         n = IRLS_ROWS[d]
         best, calibrated = timings(run, IRLS_REPEATS)
         us = 1e6 / IRLS_CALLS
         out[f"d={d}"] = {"us_per_fit": round(best * us, 3),
                          "calibrated_us_per_fit": round(calibrated * us, 3),
-                         "rows": n, "iterations": fit.iterations}
+                         "rows": n, "iterations": iterations}
         print(f"irls d={d} n={n}: {best * us:.3f} us per fit, {calibrated * us:.3f} calibrated "
-              f"({fit.iterations} iterations)", flush=True)
+              f"({iterations} iterations)", flush=True)
     return out
 
 

@@ -83,11 +83,11 @@ _PSD_TOL = 1e-10
 _QUADRATURE_DIMS = 3
 
 
-class SingularInformationError(Exception):
+class SingularInformationError(ValueError):
     pass
 
 
-class ZeroMassCovariateError(Exception):
+class ZeroMassCovariateError(ValueError):
     pass
 
 
@@ -325,21 +325,19 @@ def info_matrices(model: TrialModel, rule: AllocationRule,
     return theory_report(model, rule, opts=opts)
 
 
-def scaled_mle_covariance(model: TrialModel, rule: AllocationRule,
-                          opts: TheoryOptions = TheoryOptions()) -> np.ndarray:
+def scaled_mle_covariance(model: TrialModel, rule: AllocationRule) -> np.ndarray:
     """Asymptotic covariance of sqrt(N_{n,k}) (theta_hat_k - theta_k): v_k V_k."""
-    rep = theory_report(model, rule, opts=opts)
+    rep = theory_report(model, rule)
     return rep.v[:, None, None] * rep.V
 
 
-def iid_mle_covariance(model: TrialModel,
-                       opts: TheoryOptions = TheoryOptions()) -> np.ndarray:
+def iid_mle_covariance(model: TrialModel) -> np.ndarray:
     """I.i.d.-sample comparator {E[I_k(theta_k | xi)]}^{-1} per arm.
 
     For covariate-free rules this coincides with
     :func:`scaled_mle_covariance`: adaptivity then costs the coefficient
     estimates nothing asymptotically."""
-    pts, w, _ = expectation_nodes(model.covariates, opts)
+    pts, w, _ = expectation_nodes(model.covariates)
     info = _fisher_gram(model, pts, w[:, None], pts @ model.true_theta.T)
     return _invert(info, "expected information")
 
@@ -454,8 +452,7 @@ class BBClosedForms:
     info_tilde: np.ndarray  # Var(xi_tilde)
 
 
-def bb_closed_forms(model: TrialModel, rule: AllocationRule,
-                    opts: TheoryOptions = TheoryOptions()) -> BBClosedForms:
+def bb_closed_forms(model: TrialModel, rule: AllocationRule) -> BBClosedForms:
     """Closed-form limits for the two-arm covariate-free normal design.
 
     Requires a shared-slope homoscedastic normal model (leading intercept
@@ -484,7 +481,7 @@ def bb_closed_forms(model: TrialModel, rule: AllocationRule,
     mu = model.true_theta[:, 0]
     delta = float(mu[0] - mu[1])
 
-    pts, w, _ = expectation_nodes(model.covariates, opts)
+    pts, w, _ = expectation_nodes(model.covariates)
     tilde = pts[:, 1:]
     a = w @ tilde
     centred = tilde - a

@@ -88,7 +88,7 @@ def _cmd_replicate(args) -> int:
     if args.out is not None:
         paths = emit_reports(summary, args.out)
         print(f"wrote {paths['report']} and {paths['replicates']}")
-    _print_summary(summary_payload(summary))
+    print(_summary_text(summary_payload(summary)))
     return 0
 
 
@@ -97,25 +97,28 @@ def _fmt_matrix(m: dict) -> str:
     return np.array2string(a, precision=5, suppress_small=False)
 
 
-def _print_summary(payload: dict) -> None:
+def _summary_text(payload: dict) -> str:
     emp, theory = payload["empirical"], payload["theory"]
-    print(f"replicates: {payload['replicates']} (failures: {len(payload['failures'])}), "
-          f"n = {payload['n']}, master seed = {payload['master_seed']}")
-    print(f"target allocation v: {_fmt_matrix(theory['v'])}")
-    print(f"allocation deviation mean: {_fmt_matrix(emp['alloc_dev_mean'])}")
-    print(f"allocation variance / Sigma diagonal: {_fmt_matrix(emp['var_ratio_alloc'])}")
-    print(f"estimator variance / theta_hat covariance diagonal:\n{_fmt_matrix(emp['var_ratio_theta'])}")
+    lines = [
+        f"replicates: {payload['replicates']} (failures: {len(payload['failures'])}), "
+        f"n = {payload['n']}, master seed = {payload['master_seed']}",
+        f"target allocation v: {_fmt_matrix(theory['v'])}",
+        f"allocation deviation mean: {_fmt_matrix(emp['alloc_dev_mean'])}",
+        f"allocation variance / Sigma diagonal: {_fmt_matrix(emp['var_ratio_alloc'])}",
+        f"estimator variance / theta_hat covariance diagonal:\n{_fmt_matrix(emp['var_ratio_theta'])}",
+    ]
     for cond in emp["conditional"]:
         x = _fmt_matrix(cond["x"])
-        print(f"conditional at x = {x}: mass in {cond['replicates_with_mass']} replicates, "
-              f"deviation mean {_fmt_matrix(cond['dev_mean'])}")
+        lines.append(f"conditional at x = {x}: mass in {cond['replicates_with_mass']} replicates, "
+                     f"deviation mean {_fmt_matrix(cond['dev_mean'])}")
     if payload.get("plugins"):
         p = payload["plugins"]
         if p["rel_dev_sigma_median"] is None:
-            print("plug-in median relative deviation: no replicate has plug-in estimates")
+            lines.append("plug-in median relative deviation: no replicate has plug-in estimates")
         else:
-            print(f"plug-in median relative deviation: Sigma {p['rel_dev_sigma_median']:.4g}, "
-                  f"V {_fmt_matrix(p['rel_dev_V_median'])}")
+            lines.append(f"plug-in median relative deviation: Sigma {p['rel_dev_sigma_median']:.4g}, "
+                         f"V {_fmt_matrix(p['rel_dev_V_median'])}")
+    return "\n".join(lines)
 
 
 def _cmd_verify(args) -> int:
@@ -148,7 +151,12 @@ def _cmd_report(args) -> int:
         raise ConfigError(f"cannot read stored results at {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"stored results at {path} are not valid JSON: {exc}") from exc
-    _print_summary(payload)
+    try:
+        text = _summary_text(payload)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"stored results at {path} are not a replication report "
+                          f"({type(exc).__name__}: {exc})") from exc
+    print(text)
     return 0
 
 
@@ -196,7 +204,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -33,10 +33,10 @@ unclipped estimates (a singular fit its start): the parameter box, the
 ``projected`` flag and the failure rule belong to the caller.  The
 standalone fits clamp into the arm's box and report ``projected`` when
 that moved the estimate.  Only a standalone fit guards IRLS by the
-condition number of its Hessian (``fit_grouped_logistic_mle``'s
-``check_conditioning``, on by default); the engine's refits and every
-batched fit do not, and there an exactly singular system still ends the fit
-as singular.
+condition number of its Hessian (``fit_one_cell``'s ``check_conditioning``,
+which ``fit_grouped_logistic_mle`` always sets, starting from the box
+midpoint); the engine's refits and every batched fit do not, and there an
+exactly singular system still ends the fit as singular.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from .allocation import fold_columns
 __all__ = [
     "ArmSample",
     "FitResult",
-    "EstimationError",
     "EmptySampleError",
     "fit_logistic_mle",
     "fit_grouped_logistic_mle",
@@ -68,11 +67,7 @@ DEGENERATE_DESIGN = "degenerate-design"
 MAX_ITERATIONS = "max-iterations"
 
 
-class EstimationError(Exception):
-    pass
-
-
-class EmptySampleError(EstimationError):
+class EmptySampleError(ValueError):
     pass
 
 
@@ -397,12 +392,10 @@ def fit_logistic_cells(rows: np.ndarray, trials: np.ndarray | None, sizes: np.nd
 
 
 def fit_grouped_logistic_mle(points: np.ndarray, trials: np.ndarray,
-                             successes: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                             init: np.ndarray | None = None,
-                             check_conditioning: bool = True) -> FitResult:
+                             successes: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> FitResult:
     """Logistic MLE from binomial counts at distinct covariate points, by
-    :func:`fit_one_cell` (the engine's one-cell refit) with the
-    conditioning guard on by default."""
+    :func:`fit_one_cell` (the engine's one-cell refit) from the box
+    midpoint, with the conditioning guard on."""
     X = np.atleast_2d(np.asarray(points, dtype=float))
     t = np.asarray(trials, dtype=float).ravel()
     s = np.asarray(successes, dtype=float).ravel()
@@ -412,33 +405,24 @@ def fit_grouped_logistic_mle(points: np.ndarray, trials: np.ndarray,
         raise EmptySampleError("logistic fit requires at least one observation")
     d = X.shape[1]
     lo, hi = _check_box(lo, hi, d)
-    if init is None:
-        init = 0.5 * (lo + hi)
-    else:
-        init = np.asarray(init, dtype=float).ravel()
-        if init.shape != (d,):
-            raise ValueError(f"init must have shape ({d},)")
-        if (init < lo).any() or (init > hi).any():
-            raise ValueError("init must lie inside the box")
     # The core's block, in C order: ``np.vstack`` of X.T would keep X's
     # layout, and every op of the fit would run along strided rows.
     rows = np.empty((1 + d, X.shape[0]))
     rows[0], rows[1:] = s, X.T
     with solve_errstate():
         raw, converged, iterations, singular = fit_one_cell(
-            rows, None if np.all(t == 1.0) else t, init, check_conditioning)
+            rows, None if np.all(t == 1.0) else t, 0.5 * (lo + hi), True)
     theta, projected = _clamp(raw, lo, hi)
     reason = SINGULAR_HESSIAN if singular else "" if converged else MAX_ITERATIONS
     return FitResult(theta_hat=theta, converged=converged, projected=projected,
                      iterations=iterations, reason=reason)
 
 
-def fit_logistic_mle(sample: ArmSample, lo: np.ndarray, hi: np.ndarray,
-                     init: np.ndarray | None = None) -> FitResult:
+def fit_logistic_mle(sample: ArmSample, lo: np.ndarray, hi: np.ndarray) -> FitResult:
     """Logistic MLE on per-observation rows (binary y)."""
     if sample.n == 0:
         raise EmptySampleError("logistic fit requires at least one observation")
-    return fit_grouped_logistic_mle(sample.X, np.ones(sample.n), sample.y, lo, hi, init=init)
+    return fit_grouped_logistic_mle(sample.X, np.ones(sample.n), sample.y, lo, hi)
 
 
 def fit_linear_lse(sample: ArmSample, lo: np.ndarray, hi: np.ndarray) -> FitResult:

@@ -23,10 +23,8 @@ from carasim.engine import TrialHistory
 from carasim.estimation import (
     COND_MAX,
     DEGENERATE_DESIGN,
-    SINGULAR_HESSIAN,
     ArmSample,
     EmptySampleError,
-    fit_grouped_logistic_mle,
     fit_linear_lse,
     fit_one_cell,
     solve_errstate,
@@ -136,19 +134,22 @@ def update_all_estimates(history: "TrialHistory", model: "TrialModel") -> Estima
         mask = arms == k
         if not np.any(mask):
             continue
-        sample = ArmSample(X=X[mask], y=y[mask])
         lo, hi = model.box_lo[k], model.box_hi[k]
         if model.arms[k].family == "logistic":
-            init = np.clip(theta[k], lo, hi)
-            fit = fit_grouped_logistic_mle(sample.X, np.ones(sample.n), sample.y, lo, hi,
-                                           init=init, check_conditioning=False)
+            # The core's C-order block: the successes, then the covariates.
+            rows = np.empty((1 + d, int(mask.sum())))
+            rows[0], rows[1:] = y[mask], X[mask].T
+            with solve_errstate():
+                raw, conv, _, failed = fit_one_cell(rows, None, np.clip(theta[k], lo, hi), False)
+            est = np.clip(raw, lo, hi)
+            moved = np.any(est != raw)
         else:
-            fit = fit_linear_lse(sample, lo, hi)
-        if fit.reason in (SINGULAR_HESSIAN, DEGENERATE_DESIGN):
+            fit = fit_linear_lse(ArmSample(X=X[mask], y=y[mask]), lo, hi)
+            failed = fit.reason == DEGENERATE_DESIGN
+            est, conv, moved = fit.theta_hat, fit.converged, fit.projected
+        if failed:
             continue  # keep previous estimate
-        theta[k] = fit.theta_hat
-        converged[k] = fit.converged
-        projected[k] = fit.projected
+        theta[k], converged[k], projected[k] = est, conv, moved
     return EstimatesUpdate(theta=theta, converged=converged, projected=projected)
 
 

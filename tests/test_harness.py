@@ -686,6 +686,44 @@ def test_cli_reports_config_errors_on_stderr(tmp_path, capsys):
     assert captured.err.startswith("error: cannot read config file")
 
 
+@pytest.mark.parametrize("command", ["theory", "replicate"])
+def test_cli_reports_a_singular_design_on_stderr(command, tmp_path, capsys):
+    # Every patient has the covariate (1, 0.5), so no arm's information is regular.
+    doc = two_point_config(n=60, replicates=2, seed=9)
+    doc["model"]["covariates"] = {"kind": "discrete", "support": [[1.0, 0.5]], "probs": [1.0]}
+    doc["replication"]["x_list"] = []
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: design-weighted information for arm 1 is singular")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--config", "{config}"],
+                                  ["theory", "--config", "{config}"],
+                                  ["replicate", "--config", "{config}"],
+                                  ["verify", "--criteria", "smoke"]])
+def test_cli_reports_an_out_path_that_names_a_file_on_stderr(argv, config_file, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = [a.format(config=config_file) for a in argv] + ["--out", str(taken)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "File exists" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["{}", "[1, 2]"])
+def test_cli_report_rejects_a_json_file_that_is_not_a_report(text, tmp_path, capsys):
+    (tmp_path / "report.json").write_text(text)
+    assert cli.main(["report", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: stored results at {tmp_path / 'report.json'} are not a replication report")
+    assert captured.err.count("\n") == 1
+
+
 def test_cli_report_requires_an_existing_report(tmp_path, capsys):
     code = cli.main(["report", "--out", str(tmp_path / "empty")])
     captured = capsys.readouterr()

@@ -22,14 +22,7 @@ from carasim.engine import (
     step,
     streams_for_trial,
 )
-from carasim.estimation import (
-    MAX_ITERATIONS,
-    SINGULAR_HESSIAN,
-    fit_grouped_logistic_mle,
-    fit_logistic_cells,
-    solve_errstate,
-    solve_stack,
-)
+from carasim.estimation import fit_logistic_cells, fit_one_cell, solve_errstate, solve_stack
 from carasim.fixtures import bb_config, f1_config, two_point_config
 from carasim.harness import parse_config
 from carasim.model import ArmModel, CovariateSpec, TrialModel, TwoPoint, Uniform, glm_weights
@@ -327,20 +320,17 @@ def _stacked(cells):
 @settings(max_examples=60, deadline=None)
 @given(logistic_cells())
 def test_each_cell_of_a_batched_fit_is_bitwise_its_fit_alone(case):
-    # The batched loop, at every C from 1, against fit_one_cell (under
-    # fit_grouped_logistic_mle, without its conditioning guard, as the
-    # engine fits), which fits each cell alone.
+    # The batched loop, at every C from 1, against fit_one_cell without its
+    # conditioning guard (as the engine fits), which fits each cell alone.
     d, cells = case
-    lo, hi = np.full(d, -3.0), np.full(d, 3.0)
     raw, converged, iterations, singular = fit_logistic_cells(*_stacked(cells))
     for i, (X, t, s, init) in enumerate(cells):
-        alone = fit_grouped_logistic_mle(X, t, s, lo, hi, init=init, check_conditioning=False)
-        clipped = np.clip(raw[i], lo, hi)
-        np.testing.assert_array_equal(clipped, alone.theta_hat)
-        assert (converged[i], np.any(clipped != raw[i]), iterations[i]) == \
-            (alone.converged, alone.projected, alone.iterations)
-        assert alone.reason == (SINGULAR_HESSIAN if singular[i]
-                                else "" if converged[i] else MAX_ITERATIONS)
+        rows = np.empty((1 + d, X.shape[0]))
+        rows[0], rows[1:] = s, X.T
+        with solve_errstate():
+            alone = fit_one_cell(rows, t, init, False)
+        np.testing.assert_array_equal(raw[i], alone[0])
+        assert (converged[i], iterations[i], singular[i]) == alone[1:]
         if singular[i]:
             np.testing.assert_array_equal(raw[i], init)
 

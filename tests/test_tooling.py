@@ -3,11 +3,14 @@ by name; these tests fail when a rename or deletion would break a traced
 benchmark run.  The benchmark also drives the CLI's ``--workers`` flag,
 parses the config documents of its workloads (perfbench/workloads.py) and
 calls the engine and the plug-ins with positional arguments.  Every name the
-package exports must run outside the tests, or be traced by the benchmark."""
+package exports must run outside the tests, or be traced by the benchmark,
+and every optional parameter of an exported function must be passed there."""
 
 import ast
+import collections
 import importlib
 import importlib.util
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -66,6 +69,60 @@ def test_every_exported_name_runs_outside_the_tests():
     assert sorted(set(carasim.__all__) - read - traced) == []
 
 
+def _calls(paths) -> dict:
+    """Every call in the code of ``paths``, by the bare or attribute name it calls."""
+    calls = collections.defaultdict(list)
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                calls[getattr(f, "id", getattr(f, "attr", None))].append(node)
+    return calls
+
+
+def _passes(call: ast.Call, index: int, param: inspect.Parameter) -> bool:
+    """Whether ``call`` passes ``param``, the parameter at ``index``: by
+    keyword, through ``**``, or by position (a ``*`` argument covers every
+    position)."""
+    if any(k.arg in (param.name, None) for k in call.keywords):
+        return True
+    return param.kind is not param.KEYWORD_ONLY and (
+        len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def _exported_callables():
+    """(qualified name, called name, parameters as a call passes them) of
+    every function in ``carasim.__all__`` and every public method of its
+    classes; constructors are out of scope."""
+    for name in carasim.__all__:
+        obj = getattr(carasim, name)
+        if not inspect.isclass(obj):
+            yield name, name, list(inspect.signature(obj).parameters.values())
+            continue
+        for meth, raw in vars(obj).items():
+            fn = getattr(obj, meth)
+            if meth.startswith("_") or not (inspect.isfunction(fn) or inspect.ismethod(fn)):
+                continue
+            params = list(inspect.signature(fn).parameters.values())
+            if inspect.isfunction(fn) and not isinstance(raw, staticmethod):
+                params = params[1:]  # self
+            yield f"{name}.{meth}", meth, params
+
+
+def test_every_optional_parameter_of_an_exported_function_is_passed_outside_the_tests():
+    # An option that no program passes is a knob that only tests turn; such
+    # a test belongs on the core the option selects.
+    root = PERFBENCH.parent
+    calls = _calls([*(root / "src" / "carasim").glob("*.py"), *(root / "bench").glob("*.py"),
+                    *PERFBENCH.glob("*.py")])
+    traced = {attr for _, attr, _, _ in _load("spans").TRACED}
+    unpassed = [f"{qual}.{p.name}" for qual, called, params in _exported_callables()
+                if qual not in traced
+                for i, p in enumerate(params)
+                if p.default is not p.empty and not any(_passes(c, i, p) for c in calls[called])]
+    assert unpassed == []
+
+
 def test_info_matrices_and_scaled_covariance_are_the_theory_report_bitwise():
     # On the gate's fixtures and every benchmark design, the two readers of
     # the theory report give its fields bit for bit, and the information is
@@ -84,8 +141,9 @@ def test_info_matrices_and_scaled_covariance_are_the_theory_report_bitwise():
         im = carasim.info_matrices(model, rule, opts)
         assert np.array_equal(im.info, rep.info) and np.array_equal(im.V, rep.V)
         assert (im.method.kind, im.method.size) == (rep.method.kind, rep.method.size)
-        assert np.array_equal(carasim.scaled_mle_covariance(model, rule, opts),
-                              rep.v[:, None, None] * rep.V)
+        if theory_opts is None:  # the scaled covariance reads the default options
+            assert np.array_equal(carasim.scaled_mle_covariance(model, rule),
+                                  rep.v[:, None, None] * rep.V)
         pts, w, _ = expectation_nodes(model.covariates, opts)
         theta = model.true_theta
         info = _fisher_gram(model, pts, w[:, None] * probabilities(rule, theta, pts), pts @ theta.T)
