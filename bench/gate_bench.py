@@ -41,7 +41,10 @@ of the two-point fixture (three and five logistic arms, and two logistic
 arms beside a normal arm; batches of 1, 8 and 256), rowwise rows (the
 ``continuous-logit`` design at the trial lengths and batches of
 ``ROWWISE_BATCHES``, where every refit runs IRLS on an arm's rows; the
-trial lengths in ``ROWWISE_ROUNDS`` take that many rounds instead), and
+trial lengths in ``ROWWISE_ROUNDS`` take that many rounds instead; and one
+replicate of the benchmark's ``theory-continuous`` design ``SMALL_ROWWISE``,
+60 patients at d = 5, whose tiny cells reach the log-likelihood's overflow
+rule), and
 ``step()`` rows (``STEP_CALLS`` chained calls that continue a two-point or
 bb trial of each of ``STEP_N`` patients, timed per call); the IRLS rows
 (``fit_one_cell`` as above, in microseconds per fit, under the row names
@@ -96,6 +99,9 @@ VARIANT_BATCHES = (1, 8, 256)
 # rows run ROWWISE_ROUNDS[6400] rounds (plus the first, untimed run of each side).
 ROWWISE_BATCHES = {400: (1, 10), 1600: (1, 32), 6400: (1, 32)}
 ROWWISE_ROUNDS = {6400: 3}
+# Interleaved small rowwise row, B = 1: the theory-continuous design whose
+# tiny separated cells send Newton candidates past exp's overflow threshold.
+SMALL_ROWWISE = "logit-4u-exp"
 ENGINE_N = 500
 ENGINE_REPEATS = 5  # batches of at most this many replicates are timed this many times
 IRLS_ROWS = {2: 80, 5: 170}
@@ -157,7 +163,8 @@ def engine_rows(package: str = "carasim", interleaved: bool = False) -> dict:
     engine rows, on the carasim package imported as ``package``; the
     interleaved rows add the two-point variants and the step rows, and time
     ``continuous-logit`` at the lengths and batches of ``ROWWISE_BATCHES``
-    (rows named ``continuous-logit n=N/B=B``)."""
+    (rows named ``continuous-logit n=N/B=B``) and the ``SMALL_ROWWISE``
+    design at its own length, B = 1."""
     engine = importlib.import_module(f"{package}.engine")
     fixtures = importlib.import_module(f"{package}.fixtures")
     parse_config = importlib.import_module(f"{package}.harness").parse_config
@@ -176,6 +183,10 @@ def engine_rows(package: str = "carasim", interleaved: bool = False) -> dict:
         for n, batches in ROWWISE_BATCHES.items():
             raw = dict(logit, trial=dict(logit["trial"], n=n))
             configs[f"continuous-logit n={n}"] = (parse_config(raw), batches)
+        small = next(d for d in designs("theory-continuous", fixtures.DEFAULT_SEED)
+                     if d.name == SMALL_ROWWISE)
+        configs[f"theory-continuous {SMALL_ROWWISE} n={small.config['trial']['n']}"] = (
+            parse_config(small.config), (1,))
     else:
         configs["continuous-logit"] = (parse_config(logit), LOGIT_BATCHES)
     rows = {}

@@ -51,15 +51,25 @@ def _load_config(args):
     return cfg
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    hist = run_trial(cfg.model, cfg.rule, cfg.n, cfg.m0,
-                     replicate_root(cfg.seed, 0), cfg.engine_options())
+def _out_dir(args) -> Path | None:
+    """The ``--out`` directory (None without one), created before the
+    command does any work, so that a path that cannot be written fails at
+    once."""
     if args.out is None:
-        sys.stdout.write(hist.to_patient_csv())
-        return 0
+        return None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _cmd_simulate(args) -> int:
+    cfg = _load_config(args)
+    out = _out_dir(args)
+    hist = run_trial(cfg.model, cfg.rule, cfg.n, cfg.m0,
+                     replicate_root(cfg.seed, 0), cfg.engine_options())
+    if out is None:
+        sys.stdout.write(hist.to_patient_csv())
+        return 0
     hist.to_patient_csv(out / "patients.csv")
     hist.to_json(out / "trial.json")
     counts = ", ".join(f"N_{k + 1}={c}" for k, c in enumerate(hist.counts()))
@@ -70,13 +80,12 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_theory(args) -> int:
     cfg = _load_config(args)
+    out = _out_dir(args)
     rep = theory_report(cfg.model, cfg.rule, cfg.x_list)
     text = json.dumps(theory_payload(rep), indent=2, sort_keys=True) + "\n"
-    if args.out is None:
+    if out is None:
         sys.stdout.write(text)
     else:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         (out / "theory.json").write_text(text)
         print(f"wrote {out / 'theory.json'}")
     return 0
@@ -84,9 +93,10 @@ def _cmd_theory(args) -> int:
 
 def _cmd_replicate(args) -> int:
     cfg = _load_config(args)
+    out = _out_dir(args)
     summary = run_replications(cfg)
-    if args.out is not None:
-        paths = emit_reports(summary, args.out)
+    if out is not None:
+        paths = emit_reports(summary, out)
         print(f"wrote {paths['report']} and {paths['replicates']}")
     print(_summary_text(summary_payload(summary)))
     return 0
@@ -122,8 +132,9 @@ def _summary_text(payload: dict) -> str:
 
 
 def _cmd_verify(args) -> int:
-    if args.config is not None:
-        cfg = _load_config(args)
+    cfg = _load_config(args) if args.config is not None else None
+    out = _out_dir(args)
+    if cfg is not None:
         report = verify(tuple(args.criteria or cfg.criteria), seed=cfg.seed, workers=cfg.workers)
     else:
         criteria = tuple(args.criteria) if args.criteria else ("all",)
@@ -133,9 +144,7 @@ def _cmd_verify(args) -> int:
         print(check.line())
     n_pass = sum(c.passed for c in report.checks)
     print(f"{'PASS' if report.passed else 'FAIL'}: {n_pass}/{len(report.checks)} checks passed")
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         (out / "verification.json").write_bytes(verification_json_bytes(report))
         print(f"wrote {out / 'verification.json'}")
     return 0 if report.passed else 1

@@ -19,6 +19,16 @@ patient in one call of ``fit_logistic_cells``, and a single cell by
 (binomial counts at distinct points) and its unit-trial case, the rowwise
 ``fit_logistic_mle``.
 
+The log-likelihood serves step halving alone (a candidate is kept when its
+cell's value does not fall); no output stores it.  :func:`_loglik` takes
+each row's softplus log(1 + e^mu) as ``np.log1p(np.exp(mu))``, on numpy's
+SIMD loops, within a few ulp of the scalar ``np.logaddexp(0, mu)``.  Where
+``exp`` overflows (mu > 709.78, which Newton candidates of tiny separated
+cells reach), log(1 + e^mu) rounds to mu, and the row takes mu, the value
+``logaddexp`` gives: only a cell sum that is not finite sends the call to
+that fix, which replaces the overflowed rows alone, so a row's value
+depends on its own mu and a cell's on its own rows.
+
 Newton systems are solved by :func:`solve_stack`, one call of numpy's
 private LAPACK gufunc behind ``np.linalg.solve``; a singular system gives a
 row of NaN, which ends its cell's fit as singular.  Every fit call enters
@@ -179,9 +189,18 @@ def _row_sums(P: np.ndarray) -> np.ndarray:
 
 
 def _loglik(mu, t, s, starts) -> np.ndarray:
-    """Each cell's log-likelihood at the linear predictors ``mu`` of its rows."""
-    lae = np.logaddexp(0.0, mu)
-    return np.add.reduceat(s * mu - (lae if t is None else t * lae), starts)
+    """Each cell's log-likelihood at the linear predictors ``mu`` of its rows,
+    with the softplus and its overflow rule of the module docstring; runs
+    under :func:`solve_errstate` (``exp`` may overflow)."""
+    softplus = np.exp(mu)
+    np.log1p(softplus, out=softplus)
+    ll = np.add.reduceat(s * mu - (softplus if t is None else t * softplus), starts)
+    # An overflowed row makes its cell's sum -inf or NaN; the Python sum is
+    # the cheapest test of every cell.
+    if not math.isfinite(sum(ll.tolist())):
+        np.copyto(softplus, mu, where=np.isinf(softplus))
+        ll = np.add.reduceat(s * mu - (softplus if t is None else t * softplus), starts)
+    return ll
 
 
 def _products(Xt: np.ndarray, out: np.ndarray) -> None:

@@ -95,6 +95,59 @@ def test_loglik_nondecreasing_along_iterations(monkeypatch):
     assert np.all(np.diff(path) >= -1e-12)
 
 
+def _reference_loglik(mu, t, s, starts):
+    """Each cell's log-likelihood with the softplus by ``np.logaddexp``."""
+    lae = np.logaddexp(0.0, mu)
+    return np.add.reduceat(s * mu - (lae if t is None else t * lae), starts)
+
+
+def _bare_loglik(mu, t, s, starts):
+    """``log1p(exp(mu))`` without the overflow rule: ll = -inf where exp overflows."""
+    lae = np.log1p(np.exp(mu))
+    return np.add.reduceat(s * mu - (lae if t is None else t * lae), starts)
+
+
+def test_a_fit_whose_candidates_overflow_exp_keeps_every_halving_decision(monkeypatch):
+    """Six separable rows at d = 5, fitted from zero: Newton candidates reach
+    linear predictors past 709.78, where ``exp`` overflows.  The fit gives the
+    same bits alone and batched between two ordinary cells, and the bits of
+    the fit whose log-likelihood takes the softplus from ``logaddexp``; without
+    the overflow rule it would halve other steps and end elsewhere."""
+    d, rng = 5, np.random.default_rng(854)
+    X = np.column_stack([np.ones(6), rng.uniform(-1.0, 1.0, (6, d - 1))])
+    y = (rng.random(6) < 0.5).astype(float)
+    ordinary = []
+    for m in (40, 25):
+        Xo = np.column_stack([np.ones(m), rng.uniform(-1.0, 1.0, (m, d - 1))])
+        ordinary.append((Xo, (rng.random(m) < expit(Xo @ np.full(d, 0.3))).astype(float)))
+    cells = [ordinary[0], (X, y), ordinary[1]]
+    rows = np.vstack([np.concatenate([c[1] for c in cells]), np.hstack([c[0].T for c in cells])])
+    sizes, init = np.array([c[0].shape[0] for c in cells]), np.zeros((3, d))
+
+    largest = []
+    loglik = estimation._loglik
+
+    def spy(mu, t, s, starts):
+        largest.append(np.abs(mu).max())
+        return loglik(mu, t, s, starts)
+
+    monkeypatch.setattr(estimation, "_loglik", spy)
+    alone = _fit_one_cell(X, None, y, np.zeros(d))
+    assert max(largest) > 709.78
+    largest.clear()
+    raw, converged, iterations, singular = estimation.fit_logistic_cells(rows, None, sizes, init)
+    assert max(largest) > 709.78
+    np.testing.assert_array_equal(raw[1], alone[0])
+    assert (converged[1], iterations[1], singular[1]) == alone[1:]
+    monkeypatch.setattr(estimation, "_loglik", _reference_loglik)
+    reference = _fit_one_cell(X, None, y, np.zeros(d))
+    np.testing.assert_array_equal(reference[0], alone[0])
+    assert reference[1:] == alone[1:]
+    monkeypatch.setattr(estimation, "_loglik", _bare_loglik)
+    bare = _fit_one_cell(X, None, y, np.zeros(d))
+    assert bare[1:] != alone[1:] or np.any(bare[0] != alone[0])
+
+
 def test_grouped_and_rowwise_fits_agree():
     points = np.array([[1.0, 0.0], [1.0, 1.0]])
     trials = np.array([40.0, 35.0])

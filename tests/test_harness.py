@@ -704,12 +704,25 @@ def test_cli_reports_a_singular_design_on_stderr(command, tmp_path, capsys):
                                   ["theory", "--config", "{config}"],
                                   ["replicate", "--config", "{config}"],
                                   ["verify", "--criteria", "smoke"]])
-def test_cli_reports_an_out_path_that_names_a_file_on_stderr(argv, config_file, tmp_path, capsys):
+def test_cli_reports_an_out_path_that_names_a_file_on_stderr(argv, config_file, tmp_path, capsys,
+                                                             monkeypatch):
+    """The command creates its output directory before it does any work: it
+    fails at once, with no check line, trial, report or replication run."""
+    calls = []
+
+    def spy(name):
+        return lambda *args, **kwargs: calls.append(name)
+
+    for module, name in ((cli, "run_trial"), (cli, "theory_report"), (cli, "run_replications"),
+                         (harness, "run_replications")):
+        monkeypatch.setattr(module, name, spy(name))
     taken = tmp_path / "taken"
     taken.write_text("")
     argv = [a.format(config=config_file) for a in argv] + ["--out", str(taken)]
     assert cli.main(argv) == 2
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert calls == [] and captured.out == ""
+    err = captured.err
     assert err.startswith("error: ") and "File exists" in err and err.count("\n") == 1
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from carasim import asymptotics
-from carasim import allocation
+from carasim import allocation, estimation
 from carasim.allocation import AllocationRule, jacobian, node_pass, probabilities
 from carasim.asymptotics import TheoryOptions, expectation_nodes, lse_sandwich, theory_report
 from carasim.engine import (
@@ -333,6 +333,42 @@ def test_each_cell_of_a_batched_fit_is_bitwise_its_fit_alone(case):
         assert (converged[i], iterations[i], singular[i]) == alone[1:]
         if singular[i]:
             np.testing.assert_array_equal(raw[i], init)
+
+
+def _ulps(a, b):
+    """Units in the last place between float arrays of one sign (-0.0 and 0.0
+    count as one value)."""
+    return np.abs((a + 0.0).view(np.int64) - (b + 0.0).view(np.int64))
+
+
+@given(arrays(np.float64, st.integers(1, 40), elements=st.floats() | st.floats(-800.0, 800.0)),
+       st.none() | st.integers(0, 6))
+@example(np.array([-4.157659143137575, 709.78, 709.79, 1.2e8, np.inf, -np.inf, np.nan, 0.0]), 2)
+def test_loglik_softplus_is_logaddexp_row_by_row(mu, k):
+    """Every row its own cell, with no successes, so that -ll is the row's
+    softplus times its trials (2**k, which scales exactly; None: one trial).
+    For finite mu it is within 4 ulp of ``np.logaddexp(0, mu)``: exp and
+    log1p are each within 1 ulp in numpy and in libm, and log1p carries the
+    relative error of its argument at most 1:1.  A dense probe found gaps of
+    3 ulp near mu = -4.156 (the example).  Where exp overflows it is
+    ``logaddexp``'s value exactly, and non-finite mu give the reference's
+    ll (NaN from 0 * inf, -inf from 1 * -inf with all successes)."""
+    N = mu.size
+    t = None if k is None else np.full(N, 2.0 ** k)
+    trials = np.ones(N) if t is None else t
+    rows, none = np.arange(N), np.zeros(N)
+    with solve_errstate():  # exp overflows, and 0 * inf is NaN
+        softplus = trials * np.logaddexp(0.0, mu)
+        ll = estimation._loglik(mu, t, none, rows)
+        all_successes = estimation._loglik(mu, t, trials, rows)
+        expected = (none * mu - softplus, trials * mu - softplus)
+    finite = np.isfinite(mu)
+    assert np.all(_ulps(-ll[finite], softplus[finite]) <= 4)
+    overflow = finite & (mu > 709.78)
+    np.testing.assert_array_equal(-ll[overflow], softplus[overflow])
+    np.testing.assert_array_equal(ll[~finite], expected[0][~finite])
+    exact = overflow | ~finite
+    np.testing.assert_array_equal(all_successes[exact], expected[1][exact])
 
 
 @st.composite
