@@ -41,20 +41,22 @@ of the two-point fixture (three and five logistic arms, and two logistic
 arms beside a normal arm; batches of 1, 8 and 256), rowwise rows (the
 ``continuous-logit`` design at the trial lengths and batches of
 ``ROWWISE_BATCHES``, where every refit runs IRLS on an arm's rows; the
-trial lengths in ``ROWWISE_ROUNDS`` take that many rounds instead; and one
-replicate of the benchmark's ``theory-continuous`` design ``SMALL_ROWWISE``,
-60 patients at d = 5, whose tiny cells reach the log-likelihood's overflow
-rule), and
+(trial length, batch) pairs in ``ROWWISE_ROUNDS`` take that many rounds
+instead; and one replicate of the benchmark's ``theory-continuous`` design
+``SMALL_ROWWISE``, 60 patients at d = 5, whose tiny cells reach the
+log-likelihood's overflow rule), and
 ``step()`` rows (``STEP_CALLS`` chained calls that continue a two-point or
 bb trial of each of ``STEP_N`` patients, timed per call); the IRLS rows
 (``fit_one_cell`` as above, in microseconds per fit, under the row names
 ``fit_grouped_logistic_mle/d=2`` and ``/d=5`` of earlier BENCH files); and the
 theory rows: ``theory_report`` at 64, 4,096 and 262,144 nodes and
 ``plugin_estimates`` on ``PLUGIN_ROWS`` observed rows (the benchmark's
-generated history for its two-coordinate ``theory-continuous`` design), in
-milliseconds per call; of both source trees in one process: the other
-tree's ``carasim`` package is loaded under the name ``carasim_other`` (the
-package imports its own modules relatively).  Each of ``INTERLEAVE_ROUNDS``
+generated history for its two-coordinate ``theory-continuous`` design) and
+on the support points of a two-point trial of ``PLUGIN_SUPPORT_N`` patients
+(with the fixture's ``x_list``), in milliseconds per call; of both source
+trees in one process: the other tree's ``carasim`` package is loaded under
+the name ``carasim_other`` (the package imports its own modules
+relatively).  Each of ``INTERLEAVE_ROUNDS``
 rounds times every row once on each side, the side that goes first
 alternating between rounds, so that both sides see the same host speed; a
 row records each side's median microseconds per patient (a step row: per
@@ -95,10 +97,11 @@ LOGIT_BATCHES = (1, 10, 256)
 VARIANT_BATCHES = (1, 8, 256)
 # Interleaved rowwise rows: continuous-logit trial length -> batches.  Each
 # refit runs IRLS on all of an arm's rows, so a trial costs about n squared:
-# at n = 6,400 one timing of a batch of 32 takes about a minute, so those
-# rows run ROWWISE_ROUNDS[6400] rounds (plus the first, untimed run of each side).
+# at n = 6,400 one timing of a batch of 32 takes about a minute, so that row
+# runs ROWWISE_ROUNDS[(6400, 32)] rounds (plus the first, untimed run of each
+# side); every other row runs INTERLEAVE_ROUNDS.
 ROWWISE_BATCHES = {400: (1, 10), 1600: (1, 32), 6400: (1, 32)}
-ROWWISE_ROUNDS = {6400: 3}
+ROWWISE_ROUNDS = {(6400, 32): 3}
 # Interleaved small rowwise row, B = 1: the theory-continuous design whose
 # tiny separated cells send Newton candidates past exp's overflow threshold.
 SMALL_ROWWISE = "logit-4u-exp"
@@ -111,9 +114,10 @@ IRLS_REPEATS = 15
 THEORY_NODES = {64: (0, 100, 15), 4096: (1, 10, 15), 262144: (2, 1, 5)}
 PLUGIN_ROWS = 4096  # observed rows of the interleaved plug-in row
 PLUGIN_CALLS = 10
+PLUGIN_SUPPORT_N = 20000  # patients of the interleaved two-point plug-in row
 CALIBRATION_ITERS = 1500
 CALIBRATION_REF_S = 0.010
-STEP_N = (500, 2000, 20000)
+STEP_N = (500, 2000, 20000, 100000)
 STEP_CALLS = 20  # chained step() calls per run of a step row
 INTERLEAVE_ROUNDS = 15
 INTERLEAVE_TIMING_S = 0.2  # a timing repeats a row's run for at least about this long
@@ -251,11 +255,14 @@ def theory_rows(package: str = "carasim") -> dict:
     interleaved theory rows, on the carasim package imported as ``package``:
     ``theory_report`` at 64, 4,096 and 262,144 nodes, and ``plugin_estimates``
     on ``PLUGIN_ROWS`` observed rows of the benchmark's generated history for
-    the two-coordinate ``theory-continuous`` design."""
+    the two-coordinate ``theory-continuous`` design and on a two-point
+    ``run_trial`` history of ``PLUGIN_SUPPORT_N`` patients with its
+    ``x_list``, summed over the support points."""
     asymptotics = importlib.import_module(f"{package}.asymptotics")
-    TrialHistory = importlib.import_module(f"{package}.engine").TrialHistory
+    engine = importlib.import_module(f"{package}.engine")
     parse_config = importlib.import_module(f"{package}.harness").parse_config
-    seed = importlib.import_module(f"{package}.fixtures").DEFAULT_SEED
+    fixtures = importlib.import_module(f"{package}.fixtures")
+    seed = fixtures.DEFAULT_SEED
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import designs, history_arrays
 
@@ -271,13 +278,22 @@ def theory_rows(package: str = "carasim") -> dict:
         rows[f"theory_report/nodes={nodes}"] = (run, calls)
     cfg = parse_config(cases[1].config)
     X, arms, y, theta = history_arrays(cfg.model, seed, 1, PLUGIN_ROWS)
-    hist = TrialHistory.from_arrays(X, arms, y, cfg.model.K, current_theta=theta)
+    hist = engine.TrialHistory.from_arrays(X, arms, y, cfg.model.K, current_theta=theta)
 
     def plugin(calls=PLUGIN_CALLS):
         for _ in range(calls):
             asymptotics.plugin_estimates(hist, cfg.model, cfg.rule)
 
     rows[f"plugin_estimates/rows={PLUGIN_ROWS}"] = (plugin, PLUGIN_CALLS)
+    point = parse_config(fixtures.two_point_config(n=PLUGIN_SUPPORT_N, replicates=1, seed=seed))
+    trial = engine.run_trial(point.model, point.rule, point.n, point.m0,
+                             engine.replicate_root(seed, 0))
+
+    def plugin_support(calls=PLUGIN_CALLS):
+        for _ in range(calls):
+            asymptotics.plugin_estimates(trial, point.model, point.rule, point.x_list)
+
+    rows[f"plugin_estimates/two-point n={PLUGIN_SUPPORT_N}"] = (plugin_support, PLUGIN_CALLS)
     return rows
 
 
@@ -319,12 +335,11 @@ def interleaved(sides: tuple[dict, dict], label: str, unit: str, scale: float,
 
 def interleaved_engine(this: dict, other: dict, label: str) -> dict:
     """The interleaved engine rows (``engine_rows(..., interleaved=True)``)
-    of two trees, in microseconds per patient; the rowwise rows of the trial
-    lengths in ``ROWWISE_ROUNDS`` run that many rounds."""
+    of two trees, in microseconds per patient; the rowwise rows of the
+    (trial length, batch) pairs in ``ROWWISE_ROUNDS`` run that many rounds."""
     sides = ({row: (run, timed * n) for row, (run, timed, n) in this.items()},
              {row: (run, timed * n) for row, (run, timed, n) in other.items()})
-    rounds = {f"continuous-logit n={n}/B={B}": count for n, count in ROWWISE_ROUNDS.items()
-              for B in ROWWISE_BATCHES[n]}
+    rounds = {f"continuous-logit n={n}/B={B}": count for (n, B), count in ROWWISE_ROUNDS.items()}
     out = interleaved(sides, label, "us_per_patient", 1e6, rounds)
     for row, entry in out.items():
         entry["replicates_timed"] = this[row][1]

@@ -370,10 +370,12 @@ def plugin_estimates(history: TrialHistory, model: TrialModel, rule: AllocationR
     coefficients are replaced by the final estimates, and V_k and C invert
     the sample information (pseudo-inverses, with a warning naming each
     singular arm, when any arm's is singular).  The averages run over the
-    covariate support points, weighted by their counts, when the history
-    records them, else over the observed rows.  Every arm's dispersion is the
-    model's, as in the theory report.  Positive semidefiniteness is only
-    warned about here, never enforced.
+    covariate support points, weighted by the engine's support counts
+    (:meth:`TrialHistory.support_counts`), when it kept them, else over the
+    observed rows: one (arm, node) table of patients gives the arm counts,
+    node weights, information and ``x_list`` masses.  Every arm's dispersion
+    is the model's, as in the theory report.  Positive semidefiniteness is
+    only warned about here, never enforced.
     """
     n = history.n
     if n == 0:
@@ -389,22 +391,20 @@ def plugin_estimates(history: TrialHistory, model: TrialModel, rule: AllocationR
     if theta.shape != (K, d):
         raise ValueError(f"history.current_theta has shape {theta.shape}, expected "
                          f"(K, d) = ({K}, {d})")
-    arms_arr = history.arms[:n]
-    X = history.covariates[:n]
-    counts = history.counts()
     warnings: list[str] = []
 
-    # One kernel evaluation on the nodes: the support points when the history
-    # records them, else the observed rows, each weighted by its per-arm
-    # counts / n.
-    if history.support_idx is not None:
-        nodes, node_of_row = model.covariates.enumerated()[0], history.support_idx[:n]
+    # One kernel evaluation on the nodes (the support points, else the
+    # observed rows), weighted by a table of patients per (arm, node) / n,
+    # laid out so that both of its sums run along rows, not a short last axis.
+    table = history.support_counts()
+    if table is None:
+        nodes = history.covariates[:n]
+        table = np.bincount(history.arms[:n] * n + np.arange(n), minlength=K * n).reshape(K, n)
     else:
-        nodes, node_of_row = X, np.arange(n)
-    arm_node = np.bincount(node_of_row * K + arms_arr,
-                           minlength=nodes.shape[0] * K).reshape(-1, K)
-    _, dg_hat, z = node_pass(rule, theta, nodes, arm_node.sum(axis=1) / n)
-    info_hat = _fisher_gram(model, nodes, arm_node / n, z)
+        nodes = model.covariates.enumerated()[0]
+    counts = table.sum(axis=1)
+    _, dg_hat, z = node_pass(rule, theta, nodes, table.sum(axis=0) / n)
+    info_hat = _fisher_gram(model, nodes, table.T / n, z)
 
     inverse = np.linalg.inv
     try:
@@ -419,7 +419,7 @@ def plugin_estimates(history: TrialHistory, model: TrialModel, rule: AllocationR
     sigma1_hat, sigma2_hat, sigma_hat = _allocation_covariance(counts / n, dg_hat, C_hat)
 
     xs = _points(x_list, d)
-    masses = [float(fold_columns(np.logical_and, X == x).sum()) / n for x in xs]
+    masses = [float(table[:, fold_columns(np.logical_and, nodes == x)].sum()) / n for x in xs]
     for x, mass in zip(xs, masses):
         if mass == 0.0:
             raise ZeroMassCovariateError(

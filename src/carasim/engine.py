@@ -30,7 +30,10 @@ in one step), and writes them into a record whose rows the histories take.
 :func:`run_trials` runs it over every patient; :func:`run_trial` is a batch
 of one.  Every operation acts on each replicate's own row with the same
 floating-point steps whatever B is, so replicate i of a batch is bit for bit
-``run_trial`` with replicate i's seed.
+``run_trial`` with replicate i's seed.  The record holds each patient's
+covariate, arm, allocation probabilities and response, and the estimates;
+what the estimators count stays in the engine state, where
+:meth:`TrialHistory.support_counts` and ``refit_counts`` read it.
 
 Grouped, least-squares and joint refits run on sufficient statistics, so they
 cost the same at patient 100 and patient 10000.  A rowwise logistic arm (no
@@ -200,11 +203,10 @@ class TrialHistory:
     (the uniform vector during burn-in), and the observed response.
     ``theta_records[r]`` is the working estimate after patient
     ``record_ms[r]``; ``current_theta`` is the estimate after the last
-    patient.  ``support_idx`` maps each patient to a covariate support point
-    when the covariate distribution has finite support, else it is None.
-    ``engine_state`` is the estimator state after the last patient of the
-    batch the trial ran in, and ``engine_row`` the trial's row in it;
-    :func:`step` resumes from them.  Histories built by :meth:`from_arrays`
+    patient.  ``engine_state`` is the estimator state after the last patient
+    of the batch the trial ran in, and ``engine_row`` the trial's row in it;
+    :func:`step` resumes from them, and :meth:`support_counts` and
+    :meth:`refit_counts` read them.  Histories built by :meth:`from_arrays`
     have none.
     """
 
@@ -213,7 +215,6 @@ class TrialHistory:
     K: int
     d: int
     covariates: np.ndarray
-    support_idx: np.ndarray | None
     arms: np.ndarray
     probs: np.ndarray
     responses: np.ndarray
@@ -233,13 +234,21 @@ class TrialHistory:
     @staticmethod
     def from_arrays(covariates, arms, responses, K: int,
                     current_theta: np.ndarray | None = None) -> "TrialHistory":
-        """Wrap raw per-patient arrays (e.g. external data) as a history."""
+        """Wrap raw per-patient arrays (e.g. external data) as a history.
+        Covariates and responses must be finite, and arms integer-valued."""
         covariates = np.atleast_2d(np.asarray(covariates, dtype=float))
-        arms = np.asarray(arms, dtype=int)
+        given = np.asarray(arms, dtype=float)
         responses = np.asarray(responses, dtype=float)
         n, d = covariates.shape
-        if arms.shape != (n,) or responses.shape != (n,):
+        if given.shape != (n,) or responses.shape != (n,):
             raise ValueError("covariates, arms and responses must have matching lengths")
+        for name, values in (("covariates", covariates), ("responses", responses)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite, got {values[~np.isfinite(values)][0]}")
+        whole = np.isfinite(given) & (given == np.round(given))
+        if not whole.all():
+            raise ValueError(f"arms must be integer-valued, got {given[~whole][0]}")
+        arms = given.astype(int)
         if n and (arms.min() < 0 or arms.max() >= K):
             raise ValueError(f"arms must lie in 0..{K - 1} (0-based, K = {K}), "
                              f"got values from {arms.min()} to {arms.max()}")
@@ -252,7 +261,7 @@ class TrialHistory:
         zeros = np.zeros(K, dtype=bool)
         return TrialHistory(
             n=n, m0=0, K=K, d=d,
-            covariates=_freeze(covariates), support_idx=None,
+            covariates=_freeze(covariates),
             arms=_freeze(arms), probs=_freeze(probs), responses=_freeze(responses),
             theta_records=_freeze(np.empty((0, K, d))), record_ms=_freeze(np.empty(0, dtype=int)),
             current_theta=current_theta, converged=zeros.copy(), projected=zeros.copy(),
@@ -263,6 +272,13 @@ class TrialHistory:
     def counts(self) -> np.ndarray:
         """Patients per arm, N_{n,k}."""
         return np.bincount(self.arms[:self.n], minlength=self.K)
+
+    def support_counts(self) -> np.ndarray | None:
+        """Patients per arm and support point, (K, S), or None (no engine state or support)."""
+        state = self.engine_state
+        if state is None or state.support is None:
+            return None
+        return state.support_counts()[self.engine_row]
 
     def refit_counts(self) -> dict[str, np.ndarray] | None:
         """The engine's logistic refits of each arm so far, by counter
@@ -759,7 +775,6 @@ class _Record:
     def __init__(self, state: _Lockstep, n: int, history: TrialHistory | None = None):
         B, K, d = state.B, state.K, state.model.d
         self.covariates = np.empty((B, n, d))
-        self.support_idx = np.empty((B, n), dtype=np.int64) if state.support is not None else None
         self.arms = np.empty((B, n), dtype=np.int64)
         self.probs = np.empty((B, n, K))
         self.responses = np.empty((B, n))
@@ -769,8 +784,6 @@ class _Record:
             return
         m = history.n
         self.covariates[0, :m] = history.covariates
-        if self.support_idx is not None:
-            self.support_idx[0, :m] = history.support_idx
         self.arms[0, :m] = history.arms
         self.probs[0, :m] = history.probs
         self.responses[0, :m] = history.responses
@@ -779,21 +792,17 @@ class _Record:
     def histories(self, state: _Lockstep, streams: list[TrialStreams]) -> tuple[TrialHistory, ...]:
         """Each replicate's history, whose per-patient arrays are read-only
         views of its row of the record."""
-        for a in (self.covariates, self.support_idx, self.arms, self.probs, self.responses,
-                  self.theta_records):
-            if a is not None:
-                a.setflags(write=False)
+        for a in (self.covariates, self.arms, self.probs, self.responses, self.theta_records):
+            a.setflags(write=False)
         B, K, n = state.B, state.K, self.arms.shape[1]
         stride = state.opts.theta_stride
         record_ms = _freeze(np.arange(stride, n + 1, stride))
         theta = state.estimates()
         flags = [a.reshape(B, K) for a in (state.converged, state.projected, state.fail)]
-        six = self.support_idx
         return tuple([
             TrialHistory(
                 n=n, m0=state.m0, K=K, d=state.model.d, covariates=self.covariates[i],
-                support_idx=None if six is None else six[i], arms=self.arms[i],
-                probs=self.probs[i], responses=self.responses[i],
+                arms=self.arms[i], probs=self.probs[i], responses=self.responses[i],
                 theta_records=self.theta_records[i], record_ms=record_ms,
                 current_theta=theta[i].copy(), converged=flags[0][i].copy(),
                 projected=flags[1][i].copy(), fit_failures=flags[2][i].copy(),
@@ -851,8 +860,6 @@ def _admit(state: _Lockstep, streams: list[TrialStreams], stop: int,
                     record.theta_records[:, m // stride] = state.estimates()
         if record is not None:
             record.covariates[:, start:end] = xs.transpose(1, 0, 2)
-            if sixs is not None:
-                record.support_idx[:, start:end] = sixs.T
 
 
 @dataclass(frozen=True)
@@ -892,12 +899,13 @@ def run_trials(model: TrialModel, rule: AllocationRule, n: int, m0: int, seeds,
 
 def bytes_per_patient(model: TrialModel, histories: bool) -> int:
     """Bytes per replicate and patient, at most, of what :func:`run_trials`
-    keeps that grows with n: the per-patient histories (with ``histories``)
-    and the row store that logistic arms on a continuous covariate refit
-    from (each arm's response and covariates, with room for twice its
-    patients once it holds more than 32)."""
+    keeps that grows with n: the per-patient histories (with ``histories``,
+    at stride 1: each patient's covariates, arm, allocation probabilities,
+    response and estimates) and the row store that logistic arms on a
+    continuous covariate refit from (each arm's response and covariates, with
+    room for twice its patients once it holds more than 32)."""
     K, d = model.K, model.d
-    total = 8 * (d + K + 3 + K * d) if histories else 0  # covariates, psi, arm, index, y, estimate
+    total = 8 * (d + K + 2 + K * d) if histories else 0  # covariates, psi, arm, y, estimate
     if model.covariates.enumerated() is None and any(a.family == "logistic" for a in model.arms):
         total += 16 * K * (d + 1)
     return total

@@ -6,7 +6,9 @@ history (shared slopes by :func:`fit_shared_slope_lse`, the joint least
 squares with one intercept per arm), so the tests can check the running
 estimates against a fit from scratch.  :func:`replay_rowwise_refits` replays
 each rowwise logistic refit of a history by the one-cell IRLS core on the
-arm's rows, without the engine's row store.
+arm's rows, without the engine's row store.  :func:`support_index` finds
+each patient's covariate support point from its covariates, as the engine's
+support counts count them.
 :func:`jacobian_fd` is a central finite-difference Jacobian of the
 allocation rule, the reference for the analytic one.  The library itself
 runs none of these.
@@ -151,6 +153,15 @@ def update_all_estimates(history: "TrialHistory", model: "TrialModel") -> Estima
             continue  # keep previous estimate
         theta[k], converged[k], projected[k] = est, conv, moved
     return EstimatesUpdate(theta=theta, converged=converged, projected=projected)
+
+
+def support_index(model: "TrialModel", covariates: np.ndarray) -> np.ndarray:
+    """Each row's index among the model's covariate support points
+    (``model.covariates.enumerated()[0]``), which it must equal exactly."""
+    points = model.covariates.enumerated()[0]
+    hit = np.all(np.asarray(covariates)[:, None, :] == points[None, :, :], axis=2)
+    assert np.all(hit.sum(axis=1) == 1), "a row is not one support point"
+    return hit.argmax(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from carasim.fixtures import bb_config, f1_config, two_point_config
 from carasim.harness import parse_config
 from carasim.model import ArmModel, CovariateSpec, TrialModel, Uniform
 
-from oracles import update_all_estimates
+from oracles import support_index, update_all_estimates
 
 OPTS = EngineOptions()
 ODDS_RULE = AllocationRule(kind="odds-ratio")
@@ -212,19 +212,37 @@ def test_from_arrays_rejects_arms_and_estimates_that_do_not_fit_k():
     np.testing.assert_array_equal(ok.counts(), [2, 2])
 
 
-_HISTORY_FIELDS = ("covariates", "support_idx", "arms", "probs", "responses", "theta_records",
-                   "record_ms", "current_theta", "converged", "projected", "fit_failures")
+@pytest.mark.parametrize("arms, covariates, responses, message", [
+    ([0, 1.7, 1, 0], [1.0, 1.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0], "arms must be integer-valued"),
+    ([0, np.nan, 1, 0], [1.0, 1.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0], "arms must be integer-valued"),
+    ([0, 1, 1, 0], [1.0, np.nan, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0], "covariates must be finite"),
+    ([0, 1, 1, 0], [1.0, 1.0, np.inf, 1.0], [0.0, 1.0, 0.0, 1.0], "covariates must be finite"),
+    ([0, 1, 1, 0], [1.0, 1.0, 1.0, 1.0], [0.0, np.nan, 0.0, 1.0], "responses must be finite"),
+], ids=["fractional-arm", "nan-arm", "nan-covariate", "inf-covariate", "nan-response"])
+def test_from_arrays_rejects_values_it_cannot_store_faithfully(arms, covariates, responses,
+                                                                message):
+    """External data is refused, naming the argument, where storing it would
+    change it (a fractional arm truncated to an integer) or poison every
+    plug-in sum (a covariate or response that is not finite)."""
+    from carasim.engine import TrialHistory
+
+    with pytest.raises(ValueError, match=message):
+        TrialHistory.from_arrays(np.array(covariates)[:, None], np.array(arms), np.array(responses),
+                                 K=2)
+
+
+_HISTORY_FIELDS = ("covariates", "arms", "probs", "responses", "theta_records", "record_ms",
+                   "current_theta", "converged", "projected", "fit_failures")
 
 
 def _snapshot(hist) -> dict:
     """Copies of a history's fields, its refit counts and its engine state's
     support counts, or its rows off a finite support."""
-    out = {name: None if getattr(hist, name) is None else getattr(hist, name).copy()
-           for name in _HISTORY_FIELDS}
+    out = {name: getattr(hist, name).copy() for name in _HISTORY_FIELDS}
     out.update(hist.refit_counts())
     state = hist.engine_state
     if state.support is not None:
-        out["support_counts"] = state.support_counts()[hist.engine_row]
+        out["support_counts"] = hist.support_counts()
     else:
         cells = range(hist.engine_row * state.K, (hist.engine_row + 1) * state.K)
         out["rows"] = np.hstack([state.rows[:, c * state.cap:c * state.cap + state.counts[c]]
@@ -325,7 +343,7 @@ def test_a_normal_arm_whose_gram_matrix_is_rank_deficient_fails_soft():
     one_point = 0
     for seed, hist in enumerate(batch.histories):
         for k in range(2):
-            if np.unique(hist.support_idx[hist.arms == k]).size == 1:
+            if np.unique(support_index(model, hist.covariates)[hist.arms == k]).size == 1:
                 one_point += 1
                 np.testing.assert_array_equal(hist.current_theta[k], [0.0, 0.0])
                 assert not hist.converged[k] and hist.fit_failures[k] == 1, (seed, k)
@@ -337,7 +355,7 @@ def test_a_normal_arm_whose_gram_matrix_is_rank_deficient_fails_soft():
     streams = streams_for_trial(4)
     hist = run_trial(model, rule, 6, 3, streams, OPTS)
     np.testing.assert_array_equal(hist.current_theta, batch.histories[4].current_theta)
-    while np.unique(hist.support_idx[hist.arms == 1]).size == 1:
+    while np.unique(support_index(model, hist.covariates)[hist.arms == 1]).size == 1:
         hist = step(hist, model, rule, streams)
     assert hist.arms[-1] == 1 and hist.converged[1]
     # One failure at the end of burn-in (the arm's m0 = 3 patients), and one
@@ -482,8 +500,9 @@ def _closed_form_flags(hist, model):
     defined (no IRLS fallback)."""
     K, support = model.K, model.covariates.enumerated()[0]
     t, s = np.zeros((K, support.shape[0])), np.zeros((K, support.shape[0]))
-    np.add.at(t, (hist.arms, hist.support_idx), 1.0)
-    np.add.at(s, (hist.arms, hist.support_idx), hist.responses)
+    points = support_index(model, hist.covariates)
+    np.add.at(t, (hist.arms, points), 1.0)
+    np.add.at(s, (hist.arms, points), hist.responses)
     sat_inv = np.linalg.inv(support)
     with np.errstate(divide="ignore", invalid="ignore"):
         logit = np.log(s / (t - s))
@@ -538,7 +557,8 @@ def test_support_counts_are_the_patients_per_arm_and_support_point(design, n):
     K, S = model.K, model.covariates.enumerated()[0].shape[0]
 
     def expected(hist):
-        return np.bincount(hist.arms * S + hist.support_idx, minlength=K * S).reshape(K, S)
+        points = support_index(model, hist.covariates)
+        return np.bincount(hist.arms * S + points, minlength=K * S).reshape(K, S)
 
     streams = [streams_for_trial(replicate_root(6, i)) for i in range(3)]
     batch = run_trials(model, rule, n, 8, streams, OPTS)
@@ -551,9 +571,8 @@ def test_support_counts_are_the_patients_per_arm_and_support_point(design, n):
         # Read after the whole chain, the last first: every step resumed
         # a state whose last patient's support point was still to be added.
         for hist in reversed(stepped[1:]):
-            state = hist.engine_state
-            np.testing.assert_array_equal(state.support_counts()[0], expected(hist))
-            np.testing.assert_array_equal(state.arm_counts()[0], hist.counts())
+            np.testing.assert_array_equal(hist.support_counts(), expected(hist))
+            np.testing.assert_array_equal(hist.engine_state.arm_counts()[0], hist.counts())
 
 
 @pytest.mark.parametrize("n", [100, 300, 700])
@@ -561,9 +580,20 @@ def test_rowwise_arrays_stay_within_bytes_per_patient(n):
     """The row store of logistic arms on a continuous covariate (responses
     and covariates, room doubling as an arm outgrows it) stays within what
     ``bytes_per_patient`` declares per replicate and patient, which sizes the
-    harness's batches."""
+    harness's batches.  A history's per-patient arrays at stride 1 hold
+    exactly what it declares for histories, on and off a finite support; a
+    batch's histories share one ``record_ms``."""
     model, rule = _continuous_logit()
     B = 4
-    state = run_trials(model, rule, n, 10, [replicate_root(n, i) for i in range(B)]
-                       ).histories[0].engine_state
+    seeds = [replicate_root(n, i) for i in range(B)]
+    state = run_trials(model, rule, n, 10, seeds).histories[0].engine_state
     assert state.rows.nbytes / (B * n) <= bytes_per_patient(model, histories=False)
+    for design in (_continuous_logit, _two_point):
+        model, rule = design()
+        histories = run_trials(model, rule, n, 10, seeds, OPTS).histories
+        declared = bytes_per_patient(model, True) - bytes_per_patient(model, False)
+        for hist in histories:
+            held = sum(getattr(hist, name).nbytes for name in
+                       ("covariates", "arms", "probs", "responses", "theta_records"))
+            assert held == declared * n
+            assert hist.record_ms is histories[0].record_ms

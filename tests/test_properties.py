@@ -16,6 +16,7 @@ from carasim.allocation import AllocationRule, jacobian, node_pass, probabilitie
 from carasim.asymptotics import TheoryOptions, expectation_nodes, lse_sandwich, theory_report
 from carasim.engine import (
     EngineOptions,
+    TrialHistory,
     replicate_root,
     run_trial,
     run_trials,
@@ -27,7 +28,7 @@ from carasim.fixtures import bb_config, f1_config, two_point_config
 from carasim.harness import parse_config
 from carasim.model import ArmModel, CovariateSpec, TrialModel, TwoPoint, Uniform, glm_weights
 
-from oracles import jacobian_fd, replay_rowwise_refits, update_all_estimates
+from oracles import jacobian_fd, replay_rowwise_refits, support_index, update_all_estimates
 
 _TWO_ARM = ("odds-ratio", "two-arm-g-difference", "covariate-free-normal")
 
@@ -543,8 +544,8 @@ DESIGNS = {
     "shared-slope": lambda: _from_config(bb_config(n=100, replicates=1, seed=0)),
     "shared-slope-rare": _rare_shared_slope_design,
 }
-_HISTORY_FIELDS = ("covariates", "support_idx", "arms", "probs", "responses", "theta_records",
-                   "record_ms", "current_theta", "converged", "projected", "fit_failures")
+_HISTORY_FIELDS = ("covariates", "arms", "probs", "responses", "theta_records", "record_ms",
+                   "current_theta", "converged", "projected", "fit_failures")
 
 
 def _assert_same_trial(a, b):
@@ -558,6 +559,11 @@ def _assert_same_trial(a, b):
     assert counts_a.keys() == counts_b.keys()
     for name in counts_a:
         np.testing.assert_array_equal(counts_a[name], counts_b[name], err_msg=name)
+    support_a, support_b = a.support_counts(), b.support_counts()
+    if support_a is None or support_b is None:
+        assert support_a is None and support_b is None
+    else:
+        np.testing.assert_array_equal(support_a, support_b, err_msg="support_counts")
 
 
 @settings(max_examples=12)
@@ -639,6 +645,42 @@ def test_steps_reproduce_run_trial(name, seed, k, stride, extra):
     for _ in range(k):
         hist = step(hist, model, rule, streams)
     _assert_same_trial(hist, whole)
+
+
+@settings(max_examples=10)
+@given(st.sampled_from(["grouped-logit-saturated", "shared-slope"]), st.integers(0, 2**16),
+       st.integers(1, 4), st.integers(0, 300))
+@example("shared-slope", 7, 3, 292)  # n = 300: a block of 256 patients and a deferred rest
+def test_history_support_counts_are_the_bincount_of_its_support_points(name, seed, B, extra):
+    """A history's support counts are the bincount of its (arm, support
+    point) pairs, the points found from its covariates: on every row of a
+    batch, alone and after chained steps, where the saturated two-point
+    design refits from them and the shared-slope (bb) design adds them a draw
+    block at a time.  Off a finite support or without engine state there are
+    none."""
+    model, rule, m0 = DESIGNS[name]()
+    K, S = model.K, model.covariates.enumerated()[0].shape[0]
+    n = K * m0 + extra
+
+    def expected(hist):
+        points = support_index(model, hist.covariates)
+        return np.bincount(hist.arms * S + points, minlength=K * S).reshape(K, S)
+
+    streams = [streams_for_trial(replicate_root(seed, i)) for i in range(B)]
+    batch = run_trials(model, rule, n, m0, streams).histories
+    for hist in batch + (run_trial(model, rule, n, m0, replicate_root(seed, 0)),):
+        np.testing.assert_array_equal(hist.support_counts(), expected(hist))
+    chain = [batch[0]]
+    for _ in range(3):
+        chain.append(step(chain[-1], model, rule, streams[0]))
+    # Read after the whole chain, the last first: every step resumed a state
+    # whose last patient's support point was still to be added.
+    for hist in reversed(chain[1:]):
+        np.testing.assert_array_equal(hist.support_counts(), expected(hist))
+    assert TrialHistory.from_arrays(hist.covariates, hist.arms, hist.responses,
+                                    K).support_counts() is None
+    model, rule, m0 = DESIGNS["row-logit-continuous"]()
+    assert run_trial(model, rule, K * m0 + 5, m0, replicate_root(seed, 0)).support_counts() is None
 
 
 @pytest.mark.parametrize("name", sorted(DESIGNS))
@@ -765,9 +807,10 @@ def test_sparse_saturated_design_falls_back_to_irls_where_a_group_is_empty():
     assert counts["irls_fits"].sum() > 0 and counts["closed_form"].sum() > 0
     assert np.isfinite(hist.theta_records).all()
     undefined_and_idle = 0
+    points = support_index(model, hist.covariates)
     for m in range(burn, hist.n):
         for k in np.flatnonzero(np.arange(model.K) != hist.arms[m]):
-            seen = hist.support_idx[:m + 1][hist.arms[:m + 1] == k]
+            seen = points[:m + 1][hist.arms[:m + 1] == k]
             if np.bincount(seen, minlength=3).min() == 0:
                 undefined_and_idle += 1
                 np.testing.assert_array_equal(hist.theta_records[m][k],
@@ -788,7 +831,8 @@ def test_a_saturated_refit_takes_irls_only_where_the_closed_form_is_undefined(na
     closed_with_infinite_logit = 0
     for hist, irls_fits in zip(batch.histories, batch.refit_counts["irls_fits"]):
         t, s, expected = np.zeros((K, 2)), np.zeros((K, 2)), np.zeros(K, dtype=int)
-        for m, (k, group) in enumerate(zip(hist.arms, hist.support_idx), start=1):
+        points = support_index(model, hist.covariates)
+        for m, (k, group) in enumerate(zip(hist.arms, points), start=1):
             t[k, group] += 1
             s[k, group] += hist.responses[m - 1]
             for cell in range(K) if m == burn else [k] if m > burn else []:
