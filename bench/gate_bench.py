@@ -45,11 +45,13 @@ arms beside a normal arm; batches of 1, 8 and 256), rowwise rows (the
 instead; and one replicate of the benchmark's ``theory-continuous`` design
 ``SMALL_ROWWISE``, 60 patients at d = 5, whose tiny cells reach the
 log-likelihood's overflow rule), and
-``step()`` rows (``STEP_CALLS`` chained calls that continue a two-point or
-bb trial of each of ``STEP_N`` patients, timed per call); the IRLS rows
-(``fit_one_cell`` as above, in microseconds per fit, under the row names
-``fit_grouped_logistic_mle/d=2`` and ``/d=5`` of earlier BENCH files); and the
-theory rows: ``theory_report`` at 64, 4,096 and 262,144 nodes and
+``step()`` rows (``STEP_CALLS`` chained calls, the chain of the benchmark's
+``stepwise-monitor``, that continue a two-point or bb trial of each of
+``STEP_N`` patients, timed per call; the first call of a chain copies the
+trial into a record with room to grow, and the others append to it); the
+IRLS rows (``fit_one_cell`` as above, in microseconds per fit, under the row
+names ``fit_grouped_logistic_mle/d=2`` and ``/d=5`` of earlier BENCH files);
+and the theory rows: ``theory_report`` at 64, 4,096 and 262,144 nodes and
 ``plugin_estimates`` on ``PLUGIN_ROWS`` observed rows (the benchmark's
 generated history for its two-coordinate ``theory-continuous`` design) and
 on the support points of a two-point trial of ``PLUGIN_SUPPORT_N`` patients
@@ -118,7 +120,7 @@ PLUGIN_SUPPORT_N = 20000  # patients of the interleaved two-point plug-in row
 CALIBRATION_ITERS = 1500
 CALIBRATION_REF_S = 0.010
 STEP_N = (500, 2000, 20000, 100000)
-STEP_CALLS = 20  # chained step() calls per run of a step row
+STEP_CALLS = 150  # chained step() calls per run of a step row, as in stepwise-monitor
 INTERLEAVE_ROUNDS = 15
 INTERLEAVE_TIMING_S = 0.2  # a timing repeats a row's run for at least about this long
 

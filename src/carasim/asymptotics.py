@@ -52,7 +52,7 @@ from numpy.random import Generator, PCG64, SeedSequence
 from scipy.special import ndtr
 
 from .allocation import AllocationRule, fold_columns, node_pass, probabilities
-from .engine import TrialHistory
+from .engine import TrialHistory, _same
 from .estimation import COND_MAX
 from .model import CovariateSpec, TrialModel, Uniform, glm_weights, tensor_grid
 
@@ -384,6 +384,8 @@ def plugin_estimates(history: TrialHistory, model: TrialModel, rule: AllocationR
     if (history.K, history.d) != (K, d):
         raise ValueError(f"history has (K, d) = ({history.K}, {history.d}) but the model "
                          f"has ({K}, {d})")
+    if history.engine_state is not None and not _same(model, history.engine_state.model):
+        raise ValueError("plug-in estimates need the model the history was run with")
     if history.current_theta is None:
         raise ValueError("history.current_theta is missing; plug-in estimates need the "
                          "final coefficient estimates")

@@ -108,7 +108,10 @@ flagged unconverged and counts a fit failure.
 A history from :func:`run_trial` or :func:`run_trials` carries the engine
 state after its last patient, and :func:`step` runs the same patient loop
 over one more patient on a copy of it instead of replaying the history, so
-stepping reproduces ``run_trial`` bit for bit.
+stepping reproduces ``run_trial`` bit for bit.  A step from the last
+history of a chain appends in place to the record whose first n rows the
+histories view, and from any other history copies into a fresh one, so
+only a rowwise arm's refit makes a step's cost grow with n.
 """
 
 from __future__ import annotations
@@ -266,6 +269,13 @@ class TrialHistory:
             theta_records=_freeze(np.empty((0, K, d))), record_ms=_freeze(np.empty(0, dtype=int)),
             current_theta=current_theta, converged=zeros.copy(), projected=zeros.copy(),
             fit_failures=np.zeros(K, dtype=int))
+
+    @classmethod
+    def _of(cls, **values) -> "TrialHistory":
+        """A history from every field's value, without ``__init__``'s 3 us of setattrs."""
+        history = object.__new__(cls)
+        vars(history).update(values)
+        return history
 
     # -- queries -------------------------------------------------------------
 
@@ -462,6 +472,9 @@ class _Lockstep:
             self.sat_inv = np.linalg.inv(self.support)
         self._first_cell = np.arange(B) * K
         self._theta3 = self.theta.reshape(B, K, d)
+        # What take() copies: the design's arrays, and whether each is per cell.
+        self._arrays = {name: name in self._PER_CELL for name in self._PER_CELL
+                        + self._PER_REPLICATE if getattr(self, name, None) is not None}
 
     def take(self, row: int) -> "_Lockstep":
         """A copy that holds only replicate ``row``."""
@@ -470,23 +483,24 @@ class _Lockstep:
             self._fold()
         new = object.__new__(_Lockstep)
         new.__dict__ = state = dict(self.__dict__)
-        for names, rows in ((self._PER_CELL, slice(row * K, (row + 1) * K)),
-                            (self._PER_REPLICATE, slice(row, row + 1))):
-            for name in names:
-                value = state.get(name)
-                if value is not None:
-                    state[name] = value[rows].copy()
-        new.B = 1
-        # Every replicate has the same box, which no refit writes.
-        new.lo, new.hi = self.lo[:K], self.hi[:K]
-        new._first_cell = self._first_cell[:1]
+        one = self.B == 1  # a state of one replicate is copied whole
+        cells, reps = slice(row * K, (row + 1) * K), slice(row, row + 1)
+        for name, per_cell in self._arrays.items():
+            value = state[name]
+            state[name] = (value if one else value[cells if per_cell else reps]).copy()
         new._theta3 = new.theta.reshape(1, K, self.model.d)
         if self.support is not None:
             new._points = []
         if self.rowwise:
-            new.rows = self.rows[:, row * K * self.cap:(row + 1) * K * self.cap].copy()
-        if self.joint:
-            new.n_formed = int(new.formed.sum())
+            width = K * self.cap
+            new.rows = (self.rows if one else self.rows[:, row * width:(row + 1) * width]).copy()
+        if not one:
+            new.B = 1
+            # Every replicate has the same box, which no refit writes.
+            new.lo, new.hi = self.lo[:K], self.hi[:K]
+            new._first_cell = self._first_cell[:1]
+            if self.joint:
+                new.n_formed = int(new.formed.sum())
         return new
 
     def estimates(self) -> np.ndarray:
@@ -767,22 +781,31 @@ _DRAW_BLOCK = 256
 
 
 class _Record:
-    """The per-patient arrays of B trials of n patients, one row per
-    replicate, under the names of the history fields they become; with
-    ``history`` (a batch of one), the columns of its patients are copies of
-    the history's."""
+    """The per-patient arrays of B trials, one row per replicate, under the
+    names of the history fields they become, with room for ``cap`` patients
+    of which the first ``used`` are written (histories view their first n);
+    with ``history`` (a batch of one), those are copies of the history's."""
 
-    def __init__(self, state: _Lockstep, n: int, history: TrialHistory | None = None):
+    def __init__(self, state: _Lockstep, cap: int, history: TrialHistory | None = None):
         B, K, d = state.B, state.K, state.model.d
-        self.covariates = np.empty((B, n, d))
-        self.arms = np.empty((B, n), dtype=np.int64)
-        self.probs = np.empty((B, n, K))
-        self.responses = np.empty((B, n))
-        self.theta_records = np.empty((B, n // state.opts.theta_stride, K, d))
+        stride = state.opts.theta_stride
+        self.covariates = np.empty((B, cap, d))
+        self.arms = np.empty((B, cap), dtype=np.int64)
+        self.probs = np.empty((B, cap, K))
+        self.responses = np.empty((B, cap))
+        self.theta_records = np.empty((B, cap // stride, K, d))
+        self.record_ms = _freeze(np.arange(stride, cap + 1, stride))
+        # Read-only views of the arrays, whose slices the histories take, and
+        # patient-major views, which the patient loop indexes faster.
+        self.views = [_freeze(a.view()) for a in (self.covariates, self.arms, self.probs,
+                                                 self.responses, self.theta_records)]
+        self.by_patient = (self.arms.T, self.responses.T, self.probs.transpose(1, 0, 2),
+                           self.theta_records.transpose(1, 0, 2, 3))
+        self.used = 0
         if history is None:
             self.probs[:, :state.burn] = 1.0 / K
             return
-        m = history.n
+        m = self.used = history.n
         self.covariates[0, :m] = history.covariates
         self.arms[0, :m] = history.arms
         self.probs[0, :m] = history.probs
@@ -790,23 +813,24 @@ class _Record:
         self.theta_records[0, :len(history.theta_records)] = history.theta_records
 
     def histories(self, state: _Lockstep, streams: list[TrialStreams]) -> tuple[TrialHistory, ...]:
-        """Each replicate's history, whose per-patient arrays are read-only
-        views of its row of the record."""
-        for a in (self.covariates, self.arms, self.probs, self.responses, self.theta_records):
-            a.setflags(write=False)
-        B, K, n = state.B, state.K, self.arms.shape[1]
-        stride = state.opts.theta_stride
-        record_ms = _freeze(np.arange(stride, n + 1, stride))
+        """Each replicate's history of the ``used`` patients, whose
+        per-patient arrays are read-only views of its row of the record;
+        ``state`` keeps the record (:func:`step`)."""
+        state.record = self
+        B, K, n = state.B, state.K, self.used
+        record_ms = self.record_ms[:n // state.opts.theta_stride]
+        r = len(record_ms)
+        covariates, arms, probs, responses, theta_records = self.views
         theta = state.estimates()
         flags = [a.reshape(B, K) for a in (state.converged, state.projected, state.fail)]
         return tuple([
-            TrialHistory(
-                n=n, m0=state.m0, K=K, d=state.model.d, covariates=self.covariates[i],
-                arms=self.arms[i], probs=self.probs[i], responses=self.responses[i],
-                theta_records=self.theta_records[i], record_ms=record_ms,
-                current_theta=theta[i].copy(), converged=flags[0][i].copy(),
-                projected=flags[1][i].copy(), fit_failures=flags[2][i].copy(),
-                seed_entropy=streams[i].root.entropy,
+            TrialHistory._of(
+                n=n, m0=state.m0, K=K, d=state.model.d, covariates=covariates[i, :n],
+                arms=arms[i, :n], probs=probs[i, :n], responses=responses[i, :n],
+                theta_records=theta_records[i, :r], record_ms=record_ms,
+                current_theta=theta[i].copy(),
+                converged=flags[0][i].copy(), projected=flags[1][i].copy(),
+                fit_failures=flags[2][i].copy(), seed_entropy=streams[i].root.entropy,
                 seed_spawn_key=tuple(streams[i].root.spawn_key), engine_state=state,
                 engine_row=i)
             for i in range(B)])
@@ -825,6 +849,8 @@ def _admit(state: _Lockstep, streams: list[TrialStreams], stop: int,
     spec = model.covariates
     q = spec.uniforms_per_draw
     stride = state.opts.theta_stride
+    if record is not None:
+        arms, responses, probs, thetas = record.by_patient
     for start in range(state.m, stop, _DRAW_BLOCK):
         end = min(stop, start + _DRAW_BLOCK)
         c = end - start
@@ -852,14 +878,15 @@ def _admit(state: _Lockstep, streams: list[TrialStreams], stop: int,
             else:
                 k, psi, y = state.patient(xs[i], six, u_assign[:, m - first], ys[i])
             if record is not None:
-                record.arms[:, m] = k
-                record.responses[:, m] = y
+                arms[m] = k
+                responses[m] = y
                 if psi is not None:
-                    record.probs[:, m] = psi
+                    probs[m] = psi
                 if (m + 1) % stride == 0:
-                    record.theta_records[:, m // stride] = state.estimates()
+                    thetas[m // stride] = state.estimates()
         if record is not None:
             record.covariates[:, start:end] = xs.transpose(1, 0, 2)
+            record.used = end
 
 
 @dataclass(frozen=True)
@@ -901,11 +928,12 @@ def bytes_per_patient(model: TrialModel, histories: bool) -> int:
     """Bytes per replicate and patient, at most, of what :func:`run_trials`
     keeps that grows with n: the per-patient histories (with ``histories``,
     at stride 1: each patient's covariates, arm, allocation probabilities,
-    response and estimates) and the row store that logistic arms on a
-    continuous covariate refit from (each arm's response and covariates, with
-    room for twice its patients once it holds more than 32)."""
+    response and estimates, and ``record_ms``, which the histories of a batch
+    share) and the row store that logistic arms on a continuous covariate
+    refit from (each arm's response and covariates, with room for twice its
+    patients once it holds more than 32)."""
     K, d = model.K, model.d
-    total = 8 * (d + K + 2 + K * d) if histories else 0  # covariates, psi, arm, y, estimate
+    total = 8 * (d + K + 3 + K * d) if histories else 0  # covariates, psi, arm, y, m, estimate
     if model.covariates.enumerated() is None and any(a.family == "logistic" for a in model.arms):
         total += 16 * K * (d + 1)
     return total
@@ -944,8 +972,9 @@ def step(history: TrialHistory, model: TrialModel, rule: AllocationRule,
     or :func:`step`, which has always completed burn-in.
 
     Runs the patient loop of :func:`run_trials` over the new patient, on a
-    copy of the engine state the history carries and a record that is the
-    history's one patient longer, so the history is never replayed.
+    copy of the engine state the history carries, so the history is never
+    replayed; the patient is appended to the history's record when the
+    history is its last and it has room, else to a copy with room for 2 (n + 1).
     ``model`` must be the model the history was run with (its sufficient
     statistics and estimates belong to it); ``rule`` allocates the new
     patient and may differ from the one used so far.  With the same streams,
@@ -957,10 +986,15 @@ def step(history: TrialHistory, model: TrialModel, rule: AllocationRule,
                          "histories from run_trial or step can be continued")
     if not _same(model, history.engine_state.model):
         raise ValueError("step() needs the model the history was run with")
-    state = history.engine_state.take(history.engine_row)
+    source = history.engine_state
+    state = source.take(history.engine_row)
     if rule is not state.rule:
         check_rule(rule, model.K)
         state.rule = rule
-    record = _Record(state, history.n + 1, history)
-    _admit(state, [streams], history.n + 1, None, record)
+    n = history.n
+    record = source.record
+    if source.B > 1 or record.used != n or record.arms.shape[1] == n:
+        # Not the last history of a record of one trial with room to spare.
+        record = _Record(state, 2 * (n + 1), history)
+    _admit(state, [streams], n + 1, None, record)
     return record.histories(state, [streams])[0]

@@ -351,12 +351,13 @@ def responses_from_uniforms(logistic: np.ndarray, dispersion: np.ndarray, theta:
     # One (1, d) @ (d, 1) product per arm and row: bitwise the one-row theta_k @ x.
     mu = (theta[:, None, None, :] @ x[:, :, None])[:, :, 0, 0].T
     # Each family transforms whole (N, K) arrays: for a few patients that
-    # costs less than selecting the family's columns.
-    any_logistic = np.logical_or.reduce(logistic)
+    # costs less than selecting the family's columns (or than two reductions).
+    families = logistic.tolist()
+    any_logistic = any(families)
     if any_logistic:
         e = np.exp(-np.abs(mu))
         y = (u[:, None] < np.where(mu >= 0.0, 1.0, e) / (1.0 + e)).astype(float)
-        if np.logical_and.reduce(logistic):
+        if all(families):
             return y
     z = ndtri(np.minimum(np.maximum(u, 2.0 ** -55), 1.0 - 2.0 ** -53))
     normal = mu + np.sqrt(dispersion) * z[:, None]

@@ -494,6 +494,26 @@ def test_plugin_rejects_a_history_that_does_not_fit_the_model():
         plugin_estimates(misshapen, model, rule)
 
 
+def test_plugin_refuses_a_model_other_than_the_one_the_trial_ran_with():
+    """A trial's support counts belong to its model's support points: read
+    with another support, (1, 0) and (1, 2) in place of (1, 0) and (1, 1),
+    they would be summed at the wrong points.  An equal model built anew is
+    the same model, and a history without engine state is not checked."""
+    model, rule = _two_point_pair()
+    hist = run_trial(model, rule, 200, 8, replicate_root(7, 0))
+    other = dataclasses.replace(model, covariates=CovariateSpec.discrete(
+        [[1.0, 0.0], [1.0, 2.0]], [0.5, 0.5]))
+    with pytest.raises(ValueError, match="model the history was run with"):
+        plugin_estimates(hist, other, rule)
+    again, _ = _two_point_pair()
+    assert again is not model
+    np.testing.assert_array_equal(plugin_estimates(hist, again, rule).sigma_hat,
+                                  plugin_estimates(hist, model, rule).sigma_hat)
+    rows = TrialHistory.from_arrays(hist.covariates, hist.arms, hist.responses, K=2,
+                                    current_theta=hist.current_theta)
+    assert plugin_estimates(rows, other, rule).counts.sum() == 200
+
+
 # ---------------------------------------------------------------------------
 # Shared slopes: the covariance of the whole theta_hat from the joint design
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -197,6 +198,24 @@ def test_step_resumes_only_histories_that_carry_engine_state():
         step(external, model, rule, streams)
 
 
+def test_a_history_is_frozen_and_equal_to_one_built_by_its_constructor():
+    """The engine builds histories without the dataclass ``__init__``; they
+    still refuse assignment, and equal and print as the constructor's."""
+    from carasim.engine import TrialHistory
+
+    model, rule = _two_point()
+    streams = streams_for_trial(replicate_root(4, 0))
+    hist = run_trial(model, rule, 40, 8, streams, OPTS)
+    for h in (hist, step(hist, model, rule, streams)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            h.n = 7
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            h.arms = None
+        rebuilt = TrialHistory(**{f.name: getattr(h, f.name) for f in dataclasses.fields(h)})
+        assert rebuilt == h and repr(rebuilt) == repr(h)
+        assert not h.arms.flags.writeable and not h.record_ms.flags.writeable
+
+
 def test_from_arrays_rejects_arms_and_estimates_that_do_not_fit_k():
     from carasim.engine import TrialHistory
 
@@ -237,13 +256,13 @@ _HISTORY_FIELDS = ("covariates", "arms", "probs", "responses", "theta_records", 
 
 def _snapshot(hist) -> dict:
     """Copies of a history's fields, its refit counts and its engine state's
-    support counts, or its rows off a finite support."""
+    support counts, or the rows of its logistic arms off a finite support."""
     out = {name: getattr(hist, name).copy() for name in _HISTORY_FIELDS}
     out.update(hist.refit_counts())
     state = hist.engine_state
     if state.support is not None:
         out["support_counts"] = hist.support_counts()
-    else:
+    elif state.rowwise:
         cells = range(hist.engine_row * state.K, (hist.engine_row + 1) * state.K)
         out["rows"] = np.hstack([state.rows[:, c * state.cap:c * state.cap + state.counts[c]]
                                  for c in cells])
@@ -580,9 +599,9 @@ def test_rowwise_arrays_stay_within_bytes_per_patient(n):
     """The row store of logistic arms on a continuous covariate (responses
     and covariates, room doubling as an arm outgrows it) stays within what
     ``bytes_per_patient`` declares per replicate and patient, which sizes the
-    harness's batches.  A history's per-patient arrays at stride 1 hold
-    exactly what it declares for histories, on and off a finite support; a
-    batch's histories share one ``record_ms``."""
+    harness's batches.  A history's per-patient arrays at stride 1, its
+    ``record_ms`` included, hold exactly what it declares for histories, on
+    and off a finite support; a batch's histories share one ``record_ms``."""
     model, rule = _continuous_logit()
     B = 4
     seeds = [replicate_root(n, i) for i in range(B)]
@@ -594,6 +613,7 @@ def test_rowwise_arrays_stay_within_bytes_per_patient(n):
         declared = bytes_per_patient(model, True) - bytes_per_patient(model, False)
         for hist in histories:
             held = sum(getattr(hist, name).nbytes for name in
-                       ("covariates", "arms", "probs", "responses", "theta_records"))
+                       ("covariates", "arms", "probs", "responses", "theta_records",
+                        "record_ms"))
             assert held == declared * n
             assert hist.record_ms is histories[0].record_ms

@@ -29,6 +29,7 @@ from carasim.harness import parse_config
 from carasim.model import ArmModel, CovariateSpec, TrialModel, TwoPoint, Uniform, glm_weights
 
 from oracles import jacobian_fd, replay_rowwise_refits, support_index, update_all_estimates
+from test_engine import _assert_same_snapshot, _snapshot
 
 _TWO_ARM = ("odds-ratio", "two-arm-g-difference", "covariate-free-normal")
 
@@ -645,6 +646,50 @@ def test_steps_reproduce_run_trial(name, seed, k, stride, extra):
     for _ in range(k):
         hist = step(hist, model, rule, streams)
     _assert_same_trial(hist, whole)
+
+
+@settings(max_examples=12)
+@given(st.sampled_from(sorted(DESIGNS)), st.integers(0, 2**16), st.integers(1, 3),
+       st.integers(1, 3), st.integers(0, 20), st.lists(st.integers(0, 2**16), min_size=1,
+                                                        max_size=8))
+@example("shared-slope", 5, 1, 1, 0, list(range(12)))  # a chain that fills its record
+@example("row-logit-d1", 9, 3, 2, 3, [0, 1, 1, 2, 0, 5, 5, 7])
+def test_a_tree_of_steps_appends_at_its_tips_and_copies_where_it_branches(
+        name, seed, B, stride, extra, parents):
+    """Steps from anywhere in a tree of histories.  From the last history
+    of a chain of steps (its tip), while the chain's record has room,
+    ``step()`` appends to that record in place, so the child shares the
+    parent's memory; from any other history (an older one, a row of a batch,
+    a tip whose record is full) it copies.  Every history keeps the snapshot
+    taken when it was made and is bitwise ``run_trial`` of its length."""
+    model, rule, m0 = DESIGNS[name]()
+    opts = EngineOptions(theta_stride=stride)
+    root = replicate_root(seed, B - 1)
+
+    def streams_at(n):
+        # Fresh streams, advanced past n patients as run_trial advances them.
+        streams = streams_for_trial(root)
+        run_trial(model, rule, n, m0, streams, opts)
+        return streams
+
+    n = model.K * m0 + extra
+    first = run_trials(model, rule, n, m0, [replicate_root(seed, i) for i in range(B)],
+                       opts).histories[-1]
+    tree, snapshots, streams, tips = [first], [_snapshot(first)], [streams_at(n)], [False]
+    for p in parents:
+        j = p % len(tree)
+        parent, s = tree[j], streams[j] or streams_at(tree[j].n)
+        room = parent.engine_state.record.arms.shape[1] > parent.n
+        child = step(parent, model, rule, s)
+        assert np.shares_memory(child.arms, parent.arms) == (tips[j] and room)
+        streams[j], tips[j] = None, False  # the step advanced the parent's streams
+        tree.append(child)
+        snapshots.append(_snapshot(child))
+        streams.append(s)
+        tips.append(True)
+    for hist, snapshot in zip(tree, snapshots):
+        _assert_same_snapshot(_snapshot(hist), snapshot)
+        _assert_same_trial(hist, run_trial(model, rule, hist.n, m0, root, opts))
 
 
 @settings(max_examples=10)
