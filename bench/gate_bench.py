@@ -13,9 +13,11 @@ replicates of ``ENGINE_N`` patients, and on the benchmark's
 patients) for batches of 1, 10 and 256 (batches of at most
 ``ENGINE_REPEATS`` replicates are timed that many times); and the
 microseconds per call of ``estimation.fit_one_cell`` (the one-cell IRLS
-core, started at zero without the conditioning guard, as the engine refits
-one cell) on ``IRLS_ROWS`` rows at d = 2 and d = 5, timed ``IRLS_REPEATS``
-times; the milliseconds per call of
+core, without the conditioning guard, as the engine refits one cell) started
+at zero on ``IRLS_ROWS`` rows at d = 2 and d = 5, and warm-started on
+``IRLS_WARM_ROWS`` rows at the MLE of all but the last row, as the engine
+refits a cell that one patient joined, timed ``IRLS_REPEATS`` times; the
+milliseconds per call of
 ``asymptotics.theory_report`` and ``asymptotics.lse_sandwich`` at 64, 4,096
 and 262,144 expectation nodes (the benchmark's ``theory-continuous`` designs
 with one, two and three uniform coordinates, 64 Gauss-Legendre nodes each),
@@ -40,17 +42,18 @@ times only the F1, two-point and bb engine rows, those of three variants
 of the two-point fixture (three and five logistic arms, and two logistic
 arms beside a normal arm; batches of 1, 8 and 256), rowwise rows (the
 ``continuous-logit`` design at the trial lengths and batches of
-``ROWWISE_BATCHES``, where every refit runs IRLS on an arm's rows; the
-(trial length, batch) pairs in ``ROWWISE_ROUNDS`` take that many rounds
-instead; and one replicate of the benchmark's ``theory-continuous`` design
-``SMALL_ROWWISE``, 60 patients at d = 5, whose tiny cells reach the
+``ROWWISE_BATCHES``, where every refit runs IRLS on an arm's rows; and one
+replicate of each of the benchmark's four ``theory-continuous`` designs, at
+d = 2 to 5, of ``SMALL_ROWWISE_N`` patients, whose tiny cells reach the
 log-likelihood's overflow rule), and
 ``step()`` rows (``STEP_CALLS`` chained calls, the chain of the benchmark's
 ``stepwise-monitor``, that continue a two-point or bb trial of each of
 ``STEP_N`` patients, timed per call; the first call of a chain copies the
 trial into a record with room to grow, and the others append to it); the
-IRLS rows (``fit_one_cell`` as above, in microseconds per fit, under the row
-names ``fit_grouped_logistic_mle/d=2`` and ``/d=5`` of earlier BENCH files);
+IRLS rows (``fit_one_cell`` as above, in microseconds per fit; the fits
+started at zero under the row names ``fit_grouped_logistic_mle/d=2`` and
+``/d=5`` of earlier BENCH files, the warm-started ones as
+``fit_one_cell/warm d=D n=N``);
 and the theory rows: ``theory_report`` at 64, 4,096 and 262,144 nodes and
 ``plugin_estimates`` on ``PLUGIN_ROWS`` observed rows (the benchmark's
 generated history for its two-coordinate ``theory-continuous`` design) and
@@ -98,18 +101,18 @@ BATCHES = (1, 8, 2000)
 LOGIT_BATCHES = (1, 10, 256)
 VARIANT_BATCHES = (1, 8, 256)
 # Interleaved rowwise rows: continuous-logit trial length -> batches.  Each
-# refit runs IRLS on all of an arm's rows, so a trial costs about n squared:
-# at n = 6,400 one timing of a batch of 32 takes about a minute, so that row
-# runs ROWWISE_ROUNDS[(6400, 32)] rounds (plus the first, untimed run of each
-# side); every other row runs INTERLEAVE_ROUNDS.
-ROWWISE_BATCHES = {400: (1, 10), 1600: (1, 32), 6400: (1, 32)}
-ROWWISE_ROUNDS = {(6400, 32): 3}
-# Interleaved small rowwise row, B = 1: the theory-continuous design whose
+# refit runs IRLS on all of an arm's rows, so a trial costs about n squared.
+# n = 4,000 at B = 8 is the batch that the runtime of the continuous-covariate
+# checks rests on.  n = 6,400 at B = 32 is not timed: one timing takes about a
+# minute, and the 3 rounds that fit in a run gave quartiles too wide to read.
+ROWWISE_BATCHES = {400: (1, 10), 1600: (1, 32), 4000: (8,), 6400: (1,)}
+# Interleaved small rowwise rows, B = 1: every theory-continuous design, whose
 # tiny separated cells send Newton candidates past exp's overflow threshold.
-SMALL_ROWWISE = "logit-4u-exp"
+SMALL_ROWWISE_N = 60
 ENGINE_N = 500
 ENGINE_REPEATS = 5  # batches of at most this many replicates are timed this many times
 IRLS_ROWS = {2: 80, 5: 170}
+IRLS_WARM_ROWS = {2: 130, 5: 20}  # d -> rows of a warm-started fit
 IRLS_CALLS = 200
 IRLS_REPEATS = 15
 # Nodes -> (theory-continuous design, calls per timing, timings).
@@ -169,8 +172,8 @@ def engine_rows(package: str = "carasim", interleaved: bool = False) -> dict:
     engine rows, on the carasim package imported as ``package``; the
     interleaved rows add the two-point variants and the step rows, and time
     ``continuous-logit`` at the lengths and batches of ``ROWWISE_BATCHES``
-    (rows named ``continuous-logit n=N/B=B``) and the ``SMALL_ROWWISE``
-    design at its own length, B = 1."""
+    (rows named ``continuous-logit n=N/B=B``) and every ``theory-continuous``
+    design at ``SMALL_ROWWISE_N`` patients, B = 1."""
     engine = importlib.import_module(f"{package}.engine")
     fixtures = importlib.import_module(f"{package}.fixtures")
     parse_config = importlib.import_module(f"{package}.harness").parse_config
@@ -189,10 +192,10 @@ def engine_rows(package: str = "carasim", interleaved: bool = False) -> dict:
         for n, batches in ROWWISE_BATCHES.items():
             raw = dict(logit, trial=dict(logit["trial"], n=n))
             configs[f"continuous-logit n={n}"] = (parse_config(raw), batches)
-        small = next(d for d in designs("theory-continuous", fixtures.DEFAULT_SEED)
-                     if d.name == SMALL_ROWWISE)
-        configs[f"theory-continuous {SMALL_ROWWISE} n={small.config['trial']['n']}"] = (
-            parse_config(small.config), (1,))
+        for small in designs("theory-continuous", fixtures.DEFAULT_SEED):
+            raw = dict(small.config, trial=dict(small.config["trial"], n=SMALL_ROWWISE_N))
+            configs[f"theory-continuous {small.name} n={SMALL_ROWWISE_N}"] = (parse_config(raw),
+                                                                              (1,))
     else:
         configs["continuous-logit"] = (parse_config(logit), LOGIT_BATCHES)
     rows = {}
@@ -299,13 +302,11 @@ def theory_rows(package: str = "carasim") -> dict:
     return rows
 
 
-def interleaved(sides: tuple[dict, dict], label: str, unit: str, scale: float,
-                rounds: dict | None = None) -> dict:
+def interleaved(sides: tuple[dict, dict], label: str, unit: str, scale: float) -> dict:
     """Rows of this tree (``sides[0]``, named ``label``) and of the other
     (``sides[1]``, named ``parent``), timed in alternating order round by
-    round, ``INTERLEAVE_ROUNDS`` rounds or ``rounds[row]``; a row is (run,
-    divisor), and its figure is seconds per run times ``scale`` over the
-    divisor, in ``unit``."""
+    round, ``INTERLEAVE_ROUNDS`` rounds; a row is (run, divisor), and its
+    figure is seconds per run times ``scale`` over the divisor, in ``unit``."""
     out = {}
     for row, (run, divisor) in sides[0].items():
         other = sides[1][row][0]
@@ -314,8 +315,7 @@ def interleaved(sides: tuple[dict, dict], label: str, unit: str, scale: float,
         other()
         calls = max(1, round(2 * INTERLEAVE_TIMING_S / (time.perf_counter() - t0)))
         seconds = ([], [])
-        n_rounds = (rounds or {}).get(row, INTERLEAVE_ROUNDS)
-        for r in range(n_rounds):
+        for r in range(INTERLEAVE_ROUNDS):
             for side in ((0, 1) if r % 2 == 0 else (1, 0)):
                 fn = (run, other)[side]
                 t0 = time.perf_counter()
@@ -327,7 +327,7 @@ def interleaved(sides: tuple[dict, dict], label: str, unit: str, scale: float,
         out[row] = {unit: {name: round(statistics.median(s) * per, 4)
                            for name, s in zip((label, "parent"), seconds)},
                     "ratio_median": round(ratio, 4), "ratio_q1": round(q1, 4),
-                    "ratio_q3": round(q3, 4), "rounds": n_rounds,
+                    "ratio_q3": round(q3, 4), "rounds": INTERLEAVE_ROUNDS,
                     "calls_per_timing": calls}
         print(f"{row}: {statistics.median(seconds[0]) * per:.4f} against "
               f"{statistics.median(seconds[1]) * per:.4f} {unit}, ratio {ratio:.3f} "
@@ -337,12 +337,10 @@ def interleaved(sides: tuple[dict, dict], label: str, unit: str, scale: float,
 
 def interleaved_engine(this: dict, other: dict, label: str) -> dict:
     """The interleaved engine rows (``engine_rows(..., interleaved=True)``)
-    of two trees, in microseconds per patient; the rowwise rows of the
-    (trial length, batch) pairs in ``ROWWISE_ROUNDS`` run that many rounds."""
+    of two trees, in microseconds per patient."""
     sides = ({row: (run, timed * n) for row, (run, timed, n) in this.items()},
              {row: (run, timed * n) for row, (run, timed, n) in other.items()})
-    rounds = {f"continuous-logit n={n}/B={B}": count for (n, B), count in ROWWISE_ROUNDS.items()}
-    out = interleaved(sides, label, "us_per_patient", 1e6, rounds)
+    out = interleaved(sides, label, "us_per_patient", 1e6)
     for row, entry in out.items():
         entry["replicates_timed"] = this[row][1]
     return out
@@ -377,52 +375,59 @@ def timings(run, repeats: int) -> tuple[float, float]:
 
 
 def irls_cases(package: str = "carasim") -> dict:
-    """d -> (run, iterations) on the carasim package imported as ``package``:
-    ``run`` makes ``IRLS_CALLS`` fits by ``estimation.fit_one_cell`` on
-    ``IRLS_ROWS[d]`` unit-trial rows, started at zero without the
-    conditioning guard, as the engine refits one cell, and ``iterations``
-    is the iteration count of one fit."""
+    """Case -> (run, rows, iterations) on the carasim package imported as
+    ``package``: ``run`` makes ``IRLS_CALLS`` fits by
+    ``estimation.fit_one_cell`` on unit-trial rows without the conditioning
+    guard, as the engine refits one cell, and ``iterations`` is the
+    iteration count of one fit.  Case ``d=D`` fits ``IRLS_ROWS[D]`` rows from
+    zero, and ``warm d=D`` fits ``IRLS_WARM_ROWS[D]`` rows from the MLE of all
+    but the last row."""
     import numpy as np
 
     seed = importlib.import_module(f"{package}.fixtures").DEFAULT_SEED
     estimation = importlib.import_module(f"{package}.estimation")
     fit, errstate = estimation.fit_one_cell, estimation.solve_errstate
     out = {}
-    for d, n in IRLS_ROWS.items():
-        rng = np.random.default_rng([seed, d])
-        X = np.column_stack([np.ones(n), rng.uniform(-1.0, 1.0, (n, d - 1))])
-        theta = rng.uniform(-0.5, 0.5, d)
-        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-X @ theta))).astype(float)
-        rows = np.empty((1 + d, n))  # the core's C-order block: successes, covariates
-        rows[0], rows[1:] = y, X.T
-        init = np.zeros(d)
-
-        def run(rows=rows, init=init):
+    for warm, sizes in ((False, IRLS_ROWS), (True, IRLS_WARM_ROWS)):
+        for d, n in sizes.items():
+            rng = np.random.default_rng([seed, d])
+            X = np.column_stack([np.ones(n), rng.uniform(-1.0, 1.0, (n, d - 1))])
+            theta = rng.uniform(-0.5, 0.5, d)
+            y = (rng.random(n) < 1.0 / (1.0 + np.exp(-X @ theta))).astype(float)
+            rows = np.empty((1 + d, n))  # the core's C-order block: successes, covariates
+            rows[0], rows[1:] = y, X.T
+            init = np.zeros(d)
             with errstate():
-                for _ in range(IRLS_CALLS):
-                    fit(rows, None, init, False)
+                if warm:
+                    init = fit(rows[:, :-1], None, init, False)[0]
+                iterations = fit(rows, None, init, False)[2]
 
-        with errstate():
-            out[d] = (run, fit(rows, None, init, False)[2])
+            def run(rows=rows, init=init):
+                with errstate():
+                    for _ in range(IRLS_CALLS):
+                        fit(rows, None, init, False)
+
+            out[f"warm d={d}" if warm else f"d={d}"] = (run, n, iterations)
     return out
 
 
 def irls_rows(package: str = "carasim") -> dict:
-    """The interleaved IRLS rows: row name -> (run, fits per run)."""
-    return {f"fit_grouped_logistic_mle/d={d}": (run, IRLS_CALLS)
-            for d, (run, _) in irls_cases(package).items()}
+    """The interleaved IRLS rows: row name -> (run, fits per run); the fits
+    from zero keep the row names of earlier BENCH files."""
+    return {(f"fit_one_cell/{case} n={n}" if case.startswith("warm")
+             else f"fit_grouped_logistic_mle/{case}"): (run, IRLS_CALLS)
+            for case, (run, n, _) in irls_cases(package).items()}
 
 
 def irls_us_per_fit() -> dict:
     out = {}
-    for d, (run, iterations) in irls_cases().items():
-        n = IRLS_ROWS[d]
+    for case, (run, n, iterations) in irls_cases().items():
         best, calibrated = timings(run, IRLS_REPEATS)
         us = 1e6 / IRLS_CALLS
-        out[f"d={d}"] = {"us_per_fit": round(best * us, 3),
-                         "calibrated_us_per_fit": round(calibrated * us, 3),
-                         "rows": n, "iterations": iterations}
-        print(f"irls d={d} n={n}: {best * us:.3f} us per fit, {calibrated * us:.3f} calibrated "
+        out[case] = {"us_per_fit": round(best * us, 3),
+                     "calibrated_us_per_fit": round(calibrated * us, 3),
+                     "rows": n, "iterations": iterations}
+        print(f"irls {case} n={n}: {best * us:.3f} us per fit, {calibrated * us:.3f} calibrated "
               f"({iterations} iterations)", flush=True)
     return out
 

@@ -6,9 +6,7 @@ incoming patient's covariate ``x``.  Every rule is smooth in
 ``theta``; ``jacobian`` returns the K-by-(K*d) matrix of partial derivatives
 with columns ordered row-major over (arm j, coordinate l), i.e. column
 ``j*d + l`` holds d pi_k / d theta_{j,l}.  Both accept one covariate (d,)
-or a stack of covariates (N, d) and then evaluate every row at once.  The
-engine evaluates a batch of replicates with one coefficient matrix per row,
-theta of shape (N, K, d), through :func:`probabilities_unchecked`.
+or a stack of covariates (N, d) and then evaluate every row at once.
 
 Kinds:
 
@@ -22,10 +20,12 @@ Kinds:
                       theta_{2,1}) / T) using the leading (intercept)
                       coefficients only.
 
-Every kind runs through one batched kernel that gives pi and, for the
-Jacobian, d pi / d z and the linear predictors z = x theta';
-:func:`node_pass` returns pi, d pi / d theta and z from one evaluation,
-which is how the limit theory and the plug-ins read them.
+Each family of kinds (the softmax, 1 + z^2 and the two Phi kinds) has one
+batched kernel that gives pi and, for the Jacobian, d pi / d z and the
+linear predictors z = x theta', picked by ``_KERNELS``; the engine looks its
+rule's kernel up once and evaluates a batch of replicates through it, with
+theta (N, K, d).  :func:`node_pass` returns pi, d pi / d theta and z from
+one evaluation, which is how the limit theory and the plug-ins read them.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-__all__ = ["AllocationRule", "KIND_PARAMS", "check_rule", "probabilities",
-           "probabilities_unchecked", "node_pass", "jacobian", "fold_columns"]
+__all__ = ["AllocationRule", "KIND_PARAMS", "check_rule", "probabilities", "node_pass",
+           "jacobian", "fold_columns"]
 
 # The parameters each kind reads; a kind must be given these and no others.
 KIND_PARAMS = {"ratio-of-g": ("g_name",), "exponential": ("T",), "odds-ratio": (),
@@ -137,58 +137,75 @@ def _predictors(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x @ theta.T
 
 
+def _phi(rule, theta, x, derivative=False, weights=None):
+    """The two Phi kinds: pi_1 = Phi(t), with t = (z_1 - z_2) / T, or the
+    intercepts' difference over T for the covariate-free rule."""
+    if rule.kind == "covariate-free-normal":
+        t = (theta[..., 0, 0] - theta[..., 1, 0]) / rule.T
+        if x.ndim == 2 and theta.ndim == 2:
+            t = np.full(x.shape[0], t)
+    else:
+        z = _predictors(theta, x)
+        t = (z[..., 0] - z[..., 1]) / rule.T
+    p1 = ndtr(t)
+    p = _normalise(np.array([p1, 1.0 - p1]).T)
+    if not derivative:
+        return p
+    # d pi / d z = g [[1, -1], [-1, 1]]; (-g) w is -(g w) bit for bit
+    g = np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi) / rule.T
+    if weights is not None:
+        g = g * weights
+    dpi_dz = g[..., None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    if rule.kind == "covariate-free-normal":
+        u = np.broadcast_to(np.eye(x.shape[-1])[0], x.shape)
+        return p, dpi_dz, u, _predictors(theta, x)
+    return p, dpi_dz, x, z
+
+
+def _one_plus_z_squared(rule, theta, x, derivative=False, weights=None):
+    """Ratio of G(z) = 1 + z^2."""
+    z = _predictors(theta, x)
+    g = 1.0 + z * z
+    p = _normalise(g)
+    if not derivative:
+        return p
+    # d pi_k / d z_j = (delta_kj G'(z_j) - pi_k G'(z_j)) / sum G
+    dpi_dz = _delta_minus_outer(p, 2.0 * z, divisor=fold_columns(np.add, g, keepdims=True),
+                                weights=weights)
+    return p, dpi_dz, x, z
+
+
+def _softmax(rule, theta, x, derivative=False, weights=None):
+    """exp(T z_k) / sum_j exp(T z_j): exponential, and odds-ratio and G = exp at T = 1."""
+    z = _predictors(theta, x)
+    T = rule.T if rule.kind == "exponential" else 1.0
+    zz = T * z if T != 1.0 else z
+    p = _normalise(np.exp(zz - fold_columns(np.maximum, zz, keepdims=True)))
+    if not derivative:
+        return p
+    # d pi_k / d z_j = T (pi_k delta_kj - pi_k pi_j)
+    dpi_dz = _delta_minus_outer(p, p, factor=T, weights=weights)
+    return p, dpi_dz, x, z
+
+
+# The kernel of each rule, by (kind, g_name): pi for ``rule`` and, with
+# ``derivative``, (d pi / d z, u, z).  Every rule's Jacobian is
+# d pi / d theta_{j,l} = (d pi / d z_j) u_l, with u = x except for the
+# covariate-free rule, whose u is the unit intercept vector, and z = x theta'
+# the linear predictors.  d pi / d z has shape (..., K, K), times ``weights``
+# (...,) row by row when they are given (:func:`_delta_minus_outer` builds it
+# from pi).  Leading axes of ``x`` are carried through; ``theta`` is one
+# (K, d) matrix, or (N, K, d) with one matrix per row of ``x`` (the engine).
+_KERNELS = {("exponential", None): _softmax, ("odds-ratio", None): _softmax,
+            ("ratio-of-g", "exp"): _softmax,
+            ("ratio-of-g", "one-plus-z-squared"): _one_plus_z_squared,
+            ("two-arm-g-difference", None): _phi, ("covariate-free-normal", None): _phi}
+
+
 def _kernel(rule: AllocationRule, theta: np.ndarray, x: np.ndarray,
             derivative: bool = False, weights: np.ndarray | None = None):
-    """pi for ``rule`` and, with ``derivative``, (d pi / d z, u, z).
-
-    Every rule's Jacobian is d pi / d theta_{j,l} = (d pi / d z_j) u_l,
-    with u = x except for the covariate-free rule, whose u is the unit
-    intercept vector, and z = x theta' the linear predictors.  d pi / d z
-    has shape (..., K, K), times ``weights`` (...,) row by row when they
-    are given (:func:`_delta_minus_outer` builds it from pi).
-    Leading axes of ``x`` are carried through; ``theta`` is one (K, d)
-    matrix, or (N, K, d) with one matrix per row of ``x`` (the engine's
-    :func:`probabilities_unchecked` only).
-    """
-    if rule.kind in _PHI_KINDS:
-        if rule.kind == "covariate-free-normal":
-            t = (theta[..., 0, 0] - theta[..., 1, 0]) / rule.T
-            if x.ndim == 2 and theta.ndim == 2:
-                t = np.full(x.shape[0], t)
-        else:
-            z = _predictors(theta, x)
-            t = (z[..., 0] - z[..., 1]) / rule.T
-        p1 = ndtr(t)
-        p = _normalise(np.array([p1, 1.0 - p1]).T)
-        if not derivative:
-            return p
-        # d pi / d z = g [[1, -1], [-1, 1]]; (-g) w is -(g w) bit for bit
-        g = np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi) / rule.T
-        if weights is not None:
-            g = g * weights
-        dpi_dz = g[..., None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
-        if rule.kind == "covariate-free-normal":
-            u = np.broadcast_to(np.eye(x.shape[-1])[0], x.shape)
-            return p, dpi_dz, u, _predictors(theta, x)
-        return p, dpi_dz, x, z
-    z = _predictors(theta, x)
-    if rule.kind == "ratio-of-g" and rule.g_name == "one-plus-z-squared":
-        g = 1.0 + z * z
-        p = _normalise(g)
-        if not derivative:
-            return p
-        # d pi_k / d z_j = (delta_kj G'(z_j) - pi_k G'(z_j)) / sum G
-        dpi_dz = _delta_minus_outer(p, 2.0 * z, divisor=fold_columns(np.add, g, keepdims=True),
-                                    weights=weights)
-    else:  # exponential, odds-ratio and ratio-of-g with G = exp
-        T = rule.T if rule.kind == "exponential" else 1.0
-        zz = T * z if T != 1.0 else z
-        p = _normalise(np.exp(zz - fold_columns(np.maximum, zz, keepdims=True)))
-        if not derivative:
-            return p
-        # d pi_k / d z_j = T (pi_k delta_kj - pi_k pi_j)
-        dpi_dz = _delta_minus_outer(p, p, factor=T, weights=weights)
-    return p, dpi_dz, x, z
+    """The kernel of ``rule`` (``_KERNELS``)."""
+    return _KERNELS[rule.kind, rule.g_name](rule, theta, x, derivative, weights)
 
 
 # Rows of d pi / d z built at a time: a block of (_BLOCK_ROWS, K, K) stays in
@@ -246,15 +263,6 @@ def probabilities(rule: AllocationRule, theta: np.ndarray, x: np.ndarray) -> np.
     one (K, d) matrix for every row.
     """
     theta, x = _check_args(rule, theta, x)
-    return probabilities_unchecked(rule, theta, x)
-
-
-def probabilities_unchecked(rule: AllocationRule, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """:func:`probabilities` without its argument checks, for a caller that
-    checked the rule once with :func:`check_rule` and passes float arrays of
-    matching shapes (the engine, once per patient).  ``theta`` may also be a
-    stack (N, K, d) with one matrix per row of ``x`` (N, d): a batch of
-    replicates."""
     return _kernel(rule, theta, x)
 
 

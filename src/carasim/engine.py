@@ -33,7 +33,9 @@ floating-point steps whatever B is, so replicate i of a batch is bit for bit
 ``run_trial`` with replicate i's seed.  The record holds each patient's
 covariate, arm, allocation probabilities and response, and the estimates;
 what the estimators count stays in the engine state, where
-:meth:`TrialHistory.support_counts` and ``refit_counts`` read it.
+:meth:`TrialHistory.support_counts` and ``refit_counts`` read it.  A state
+binds, when it is built or copied, what every patient uses: its rule's
+kernel, its refit path and the views of its arrays that patients write.
 
 Grouped, least-squares and joint refits run on sufficient statistics, so they
 cost the same at patient 100 and patient 10000.  A rowwise logistic arm (no
@@ -66,7 +68,8 @@ arm's rows, so its cost grows with the arm and a trial's with n squared:
   ``step()``) calls the batch-of-one core
   :func:`carasim.estimation.fit_one_cell` directly, under the error state
   the patient loop enters once per call, and writes its result, the clamp
-  of it, its ``converged`` flag and the IRLS counters by scalar index;
+  of it, its ``converged`` flag and the IRLS counters by scalar index (the
+  failure counters only when the fit did not converge);
 * normal arms keep normal-equation accumulators, solved as one stack;
 * the shared-slope joint fit carries the inverse of its Gram matrix forward
   by rank-one (Sherman-Morrison) updates once it is solvable; when every
@@ -123,7 +126,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 import numpy as np
 from numpy.random import Generator, PCG64, SeedSequence
 
-from .allocation import AllocationRule, check_rule, fold_columns, probabilities_unchecked
+from .allocation import _KERNELS, AllocationRule, check_rule, fold_columns
 from .estimation import COND_MAX, fit_logistic_cells, fit_one_cell, solve_errstate, solve_stack
 from .model import TrialModel, responses_from_uniforms
 
@@ -397,9 +400,9 @@ class _Lockstep:
         K, d = model.K, model.d
         if m0 < d + 1:
             raise ValueError(f"m0 must be at least d + 1 = {d + 1}, got {m0}")
-        check_rule(rule, K)
-        self.model, self.rule, self.opts = model, rule, opts
+        self.model, self.opts = model, opts
         self.K, self.m0 = K, m0
+        self._use(rule)
         self.burn = K * m0
         self.B = B
         self.m = 0  # patients admitted to every replicate
@@ -471,10 +474,25 @@ class _Lockstep:
                 and np.linalg.cond(self.support) < 1e8):
             self.sat_inv = np.linalg.inv(self.support)
         self._first_cell = np.arange(B) * K
-        self._theta3 = self.theta.reshape(B, K, d)
+        # The refit path: the joint fit, the fit of the one kind of arm, or the split by
+        # kind; a function, not a bound method, so that take() copies it as it is.
+        self._refit = (_Lockstep._refit_joint if self.joint else self._FITS[self.kinds[0]]
+                       if len(self.kinds) == 1 else _Lockstep._refit_by_kind)
+        self._views()
         # What take() copies: the design's arrays, and whether each is per cell.
         self._arrays = {name: name in self._PER_CELL for name in self._PER_CELL
                         + self._PER_REPLICATE if getattr(self, name, None) is not None}
+
+    def _use(self, rule: AllocationRule) -> None:
+        """Allocate by ``rule`` from now on, through its kernel, looked up once."""
+        check_rule(rule, self.K)
+        self.rule, self._pi = rule, _KERNELS[rule.kind, rule.g_name]
+
+    def _views(self) -> None:
+        """Bind views of the state's own arrays: the estimates and the flat support counts."""
+        self._theta3 = self.theta.reshape(self.B, self.K, self.model.d)
+        if self.grouped:
+            self._trials_at, self._succ_at = self.trials.reshape(-1), self.succ.reshape(-1)
 
     def take(self, row: int) -> "_Lockstep":
         """A copy that holds only replicate ``row``."""
@@ -488,7 +506,6 @@ class _Lockstep:
         for name, per_cell in self._arrays.items():
             value = state[name]
             state[name] = (value if one else value[cells if per_cell else reps]).copy()
-        new._theta3 = new.theta.reshape(1, K, self.model.d)
         if self.support is not None:
             new._points = []
         if self.rowwise:
@@ -501,6 +518,7 @@ class _Lockstep:
             new._first_cell = self._first_cell[:1]
             if self.joint:
                 new.n_formed = int(new.formed.sum())
+        new._views()  # the copy's, not its source's
         return new
 
     def estimates(self) -> np.ndarray:
@@ -559,7 +577,7 @@ class _Lockstep:
         """
         psi = None
         if arm is None:
-            psi = probabilities_unchecked(self.rule, self.estimates(), x)
+            psi = self._pi(self.rule, self._theta3, x)
             acc = psi[:, 0]
             arm = (u_assign >= acc).astype(np.intp)
             for j in range(1, self.K - 1):
@@ -570,20 +588,20 @@ class _Lockstep:
         self._observe(x, six, arm, cell, y)
         self.m += 1
         if self.m > self.burn:
-            self._refit(cell)
+            self._refit(self, cell)
         elif self.m == self.burn:
             # Every arm is estimated once at the end of burn-in; afterwards
             # each patient refits the cell it joined.
-            self._refit(np.arange(self.theta.shape[0]))
+            self._refit(self, np.arange(self.theta.shape[0]))
         return arm, psi, y
 
     def _observe(self, x, six, arm, cell, y) -> None:
         if self.support is not None:
             point = cell * self.trials.shape[1] + six  # flat: cheaper than [cell, six]
             if self.grouped:
-                np.add.at(self.trials.reshape(-1), point, 1.0)
+                np.add.at(self._trials_at, point, 1.0)
                 succ = y if self._succ_arms is None else np.where(self._succ_arms[arm], y, 0.0)
-                np.add.at(self.succ.reshape(-1), point, succ)
+                np.add.at(self._succ_at, point, succ)
             else:
                 self._points.append(point)
                 if len(self._points) == _DRAW_BLOCK:
@@ -620,23 +638,14 @@ class _Lockstep:
 
     # -- refits --------------------------------------------------------------
 
-    def _refit(self, cells: np.ndarray) -> None:
-        """Refit the cells, in ascending order (the joint fit refits every
-        replicate)."""
-        if self.joint:
-            self._refit_joint()
-        else:
-            fits = (self._fit_grouped, self._fit_rows, self._fit_lse)
-            if len(self.kinds) == 1:
-                # Splitting the cells by kind costs about 5 us, a tenth of a
-                # two-point patient in a batch of one.
-                fits[self.kinds[0]](cells)
-            else:
-                kinds = self.arm_kind[cells % self.K]
-                for kind in self.kinds:
-                    of_kind = cells[kinds == kind]
-                    if of_kind.size:
-                        fits[kind](of_kind)
+    def _refit_by_kind(self, cells: np.ndarray) -> None:
+        """Refit the cells kind by kind, in ascending order (the split costs about
+        5 us, so a design with one kind of arm refits without it)."""
+        kinds = self.arm_kind[cells % self.K]
+        for kind in self.kinds:
+            of_kind = cells[kinds == kind]
+            if of_kind.size:
+                self._FITS[kind](self, of_kind)
 
     def _store(self, cells, raw, converged, failed) -> None:
         """Write refits of ``cells`` (indices, or a slice of every cell): the
@@ -666,11 +675,12 @@ class _Lockstep:
             self.raw[c] = raw  # a singular fit returns its start, the estimate it keeps
             self.theta[c] = np.minimum(np.maximum(raw, self.lo[c]), self.hi[c])
             self.converged[c] = converged
-            self.fail[c] += singular
             self.irls_fits[c] += 1
             self.irls_iterations[c] += iterations
-            self.irls_nonconverged[c] += not (converged or singular)
-            self.irls_singular[c] += singular
+            if not converged:  # a singular fit has not converged
+                self.fail[c] += singular
+                self.irls_nonconverged[c] += not singular
+                self.irls_singular[c] += singular
             return
         raw, converged, iterations, singular = fit_logistic_cells(rows, trials, sizes,
                                                                   self.theta[cells])
@@ -688,7 +698,7 @@ class _Lockstep:
         # Every cell on whole arrays, or the joined cells (module docstring).
         whole = self.whole
         rows = slice(None) if whole else cells
-        t, s = self.trials[rows], self.succ[rows]
+        t, s = (self.trials, self.succ) if whole else (self.trials[cells], self.succ[cells])
         # A group without both outcomes has a logit of +-inf, which the box
         # clamps.  A zero entry of S^-1 times such a logit gives NaN in the
         # product; those cells are summed again without the zero terms.
@@ -747,7 +757,9 @@ class _Lockstep:
         converged = self.solvable[cells] & np.all(np.isfinite(sol), axis=1)
         self._store(cells, sol, converged, ~converged)
 
-    def _refit_joint(self) -> None:
+    _FITS = (_fit_grouped, _fit_rows, _fit_lse)  # the refit of each kind of arm
+
+    def _refit_joint(self, cells) -> None:  # every replicate, whatever cells were joined
         B, K = self.B, self.K
         if self.m >= self.joint_gram.shape[1] and self.n_formed < B:
             # Invert the Gram matrix at the first refit where it is solvable.
@@ -867,7 +879,7 @@ def _admit(state: _Lockstep, streams: list[TrialStreams], stop: int,
         xs, sixs = spec.from_uniforms(u.transpose(1, 0, 2).reshape(c * B, q))
         ys = responses_from_uniforms(model.logistic, model.dispersion, model.true_theta,
                                      xs, u_resp.T.reshape(-1))
-        xs, ys = xs.reshape(c, B, -1), ys.reshape(c, B, -1)
+        xs, ys, u_assign = xs.reshape(c, B, -1), ys.reshape(c, B, -1), u_assign.T
         if sixs is not None:
             sixs = sixs.reshape(c, B)
         for m in range(start, end):
@@ -876,14 +888,14 @@ def _admit(state: _Lockstep, streams: list[TrialStreams], stop: int,
             if m < burn:
                 k, psi, y = state.patient(xs[i], six, None, ys[i], arm=schedule[:, m])
             else:
-                k, psi, y = state.patient(xs[i], six, u_assign[:, m - first], ys[i])
+                k, psi, y = state.patient(xs[i], six, u_assign[m - first], ys[i])
             if record is not None:
                 arms[m] = k
                 responses[m] = y
                 if psi is not None:
                     probs[m] = psi
                 if (m + 1) % stride == 0:
-                    thetas[m // stride] = state.estimates()
+                    thetas[m // stride] = state._theta3
         if record is not None:
             record.covariates[:, start:end] = xs.transpose(1, 0, 2)
             record.used = end
@@ -989,8 +1001,7 @@ def step(history: TrialHistory, model: TrialModel, rule: AllocationRule,
     source = history.engine_state
     state = source.take(history.engine_row)
     if rule is not state.rule:
-        check_rule(rule, model.K)
-        state.rule = rule
+        state._use(rule)
     n = history.n
     record = source.record
     if source.B > 1 or record.used != n or record.arms.shape[1] == n:

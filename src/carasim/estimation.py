@@ -13,11 +13,12 @@ share the call; each cell stops by its own tests (gradient, step, iteration
 limit, singular system), and the columns of the cells still iterating are
 kept by one ``np.compress`` of the block.  One cell, :func:`fit_one_cell`,
 calls the same arithmetic helpers but reads its tests off its one cell,
-without the live-cell masks.  The engine refits the logistic cells of one
-patient in one call of ``fit_logistic_cells``, and a single cell by
-``fit_one_cell``, which is also the standalone ``fit_grouped_logistic_mle``
-(binomial counts at distinct points) and its unit-trial case, the rowwise
-``fit_logistic_mle``.
+without the live-cell masks, on Python floats (where NaN and inf end a fit
+as numpy's reductions end it in the batch).  The engine refits the logistic
+cells of one patient in one call of ``fit_logistic_cells``, and a single
+cell by ``fit_one_cell``, which is also the standalone
+``fit_grouped_logistic_mle`` (binomial counts at distinct points) and its
+unit-trial case, the rowwise ``fit_logistic_mle``.
 
 The log-likelihood serves step halving alone (a candidate is kept when its
 cell's value does not fall); no output stores it.  :func:`_loglik` takes
@@ -216,10 +217,10 @@ def _products(Xt: np.ndarray, out: np.ndarray) -> None:
 
 @functools.cache
 def _hessian_rows(d: int) -> np.ndarray:
-    """The row of :func:`_newton_sums` that holds each Hessian entry, row-major."""
+    """The row of :func:`_newton_sums` that holds each Hessian entry, (d, d)."""
     tri = np.zeros((d, d), dtype=np.intp)
     tri[np.triu_indices(d)] = np.arange(d, d + d * (d + 1) // 2)
-    rows = np.maximum(tri, tri.T).ravel()
+    rows = np.maximum(tri, tri.T)
     rows.setflags(write=False)  # one array serves every fit
     return rows
 
@@ -237,9 +238,18 @@ def _newton_sums(Xt, XX, Z, t, s, mu, starts) -> np.ndarray:
 
 _ONE_CELL = np.zeros(1, dtype=np.intp)
 
-# The tests of both IRLS loops reduce by the ufuncs' ``reduce``: the same
+# The tests of the batched loop reduce by the ufuncs' ``reduce``: the same
 # reductions as ``ndarray.max``, ``.any`` and ``.all`` without their Python
-# wrappers, which cost more than the reduction of a few entries.
+# wrappers.  The one-cell loop reads its d-vectors as Python floats, cheaper
+# than one reduction of a few entries.
+
+
+def _vector_max(v: list) -> float:
+    """``np.maximum.reduce(np.abs(v))`` of the floats ``v`` where that is
+    finite, else NaN or inf: Python's ``max`` drops a NaN after the first
+    entry, so a NaN sum (a NaN entry, or inf - inf) gives NaN."""
+    top = max(map(abs, v))
+    return math.nan if math.isnan(sum(v)) else top
 
 
 def fit_one_cell(rows, t, init, check_conditioning):
@@ -260,15 +270,15 @@ def fit_one_cell(rows, t, init, check_conditioning):
     Z = np.empty((d + m, N))
     theta, converged, singular = init, False, False
     mu = _row_sums(Xt * theta[:, None])
-    ll = _loglik(mu, t, s, _ONE_CELL)[0]
+    ll = _loglik(mu, t, s, _ONE_CELL).item()  # log-likelihoods compare as Python floats
     for it in range(1, _MAX_ITER + 1):
         sums = _newton_sums(Xt, XX, Z, t, s, mu, _ONE_CELL)[:, 0]
-        if np.maximum.reduce(np.abs(sums[:d])) <= _GRAD_TOL:
+        if _vector_max(sums[:d].tolist()) <= _GRAD_TOL:
             converged, it = True, it - 1
             break
-        H = sums.take(hessian).reshape(d, d)
+        H = sums[hessian]
         delta = solve_stack(H, sums[:d])
-        dmax = np.maximum.reduce(np.abs(delta))
+        dmax = _vector_max(delta.tolist())
         if not math.isfinite(dmax) or (check_conditioning and not (
                 np.isfinite(H).all() and np.linalg.cond(H) <= COND_MAX)):
             singular = True
@@ -277,7 +287,7 @@ def fit_one_cell(rows, t, init, check_conditioning):
         scale, cand = 1.0, theta + delta
         for _ in range(_MAX_HALVINGS):
             mu_c = _row_sums(Xt * cand[:, None])
-            ll_c = _loglik(mu_c, t, s, _ONE_CELL)[0]
+            ll_c = _loglik(mu_c, t, s, _ONE_CELL).item()
             if ll_c >= ll - 1e-12:
                 break
             scale *= 0.5
@@ -371,7 +381,7 @@ def fit_logistic_cells(rows: np.ndarray, trials: np.ndarray | None, sizes: np.nd
             if keep is None:
                 break
             sums = sums[:, keep]
-        H = sums.T.take(hessian, axis=1).reshape(-1, d, d)
+        H = sums.T.take(hessian, axis=1)
         delta = solve_stack(H, sums[:d].T)
         # The largest step component; not finite when the system is singular
         # (a sum that is finite has no such component).

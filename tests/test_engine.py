@@ -303,13 +303,33 @@ def test_stepping_leaves_the_history_it_resumes_unchanged(design):
 
 def test_step_allocates_the_new_patient_by_the_rule_it_is_given():
     model, rule = _f1(n=40)
-    other = AllocationRule(kind="exponential", T=3.0)
-    streams = streams_for_trial(replicate_root(5, 0))
-    hist = run_trial(model, rule, 40, 6, streams, OPTS)
-    stepped = step(hist, model, other, streams)
-    x = stepped.covariates[-1]
-    np.testing.assert_array_equal(stepped.probs[-1], probabilities(other, hist.current_theta, x))
-    assert not np.allclose(stepped.probs[-1], probabilities(rule, hist.current_theta, x))
+    whole = _snapshot(run_trial(model, rule, 41, 6, replicate_root(5, 0), OPTS))
+    # A rule of the odds-ratio rule's kernel (the softmax) and one of another.
+    for other in (AllocationRule(kind="exponential", T=3.0),
+                  AllocationRule(kind="two-arm-g-difference", T=0.5)):
+        streams = streams_for_trial(replicate_root(5, 0))
+        hist = run_trial(model, rule, 40, 6, streams, OPTS)
+        stepped = step(hist, model, other, streams)
+        x = stepped.covariates[-1]
+        np.testing.assert_array_equal(stepped.probs[-1],
+                                      probabilities(other, hist.current_theta, x))
+        assert not np.allclose(stepped.probs[-1], probabilities(rule, hist.current_theta, x))
+        # The child keeps allocating by the rule it was given ...
+        further = step(stepped, model, other, streams)
+        np.testing.assert_array_equal(
+            further.probs[-1], probabilities(other, stepped.current_theta, further.covariates[-1]))
+        # ... and the history it came from by its own.
+        streams = streams_for_trial(replicate_root(5, 0))
+        run_trial(model, rule, 40, 6, streams, OPTS)
+        _assert_same_snapshot(_snapshot(step(hist, model, rule, streams)), whole)
+    # Rows of a batch of 8, stepped one after another: each step counts its
+    # patient in its own copy of the batch's state.
+    seeds = [replicate_root(5, i) for i in range(8)]
+    streams = [streams_for_trial(seed) for seed in seeds]
+    batch = run_trials(model, rule, 40, 6, streams, OPTS)
+    for i in (3, 0):
+        _assert_same_snapshot(_snapshot(step(batch.histories[i], model, rule, streams[i])),
+                              _snapshot(run_trial(model, rule, 41, 6, seeds[i], OPTS)))
 
 
 def test_step_needs_the_model_the_history_was_run_with():

@@ -293,19 +293,28 @@ def test_gauss_legendre_rule_is_shared_read_only(n):
 # ---------------------------------------------------------------------------
 
 @st.composite
-def logistic_cells(draw):
-    """1-8 cells of binomial counts with ragged row counts, d = 1..4."""
-    d = draw(st.integers(1, 4))
+def logistic_cells(draw, infinite=False):
+    """1-8 cells of binomial counts with ragged row counts, d = 1..4.  With
+    ``infinite``, d >= 2, covariates past the first column may be +-inf and
+    every start coefficient is nonzero, so that a cell's linear predictors
+    are infinite and its gradient and Newton steps can hold a NaN or an
+    infinite entry after a finite first entry."""
+    d = draw(st.integers(2 if infinite else 1, 4))
+    starts = st.floats(0.125, 3.0) | st.floats(-3.0, -0.125) if infinite else st.floats(-3.0, 3.0)
     cells = []
     for _ in range(draw(st.integers(1, 8))):
         m = draw(st.integers(1, 12))
         X = draw(arrays(np.float64, (m, d), elements=st.floats(-2.0, 2.0)))
+        if infinite:
+            for _ in range(draw(st.integers(0, 2))):
+                X[draw(st.integers(0, m - 1)), draw(st.integers(1, d - 1))] = draw(
+                    st.sampled_from((np.inf, -np.inf)))
         t = draw(arrays(np.float64, m, elements=st.integers(1, 5).map(float)))
         if draw(st.booleans()):
             s = t.copy()  # every trial a success: the MLE lies at infinity
         else:
             s = np.floor(t * draw(arrays(np.float64, m, elements=st.floats(0.0, 1.0))))
-        init = draw(arrays(np.float64, d, elements=st.floats(-3.0, 3.0)))
+        init = draw(arrays(np.float64, d, elements=starts))
         cells.append((X, t, s, init))
     return d, cells
 
@@ -324,6 +333,24 @@ def _stacked(cells):
 def test_each_cell_of_a_batched_fit_is_bitwise_its_fit_alone(case):
     # The batched loop, at every C from 1, against fit_one_cell without its
     # conditioning guard (as the engine fits), which fits each cell alone.
+    _assert_each_cell_fits_as_alone(case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(logistic_cells(infinite=True))
+# The first cell's one row is (1, inf) with a success: at the start its
+# gradient is (0, NaN), whose first entry passes the gradient test.
+@example((2, [(np.array([[1.0, np.inf]]), np.ones(1), np.ones(1), np.array([0.5, 1.0])),
+              (np.array([[1.0, 0.5], [1.0, -np.inf], [1.0, 1.5]]), np.full(3, 2.0),
+               np.array([1.0, 2.0, 0.0]), np.array([-1.0, 0.25]))]))
+def test_a_cell_with_infinite_covariates_ends_its_fit_as_in_a_batch(case):
+    """NaN and inf entries of a gradient or Newton step, also after a finite
+    first entry, end a cell's fit alone as the batched loop's reductions end
+    it: the two agree bit for bit, NaN estimates included."""
+    _assert_each_cell_fits_as_alone(case)
+
+
+def _assert_each_cell_fits_as_alone(case):
     d, cells = case
     raw, converged, iterations, singular = fit_logistic_cells(*_stacked(cells))
     for i, (X, t, s, init) in enumerate(cells):
